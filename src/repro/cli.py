@@ -859,12 +859,11 @@ def _cmd_node(args) -> int:
     from repro.experiments.distqueue import DistributedQueue
     from repro.experiments.nodeagent import NodeAgent
 
-    agent = NodeAgent(DistributedQueue(args.queue_dir),
-                      workers=args.workers,
-                      node=args.node_id,
-                      poll_s=args.poll if args.poll is not None else 0.05,
-                      idle_exit_s=args.idle_exit)
-    return agent.run(manifest_wait_s=args.manifest_wait)
+    return NodeAgent.serve(
+        DistributedQueue(args.queue_dir), workers=args.workers,
+        node=args.node_id,
+        poll_s=args.poll if args.poll is not None else 0.05,
+        idle_exit_s=args.idle_exit, manifest_wait_s=args.manifest_wait)
 
 
 def _cmd_characterize_corpus(args) -> int:

@@ -3,6 +3,7 @@ caching, corpus assembly, and report formatting for every table/figure."""
 
 from repro.experiments.config import (
     PROFILES,
+    BuildOptions,
     ExperimentMatrix,
     GraphSpec,
     Profile,
@@ -41,6 +42,7 @@ def __getattr__(name: str):
 
 __all__ = [
     "BehaviorCorpus",
+    "BuildOptions",
     "CircuitBreaker",
     "ExperimentMatrix",
     "FAILURE_KINDS",

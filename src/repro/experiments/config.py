@@ -20,7 +20,8 @@ largest size. See DESIGN.md §2 for the substitution rationale.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from pathlib import Path
 from typing import Iterator
 
 from repro._util.errors import ValidationError
@@ -249,6 +250,131 @@ class PlannedRun:
 
     algorithm: str
     spec: GraphSpec
+
+
+#: Lease defaults, stated once. A crew worker's lease on a cell is long
+#: (a dead worker is also seen by ``is_alive``); a node's lease on its
+#: claims is short, because a missed beat is the only sign of a dead or
+#: partitioned node.
+CREW_LEASE_TIMEOUT_S = 60.0
+NODE_LEASE_TIMEOUT_S = 15.0
+HEARTBEAT_EVERY_S = 1.0
+MAX_LEASE_EXPIRIES = 3
+
+
+@dataclass(frozen=True)
+class BuildOptions:
+    """How a build executes its cells: the one object behind the keyword
+    doors :func:`~repro.experiments.corpus.build_corpus` and
+    :func:`~repro.experiments.corpus.execute_planned_run`.
+
+    Built once at a door, forked into every crew worker, and written —
+    as :meth:`to_dict` plus profile, store root and trace — into a
+    distributed build's ``manifest.json``, so every layer and every
+    node reads the same fields. ``None`` always means "the default",
+    resolved here (or, for the lease timeout, by :meth:`lease_timeout`);
+    an explicit out-of-range value raises here instead of silently
+    becoming the default.
+    """
+
+    #: Per-run wall-clock limit (default: the profile's
+    #: ``run_timeout_s``); exceeding it records a ``timeout`` failure.
+    timeout_s: "float | None" = None
+    #: Extra attempts for transient failure kinds (timeout, crash,
+    #: cache-corrupt), with full-jitter backoff from the profile's
+    #: ``retry_backoff_s``. Default: the profile's ``max_retries``.
+    #: Memory-budget failures are deterministic and never retried.
+    retries: "int | None" = None
+    #: Re-execute a *cached* transient failure instead of replaying it
+    #: (cached successes and memory-budget failures are still reused).
+    resume: bool = False
+    #: Run-health overrides (see
+    #: :class:`~repro.engine.engine.EngineOptions`); None keeps the
+    #: engine defaults (``strict``, every iteration).
+    health_policy: "str | None" = None
+    health_check_every: "int | None" = None
+    #: Iteration-level checkpointing (see :mod:`repro.engine.checkpoint`).
+    #: ``checkpoint_every`` is a
+    #: :meth:`~repro.engine.checkpoint.CheckpointPolicy.parse` spec;
+    #: setting it snapshots each run's state to ``checkpoint_dir``
+    #: (default: ``$REPRO_CHECKPOINT_DIR`` or ``./.repro_checkpoints``)
+    #: so a timed-out or killed attempt *resumes from its last snapshot*
+    #: on retry or on the next build, and the retry budget charges only
+    #: attempts that made no forward progress.
+    checkpoint_dir: "str | None" = None
+    checkpoint_every: "str | None" = None
+    #: Shared-memory graph plane for multi-worker builds: each distinct
+    #: graph is materialized once, published into shared memory and
+    #: attached zero-copy by every worker. Off (or when shared memory is
+    #: unavailable), workers materialize per process through their own
+    #: :class:`~repro.experiments.graph_cache.GraphCache`.
+    use_shm: bool = True
+    #: Capacity of the per-process graph LRU cache (None keeps the
+    #: default / ``$REPRO_GRAPH_CACHE_BYTES``; 0 disables caching).
+    graph_cache_bytes: "int | None" = None
+    #: Resolved observability level — ``"off"``, ``"basic"`` (sampled
+    #: metrics) or ``"full"`` (every iteration timed + span events) —
+    #: with the directory holding the event log and the exported
+    #: ``telemetry.json`` / ``metrics.prom``, and the run id stamped on
+    #: every event. Telemetry is purely observational: behavior vectors
+    #: under the ``unit`` work model are bit-identical across levels.
+    obs_level: str = "off"
+    obs_dir: "str | None" = None
+    run_id: "str | None" = None
+    #: How long a dispatched cell (or, in a distributed build, a node)
+    #: may go without a heartbeat before its lease is revoked and the
+    #: work re-dispatched. See :meth:`lease_timeout` for the defaults.
+    lease_timeout_s: "float | None" = None
+    #: Heartbeat interval (default 1 s); must be comfortably below the
+    #: lease timeout.
+    heartbeat_every_s: "float | None" = None
+    #: Poison budget: after this many lost leases a cell is quarantined
+    #: as ``quarantined-poison`` instead of being handed to yet another
+    #: worker or node (default 3).
+    max_lease_expiries: "int | None" = None
+    #: Bounded speculative re-execution of stragglers: once nothing else
+    #: is dispatchable, idle workers shadow the oldest in-flight cells
+    #: and the first completion wins.
+    speculative: bool = False
+
+    def __post_init__(self) -> None:
+        for attr in ("checkpoint_dir", "obs_dir"):
+            # Absolute, so a peer node with another cwd reads the same
+            # directory out of the manifest.
+            if getattr(self, attr) is not None:
+                object.__setattr__(
+                    self, attr, str(Path(getattr(self, attr)).resolve()))
+        for attr, default in (("heartbeat_every_s", HEARTBEAT_EVERY_S),
+                              ("max_lease_expiries", MAX_LEASE_EXPIRIES)):
+            if getattr(self, attr) is None:
+                object.__setattr__(self, attr, default)
+        if self.lease_timeout_s is not None and self.lease_timeout_s <= 0:
+            raise ValidationError("lease_timeout_s must be positive")
+        if self.max_lease_expiries < 1:
+            raise ValidationError("max_lease_expiries must be >= 1")
+
+    def lease_timeout(self, *, node: bool) -> float:
+        """The lease timeout of a local crew (60 s) or of a node and its
+        crew in a distributed build (15 s), unless set explicitly."""
+        if self.lease_timeout_s is not None:
+            return self.lease_timeout_s
+        return NODE_LEASE_TIMEOUT_S if node else CREW_LEASE_TIMEOUT_S
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "BuildOptions":
+        """Inverse of :meth:`to_dict`. The manifest a node reads is
+        outside input: a key this version does not know, or lacks,
+        means a coordinator of another version, and is refused."""
+        names = {f.name for f in fields(cls)}
+        if set(data) != names:
+            raise ValidationError(
+                f"build options mismatch: unknown keys "
+                f"{sorted(set(data) - names)}, missing keys "
+                f"{sorted(names - set(data))}")
+        return cls(**data)
 
 
 @dataclass

@@ -27,6 +27,7 @@ from repro.engine.checkpoint import (
     SnapshotStore,
 )
 from repro.experiments.config import (
+    BuildOptions,
     ExperimentMatrix,
     GraphSpec,
     PlannedRun,
@@ -34,10 +35,7 @@ from repro.experiments.config import (
     get_profile,
 )
 from repro.experiments.failures import RunFailure, full_jitter_backoff
-from repro.experiments.graph_cache import (
-    configure_default_cache,
-    materialize_problem,
-)
+from repro.experiments.graph_cache import configure_default_cache
 from repro.experiments.results import ResultStore
 from repro.obs.events import (
     EVENTS_FILENAME,
@@ -138,6 +136,27 @@ class BehaviorCorpus:
     @property
     def n_runs(self) -> int:
         return len(self.runs)
+
+    @property
+    def n_collected(self) -> int:
+        """Cells collected so far, failed ones included."""
+        return len(self.runs) + len(self.failures)
+
+    def collect(self, run: CorpusRun, total: int,
+                progress: "Callable[[str], None] | None" = None) -> None:
+        """Take one finished cell, in plan order — the single collector
+        behind the inline loop, the supervisor and the coordinator:
+        fold the worker's metric delta into this process's registry,
+        file the run, and report progress as event and as line."""
+        tel = get_telemetry()
+        if run.obs_snapshot is not None:
+            tel.merge_snapshot(run.obs_snapshot)
+            run.obs_snapshot = None
+        (self.runs if run.ok else self.failures).append(run)
+        event = progress_event(run, self.n_collected, total)
+        tel.emit("progress", **event)
+        if progress is not None:
+            progress(format_progress(event))
 
     @property
     def n_executed(self) -> int:
@@ -292,8 +311,28 @@ def execute_planned_run(
     checkpoint_dir: "str | Path | None" = None,
     checkpoint_every: "str | None" = None,
 ) -> CorpusRun:
-    """Execute one cell under its causal span, then restore the
-    ambient context (see :func:`_execute_cell` for the semantics).
+    """Execute one cell (or fetch it from the store), profile-configured.
+
+    The keyword door to one cell: the arguments are the cell-execution
+    fields of :class:`~repro.experiments.config.BuildOptions`, which
+    documents them. Unlike a build, it lets a fault outside the run
+    itself (store I/O, metric computation) propagate.
+    """
+    return _run_cell(planned, profile, store, BuildOptions(
+        timeout_s=timeout_s, retries=retries, resume=resume,
+        health_policy=health_policy,
+        health_check_every=health_check_every,
+        checkpoint_dir=checkpoint_dir,
+        checkpoint_every=checkpoint_every), isolate=False)
+
+
+def _run_cell(planned: PlannedRun, profile: Profile,
+              store: "ResultStore | None", options: BuildOptions, *,
+              isolate: bool = True) -> CorpusRun:
+    """Execute one cell under its causal span, then restore the ambient
+    context. With ``isolate`` (every build path), *any* escaping
+    exception — store I/O, metric computation, ... — becomes a recorded
+    crash failure instead.
 
     The cell span id is derived from the build trace + the cell's
     cache key, so every attempt at this cell — retries, lease
@@ -306,113 +345,70 @@ def execute_planned_run(
         tel.set_trace(
             base_trace.child("cell", run_cache_key(planned, profile)))
     try:
-        return _execute_cell(planned, profile, store,
-                             timeout_s=timeout_s, retries=retries,
-                             resume=resume, health_policy=health_policy,
-                             health_check_every=health_check_every,
-                             checkpoint_dir=checkpoint_dir,
-                             checkpoint_every=checkpoint_every)
+        return _execute_cell(planned, profile, store, options)
+    except Exception as exc:  # last-resort isolation
+        if not isolate:
+            raise
+        return CorpusRun(planned.algorithm, planned.spec, None, None,
+                         failure=RunFailure.from_exception(exc))
     finally:
         tel.set_trace(base_trace)
 
 
-def _execute_cell(
-    planned: PlannedRun,
-    profile: Profile,
-    store: "ResultStore | None" = None,
-    *,
-    timeout_s: "float | None" = None,
-    retries: "int | None" = None,
-    resume: bool = False,
-    health_policy: "str | None" = None,
-    health_check_every: "int | None" = None,
-    checkpoint_dir: "str | Path | None" = None,
-    checkpoint_every: "str | None" = None,
-) -> CorpusRun:
-    """Execute one cell (or fetch it from the store), profile-configured.
+def _execute_cell(planned: PlannedRun, profile: Profile,
+                  store: "ResultStore | None",
+                  options: BuildOptions) -> CorpusRun:
+    """The body of :func:`_run_cell`: replay the store or run.
 
     This is the corpus runner's crash-isolation boundary: *any*
     exception escaping the run — not just the paper's
     :class:`~repro._util.errors.ResourceLimitError` — is classified
     into a :class:`~repro.experiments.failures.RunFailure` and recorded,
     so one faulting cell can never abort the other ~219.
-
-    Parameters
-    ----------
-    timeout_s:
-        Per-run wall-clock limit (default: the profile's
-        ``run_timeout_s``); exceeding it records a ``timeout`` failure.
-    retries:
-        Extra attempts for transient failure kinds (timeout, crash,
-        cache-corrupt), with exponential backoff starting at the
-        profile's ``retry_backoff_s``. Default: the profile's
-        ``max_retries``. Memory-budget failures are deterministic and
-        never retried.
-    resume:
-        When True, a *cached* transient failure is re-executed instead
-        of being replayed from the store (cached successes and
-        memory-budget failures are still reused).
-    health_policy, health_check_every:
-        Run-health overrides (see
-        :class:`~repro.engine.engine.EngineOptions`); None keeps the
-        engine defaults (``strict``, every iteration).
-    checkpoint_dir, checkpoint_every:
-        Iteration-level checkpointing for the cell (see
-        :mod:`repro.engine.checkpoint`). ``checkpoint_every`` is a
-        :meth:`~repro.engine.checkpoint.CheckpointPolicy.parse` spec;
-        setting it snapshots the run's state to ``checkpoint_dir``
-        (default: ``$REPRO_CHECKPOINT_DIR`` or ``./.repro_checkpoints``)
-        so a timed-out or crashed attempt *resumes from its last
-        snapshot* instead of restarting, and the retry budget charges
-        only attempts that made no forward progress.
     """
-    options: dict = {"memory_budget_bytes": profile.memory_budget_bytes}
-    if health_policy is not None:
-        options["health_policy"] = health_policy
-    if health_check_every is not None:
-        options["health_check_every"] = health_check_every
+    engine_options: dict = {
+        "memory_budget_bytes": profile.memory_budget_bytes}
+    if options.health_policy is not None:
+        engine_options["health_policy"] = options.health_policy
+    if options.health_check_every is not None:
+        engine_options["health_check_every"] = options.health_check_every
     params: dict = {}
     if planned.algorithm == "diameter":
         params["n_hashes"] = profile.ad_n_hashes
     key = run_cache_key(planned, profile)
-    if timeout_s is None:
-        timeout_s = profile.run_timeout_s
-    if retries is None:
-        retries = profile.max_retries
+    timeout_s = (profile.run_timeout_s if options.timeout_s is None
+                 else options.timeout_s)
+    retries = (profile.max_retries if options.retries is None
+               else options.retries)
 
     snap_store: "SnapshotStore | None" = None
-    if checkpoint_every is not None:
-        snap_store = SnapshotStore(checkpoint_dir)
-        options["checkpoint"] = CheckpointConfig(
+    if options.checkpoint_every is not None:
+        snap_store = SnapshotStore(options.checkpoint_dir)
+        engine_options["checkpoint"] = CheckpointConfig(
             store=snap_store,
-            policy=CheckpointPolicy.parse(checkpoint_every),
+            policy=CheckpointPolicy.parse(options.checkpoint_every),
             key=key,
         )
 
     tel = get_telemetry()
     cell = f"{planned.algorithm}@{planned.spec.label}"
 
-    if store is not None:
-        cached = store.load(key)  # corrupt entries quarantine -> miss
-        if cached is not None:
-            if tel.enabled:
-                status = "degraded" if cached.degraded else "ok"
-                tel.inc("corpus_cells_total", status=status,
-                        source="cache")
-                tel.emit("cell_end", cell=cell, status=status,
-                         source="cache",
-                         graph_source=cached.meta.get("graph_source"))
-            return CorpusRun(planned.algorithm, planned.spec, cached,
-                             compute_metrics(cached), source="cache")
-        prior = store.load_failure(key)
-        if prior is not None and not (resume and prior.retryable):
-            if tel.enabled:
-                tel.inc("corpus_cells_total", status="failed",
-                        source="cache")
-                tel.emit("cell_end", cell=cell, status="failed",
-                         source="cache", failure_kind=prior.kind)
-            return CorpusRun(planned.algorithm, planned.spec, None, None,
-                             failure=prior, source="cache")
+    cached = store.replay(key, options.resume) if store is not None else None
+    if isinstance(cached, RunTrace):
+        if tel.enabled:
+            status = "degraded" if cached.degraded else "ok"
+            tel.inc("corpus_cells_total", status=status, source="cache")
+            tel.emit("cell_end", cell=cell, status=status, source="cache",
+                     graph_source=cached.meta.get("graph_source"))
+        return CorpusRun(planned.algorithm, planned.spec, cached,
+                         compute_metrics(cached), source="cache")
+    if cached is not None:
+        if tel.enabled:
+            tel.inc("corpus_cells_total", status="failed", source="cache")
+            tel.emit("cell_end", cell=cell, status="failed",
+                     source="cache", failure_kind=cached.kind)
+        return CorpusRun(planned.algorithm, planned.spec, None, None,
+                         failure=cached, source="cache")
 
     def snapshot_progress() -> int:
         if snap_store is None:
@@ -434,7 +430,7 @@ def _execute_cell(
             tel.set_context(cell=cell, attempt=attempts)
         try:
             trace = run_computation(planned.algorithm, planned.spec,
-                                    params=params, options=options,
+                                    params=params, options=engine_options,
                                     timeout_s=timeout_s)
             # Every completed trace must satisfy the structural
             # invariants; a violation records a "numeric" failure for
@@ -504,73 +500,23 @@ def _execute_cell(
                          compute_metrics(trace), store_s=store_s)
 
 
-def _isolated_execute(
-    planned: PlannedRun,
-    profile: Profile,
-    store: "ResultStore | None",
-    timeout_s: "float | None",
-    retries: "int | None",
-    resume: bool,
-    health_policy: "str | None" = None,
-    health_check_every: "int | None" = None,
-    checkpoint_dir: "str | Path | None" = None,
-    checkpoint_every: "str | None" = None,
-) -> CorpusRun:
-    """Run one cell, converting *any* escaping exception (store I/O,
-    metric computation, ...) into a recorded crash failure."""
-    try:
-        return execute_planned_run(planned, profile, store,
-                                   timeout_s=timeout_s, retries=retries,
-                                   resume=resume,
-                                   health_policy=health_policy,
-                                   health_check_every=health_check_every,
-                                   checkpoint_dir=checkpoint_dir,
-                                   checkpoint_every=checkpoint_every)
-    except Exception as exc:  # last-resort isolation
-        return CorpusRun(planned.algorithm, planned.spec, None, None,
-                         failure=RunFailure.from_exception(exc))
+def _configure_worker_obs(options: BuildOptions) -> None:
+    """Point this crew worker's telemetry at its own sink file.
 
-
-def _configure_worker_obs(obs_level: "str | None",
-                          obs_dir: "str | None",
-                          run_id: "str | None",
-                          node: "str | None" = None,
-                          trace: "dict | None" = None) -> None:
-    """Point this pool worker's telemetry at its own sink file.
-
-    Workers are forked, so they inherit the parent's registry (and its
-    open handle on the parent's event log) — the first cell in each
-    worker swaps that for a fresh registry writing to
-    ``<obs_dir>/sinks/events-<pid>.jsonl``; later cells in the same
-    worker keep accumulating into it.  *trace* (a serialized
-    :class:`~repro.obs.tracing.TraceContext`) re-installs the build's
-    root causal context so worker-side cell spans derive the same ids
-    the parent would.
+    Workers are forked, so they inherit the parent's registry: its open
+    handle on the parent's event log, which is swapped here for a fresh
+    registry writing to ``<obs_dir>/sinks/events-<pid>.jsonl``, and its
+    node and build-root causal context, which are carried over so that
+    worker-side cell spans derive the same ids the parent would.
     """
-    if not obs_level or obs_level == "off" or obs_dir is None:
+    if options.obs_level == "off" or options.obs_dir is None:
         return
-    tel = get_telemetry()
-    if (tel.run_id == run_id and tel.events is not None
-            and tel.events.path == worker_sink_path(obs_dir, os.getpid())):
-        tel.set_node(node)
-        tel.set_trace(TraceContext.from_dict(trace))
-        return
-    tel = configure(obs_level, run_id=run_id,
-                    events_path=worker_sink_path(obs_dir, os.getpid()))
-    tel.set_node(node)
-    tel.set_trace(TraceContext.from_dict(trace))
-
-
-def _materialize_worker(spec: GraphSpec) -> "tuple[str, object]":
-    """Pre-materialization worker: generate one distinct graph.
-
-    Runs through :func:`materialize_problem` so the materialization
-    counter sees it and the worker's own cache keeps it warm; the
-    problem is pickled back to the parent, which publishes it into the
-    graph plane.
-    """
-    problem, _source = materialize_problem(spec)
-    return spec.cache_key(), problem
+    parent = get_telemetry()
+    tel = configure(options.obs_level, run_id=options.run_id,
+                    events_path=worker_sink_path(options.obs_dir,
+                                                 os.getpid()))
+    tel.set_node(parent.node)
+    tel.set_trace(parent.trace)
 
 
 def progress_event(run: CorpusRun, done: int, total: int) -> dict:
@@ -657,26 +603,16 @@ def _specs_needing_materialization(
     store: "ResultStore | None",
     resume: bool,
 ) -> "dict[str, GraphSpec]":
-    """Distinct specs with at least one cell that will actually execute.
-
-    A fully cached rebuild pre-materializes nothing; a cell whose cached
-    entry is a retryable failure counts as needing its graph only under
-    ``resume`` (matching :func:`execute_planned_run`'s replay rules).
-    """
+    """Distinct specs with at least one cell that will actually execute
+    (by :meth:`ResultStore.replay`'s rule, like every other path): a
+    fully cached rebuild pre-materializes nothing."""
     needed: dict[str, GraphSpec] = {}
     for planned in plan:
         spec_key = planned.spec.cache_key()
-        if spec_key in needed:
-            continue
-        if store is not None:
-            key = run_cache_key(planned, profile)
-            if store.contains(key):
-                if not resume:
-                    continue
-                prior = store.load_failure(key)
-                if prior is None or not prior.retryable:
-                    continue
-        needed[spec_key] = planned.spec
+        if spec_key not in needed and (
+                store is None or store.replay(
+                    run_cache_key(planned, profile), resume) is None):
+            needed[spec_key] = planned.spec
     return needed
 
 
@@ -716,6 +652,11 @@ def build_corpus(
     rerun after a crash (or with ``resume=True`` after recorded
     transient failures) re-executes only the missing/failed cells.
 
+    This is the keyword door to a build. Every argument not listed
+    below is a field of :class:`~repro.experiments.config.BuildOptions`
+    (``obs`` resolves into its ``obs_level``), documented there; the
+    door builds that one object and everything below it takes it.
+
     Parameters
     ----------
     profile:
@@ -730,56 +671,19 @@ def build_corpus(
         Number of worker processes. The 220 runs are independent, so
         they parallelize embarrassingly; each worker writes through the
         shared on-disk store (atomic writer-unique temp files, hashed
-        per-key filenames). 1 (default) runs inline.
-    timeout_s, retries, resume, health_policy, health_check_every:
-        Forwarded to :func:`execute_planned_run`.
-    checkpoint_dir, checkpoint_every:
-        Per-cell iteration-level checkpointing, forwarded to
-        :func:`execute_planned_run`; with ``checkpoint_every`` set,
-        killed/timed-out cells resume from their last snapshot on retry
-        or on the next build.
+        per-key filenames). 1 (default) runs inline, as a plain call
+        loop; more run under the supervised crew loop of
+        :mod:`repro.experiments.scheduler`.
     stop_requested:
         Optional callable polled between cells (the CLI's SIGINT hook).
         Once it returns True, no further cell is dispatched; in-flight
-        pool cells finish (and flush their checkpoints), pending ones
-        are cancelled, and the corpus comes back with
-        ``interrupted=True``.
-    use_shm:
-        Enable the shared-memory graph plane for multi-worker builds:
-        each distinct graph is pre-materialized once (in parallel),
-        published into shared memory, and attached zero-copy by every
-        worker. Off (or when shared memory is unavailable), workers
-        fall back to per-process materialization through their own
-        :class:`~repro.experiments.graph_cache.GraphCache`.
-    graph_cache_bytes:
-        Capacity of the per-process graph LRU cache (None keeps the
-        default / ``$REPRO_GRAPH_CACHE_BYTES``; 0 disables caching).
-    obs:
-        Observability level — ``"off"`` (default), ``"basic"`` (sampled
-        metrics), or ``"full"`` (every iteration timed + span events);
-        None resolves ``$REPRO_OBS``. Telemetry is purely
-        observational: behavior vectors under the ``unit`` work model
-        are bit-identical across levels.
-    obs_dir:
-        Directory for the event log and exported ``telemetry.json`` /
-        ``metrics.prom`` (default: ``$REPRO_OBS_DIR``, else ``obs/``
-        under the result store, else ``./.repro_obs``).
-    lease_timeout_s:
-        Multi-worker builds only: how long a dispatched cell may go
-        without a heartbeat before its lease expires and the cell is
-        revoked from the (dead or hung) worker and re-dispatched
-        (default 60s).
-    heartbeat_every_s:
-        Worker heartbeat interval (default 1s); must be comfortably
-        below ``lease_timeout_s``.
-    max_lease_expiries:
-        Poison budget: after this many lost leases a cell is
-        quarantined as ``quarantined-poison`` instead of being handed
-        to yet another worker (default 3).
-    speculative:
-        Enable bounded speculative re-execution of stragglers: once
-        nothing else is dispatchable, idle workers shadow the oldest
-        in-flight cells and the first completion wins.
+        crew cells finish (and flush their checkpoints), and the corpus
+        comes back with ``interrupted=True``.
+    obs, obs_dir:
+        Observability level (None resolves ``$REPRO_OBS``) and the
+        directory for the event log and exports (default:
+        ``$REPRO_OBS_DIR``, else ``obs/`` under the result store, else
+        ``./.repro_obs``).
     gc_quarantine:
         When set, sweep the result-store (and, if checkpointing is
         configured, snapshot-store) quarantine directories after the
@@ -796,8 +700,7 @@ def build_corpus(
         partitioned nodes by epoch and re-dispatching their leases.
         With no peers the build degrades gracefully to the single-node
         shape; with an unreachable queue root it falls back to the
-        ordinary in-process path. ``lease_timeout_s`` doubles as the
-        node heartbeat timeout. Results flow through the shared
+        ordinary in-process path. Results flow through the shared
         ``store`` (created at the default location when None).
     """
     if not isinstance(profile, Profile):
@@ -812,7 +715,6 @@ def build_corpus(
 
     obs_level = resolve_obs_level(obs)
     obs_path: "Path | None" = None
-    run_id: "str | None" = None
     if obs_level != "off":
         if obs_dir is not None:
             obs_path = Path(obs_dir)
@@ -826,21 +728,29 @@ def build_corpus(
         # shares the run id — and the trace/span ids derived below —
         # so its events extend the original trace instead of forking
         # a new one (the re-link mechanism of repro.obs.tracing).
-        run_id = derive_run_id(profile.name, profile.seed)
-        corpus.run_id = run_id
+        corpus.run_id = derive_run_id(profile.name, profile.seed)
         corpus.obs_dir = str(obs_path)
-        tel = configure(obs_level, run_id=run_id,
+        tel = configure(obs_level, run_id=corpus.run_id,
                         events_path=obs_path / EVENTS_FILENAME)
         tel.set_trace(TraceContext.for_build(profile.name, profile.seed))
         tel.emit("build_start", profile=profile.name, workers=workers,
                  planned=len(plan), level=obs_level, seed=profile.seed)
     tel = get_telemetry()
+    options = BuildOptions(
+        timeout_s=timeout_s, retries=retries, resume=resume,
+        health_policy=health_policy,
+        health_check_every=health_check_every,
+        checkpoint_dir=checkpoint_dir, checkpoint_every=checkpoint_every,
+        use_shm=use_shm, graph_cache_bytes=graph_cache_bytes,
+        obs_level=obs_level, obs_dir=obs_path, run_id=corpus.run_id,
+        lease_timeout_s=lease_timeout_s,
+        heartbeat_every_s=heartbeat_every_s,
+        max_lease_expiries=max_lease_expiries, speculative=speculative)
 
     def stopped() -> bool:
         return stop_requested is not None and stop_requested()
 
     try:
-        total = len(plan)
         dist_queue = None
         if distributed is not None:
             from repro.experiments.distqueue import DistributedQueue
@@ -859,110 +769,34 @@ def build_corpus(
                     progress(f"distributed queue {distributed} "
                              f"unreachable ({exc}); falling back to "
                              f"single-node build")
-        if dist_queue is not None:
-            from repro.experiments.distqueue import (
-                Coordinator,
-                profile_to_dict,
-            )
-
-            if store is None:
-                # The queue protocol transports results through the
-                # shared store; a distributed build cannot run cacheless.
-                store = ResultStore()
-            tel.set_node("coordinator")
-            manifest = {
-                "profile": profile_to_dict(profile),
-                "store_root": str(Path(store.root).resolve()),
-                "timeout_s": timeout_s,
-                "retries": retries,
-                "resume": resume,
-                "health_policy": health_policy,
-                "health_check_every": health_check_every,
-                "checkpoint_dir": (str(Path(checkpoint_dir).resolve())
-                                   if checkpoint_dir is not None
-                                   else None),
-                "checkpoint_every": checkpoint_every,
-                "graph_cache_bytes": graph_cache_bytes,
-                "use_shm": use_shm,
-                "obs_level": obs_level,
-                "obs_dir": (str(obs_path.resolve())
-                            if obs_path is not None else None),
-                "run_id": run_id,
-                "trace": (tel.trace.to_dict()
-                          if tel.trace is not None else None),
-                "lease_timeout_s": lease_timeout_s,
-                "heartbeat_every_s": heartbeat_every_s,
-                "max_lease_expiries": max_lease_expiries,
-                "backoff_base_s": profile.retry_backoff_s,
-            }
-            Coordinator(
-                queue=dist_queue, plan=plan, profile=profile,
-                store=store, corpus=corpus, manifest=manifest,
-                node_workers=workers,
-                node_lease_timeout_s=lease_timeout_s or 15.0,
-                max_task_requeues=max_lease_expiries or 3,
-                backoff_base_s=profile.retry_backoff_s,
-                progress=progress,
-                stop_requested=stop_requested).run()
-        elif workers <= 1:
-            done = 0
+        if dist_queue is not None and store is None:
+            # The queue protocol transports results through the shared
+            # store; a distributed build cannot run cacheless.
+            store = ResultStore()
+        if dist_queue is None and workers <= 1:
+            # In-process calls need no lease: a direct loop.
             for planned in plan:
                 if stopped():
                     break
-                run = _isolated_execute(planned, profile, store, timeout_s,
-                                        retries, resume, health_policy,
-                                        health_check_every, checkpoint_dir,
-                                        checkpoint_every)
-                if run.ok:
-                    corpus.runs.append(run)
-                else:
-                    corpus.failures.append(run)
-                done += 1
-                event = progress_event(run, done, total)
-                tel.emit("progress", **event)
-                if progress is not None:
-                    progress(format_progress(event))
+                corpus.collect(_run_cell(planned, profile, store, options),
+                               len(plan), progress)
         else:
-            # Multi-worker builds run under the supervised scheduler:
-            # an explicit materialize -> run -> store DAG with leased
-            # tasks, heartbeat-renewed deadlines, poison-cell
-            # quarantine, and a circuit breaker degrading to inline
-            # execution when the worker crew is unhealthy.
-            from repro.experiments.scheduler import (
-                SchedulerConfig,
-                Supervisor,
-            )
-            from repro.experiments.worksite import WorkerContext
+            # One crew loop (repro.experiments.scheduler.CrewLoop)
+            # behind both: a Supervisor plans the corpus onto its board;
+            # a Coordinator publishes it to the shared queue and drives
+            # an embedded node agent, itself a crew loop.
+            from repro.experiments.distqueue import Coordinator
+            from repro.experiments.scheduler import Supervisor
 
-            overrides: "dict[str, Any]" = {
-                "speculative": speculative,
-                "backoff_base_s": profile.retry_backoff_s,
-            }
-            if lease_timeout_s is not None:
-                overrides["lease_timeout_s"] = lease_timeout_s
-            if heartbeat_every_s is not None:
-                overrides["heartbeat_every_s"] = heartbeat_every_s
-            if max_lease_expiries is not None:
-                overrides["max_lease_expiries"] = max_lease_expiries
-            ctx = WorkerContext(
-                store_root=str(store.root) if store is not None else None,
-                profile=profile, timeout_s=timeout_s, retries=retries,
-                resume=resume, health_policy=health_policy,
-                health_check_every=health_check_every,
-                checkpoint_dir=checkpoint_dir,
-                checkpoint_every=checkpoint_every,
-                graph_cache_bytes=graph_cache_bytes,
-                obs_level=obs_level,
-                obs_dir=str(obs_path) if obs_path is not None else None,
-                run_id=run_id,
-                trace=(tel.trace.to_dict()
-                       if tel.trace is not None else None))
-            Supervisor(plan=plan, profile=profile, store=store,
-                       corpus=corpus, workers=workers, ctx=ctx,
-                       config=SchedulerConfig(**overrides),
-                       use_shm=use_shm, resume=resume,
-                       progress=progress,
-                       stop_requested=stop_requested).run()
+            crewed: "dict[str, Any]" = dict(
+                plan=plan, profile=profile, store=store, corpus=corpus,
+                workers=workers, options=options, progress=progress,
+                stop_requested=stop_requested)
+            if dist_queue is not None:
+                tel.set_node("coordinator")
+                Coordinator(queue=dist_queue, **crewed).run()
+            else:
+                Supervisor(**crewed).run()
     finally:
         corpus.interrupted = corpus.interrupted or stopped()
         corpus.build_seconds = time.perf_counter() - started
@@ -974,7 +808,7 @@ def build_corpus(
                 swept["snapshots"] = SnapshotStore(
                     checkpoint_dir).gc_quarantine(gc_quarantine)
             corpus.quarantine_swept = swept
-        if obs_level != "off" and obs_path is not None:
+        if obs_path is not None:
             # Fold worker sinks into the parent registry + main log,
             # then drop the exporters next to the event log — also on
             # the SIGINT/exception paths, so a partial build still
@@ -990,7 +824,7 @@ def build_corpus(
                      seconds=corpus.build_seconds)
             snapshot = tel.snapshot()
             write_telemetry_json(
-                obs_path, snapshot, run=run_id, level=obs_level,
+                obs_path, snapshot, run=corpus.run_id, level=obs_level,
                 profile=profile.name, workers=workers,
                 build_seconds=corpus.build_seconds,
                 interrupted=corpus.interrupted)

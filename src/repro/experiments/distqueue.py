@@ -64,11 +64,16 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro._util.errors import ValidationError
-from repro.experiments.config import GraphSpec, PlannedRun, Profile
+from repro.experiments.config import (
+    BuildOptions,
+    GraphSpec,
+    PlannedRun,
+    Profile,
+)
 from repro.experiments.failures import RunFailure, full_jitter_backoff
 
 #: Queue layout version; bumped on incompatible manifest changes.
-QUEUE_VERSION = 1
+QUEUE_VERSION = 2
 
 MANIFEST_FILENAME = "manifest.json"
 COMPLETE_FILENAME = "complete.json"
@@ -81,10 +86,6 @@ WORK_DIRNAME = "work"
 
 #: Hex digits of the content hash appended to every task id.
 _TASK_DIGEST_LEN = 12
-
-#: Default global requeue budget per task (node deaths / partitions)
-#: before the coordinator quarantines the cell as poison.
-DEFAULT_MAX_TASK_REQUEUES = 3
 
 
 def _sanitize(text: str) -> str:
@@ -193,6 +194,9 @@ class Claim:
     node: str
     epoch: int
     path: Path
+    #: The task itself, when this claim was just taken by
+    #: :meth:`DistributedQueue.take` (not when listed from filenames).
+    record: "TaskRecord | None" = None
 
     @property
     def age_s(self) -> float:
@@ -249,6 +253,30 @@ def profile_from_dict(data: dict) -> Profile:
         kwargs[attr] = tuple(int(v) for v in kwargs[attr])
     kwargs["alphas"] = tuple(float(v) for v in kwargs["alphas"])
     return Profile(**kwargs)
+
+
+def build_manifest(options: BuildOptions, profile: Profile,
+                   store_root: "str | Path",
+                   trace: "dict | None") -> dict:
+    """What a node needs to join a build: the build's options, plus the
+    profile, the shared store and the coordinator's root trace context
+    (so cell spans executed on any node derive the same ids)."""
+    return {**options.to_dict(), "profile": profile_to_dict(profile),
+            "store_root": str(Path(store_root).resolve()), "trace": trace}
+
+
+def parse_manifest(
+        manifest: dict) -> "tuple[BuildOptions, Profile, str, dict | None]":
+    """Inverse of :func:`build_manifest`. A manifest is outside input
+    to ``repro node``: a missing or unknown key raises ``ValueError``
+    (most likely a coordinator of another version)."""
+    data = {k: v for k, v in manifest.items() if k != "version"}
+    try:
+        profile = profile_from_dict(data.pop("profile"))
+        store_root, trace = data.pop("store_root"), data.pop("trace")
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"malformed build manifest: {exc!r}") from exc
+    return BuildOptions.from_dict(data), profile, str(store_root), trace
 
 
 # ----------------------------------------------------------------------
@@ -348,8 +376,7 @@ class DistributedQueue:
     def _claim_path(self, task_id: str, node: str, epoch: int) -> Path:
         return self.claims_dir / f"{task_id}@{_sanitize(node)}@{int(epoch)}.json"
 
-    def claim(self, task_id: str, node: str,
-              epoch: int) -> "TaskRecord | None":
+    def take(self, task_id: str, node: str, epoch: int) -> "Claim | None":
         """Atomically take ownership of a pending task.
 
         The rename is the entire mutual-exclusion protocol: exactly one
@@ -365,9 +392,16 @@ class DistributedQueue:
         if data is None:
             return None
         try:
-            return TaskRecord.from_dict(data)
+            return Claim(task_id, node, int(epoch), dest,
+                         TaskRecord.from_dict(data))
         except (KeyError, TypeError, ValueError, ValidationError):
             return None
+
+    def claim(self, task_id: str, node: str,
+              epoch: int) -> "TaskRecord | None":
+        """:meth:`take`, for callers that want only the record."""
+        claim = self.take(task_id, node, epoch)
+        return None if claim is None else claim.record
 
     def claims(self) -> "list[Claim]":
         out: "list[Claim]" = []
@@ -538,8 +572,7 @@ class DistributedQueue:
 # Fence-checked publication (shared by agents and the coordinator)
 # ----------------------------------------------------------------------
 def publish_result(queue: DistributedQueue, store: Any, node: str,
-                   epoch: int, record: TaskRecord, run: Any, *,
-                   source: str = "run") -> bool:
+                   epoch: int, record: TaskRecord, run: Any) -> bool:
     """Publish one executed cell's outcome, gated by the node's fence.
 
     Returns True when the result was stored and the done marker
@@ -565,7 +598,7 @@ def publish_result(queue: DistributedQueue, store: Any, node: str,
         status = "failed"
     queue.mark_done(record.task_id, {
         "status": status, "node": node, "epoch": int(epoch),
-        "source": source,
+        "source": "run",
         "failure_kind": None if run.failure is None else run.failure.kind,
     })
     return True
@@ -596,15 +629,14 @@ class Coordinator:
     so ``vectors()`` is bit-identical with an inline build.
     """
 
+    #: Cap of the requeue backoff, and how long the final sweep waits
+    #: for silent peers that are not provably dead.
+    BACKOFF_CAP_S = 2.0
+    PEER_EXIT_GRACE_S = 10.0
+
     def __init__(self, *, queue: DistributedQueue, plan: list,
                  profile: Profile, store: Any, corpus: Any,
-                 manifest: dict, node_workers: int,
-                 node_lease_timeout_s: float = 15.0,
-                 poll_s: float = 0.05,
-                 max_task_requeues: int = DEFAULT_MAX_TASK_REQUEUES,
-                 backoff_base_s: float = 0.05,
-                 backoff_cap_s: float = 2.0,
-                 peer_exit_grace_s: float = 10.0,
+                 workers: int, options: BuildOptions,
                  progress: "Callable | None" = None,
                  stop_requested: "Callable | None" = None) -> None:
         from repro.obs.telemetry import get_telemetry
@@ -614,21 +646,13 @@ class Coordinator:
         self.profile = profile
         self.store = store
         self.corpus = corpus
-        self.manifest = manifest
-        self.node_workers = max(1, int(node_workers))
-        self.node_lease_timeout_s = float(node_lease_timeout_s)
-        self.poll_s = float(poll_s)
-        self.max_task_requeues = max(1, int(max_task_requeues))
-        self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
-        self.peer_exit_grace_s = float(peer_exit_grace_s)
+        self.workers = workers
+        self.options = options
         self.progress = progress
         self._stop = stop_requested or (lambda: False)
         self.tel = get_telemetry()
-        self.local_node = "coordinator"
         self._tasks: "dict[str, _TaskState]" = {}
         self._records: "list[TaskRecord]" = []
-        self._collect_ptr = 0
         self._lost_nodes: "set[str]" = set()
         self._peer_stale: "dict[str, int]" = {}
         self._peer_segments: "dict[str, tuple]" = {}
@@ -637,35 +661,43 @@ class Coordinator:
     def run(self) -> None:
         from repro.experiments.nodeagent import NodeAgent
 
+        trace = (self.tel.trace.to_dict() if self.tel.trace is not None
+                 else None)
         self.queue.ensure_layout()
-        self.queue.write_manifest(self.manifest)
+        self.queue.write_manifest(build_manifest(
+            self.options, self.profile, self.store.root, trace))
         self._enqueue_plan()
-        agent = NodeAgent(self.queue, workers=self.node_workers,
-                          manifest=self.manifest, embedded=True)
+        agent = NodeAgent(self.queue, self.options, self.profile,
+                          str(self.store.root), workers=self.workers,
+                          trace=trace, embedded=True)
         self.local_node = agent.node
-        agent.start()
+        # A node's lease on its claims and its requeue budget are its
+        # crew's lease and poison budget, one level up.
+        self.config = agent.config
         self.corpus.distributed = True
-        interrupted = False
         try:
-            while self._collect_ptr < len(self.plan):
+            while self.corpus.n_collected < len(self.plan):
                 if self._stop():
-                    interrupted = True
+                    self.corpus.interrupted = True
                     break
                 now = time.time()
-                agent.tick()
+                agent.tick(now)
                 self._supervise(now)
                 self._collect()
-                if self._collect_ptr >= len(self.plan):
-                    break
-                time.sleep(self.poll_s)
+                if self.corpus.n_collected < len(self.plan):
+                    # A fixed cadence, not a wait on the crew's result
+                    # queue: every round lists claims/, nodes/ and
+                    # done/ on the shared filesystem, and the embedded
+                    # agent must not drain a small queue before a peer
+                    # (0.7 s of interpreter start) can join it, which
+                    # scripts/distributed_smoke.py's chaos relies on.
+                    time.sleep(self.config.poll_s)
         finally:
             self.queue.mark_complete()
             agent.shutdown()
-            self._harvest_beats(final=True)
+            self._harvest_beats()
             self._wait_for_peers()
             self._reap_lost_segments()
-            if interrupted:
-                self.corpus.interrupted = True
             leftovers = self.queue.sweep()
             self.corpus.queue_leftovers = leftovers
             if self.tel.enabled:
@@ -675,32 +707,20 @@ class Coordinator:
     # ------------------------------------------------------------------
     def _enqueue_plan(self) -> None:
         """Publish one task per cell that is not already satisfied by
-        the shared store (mirroring the inline cache-replay rules)."""
-        resume = bool(self.manifest.get("resume"))
+        the shared store (by the same rule as the inline replay)."""
         for planned in self.plan:
             record = TaskRecord.for_planned(planned, self.profile)
             self._records.append(record)
             self._tasks[record.task_id] = _TaskState(record)
-            if self._satisfied_from_store(record.cell_key, resume):
-                continue
-            self.queue.publish(record)
-
-    def _satisfied_from_store(self, cell_key: str, resume: bool) -> bool:
-        if not self.store.contains(cell_key):
-            return False
-        if self.store.load(cell_key) is not None:
-            return True
-        prior = self.store.load_failure(cell_key)
-        if prior is None:
-            return False
-        return not (resume and prior.retryable)
+            if self.store.replay(record.cell_key,
+                                 self.options.resume) is None:
+                self.queue.publish(record)
 
     # ------------------------------------------------------------------
     # Node supervision: fencing, requeue, quarantine
     # ------------------------------------------------------------------
     def _supervise(self, now: float) -> None:
-        self._harvest_beats()
-        beats = self.queue.read_beats()
+        beats = self._harvest_beats()
         by_node: "dict[str, list[Claim]]" = {}
         for claim in self.queue.claims():
             by_node.setdefault(claim.node, []).append(claim)
@@ -709,7 +729,7 @@ class Coordinator:
                 continue  # the embedded agent supervises its own crew
             beat = beats.get(node)
             fresh = (beat is not None and not beat.done
-                     and beat.age_s <= self.node_lease_timeout_s)
+                     and beat.age_s <= self.config.lease_timeout_s)
             if fresh:
                 if node in self._lost_nodes:
                     # The partition healed: the node beats again, and
@@ -721,7 +741,7 @@ class Coordinator:
                                       action="node-recovered", node=node)
                 continue
             if beat is None and any(
-                    c.age_s <= self.node_lease_timeout_s
+                    c.age_s <= self.config.lease_timeout_s
                     for c in node_claims):
                 # Claimed but never beat: a node that just arrived, or
                 # one that died on arrival — claim age decides which.
@@ -777,12 +797,12 @@ class Coordinator:
                 continue
             state.requeues += 1
             self.corpus.lease_expiries += 1
-            if state.requeues >= self.max_task_requeues:
+            if state.requeues >= self.config.max_lease_expiries:
                 self._quarantine(state, claim, reason)
                 continue
             backoff = full_jitter_backoff(
-                self.backoff_base_s, state.requeues, key=claim.task_id,
-                cap_s=self.backoff_cap_s)
+                self.config.backoff_base_s, state.requeues,
+                key=claim.task_id, cap_s=self.BACKOFF_CAP_S)
             state.pending_claim = claim
             state.not_before = now + backoff
             if self.tel.enabled:
@@ -842,26 +862,12 @@ class Coordinator:
     # Collection (plan order)
     # ------------------------------------------------------------------
     def _collect(self) -> None:
-        from repro.experiments.corpus import format_progress, progress_event
-
         total = len(self.plan)
-        while self._collect_ptr < total:
-            record = self._records[self._collect_ptr]
-            run = self._resolve(record)
+        while self.corpus.n_collected < total:
+            run = self._resolve(self._records[self.corpus.n_collected])
             if run is None:
                 break
-            if run.obs_snapshot is not None:
-                self.tel.merge_snapshot(run.obs_snapshot)
-                run.obs_snapshot = None
-            if run.ok:
-                self.corpus.runs.append(run)
-            else:
-                self.corpus.failures.append(run)
-            self._collect_ptr += 1
-            event = progress_event(run, self._collect_ptr, total)
-            self.tel.emit("progress", **event)
-            if self.progress is not None:
-                self.progress(format_progress(event))
+            self.corpus.collect(run, total, self.progress)
 
     def _resolve(self, record: TaskRecord):
         """One cell's outcome, or None when still in flight."""
@@ -874,17 +880,16 @@ class Coordinator:
             if not self._marker_live(record, marker):
                 return None
             source = str(marker.get("source", "run"))
-        elif not self._satisfied_from_store(
-                record.cell_key, bool(self.manifest.get("resume"))):
-            return None
-        trace = self.store.load(record.cell_key)
-        if trace is not None:
-            return CorpusRun(record.algorithm, record.spec, trace,
-                             compute_metrics(trace), source=source)
-        failure = self.store.load_failure(record.cell_key)
-        if failure is not None:
+        # A done marker vouches for whatever the store holds; without
+        # one, only an entry the replay rule accepts counts.
+        hit = self.store.replay(
+            record.cell_key, marker is None and self.options.resume)
+        if isinstance(hit, RunFailure):
             return CorpusRun(record.algorithm, record.spec, None, None,
-                             failure=failure, source=source)
+                             failure=hit, source=source)
+        if hit is not None:
+            return CorpusRun(record.algorithm, record.spec, hit,
+                             compute_metrics(hit), source=source)
         # Marked done but the store lost the entry (quarantined as
         # corrupt): drop the marker and re-enqueue the cell.
         if marker is not None:
@@ -928,7 +933,7 @@ class Coordinator:
     # ------------------------------------------------------------------
     # Peer accounting + shutdown hygiene
     # ------------------------------------------------------------------
-    def _harvest_beats(self, final: bool = False) -> "dict[str, NodeBeat]":
+    def _harvest_beats(self) -> "dict[str, NodeBeat]":
         beats = self.queue.read_beats()
         nodes_seen = set(self._peer_stale)
         for node, beat in beats.items():
@@ -953,13 +958,13 @@ class Coordinator:
         before it wakes would let its stale publish through unchecked.
         Cross-host silence is indistinguishable from a partition, so
         those peers simply cost the full grace period."""
-        deadline = time.monotonic() + self.peer_exit_grace_s
+        deadline = time.monotonic() + self.PEER_EXIT_GRACE_S
         while True:
             pending = [b for b in self._harvest_beats().values()
                        if not b.done and not b.provably_dead()]
             if not pending or time.monotonic() >= deadline:
                 return
-            time.sleep(min(0.1, self.poll_s * 2))
+            time.sleep(2 * self.config.poll_s)
 
     def _reap_lost_segments(self) -> None:
         """Unlink shared-memory segments published by nodes that died.

@@ -186,20 +186,34 @@ class ResultStore:
     # ------------------------------------------------------------------
     # Traces
     # ------------------------------------------------------------------
-    def load(self, key: str) -> "RunTrace | None":
-        """Return the cached trace, or None if absent or failed.
+    def replay(self, key: str,
+               resume: bool = False) -> "RunTrace | RunFailure | None":
+        """The stored outcome that satisfies a cell, or None when the
+        cell must execute: nothing readable is stored, or the entry is
+        a retryable failure and ``resume`` asks for those to run again.
 
-        Corrupt entries are quarantined and reported as a miss so the
-        caller re-executes the run.
+        This is the one statement of the cache-replay rule; the cell
+        executor, the pre-materialization planner, the coordinator and
+        the node agents all ask it, so they cannot disagree on which
+        cells a build will run. Corrupt entries are quarantined and
+        reported as a miss so the caller re-executes the run.
         """
         data = self._read_entry(key)
-        if data is None or data.get(_FAILED_MARKER):
+        if data is None:
             return None
         try:
-            return RunTrace.from_dict(data)
-        except (TypeError, KeyError, ValidationError):
+            if not data.get(_FAILED_MARKER):
+                return RunTrace.from_dict(data)
+            failure = RunFailure.from_dict(data)
+        except (TypeError, KeyError, ValueError):
             self.quarantine(self._path(key))
             return None
+        return None if resume and failure.retryable else failure
+
+    def load(self, key: str) -> "RunTrace | None":
+        """Return the cached trace, or None if absent or failed."""
+        hit = self.replay(key)
+        return hit if isinstance(hit, RunTrace) else None
 
     def save(self, key: str, trace: RunTrace) -> None:
         self._write_atomic(self._path(key), trace.to_json())
@@ -209,14 +223,8 @@ class ResultStore:
     # ------------------------------------------------------------------
     def load_failure(self, key: str) -> "RunFailure | None":
         """Return the recorded failure for a key, if any."""
-        data = self._read_entry(key)
-        if data is None or not data.get(_FAILED_MARKER):
-            return None
-        try:
-            return RunFailure.from_dict(data)
-        except (ValidationError, TypeError, ValueError):
-            self.quarantine(self._path(key))
-            return None
+        hit = self.replay(key)
+        return hit if isinstance(hit, RunFailure) else None
 
     def save_failure(self, key: str, failure: "RunFailure | str") -> None:
         if isinstance(failure, str):

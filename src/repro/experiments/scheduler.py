@@ -22,6 +22,13 @@ driven by a supervisor:
   failures) feed a circuit breaker that degrades the whole build to
   inline single-process execution when the crew is unhealthy.
 
+The loop itself is :class:`CrewLoop`, and there is one of it: a
+:class:`Supervisor` (this machine's multi-worker build) and a
+:class:`~repro.experiments.nodeagent.NodeAgent` (one node of a
+distributed build) are the same ``tick`` over the same board, crew and
+graph plane, differing only in where tasks come from and where results
+go.
+
 Every transition is emitted on the existing telemetry plane.
 Effectively-exactly-once store semantics come from the existing
 content-addressed :class:`~repro.experiments.results.ResultStore`
@@ -41,13 +48,20 @@ from __future__ import annotations
 import tempfile
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Any, Callable
 
+from repro.experiments.config import (
+    CREW_LEASE_TIMEOUT_S,
+    HEARTBEAT_EVERY_S,
+    MAX_LEASE_EXPIRIES,
+    BuildOptions,
+)
 from repro.experiments.failures import RunFailure, full_jitter_backoff
 from repro.experiments.worksite import (
+    ResultEnvelope,
     TaskEnvelope,
-    WorkerContext,
     WorkerCrew,
     Worksite,
 )
@@ -125,8 +139,8 @@ class TaskBoard:
     and heartbeats, never through the board.
     """
 
-    def __init__(self, *, lease_timeout_s: float = 60.0,
-                 max_lease_expiries: int = 3,
+    def __init__(self, *, lease_timeout_s: float = CREW_LEASE_TIMEOUT_S,
+                 max_lease_expiries: int = MAX_LEASE_EXPIRIES,
                  backoff_base_s: float = 0.05,
                  backoff_cap_s: float = 5.0,
                  on_transition: "Callable | None" = None) -> None:
@@ -210,12 +224,8 @@ class TaskBoard:
         lease = task.find_lease(worker, epoch)
         if lease is None:
             return False
-        renewed = Lease(worker=lease.worker, epoch=lease.epoch,
-                        deadline=max(lease.deadline,
-                                     ts + self.lease_timeout_s),
-                        granted_at=lease.granted_at,
-                        speculative=lease.speculative)
-        task.leases[task.leases.index(lease)] = renewed
+        task.leases[task.leases.index(lease)] = replace(
+            lease, deadline=max(lease.deadline, ts + self.lease_timeout_s))
         return True
 
     # ------------------------------------------------------------------
@@ -428,11 +438,12 @@ class CircuitBreaker:
 
 @dataclass(frozen=True)
 class SchedulerConfig:
-    """Supervisor tuning, surfaced on the CLI."""
+    """Crew-loop tuning; the first four fields are surfaced on the CLI
+    through :class:`~repro.experiments.config.BuildOptions`."""
 
-    lease_timeout_s: float = 60.0
-    heartbeat_every_s: float = 1.0
-    max_lease_expiries: int = 3
+    lease_timeout_s: float = CREW_LEASE_TIMEOUT_S
+    heartbeat_every_s: float = HEARTBEAT_EVERY_S
+    max_lease_expiries: int = MAX_LEASE_EXPIRIES
     speculative: bool = False
     backoff_base_s: float = 0.05
     backoff_cap_s: float = 5.0
@@ -442,197 +453,212 @@ class SchedulerConfig:
     breaker_cooldown_s: float = 30.0
     poll_s: float = 0.05
 
+    @classmethod
+    def for_build(cls, options: BuildOptions, profile: Any, *,
+                  node: bool = False) -> "SchedulerConfig":
+        """The config of a local crew, or of one node's crew."""
+        return cls(lease_timeout_s=options.lease_timeout(node=node),
+                   heartbeat_every_s=options.heartbeat_every_s,
+                   max_lease_expiries=options.max_lease_expiries,
+                   speculative=options.speculative,
+                   backoff_base_s=profile.retry_backoff_s)
 
-class Supervisor:
-    """Drives one multi-worker corpus build through the task board.
 
-    Owns the worksite (heartbeat directory), the worker crew, and —
-    when the shared-memory plane is enabled — the graph plane; fills
-    the :class:`~repro.experiments.corpus.BehaviorCorpus` in plan
-    order, so a supervised build's ``runs`` list is ordered exactly
-    like an inline build's.
+class CrewLoop:
+    """The one plan/lease/execute/update loop of every multi-process
+    build: a :class:`TaskBoard`, a worksite, a forked
+    :class:`~repro.experiments.worksite.WorkerCrew` and the graph plane,
+    advanced by :meth:`tick`.
+
+    What varies between builds is only where tasks come from and where
+    results go, and that is what the two subclasses add:
+    :class:`Supervisor` plans a whole corpus onto the board and collects
+    it in plan order; a :class:`~repro.experiments.nodeagent.NodeAgent`
+    claims tasks from a shared queue and publishes behind its fence.
+    They hook in at the ``_schedule`` / ``_on_*`` / ``_may_respawn``
+    methods, whose defaults here do nothing.
+
+    (A ``workers<=1`` build does not come here at all: an in-process
+    call needs no lease, and driving it through the board costs more
+    than the call it would supervise — see docs/scheduling.md.)
     """
 
-    def __init__(self, *, plan: list, profile: Any, store: Any,
-                 corpus: Any, workers: int, ctx: WorkerContext,
-                 config: "SchedulerConfig | None" = None,
-                 use_shm: bool = True, resume: bool = False,
-                 progress: "Callable | None" = None,
-                 stop_requested: "Callable | None" = None) -> None:
+    def __init__(self, *, options: BuildOptions, profile: Any,
+                 config: SchedulerConfig, workers: int,
+                 store_root: "str | None",
+                 site_root: "str | Path | None" = None) -> None:
         from repro.obs.telemetry import get_telemetry
 
-        self.plan = plan
+        self.options = options
         self.profile = profile
-        self.store = store
-        self.corpus = corpus
-        self.workers = max(2, int(workers))
-        self.ctx = ctx
-        self.config = config or SchedulerConfig()
-        self.use_shm = use_shm
-        self.resume = resume
-        self.progress = progress
-        self._stop = stop_requested or (lambda: False)
+        self.config = config
         self.tel = get_telemetry()
-        self.breaker = CircuitBreaker(
-            window=self.config.breaker_window,
-            min_events=self.config.breaker_min_events,
-            threshold=self.config.breaker_threshold,
-            cooldown_s=self.config.breaker_cooldown_s)
-        #: Task id of the single half-open trial dispatch, if one is
-        #: in flight; its outcome alone moves the breaker.
-        self._probe_task: "str | None" = None
-        self._open_handled = False
         self.board = TaskBoard(
-            lease_timeout_s=self.config.lease_timeout_s,
-            max_lease_expiries=self.config.max_lease_expiries,
-            backoff_base_s=self.config.backoff_base_s,
-            backoff_cap_s=self.config.backoff_cap_s,
+            lease_timeout_s=config.lease_timeout_s,
+            max_lease_expiries=config.max_lease_expiries,
+            backoff_base_s=config.backoff_base_s,
+            backoff_cap_s=config.backoff_cap_s,
             on_transition=self._emit_transition)
+        self.site = Worksite(
+            site_root or tempfile.mkdtemp(prefix="repro-worksite-"))
+        self.crew = WorkerCrew(workers, self.site,
+                               config.heartbeat_every_s, options, profile,
+                               store_root)
         self.plane = None
         self.manifests: dict = {}
-        self._mat_ids: "list[str]" = []
-        self._run_ids: "list[str]" = []
-        self._store_ids: "list[str]" = []
-        self._store_ptr = 0
-        self._premat_pending = False
-        self._premat_started = 0.0
+        #: Set once shared memory turned out unusable (or was never
+        #: wanted): every later cell materializes per process.
+        self._plane_failed = not options.use_shm
+        self.stopping = False
 
     # ------------------------------------------------------------------
-    # DAG construction
+    # The loop
     # ------------------------------------------------------------------
-    def _build_dag(self) -> None:
-        from repro.experiments.corpus import (
-            _specs_needing_materialization,
-            run_cache_key,
-        )
+    def tick(self, now: float, wait_s: float = 0.0) -> None:
+        """One round: renew leases from worker beats, reap dead workers,
+        expire leases, dispatch what is ready, then drain results —
+        waiting up to *wait_s* for the first, so an idle loop sleeps on
+        the result queue and a finished cell wakes it at once."""
+        for beat in self.site.read_heartbeats().values():
+            if beat.task_id is not None:
+                self.board.renew(beat.worker, beat.task_id, beat.epoch,
+                                 beat.ts)
+        for handle in self.crew.dead_workers():
+            self._on_worker_death(handle, now)
+        for task, lease in self.board.expired_leases(now):
+            self._on_lease_expiry(task, lease, now)
+        if not self.stopping:
+            self._schedule(now)
+        envelope = self.crew.poll_result(wait_s)
+        while envelope is not None:
+            self._on_result(envelope)
+            envelope = self.crew.poll_result(0.0)
+
+    def close(self, *, kill: bool = False) -> None:
+        """Stop the crew and remove the worksite and every published
+        segment. After the crew is down no process can still be
+        attached, so unlinking is safe on the SIGINT and exception
+        paths too."""
+        busy = any(not h.idle for h in self.crew.workers.values())
+        self.crew.shutdown(kill=kill or busy)
+        self.site.cleanup()
+        if self.plane is not None:
+            self.plane.close()
+            self.plane, self.manifests = None, {}
+
+    # ------------------------------------------------------------------
+    # Hooks
+    # ------------------------------------------------------------------
+    def _schedule(self, now: float) -> None:
+        self._dispatch_ready(now)
+
+    def _record_outcome(self, task_id: "str | None", infra_failure: bool,
+                        now: float) -> None:
+        """A worker came back (or was lost) holding *task_id*."""
+
+    def _may_respawn(self) -> bool:
+        return not self.stopping
+
+    def _on_quarantined(self, task: Task) -> None:
+        """*task* spent its poison budget."""
+
+    def _on_dispatched(self, task: Task) -> None:
+        """*task* was just handed to a worker."""
+
+    def _on_update(self, task: Task, envelope: ResultEnvelope,
+                   accepted: bool) -> None:
+        """The board took (or, for a stale lease, dropped) a result."""
+
+    # ------------------------------------------------------------------
+    # Planning
+    # ------------------------------------------------------------------
+    def _plane_wanted(self) -> bool:
+        """True while cells should wait for their graph in the plane."""
         from repro.graph import shm
 
-        mat_for_spec: "dict[str, str]" = {}
-        if self.use_shm and shm.shm_available():
-            self._premat_pending = True
-            needed = _specs_needing_materialization(
-                self.plan, self.profile, self.store, self.resume)
-            if needed:
+        if self.plane is None and not self._plane_failed:
+            if shm.shm_available():
                 self.plane = shm.GraphPlane()
-            for spec_key, spec in needed.items():
-                task_id = f"materialize:{spec_key}"
-                self.board.add(Task(task_id, "materialize", payload=spec))
-                mat_for_spec[spec_key] = task_id
-                self._mat_ids.append(task_id)
-        prev_store: "str | None" = None
-        for planned in self.plan:
-            cell_key = run_cache_key(planned, self.profile)
-            run_id = f"run:{cell_key}"
-            deps = []
-            mat_id = mat_for_spec.get(planned.spec.cache_key())
-            if mat_id is not None:
-                deps.append(mat_id)
-            self.board.add(Task(run_id, "run", payload=planned,
-                                deps=tuple(deps)))
-            # The store chain linearizes collection in plan order, so
-            # corpus.runs ordering is deterministic and identical to an
-            # inline build regardless of completion order.
-            store_id = f"store:{cell_key}"
-            store_deps = [run_id]
-            if prev_store is not None:
-                store_deps.append(prev_store)
-            self.board.add(Task(store_id, "store", payload=planned,
-                                deps=tuple(store_deps)))
-            prev_store = store_id
-            self._run_ids.append(run_id)
-            self._store_ids.append(store_id)
+            else:
+                self._plane_failed = True
+        return self.plane is not None
 
-    # ------------------------------------------------------------------
-    # Main loop
-    # ------------------------------------------------------------------
-    def run(self) -> None:
-        self._premat_started = time.perf_counter()
-        self._build_dag()
-        site = Worksite(tempfile.mkdtemp(prefix="repro-worksite-"))
-        crew = WorkerCrew(self.workers, site, self.ctx,
-                          self.config.heartbeat_every_s)
-        stopping = False
-        polite = False
-        try:
-            while True:
-                now = time.time()
-                if not stopping and self._stop():
-                    stopping = True
-                for beat in site.read_heartbeats().values():
-                    if beat.task_id is not None:
-                        self.board.renew(beat.worker, beat.task_id,
-                                         beat.epoch, beat.ts)
-                for handle in crew.dead_workers():
-                    self._on_worker_death(crew, handle, now, stopping)
-                for task, lease in self.board.expired_leases(now):
-                    self._on_lease_expiry(crew, task, lease, now,
-                                          stopping)
-                if not stopping:
-                    if self.breaker.open:
-                        self._degraded_tick(crew, now)
-                    else:
-                        self._dispatch_ready(crew, now)
-                        if self.config.speculative:
-                            self._maybe_speculate(crew, now)
-                self._check_premat_done()
-                if not stopping:
-                    self._finalize_stores()
-                if self.board.all_terminal():
-                    polite = True
-                    break
-                if stopping and not self._worker_leases_live():
-                    polite = True
-                    break
-                envelope = crew.poll_result(self.config.poll_s)
-                while envelope is not None:
-                    self._on_result(crew, envelope)
-                    envelope = crew.poll_result(0.0)
-        finally:
-            busy = any(not h.idle for h in crew.workers.values())
-            crew.shutdown(kill=not polite or busy)
-            site.cleanup()
-            self.corpus.workers_replaced = crew.replaced
-            self.corpus.lease_expiries = self.board.total_lease_expiries
-            if stopping:
-                self.corpus.interrupted = True
-            if self.plane is not None:
-                # After the crew is down no process can still be
-                # attached; unlink every published segment (also on
-                # the SIGINT and exception paths).
-                self.plane.close()
-                self.plane = None
+    def _materialize_task(self, spec: Any) -> str:
+        """Id of the board task that publishes *spec* into the plane
+        (one per graph, added on first use)."""
+        task_id = f"materialize:{spec.cache_key()}"
+        if self.board.get(task_id) is None:
+            self.board.add(Task(task_id, "materialize", payload=spec))
+        return task_id
+
+    def _add_run(self, task_id: str, planned: Any, *,
+                 materialize: bool) -> Task:
+        """Put one cell on the board, behind its graph's materialize
+        task when the plane is in play."""
+        deps = (self._materialize_task(planned.spec),) if materialize else ()
+        return self.board.add(Task(task_id, "run", payload=planned,
+                                   deps=deps))
+
+    def _dispatch_ready(self, now: float) -> None:
+        idle = self.crew.idle_workers()
+        if not idle:
+            return
+        for task in self.board.ready(now):
+            if not idle:
+                break
+            if task.kind == "store":
+                continue  # executed by the supervisor, never leased out
+            self._dispatch(idle.pop(), task, now)
+
+    def _dispatch(self, handle, task: Task, now: float, *,
+                  speculative: bool = False) -> None:
+        epoch = self.board.lease(task.id, handle.worker, now,
+                                 speculative=speculative)
+        manifest = (None if task.kind == "materialize" else
+                    self.manifests.get(task.payload.spec.cache_key()))
+        self.crew.dispatch(handle, TaskEnvelope(
+            task.id, epoch, task.kind, (task.payload, manifest)))
+        self._on_dispatched(task)
 
     # ------------------------------------------------------------------
     # Event handlers
     # ------------------------------------------------------------------
-    def _on_worker_death(self, crew: WorkerCrew, handle, now: float,
-                         stopping: bool) -> None:
+    def _revoke(self, task: Task, lease: Lease, now: float,
+                reason: str) -> str:
+        outcome = self.board.revoke_lease(task, lease, now, reason=reason)
+        if outcome == "quarantined":
+            self._on_quarantined(task)
+        return outcome
+
+    def _retire(self, handle) -> None:
+        """Kill (if it still runs) and reap a dead or hung worker, and
+        replace it while the crew is still wanted."""
+        self.crew.kill(handle)
+        if self._may_respawn():
+            self.crew.spawn()
+            self.crew.replaced += 1
+
+    def _on_worker_death(self, handle, now: float) -> None:
         task = (self.board.get(handle.task_id)
                 if handle.task_id is not None else None)
         lease = (task.find_lease(handle.worker) if task is not None
                  else None)
-        self._record_outcome(crew, handle.task_id, True, now)
+        self._record_outcome(handle.task_id, True, now)
         if self.tel.enabled:
             self.tel.inc("scheduler_worker_deaths_total")
             self.tel.emit("scheduler", action="worker-died",
                           worker=handle.worker,
                           task=handle.task_id)
         if task is not None and lease is not None and not task.terminal:
-            self.board.revoke_lease(task, lease, now,
-                                    reason="worker-died")
-        if not stopping and not self.breaker.open:
-            crew.replace(handle)
-        else:
-            crew.remove(handle)
+            self._revoke(task, lease, now, "worker-died")
+        self._retire(handle)
 
-    def _on_lease_expiry(self, crew: WorkerCrew, task: Task,
-                         lease: Lease, now: float,
-                         stopping: bool) -> None:
-        outcome = self.board.revoke_lease(task, lease, now,
-                                          reason="lease-expired")
+    def _on_lease_expiry(self, task: Task, lease: Lease,
+                         now: float) -> None:
+        outcome = self._revoke(task, lease, now, "lease-expired")
         if outcome == "stale":
             return
-        self._record_outcome(crew, task.id, True, now)
+        self._record_outcome(task.id, True, now)
         if self.tel.enabled:
             self.tel.inc("scheduler_lease_expiries_total")
             self.tel.emit("scheduler", action="lease-expired",
@@ -641,31 +667,26 @@ class Supervisor:
                           failure_kind="lease-expired",
                           expiries=task.lease_expiries)
         # The worker holding the lease is hung (a dead one was already
-        # reaped by _on_worker_death): kill it, replace it.
-        handle = crew.workers.get(lease.worker)
+        # reaped by _on_worker_death).
+        handle = self.crew.workers.get(lease.worker)
         if handle is not None:
-            crew.kill(handle)
-            if not stopping and not self.breaker.open:
-                crew.spawn()
-                crew.replaced += 1
+            self._retire(handle)
 
-    def _on_result(self, crew: WorkerCrew, envelope) -> None:
-        crew.mark_idle(envelope.worker)
-        self._record_outcome(crew, envelope.task_id, False, time.time())
+    def _on_result(self, envelope: ResultEnvelope) -> None:
+        self.crew.mark_idle(envelope.worker)
+        self._record_outcome(envelope.task_id, False, time.time())
         task = self.board.get(envelope.task_id)
         if task is None:
             return
         if not envelope.ok:
-            self.board.fail(task.id, envelope.epoch, envelope.error)
-            return
-        if task.kind == "materialize":
+            accepted = self.board.fail(task.id, envelope.epoch,
+                                       envelope.error)
+        elif task.kind == "materialize":
             self._publish_materialized(envelope.value)
-            self.board.complete(task.id, None)
-            return
-        accepted = self.board.complete(task.id, envelope.value)
-        if not accepted and self.tel.enabled:
-            self.tel.emit("scheduler", action="stale-result",
-                          task=task.id, worker=envelope.worker)
+            accepted = self.board.complete(task.id, None)
+        else:
+            accepted = self.board.complete(task.id, envelope.value)
+        self._on_update(task, envelope, accepted)
 
     def _publish_materialized(self, value) -> None:
         from repro.graph import shm
@@ -683,30 +704,154 @@ class Supervisor:
             # per-process materialization for everything.
             self.plane.close()
             self.plane = None
+            self._plane_failed = True
             self.manifests = {}
 
-    # ------------------------------------------------------------------
-    # Dispatch / speculation
-    # ------------------------------------------------------------------
-    def _dispatch_ready(self, crew: WorkerCrew, now: float) -> None:
-        idle = crew.idle_workers()
-        if not idle:
+    def _emit_transition(self, task: Task, old: str, new: str,
+                         info: dict) -> None:
+        if not self.tel.enabled:
             return
-        for task in self.board.ready(now):
-            if not idle:
-                break
-            if task.kind == "store":
-                continue  # supervisor-executed, never leased out
-            handle = idle.pop()
-            epoch = self.board.lease(task.id, handle.worker, now)
-            crew.dispatch(handle, TaskEnvelope(
-                task.id, epoch, task.kind, self._payload_for(task)))
+        self.tel.inc("scheduler_transitions_total", to=new)
+        # Every transition of one task shares one span, so lease /
+        # revoke / re-dispatch cycles thread onto one trace node.
+        self.tel.emit("task", _trace_ctx=self._span("task", task.id),
+                      task=task.id, task_kind=task.kind,
+                      **{"from": old, "to": new}, **info)
 
-    def _maybe_speculate(self, crew: WorkerCrew, now: float) -> None:
+    def _span(self, *key: str):
+        """The deterministic child span of the build keyed by *key*
+        (``None`` when the build runs untraced)."""
+        if self.tel.trace is None:
+            return None
+        return self.tel.trace.child(*key)
+
+
+class Supervisor(CrewLoop):
+    """One multi-worker corpus build on this machine.
+
+    Plans the whole corpus onto the board as an explicit materialize →
+    run → store DAG and fills the
+    :class:`~repro.experiments.corpus.BehaviorCorpus` in plan order, so
+    a supervised build's ``runs`` list is ordered exactly like an inline
+    build's. On top of the shared loop it owns the circuit breaker,
+    speculation and the stop request.
+    """
+
+    def __init__(self, *, plan: list, profile: Any, store: Any,
+                 corpus: Any, workers: int, options: BuildOptions,
+                 config: "SchedulerConfig | None" = None,
+                 progress: "Callable | None" = None,
+                 stop_requested: "Callable | None" = None) -> None:
+        self.plan = plan
+        self.store = store
+        self.corpus = corpus
+        self.workers = max(2, int(workers))
+        self.progress = progress
+        self._stop = stop_requested or (lambda: False)
+        config = config or SchedulerConfig.for_build(options, profile)
+        self.breaker = CircuitBreaker(
+            window=config.breaker_window,
+            min_events=config.breaker_min_events,
+            threshold=config.breaker_threshold,
+            cooldown_s=config.breaker_cooldown_s)
+        #: Task id of the single half-open trial dispatch, if one is
+        #: in flight; its outcome alone moves the breaker.
+        self._probe_task: "str | None" = None
+        self._open_handled = False
+        #: ``(run task, id of its store task)`` per cell, in plan order.
+        self._cells: "list[tuple[Task, str]]" = []
+        self._premat_pending = False
+        self._started = time.perf_counter()  # crew start-up is premat time
+        super().__init__(
+            options=options, profile=profile, config=config,
+            workers=self.workers,
+            store_root=str(store.root) if store is not None else None)
+
+    # ------------------------------------------------------------------
+    # DAG construction
+    # ------------------------------------------------------------------
+    def _build_dag(self) -> None:
+        from repro.experiments.corpus import (
+            _specs_needing_materialization,
+            run_cache_key,
+        )
+        from repro.graph import shm
+
+        needed: dict = {}
+        if self.options.use_shm and shm.shm_available():
+            self._premat_pending = True
+            needed = _specs_needing_materialization(
+                self.plan, self.profile, self.store, self.options.resume)
+        if needed and self._plane_wanted():
+            for spec in needed.values():
+                # Every graph ahead of every cell: one parallel phase.
+                self._materialize_task(spec)
+        else:
+            needed = {}
+        prev_store: "str | None" = None
+        for planned in self.plan:
+            cell_key = run_cache_key(planned, self.profile)
+            run = self._add_run(
+                f"run:{cell_key}", planned,
+                materialize=planned.spec.cache_key() in needed)
+            # The store chain linearizes collection in plan order, so
+            # corpus.runs ordering is deterministic and identical to an
+            # inline build regardless of completion order.
+            store_deps = [run.id]
+            if prev_store is not None:
+                store_deps.append(prev_store)
+            prev_store = self.board.add(Task(
+                f"store:{cell_key}", "store", payload=planned,
+                deps=tuple(store_deps))).id
+            self._cells.append((run, prev_store))
+
+    # ------------------------------------------------------------------
+    # Main loop
+    # ------------------------------------------------------------------
+    def run(self) -> None:
+        polite = False
+        try:
+            self._build_dag()
+            while True:
+                if not self.stopping and self._stop():
+                    self.stopping = True
+                self.tick(time.time(), self.config.poll_s)
+                self._check_premat_done()
+                if not self.stopping:
+                    self._finalize_stores()
+                if self.board.all_terminal() or (
+                        self.stopping and not self._worker_leases_live()):
+                    polite = True
+                    break
+        finally:
+            self.close(kill=not polite)
+            self.corpus.workers_replaced = self.crew.replaced
+            self.corpus.lease_expiries = self.board.total_lease_expiries
+            if self.stopping:
+                self.corpus.interrupted = True
+
+    def _schedule(self, now: float) -> None:
+        if self.breaker.open:
+            self._degraded_tick(now)
+            return
+        self._dispatch_ready(now)
+        if self.config.speculative:
+            self._maybe_speculate(now)
+
+    def _may_respawn(self) -> bool:
+        return not self.stopping and not self.breaker.open
+
+    def _on_update(self, task: Task, envelope: ResultEnvelope,
+                   accepted: bool) -> None:
+        if envelope.ok and not accepted and self.tel.enabled:
+            self.tel.emit("scheduler", action="stale-result",
+                          task=task.id, worker=envelope.worker)
+
+    def _maybe_speculate(self, now: float) -> None:
         """Bounded speculative re-execution of stragglers: only when
         nothing else is dispatchable (i.e. near build end), one shadow
         per task, first completion wins."""
-        idle = crew.idle_workers()
+        idle = self.crew.idle_workers()
         if not idle:
             return
         if any(t.kind != "store" for t in self.board.ready(now)):
@@ -720,53 +865,26 @@ class Supervisor:
         ]
         candidates.sort(key=lambda t: t.leases[0].granted_at)
         for handle, task in zip(idle, candidates):
-            epoch = self.board.lease(task.id, handle.worker, now,
-                                     speculative=True)
-            crew.dispatch(handle, TaskEnvelope(
-                task.id, epoch, task.kind, self._payload_for(task)))
+            self._dispatch(handle, task, now, speculative=True)
             self.corpus.speculative_runs += 1
             if self.tel.enabled:
                 self.tel.inc("scheduler_speculative_total")
                 self.tel.emit("scheduler", action="speculate",
                               task=task.id, worker=handle.worker)
 
-    def _payload_for(self, task: Task):
-        if task.kind == "materialize":
-            return (task.payload, None)
-        manifest = self.manifests.get(task.payload.spec.cache_key())
-        return (task.payload, manifest)
-
     # ------------------------------------------------------------------
     # Collection (store tasks, plan order)
     # ------------------------------------------------------------------
     def _finalize_stores(self) -> None:
-        from repro.experiments.corpus import (
-            format_progress,
-            progress_event,
-        )
-
         total = len(self.plan)
-        while self._store_ptr < total:
-            run_task = self.board.get(self._run_ids[self._store_ptr])
+        while self.corpus.n_collected < total:
+            run_task, store_id = self._cells[self.corpus.n_collected]
             if not run_task.terminal:
                 break
-            store_task = self.board.get(self._store_ids[self._store_ptr])
-            run = self._corpus_run_for(run_task)
-            if run.obs_snapshot is not None:
-                self.tel.merge_snapshot(run.obs_snapshot)
-                run.obs_snapshot = None
-            if run.ok:
-                self.corpus.runs.append(run)
-            else:
-                self.corpus.failures.append(run)
-            now = time.time()
-            self.board.lease(store_task.id, SUPERVISOR_WORKER, now)
-            self.board.complete(store_task.id, None)
-            self._store_ptr += 1
-            event = progress_event(run, self._store_ptr, total)
-            self.tel.emit("progress", **event)
-            if self.progress is not None:
-                self.progress(format_progress(event))
+            self.board.lease(store_id, SUPERVISOR_WORKER, time.time())
+            self.board.complete(store_id, None)
+            self.corpus.collect(self._corpus_run_for(run_task), total,
+                                self.progress)
 
     def _corpus_run_for(self, run_task: Task):
         from repro.experiments.corpus import CorpusRun, run_cache_key
@@ -789,15 +907,14 @@ class Supervisor:
     # Premat bookkeeping
     # ------------------------------------------------------------------
     def _check_premat_done(self) -> None:
-        if not self._premat_pending:
-            return
-        if not all(self.board.get(t).terminal for t in self._mat_ids):
+        if not self._premat_pending or not all(
+                t.terminal for t in self.board.tasks.values()
+                if t.kind == "materialize"):
             return
         self._premat_pending = False
         self.corpus.graph_plane = self.plane is not None
         self.corpus.premat_graphs = len(self.manifests)
-        self.corpus.premat_seconds = (time.perf_counter()
-                                      - self._premat_started)
+        self.corpus.premat_seconds = time.perf_counter() - self._started
         self.tel.emit("premat", graphs=len(self.manifests),
                       seconds=self.corpus.premat_seconds,
                       plane=self.plane is not None)
@@ -812,8 +929,8 @@ class Supervisor:
     # ------------------------------------------------------------------
     # Circuit-breaker degradation (open → half-open probe → close)
     # ------------------------------------------------------------------
-    def _record_outcome(self, crew: WorkerCrew, task_id: "str | None",
-                        infra_failure: bool, now: float) -> None:
+    def _record_outcome(self, task_id: "str | None", infra_failure: bool,
+                        now: float) -> None:
         """Feed the breaker. While it is open or half-open only the
         probe dispatch counts as evidence — stray results and deaths
         from pre-trip dispatches must not decide the crew's fate."""
@@ -829,19 +946,16 @@ class Supervisor:
                           task=task_id, ok=not infra_failure,
                           state=self.breaker.state)
         if not self.breaker.open:
+            # Probe succeeded: re-trust the crew and refill it.
             self._open_handled = False
-            self._on_breaker_close(crew)
+            if self.tel.enabled:
+                self.tel.inc("scheduler_circuit_closes_total")
+                self.tel.emit("scheduler", action="circuit-close",
+                              trips=self.breaker.trips)
+            while len(self.crew.workers) < self.workers:
+                self.crew.spawn()
 
-    def _on_breaker_close(self, crew: WorkerCrew) -> None:
-        """Probe succeeded: re-trust the crew and refill it."""
-        if self.tel.enabled:
-            self.tel.inc("scheduler_circuit_closes_total")
-            self.tel.emit("scheduler", action="circuit-close",
-                          trips=self.breaker.trips)
-        while len(crew.workers) < self.workers:
-            crew.spawn()
-
-    def _degraded_tick(self, crew: WorkerCrew, now: float) -> None:
+    def _degraded_tick(self, now: float) -> None:
         """One loop iteration while the crew is untrusted: execute one
         cell inline in this process (where no lease can expire), and
         once the cooldown elapses trial a single supervised dispatch
@@ -857,30 +971,27 @@ class Supervisor:
             for task in self.board.leased():
                 for lease in list(task.leases):
                     if lease.worker != SUPERVISOR_WORKER:
-                        self.board.revoke_lease(task, lease, now,
-                                                reason="circuit-open")
+                        self._revoke(task, lease, now, "circuit-open")
             if self.tel.enabled:
                 self.tel.inc("scheduler_circuit_trips_total")
                 self.tel.emit("scheduler", action="circuit-open",
                               trips=self.breaker.trips)
         if self.breaker.probe_due(now):
-            self._dispatch_probe(crew, now)
+            self._dispatch_probe(now)
         self._inline_step(now)
 
-    def _dispatch_probe(self, crew: WorkerCrew, now: float) -> None:
+    def _dispatch_probe(self, now: float) -> None:
         candidates = [t for t in self.board.ready(now)
                       if t.kind != "store"]
         if not candidates:
             # Nothing left to trial the crew on; the inline path
             # finishes the tail and the breaker stays half-open.
             return
-        idle = crew.idle_workers()
-        handle = idle.pop() if idle else crew.spawn()
+        idle = self.crew.idle_workers()
+        handle = idle.pop() if idle else self.crew.spawn()
         task = candidates[0]
-        epoch = self.board.lease(task.id, handle.worker, now)
         self._probe_task = task.id
-        crew.dispatch(handle, TaskEnvelope(
-            task.id, epoch, task.kind, self._payload_for(task)))
+        self._dispatch(handle, task, now)
         if self.tel.enabled:
             self.tel.inc("scheduler_probes_total")
             self.tel.emit("scheduler", action="half-open-probe",
@@ -889,7 +1000,7 @@ class Supervisor:
     def _inline_step(self, now: float) -> None:
         """Execute at most one ready task inline per tick, keeping the
         loop responsive to probe results and stop requests."""
-        from repro.experiments.corpus import _isolated_execute
+        from repro.experiments.corpus import _run_cell
 
         for task in self.board.ready(now):
             if task.kind == "store" or task.id == self._probe_task:
@@ -900,25 +1011,6 @@ class Supervisor:
                 # local graph cache; no plane publish needed.
                 self.board.complete(task.id, None)
                 return
-            run = _isolated_execute(
-                task.payload, self.profile, self.store,
-                self.ctx.timeout_s, self.ctx.retries, self.ctx.resume,
-                self.ctx.health_policy, self.ctx.health_check_every,
-                self.ctx.checkpoint_dir, self.ctx.checkpoint_every)
-            self.board.complete(task.id, run)
+            self.board.complete(task.id, _run_cell(
+                task.payload, self.profile, self.store, self.options))
             return
-
-    # ------------------------------------------------------------------
-    def _emit_transition(self, task: Task, old: str, new: str,
-                         info: dict) -> None:
-        if not self.tel.enabled:
-            return
-        self.tel.inc("scheduler_transitions_total", to=new)
-        # Every transition of one task shares a deterministic span
-        # (child of the build span, keyed by task id), so lease /
-        # revoke / re-dispatch cycles thread onto one trace node.
-        ctx = (self.tel.trace.child("task", task.id)
-               if self.tel.trace is not None else None)
-        self.tel.emit("task", _trace_ctx=ctx, task=task.id,
-                      task_kind=task.kind,
-                      **{"from": old, "to": new}, **info)

@@ -23,7 +23,7 @@ process-management substrate this module owns:
 
 Workers ignore SIGINT (the supervisor decides when to stop
 dispatching) and execute tasks through the same crash-isolation
-boundary as the old pool (`_isolated_execute`), so a task-level fault
+boundary as the inline path (`_run_cell`), so a task-level fault
 comes back as a recorded failure, never as a dead worker.
 """
 
@@ -35,9 +35,11 @@ import signal
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
+
+from repro.experiments.config import BuildOptions
 
 #: Stall injection: ``"<substring>:<seconds>"`` — a worker dispatched a
 #: task whose id contains the substring sleeps that long *with
@@ -109,18 +111,25 @@ class Worksite:
 
 
 class HeartbeatWriter:
-    """Worker-side beat emitter (daemon thread).
+    """The beat emitter (daemon thread) of both levels of the fabric.
 
-    ``suspend()`` models a hang for stall injection: the thread keeps
-    running but writes nothing, so the supervisor's view goes stale
-    exactly as it would for a worker stuck in an uninterruptible call.
+    A crew worker beats ``hb-<worker>.json`` in its worksite, tagged
+    with the task and lease epoch it is executing. A node agent passes
+    ``publish``, which writes its registry beat into the queue instead.
+
+    ``suspend()`` models a hang for stall and freeze injection: the
+    thread keeps running but writes nothing, so the supervisor's view
+    goes stale exactly as it would for a worker (or node) stuck in an
+    uninterruptible call.
     """
 
-    def __init__(self, path: Path, worker: int,
-                 every_s: float = 1.0) -> None:
+    def __init__(self, path: "Path | None", worker: "int | str",
+                 every_s: float = 1.0,
+                 publish: "Callable[[], None] | None" = None) -> None:
         self.path = path
         self.worker = worker
         self.every_s = max(0.05, float(every_s))
+        self._publish = publish or self._write_beat_file
         self._task_id: "str | None" = None
         self._epoch = 0
         self._suspended = False
@@ -155,6 +164,13 @@ class HeartbeatWriter:
         with self._lock:
             if self._suspended:
                 return
+        try:
+            self._publish()
+        except OSError:
+            pass  # missed beat (directory swept or unreachable); next retries
+
+    def _write_beat_file(self) -> None:
+        with self._lock:
             payload = {"worker": self.worker, "pid": os.getpid(),
                        "ts": time.time(), "task_id": self._task_id,
                        "epoch": self._epoch}
@@ -163,8 +179,8 @@ class HeartbeatWriter:
         try:
             tmp.write_text(json.dumps(payload), encoding="utf-8")
             os.replace(tmp, self.path)
-        except OSError:
-            tmp.unlink(missing_ok=True)  # missed beat; next one retries
+        finally:
+            tmp.unlink(missing_ok=True)
 
     def stop(self) -> None:
         self._stop.set()
@@ -208,34 +224,6 @@ class ResultEnvelope:
 # ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class WorkerContext:
-    """Build-wide configuration forked into every worker once, instead
-    of riding on every task payload like the old pool tuple did."""
-
-    store_root: "str | Path | None"
-    profile: Any
-    timeout_s: "float | None"
-    retries: "int | None"
-    resume: bool
-    health_policy: "str | None"
-    health_check_every: "int | None"
-    checkpoint_dir: "str | Path | None"
-    checkpoint_every: "str | None"
-    graph_cache_bytes: "int | None"
-    obs_level: "str | None"
-    obs_dir: "str | None"
-    run_id: "str | None"
-    #: Distributed builds: the node this worker belongs to, stamped
-    #: into its telemetry events. None on single-node builds.
-    node: "str | None" = None
-    #: Serialized build-root :class:`~repro.obs.tracing.TraceContext`;
-    #: workers re-install it so their cell spans derive the same
-    #: deterministic ids as the parent (causal re-linking across
-    #: dispatches and resumes).
-    trace: "dict | None" = None
-
-
 def _maybe_stall(envelope: TaskEnvelope, beats: HeartbeatWriter) -> None:
     """Honor ``REPRO_INJECT_STALL`` for a matching task id."""
     spec = os.environ.get(INJECT_STALL_ENV)
@@ -255,34 +243,29 @@ def _maybe_stall(envelope: TaskEnvelope, beats: HeartbeatWriter) -> None:
     beats.resume()
 
 
-def _execute_envelope(envelope: TaskEnvelope, ctx: WorkerContext) -> Any:
+def _execute_envelope(envelope: TaskEnvelope, options: BuildOptions,
+                      profile: Any, store_root: "str | None") -> Any:
     """Run one task body. Imports are lazy: the worksite stays loadable
     without pulling the whole corpus module into importers that only
     need the heartbeat types."""
     from repro.experiments import corpus as corpus_mod
+    from repro.experiments.graph_cache import materialize_problem
     from repro.experiments.results import ResultStore
+    from repro.graph import shm
     from repro.obs.telemetry import get_telemetry
 
+    payload, manifest = envelope.payload
+    if manifest is not None:
+        shm.install_manifest(manifest)
     if envelope.kind == "materialize":
-        spec, manifest = envelope.payload
-        if manifest is not None:
-            from repro.graph import shm
-
-            shm.install_manifest(manifest)
-        return corpus_mod._materialize_worker(spec)
+        # Through materialize_problem, so the materialization counter
+        # sees it and this worker's cache keeps the graph warm; the
+        # problem is pickled back to the loop, which publishes it.
+        return payload.cache_key(), materialize_problem(payload)[0]
     if envelope.kind != "run":
         raise ValueError(f"unknown task kind {envelope.kind!r}")
-    planned, manifest = envelope.payload
-    if manifest is not None:
-        from repro.graph import shm
-
-        shm.install_manifest(manifest)
-    store = (ResultStore(ctx.store_root)
-             if ctx.store_root is not None else None)
-    result = corpus_mod._isolated_execute(
-        planned, ctx.profile, store, ctx.timeout_s, ctx.retries,
-        ctx.resume, ctx.health_policy, ctx.health_check_every,
-        ctx.checkpoint_dir, ctx.checkpoint_every)
+    store = ResultStore(store_root) if store_root is not None else None
+    result = corpus_mod._run_cell(payload, profile, store, options)
     tel = get_telemetry()
     if tel.enabled:
         # Per-cell metric delta rides back on the result; the worker
@@ -313,11 +296,17 @@ def _arm_parent_death_signal() -> None:
 
 def worker_main(worker: int, task_queue, result_queue,
                 worksite_root: str, heartbeat_every: float,
-                ctx: WorkerContext) -> None:
+                options: BuildOptions, profile: Any,
+                store_root: "str | None") -> None:
     """Crew worker loop: beat, take a lease, execute, send the result.
 
+    *options*, *profile* and *store_root* are the build-wide
+    configuration, forked in once instead of riding on every task. A
+    ``None`` store root means the worker never writes the store (a node
+    agent's crew: publication is the agent's, behind its fence).
+
     SIGINT is ignored (the supervisor owns shutdown). *Any* exception
-    escaping a task body — already rare, since ``_isolated_execute`` is
+    escaping a task body — already rare, since ``_run_cell`` is
     its own boundary — comes back as an ``ok=False`` envelope rather
     than killing the loop. A worker whose parent vanished exits on its
     own: PDEATHSIG kills it instantly on Linux, and the reparenting
@@ -331,9 +320,8 @@ def worker_main(worker: int, task_queue, result_queue,
     from repro.experiments.failures import RunFailure
     from repro.experiments.graph_cache import configure_default_cache
 
-    _configure_worker_obs(ctx.obs_level, ctx.obs_dir, ctx.run_id,
-                          node=ctx.node, trace=ctx.trace)
-    configure_default_cache(ctx.graph_cache_bytes)
+    _configure_worker_obs(options)
+    configure_default_cache(options.graph_cache_bytes)
     site = Worksite(worksite_root)
     beats = HeartbeatWriter(site.heartbeat_path(worker), worker,
                             heartbeat_every)
@@ -351,7 +339,8 @@ def worker_main(worker: int, task_queue, result_queue,
             beats.set_task(envelope.task_id, envelope.epoch)
             try:
                 _maybe_stall(envelope, beats)
-                value = _execute_envelope(envelope, ctx)
+                value = _execute_envelope(envelope, options, profile,
+                                          store_root)
                 result_queue.put(ResultEnvelope(
                     envelope.task_id, envelope.epoch, worker, True,
                     value=value))
@@ -378,8 +367,6 @@ class WorkerHandle:
     queue: Any
     #: Task id the supervisor believes this worker is executing.
     task_id: "str | None" = None
-    epoch: int = 0
-    dispatched: int = field(default=0)
 
     @property
     def idle(self) -> bool:
@@ -393,7 +380,8 @@ class WorkerCrew:
     """Spawn, feed, reap, and replace the build's worker processes."""
 
     def __init__(self, n_workers: int, worksite: Worksite,
-                 ctx: WorkerContext, heartbeat_every: float) -> None:
+                 heartbeat_every: float, options: BuildOptions,
+                 profile: Any, store_root: "str | None") -> None:
         import multiprocessing as mp
 
         try:
@@ -401,7 +389,7 @@ class WorkerCrew:
         except ValueError:  # pragma: no cover - non-fork platforms
             self._mp = mp.get_context()
         self.worksite = worksite
-        self.ctx = ctx
+        self.worker_args = (options, profile, store_root)
         self.heartbeat_every = heartbeat_every
         self.results = self._mp.Queue()
         self.workers: "dict[int, WorkerHandle]" = {}
@@ -417,7 +405,7 @@ class WorkerCrew:
         process = self._mp.Process(
             target=worker_main,
             args=(worker, queue, self.results, str(self.worksite.root),
-                  self.heartbeat_every, self.ctx),
+                  self.heartbeat_every, *self.worker_args),
             name=f"repro-crew-{worker}", daemon=True)
         process.start()
         handle = WorkerHandle(worker, process, queue)
@@ -427,15 +415,12 @@ class WorkerCrew:
     def dispatch(self, handle: WorkerHandle,
                  envelope: TaskEnvelope) -> None:
         handle.task_id = envelope.task_id
-        handle.epoch = envelope.epoch
-        handle.dispatched += 1
         handle.queue.put(envelope)
 
     def mark_idle(self, worker: int) -> None:
         handle = self.workers.get(worker)
         if handle is not None:
             handle.task_id = None
-            handle.epoch = 0
 
     def idle_workers(self) -> "list[WorkerHandle]":
         return [h for h in self.workers.values()
@@ -448,10 +433,7 @@ class WorkerCrew:
         """SIGKILL a (presumed hung) worker and reap it."""
         if handle.alive():
             handle.process.kill()
-        handle.process.join(timeout=5.0)
-        self._close(handle)
-        self.workers.pop(handle.worker, None)
-        self.worksite.remove_heartbeat(handle.worker)
+        self.remove(handle)
 
     def remove(self, handle: WorkerHandle) -> None:
         """Reap a worker that already died on its own."""
@@ -459,11 +441,6 @@ class WorkerCrew:
         self._close(handle)
         self.workers.pop(handle.worker, None)
         self.worksite.remove_heartbeat(handle.worker)
-
-    def replace(self, handle: WorkerHandle) -> WorkerHandle:
-        self.remove(handle)
-        self.replaced += 1
-        return self.spawn()
 
     def poll_result(self, timeout: float) -> "ResultEnvelope | None":
         import queue as queue_mod
@@ -486,12 +463,7 @@ class WorkerCrew:
                 self.kill(handle)
         for handle in list(self.workers.values()):
             handle.process.join(timeout=5.0)
-            if handle.alive():
-                self.kill(handle)
-            else:
-                self._close(handle)
-                self.workers.pop(handle.worker, None)
-                self.worksite.remove_heartbeat(handle.worker)
+            self.kill(handle)
         self.results.close()
         self.results.cancel_join_thread()
 

@@ -23,13 +23,20 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.experiments.config import GraphSpec, PlannedRun, Profile
+from repro.experiments.config import (
+    BuildOptions,
+    GraphSpec,
+    PlannedRun,
+    Profile,
+)
 from repro.experiments.corpus import build_corpus
 from repro.experiments.distqueue import (
     Claim,
     DistributedQueue,
     NodeBeat,
     TaskRecord,
+    build_manifest,
+    parse_manifest,
     profile_from_dict,
     profile_to_dict,
     publish_result,
@@ -118,6 +125,58 @@ class TestProfileTransport:
         assert profile_from_dict(wire) == DQ_PROFILE
 
 
+class TestManifestTransport:
+    OPTIONS = BuildOptions(timeout_s=2.5, retries=1, resume=True,
+                           health_policy="degrade", health_check_every=4,
+                           checkpoint_dir="ckpt", checkpoint_every="5",
+                           use_shm=False, graph_cache_bytes=1 << 20,
+                           obs_level="full", obs_dir="obs", run_id="r-1",
+                           lease_timeout_s=0.5, heartbeat_every_s=0.1,
+                           max_lease_expiries=2, speculative=True)
+
+    def test_options_roundtrip_through_json(self):
+        for options in (BuildOptions(), self.OPTIONS):
+            wire = json.loads(json.dumps(options.to_dict()))
+            assert BuildOptions.from_dict(wire) == options
+
+    def test_unknown_or_missing_option_is_refused(self):
+        wire = self.OPTIONS.to_dict()
+        with pytest.raises(ValueError, match="unknown keys.*'turbo'"):
+            BuildOptions.from_dict({**wire, "turbo": True})
+        del wire["resume"]
+        with pytest.raises(ValueError, match="missing keys.*'resume'"):
+            BuildOptions.from_dict(wire)
+
+    def test_explicit_zero_is_refused_not_defaulted(self):
+        # None means "the default"; 0 used to mean it too, silently.
+        with pytest.raises(ValueError, match="lease_timeout_s"):
+            BuildOptions(lease_timeout_s=0)
+        with pytest.raises(ValueError, match="max_lease_expiries"):
+            BuildOptions(max_lease_expiries=0)
+        assert BuildOptions().lease_timeout(node=False) == 60.0
+        assert BuildOptions().lease_timeout(node=True) == 15.0
+        assert BuildOptions().max_lease_expiries == 3
+
+    def test_manifest_roundtrip_through_the_queue(self, tmp_path):
+        queue = _queue(tmp_path)
+        trace = {"trace": "t", "span": "s"}
+        queue.write_manifest(build_manifest(
+            self.OPTIONS, DQ_PROFILE, tmp_path / "store", trace))
+        options, profile, store_root, got = parse_manifest(
+            queue.read_manifest())
+        assert (options, profile, got) == (self.OPTIONS, DQ_PROFILE, trace)
+        assert store_root == str((tmp_path / "store").resolve())
+
+    def test_malformed_manifest_is_a_clear_error(self, tmp_path):
+        manifest = build_manifest(BuildOptions(), DQ_PROFILE,
+                                  tmp_path, None)
+        for broken in ({k: v for k, v in manifest.items()
+                        if k != "store_root"},
+                       {**manifest, "backoff_base_s": 0.05}):
+            with pytest.raises(ValueError):
+                parse_manifest(broken)
+
+
 class TestQueueBasics:
     def test_publish_and_pending(self, tmp_path):
         queue = _queue(tmp_path)
@@ -160,6 +219,17 @@ class TestClaims:
         (claim,) = queue.claims()
         assert (claim.task_id, claim.node, claim.epoch) == (
             record.task_id, "node-1", 3)
+
+    def test_take_returns_the_claim_it_created(self, tmp_path):
+        queue = _queue(tmp_path)
+        record = _record()
+        queue.publish(record)
+        claim = queue.take(record.task_id, "node-1", 3)
+        assert claim.record == record
+        (listed,) = queue.claims()
+        assert (claim.task_id, claim.node, claim.epoch, claim.path) == (
+            listed.task_id, listed.node, listed.epoch, listed.path)
+        assert queue.take(record.task_id, "node-2", 1) is None
 
     def test_concurrent_claimants_get_exactly_one_winner(self, tmp_path):
         queue = _queue(tmp_path)
@@ -364,6 +434,33 @@ class TestCoordinatorEndToEnd:
         assert dist.queue_leftovers == 0
         assert not (tmp_path / "queue").exists()
         assert self._vectors(dist) == self._vectors(inline)
+
+    @pytest.mark.parametrize("path", ["fabric", "distqueue"])
+    def test_every_build_path_matches_inline(self, tmp_path, monkeypatch,
+                                             path):
+        """One plan through the inline call loop and through the crew
+        loop behind a Supervisor / a Coordinator: the same runs in the
+        same order, byte-identical vectors, the same progress events."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+
+        def build(name, **kwargs):
+            lines = []
+            corpus = build_corpus(DQ_PROFILE, progress=lines.append,
+                                  store=ResultStore(tmp_path / name),
+                                  **kwargs)
+            assert not corpus.failures
+            # "[i/n] alg@graph: status=ok source=run", minus timings.
+            return corpus, [line.split(" t=")[0] for line in lines]
+
+        inline, inline_progress = build("s-inline", workers=1)
+        other, other_progress = build("s-" + path, workers=2, **(
+            {"distributed": tmp_path / "queue"} if path == "distqueue"
+            else {}))
+        assert other.distributed == (path == "distqueue")
+        assert len(inline_progress) == len(inline.runs) > 0
+        assert [r.tag for r in other.runs] == [r.tag for r in inline.runs]
+        assert self._vectors(other) == self._vectors(inline)
+        assert other_progress == inline_progress
 
     def test_ghost_node_claim_is_fenced_and_requeued(self, tmp_path,
                                                      monkeypatch):

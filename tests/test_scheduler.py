@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro._util.errors import RunTimeoutError
 from repro.behavior.run import INJECT_SLEEP_ENV, run_computation
-from repro.experiments.config import ExperimentMatrix, Profile
+from repro.experiments.config import BuildOptions, ExperimentMatrix, Profile
 from repro.experiments.corpus import (
     BehaviorCorpus,
     build_corpus,
@@ -41,7 +41,6 @@ from repro.experiments.worksite import (
     INJECT_STALL_ENV,
     INJECT_STALL_TOKENS_ENV,
     HeartbeatWriter,
-    WorkerContext,
     Worksite,
 )
 
@@ -76,13 +75,8 @@ def _plan_for(algorithms) -> list:
     return [p for p in matrix.corpus_runs() if p.algorithm in algorithms]
 
 
-def _worker_ctx(store) -> WorkerContext:
-    return WorkerContext(
-        store_root=str(store.root) if store is not None else None,
-        profile=SCHED_PROFILE, timeout_s=None, retries=0, resume=False,
-        health_policy=None, health_check_every=None, checkpoint_dir=None,
-        checkpoint_every=None, graph_cache_bytes=None, obs_level="off",
-        obs_dir=None, run_id=None)
+def _worker_ctx(store) -> BuildOptions:
+    return BuildOptions(retries=0, use_shm=False)
 
 
 # ----------------------------------------------------------------------
@@ -645,8 +639,8 @@ class TestPoisonQuarantine:
             max_lease_expiries=2, breaker_min_events=1_000)
         started = time.perf_counter()
         Supervisor(plan=plan, profile=SCHED_PROFILE, store=store,
-                   corpus=corpus, workers=2, ctx=_worker_ctx(store),
-                   config=config, use_shm=False).run()
+                   corpus=corpus, workers=2, options=_worker_ctx(store),
+                   config=config).run()
         elapsed = time.perf_counter() - started
         assert elapsed < 60, "the poison cell hung the build"
 
@@ -694,8 +688,8 @@ class TestCircuitBreaker_Integration:
             breaker_window=8, breaker_min_events=2,
             breaker_threshold=0.5)
         Supervisor(plan=plan, profile=SCHED_PROFILE, store=store,
-                   corpus=corpus, workers=2, ctx=_worker_ctx(store),
-                   config=config, use_shm=False).run()
+                   corpus=corpus, workers=2, options=_worker_ctx(store),
+                   config=config).run()
         assert corpus.degraded_to_inline
         assert len(corpus.runs) == len(plan)
         assert not corpus.failures
@@ -721,8 +715,8 @@ class TestSpeculativeExecution:
             heartbeat_every_s=0.2, speculative=True)
         started = time.perf_counter()
         Supervisor(plan=plan, profile=SCHED_PROFILE, store=store,
-                   corpus=corpus, workers=3, ctx=_worker_ctx(store),
-                   config=config, use_shm=False).run()
+                   corpus=corpus, workers=3, options=_worker_ctx(store),
+                   config=config).run()
         elapsed = time.perf_counter() - started
         assert corpus.speculative_runs >= 1
         assert len(corpus.runs) == len(plan)
