@@ -28,6 +28,7 @@ import pytest
 from repro._util.segments import concat_ranges, segmented_reduce
 from repro.behavior.run import run_computation
 from repro.generators import matrix_problem, powerlaw_graph
+from tests.conftest import unfused
 
 SCALE = 30_000  # edges
 
@@ -147,9 +148,10 @@ def test_bench_engine_kernels():
             "pagerank", pr_problem, params=pr_params,
             options={**pr_options, **extra})
 
+    # "push" keeps every iteration on the callback path, whatever the
+    # program declares: the synchronous baseline arm.
     report, traces = _bench_arms({
-        "push-legacy": pr_arm(fused_kernels=False),
-        "push": pr_arm(direction="push"),
+        "push-legacy": pr_arm(direction="push"),
         "auto": pr_arm(direction="auto"),
         "pull": pr_arm(direction="pull"),
     })
@@ -174,7 +176,7 @@ def test_bench_engine_kernels():
             "jacobi", ja_problem, options={**ja_options, **extra})
 
     report, traces = _bench_arms({
-        "push-legacy": ja_arm(fused_kernels=False),
+        "push-legacy": ja_arm(direction="push"),
         "pull": ja_arm(direction="pull"),
     })
     _assert_identical(traces["push-legacy"], traces["pull"], "jacobi/pull")
@@ -188,16 +190,20 @@ def test_bench_engine_kernels():
     }
 
     # -- CC, edge-centric engine: the stream touches every arc every
-    # iteration (dense by construction); fused mode replaces the
-    # ``np.minimum.at`` scatter-add with one segment reduction.
+    # iteration (dense by construction); the declared gather shape
+    # replaces the ``np.minimum.at`` scatter-add with one segment
+    # reduction. The legacy arms here and below run the same program
+    # with its shape declarations cleared.
     from repro.algorithms.registry import create
-    from repro.engine.edge_centric import EdgeCentricEngine, EdgeCentricOptions
+    from repro.engine.edge_centric import EdgeCentricEngine
 
     ec_problem = powerlaw_graph(SCALE, 2.3, seed=61)
 
+    def cc(fused):
+        return create("cc") if fused else unfused(create("cc"))
+
     def ec_arm(fused):
-        opts = EdgeCentricOptions(fused_kernels=fused)
-        return lambda: EdgeCentricEngine(opts).run(create("cc"), ec_problem)
+        return lambda: EdgeCentricEngine().run(cc(fused), ec_problem)
 
     report, traces = _bench_arms({
         "stream-legacy": ec_arm(False),
@@ -215,19 +221,19 @@ def test_bench_engine_kernels():
     }
 
     # -- CC, graph-centric engine: threshold 0 forces every inner sweep
-    # through the dense kernel; the legacy arm disables fusion outright.
+    # through the dense kernel.
     from repro.engine.graph_centric import (
         GraphCentricEngine,
         GraphCentricOptions,
     )
 
-    def gc_arm(**kw):
+    def gc_arm(fused, **kw):
         opts = GraphCentricOptions(**kw)
-        return lambda: GraphCentricEngine(opts).run(create("cc"), ec_problem)
+        return lambda: GraphCentricEngine(opts).run(cc(fused), ec_problem)
 
     report, traces = _bench_arms({
-        "sweep-legacy": gc_arm(fused_kernels=False),
-        "sweep-fused": gc_arm(direction_threshold=0.0),
+        "sweep-legacy": gc_arm(False),
+        "sweep-fused": gc_arm(True, direction_threshold=0.0),
     })
     _assert_identical(traces["sweep-legacy"], traces["sweep-fused"],
                       "cc/graph-centric")

@@ -44,8 +44,10 @@ if [ "${REPRO_SKIP_BENCH:-0}" != "1" ]; then
     echo "== telemetry overhead smoke =="
     PYTHONPATH=src python -m pytest benchmarks/test_bench_obs.py -x -q
 
-    # Engine perf smoke: fused kernels keep their ≥3× dense-frontier
-    # win and stay bit-identical across direction modes (DESIGN.md §13).
+    # Engine perf smoke: the fused kernels a program's shape
+    # declaration selects keep their ≥3× dense-frontier win over the
+    # callback path (push / the same program with the declaration
+    # cleared) and stay bit-identical to it (DESIGN.md §13).
     echo "== engine kernel perf smoke =="
     PYTHONPATH=src python -m pytest \
         benchmarks/test_engine_throughput.py::test_bench_engine_kernels \

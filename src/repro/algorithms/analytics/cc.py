@@ -73,9 +73,11 @@ class ConnectedComponents(VertexProgram):
         self._changed[:] = False
 
     def result(self, ctx) -> dict:
-        labels = self.component.astype(np.int64)
+        # A run degraded on poisoned state can hold NaN labels, which
+        # have no integer value: summarise the finite ones.
+        labels = self.component[np.isfinite(self.component)]
+        _, sizes = np.unique(labels.astype(np.int64), return_counts=True)
         return {
-            "n_components": int(np.unique(labels).size),
-            "largest_component": int(np.bincount(
-                np.unique(labels, return_inverse=True)[1]).max()),
+            "n_components": int(sizes.size),
+            "largest_component": int(sizes.max(initial=0)),
         }

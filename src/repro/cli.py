@@ -75,10 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="active fraction of |V| above which "
                           "--direction auto gathers in pull mode "
                           "(default: 0.25)")
-    run.add_argument("--no-fused-kernels", action="store_true",
-                     help="disable the fused CSR gather/scatter kernels "
-                          "(always-push callback paths; results are "
-                          "bit-identical either way)")
     run.add_argument("--health-policy", choices=("strict", "degrade", "off"),
                      default=None,
                      help="convergence-watchdog policy: strict raises, "
@@ -466,8 +462,6 @@ def _cmd_run(args) -> int:
         options["direction"] = args.direction
     if args.direction_threshold is not None:
         options["direction_threshold"] = args.direction_threshold
-    if args.no_fused_kernels:
-        options["fused_kernels"] = False
     if args.health_policy is not None:
         options["health_policy"] = args.health_policy
     if args.health_check_every is not None:

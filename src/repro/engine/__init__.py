@@ -1,17 +1,28 @@
-"""Synchronous Gather-Apply-Scatter engine with behavior instrumentation.
+"""Gather-Apply-Scatter engines with behavior instrumentation.
 
 This is the library's GraphLab-v2.2 stand-in (paper Section 3.1/3.3):
 vertex-centric computation where only *active* vertices run, activation
 travels as signals (messages) emitted during Scatter, and one complete
 Gather → Apply → Scatter sweep over the active set is an *iteration*.
 
-Two drive modes execute the same :class:`~repro.engine.program.VertexProgram`:
+Four engines run the same :class:`~repro.engine.program.VertexProgram`
+through one run loop (:mod:`repro.engine.loop`: context, trace, health
+monitor, deadline, telemetry, checkpoint resume/flush, stop
+conditions) and one options base; each supplies only its step:
 
-- ``vectorized`` — the whole frontier per phase, using CSR segment
-  reductions (production mode);
-- ``reference`` — one vertex at a time with phase barriers (oracle mode,
-  used by the test suite to prove the vectorized path preserves
-  synchronous semantics and produces identical counters).
+- :class:`SynchronousEngine` — an iteration over the frontier; drive
+  mode ``vectorized`` (whole frontier per phase, CSR segment
+  reductions; production) or ``reference`` (one vertex at a time with
+  phase barriers; the oracle the tests compare against);
+- :class:`AsynchronousEngine` — a round of up to ``|V|`` scheduler pops;
+- :class:`EdgeCentricEngine` — a stream pass over every arc;
+- :class:`GraphCentricEngine` — a superstep of partition-local sweeps.
+
+Which kernel runs inside a step — the fused dense CSR kernels of
+:mod:`repro.engine.kernels` or the ``gather_edge`` / ``scatter_edges``
+callbacks — follows from the program's ``gather_shape`` /
+``scatter_shape`` declaration (and, synchronously, the ``direction``
+policy); it is not an option.
 """
 
 from repro.engine.async_engine import AsynchronousEngine, AsyncEngineOptions

@@ -37,37 +37,24 @@ from __future__ import annotations
 import heapq
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro._util.errors import ResourceLimitError, ValidationError
-from repro._util.segments import REDUCE_IDENTITY, segmented_reduce
+from repro._util.errors import ValidationError
+from repro._util.segments import REDUCE_IDENTITY
+from repro.engine.instrumentation import Counters
 from repro.engine.kernels import reduce_block
-from repro._util.timing import Deadline
-from repro.behavior.trace import IterationRecord, RunTrace
-from repro.engine.checkpoint import (
-    CheckpointConfig,
-    CheckpointSession,
-    restore_runtime,
-)
-from repro.engine.context import Context
-from repro.engine.health import (
-    build_monitor,
-    mark_degraded,
-    validate_health_options,
-)
-from repro.engine.program import Direction, VertexProgram
-from repro.generators.problem import ProblemInstance
-from repro.obs.telemetry import engine_observer
+from repro.engine.loop import GASEngine, Run, RunOptions, adjacency
+from repro.engine.program import VertexProgram
 
 SCHEDULERS = ("fifo", "priority")
 
 
 @dataclass
-class AsyncEngineOptions:
-    """Configuration of an asynchronous run."""
+class AsyncEngineOptions(RunOptions):
+    """Configuration of an asynchronous run (health checks, the
+    wall-clock budget and checkpoints work at *round* granularity)."""
 
     #: ``fifo`` or ``priority`` (needs the program's signal_priority).
     scheduler: str = "fifo"
@@ -75,26 +62,10 @@ class AsyncEngineOptions:
     max_steps: int = 10_000_000
     #: WORK model, as in the synchronous engine.
     work_model: str = "unit"
-    unit_scale: float = 1e-9
     memory_budget_bytes: int = 4 << 30
-    params: dict[str, Any] = field(default_factory=dict)
-    seed: int = 0
-    #: Run-health knobs (see :class:`repro.engine.engine.EngineOptions`);
-    #: checks run at *round* granularity here.
-    health_policy: str = "strict"
-    health_check_every: int = 1
-    health_window: int = 20
-    inject_fault: "str | None" = None
-    #: Cooperative wall-clock budget, checked once per round.
-    wall_clock_budget_s: "float | None" = None
-    #: Round-level checkpointing contract; None disables snapshots.
-    checkpoint: "CheckpointConfig | None" = None
-    #: Per-step fused adjacency access: CSR slice views plus a direct
-    #: single-block ``reduceat`` instead of index materialization and
-    #: the general segment kernel (bit-identical; DESIGN §13).
-    fused_kernels: bool = True
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.scheduler not in SCHEDULERS:
             raise ValidationError(
                 f"scheduler must be one of {SCHEDULERS}, got "
@@ -104,12 +75,6 @@ class AsyncEngineOptions:
             raise ValidationError("work_model must be 'unit' or 'measured'")
         if self.max_steps < 1:
             raise ValidationError("max_steps must be >= 1")
-        validate_health_options(self.health_policy, self.health_check_every,
-                                self.health_window)
-        if (self.wall_clock_budget_s is not None
-                and self.wall_clock_budget_s <= 0):
-            raise ValidationError(
-                "wall_clock_budget_s must be positive or None")
 
 
 class _FifoScheduler:
@@ -164,206 +129,90 @@ class _PriorityScheduler:
         return int(self.queued.sum())
 
 
-class AsynchronousEngine:
-    """Sequential simulation of asynchronous GAS execution."""
+class AsynchronousEngine(GASEngine):
+    """Sequential simulation of asynchronous GAS execution: one step of
+    the loop is one round of up to ``|V|`` scheduler pops."""
 
-    def __init__(self, options: AsyncEngineOptions | None = None) -> None:
-        self.options = options or AsyncEngineOptions()
+    options_class = AsyncEngineOptions
+    label = "asynchronous"
+    cap_reason = "max-steps"
+    drained_reason = "scheduler-drained"
+    # Async phases interleave per vertex, so telemetry times the round.
+    step_phase = "round"
+    # The scheduler object is snapshotted wholesale, so a resumed run
+    # pops the exact same vertex sequence the uninterrupted run would.
+    snapshot_keys = ("scheduler", "steps")
 
-    def run(self, program: VertexProgram, problem: ProblemInstance) -> RunTrace:
-        """Run ``program`` asynchronously until the scheduler drains."""
+    def _check_program(self, program: VertexProgram) -> None:
         if not getattr(program, "supports_async", False):
             raise ValidationError(
                 f"{program.name} does not declare supports_async; only "
                 "signal-driven programs are meaningful asynchronously"
             )
-        opts = self.options
-        ctx = Context(problem, params=opts.params, seed=opts.seed)
-        graph = problem.graph
 
-        required = graph.memory_bytes() + program.state_bytes(ctx)
-        if required > opts.memory_budget_bytes:
-            raise ResourceLimitError(
-                f"{program.name} exceeds the async memory budget",
-                required_bytes=required,
-                budget_bytes=opts.memory_budget_bytes,
-            )
+    def _cap(self, run: Run) -> int:
+        # In rounds: every round but the last is exactly |V| pops.
+        return -(-self.options.max_steps // max(run.graph.n_vertices, 1))
 
-        started = time.perf_counter()
-        initial = np.unique(np.asarray(program.init(ctx), dtype=np.int64))
-        ctx.drain_extra_work()
-        scheduler = (_FifoScheduler(graph.n_vertices)
-                     if opts.scheduler == "fifo"
-                     else _PriorityScheduler(graph.n_vertices))
-        for v in initial.tolist():
-            scheduler.push(v, self._priority(program, ctx, v))
+    def _setup(self, run: Run) -> None:
+        program, ctx, n = run.program, run.ctx, run.graph.n_vertices
+        run.scheduler = (_FifoScheduler(n)
+                         if self.options.scheduler == "fifo"
+                         else _PriorityScheduler(n))
+        for v in run.frontier.tolist():
+            run.scheduler.push(v, self._priority(program, ctx, v))
+        # No frontier in the async signature the health monitor sees: a
+        # round is an arbitrary |V|-pop slice of the scheduler churn, so
+        # its vertex set varies even when the computation makes no
+        # progress. The state arrays capture all progress.
+        run.frontier = None
+        run.steps = 0
+        run.gather_adj = adjacency(run.graph, program.gather_dir)
+        run.scatter_adj = adjacency(run.graph, program.scatter_dir)
 
-        trace = RunTrace(
-            algorithm=program.name,
-            graph_params=dict(problem.params),
-            domain=problem.domain,
-            n_vertices=graph.n_vertices,
-            n_edges=graph.n_edges,
-            work_model=opts.work_model,
-            engine="asynchronous",
-        )
-        monitor = build_monitor(opts)
-        deadline = Deadline(opts.wall_clock_budget_s)
+    def _drained(self, run: Run) -> bool:
+        return not len(run.scheduler)
 
-        g_ptr, g_idx, g_eid = self._adjacency(graph, program.gather_dir)
-        s_ptr, s_idx, s_eid = self._adjacency(graph, program.scatter_dir)
-
-        steps = 0
-        round_steps = 0
-        round_reads = 0
-        round_msgs = 0
-        round_work = 0.0
-        round_index = 0
-
-        # Checkpoints live at round boundaries — the scheduler object is
-        # snapshotted wholesale, so a resumed run pops the exact same
-        # vertex sequence the uninterrupted run would have.
-        session = CheckpointSession.begin(opts.checkpoint)
-        elapsed_before = 0.0
-        if session is not None:
-            snapshot = session.load(engine="asynchronous", program=program,
-                                    problem=problem)
-            if snapshot is not None:
-                restore_runtime(snapshot.payload, program, ctx, monitor)
-                scheduler = snapshot.payload["scheduler"]
-                steps = snapshot.payload["steps"]
-                round_index = snapshot.iteration
-                trace = snapshot.trace
-                elapsed_before = snapshot.elapsed_s
-                trace.meta["resumed_from_iteration"] = round_index
-
-        def flush(next_round: int) -> None:
-            session.save_state(
-                engine="asynchronous", program=program, problem=problem,
-                ctx=ctx, monitor=monitor, trace=trace,
-                next_iteration=next_round,
-                elapsed_s=elapsed_before + time.perf_counter() - started,
-                extra={"scheduler": scheduler, "steps": steps})
-
-        # Async phases interleave per step, so telemetry samples at
-        # *round* granularity: one timing observation per sampled round.
-        obs = engine_observer("asynchronous", program.name)
-        round_sampled = obs is not None and obs.sampled(round_index)
-        round_mark = time.perf_counter() if round_sampled else 0.0
-
-        stop_reason = "max-steps"
-        while len(scheduler):
-            if steps >= opts.max_steps:
-                break
-            if steps % 256 == 0:
-                deadline.check()
-            v = scheduler.pop()
-            reads, msgs, work = self._step(
-                program, ctx, v, g_ptr, g_idx, g_eid, s_ptr, s_idx, s_eid,
-                scheduler)
-            steps += 1
-            round_steps += 1
-            round_reads += reads
-            round_msgs += msgs
-            round_work += work
-            if round_steps == graph.n_vertices or not len(scheduler):
-                ctx.iteration = round_index
-                program.on_iteration_end(ctx)
-                monitor.inject_state_fault(program, round_index)
-                round_reads = monitor.inject_edge_reads(
-                    round_reads, round_index)
-                trace.iterations.append(IterationRecord(
-                    iteration=round_index,
-                    active=round_steps,
-                    updates=round_steps,
-                    edge_reads=round_reads,
-                    messages=round_msgs,
-                    work=round_work,
-                ))
-                if obs is not None:
-                    obs.iteration(
-                        iteration=round_index, active=round_steps,
-                        updates=round_steps, edge_reads=round_reads,
-                        messages=round_msgs,
-                        seconds=(time.perf_counter() - round_mark
-                                 if round_sampled else None),
-                        phases=({"round": time.perf_counter() - round_mark}
-                                if round_sampled else None))
-                # No frontier in the async signature: a round is an
-                # arbitrary |V|-step slice of the scheduler churn, so
-                # its vertex set varies even when the computation makes
-                # no progress. The state arrays capture all progress.
-                verdict = monitor.observe(
-                    program,
-                    iteration=round_index,
-                    frontier=None,
-                    work=round_work,
-                )
-                round_index += 1
-                round_steps = round_reads = round_msgs = 0
-                round_work = 0.0
-                round_sampled = obs is not None and obs.sampled(round_index)
-                round_mark = time.perf_counter() if round_sampled else 0.0
-                if verdict is not None:
-                    mark_degraded(trace, verdict)
-                    if session is not None:
-                        flush(round_index)
-                    break
-                if program.converged(ctx):
-                    stop_reason = "converged"
-                    trace.converged = True
-                    break
-                if session is not None and session.due(round_index - 1):
-                    flush(round_index)
+    def _step(self, run: Run, iteration: int, phase_times):
+        scheduler = run.scheduler
+        n = run.graph.n_vertices
+        budget = min(n, self.options.max_steps - run.steps)
+        counters = Counters()
+        while counters.updates < budget and len(scheduler):
+            if run.steps % 256 == 0:
+                run.deadline.check()
+            reads, msgs, work = self._vertex_step(run, scheduler.pop())
+            run.steps += 1
+            counters.updates += 1
+            counters.edge_reads += reads
+            counters.messages += msgs
+            counters.work += work
+        counters.active = counters.updates
+        if counters.updates < n and len(scheduler):
+            run.cut_short = True  # max_steps interrupted the round
         else:
-            stop_reason = "scheduler-drained"
-            trace.converged = True
+            run.program.on_iteration_end(run.ctx)
+        return counters, None
 
-        if round_steps:  # partial round interrupted by max_steps
-            trace.iterations.append(IterationRecord(
-                iteration=round_index, active=round_steps,
-                updates=round_steps, edge_reads=round_reads,
-                messages=round_msgs, work=round_work,
-            ))
-
-        if not trace.degraded:
-            trace.stop_reason = stop_reason
-        trace.result = program.result(ctx)
-        trace.wall_time_s = elapsed_before + time.perf_counter() - started
-        if session is not None:
-            session.complete(trace)
-        return trace
-
-    # ------------------------------------------------------------------
-    def _step(self, program, ctx, v, g_ptr, g_idx, g_eid,
-              s_ptr, s_idx, s_eid, scheduler) -> tuple[int, int, float]:
+    def _vertex_step(self, run: Run, v: int) -> tuple[int, int, float]:
+        """Gather → apply → scatter for one popped vertex. Its adjacency
+        slots are contiguous, so slice views and a single-block reduce
+        stand in for index materialization and the segment kernel."""
+        program, ctx = run.program, run.ctx
         vid = np.asarray([v], dtype=np.int64)
 
-        fused = self.options.fused_kernels
         reads = 0
         acc = None
+        g_ptr, g_idx, g_eid = run.gather_adj
         if g_ptr is not None:
             s, e = int(g_ptr[v]), int(g_ptr[v + 1])
             if e > s:
-                if fused:
-                    # One vertex's slots are contiguous: slice views
-                    # replace index materialization + fancy indexing.
-                    nbr = g_idx[s:e]
-                    eids = g_eid[s:e]
-                else:
-                    slots = np.arange(s, e)
-                    nbr = g_idx[slots]
-                    eids = g_eid[slots]
+                nbr = g_idx[s:e]
                 center = np.full(nbr.size, v, dtype=np.int64)
                 contributions = np.asarray(
-                    program.gather_edge(ctx, nbr, center, eids),
+                    program.gather_edge(ctx, nbr, center, g_eid[s:e]),
                     dtype=program.gather_dtype)
-                if fused:
-                    acc = reduce_block(contributions, program.gather_op)
-                else:
-                    acc = segmented_reduce(contributions,
-                                           np.asarray([nbr.size]),
-                                           program.gather_op)
+                acc = reduce_block(contributions, program.gather_op)
                 reads = nbr.size
             else:
                 width = program.gather_width
@@ -382,23 +231,18 @@ class AsynchronousEngine:
                 * self.options.unit_scale
 
         msgs = 0
+        s_ptr, s_idx, s_eid = run.scatter_adj
         if s_ptr is not None:
             s, e = int(s_ptr[v]), int(s_ptr[v + 1])
             if e > s:
-                if fused:
-                    nbr = s_idx[s:e]
-                    eids = s_eid[s:e]
-                else:
-                    slots = np.arange(s, e)
-                    nbr = s_idx[slots]
-                    eids = s_eid[slots]
+                nbr = s_idx[s:e]
                 center = np.full(nbr.size, v, dtype=np.int64)
                 mask = np.asarray(
-                    program.scatter_edges(ctx, center, nbr, eids),
+                    program.scatter_edges(ctx, center, nbr, s_eid[s:e]),
                     dtype=bool)
                 msgs = int(mask.sum())
                 for u in nbr[mask].tolist():
-                    scheduler.push(u, self._priority(program, ctx, u))
+                    run.scheduler.push(u, self._priority(program, ctx, u))
         return reads, msgs, work
 
     @staticmethod
@@ -407,13 +251,3 @@ class AsynchronousEngine:
         if hook is None:
             return 1.0
         return float(hook(ctx, v))
-
-    @staticmethod
-    def _adjacency(graph, direction: Direction):
-        if direction is Direction.NONE:
-            return None, None, None
-        if direction is Direction.IN:
-            return graph.in_ptr, graph.in_src, graph.in_eid
-        if direction is Direction.OUT:
-            return graph.out_ptr, graph.out_dst, graph.out_eid
-        raise ValidationError(f"async engine cannot traverse {direction}")

@@ -26,34 +26,20 @@ synchronous engine's; counters are mapped as:
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro._util.errors import ValidationError
 from repro._util.segments import REDUCE_IDENTITY, concat_ranges, segmented_reduce
-from repro._util.timing import Deadline
-from repro.behavior.trace import IterationRecord, RunTrace
-from repro.engine.checkpoint import (
-    CheckpointConfig,
-    CheckpointSession,
-    restore_runtime,
-)
-from repro.engine.context import Context
-from repro.engine.health import (
-    build_monitor,
-    mark_degraded,
-    validate_health_options,
-)
+from repro.engine.instrumentation import Counters
+from repro.engine.kernels import FusedKernels
+from repro.engine.loop import GASEngine, Run, RunOptions
 from repro.engine.program import Direction, VertexProgram
-from repro.generators.problem import ProblemInstance
-from repro.obs.telemetry import engine_observer
 
 
 @dataclass
-class GraphCentricOptions:
+class GraphCentricOptions(RunOptions):
     """Configuration of a graph-centric run."""
 
     #: Number of partitions (hash partitioning by vertex id).
@@ -61,50 +47,33 @@ class GraphCentricOptions:
     max_supersteps: int = 10_000
     #: Cap on inner sweeps per partition per superstep.
     max_inner_sweeps: int = 1_000
-    unit_scale: float = 1e-9
-    params: dict[str, Any] = field(default_factory=dict)
-    seed: int = 0
-    #: Run-health knobs (see :class:`repro.engine.engine.EngineOptions`);
-    #: checks run at *superstep* granularity here.
-    health_policy: str = "strict"
-    health_check_every: int = 1
-    health_window: int = 20
-    inject_fault: "str | None" = None
-    #: Cooperative wall-clock budget, checked once per superstep.
-    wall_clock_budget_s: "float | None" = None
-    #: Superstep-level checkpointing contract; None disables snapshots.
-    checkpoint: "CheckpointConfig | None" = None
-    #: Gather dense local frontiers through the fused dense CSR kernel
-    #: (bit-identical; DESIGN §13). Scatter keeps the callback path —
-    #: the partition split needs per-edge (center, neighbor) pairs.
-    fused_kernels: bool = True
     #: Local-frontier density (fraction of |V|) above which a sweep's
-    #: gather uses the fused dense kernel instead of frontier slicing.
+    #: gather uses the fused dense kernel instead of frontier slicing,
+    #: for programs that declare a fusable gather shape.
     direction_threshold: float = 0.25
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.n_partitions < 1:
             raise ValidationError("n_partitions must be >= 1")
         if self.max_supersteps < 1 or self.max_inner_sweeps < 1:
             raise ValidationError("iteration caps must be >= 1")
-        validate_health_options(self.health_policy, self.health_check_every,
-                                self.health_window)
-        if (self.wall_clock_budget_s is not None
-                and self.wall_clock_budget_s <= 0):
-            raise ValidationError(
-                "wall_clock_budget_s must be positive or None")
         if not 0.0 <= self.direction_threshold <= 1.0:
             raise ValidationError(
                 "direction_threshold must be in [0, 1]")
 
 
-class GraphCentricEngine:
+class GraphCentricEngine(GASEngine):
     """Partition-local convergence per superstep, synchronous boundaries."""
 
-    def __init__(self, options: GraphCentricOptions | None = None) -> None:
-        self.options = options or GraphCentricOptions()
+    options_class = GraphCentricOptions
+    label = "graph-centric"
+    cap_reason = "max-supersteps"
+    # Inner sweeps interleave gather/apply/scatter per partition, so
+    # telemetry times the superstep as one phase.
+    step_phase = "local-compute"
 
-    def run(self, program: VertexProgram, problem: ProblemInstance) -> RunTrace:
+    def _check_program(self, program: VertexProgram) -> None:
         if not getattr(program, "supports_edge_centric", False):
             raise ValidationError(
                 f"{program.name} is not a monotone relaxation "
@@ -114,191 +83,95 @@ class GraphCentricEngine:
         if program.gather_dir is not Direction.IN or program.gather_width != 1:
             raise ValidationError("graph-centric execution needs a scalar "
                                   "IN-direction gather")
+
+    def _cap(self, run: Run) -> int:
+        return self.options.max_supersteps
+
+    def _setup(self, run: Run) -> None:
+        graph = run.graph
+        run.partition = (np.arange(graph.n_vertices, dtype=np.int64)
+                         % self.options.n_partitions)
+        # Gather only: scatter keeps the callback path — the partition
+        # split needs per-edge (center, neighbor) pairs.
+        kernels = FusedKernels.build(run.program, graph)
+        run.kernels = (kernels if kernels is not None and kernels.can_gather
+                       else None)
+
+    def _step(self, run: Run, iteration: int, phase_times):
         opts = self.options
-        ctx = Context(problem, params=opts.params, seed=opts.seed)
-        graph = problem.graph
-
-        started = time.perf_counter()
-        frontier = np.unique(np.asarray(program.init(ctx), dtype=np.int64))
-        ctx.drain_extra_work()
-
-        partition = (np.arange(graph.n_vertices, dtype=np.int64)
-                     % opts.n_partitions)
-
-        from repro.engine.kernels import FusedKernels
-
-        kernels = None
-        if opts.fused_kernels:
-            kernels = FusedKernels.build(program, graph)
-        fused_gather = kernels is not None and kernels.can_gather
+        program, ctx, graph = run.program, run.ctx, run.graph
+        partition, kernels, frontier = run.partition, run.kernels, run.frontier
+        identity = REDUCE_IDENTITY[program.gather_op]
         # Density gate in vertices: below it the frontier-sliced gather
         # touches fewer slots than the dense kernel would.
         dense_min = opts.direction_threshold * graph.n_vertices
 
-        trace = RunTrace(
-            algorithm=program.name,
-            graph_params=dict(problem.params),
-            domain=problem.domain,
-            n_vertices=graph.n_vertices,
-            n_edges=graph.n_edges,
-            work_model="unit",
-            engine="graph-centric",
-        )
-        monitor = build_monitor(opts)
-        deadline = Deadline(opts.wall_clock_budget_s)
+        updates = 0
+        reads = 0
+        cross_msgs = 0
+        next_frontier_parts: list[np.ndarray] = []
 
-        identity = REDUCE_IDENTITY[program.gather_op]
+        # Each partition drains its internal activity before any
+        # boundary exchange.
+        for p in range(opts.n_partitions):
+            local = frontier[partition[frontier] == p]
+            for _sweep in range(opts.max_inner_sweeps):
+                if local.size == 0:
+                    break
+                # Gather over all in-edges of the local frontier —
+                # fused dense kernel when the frontier is dense
+                # enough to amortize the full-graph reduction.
+                if kernels is not None and local.size >= dense_min:
+                    acc = kernels.gather_dense(ctx)[local]
+                    n_slots = int(
+                        kernels.gather_side.counts[local].sum())
+                else:
+                    starts = graph.in_ptr[local]
+                    ends = graph.in_ptr[local + 1]
+                    slots = concat_ranges(starts, ends)
+                    nbr = graph.in_src[slots]
+                    center = np.repeat(local, ends - starts)
+                    contributions = np.asarray(
+                        program.gather_edge(ctx, nbr, center,
+                                            graph.in_eid[slots]),
+                        dtype=np.float64)
+                    acc = segmented_reduce(contributions, ends - starts,
+                                           program.gather_op,
+                                           identity=identity)
+                    n_slots = int(slots.size)
+                program.apply(ctx, local, acc)
+                updates += int(local.size)
+                reads += n_slots
 
-        session = CheckpointSession.begin(opts.checkpoint)
-        start_superstep = 0
-        elapsed_before = 0.0
-        if session is not None:
-            snapshot = session.load(engine="graph-centric", program=program,
-                                    problem=problem)
-            if snapshot is not None:
-                restore_runtime(snapshot.payload, program, ctx, monitor)
-                frontier = snapshot.payload["frontier"]
-                trace = snapshot.trace
-                start_superstep = snapshot.iteration
-                elapsed_before = snapshot.elapsed_s
-                trace.meta["resumed_from_iteration"] = start_superstep
+                # Scatter; internal signals continue the sweep,
+                # external ones wait for the superstep barrier.
+                s2 = graph.out_ptr[local]
+                e2 = graph.out_ptr[local + 1]
+                oslots = concat_ranges(s2, e2)
+                onbr = graph.out_dst[oslots]
+                ocenter = np.repeat(local, e2 - s2)
+                mask = np.asarray(
+                    program.scatter_edges(ctx, ocenter, onbr,
+                                          graph.out_eid[oslots]),
+                    dtype=bool)
+                hit = onbr[mask]
+                internal = hit[partition[hit] == p]
+                external = hit[partition[hit] != p]
+                cross_msgs += int(external.size)
+                next_frontier_parts.append(np.unique(external))
+                local = np.unique(internal)
+            if local.size:
+                # Inner-sweep cap hit: carry the residue into the
+                # next superstep rather than dropping it.
+                next_frontier_parts.append(local)
 
-        def flush(next_superstep: int) -> None:
-            session.save_state(
-                engine="graph-centric", program=program, problem=problem,
-                ctx=ctx, monitor=monitor, trace=trace,
-                next_iteration=next_superstep,
-                elapsed_s=elapsed_before + time.perf_counter() - started,
-                extra={"frontier": frontier})
-
-        # Inner sweeps interleave gather/apply/scatter per partition, so
-        # telemetry samples one "local-compute" timing per superstep.
-        obs = engine_observer("graph-centric", program.name)
-
-        stop_reason = "max-supersteps"
-        for superstep in range(start_superstep, opts.max_supersteps):
-            deadline.check()
-            if frontier.size == 0:
-                stop_reason = "frontier-empty"
-                trace.converged = True
-                break
-            ctx.iteration = superstep
-            sampled = obs is not None and obs.sampled(superstep)
-            obs_started = time.perf_counter() if sampled else 0.0
-
-            updates = 0
-            reads = 0
-            cross_msgs = 0
-            next_frontier_parts: list[np.ndarray] = []
-
-            # Each partition drains its internal activity before any
-            # boundary exchange.
-            for p in range(opts.n_partitions):
-                local = frontier[partition[frontier] == p]
-                for _sweep in range(opts.max_inner_sweeps):
-                    if local.size == 0:
-                        break
-                    # Gather over all in-edges of the local frontier —
-                    # fused dense kernel when the frontier is dense
-                    # enough to amortize the full-graph reduction.
-                    if fused_gather and local.size >= dense_min:
-                        acc = kernels.gather_dense(ctx)[local]
-                        n_slots = int(
-                            kernels.gather_side.counts[local].sum())
-                    else:
-                        starts = graph.in_ptr[local]
-                        ends = graph.in_ptr[local + 1]
-                        slots = concat_ranges(starts, ends)
-                        nbr = graph.in_src[slots]
-                        center = np.repeat(local, ends - starts)
-                        contributions = np.asarray(
-                            program.gather_edge(ctx, nbr, center,
-                                                graph.in_eid[slots]),
-                            dtype=np.float64)
-                        acc = segmented_reduce(contributions, ends - starts,
-                                               program.gather_op,
-                                               identity=identity)
-                        n_slots = int(slots.size)
-                    program.apply(ctx, local, acc)
-                    updates += int(local.size)
-                    reads += n_slots
-
-                    # Scatter; internal signals continue the sweep,
-                    # external ones wait for the superstep barrier.
-                    s2 = graph.out_ptr[local]
-                    e2 = graph.out_ptr[local + 1]
-                    oslots = concat_ranges(s2, e2)
-                    onbr = graph.out_dst[oslots]
-                    ocenter = np.repeat(local, e2 - s2)
-                    mask = np.asarray(
-                        program.scatter_edges(ctx, ocenter, onbr,
-                                              graph.out_eid[oslots]),
-                        dtype=bool)
-                    hit = onbr[mask]
-                    internal = hit[partition[hit] == p]
-                    external = hit[partition[hit] != p]
-                    cross_msgs += int(external.size)
-                    next_frontier_parts.append(np.unique(external))
-                    local = np.unique(internal)
-                if local.size:
-                    # Inner-sweep cap hit: carry the residue into the
-                    # next superstep rather than dropping it.
-                    next_frontier_parts.append(local)
-
-            program.on_iteration_end(ctx)
-            monitor.inject_state_fault(program, superstep)
-            reads = monitor.inject_edge_reads(reads, superstep)
-            extra = ctx.drain_extra_work()
-            work = (program.apply_flops_per_vertex * updates
-                    + extra) * opts.unit_scale
-            trace.iterations.append(IterationRecord(
-                iteration=superstep,
-                active=updates,
-                updates=updates,
-                edge_reads=reads,
-                messages=cross_msgs,
-                work=work,
-            ))
-            if obs is not None:
-                elapsed = (time.perf_counter() - obs_started
-                           if sampled else None)
-                obs.iteration(
-                    iteration=superstep, active=updates, updates=updates,
-                    edge_reads=reads, messages=cross_msgs,
-                    seconds=elapsed,
-                    phases=({"local-compute": elapsed}
-                            if sampled else None))
-            verdict = monitor.observe(program, iteration=superstep,
-                                      frontier=frontier, work=work)
-            if verdict is not None:
-                mark_degraded(trace, verdict)
-                if session is not None:
-                    flush(superstep + 1)
-                break
-            if next_frontier_parts:
-                frontier = np.unique(np.concatenate(next_frontier_parts))
-            else:
-                frontier = np.empty(0, dtype=np.int64)
-            # Contract parity with the other engines: consult the
-            # program's convergence predicate (monotone relaxations
-            # return False — they end by draining), then stop at the
-            # drain itself so a superstep cap cannot turn a converged
-            # run into "max-supersteps".
-            if program.converged(ctx):
-                stop_reason = "converged"
-                trace.converged = True
-                break
-            if frontier.size == 0:
-                stop_reason = "frontier-empty"
-                trace.converged = True
-                break
-            if session is not None and session.due(superstep):
-                flush(superstep + 1)
-
-        if not trace.degraded:
-            trace.stop_reason = stop_reason
-        trace.result = program.result(ctx)
-        trace.wall_time_s = elapsed_before + time.perf_counter() - started
-        if session is not None:
-            session.complete(trace)
-        return trace
+        program.on_iteration_end(ctx)
+        work = (program.apply_flops_per_vertex * updates
+                + ctx.drain_extra_work()) * opts.unit_scale
+        counters = Counters(active=updates, updates=updates,
+                            edge_reads=reads, messages=cross_msgs, work=work)
+        if next_frontier_parts:
+            frontier = np.unique(np.concatenate(next_frontier_parts))
+        else:
+            frontier = np.empty(0, dtype=np.int64)
+        return counters, frontier

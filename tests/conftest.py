@@ -30,6 +30,19 @@ MINI_PROFILE = Profile(
 )
 
 
+def unfused(program):
+    """``program`` with its ``gather_shape`` / ``scatter_shape``
+    declarations cleared on the instance, so every engine keeps it on
+    the callback path — the oracle arm the fused kernels are compared
+    against. The cleared shapes are read-only: SSSP re-declares its
+    gather shape in ``init``."""
+    cls = type(program)
+    cleared = property(lambda self: None, lambda self, value: None)
+    program.__class__ = type(cls.__name__, (cls,), {
+        "gather_shape": cleared, "scatter_shape": cleared})
+    return program
+
+
 @pytest.fixture(scope="session")
 def mini_corpus() -> BehaviorCorpus:
     """A full 11-algorithm corpus at tiny scale, built once per session."""

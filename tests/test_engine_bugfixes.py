@@ -24,6 +24,7 @@ from repro.engine.graph_centric import GraphCentricEngine, GraphCentricOptions
 from repro.generators import powerlaw_graph
 from repro.generators.problem import ProblemInstance
 from repro.graph.csr import Graph
+from tests.conftest import unfused
 
 
 @pytest.fixture(scope="module")
@@ -139,12 +140,15 @@ class TestDegreeZero:
             1.0 / g.out_degree[~isolated].astype(np.float64))
 
     @pytest.mark.parametrize("arm", [
-        dict(), dict(fused_kernels=False), dict(direction="pull"),
+        dict(), dict(unfused=True), dict(direction="pull"),
         dict(mode="reference"),
     ])
     def test_pagerank_isolated_vertices_finite(self, arm):
         problem = isolated_problem()
         program = create("pagerank")
+        arm = dict(arm)
+        if arm.pop("unfused", False):  # callback path on every iteration
+            program = unfused(program)
         trace = SynchronousEngine(EngineOptions(**arm)).run(program, problem)
         assert not trace.degraded
         assert np.all(np.isfinite(program.rank))

@@ -2,10 +2,12 @@
 
 The contract under test: the fused gather/scatter kernels and the
 push/pull direction policy are *pure implementation choices* — every
-arm (fused off, fused push, fused pull, auto-switching, reference
-mode) must produce bit-identical traces: same iteration counts, same
-WORK units, same per-iteration counters, and literally the same
-frontier arrays, on power-law, grid, and uniform graphs alike.
+arm (push, fused pull, auto-switching, reference mode, and on the
+other three engines the fused path a declared shape selects vs the
+callback path the same program takes with its declaration cleared)
+must produce bit-identical traces: same iteration counts, same WORK
+units, same per-iteration counters, and literally the same frontier
+arrays, on power-law, grid, and uniform graphs alike.
 """
 
 import os
@@ -14,12 +16,15 @@ import numpy as np
 import pytest
 
 from repro.algorithms.registry import create
+from repro.engine.async_engine import AsynchronousEngine
 from repro.engine.checkpoint import (
     CheckpointConfig,
     CheckpointPolicy,
     SnapshotStore,
 )
+from repro.engine.edge_centric import EdgeCentricEngine
 from repro.engine.engine import EngineOptions, SynchronousEngine
+from repro.engine.graph_centric import GraphCentricEngine, GraphCentricOptions
 from repro.engine.kernels import VERIFY_ENV, FusedKernels, reduce_block
 from repro.generators import (
     erdos_renyi_graph,
@@ -29,6 +34,7 @@ from repro.generators import (
 )
 from repro.generators.problem import ProblemInstance
 from repro.graph.csr import Graph
+from tests.conftest import unfused
 
 
 def lattice_problem(side=18):
@@ -52,8 +58,9 @@ GRAPHS = {
 
 ALGORITHMS = ("pagerank", "cc", "sssp", "kcore")
 
+#: Synchronous arms. "push" is the base: the callback path on every
+#: iteration, whatever the program declares.
 ARMS = {
-    "legacy": dict(fused_kernels=False),
     "push": dict(direction="push"),
     "pull": dict(direction="pull"),
     "auto": dict(direction="auto"),
@@ -62,9 +69,20 @@ ARMS = {
 }
 
 
-def run_arm(algorithm, problem, arm, **extra):
+#: The other engines pick the kernel path from the program's shape
+#: declaration: (engine with the dense path forced where it is gated).
+SHAPE_ENGINES = {
+    "edge-centric": EdgeCentricEngine,
+    "graph-centric": lambda: GraphCentricEngine(
+        GraphCentricOptions(direction_threshold=0.0)),
+    # One path for every program: declared shapes must not matter.
+    "asynchronous": AsynchronousEngine,
+}
+
+
+def run_arm(algorithm, problem, arm, *, program=None, engine=None, **extra):
     """One run; returns (trace, frontier list, final state arrays)."""
-    program = create(algorithm)
+    program = program or create(algorithm)
     frontiers = []
     inner_apply = program.apply
 
@@ -73,8 +91,9 @@ def run_arm(algorithm, problem, arm, **extra):
         return inner_apply(ctx, vids, acc)
 
     program.apply = recording_apply
-    opts = EngineOptions(**{**ARMS[arm], **extra})
-    trace = SynchronousEngine(opts).run(program, problem)
+    if engine is None:
+        engine = SynchronousEngine(EngineOptions(**{**ARMS[arm], **extra}))
+    trace = engine.run(program, problem)
     state = {name: arr for name, arr in vars(program).items()
              if isinstance(arr, np.ndarray)}
     return trace, frontiers, state
@@ -100,16 +119,30 @@ def assert_equivalent(base, other, label, frontiers=True):
                                       err_msg=f"{label} state {name}")
 
 
-@pytest.mark.parametrize("family", sorted(GRAPHS))
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_direction_arms_bit_identical(algorithm, family):
-    """Every fused/direction arm reproduces the legacy run exactly —
+@pytest.mark.parametrize(
+    "algorithm,family,engine",
+    [pytest.param(a, f, None, id=f"{a}-{f}")
+     for f in sorted(GRAPHS) for a in ALGORITHMS]
+    + [pytest.param(a, f, e, id=f"{a}-{f}-{e}")
+       for f in sorted(GRAPHS) for a in ("cc", "sssp")
+       for e in SHAPE_ENGINES])
+def test_direction_arms_bit_identical(algorithm, family, engine):
+    """Every fused/direction arm reproduces the callback run exactly —
     same iteration counters, same frontier sequence, same final state."""
     problem = GRAPHS[family]()
-    base = run_arm(algorithm, problem, "legacy")
+    if engine is not None:
+        build = SHAPE_ENGINES[engine]
+        base = run_arm(algorithm, problem, None, engine=build(),
+                       program=unfused(create(algorithm)))
+        assert sum(r.messages for r in base[0].iterations) > 0
+        assert_equivalent(base,
+                          run_arm(algorithm, problem, None, engine=build()),
+                          f"{algorithm}/{family}/{engine}")
+        return
+    base = run_arm(algorithm, problem, "push")
     assert base[0].n_iterations >= 2  # a trivial run proves nothing
     for arm in ARMS:
-        if arm == "legacy":
+        if arm == "push":
             continue
         # Reference mode applies vertex-at-a-time, so its recorded
         # apply granularity differs; traces and state still match.
@@ -121,14 +154,14 @@ def test_direction_arms_bit_identical(algorithm, family):
 def test_weighted_sssp_and_jacobi_arms():
     """The *_edge gather shapes: dist+w (sssp) and A_ij·x_j (jacobi)."""
     weighted = powerlaw_graph(2_000, 2.3, seed=17, with_weights=True)
-    base = run_arm("sssp", weighted, "legacy")
+    base = run_arm("sssp", weighted, "push")
     for arm in ("pull", "auto"):
         assert_equivalent(base, run_arm("sssp", weighted, arm),
                           f"sssp-weighted/{arm}")
 
     system = matrix_problem(120, seed=5)
-    base = run_arm("jacobi", system, "legacy")
-    for arm in ("pull", "auto", "push"):
+    base = run_arm("jacobi", system, "push")
+    for arm in ("pull", "auto"):
         assert_equivalent(base, run_arm("jacobi", system, arm),
                           f"jacobi/{arm}")
 

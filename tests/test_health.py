@@ -1,6 +1,8 @@
 """Tests for the run-health subsystem: numeric guards, convergence
 watchdogs, fault injection, trace validation, and corpus accounting."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro._util.errors import (
     TraceInvariantError,
     ValidationError,
 )
+from repro.algorithms.registry import create
 from repro.behavior.run import INJECT_ENGINE_FAULT_ENV, run_computation
 from repro.behavior.trace import IterationRecord, RunTrace
 from repro.behavior.validate import validate_trace
@@ -160,11 +163,22 @@ class TestNaNInjectionAcrossEngines:
         assert excinfo.value.iteration == 1
         assert classify_exception(excinfo.value) == "numeric"
 
-    @pytest.mark.parametrize("engine", ENGINE_NAMES)
-    def test_degrade_flags_numeric(self, engine, problem):
-        program = PathologicalProgram("healthy")
-        trace = run_engine(engine, program, problem,
-                           inject_fault="nan@1", health_policy="degrade")
+    @pytest.mark.parametrize(
+        "engine,algorithm",
+        [(e, None) for e in ENGINE_NAMES]
+        + [(e, "cc") for e in ENGINE_NAMES],
+        ids=list(ENGINE_NAMES) + [f"{e}-cc" for e in ENGINE_NAMES])
+    def test_degrade_flags_numeric(self, engine, algorithm, problem):
+        # A real program must also *finish* on the poisoned state:
+        # ``result()`` summarises it, and cc's integer labels used to
+        # cast NaN ("invalid value encountered in cast").
+        program = (PathologicalProgram("healthy") if algorithm is None
+                   else create(algorithm))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            trace = run_engine(engine, program, problem,
+                               inject_fault="nan@1",
+                               health_policy="degrade")
         assert trace.degraded
         assert trace.health["condition"] == "numeric"
         validate_trace(trace)
