@@ -53,10 +53,11 @@ if [ "${REPRO_SKIP_BENCH:-0}" != "1" ]; then
         benchmarks/test_engine_throughput.py::test_bench_engine_kernels \
         -x -q
 
-    # Ensemble search perf smoke: the blocked fast engine keeps its
-    # ≥5× win over the legacy evaluator on the n=2000 spread curve
-    # with scores equal to 1e-9 and identical index tuples
-    # (DESIGN.md §15). Set REPRO_BENCH_LARGE=1 for the n=10k arm.
+    # Ensemble search perf smoke: the search engine keeps its ≥5× win
+    # over the selection oracle (tests/ensemble_oracle.py) on the
+    # n=2000 spread curve and does not lose to it on the n=215
+    # coverage beam, with scores equal to 1e-9 and identical index
+    # tuples (DESIGN.md §15). Set REPRO_BENCH_LARGE=1 for the n=10k arm.
     echo "== ensemble search perf smoke =="
     PYTHONPATH=src python -m pytest benchmarks/test_bench_ensemble.py \
         -x -q

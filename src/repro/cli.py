@@ -223,24 +223,19 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="ensemble sizes for the curve")
     ens.add_argument("--scheme", choices=("max", "log"), default="max")
     ens.add_argument("--beam-width", type=int, default=64)
-    ens.add_argument("--engine", choices=("fast", "legacy"), default=None,
-                     help="search engine (default: "
-                          "$REPRO_ENSEMBLE_ENGINE or fast)")
     ens.add_argument("--strategy", choices=("beam", "greedy"),
                      default=None,
                      help="greedy = lazy-greedy submodular selection "
                           "(coverage only, (1-1/e) guarantee)")
     ens.add_argument("--block-bytes", type=int, default=None,
                      metavar="BYTES",
-                     help="distance-tile size for the fast engine "
-                          "(default: 32 MiB)")
+                     help="distance-tile size (default: 32 MiB)")
     ens.add_argument("--precision", choices=("float64", "float32"),
                      default=None,
                      help="distance-tile storage precision; scores "
                           "always accumulate in float64")
     ens.add_argument("--workers", type=int, default=None,
-                     help="scoring threads for the fast engine "
-                          "(-1 = all cores; default: 1)")
+                     help="scoring threads (-1 = all cores; default: 1)")
     ens.add_argument("--samples", type=int, default=None,
                      help="coverage search sample budget "
                           "(default: 4000)")
@@ -656,16 +651,15 @@ def _cmd_ensemble(args) -> int:
     from repro.behavior.space import BehaviorSpace
     from repro.ensemble.budgets import REPORT_SAMPLES
     from repro.ensemble.metrics import coverage, spread
-    from repro.ensemble.search import best_ensemble_curve, resolve_engine
+    from repro.ensemble.search import best_ensemble_curve
     from repro.experiments.corpus import build_corpus
     from repro.experiments.reporting import format_table
 
     corpus = build_corpus(args.profile)
     vectors = corpus.vectors(scheme=args.scheme)
-    engine = resolve_engine(args.engine)
     kwargs: dict = dict(beam_width=args.beam_width,
                         refine=not args.no_refine,
-                        engine=args.engine, strategy=args.strategy,
+                        strategy=args.strategy,
                         block_bytes=args.block_bytes,
                         precision=args.precision, workers=args.workers)
     if args.samples is not None:
@@ -692,8 +686,7 @@ def _cmd_ensemble(args) -> int:
         ["size", f"search {args.metric}", "spread", "coverage"],
         rows,
         title=f"Best {args.metric} ensembles (pool={len(vectors)}, "
-              f"scheme={args.scheme}, engine={engine}, "
-              f"strategy={strategy})"))
+              f"scheme={args.scheme}, strategy={strategy})"))
     largest = curve[max(curve)]
     print(f"members of size-{largest.ensemble.size} ensemble:")
     for member in largest.ensemble:

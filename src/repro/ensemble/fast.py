@@ -1,19 +1,23 @@
 """Blocked, batched, parallel ensemble-search engine (DESIGN §15).
 
-The legacy search in :mod:`repro.ensemble.search` materializes the full
-pairwise matrix (``squareform(pdist(pool))`` — O(n²) float64, ~800 MB
-at n = 10⁴) and walks beam states in a Python loop with a fancy-index
-copy per state. This module provides the corpus-scale replacement:
+The one engine behind :mod:`repro.ensemble.search`. A search that
+materializes the full pairwise matrix (``squareform(pdist(pool))`` —
+O(n²) float64, ~800 MB at n = 10⁴) and walks beam states in a Python
+loop stops scaling near the paper's corpus size; that formulation lives
+on in ``tests/ensemble_oracle.py`` as the selection oracle this engine
+is tested against. Here instead:
 
 - **Blocked distance kernels** — :class:`PairwiseBlocks` (column tiles
   of the pool×pool distances) and :class:`SampleBlocks` (row tiles of
   the pool×samples distances), built on demand through a byte-bounded
   LRU :class:`BlockCache` with hit/miss telemetry. Tiles may be stored
   float32 (``dtype``); every *score* is accumulated in float64.
-- **Batched beam** — one masked matrix operation per level scores all
-  beam states' extensions at once; selection is tie-stable (see
-  :func:`tie_sorted`) so results are deterministic across NumPy
-  versions and identical to the tie-stable legacy reference.
+- **Batched beam** — spread scores every state × candidate of a level
+  in one masked gather-sum per chunk; coverage takes, per state and
+  tile, one contiguous min+sum over the rows past the state's last
+  member, at the first level as at every later one. Selection is
+  tie-stable (see :func:`tie_sorted`) so results are deterministic
+  across NumPy versions and identical to the oracle's.
 - **Incremental swap refinement** — per-position replacement scoring
   reuses a maintained column-sum (spread) or per-sample first/second
   minimum (coverage) instead of recomputing ``D[others].min(axis=0)``
@@ -49,6 +53,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from repro._util.errors import ValidationError
+from repro._util.segments import concat_ranges
 from repro.behavior.space import BehaviorSpace
 from repro.obs.telemetry import get_telemetry
 
@@ -58,11 +63,11 @@ DEFAULT_BLOCK_BYTES = 32 << 20
 
 #: Scores closer than this are treated as equal and ordered by index
 #: tuple (lexicographically smallest first) — the tie-stability rule
-#: shared by the fast and legacy paths.
+#: shared by the engine, ``exhaustive_best`` and the test oracle.
 TIE_TOL = 1e-12
 
 #: Minimum improvement a swap must bring to be accepted (matches the
-#: legacy refinement loop).
+#: oracle's refinement loop).
 SWAP_TOL = 1e-12
 
 VALID_PRECISIONS = ("float64", "float32")
@@ -95,8 +100,8 @@ def tie_sorted(items: "Sequence[tuple]") -> list:
     Primary order is score descending. Scores within :data:`TIE_TOL`
     of the best score of their run ("head-anchored" groups over the
     descending sequence) are considered equal and ordered by their
-    index tuple, lexicographically smallest first. Both search paths
-    (fast and legacy) rank candidates through this rule, which makes
+    index tuple, lexicographically smallest first. The engine and the
+    test oracle both rank candidates through this rule, which makes
     results — in particular the top-k sets feeding the Figs 20-21
     frequency analysis — deterministic across NumPy versions.
     """
@@ -333,8 +338,8 @@ class FastEngine:
 
     Drop-in scorer behind :func:`repro.ensemble.search.best_ensemble`
     and friends: beam results are selection-identical to the
-    tie-stable legacy reference, with scores accumulated in float64
-    regardless of the tile storage ``dtype``.
+    tie-stable oracle (``tests/ensemble_oracle.py``), with scores
+    accumulated in float64 regardless of the tile storage ``dtype``.
     """
 
     def __init__(self, pool: np.ndarray, metric: str, *,
@@ -389,7 +394,7 @@ class FastEngine:
         tel = get_telemetry()
         if tel.enabled:
             tel.inc("ensemble_search_states_total", float(n_states),
-                    metric=self.metric, engine="fast")
+                    metric=self.metric)
 
     def score_indices(self, indices: "Iterable[int]") -> float:
         """From-scratch float64 score of an arbitrary index set."""
@@ -496,7 +501,7 @@ class FastEngine:
             feasible = (cand[:, None] > last[None, :]) \
                 & (cand[:, None] <= j_max)
             # select on *normalized* scores so the tie tolerance acts
-            # on the same scale as the legacy path
+            # on the same scale as the oracle
             scores = np.where(feasible, norm * totals, -np.inf)
             keep = boundary_positions(scores.ravel(), beam_width)
             if keep.size == 0:
@@ -534,8 +539,10 @@ class FastEngine:
         return sums
 
     def _beam_coverage(self, size, beam_width):
-        members, payloads = self._level1_coverage(size, beam_width)
-        for length in range(2, size):
+        # every level, the first included, is the same extension step;
+        # it starts from the n singleton states
+        members, payloads = np.arange(self.n)[:, None], None
+        for length in range(1, size):
             members, payloads = self._extend_coverage(
                 members, payloads, length, size, beam_width)
         sums = payloads.sum(axis=1, dtype=np.float64)
@@ -543,106 +550,44 @@ class FastEngine:
                  tuple(int(v) for v in row))
                 for b, row in enumerate(members)]
 
-    def _pairmin_sums(self, rows_a: np.ndarray,
-                      rows_b: np.ndarray) -> np.ndarray:
-        """``out[a, b] = Σ_s min(rows_a[a, s], rows_b[b, s])`` tiled.
-
-        The broadcast temporary is transient, so it gets a few times
-        the tile budget — fewer, larger kernels beat strict residency.
-        """
-        na, nb = rows_a.shape[0], rows_b.shape[0]
-        out = np.zeros((na, nb), dtype=np.float64)
-        step = max(1, (4 * self.block_bytes)
-                   // max(1, na * nb * rows_a.dtype.itemsize))
-        for s0 in range(0, self.m, step):
-            s1 = min(self.m, s0 + step)
-            out += np.minimum(rows_a[:, None, s0:s1],
-                              rows_b[None, :, s0:s1]
-                              ).sum(axis=2, dtype=np.float64)
-        return out
-
-    def _level1_coverage(self, size, beam_width):
-        n = self.n
-        j_max = n - size + 1
-        self._count_states(n)
-        # chunk pairs (i-block, j-block); a chunk edge is sized so one
-        # member-row block stays within the tile budget, and j-chunks
-        # start past the i-chunk's diagonal (feasible pairs have i < j).
-        chunk = max(1, self.block_bytes // max(1, self.m * 8))
-        i_chunks = [(a, min(n, min(a + chunk, j_max)))
-                    for a in range(0, min(n, j_max), chunk)]
-        j_hi = j_max + 1
-        found = []
-        for i0, i1 in i_chunks:
-            if i1 <= i0:
-                continue
-            rows_i = self.samp.rows(np.arange(i0, i1))
-
-            def scan(bounds, rows_i=rows_i, i0=i0):
-                jc0, jc1 = bounds
-                rows_j = self.samp.rows(np.arange(jc0, jc1))
-                sums = self._pairmin_sums(rows_i, rows_j)
-                scores = self.diam - sums / self.m
-                i_grid = np.arange(i0, i0 + rows_i.shape[0])
-                j_grid = np.arange(jc0, jc1)
-                scores[i_grid[:, None] >= j_grid[None, :]] = -np.inf
-                keep = boundary_positions(scores.ravel(), beam_width)
-                if keep.size == 0:
-                    return None
-                i_arr = i_grid[keep // j_grid.size]
-                j_arr = j_grid[keep % j_grid.size]
-                return scores.ravel()[keep], i_arr, j_arr
-
-            j_chunks = [(a, min(j_hi, a + chunk))
-                        for a in range(i0 + 1, j_hi, chunk)]
-            for part in self._map(scan, j_chunks):
-                if part is not None:
-                    found.append(part)
-        if not found:
-            raise ValidationError(
-                f"pool of {n} cannot form an ensemble of size {size}")
-        scores = np.concatenate([p[0] for p in found])
-        i_arr = np.concatenate([p[1] for p in found])
-        j_arr = np.concatenate([p[2] for p in found])
-        top = grouped_top(scores, i_arr, j_arr, beam_width)
-        i_top, j_top = i_arr[top], j_arr[top]
-        order = np.lexsort((j_top, i_top))
-        i_top, j_top = i_top[order], j_top[order]
-        members = np.stack([i_top, j_top], axis=1)
-        payloads = np.minimum(self.samp.rows(i_top), self.samp.rows(j_top))
-        return members, payloads
-
     def _extend_coverage(self, members, payloads, length, size, beam_width):
+        """Score each state against the candidates past its last member.
+
+        Per state and tile that is one contiguous min+sum over the
+        tile's feasible rows only. ``payloads`` is ``None`` on the
+        singleton level, where a state's payload is its own distance
+        row, read from the tiles as the level goes.
+        """
         n = self.n
-        n_states = members.shape[0]
-        self._count_states(n_states)
-        j_max = n - size + length
+        self._count_states(members.shape[0])
+        j_max = n - size + length  # feasibility bound for the next pick
         last = members[:, -1]
+
+        def payload(b):
+            return self.samp.rows(members[b])[0] if payloads is None \
+                else payloads[b]
+
+        def min_sums(item):  # disjoint outputs per state: safe to fan out
+            rows, b = item
+            return np.minimum(rows, payload(b)).sum(axis=1, dtype=np.float64)
+
         found = []
         for bid in range(self.samp.n_blocks):
             i0, i1, blk = self.samp.block(bid)
             hi = min(i1, j_max + 1)
             if hi <= i0:
+                break  # this tile and every later one is past j_max
+            live = np.flatnonzero(last + 1 < hi)
+            if live.size == 0:
                 continue
-            tile = blk[:hi - i0]
-            sums = np.empty((hi - i0, n_states), dtype=np.float64)
-
-            # per-state contiguous min+sum over the whole tile: large
-            # kernels, disjoint output columns — safe to fan out
-            def state_col(b, tile=tile, sums=sums):
-                sums[:, b] = np.minimum(tile, payloads[b][None, :]) \
-                    .sum(axis=1, dtype=np.float64)
-
-            self._map(state_col, list(range(n_states)))
-            scores = self.diam - sums / self.m
-            cand = np.arange(i0, hi)
-            scores[cand[:, None] <= last[None, :]] = -np.inf
-            keep = boundary_positions(scores.ravel(), beam_width)
-            if keep.size == 0:
-                continue
-            b_arr = (keep % n_states).astype(np.intp)
-            c_arr = cand[keep // n_states]
-            found.append((scores.ravel()[keep], b_arr, c_arr))
+            lo = np.maximum(last[live] + 1, i0)
+            sums = self._map(min_sums, [(blk[first - i0:hi - i0], b)
+                                        for first, b in zip(lo, live)])
+            scores = self.diam - np.concatenate(sums) / self.m
+            keep = boundary_positions(scores, beam_width)
+            b_arr = np.repeat(live, hi - lo)[keep]
+            c_arr = concat_ranges(lo, np.full_like(lo, hi))[keep]
+            found.append((scores[keep], b_arr, c_arr))
         if not found:
             raise ValidationError(
                 f"pool of {n} cannot form an ensemble of size {size}")
@@ -655,7 +600,7 @@ class FastEngine:
         b_top, c_top = b_top[order], c_top[order]
         new_members = np.concatenate(
             [members[b_top], c_top[:, None]], axis=1)
-        new_payloads = np.minimum(payloads[b_top],
+        new_payloads = np.minimum([payload(b) for b in b_top],
                                   self.samp.rows(c_top))
         return new_members, new_payloads
 

@@ -15,34 +15,26 @@ The best beam state is then refined by swap local search. The same
 machinery returns the top-K ensembles for the paper's shadowing-free
 frequency analysis (Figures 20-21).
 
-Two engines implement this contract (DESIGN §15):
-
-``fast`` (default)
-    The blocked, batched, parallel engine in
-    :mod:`repro.ensemble.fast`: tiled distance kernels behind an LRU
-    byte budget, one matrix operation per beam level, incremental swap
-    refinement, and — for coverage — a lazy-greedy submodular selector
-    (``strategy="greedy"``) with the (1 − 1/e) guarantee.
-``legacy``
-    The original monolithic evaluator (full ``squareform(pdist(...))``
-    / ``cdist`` materialization, Python loop per beam state). Kept as
-    the bit-checked reference: both engines rank candidates through
-    the same tie-stable rule (:func:`repro.ensemble.fast.tie_sorted`),
-    so on equal scores (within 1e-12) both prefer the lexicographically
-    smallest index tuple and select identical ensembles.
-
-Select with the ``engine=`` argument or ``REPRO_ENSEMBLE_ENGINE``.
+The search runs on the blocked, batched engine of
+:mod:`repro.ensemble.fast` (DESIGN §15): tiled distance kernels behind
+an LRU byte budget, one batched step per beam level, incremental swap
+refinement, and — for coverage — a lazy-greedy submodular selector
+(``strategy="greedy"``) with the (1 − 1/e) guarantee. Candidates are
+ranked through one tie-stable rule
+(:func:`repro.ensemble.fast.tie_sorted`): scores within 1e-12 are equal
+and the lexicographically smallest index tuple wins.
+:func:`exhaustive_best` scores from scratch and shares no code with the
+engine, so tests can hold the search to it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import cdist
 
 from repro._util.errors import ValidationError
 from repro.behavior.space import BehaviorSpace, BehaviorVector
@@ -51,46 +43,25 @@ from repro.ensemble.ensemble import Ensemble
 from repro.ensemble.fast import (
     TIE_TOL,
     FastEngine,
-    boundary_positions,
     resolve_precision,
-    tie_argmax,
     tie_sorted,
 )
 from repro.obs.telemetry import get_telemetry
 
 VALID_METRICS = ("spread", "coverage")
-VALID_ENGINES = ("fast", "legacy")
 VALID_STRATEGIES = ("beam", "greedy")
 
-#: Environment override for the default search engine.
-ENGINE_ENV = "REPRO_ENSEMBLE_ENGINE"
 
-
-def resolve_engine(engine: "str | None") -> str:
-    """Resolve an explicit engine or fall back to env / ``fast``."""
-    if engine is None:
-        engine = os.environ.get(ENGINE_ENV, "").strip().lower() or "fast"
-    if engine not in VALID_ENGINES:
-        raise ValidationError(
-            f"engine must be one of {VALID_ENGINES}")
-    return engine
-
-
-def _resolve_strategy(strategy: "str | None", metric: str,
-                      engine: str) -> str:
+def _resolve_strategy(strategy: "str | None", metric: str) -> str:
     if strategy is None:
         strategy = "beam"
     if strategy not in VALID_STRATEGIES:
         raise ValidationError(
             f"strategy must be one of {VALID_STRATEGIES}")
-    if strategy == "greedy":
-        if metric != "coverage":
-            raise ValidationError(
-                "strategy='greedy' applies to the coverage metric only "
-                "(spread is not submodular over index-ordered subsets)")
-        if engine != "fast":
-            raise ValidationError(
-                "strategy='greedy' requires engine='fast'")
+    if strategy == "greedy" and metric != "coverage":
+        raise ValidationError(
+            "strategy='greedy' applies to the coverage metric only "
+            "(spread is not submodular over index-ordered subsets)")
     return strategy
 
 
@@ -104,229 +75,48 @@ class SearchResult:
     metric: str
 
 
-class _Evaluator:
-    """Incremental spread/coverage scoring over a fixed candidate pool."""
-
-    def __init__(
-        self,
-        pool: np.ndarray,
-        metric: str,
-        *,
-        space: BehaviorSpace,
-        samples: np.ndarray | None,
-        n_samples: int,
-        seed: int,
-    ) -> None:
-        if metric not in VALID_METRICS:
-            raise ValidationError(f"metric must be one of {VALID_METRICS}")
-        self.metric = metric
-        self.pool = pool
-        self.n = pool.shape[0]
-        self.space = space
-        if metric == "spread":
-            self.P = squareform(pdist(pool)) if self.n > 1 else np.zeros((1, 1))
-            self.D = None
-        else:
-            if samples is None:
-                samples = space.sample(n_samples, seed=seed)
-            self.samples = samples
-            self.D = cdist(pool, samples)  # (n_pool, n_samples)
-            self.P = None
-
-    # -- state = (indices tuple, payload) ------------------------------
-    def initial_state(self, first: int):
-        if self.metric == "spread":
-            return ((first,), 0.0)
-        return ((first,), self.D[first].copy())
-
-    def extend(self, state, j: int):
-        indices, payload = state
-        if self.metric == "spread":
-            add = float(self.P[j, list(indices)].sum())
-            return (indices + (j,), payload + add)
-        return (indices + (j,), np.minimum(payload, self.D[j]))
-
-    def score(self, state) -> float:
-        indices, payload = state
-        k = len(indices)
-        if self.metric == "spread":
-            if k < 2:
-                return 0.0
-            return 2.0 * payload / (k * (k - 1))
-        return self.space.diameter - float(payload.mean())
-
-    def scores_of_extensions(self, state, candidates: np.ndarray) -> np.ndarray:
-        """Vectorized scores of extending ``state`` by each candidate."""
-        indices, payload = state
-        k = len(indices) + 1
-        if self.metric == "spread":
-            adds = self.P[candidates][:, list(indices)].sum(axis=1)
-            sums = payload + adds
-            if k < 2:
-                return np.zeros(candidates.size)
-            return 2.0 * sums / (k * (k - 1))
-        mins = np.minimum(payload[None, :], self.D[candidates])
-        return self.space.diameter - mins.mean(axis=1)
-
-    def score_indices(self, indices) -> float:
-        """Score an arbitrary index set from scratch."""
-        idx = list(indices)
-        if self.metric == "spread":
-            if len(idx) < 2:
-                return 0.0
-            sub = self.P[np.ix_(idx, idx)]
-            return float(sub.sum() / (len(idx) * (len(idx) - 1)))
-        payload = self.D[idx].min(axis=0)
-        return self.space.diameter - float(payload.mean())
-
-
-def _beam_search(ev: _Evaluator, size: int, beam_width: int) -> list[tuple]:
-    """Top states of exactly ``size`` members via index-ordered beam.
-
-    Tie-stable: per-state extension candidates keep everything within
-    :data:`~repro.ensemble.fast.TIE_TOL` of the local cut, and the
-    global per-level selection orders near-equal scores by index tuple
-    (:func:`~repro.ensemble.fast.tie_sorted`), so the surviving beam —
-    and hence the top-k sets feeding Figs 20-21 — is deterministic
-    across NumPy versions.
-    """
-    tel = get_telemetry()
-    states = [ev.initial_state(i) for i in range(ev.n)]
-    if size == 1:
-        return states
-    for _level in range(1, size):
-        if tel.enabled:
-            tel.inc("ensemble_search_states_total", float(len(states)),
-                    metric=ev.metric, engine="legacy")
-        scored: list[tuple[float, tuple, tuple]] = []
-        for state in states:
-            last = state[0][-1]
-            length = len(state[0])
-            # Feasibility bound: after picking candidate j there must be
-            # enough higher indices left to reach the target size, so
-            # j <= n - size + length.
-            hi = ev.n - size + length + 1
-            candidates = np.arange(last + 1, hi)
-            if candidates.size == 0:
-                continue
-            cand_scores = ev.scores_of_extensions(state, candidates)
-            # Keep the locally best extensions (with tie slack) to
-            # bound work.
-            for t in boundary_positions(cand_scores, beam_width):
-                extended = ev.extend(state, int(candidates[t]))
-                scored.append((float(cand_scores[t]), extended[0], extended))
-        if not scored:
-            raise ValidationError(
-                f"pool of {ev.n} cannot form an ensemble of size {size}"
-            )
-        states = [item[2] for item in tie_sorted(scored)[:beam_width]]
-    return states
-
-
-def _swap_refine(ev: _Evaluator, indices: tuple[int, ...],
-                 max_passes: int = 8) -> tuple[tuple[int, ...], float]:
-    """Hill-climb by single-member swaps until no improvement.
-
-    Each position's replacement candidates are scored in one vectorized
-    sweep: for spread via the pairwise matrix, for coverage via a
-    min over the remaining members' sample distances plus the
-    candidate's row. Replacement ties (within
-    :data:`~repro.ensemble.fast.TIE_TOL`) go to the smallest index.
-    """
-    current = list(indices)
-    best_score = ev.score_indices(current)
-    k = len(current)
-    for _ in range(max_passes):
-        improved = False
-        for pos in range(k):
-            others = [current[i] for i in range(k) if i != pos]
-            if ev.metric == "spread":
-                if k < 2:
-                    break
-                base = float(ev.P[np.ix_(others, others)].sum()) / 2.0
-                adds = ev.P[:, others].sum(axis=1)
-                scores = 2.0 * (base + adds) / (k * (k - 1))
-            else:
-                payload = (ev.D[others].min(axis=0) if others
-                           else np.full(ev.D.shape[1], np.inf))
-                mins = np.minimum(payload[None, :], ev.D)
-                scores = ev.space.diameter - mins.mean(axis=1)
-            scores[current] = -np.inf  # keep members distinct
-            j = tie_argmax(scores)
-            if scores[j] > best_score + TIE_TOL:
-                current[pos] = j
-                best_score = float(scores[j])
-                improved = True
-        if not improved:
-            break
-    return tuple(sorted(current)), best_score
-
-
-def _make_evaluator(pool, metric, space, samples, n_samples, seed):
+def _pool_matrix(pool: "Ensemble | list[BehaviorVector]",
+                 space: "BehaviorSpace | None"):
+    """The space, the pool as a vector list, and its coordinate matrix."""
     space = space or BehaviorSpace()
-    if isinstance(pool, Ensemble):
-        vectors = list(pool.members)
-    else:
-        vectors = list(pool)
-    mat = space.to_matrix(vectors)
-    ev = _Evaluator(mat, metric, space=space, samples=samples,
-                    n_samples=n_samples, seed=seed)
-    return ev, vectors, space
+    vectors = list(pool.members if isinstance(pool, Ensemble) else pool)
+    return space, vectors, space.to_matrix(vectors)
 
 
-def _make_engine(mat, metric, space, samples, n_samples, seed,
-                 block_bytes, precision, workers) -> FastEngine:
-    return FastEngine(mat, metric, space=space, samples=samples,
+def _result(vectors, kind, metric, score, indices) -> SearchResult:
+    indices = tuple(int(i) for i in indices)
+    return SearchResult(
+        ensemble=Ensemble(members=tuple(vectors[i] for i in indices),
+                          name=f"{kind}-{metric}-{len(indices)}"),
+        score=float(score),
+        indices=indices,
+        metric=metric,
+    )
+
+
+def _engine(points, metric, space, samples, n_samples, seed,
+            block_bytes, precision, workers) -> FastEngine:
+    return FastEngine(points, metric, space=space, samples=samples,
                       n_samples=n_samples, seed=seed,
                       block_bytes=block_bytes,
                       dtype=resolve_precision(precision),
                       workers=workers)
 
 
-def _make_searcher(pool, metric, space, samples, n_samples, seed,
-                   engine, block_bytes, precision, workers):
-    """Build the requested engine over a vector pool."""
-    space = space or BehaviorSpace()
-    if isinstance(pool, Ensemble):
-        vectors = list(pool.members)
-    else:
-        vectors = list(pool)
-    mat = space.to_matrix(vectors)
-    if engine == "legacy":
-        searcher = _Evaluator(mat, metric, space=space, samples=samples,
-                              n_samples=n_samples, seed=seed)
-    else:
-        searcher = _make_engine(mat, metric, space, samples, n_samples,
-                                seed, block_bytes, precision, workers)
-    return searcher, vectors, space
-
-
-def _search_best(searcher, size, metric, beam_width, refine, strategy):
-    """One best-of-size search over a built engine/evaluator."""
+def _search_best(engine, size, beam_width, refine, strategy):
+    """One best-of-size search over a built engine."""
     if size < 1:
         raise ValidationError("size must be >= 1")
-    n = searcher.n
-    if size > n:
-        raise ValidationError(f"cannot pick {size} of {n} runs")
-    engine = "legacy" if isinstance(searcher, _Evaluator) else "fast"
-    tel = get_telemetry()
-    with tel.span("ensemble_search", metric=metric, engine=engine,
-                  size=size, strategy=strategy):
-        if engine == "legacy":
-            states = _beam_search(searcher, size, beam_width)
-            ordered = tie_sorted(
-                [(searcher.score(s), s[0]) for s in states])
-            score, indices = ordered[0][0], ordered[0][1]
-            if refine:
-                indices, score = _swap_refine(searcher, indices)
-        elif strategy == "greedy":
-            indices, score = searcher.greedy(size)
-            if refine:
-                indices, score = searcher.refine(indices)
+    if size > engine.n:
+        raise ValidationError(f"cannot pick {size} of {engine.n} runs")
+    with get_telemetry().span("ensemble_search", metric=engine.metric,
+                              size=size, strategy=strategy):
+        if strategy == "greedy":
+            indices, score = engine.greedy(size)
         else:
-            score, indices = tie_sorted(searcher.beam(size, beam_width))[0]
-            if refine:
-                indices, score = searcher.refine(indices)
+            score, indices = tie_sorted(engine.beam(size, beam_width))[0]
+        if refine:
+            indices, score = engine.refine(indices)
     return tuple(int(i) for i in indices), float(score)
 
 
@@ -341,7 +131,6 @@ def best_ensemble(
     seed: int = 0,
     beam_width: int = 64,
     refine: bool = True,
-    engine: "str | None" = None,
     strategy: "str | None" = None,
     block_bytes: "int | None" = None,
     precision: "str | None" = None,
@@ -352,29 +141,16 @@ def best_ensemble(
     ``n_samples`` is the coverage *search* budget
     (:data:`~repro.ensemble.budgets.SEARCH_SAMPLES`); re-score the
     result with :func:`repro.ensemble.metrics.coverage` at the
-    reporting budget before quoting it. ``engine`` picks the fast
-    blocked engine (default) or the legacy reference;
-    ``strategy="greedy"`` (coverage only) swaps the beam for the
-    lazy-greedy submodular selector. ``block_bytes`` /
-    ``precision`` / ``workers`` tune the fast engine's distance tiles.
+    reporting budget before quoting it. ``strategy="greedy"``
+    (coverage only) swaps the beam for the lazy-greedy submodular
+    selector. ``block_bytes`` / ``precision`` / ``workers`` tune the
+    engine's distance tiles.
     """
-    if size < 1:
-        raise ValidationError("size must be >= 1")
-    engine = resolve_engine(engine)
-    strategy = _resolve_strategy(strategy, metric, engine)
-    searcher, vectors, space = _make_searcher(
-        pool, metric, space, samples, n_samples, seed,
-        engine, block_bytes, precision, workers)
-    indices, score = _search_best(searcher, size, metric, beam_width,
-                                  refine, strategy)
-    members = tuple(vectors[i] for i in indices)
-    return SearchResult(
-        ensemble=Ensemble(members=members,
-                          name=f"best-{metric}-{size}"),
-        score=score,
-        indices=indices,
-        metric=metric,
-    )
+    return best_ensemble_curve(
+        pool, [size], metric, space=space, samples=samples,
+        n_samples=n_samples, seed=seed, beam_width=beam_width,
+        refine=refine, strategy=strategy, block_bytes=block_bytes,
+        precision=precision, workers=workers)[int(size)]
 
 
 def top_k_ensembles(
@@ -388,7 +164,6 @@ def top_k_ensembles(
     n_samples: int = WIDE_SEARCH_SAMPLES,
     seed: int = 0,
     beam_width: int = 400,
-    engine: "str | None" = None,
     block_bytes: "int | None" = None,
     precision: "str | None" = None,
     workers: "int | None" = None,
@@ -403,32 +178,16 @@ def top_k_ensembles(
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
-    engine = resolve_engine(engine)
-    searcher, vectors, space = _make_searcher(
-        pool, metric, space, samples, n_samples, seed,
-        engine, block_bytes, precision, workers)
-    if size > searcher.n:
-        raise ValidationError(f"cannot pick {size} of {searcher.n} runs")
-    tel = get_telemetry()
-    with tel.span("ensemble_search", metric=metric, engine=engine,
-                  size=size, strategy="beam"):
-        width = max(beam_width, k)
-        if engine == "legacy":
-            states = _beam_search(searcher, size, width)
-            ordered = tie_sorted(
-                [(searcher.score(s), s[0]) for s in states])
-        else:
-            ordered = tie_sorted(searcher.beam(size, width))
-    results = []
-    for score, indices in ordered[:k]:
-        members = tuple(vectors[i] for i in indices)
-        results.append(SearchResult(
-            ensemble=Ensemble(members=members, name=f"top-{metric}-{size}"),
-            score=float(score),
-            indices=tuple(int(i) for i in indices),
-            metric=metric,
-        ))
-    return results
+    space, vectors, mat = _pool_matrix(pool, space)
+    engine = _engine(mat, metric, space, samples, n_samples, seed,
+                     block_bytes, precision, workers)
+    if size > engine.n:
+        raise ValidationError(f"cannot pick {size} of {engine.n} runs")
+    with get_telemetry().span("ensemble_search", metric=metric,
+                              size=size, strategy="beam"):
+        ordered = tie_sorted(engine.beam(size, max(beam_width, k)))
+    return [_result(vectors, "top", metric, score, indices)
+            for score, indices in ordered[:k]]
 
 
 def best_ensemble_curve(
@@ -442,7 +201,6 @@ def best_ensemble_curve(
     seed: int = 0,
     beam_width: int = 64,
     refine: bool = True,
-    engine: "str | None" = None,
     strategy: "str | None" = None,
     block_bytes: "int | None" = None,
     precision: "str | None" = None,
@@ -450,28 +208,19 @@ def best_ensemble_curve(
 ) -> dict[int, SearchResult]:
     """Best ensembles across a range of sizes (the Figs 14-19 curves).
 
-    The engine — blocked distance tiles for the fast path, the full
-    pairwise / candidate-to-sample matrix for the legacy one — is
-    built once and shared by every size, so a 20-point curve pays for
-    one distance materialization instead of 20.
+    The engine, and with it the blocked distance tiles, is built once
+    and shared by every size, so a 20-point curve pays for one
+    distance materialization instead of 20.
     """
-    engine = resolve_engine(engine)
-    strategy = _resolve_strategy(strategy, metric, engine)
-    searcher, vectors, _space = _make_searcher(
-        pool, metric, space, samples, n_samples, seed,
-        engine, block_bytes, precision, workers)
+    strategy = _resolve_strategy(strategy, metric)
+    space, vectors, mat = _pool_matrix(pool, space)
+    engine = _engine(mat, metric, space, samples, n_samples, seed,
+                     block_bytes, precision, workers)
     curve: dict[int, SearchResult] = {}
     for size in sizes:
-        indices, score = _search_best(searcher, int(size), metric,
-                                      beam_width, refine, strategy)
-        members = tuple(vectors[i] for i in indices)
-        curve[int(size)] = SearchResult(
-            ensemble=Ensemble(members=members,
-                              name=f"best-{metric}-{int(size)}"),
-            score=score,
-            indices=indices,
-            metric=metric,
-        )
+        indices, score = _search_best(engine, int(size), beam_width,
+                                      refine, strategy)
+        curve[int(size)] = _result(vectors, "best", metric, score, indices)
     return curve
 
 
@@ -486,7 +235,6 @@ def best_subset(
     seed: int = 0,
     beam_width: int = 64,
     refine: bool = True,
-    engine: "str | None" = None,
     strategy: "str | None" = None,
     block_bytes: "int | None" = None,
     precision: "str | None" = None,
@@ -499,26 +247,14 @@ def best_subset(
     any user-defined space). Returns ``(indices, score)``.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if size < 1:
-        raise ValidationError("size must be >= 1")
-    if size > points.shape[0]:
-        raise ValidationError(
-            f"cannot pick {size} of {points.shape[0]} points")
     space = space or BehaviorSpace(dims=points.shape[1])
     if space.dims != points.shape[1]:
         raise ValidationError(
             f"points have {points.shape[1]} dims, space has {space.dims}")
-    engine = resolve_engine(engine)
-    strategy = _resolve_strategy(strategy, metric, engine)
-    if engine == "legacy":
-        searcher = _Evaluator(points, metric, space=space, samples=samples,
-                              n_samples=n_samples, seed=seed)
-    else:
-        searcher = _make_engine(points, metric, space, samples, n_samples,
-                                seed, block_bytes, precision, workers)
-    indices, score = _search_best(searcher, size, metric, beam_width,
-                                  refine, strategy)
-    return indices, score
+    strategy = _resolve_strategy(strategy, metric)
+    engine = _engine(points, metric, space, samples, n_samples, seed,
+                     block_bytes, precision, workers)
+    return _search_best(engine, size, beam_width, refine, strategy)
 
 
 def exhaustive_best(
@@ -534,30 +270,45 @@ def exhaustive_best(
 ) -> SearchResult:
     """Exact search by enumeration; refuses when C(n, size) exceeds
     ``limit``. Used by tests to validate the beam search and the
-    lazy-greedy (1 − 1/e) guarantee.
+    lazy-greedy (1 − 1/e) guarantee, so every combination is scored
+    from scratch off the full distance matrix, sharing no code with
+    :class:`~repro.ensemble.fast.FastEngine`.
 
     Tie-stable: combinations are enumerated in lexicographic order and
     a later combination only displaces the incumbent when it scores
     more than :data:`~repro.ensemble.fast.TIE_TOL` better, so equal
     scores keep the lexicographically smallest index tuple.
     """
-    ev, vectors, space = _make_evaluator(pool, metric, space, samples,
-                                         n_samples, seed)
-    total = math.comb(ev.n, size)
+    if metric not in VALID_METRICS:
+        raise ValidationError(f"metric must be one of {VALID_METRICS}")
+    space, vectors, mat = _pool_matrix(pool, space)
+    n = len(vectors)
+    total = math.comb(n, size)
     if total > limit:
         raise ValidationError(
-            f"C({ev.n}, {size}) = {total} exceeds the exhaustive limit {limit}"
+            f"C({n}, {size}) = {total} exceeds the exhaustive limit {limit}"
         )
+    if metric == "spread":
+        pairwise = cdist(mat, mat)
+
+        def score_of(combo):
+            if size < 2:
+                return 0.0
+            return float(pairwise[np.ix_(combo, combo)].sum()
+                         / (size * (size - 1)))
+    else:
+        if samples is None:
+            samples = space.sample(n_samples, seed=seed)
+        to_samples = cdist(mat, samples)
+
+        def score_of(combo):
+            return space.diameter - float(
+                to_samples[list(combo)].min(axis=0).mean())
+
     best_indices: tuple[int, ...] | None = None
     best_score = -np.inf
-    for combo in itertools.combinations(range(ev.n), size):
-        s = ev.score_indices(combo)
+    for combo in itertools.combinations(range(n), size):
+        s = score_of(combo)
         if s > best_score + TIE_TOL:
             best_score, best_indices = s, combo
-    members = tuple(vectors[i] for i in best_indices)
-    return SearchResult(
-        ensemble=Ensemble(members=members, name=f"exact-{metric}-{size}"),
-        score=float(best_score),
-        indices=best_indices,
-        metric=metric,
-    )
+    return _result(vectors, "exact", metric, best_score, best_indices)

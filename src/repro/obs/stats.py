@@ -329,23 +329,21 @@ def render_stats(run_dir: "str | Path", *,
     for entry in _entries(snapshot, "histograms", "ensemble_search_seconds"):
         labels = entry.get("labels", {})
         search_rows.append([
-            labels.get("metric", "?"), labels.get("engine", "?"),
-            labels.get("strategy", "?"), labels.get("size", "?"),
+            labels.get("metric", "?"), labels.get("strategy", "?"),
+            labels.get("size", "?"),
             int(entry.get("count", 0)),
             _fmt_s(float(entry.get("sum", 0.0))),
         ])
     if search_rows:
         search_rows.sort(key=lambda r: (
-            r[0], r[1], r[2], int(r[3]) if str(r[3]).isdigit() else 0))
+            r[0], r[1], int(r[2]) if str(r[2]).isdigit() else 0))
         sections.append(format_table(
-            ["metric", "engine", "strategy", "size", "searches",
-             "total s"],
+            ["metric", "strategy", "size", "searches", "total s"],
             search_rows, title="Ensemble search"))
     search_extras = []
-    states = _by_label(snapshot, "ensemble_search_states_total", "engine")
+    states = _total(snapshot, "ensemble_search_states_total")
     if states:
-        search_extras.append("ensemble states scored: " + ", ".join(
-            f"{eng}={int(n)}" for eng, n in sorted(states.items())))
+        search_extras.append(f"ensemble states scored: {int(states)}")
     cache = _by_label(snapshot, "ensemble_block_cache_total", "outcome")
     if cache:
         hits = cache.get("hit", 0.0)

@@ -295,3 +295,9 @@ class TestCorpusAndDesign:
         assert code == 0
         assert "best spread ensemble of size 4" in out
         assert "spread   =" in out
+
+    def test_ensemble_has_one_search_path(self, capsys):
+        # argparse rejects the retired selector before any corpus work.
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "ensemble", "--engine", "legacy")
+        assert exc.value.code == 2

@@ -1,7 +1,8 @@
 """Property tests for the fast ensemble-search engine.
 
 The fast engine's contract (DESIGN §15) is checked here from three
-angles: selection parity with the tie-stable legacy reference,
+angles: selection parity with the tie-stable oracle the search used
+to ship as its ``legacy`` engine (``tests/ensemble_oracle.py``),
 the (1 - 1/e) lazy-greedy guarantee against exhaustive optima, and
 the blocked-kernel plumbing (LRU byte bound, hit/miss accounting,
 worker- and precision-independence of results).
@@ -25,10 +26,11 @@ from repro.ensemble.fast import (
 )
 from repro.ensemble.metrics import coverage, spread
 from repro.ensemble.search import best_ensemble, exhaustive_best
+from tests.ensemble_oracle import Oracle
 
 SPACE = BehaviorSpace()
 #: One fixed sample cloud for every coverage comparison in this file —
-#: both engines must see identical samples for scores to agree.
+#: engine and oracle must see identical samples for scores to agree.
 SAMPLES = SPACE.sample(400, seed=0)
 
 #: Documented score tolerance for float32 tile storage (accumulation
@@ -51,47 +53,75 @@ def pools(coord, min_size=6, max_size=14):
                     min_size=min_size, max_size=max_size)
 
 
+#: Tile budgets for the parity suites: the default (one tile) and
+#: three that split these pools' pairwise columns, sample rows and the
+#: chunked spread extension into several tiles each.
+block_budgets = st.sampled_from([None, 160, 3200, 7000])
+
+
+def assert_matches_oracle(pool, size, metric, block_bytes=None, **search):
+    """Identical index tuple, score equal to 1e-9."""
+    fast = best_ensemble(pool, size, metric, samples=SAMPLES,
+                         block_bytes=block_bytes, **search)
+    oracle = Oracle(pool, metric, samples=SAMPLES).best(size, **search)
+    assert fast.indices == oracle.indices
+    assert fast.score == pytest.approx(oracle.score, abs=1e-9)
+
+
 class TestFastMatchesLegacy:
-    """Fast and legacy engines pick identical ensembles with scores
-    equal to 1e-9 — on generic pools and under maximal tie pressure."""
+    """The engine and the oracle (``tests/ensemble_oracle.py``, the
+    former ``legacy`` engine) pick identical ensembles with scores
+    equal to 1e-9 — on generic pools, under maximal tie pressure,
+    across tile boundaries and at the feasibility edge."""
 
     @pytest.mark.parametrize("metric", ["spread", "coverage"])
-    @given(coords=pools(unit), size=st.integers(2, 5))
+    @given(coords=pools(unit), size=st.integers(2, 5),
+           block_bytes=block_budgets)
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    def test_generic_pools(self, coords, size, metric):
+    def test_generic_pools(self, coords, size, block_bytes, metric):
         pool = make_pool(coords)
-        size = min(size, len(pool))
-        fast = best_ensemble(pool, size, metric, samples=SAMPLES,
-                             engine="fast")
-        legacy = best_ensemble(pool, size, metric, samples=SAMPLES,
-                               engine="legacy")
-        assert fast.indices == legacy.indices
-        assert fast.score == pytest.approx(legacy.score, abs=1e-9)
+        assert_matches_oracle(pool, min(size, len(pool)), metric,
+                              block_bytes=block_bytes)
 
     @pytest.mark.parametrize("metric", ["spread", "coverage"])
-    @given(coords=pools(grid), size=st.integers(2, 4))
+    @given(coords=pools(grid), size=st.integers(2, 4),
+           block_bytes=block_budgets)
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    def test_tie_heavy_pools(self, coords, size, metric):
+    def test_tie_heavy_pools(self, coords, size, block_bytes, metric):
         pool = make_pool(coords)
-        size = min(size, len(pool))
-        fast = best_ensemble(pool, size, metric, samples=SAMPLES,
-                             engine="fast")
-        legacy = best_ensemble(pool, size, metric, samples=SAMPLES,
-                               engine="legacy")
-        assert fast.indices == legacy.indices
-        assert fast.score == pytest.approx(legacy.score, abs=1e-9)
+        assert_matches_oracle(pool, min(size, len(pool)), metric,
+                              block_bytes=block_bytes)
+
+    @pytest.mark.parametrize("block_bytes", [3000, 3416, 20000])
+    @pytest.mark.parametrize("metric", ["spread", "coverage"])
+    def test_across_tiles_to_the_feasibility_edge(self, metric,
+                                                  block_bytes):
+        """Every beam level spans several multi-row tiles, and sizes
+        ``n − 1`` / ``n`` leave n / one feasible ensemble: a beam
+        narrower than n only gets there if each level keeps nothing
+        but states that can still reach the size."""
+        rng = np.random.default_rng(5)
+        pool = make_pool(rng.random((61, 4)))
+        mat = SPACE.to_matrix(pool)
+        assert PairwiseBlocks(mat, block_bytes=block_bytes).n_blocks > 1
+        assert SampleBlocks(mat, SAMPLES,
+                            block_bytes=block_bytes).n_blocks > 1
+        for size in (2, 3, 7, 60, 61):
+            for beam_width in (64, 9):
+                assert_matches_oracle(pool, size, metric,
+                                      block_bytes=block_bytes,
+                                      beam_width=beam_width)
 
     @given(coords=pools(unit, min_size=8, max_size=12))
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_score_matches_metric_recompute(self, coords):
         pool = make_pool(coords)
-        res = best_ensemble(pool, 4, "spread", engine="fast")
+        res = best_ensemble(pool, 4, "spread")
         assert res.score == pytest.approx(spread(res.ensemble), rel=1e-9)
-        cov = best_ensemble(pool, 4, "coverage", samples=SAMPLES,
-                            engine="fast")
+        cov = best_ensemble(pool, 4, "coverage", samples=SAMPLES)
         assert cov.score == pytest.approx(
             coverage(cov.ensemble, samples=SAMPLES), rel=1e-9)
 
@@ -109,7 +139,7 @@ class TestGreedyGuarantee:
         pool = make_pool(coords)
         size = min(size, len(pool))
         greedy = best_ensemble(pool, size, "coverage", samples=SAMPLES,
-                               engine="fast", strategy="greedy",
+                               strategy="greedy",
                                refine=False)
         exact = exhaustive_best(pool, size, "coverage", samples=SAMPLES)
         bound = (1.0 - 1.0 / np.e) * exact.score
@@ -119,10 +149,10 @@ class TestGreedyGuarantee:
         rng = np.random.default_rng(7)
         pool = make_pool(rng.random((20, 4)))
         raw = best_ensemble(pool, 5, "coverage", samples=SAMPLES,
-                            engine="fast", strategy="greedy",
+                            strategy="greedy",
                             refine=False)
         refined = best_ensemble(pool, 5, "coverage", samples=SAMPLES,
-                                engine="fast", strategy="greedy",
+                                strategy="greedy",
                                 refine=True)
         assert refined.score >= raw.score - 1e-12
 
@@ -130,9 +160,6 @@ class TestGreedyGuarantee:
         pool = make_pool(np.random.default_rng(0).random((8, 4)))
         with pytest.raises(ValidationError):
             best_ensemble(pool, 3, "spread", strategy="greedy")
-        with pytest.raises(ValidationError):
-            best_ensemble(pool, 3, "coverage", samples=SAMPLES,
-                          strategy="greedy", engine="legacy")
 
 
 class TestPrecision:
@@ -147,9 +174,9 @@ class TestPrecision:
     def test_float32_within_tolerance(self, coords, metric):
         pool = make_pool(coords)
         f64 = best_ensemble(pool, 4, metric, samples=SAMPLES,
-                            engine="fast", precision="float64")
+                            precision="float64")
         f32 = best_ensemble(pool, 4, metric, samples=SAMPLES,
-                            engine="fast", precision="float32")
+                            precision="float32")
         assert f32.score == pytest.approx(f64.score, rel=FLOAT32_REL_TOL)
         # The quoted score must match a float64 re-score of the chosen
         # members to the same tolerance — tiles never leak into it.
@@ -177,9 +204,9 @@ class TestWorkers:
         rng = np.random.default_rng(11)
         pool = make_pool(rng.random((24, 4)))
         serial = best_ensemble(pool, 6, metric, samples=SAMPLES,
-                               engine="fast", workers=1)
+                               workers=1)
         threaded = best_ensemble(pool, 6, metric, samples=SAMPLES,
-                                 engine="fast", workers=4)
+                                 workers=4)
         assert serial.indices == threaded.indices
         assert serial.score == threaded.score  # bitwise
 
@@ -238,8 +265,7 @@ class TestBlockedKernels:
 
         rng = np.random.default_rng(9)
         pool = make_pool(rng.random((40, 4)))
-        curve = best_ensemble_curve(pool, [2, 4, 6], "spread",
-                                    engine="fast")
+        curve = best_ensemble_curve(pool, [2, 4, 6], "spread")
         assert sorted(curve) == [2, 4, 6]
         assert curve[2].score >= curve[4].score >= curve[6].score
 

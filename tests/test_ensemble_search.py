@@ -15,15 +15,18 @@ from repro.ensemble.constrained import (
     limit_to_structures,
     truncate_trace,
 )
+from repro.ensemble.fast import FastEngine
 from repro.ensemble.frequency import algorithm_frequencies
 from repro.ensemble.metrics import coverage, spread
 from repro.ensemble.search import (
     best_ensemble,
     best_ensemble_curve,
+    best_subset,
     exhaustive_best,
     top_k_ensembles,
 )
 from repro.generators.rng import make_rng
+from tests.ensemble_oracle import Oracle
 
 
 def random_pool(n=24, seed=0, tag_algorithms=("a", "b", "c")):
@@ -88,31 +91,38 @@ class TestBestEnsemble:
         # the two farthest points are in).
         assert curve[2].score >= curve[4].score >= curve[6].score
 
-    @pytest.mark.parametrize("engine,cls_name", [
-        ("fast", "FastEngine"), ("legacy", "_Evaluator")])
-    def test_curve_builds_engine_once(self, monkeypatch, engine, cls_name):
-        from repro.ensemble import fast as fast_mod
-        from repro.ensemble import search as search_mod
-
-        mod = fast_mod if engine == "fast" else search_mod
+    @pytest.mark.parametrize("cls", [
+        pytest.param(FastEngine, id="fast-FastEngine")])
+    def test_curve_builds_engine_once(self, monkeypatch, cls):
         calls = []
-        original = getattr(mod, cls_name).__init__
+        original = cls.__init__
 
         def counting(self, *args, **kwargs):
             calls.append(1)
             return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(getattr(mod, cls_name), "__init__", counting)
+        monkeypatch.setattr(cls, "__init__", counting)
         pool = random_pool(15, seed=9)
-        curve = best_ensemble_curve(pool, [2, 3, 4, 5], "spread",
-                                    engine=engine)
+        curve = best_ensemble_curve(pool, [2, 3, 4, 5], "spread")
         assert len(calls) == 1, "curve must share one engine"
         # Sharing the engine changes nothing about the results.
         for size in (2, 5):
-            solo = best_ensemble(pool, size, "spread", engine=engine)
+            solo = best_ensemble(pool, size, "spread")
             assert curve[size].indices == solo.indices
             assert curve[size].score == pytest.approx(solo.score,
                                                       rel=1e-12)
+
+    def test_engine_keyword_is_gone(self):
+        """One search path: no public search function selects another."""
+        pool = random_pool(8)
+        mat = BehaviorSpace().to_matrix(pool)
+        for call in (lambda **kw: best_ensemble(pool, 3, **kw),
+                     lambda **kw: top_k_ensembles(pool, 3, k=2, **kw),
+                     lambda **kw: best_ensemble_curve(pool, [2, 3], **kw),
+                     lambda **kw: best_subset(mat, 3, **kw)):
+            call()
+            with pytest.raises(TypeError, match="engine"):
+                call(engine="fast")
 
 
 class TestTieStability:
@@ -130,24 +140,29 @@ class TestTieStability:
     @pytest.mark.parametrize("engine", ["fast", "legacy"])
     @pytest.mark.parametrize("metric", ["spread", "coverage"])
     def test_beam_prefers_smallest_tuple(self, engine, metric):
+        """Holds for the engine and (``legacy``) for the oracle it is
+        compared against."""
         pool = self.grid_pool()
         samples = BehaviorSpace().sample(500, seed=0)
-        res = best_ensemble(pool, 2, metric, samples=samples,
-                            refine=False, engine=engine)
-        peers = [r for r in top_k_ensembles(pool, 2, metric, k=30,
-                                            samples=samples, engine=engine)
-                 if abs(r.score - res.score) <= 1e-9]
+        if engine == "legacy":
+            oracle = Oracle(pool, metric, samples=samples)
+            res = oracle.best(2, refine=False)
+            top = oracle.top_k(2, k=30)
+        else:
+            res = best_ensemble(pool, 2, metric, samples=samples,
+                                refine=False)
+            top = top_k_ensembles(pool, 2, metric, k=30, samples=samples)
+        peers = [r for r in top if abs(r.score - res.score) <= 1e-9]
         assert res.indices == min(p.indices for p in peers)
 
     @pytest.mark.parametrize("metric", ["spread", "coverage"])
     def test_engines_agree_under_ties(self, metric):
         pool = self.grid_pool()
         samples = BehaviorSpace().sample(500, seed=0)
+        oracle = Oracle(pool, metric, samples=samples)
         for size in (2, 3, 4):
-            fast = best_ensemble(pool, size, metric, samples=samples,
-                                 engine="fast")
-            legacy = best_ensemble(pool, size, metric, samples=samples,
-                                   engine="legacy")
+            fast = best_ensemble(pool, size, metric, samples=samples)
+            legacy = oracle.best(size)
             assert fast.indices == legacy.indices
             assert fast.score == pytest.approx(legacy.score, abs=1e-9)
 

@@ -510,6 +510,10 @@ class TestStatsRendering:
         tel.gauge_max("peak_rss_bytes", float(64 << 20))
         tel.observe("engine_iteration_seconds", 0.1,
                     engine="synchronous", algorithm="cc")
+        tel.observe("ensemble_search_seconds", 0.2, metric="spread",
+                    size=4, strategy="beam")
+        tel.inc("ensemble_search_states_total", 70.0, metric="spread")
+        tel.inc("ensemble_search_states_total", 5.0, metric="coverage")
         write_telemetry_json(tmp_path, tel.snapshot(), run="deadbeef",
                              level="full")
         out = render_stats(tmp_path)
@@ -518,6 +522,10 @@ class TestStatsRendering:
         assert "Graph resolution" in out and "90.0%" in out
         assert "peak RSS: 64.0 MiB" in out
         assert "Iteration latency (sampled)" in out
+        table = out[out.index("Ensemble search"):].splitlines()
+        assert [c.strip() for c in table[1].split("|")] == [
+            "metric", "strategy", "size", "searches", "total s"]
+        assert "ensemble states scored: 75" in out
 
     def test_format_event_generic_and_progress(self):
         from repro.obs.stats import format_event
