@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro._util.errors import ValidationError
+from repro._util.faulthooks import hook_value
 from repro._util.timing import Deadline, wall_clock_limit
 from repro.algorithms.registry import create, info
 from repro.behavior.trace import RunTrace
@@ -96,21 +97,9 @@ def _maybe_inject_fault(run_key: str) -> None:
     target = os.environ.get(INJECT_CRASH_ENV)
     if target and target in run_key:
         raise RuntimeError(f"injected crash for {run_key}")
-    sleep_spec = os.environ.get(INJECT_SLEEP_ENV)
-    if sleep_spec and ":" in sleep_spec:
-        substring, _, seconds = sleep_spec.rpartition(":")
-        if substring and substring in run_key:
-            time.sleep(float(seconds))
-
-
-def _engine_fault_for(run_key: str) -> "str | None":
-    """Return the ``kind@iteration`` fault plan targeted at this run."""
-    spec = os.environ.get(INJECT_ENGINE_FAULT_ENV)
-    if spec and ":" in spec:
-        substring, _, plan = spec.rpartition(":")
-        if substring and substring in run_key:
-            return plan
-    return None
+    seconds = hook_value(INJECT_SLEEP_ENV, run_key)
+    if seconds is not None:
+        time.sleep(float(seconds))
 
 
 def run_computation(
@@ -196,7 +185,8 @@ def run_computation(
                 f"algorithm {algorithm!r} consumes domain {record.domain!r} "
                 f"inputs but got {problem.domain!r}"
             )
-        fault = _engine_fault_for(run_key)
+        # The ``kind@iteration`` fault plan aimed at this run, if any.
+        fault = hook_value(INJECT_ENGINE_FAULT_ENV, run_key)
         if fault is not None and "inject_fault" not in merged_options:
             merged_options["inject_fault"] = fault
         if (fallback is not None

@@ -11,11 +11,10 @@ single-machine analog for all four engines:
 - :class:`CheckpointPolicy` — *when* to snapshot (every N iterations
   and/or every T seconds).
 - :class:`SnapshotStore` — *where* snapshots live, crash-consistently:
-  each write is staged to a writer-unique temp file and published with
-  ``os.replace``; the previous generation is kept as a fallback; a
-  blake2b checksum over the payload is verified on load, and corrupt
-  snapshots are quarantined (mirroring the
-  :class:`~repro.experiments.results.ResultStore` discipline).
+  each write is staged and published by :mod:`repro._util.durable`;
+  the previous generation is kept as a fallback; a blake2b checksum
+  over the payload is verified on load, and corrupt snapshots are
+  quarantined.
 - :class:`CheckpointConfig` — one run's checkpointing contract (store +
   policy + key), carried inside the engine options.
 - :class:`CheckpointSession` — the engine-side driver: decides when a
@@ -55,14 +54,15 @@ import os
 import pickle
 import signal
 import time
-import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro._util import durable
 from repro._util.errors import ValidationError
+from repro._util.faulthooks import claim_token, hook_value
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.behavior.trace import RunTrace
@@ -81,8 +81,6 @@ CHAOS_KILL_ENV = "REPRO_CHAOS_KILL"
 _MAGIC = b"REPROSNAP1\n"
 #: blake2b digest size (bytes) of the payload checksum.
 _DIGEST_SIZE = 16
-#: Hex digits of the raw-key hash appended to snapshot filenames.
-_KEY_DIGEST_LEN = 10
 #: Subdirectory (under the store root) receiving corrupt snapshots.
 QUARANTINE_DIRNAME = "quarantine"
 #: Default quarantine retention (see ResultStore.gc_quarantine): every
@@ -204,26 +202,21 @@ class SnapshotStore:
     def __init__(self, root: "str | Path | None" = None) -> None:
         self.root = (Path(root) if root is not None
                      else default_checkpoint_dir())
+        self._quarantine = durable.QuarantineDir(
+            self.root / QUARANTINE_DIRNAME, "*.snap*")
 
     # ------------------------------------------------------------------
     # Layout
     # ------------------------------------------------------------------
     @property
     def quarantine_dir(self) -> Path:
-        return self.root / QUARANTINE_DIRNAME
-
-    def _stem(self, key: str) -> str:
-        safe = "".join(c if c.isalnum() or c in "-_.=" else "_" for c in key)
-        if not safe:
-            raise ValidationError("empty snapshot key")
-        digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
-        return f"{safe}-{digest[:_KEY_DIGEST_LEN]}"
+        return self._quarantine.root
 
     def _latest_path(self, key: str) -> Path:
-        return self.root / f"{self._stem(key)}.snap"
+        return self.root / f"{durable.entry_name(key)}.snap"
 
     def _prev_path(self, key: str) -> Path:
-        return self.root / f"{self._stem(key)}.prev.snap"
+        return self.root / f"{durable.entry_name(key)}.prev.snap"
 
     # ------------------------------------------------------------------
     # Save / load
@@ -263,7 +256,6 @@ class SnapshotStore:
         sequence is idempotent, so re-running it after a partial
         failure still leaves at least one complete generation.
         """
-        from repro.experiments.failures import retry_transient_disk
         from repro.obs.telemetry import get_telemetry
 
         started = time.perf_counter()
@@ -271,19 +263,14 @@ class SnapshotStore:
         blob = self._encode(snapshot)
 
         def publish() -> None:
-            latest.parent.mkdir(parents=True, exist_ok=True)
-            tmp = latest.with_name(
-                f"{latest.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp")
-            try:
+            # The new generation is whole on disk before the old one
+            # is demoted, so a kill at any point leaves one to resume.
+            with durable.staged(latest) as tmp:
                 tmp.write_bytes(blob)
                 try:
                     os.replace(latest, self._prev_path(key))
                 except FileNotFoundError:
                     pass  # no latest yet, or a concurrent saver demoted it
-                os.replace(tmp, latest)
-            finally:
-                if tmp.exists():
-                    tmp.unlink(missing_ok=True)
 
         def count_retry(exc: OSError, attempt: int,
                         delay_s: float) -> None:
@@ -294,8 +281,8 @@ class SnapshotStore:
                          errno=exc.errno, attempt=attempt,
                          backoff_s=delay_s)
 
-        retry_transient_disk(publish, key=f"snap:{key}",
-                             on_retry=count_retry)
+        durable.retry_transient_disk(publish, key=f"snap:{key}",
+                                     on_retry=count_retry)
         tel = get_telemetry()
         if tel.enabled:
             elapsed = time.perf_counter() - started
@@ -309,15 +296,12 @@ class SnapshotStore:
         return latest
 
     def quarantine(self, path: Path) -> "Path | None":
-        """Move a corrupt snapshot aside; None if it vanished first."""
+        """Move a corrupt snapshot aside; None if it vanished first.
+        A move that fails otherwise raises its :class:`OSError`."""
         from repro.obs.telemetry import get_telemetry
 
-        dest = self.quarantine_dir / (
-            f"{path.stem}.{os.getpid()}.{uuid.uuid4().hex[:8]}{path.suffix}")
-        try:
-            self.quarantine_dir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, dest)
-        except FileNotFoundError:
+        dest = self._quarantine.move(path)
+        if dest is None:
             return None
         tel = get_telemetry()
         if tel.enabled:
@@ -331,23 +315,7 @@ class SnapshotStore:
     def gc_quarantine(self, keep: int = QUARANTINE_MAX_ENTRIES) -> int:
         """Oldest-first sweep keeping the ``keep`` newest quarantined
         snapshots; returns how many were removed."""
-        if keep < 0 or not self.quarantine_dir.exists():
-            return 0
-        entries = []
-        for path in self.quarantine_dir.glob("*.snap*"):
-            try:
-                entries.append((path.stat().st_mtime, path.name, path))
-            except FileNotFoundError:
-                continue
-        entries.sort()
-        removed = 0
-        for _mtime, _name, path in entries[:max(0, len(entries) - keep)]:
-            try:
-                path.unlink()
-                removed += 1
-            except FileNotFoundError:
-                continue
-        return removed
+        return self._quarantine.sweep(keep)
 
     def _load_one(self, path: Path) -> "Snapshot | None":
         """Read one generation; quarantine and report None if corrupt."""
@@ -405,9 +373,7 @@ class SnapshotStore:
         return removed
 
     def n_quarantined(self) -> int:
-        if not self.quarantine_dir.exists():
-            return 0
-        return sum(1 for _ in self.quarantine_dir.glob("*.snap*"))
+        return self._quarantine.count()
 
 
 # ----------------------------------------------------------------------
@@ -562,42 +528,16 @@ class CheckpointSession:
 # ----------------------------------------------------------------------
 def maybe_kill(run_key: str, iteration: int) -> None:
     """Honor the kill-injection env hooks after a snapshot publish."""
-    spec = os.environ.get(INJECT_KILL_ENV)
-    if spec and ":" in spec:
-        substring, _, at = spec.rpartition(":")
-        if substring and substring in run_key and iteration == int(at):
-            raise SimulatedKillError(
-                f"injected kill for {run_key} after the iteration-"
-                f"{iteration} snapshot")
+    at = hook_value(INJECT_KILL_ENV, run_key)
+    if at is not None and iteration == int(at):
+        raise SimulatedKillError(
+            f"injected kill for {run_key} after the iteration-"
+            f"{iteration} snapshot")
     chaos = os.environ.get(CHAOS_KILL_ENV)
     if chaos and ":" in chaos:
         token_dir, _, prob = chaos.rpartition(":")
         if token_dir and np.random.default_rng(
                 os.getpid() * 1_000_003 + iteration).random() < float(prob):
-            if _consume_kill_token(Path(token_dir)):
+            if claim_token(Path(token_dir)):
                 os.kill(os.getpid(), signal.SIGKILL)  # pragma: no cover
 
-
-def _consume_kill_token(token_dir: Path) -> bool:
-    """Atomically claim one kill token; False once the budget is spent.
-
-    Tokens are plain files; ``os.unlink`` is atomic, so concurrent
-    workers can never double-spend one — the chaos harness therefore
-    performs a bounded number of kills and always terminates.
-    """
-    try:
-        tokens = sorted(token_dir.iterdir())
-    except FileNotFoundError:
-        return False
-    for token in tokens:
-        try:
-            token.unlink()
-        except FileNotFoundError:
-            continue
-        return True
-    return False
-
-
-#: Public alias: the same atomic token-claim primitive bounds the
-#: scheduler's stall-injection hook (repro.experiments.worksite).
-claim_token = _consume_kill_token

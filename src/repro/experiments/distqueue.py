@@ -58,11 +58,11 @@ import json
 import os
 import socket
 import time
-import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
+from repro._util.durable import publish, read_json_object, sanitize
 from repro._util.errors import ValidationError
 from repro.experiments.config import (
     BuildOptions,
@@ -88,35 +88,11 @@ WORK_DIRNAME = "work"
 _TASK_DIGEST_LEN = 12
 
 
-def _sanitize(text: str) -> str:
-    """Filesystem-safe token: alnum plus ``-_.=`` (no ``@``, which the
-    claim filename uses as its field separator)."""
-    return "".join(c if c.isalnum() or c in "-_.=" else "_" for c in text)
-
-
 def _write_json_atomic(path: Path, payload: dict) -> None:
     # Deliberately no mkdir: once the coordinator sweeps the queue,
     # late writes (a waking zombie's beat or marker) must fail instead
     # of resurrecting the directory tree as orphan litter.
-    tmp = path.with_name(
-        f"{path.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp")
-    try:
-        tmp.write_text(json.dumps(payload, sort_keys=True),
-                       encoding="utf-8")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def _read_json(path: Path) -> "dict | None":
-    """Parse one JSON file; None when absent, torn, or not an object
-    (a torn file means a writer died mid-stage — the atomic-replace
-    discipline keeps the published generation whole)."""
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError, UnicodeDecodeError):
-        return None
-    return data if isinstance(data, dict) else None
+    publish(path, json.dumps(payload, sort_keys=True), mkdir=False)
 
 
 # ----------------------------------------------------------------------
@@ -141,7 +117,7 @@ class TaskRecord:
         digest = hashlib.blake2b(
             json.dumps(self._payload(), sort_keys=True).encode("utf-8"),
             digest_size=8).hexdigest()[:_TASK_DIGEST_LEN]
-        return f"{_sanitize(self.cell_key)}-{digest}"
+        return f"{sanitize(self.cell_key)}-{digest}"
 
     @property
     def planned(self) -> PlannedRun:
@@ -327,7 +303,7 @@ class DistributedQueue:
         """Per-node scratch (crew worksite) *inside* the queue root, so
         a SIGKILLed node's heartbeat litter is removed by the final
         sweep instead of leaking into the system tmpdir."""
-        return self.work_dir / _sanitize(node)
+        return self.work_dir / sanitize(node)
 
     # -- manifest ------------------------------------------------------
     def write_manifest(self, manifest: dict) -> None:
@@ -335,7 +311,7 @@ class DistributedQueue:
                            {"version": QUEUE_VERSION, **manifest})
 
     def read_manifest(self) -> "dict | None":
-        data = _read_json(self.root / MANIFEST_FILENAME)
+        data = read_json_object(self.root / MANIFEST_FILENAME)
         if data is None or int(data.get("version", 0)) != QUEUE_VERSION:
             return None
         return data
@@ -364,7 +340,7 @@ class DistributedQueue:
         return sorted(names)
 
     def read_task(self, task_id: str) -> "TaskRecord | None":
-        data = _read_json(self._task_path(task_id))
+        data = read_json_object(self._task_path(task_id))
         if data is None:
             return None
         try:
@@ -374,7 +350,9 @@ class DistributedQueue:
 
     # -- claims --------------------------------------------------------
     def _claim_path(self, task_id: str, node: str, epoch: int) -> Path:
-        return self.claims_dir / f"{task_id}@{_sanitize(node)}@{int(epoch)}.json"
+        # ``@`` separates the fields; sanitized names never contain it.
+        return (self.claims_dir
+                / f"{task_id}@{sanitize(node)}@{int(epoch)}.json")
 
     def take(self, task_id: str, node: str, epoch: int) -> "Claim | None":
         """Atomically take ownership of a pending task.
@@ -388,7 +366,7 @@ class DistributedQueue:
             os.replace(self._task_path(task_id), dest)
         except FileNotFoundError:
             return None
-        data = _read_json(dest)
+        data = read_json_object(dest)
         if data is None:
             return None
         try:
@@ -436,10 +414,10 @@ class DistributedQueue:
 
     # -- fences --------------------------------------------------------
     def _fence_path(self, node: str) -> Path:
-        return self.fences_dir / f"{_sanitize(node)}.json"
+        return self.fences_dir / f"{sanitize(node)}.json"
 
     def fence_epoch(self, node: str) -> int:
-        data = _read_json(self._fence_path(node))
+        data = read_json_object(self._fence_path(node))
         if data is None:
             return 0
         try:
@@ -485,14 +463,14 @@ class DistributedQueue:
         return self._done_path(task_id).exists()
 
     def read_done(self, task_id: str) -> "dict | None":
-        return _read_json(self._done_path(task_id))
+        return read_json_object(self._done_path(task_id))
 
     def drop_done(self, task_id: str) -> None:
         self._done_path(task_id).unlink(missing_ok=True)
 
     # -- node registry -------------------------------------------------
     def write_beat(self, node: str, payload: dict) -> None:
-        _write_json_atomic(self.nodes_dir / f"{_sanitize(node)}.json",
+        _write_json_atomic(self.nodes_dir / f"{sanitize(node)}.json",
                            {"node": node, "pid": os.getpid(),
                             "host": socket.gethostname(),
                             "ts": time.time(), **payload})
@@ -504,7 +482,7 @@ class DistributedQueue:
         except OSError:
             return beats
         for path in paths:
-            data = _read_json(path)
+            data = read_json_object(path)
             if data is None:
                 continue
             try:
@@ -523,7 +501,7 @@ class DistributedQueue:
         return beats
 
     def drop_beat(self, node: str) -> None:
-        (self.nodes_dir / f"{_sanitize(node)}.json").unlink(missing_ok=True)
+        (self.nodes_dir / f"{sanitize(node)}.json").unlink(missing_ok=True)
 
     # -- completion + sweep --------------------------------------------
     def mark_complete(self) -> None:

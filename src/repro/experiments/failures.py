@@ -56,20 +56,20 @@ corpora. Every failed cell is therefore recorded as a
     publishing to the result or snapshot store — the classic NFS /
     full-scratch-volume hiccup of multi-node builds on a shared
     filesystem. Retryable with bounded jittered retries at the publish
-    site (:func:`retry_transient_disk`); the errno name is preserved in
-    the message so operators can tell a flaky mount from a full disk.
+    site (:func:`repro._util.durable.retry_transient_disk`); the errno
+    name is preserved in the message so operators can tell a flaky
+    mount from a full disk.
 """
 
 from __future__ import annotations
 
 import errno as _errno
-import hashlib
-import random
-import time
 import traceback as _traceback
 from dataclasses import dataclass
-from typing import Any, Callable
 
+# Re-exported: the cell, lease and claim retry sites import it from here.
+from repro._util.backoff import full_jitter_backoff as full_jitter_backoff
+from repro._util.durable import TRANSIENT_DISK_ERRNOS
 from repro._util.errors import (
     CacheCorruptError,
     ConvergenceError,
@@ -86,13 +86,6 @@ FAILURE_KINDS: tuple[str, ...] = (
     "cache-corrupt", "lease-expired", "quarantined-poison", "disk-io",
 )
 
-#: OSError errnos treated as transient disk faults. EIO and ESTALE are
-#: the flaky-mount signatures; ENOSPC is retryable because quarantine
-#: sweeps and log rotation free space concurrently with a build.
-TRANSIENT_DISK_ERRNOS: frozenset = frozenset({
-    _errno.EIO, _errno.ENOSPC, _errno.ESTALE,
-})
-
 #: Kinds worth retrying (possibly transient). ``memory`` is excluded:
 #: the budget check is deterministic, so re-running cannot succeed.
 #: ``numeric`` and ``nonconvergence`` are excluded for the same reason —
@@ -105,31 +98,6 @@ RETRYABLE_KINDS: frozenset = frozenset({"timeout", "crash", "cache-corrupt",
 #: Kinds that are part of the reproduced experiment rather than harness
 #: faults; builds containing only these still exit 0.
 EXPECTED_KINDS: frozenset = frozenset({"memory"})
-
-
-def full_jitter_backoff(base_s: float, attempt: int, *,
-                        key: str = "", cap_s: float = 30.0) -> float:
-    """Full-jitter exponential backoff delay for retry ``attempt``.
-
-    Deterministic retry backoff makes simultaneously failing workers
-    retry in lockstep — after a shared-resource hiccup every affected
-    cell hammers the resource again at the same instant. Full jitter
-    (``U(0, min(cap, base * 2^(attempt-1)))``) decorrelates them while
-    keeping the expected delay on the exponential envelope.
-
-    The draw is seeded from ``(key, attempt)`` rather than global RNG
-    state, so one cell's retry schedule is reproducible run-to-run
-    (the corpus stays deterministic) while *different* cells — distinct
-    cache keys — land at uncorrelated offsets. ``attempt`` counts from
-    1 (the first retry waits at most ``base_s``).
-    """
-    if base_s <= 0 or attempt < 1:
-        return 0.0
-    ceiling = min(cap_s, base_s * (2.0 ** (attempt - 1)))
-    seed = int.from_bytes(
-        hashlib.blake2b(f"{key}:{attempt}".encode("utf-8"),
-                        digest_size=8).digest(), "big")
-    return random.Random(seed).uniform(0.0, ceiling)
 
 
 def classify_exception(exc: BaseException) -> str:
@@ -148,40 +116,6 @@ def classify_exception(exc: BaseException) -> str:
             and exc.errno in TRANSIENT_DISK_ERRNOS):
         return "disk-io"
     return "crash"
-
-
-def retry_transient_disk(fn: "Callable[[], Any]", *, key: str,
-                         retries: int = 3, base_s: float = 0.02,
-                         cap_s: float = 0.5,
-                         sleep: "Callable[[float], None]" = time.sleep,
-                         on_retry: "Callable | None" = None) -> Any:
-    """Run ``fn`` with bounded jittered retries on transient disk I/O.
-
-    Only :class:`OSError` with an errno in :data:`TRANSIENT_DISK_ERRNOS`
-    is retried; anything else propagates immediately. After the retry
-    budget is spent the last error propagates and the caller's normal
-    failure path classifies it as ``disk-io`` (retryable at the cell
-    level), with the errno preserved in the message. ``on_retry`` is
-    called as ``on_retry(exc, attempt, delay_s)`` before each sleep so
-    publish sites can count/emit without this module importing
-    telemetry.
-    """
-    attempt = 0
-    while True:
-        try:
-            return fn()
-        except OSError as exc:
-            if exc.errno not in TRANSIENT_DISK_ERRNOS:
-                raise
-            attempt += 1
-            if attempt > retries:
-                raise
-            delay = full_jitter_backoff(base_s, attempt,
-                                        key=f"disk:{key}", cap_s=cap_s)
-            if on_retry is not None:
-                on_retry(exc, attempt, delay)
-            if delay > 0:
-                sleep(delay)
 
 
 @dataclass(frozen=True)

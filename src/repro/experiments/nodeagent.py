@@ -50,6 +50,7 @@ import sys
 import time
 import uuid
 
+from repro._util.faulthooks import hook_value
 from repro.experiments.config import BuildOptions, Profile
 from repro.experiments.distqueue import (
     Claim,
@@ -81,14 +82,15 @@ _fired: "set[str]" = set()
 def _injection(env: str, task_id: str) -> "float | None":
     """The amount of the ``"<substring|*>:<amount>"`` hook in *env* if
     it matches *task_id* and has not fired yet, marking it fired."""
-    spec = os.environ.get(env, "")
-    pattern, _, amount = spec.rpartition(":")
-    try:
-        amount = float(amount)
-    except ValueError:
+    if env in _fired:
         return None
-    if (env in _fired or ":" not in spec or amount <= 0
-            or (pattern != "*" and pattern not in task_id)):
+    # Only the pattern ``*`` is a substring of the key ``*``.
+    value = hook_value(env, "*") or hook_value(env, task_id)
+    try:
+        amount = float(value)
+    except (TypeError, ValueError):  # no match (None) or not a number
+        return None
+    if amount <= 0:
         return None
     _fired.add(env)
     return amount

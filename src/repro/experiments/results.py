@@ -12,13 +12,10 @@ failures are not retried.
 The corpus builder runs many worker processes against one store, so the
 layout is designed for concurrent writers:
 
-- **Atomic, collision-free writes** — each writer stages into its own
-  temp file (``<entry>.<pid>.<uuid>.tmp``) and publishes with
-  ``os.replace``; two processes writing the same key can never tear
-  each other's bytes, last-writer-wins.
-- **Collision-proof filenames** — the human-readable sanitized key is
-  suffixed with a short hash of the *raw* key, so distinct keys that
-  sanitize identically (``a@b`` vs ``a#b``) get distinct files.
+- **Atomic, collision-free writes and collision-proof filenames** —
+  entries are published and named by :mod:`repro._util.durable`; two
+  processes writing the same key never tear each other's bytes,
+  last-writer-wins.
 - **Quarantine, not silence** — an unreadable entry (truncated JSON, a
   schema mismatch) is moved into ``<root>/quarantine/`` and the load
   reports a miss, so the runner re-executes the cell instead of
@@ -28,16 +25,15 @@ layout is designed for concurrent writers:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import uuid
 from collections.abc import Iterator
 from pathlib import Path
 
+from repro._util import durable
 from repro._util.errors import CacheCorruptError, ValidationError
 from repro.behavior.trace import RunTrace
-from repro.experiments.failures import RunFailure, retry_transient_disk
+from repro.experiments.failures import RunFailure
 
 #: Environment variable overriding the cache directory.
 CACHE_ENV = "REPRO_CACHE_DIR"
@@ -48,8 +44,6 @@ QUARANTINE_DIRNAME = "quarantine"
 #: call sweeps the oldest entries beyond this bound, so resumed builds
 #: cannot grow the directory without limit.
 QUARANTINE_MAX_ENTRIES = 256
-#: Hex digits of the raw-key hash appended to every entry filename.
-_KEY_DIGEST_LEN = 10
 
 
 def default_cache_dir() -> Path:
@@ -71,52 +65,27 @@ class ResultStore:
 
     def __init__(self, root: "str | Path | None" = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
+        self._quarantine = durable.QuarantineDir(
+            self.root / QUARANTINE_DIRNAME, "*.json*")
 
     # ------------------------------------------------------------------
     # Layout
     # ------------------------------------------------------------------
     @property
     def quarantine_dir(self) -> Path:
-        return self.root / QUARANTINE_DIRNAME
+        return self._quarantine.root
 
     def _path(self, key: str) -> Path:
-        """Entry path: sanitized key stem + short hash of the raw key.
-
-        The hash suffix makes distinct raw keys that sanitize to the
-        same stem (``@`` and ``#`` both become ``_``) land in distinct
-        files instead of silently loading each other's traces.
-        """
-        safe = "".join(c if c.isalnum() or c in "-_.=" else "_" for c in key)
-        if not safe:
-            raise ValidationError("empty cache key")
-        digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
-        return self.root / f"{safe}-{digest[:_KEY_DIGEST_LEN]}.json"
+        return self.root / f"{durable.entry_name(key)}.json"
 
     def _write_atomic(self, path: Path, text: str) -> None:
-        """Stage into a writer-unique temp file, publish via rename.
-
-        The temp name embeds pid + uuid so concurrent writers of the
-        same key never share a staging file (the old shared
-        ``path.with_suffix(".tmp")`` let two processes tear each
-        other's half-written bytes); ``os.replace`` keeps the publish
-        atomic on POSIX and Windows. Transient disk faults (EIO,
-        ENOSPC, ESTALE — shared-filesystem hiccups under multi-node
-        builds) get bounded jittered retries before the error escapes
-        to be recorded as a ``disk-io`` cell failure.
-        """
-        def publish() -> None:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name(
-                f"{path.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp")
-            try:
-                tmp.write_text(text, encoding="utf-8")
-                os.replace(tmp, path)
-            finally:
-                if tmp.exists():  # publish failed; don't leave litter
-                    tmp.unlink(missing_ok=True)
-
-        retry_transient_disk(publish, key=path.name,
-                             on_retry=self._count_disk_retry)
+        """Publish one entry. Transient disk faults (EIO, ENOSPC,
+        ESTALE — shared-filesystem hiccups under multi-node builds)
+        get bounded jittered retries before the error escapes to be
+        recorded as a ``disk-io`` cell failure."""
+        durable.retry_transient_disk(
+            lambda: durable.publish(path, text), key=path.name,
+            on_retry=self._count_disk_retry)
 
     @staticmethod
     def _count_disk_retry(exc: OSError, attempt: int,
@@ -138,50 +107,23 @@ class ResultStore:
         a permanently poisoned entry cannot cause an infinite
         load-fail-reexecute loop.
         """
-        qdir = self.quarantine_dir
-        dest = qdir / (f"{path.stem}.{os.getpid()}."
-                       f"{uuid.uuid4().hex[:8]}{path.suffix}")
         try:
-            qdir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, dest)
-        except FileNotFoundError:
-            return None
+            dest = self._quarantine.move(path)
         except OSError as exc:
             raise CacheCorruptError(
                 f"corrupt cache entry {path} could not be quarantined: {exc}"
             ) from exc
-        # Bounded retention: quarantining is rare, so sweeping inline
-        # here (one directory scan) keeps the directory capped without
-        # a separate maintenance daemon.
-        self.gc_quarantine(QUARANTINE_MAX_ENTRIES)
+        if dest is not None:
+            # Bounded retention: quarantining is rare, so sweeping
+            # inline here (one directory scan) keeps the directory
+            # capped without a separate maintenance daemon.
+            self.gc_quarantine(QUARANTINE_MAX_ENTRIES)
         return dest
 
     def gc_quarantine(self, keep: int = QUARANTINE_MAX_ENTRIES) -> int:
-        """Oldest-first sweep of the quarantine directory.
-
-        Keeps the ``keep`` newest quarantined entries (by mtime, name
-        as tiebreaker) and unlinks the rest; returns how many were
-        removed. Quarantined files exist for post-mortem inspection,
-        not correctness — the store already treated them as misses — so
-        dropping the oldest loses nothing a resumed build needs.
-        """
-        if keep < 0 or not self.quarantine_dir.exists():
-            return 0
-        entries = []
-        for path in self.quarantine_dir.glob("*.json*"):
-            try:
-                entries.append((path.stat().st_mtime, path.name, path))
-            except FileNotFoundError:
-                continue  # another process swept it first
-        entries.sort()
-        removed = 0
-        for _mtime, _name, path in entries[:max(0, len(entries) - keep)]:
-            try:
-                path.unlink()
-                removed += 1
-            except FileNotFoundError:
-                continue
-        return removed
+        """Oldest-first sweep keeping the ``keep`` newest quarantined
+        entries; returns how many were removed."""
+        return self._quarantine.sweep(keep)
 
     # ------------------------------------------------------------------
     # Traces
@@ -243,11 +185,8 @@ class ResultStore:
         if not self.root.exists():
             return
         for path in sorted(self.root.glob("*.json")):
-            try:
-                data = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-                continue
-            if not isinstance(data, dict) or data.get(_FAILED_MARKER):
+            data = durable.read_json_object(path)
+            if data is None or data.get(_FAILED_MARKER):
                 continue
             try:
                 yield RunTrace.from_dict(data)
@@ -258,21 +197,17 @@ class ResultStore:
     # Maintenance
     # ------------------------------------------------------------------
     def _read_entry(self, key: str) -> "dict | None":
-        """Read and parse one entry; quarantine it if unreadable."""
+        """Read and parse one entry: absent is a miss, present but
+        unreadable is quarantined. Decided from the one read — a second
+        look could see an entry a writer published in between."""
         path = self._path(key)
-        if not path.exists():
-            return None
         try:
-            data = json.loads(path.read_text(encoding="utf-8"))
+            return durable.load_json_object(path)
         except FileNotFoundError:
             return None
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
+        except (OSError, ValueError):
             self.quarantine(path)
             return None
-        if not isinstance(data, dict):
-            self.quarantine(path)
-            return None
-        return data
 
     def discard(self, key: str) -> bool:
         """Remove one entry (used by ``--resume`` to force a failed
@@ -289,9 +224,7 @@ class ResultStore:
 
     def n_quarantined(self) -> int:
         """Number of corrupt entries sitting in quarantine."""
-        if not self.quarantine_dir.exists():
-            return 0
-        return sum(1 for _ in self.quarantine_dir.glob("*.json*"))
+        return self._quarantine.count()
 
     def clear(self) -> int:
         """Delete every cached entry (quarantine included); returns the
@@ -302,7 +235,5 @@ class ResultStore:
         for path in self.root.glob("*.json"):
             path.unlink()
             removed += 1
-        if self.quarantine_dir.exists():
-            for path in self.quarantine_dir.glob("*.json*"):
-                path.unlink()
+        self._quarantine.sweep(0)
         return removed

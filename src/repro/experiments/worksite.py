@@ -11,7 +11,7 @@ process-management substrate this module owns:
   does not poison the pool: the supervisor detects the death, replaces
   the worker, and re-dispatches its task.
 - **Heartbeats** — each worker runs a daemon thread writing a one-line
-  JSON beat file (``hb-<worker>.json``, atomic tmp + ``os.replace``)
+  JSON beat file (``hb-<worker>.json``, atomically replaced)
   every ``heartbeat_every`` seconds, tagged with the task and lease
   epoch it is executing. The supervisor reads the beats to renew
   leases, so a *busy* worker on a legitimately slow cell never expires
@@ -34,11 +34,12 @@ import os
 import signal
 import threading
 import time
-import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
+from repro._util.durable import publish, read_json_object
+from repro._util.faulthooks import claim_token, hook_value
 from repro.experiments.config import BuildOptions
 
 #: Stall injection: ``"<substring>:<seconds>"`` — a worker dispatched a
@@ -86,14 +87,16 @@ class Worksite:
         writer will replace them within one beat interval)."""
         beats: dict[int, Heartbeat] = {}
         for path in self.root.glob(f"{_HEARTBEAT_PREFIX}*.json"):
+            data = read_json_object(path)
+            if data is None:
+                continue
             try:
-                data = json.loads(path.read_text(encoding="utf-8"))
                 beat = Heartbeat(
                     worker=int(data["worker"]), pid=int(data["pid"]),
                     ts=float(data["ts"]),
                     task_id=data.get("task_id"),
                     epoch=int(data.get("epoch", 0)))
-            except (OSError, ValueError, KeyError, TypeError):
+            except (ValueError, KeyError, TypeError):
                 continue
             beats[beat.worker] = beat
         return beats
@@ -174,13 +177,9 @@ class HeartbeatWriter:
             payload = {"worker": self.worker, "pid": os.getpid(),
                        "ts": time.time(), "task_id": self._task_id,
                        "epoch": self._epoch}
-        tmp = self.path.with_name(
-            f"{self.path.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp")
-        try:
-            tmp.write_text(json.dumps(payload), encoding="utf-8")
-            os.replace(tmp, self.path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        # No mkdir: a beat into a worksite the build already removed
+        # must fail (and be dropped by ``beat``), not recreate it.
+        publish(self.path, json.dumps(payload), mkdir=False)
 
     def stop(self) -> None:
         self._stop.set()
@@ -226,18 +225,12 @@ class ResultEnvelope:
 # ----------------------------------------------------------------------
 def _maybe_stall(envelope: TaskEnvelope, beats: HeartbeatWriter) -> None:
     """Honor ``REPRO_INJECT_STALL`` for a matching task id."""
-    spec = os.environ.get(INJECT_STALL_ENV)
-    if not spec or ":" not in spec:
-        return
-    substring, _, seconds = spec.rpartition(":")
-    if not substring or substring not in envelope.task_id:
+    seconds = hook_value(INJECT_STALL_ENV, envelope.task_id)
+    if seconds is None:
         return
     token_dir = os.environ.get(INJECT_STALL_TOKENS_ENV)
-    if token_dir:
-        from repro.engine.checkpoint import claim_token
-
-        if not claim_token(Path(token_dir)):
-            return
+    if token_dir and not claim_token(Path(token_dir)):
+        return
     beats.suspend()
     time.sleep(float(seconds))
     beats.resume()

@@ -27,6 +27,8 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
+from repro._util.durable import publish, read_json_object
+
 EVENTS_FILENAME = "events.jsonl"
 SINKS_DIRNAME = "sinks"
 TELEMETRY_FILENAME = "telemetry.json"
@@ -135,22 +137,11 @@ def worker_metrics_path(obs_dir: "str | Path", pid: int) -> Path:
 
 def write_worker_metrics(path: "str | Path",
                          snapshot: dict[str, Any]) -> None:
-    """Atomically overwrite a worker's cumulative metrics snapshot.
+    """Atomically overwrite a worker's cumulative metrics snapshot: a
+    worker killed mid-write leaves the previous complete one, so the
+    merge still credits every cell it finished before dying."""
 
-    Stage + ``os.replace`` so a worker killed mid-write leaves the
-    previous complete snapshot, never a torn file — the merge then
-    still credits every cell the worker finished before dying.
-    """
-
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(json.dumps(snapshot, separators=(",", ":")),
-                       encoding="utf-8")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    publish(Path(path), json.dumps(snapshot, separators=(",", ":")))
 
 
 def read_events(path: "str | Path") -> Iterator[dict[str, Any]]:
@@ -231,11 +222,8 @@ def merge_sinks(obs_dir: "str | Path", into: "EventLog | None") -> tuple[
                 merged += 1
             sink.unlink(missing_ok=True)
     for metrics in sorted(sink_dir.glob("metrics-*.json")):
-        try:
-            data = json.loads(metrics.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            data = None
-        if isinstance(data, dict):
+        data = read_json_object(metrics)
+        if data is not None:
             snapshots.append(data)
         metrics.unlink(missing_ok=True)
     try:

@@ -11,6 +11,7 @@ import time
 from pathlib import Path
 from typing import Any
 
+from repro._util.durable import publish, read_json_object
 from repro.obs.events import PROM_FILENAME, TELEMETRY_FILENAME
 
 #: Every exported series is namespaced to avoid collisions on shared
@@ -69,8 +70,7 @@ def render_prometheus(snapshot: dict[str, Any]) -> str:
 def write_prometheus(obs_dir: "str | Path",
                      snapshot: dict[str, Any]) -> Path:
     path = Path(obs_dir) / PROM_FILENAME
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(render_prometheus(snapshot), encoding="utf-8")
+    publish(path, render_prometheus(snapshot))
     return path
 
 
@@ -79,26 +79,16 @@ def write_telemetry_json(obs_dir: "str | Path", snapshot: dict[str, Any],
     """Drop the machine-readable metric snapshot next to the run."""
 
     path = Path(obs_dir) / TELEMETRY_FILENAME
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "schema": TELEMETRY_SCHEMA,
         "generated_at": time.time(),
         **extra,
         "metrics": snapshot,
     }
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True,
-                              default=str), encoding="utf-8")
-    tmp.replace(path)
+    publish(path, json.dumps(payload, indent=2, sort_keys=True,
+                             default=str))
     return path
 
 
 def load_telemetry(obs_dir: "str | Path") -> "dict[str, Any] | None":
-    path = Path(obs_dir) / TELEMETRY_FILENAME
-    if not path.exists():
-        return None
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError:
-        return None
-    return payload if isinstance(payload, dict) else None
+    return read_json_object(Path(obs_dir) / TELEMETRY_FILENAME)

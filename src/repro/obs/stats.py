@@ -10,7 +10,7 @@ taxonomy counts, graph-plane hit rates, and p50/p95 iteration latency.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
 from repro._util.errors import ValidationError
 from repro.experiments.reporting import format_table
@@ -446,29 +446,3 @@ def format_event(event: dict[str, Any]) -> str:
         parts.append(f"{key}={value}")
     return " ".join(parts)
 
-
-def tail_lines(run_dir: "str | Path", n: int, *,
-               node: "str | None" = None) -> list[str]:
-    """Last *n* formatted events of a run directory (optionally only
-    those stamped with one node id)."""
-
-    obs_dir = resolve_run_dir(run_dir)
-    events = read_all_events(obs_dir)
-    if node is not None:
-        events = [e for e in events if e.get("node") == node]
-    return [format_event(e) for e in events[-n:]]
-
-
-def iter_follow(run_dir: "str | Path", *, duration_s: "float | None",
-                poll_s: float = 0.25,
-                node: "str | None" = None) -> Iterable[str]:
-    """Formatted lines appended to the live log; see ``follow_events``."""
-
-    from repro.obs.events import follow_events
-
-    obs_dir = resolve_run_dir(run_dir)
-    for event in follow_events(obs_dir, poll_s=poll_s,
-                               duration_s=duration_s):
-        if node is not None and event.get("node") != node:
-            continue
-        yield format_event(event)

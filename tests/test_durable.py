@@ -1,0 +1,344 @@
+"""The crash-safe file layer (`repro._util.durable`) and the decisions
+each of its callers keeps for itself: who retries, who may create a
+directory, what a failed quarantine raises, what a reader sees after a
+failed publish."""
+
+import errno
+import json
+import os
+import re
+import threading
+from pathlib import Path
+
+import pytest
+
+from repro._util import durable
+from repro._util.errors import CacheCorruptError
+from repro._util.faulthooks import hook_value
+from repro.engine import SnapshotStore
+from repro.experiments import nodeagent
+from repro.experiments.config import BuildOptions
+from repro.experiments.corpus import _run_cell
+from repro.experiments.distqueue import DistributedQueue
+from repro.experiments.results import ResultStore
+from repro.experiments.worksite import HeartbeatWriter, Worksite
+from repro.obs.events import write_worker_metrics
+from repro.obs.export import (
+    load_telemetry,
+    write_prometheus,
+    write_telemetry_json,
+)
+from repro.obs.telemetry import configure, deactivate
+from tests.test_resilience import TINY_PROFILE, _planned
+from tests.test_store_concurrency import _snapshot_for, _trace_for
+
+
+@pytest.fixture(autouse=True)
+def _reset_global_telemetry():
+    yield
+    deactivate()
+
+
+def _failing_replace(monkeypatch, code: int, times: int) -> list:
+    """Make the next ``times`` ``os.replace`` calls raise ``code``;
+    returns the list every call's source path is appended to."""
+    real, calls = os.replace, []
+
+    def replace(src, dst):
+        calls.append(Path(src))
+        if len(calls) <= times:
+            raise OSError(code, os.strerror(code))
+        real(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    return calls
+
+
+# ----------------------------------------------------------------------
+# The seven writers: (publish generation g into directory d, read back)
+# ----------------------------------------------------------------------
+def _queue(d: Path) -> DistributedQueue:
+    queue = DistributedQueue(d)
+    queue.ensure_layout()
+    return queue
+
+
+def _beat(d: Path, g: int) -> None:
+    beats = HeartbeatWriter(Worksite(d).heartbeat_path(0), 0)
+    beats._epoch = g  # set_task would beat, and beat swallows OSError
+    beats._write_beat_file()
+
+
+WRITERS = {
+    "result-store": (
+        lambda d, g: ResultStore(d).save("k", _trace_for(f"gen{g}")),
+        lambda d: ResultStore(d).load("k").algorithm[-1]),
+    "snapshot-store": (
+        lambda d, g: SnapshotStore(d).save("k", _snapshot_for("k", g)),
+        lambda d: str(SnapshotStore(d).latest_iteration("k"))),
+    "queue-record": (
+        lambda d, g: _queue(d).mark_done("t", {"gen": g}),
+        lambda d: str(_queue(d).read_done("t")["gen"])),
+    "heartbeat": (
+        _beat, lambda d: str(Worksite(d).read_heartbeats()[0].epoch)),
+    "worker-metrics": (
+        lambda d, g: write_worker_metrics(d / "m.json", {"gen": g}),
+        lambda d: str(durable.read_json_object(d / "m.json")["gen"])),
+    "telemetry-json": (
+        lambda d, g: write_telemetry_json(d, {}, gen=g),
+        lambda d: str(load_telemetry(d)["gen"])),
+    "prometheus": (
+        lambda d, g: write_prometheus(
+            d, {"counters": {f"gen{g}": [{"labels": {}, "value": 1}]}}),
+        lambda d: re.search(r"gen(\d)", (d / "metrics.prom").read_text())[1]),
+}
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_failed_publish_keeps_old_generation_and_no_litter(
+        name, tmp_path, monkeypatch):
+    write, read = WRITERS[name]
+    write(tmp_path, 1)
+    _failing_replace(monkeypatch, errno.EACCES, times=1)
+    with pytest.raises(PermissionError):
+        write(tmp_path, 2)
+    assert read(tmp_path) == "1"
+    assert list(tmp_path.rglob("*.tmp")) == []
+    write(tmp_path, 3)  # and the target is still writable
+    assert read(tmp_path) == "3"
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_staging_name_is_unique_per_writer(name, tmp_path, monkeypatch):
+    calls = _failing_replace(monkeypatch, errno.EACCES, times=0)
+    WRITERS[name][0](tmp_path, 1)
+    WRITERS[name][0](tmp_path, 2)
+    staged = [p.name for p in calls if p.suffix == ".tmp"]
+    assert len(set(staged)) == 2
+    for tmp in staged:
+        assert re.fullmatch(rf".+\.{os.getpid()}\.[0-9a-f]{{8}}\.tmp", tmp)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(set(WRITERS) - {"result-store", "snapshot-store"}))
+def test_only_the_two_stores_retry_transient_errnos(
+        name, tmp_path, monkeypatch):
+    WRITERS[name][0](tmp_path, 1)
+    calls = _failing_replace(monkeypatch, errno.EIO, times=1)
+    with pytest.raises(OSError):
+        WRITERS[name][0](tmp_path, 2)
+    assert len(calls) == 1
+
+
+def test_queue_and_heartbeat_writes_never_create_a_directory(tmp_path):
+    gone = tmp_path / "swept"
+    with pytest.raises(FileNotFoundError):
+        DistributedQueue(gone).mark_done("t", {})
+    with pytest.raises(FileNotFoundError):
+        HeartbeatWriter(gone / "hb-0.json", 0)._write_beat_file()
+    assert not gone.exists()
+
+
+def test_concurrent_telemetry_exports_never_tear(tmp_path):
+    snapshot = {"counters": {f"series_{i}": [{"labels": {}, "value": i}]
+                             for i in range(2000)}}
+    errors: list = []
+
+    def export() -> None:
+        try:
+            for _ in range(200):
+                write_telemetry_json(tmp_path, snapshot)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    writers = [threading.Thread(target=export) for _ in range(2)]
+    for thread in writers:
+        thread.start()
+    torn = reads = 0
+    path = tmp_path / "telemetry.json"
+    while any(thread.is_alive() for thread in writers):
+        try:
+            json.loads(path.read_text(encoding="utf-8"))
+        except FileNotFoundError:
+            continue  # before the first publish
+        except ValueError:
+            torn += 1
+        reads += 1
+    for thread in writers:
+        thread.join()
+    assert errors == []
+    assert reads > 0 and torn == 0
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+# ----------------------------------------------------------------------
+# Transient-errno retries
+# ----------------------------------------------------------------------
+class TestRetryTransientDisk:
+    @staticmethod
+    def _flaky(code: int, failures: int):
+        state = {"calls": 0}
+
+        def fn():
+            state["calls"] += 1
+            if state["calls"] <= failures:
+                raise OSError(code, os.strerror(code))
+            return "done"
+
+        return fn, state
+
+    def test_two_transient_faults_then_success(self):
+        fn, state = self._flaky(errno.EIO, 2)
+        retries, slept = [], []
+        result = durable.retry_transient_disk(
+            fn, key="k", sleep=slept.append,
+            on_retry=lambda exc, attempt, delay: retries.append(
+                (exc.errno, attempt, delay)))
+        assert result == "done" and state["calls"] == 3
+        assert [(code, n) for code, n, _ in retries] == [
+            (errno.EIO, 1), (errno.EIO, 2)]
+        assert slept == [delay for _, _, delay in retries if delay > 0]
+
+    def test_permanent_errno_propagates_at_once(self):
+        fn, state = self._flaky(errno.EACCES, 5)
+        with pytest.raises(PermissionError):
+            durable.retry_transient_disk(fn, key="k", sleep=lambda s: None)
+        assert state["calls"] == 1
+
+    def test_budget_exhausted_raises_the_last_error(self):
+        fn, state = self._flaky(errno.ESTALE, 99)
+        with pytest.raises(OSError) as info:
+            durable.retry_transient_disk(fn, key="k", retries=3,
+                                         sleep=lambda s: None)
+        assert info.value.errno == errno.ESTALE
+        assert state["calls"] == 4
+
+    def test_result_store_counts_its_retries(self, tmp_path, monkeypatch):
+        tel = configure("basic")
+        _failing_replace(monkeypatch, errno.EIO, times=2)
+        store = ResultStore(tmp_path)
+        store.save("k", _trace_for("k"))
+        assert store.load("k") is not None
+        assert tel.counter_total("store_disk_retries_total") == 2
+        assert tel.counter_total("checkpoint_disk_retries_total") == 0
+
+    def test_snapshot_store_counts_its_retries(self, tmp_path, monkeypatch):
+        tel = configure("basic")
+        _failing_replace(monkeypatch, errno.EIO, times=2)
+        store = SnapshotStore(tmp_path)
+        store.save("k", _snapshot_for("k", 4))
+        assert store.latest_iteration("k") == 4
+        assert tel.counter_total("checkpoint_disk_retries_total") == 2
+        assert tel.counter_total("store_disk_retries_total") == 0
+
+    def test_exhausted_budget_records_a_disk_io_cell(
+            self, tmp_path, monkeypatch):
+        calls = _failing_replace(monkeypatch, errno.ENOSPC, times=10**6)
+        run = _run_cell(_planned("cc"), TINY_PROFILE,
+                        ResultStore(tmp_path), BuildOptions(retries=0))
+        assert run.trace is None
+        assert run.failure.kind == "disk-io" and run.failure.retryable
+        assert "errno=ENOSPC" in run.failure.message
+        assert len(calls) == 4  # one publish + its three retries
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+
+# ----------------------------------------------------------------------
+# Per-store decisions
+# ----------------------------------------------------------------------
+def test_snapshot_stages_fully_before_demoting_latest(
+        tmp_path, monkeypatch):
+    store = SnapshotStore(tmp_path)
+    store.save("k", _snapshot_for("k", 3))
+    store.save("k", _snapshot_for("k", 6))
+
+    def full_disk(self, data):
+        raise OSError(errno.EDQUOT, "quota exceeded")
+
+    monkeypatch.setattr(Path, "write_bytes", full_disk)
+    with pytest.raises(OSError):
+        store.save("k", _snapshot_for("k", 9))
+    monkeypatch.undo()
+    assert store._load_one(store._latest_path("k")).iteration == 6
+    assert store._load_one(store._prev_path("k")).iteration == 3
+
+
+def test_entry_appearing_after_a_failed_read_is_a_miss(
+        tmp_path, monkeypatch):
+    store = ResultStore(tmp_path)
+    path, real_read = store._path("k"), Path.read_text
+
+    def read_then_publish(self, *args, **kwargs):
+        if self != path or path.exists():
+            return real_read(self, *args, **kwargs)
+        try:
+            return real_read(self, *args, **kwargs)  # FileNotFoundError
+        finally:
+            store.save("k", _trace_for("k"))  # a writer gets in between
+
+    monkeypatch.setattr(Path, "read_text", read_then_publish)
+    assert store.replay("k") is None
+    assert path.exists() and store.n_quarantined() == 0
+    assert store.load("k") is not None
+
+
+def test_unreadable_entry_is_quarantined_absent_is_not(tmp_path):
+    store = ResultStore(tmp_path)
+    assert store.replay("absent") is None and store.n_quarantined() == 0
+    for i, junk in enumerate(('{"torn": ', "[1, 2]", "\xff\xfe")):
+        store._path(f"bad{i}").write_bytes(junk.encode("latin-1"))
+        assert store.replay(f"bad{i}") is None
+        assert store.n_quarantined() == i + 1
+    assert sum(1 for _ in store.iter_traces()) == 0
+
+
+def test_failed_quarantine_move_error_mapping(tmp_path, monkeypatch):
+    results, snaps = ResultStore(tmp_path / "r"), SnapshotStore(tmp_path / "s")
+    results.save("k", _trace_for("k"))
+    results._path("k").write_text("{torn", encoding="utf-8")
+    snaps.save("k", _snapshot_for("k", 1))
+    snaps._latest_path("k").write_bytes(b"garbage")
+    _failing_replace(monkeypatch, errno.EACCES, times=2)
+    with pytest.raises(CacheCorruptError):
+        results.replay("k")
+    with pytest.raises(PermissionError):
+        snaps.load_latest("k")
+
+
+# ----------------------------------------------------------------------
+# Names and fault-hook specs
+# ----------------------------------------------------------------------
+def test_entry_names_are_shared_and_collision_proof(tmp_path):
+    assert durable.entry_name("a@b") != durable.entry_name("a#b")
+    assert durable.entry_name("a@b").startswith("a_b-")
+    stem = durable.entry_name("cc-ga:7")
+    assert ResultStore(tmp_path)._path("cc-ga:7").name == f"{stem}.json"
+    assert (SnapshotStore(tmp_path)._prev_path("cc-ga:7").name
+            == f"{stem}.prev.snap")
+    with pytest.raises(ValueError):
+        durable.entry_name("")
+
+
+def test_hook_value(monkeypatch):
+    monkeypatch.setenv("HOOK", "cc-ga:x:2.5")
+    assert hook_value("HOOK", "run-cc-ga:x-s7") == "2.5"
+    assert hook_value("HOOK", "pagerank") is None
+    assert hook_value("UNSET_HOOK", "anything") is None
+    for malformed in ("no-colon", ":3", ""):
+        monkeypatch.setenv("HOOK", malformed)
+        assert hook_value("HOOK", "no-colon") is None
+
+
+def test_node_hooks_wildcard_and_fire_once(monkeypatch):
+    monkeypatch.setattr(nodeagent, "_fired", set())
+    monkeypatch.setenv("NODE_HOOK", "*:1.5")
+    assert nodeagent._injection("NODE_HOOK", "any-task") == 1.5
+    assert nodeagent._injection("NODE_HOOK", "any-task") is None  # fired
+    monkeypatch.setattr(nodeagent, "_fired", set())
+    monkeypatch.setenv("NODE_HOOK", "cc-ga:2")
+    assert nodeagent._injection("NODE_HOOK", "run:pagerank") is None
+    assert nodeagent._injection("NODE_HOOK", "run:cc-ga-ne300") == 2.0
+    monkeypatch.setattr(nodeagent, "_fired", set())
+    for spec in ("cc-ga:0", "cc-ga:soon", "cc-ga"):
+        monkeypatch.setenv("NODE_HOOK", spec)
+        assert nodeagent._injection("NODE_HOOK", "run:cc-ga") is None
