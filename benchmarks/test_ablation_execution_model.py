@@ -18,7 +18,6 @@ and which belong to the execution policy:
 - supersteps: graph-centric needs the fewest barriers of all.
 """
 
-import numpy as np
 
 from repro.algorithms.registry import create
 from repro.behavior.run import build_engine_options

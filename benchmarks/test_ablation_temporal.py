@@ -11,7 +11,6 @@ Reported: the 4-D best ensemble's spread *re-scored in 8-D* vs the 8-D
 optimum, and the member overlap between the two selections.
 """
 
-import numpy as np
 
 from repro.behavior.space import BehaviorSpace
 from repro.behavior.temporal import temporal_corpus

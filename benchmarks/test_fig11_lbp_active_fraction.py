@@ -6,7 +6,6 @@ time. Graph size has no effect on the shape of active fraction."
 
 import numpy as np
 
-from repro.behavior.metrics import resample_series
 from repro.experiments.reporting import sparkline
 
 

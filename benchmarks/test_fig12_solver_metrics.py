@@ -8,7 +8,6 @@ only varied metric when graph size changes."
 import numpy as np
 
 from repro.experiments.reporting import correlation_sign, format_table
-from repro.behavior.metrics import METRIC_NAMES
 
 
 def _rows(runs):

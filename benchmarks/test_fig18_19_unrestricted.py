@@ -7,7 +7,6 @@ structure diversity, with as much as a three-fold greater spread ...
 [and] 30% better coverage than single algorithm ensembles."
 """
 
-import numpy as np
 
 from repro.ensemble.search import best_ensemble
 from repro.experiments.config import CORPUS_ALGORITHMS

@@ -14,7 +14,6 @@ Paper Section 5.6, three constraint dimensions:
    their behavior vectors while slashing benchmarking cost.
 """
 
-import numpy as np
 
 from repro.behavior.metrics import compute_metrics
 from repro.behavior.space import normalize_corpus

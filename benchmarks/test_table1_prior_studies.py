@@ -7,7 +7,6 @@ critique that the published ensembles explore the behavior space
 narrowly and incomparably.
 """
 
-import pytest
 
 from repro.ensemble.metrics import coverage, spread
 from repro.ensemble.search import best_ensemble

@@ -41,7 +41,8 @@ def test_table2_matrix(profile, artifact, benchmark):
 
     matrix = ExperimentMatrix(profile)
     # 11 varied-structure algorithms × (4 sizes × 5 α) = 220 planned.
-    assert len(matrix.corpus_runs()) == len(CORPUS_ALGORITHMS) * 4 * len(ALPHAS)
+    assert (len(matrix.corpus_runs())
+            == len(CORPUS_ALGORITHMS) * 4 * len(ALPHAS))
     # Fixed-structure algorithms contribute 4 runs each.
     assert len(matrix.all_runs()) == 220 + 12
 

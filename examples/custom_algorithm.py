@@ -8,9 +8,8 @@ instrumentation, the behavior space, ensemble scoring — works on your
 algorithm for free.
 
 This example implements *degree-weighted label propagation* (a simple
-community-detection heuristic), runs it under both engine modes to
-demonstrate they agree, and places it in the behavior space next to the
-built-in algorithms.
+community-detection heuristic), runs it on the synchronous engine, and
+places it in the behavior space next to the built-in algorithms.
 
 Run::
 
@@ -60,7 +59,8 @@ class LabelPropagation(VertexProgram):
         acc = acc.ravel()
         n = ctx.n_vertices
         has_nbr = np.isfinite(acc) & (acc >= 0)
-        new_label = np.where(has_nbr, np.mod(acc, n), self.label[vids])
+        new_label = np.where(has_nbr, np.mod(np.where(has_nbr, acc, 0.0), n),
+                             self.label[vids])
         changed = new_label != self.label[vids]
         self.label[vids] = new_label
         self._changed[vids] = changed
@@ -79,24 +79,18 @@ def main() -> None:
     spec = GraphSpec.ga(nedges=5_000, alpha=2.5, seed=3)
     problem = spec.generate()
 
-    print("== Running the custom program under both engine modes ==")
-    traces = {}
-    for mode in ("vectorized", "reference"):
-        engine = SynchronousEngine(EngineOptions(mode=mode,
-                                                 max_iterations=100))
-        traces[mode] = engine.run(LabelPropagation(), problem)
-        t = traces[mode]
-        print(f"  {mode:<11} iters={t.n_iterations} "
-              f"labels={t.result['n_labels']}")
-    identical = all(
-        (a.active, a.updates, a.edge_reads, a.messages)
-        == (b.active, b.updates, b.edge_reads, b.messages)
-        for a, b in zip(traces["vectorized"].iterations,
-                        traces["reference"].iterations))
-    print(f"  traces identical: {identical}")
+    print("== Running the custom program ==")
+    # Synchronous label propagation is known to end in a period-2
+    # label swap; "degrade" lets the engine's convergence watchdog stop
+    # the run there and flag the trace instead of raising.
+    engine = SynchronousEngine(EngineOptions(max_iterations=100,
+                                             health_policy="degrade"))
+    trace = engine.run(LabelPropagation(), problem)
+    print(f"  iters={trace.n_iterations} stop={trace.stop_reason} "
+          f"labels={trace.result['n_labels']}")
 
     print("\n== Where does it sit in the behavior space? ==")
-    metrics = [compute_metrics(traces["vectorized"])]
+    metrics = [compute_metrics(trace)]
     tags = [("labelprop", spec.nedges, spec.alpha)]
     for name in ("cc", "pagerank", "triangle", "sssp"):
         t = run_computation(name, spec)

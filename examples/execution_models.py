@@ -16,7 +16,6 @@ Run::
     python examples/execution_models.py
 """
 
-import numpy as np
 
 from repro.algorithms.registry import create
 from repro.behavior.run import build_engine_options

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Repo health check: lint (when ruff is available) + tier-1 tests.
+# Repo health check: lint + tier-1 tests.
 #
 # Usage: scripts/check.sh [extra pytest args...]
 #
-# The lint step is skipped with a notice when ruff is not installed —
-# the execution environment is offline and the test toolchain does not
-# bundle it. Install with `pip install ruff` where the network allows.
+# The lint step is `ruff check` where ruff is installed; the execution
+# environment is offline and the test toolchain does not bundle it, so
+# there scripts/lint_fallback.py (stdlib only: unused imports, line
+# length, trailing whitespace) gates the same trees instead.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -14,7 +15,8 @@ if command -v ruff >/dev/null 2>&1; then
     echo "== ruff check =="
     ruff check src tests benchmarks examples
 else
-    echo "== ruff not installed; skipping lint (pip install ruff) =="
+    echo "== lint fallback (ruff not installed) =="
+    python scripts/lint_fallback.py src tests benchmarks examples
 fi
 
 echo "== tier-1 tests =="

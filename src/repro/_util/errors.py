@@ -106,7 +106,8 @@ class RunTimeoutError(ReproError):
     ``"timeout"`` failure kind.
     """
 
-    def __init__(self, message: str, *, timeout_s: float | None = None) -> None:
+    def __init__(self, message: str, *,
+                 timeout_s: float | None = None) -> None:
         super().__init__(message)
         self.timeout_s = timeout_s
 

@@ -30,7 +30,10 @@ REDUCE_IDENTITY: dict[str, float] = {
     "or": 0,  # bitwise OR on integer payloads (Approximate Diameter)
 }
 
-_UFUNC: dict[str, np.ufunc] = {
+#: The ufunc behind each reduction — the one table every reducer
+#: (``reduceat`` here and in the engine kernels, ``ufunc.at`` in the
+#: edge-centric stream) draws from.
+REDUCE_UFUNC: dict[str, np.ufunc] = {
     "sum": np.add,
     "min": np.minimum,
     "max": np.maximum,
@@ -39,7 +42,8 @@ _UFUNC: dict[str, np.ufunc] = {
 
 
 def concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Concatenate integer ranges ``[starts[i], ends[i])`` into one index array.
+    """Concatenate integer ranges ``[starts[i], ends[i])`` into one index
+    array.
 
     Equivalent to ``np.concatenate([np.arange(s, e) for s, e in
     zip(starts, ends)])`` but fully vectorized.
@@ -123,9 +127,9 @@ def segmented_reduce(
     identity:
         Fill value for empty segments; defaults per ``op``.
     """
-    if op not in _UFUNC:
+    if op not in REDUCE_UFUNC:
         raise ValidationError(f"unsupported reduction {op!r}; "
-                              f"expected one of {sorted(_UFUNC)}")
+                              f"expected one of {sorted(REDUCE_UFUNC)}")
     counts = np.asarray(counts, dtype=np.int64)
     values = np.asarray(values)
     total = int(counts.sum())
@@ -134,8 +138,10 @@ def segmented_reduce(
             f"values has {values.shape[0]} rows but counts sum to {total}"
         )
     fill = REDUCE_IDENTITY[op] if identity is None else identity
-    out_shape = (counts.size,) if values.ndim == 1 else (counts.size, values.shape[1])
-    dtype = np.result_type(values.dtype, np.float64) if values.dtype.kind == "f" else values.dtype
+    out_shape = ((counts.size,) if values.ndim == 1
+                 else (counts.size, values.shape[1]))
+    dtype = (np.result_type(values.dtype, np.float64)
+             if values.dtype.kind == "f" else values.dtype)
     out = np.full(out_shape, fill, dtype=dtype)
     if counts.size == 0 or total == 0:
         return out
@@ -143,12 +149,12 @@ def segmented_reduce(
     nonempty = counts > 0
     if np.all(nonempty):
         offsets = segment_offsets(counts)
-        out[:] = _UFUNC[op].reduceat(values, offsets, axis=0)
+        out[:] = REDUCE_UFUNC[op].reduceat(values, offsets, axis=0)
         return out
 
     # Reduce only the non-empty segments; empty ones keep the identity.
     ne_counts = counts[nonempty]
     offsets = segment_offsets(ne_counts)
-    reduced = _UFUNC[op].reduceat(values, offsets, axis=0)
+    reduced = REDUCE_UFUNC[op].reduceat(values, offsets, axis=0)
     out[nonempty] = reduced
     return out

@@ -75,7 +75,8 @@ class KCoreDecomposition(VertexProgram):
         return self._removed_now[center] & self.alive[nbr]
 
     def select_next_frontier(self, ctx, signaled):
-        signaled = signaled[self.alive[signaled]] if signaled.size else signaled
+        if signaled.size:
+            signaled = signaled[self.alive[signaled]]
         if signaled.size == 0 and self.alive.any():
             # Phase k produced no cascade: advance k, wake every
             # survivor to test against the new threshold.

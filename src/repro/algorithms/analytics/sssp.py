@@ -112,5 +112,6 @@ class SingleSourceShortestPath(VertexProgram):
         return {
             "source": int(self.source),
             "reached": int(finite.sum()),
-            "max_dist": float(self.dist[finite].max()) if finite.any() else 0.0,
+            "max_dist": (float(self.dist[finite].max())
+                         if finite.any() else 0.0),
         }

@@ -102,5 +102,6 @@ class TriangleCounting(VertexProgram):
     def result(self, ctx) -> dict:
         return {
             "total_triangles": float(self.counts.sum() / 3.0),
-            "max_per_vertex": float(self.counts.max()) if self.counts.size else 0.0,
+            "max_per_vertex": (float(self.counts.max())
+                               if self.counts.size else 0.0),
         }

@@ -48,7 +48,8 @@ class AlternatingLeastSquares(VertexProgram):
     scatter_dir = Direction.OUT
     gather_op = "sum"
 
-    def __init__(self, k: int = 4, reg: float = 0.08, tol: float = 0.02) -> None:
+    def __init__(self, k: int = 4, reg: float = 0.08,
+                 tol: float = 0.02) -> None:
         if k < 1:
             raise ValidationError("k must be >= 1")
         if reg < 0:

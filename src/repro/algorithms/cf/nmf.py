@@ -53,7 +53,8 @@ class NonNegativeMatrixFactorization(VertexProgram):
         self._is_user = np.asarray(ctx.problem.require_input("is_user"),
                                    dtype=bool)
         n = ctx.n_vertices
-        self.factors = np.abs(ctx.rng.normal(0.5, 0.15, size=(n, self.k))) + 0.05
+        self.factors = np.abs(
+            ctx.rng.normal(0.5, 0.15, size=(n, self.k))) + 0.05
         return ctx.all_vertices()
 
     def state_bytes(self, ctx: Context) -> int:

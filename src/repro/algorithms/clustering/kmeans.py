@@ -88,7 +88,8 @@ class KMeansClustering(VertexProgram):
     def state_bytes(self, ctx: Context) -> int:
         return ctx.n_vertices * (8 + 1) + self.k * 16
 
-    def _nearest(self, vids: np.ndarray, votes: np.ndarray | None) -> np.ndarray:
+    def _nearest(self, vids: np.ndarray,
+                 votes: np.ndarray | None) -> np.ndarray:
         pts = self.points[vids]
         # Squared distances to each center: (|vids|, k).
         d2 = ((pts[:, None, :] - self.centers[None, :, :]) ** 2).sum(axis=2)

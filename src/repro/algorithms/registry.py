@@ -42,7 +42,8 @@ _REGISTRY: dict[str, AlgorithmInfo] = {}
 def register(info_record: AlgorithmInfo) -> None:
     """Register an algorithm; name collisions are an error."""
     if info_record.name in _REGISTRY:
-        raise ValidationError(f"algorithm {info_record.name!r} already registered")
+        raise ValidationError(
+            f"algorithm {info_record.name!r} already registered")
     _REGISTRY[info_record.name] = info_record
 
 

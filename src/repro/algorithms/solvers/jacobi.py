@@ -53,7 +53,8 @@ class JacobiSolver(VertexProgram):
 
     def init(self, ctx: Context) -> np.ndarray:
         if ctx.graph.edge_weight is None:
-            raise ValidationError("Jacobi requires edge weights (matrix entries)")
+            raise ValidationError(
+                "Jacobi requires edge weights (matrix entries)")
         self._b = np.asarray(ctx.problem.require_input("b"), dtype=np.float64)
         self._diag = np.asarray(ctx.problem.require_input("diag"),
                                 dtype=np.float64)

@@ -14,8 +14,8 @@ only if the message residual exceeds the tolerance — which is what
 drains the frontier from the smooth interior outward.
 
 Messages are double-buffered (read ``cur``, write ``next``, swap at
-iteration end) so the vectorized and reference engines produce
-identical synchronous traces.
+iteration end) so the synchronous trace does not depend on the order
+in which an engine visits the frontier's vertices.
 """
 
 from __future__ import annotations

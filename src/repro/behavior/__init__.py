@@ -9,8 +9,16 @@ from repro.behavior.metrics import (
 )
 from repro.behavior.diff import TraceDiff, diff_traces
 from repro.behavior.run import GraphComputation, run_computation
-from repro.behavior.shapes import ActivityShape, classify_activity_shape, shape_profile
-from repro.behavior.space import BehaviorSpace, BehaviorVector, normalize_corpus
+from repro.behavior.shapes import (
+    ActivityShape,
+    classify_activity_shape,
+    shape_profile,
+)
+from repro.behavior.space import (
+    BehaviorSpace,
+    BehaviorVector,
+    normalize_corpus,
+)
 from repro.behavior.temporal import (
     TemporalBehavior,
     compute_temporal_behavior,

@@ -1,7 +1,7 @@
 """Trace diffing: structured comparison of two run traces.
 
 Used when validating one execution policy against another (sync vs
-reference vs edge-centric vs async), when debugging an algorithm
+edge-centric vs graph-centric vs async), when debugging an algorithm
 change, or when checking corpus cache integrity. Produces a typed
 report instead of a bare boolean so callers can see *where* traces
 diverge.

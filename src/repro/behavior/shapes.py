@@ -44,7 +44,8 @@ _FULL = 0.995
 _BURST_PROMINENCE = 0.05
 
 
-def classify_activity_shape(trace_or_series: "RunTrace | np.ndarray") -> ActivityShape:
+def classify_activity_shape(
+        trace_or_series: "RunTrace | np.ndarray") -> ActivityShape:
     """Classify an active-fraction lifecycle into the taxonomy.
 
     Accepts a :class:`~repro.behavior.trace.RunTrace` or a raw

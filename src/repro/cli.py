@@ -59,8 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--nrows", type=int, default=100,
                      help="matrix rows / image side for matrix/grid domains")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--mode", choices=("vectorized", "reference"),
-                     default="vectorized")
     run.add_argument("--work-model", choices=("unit", "measured"),
                      default="unit")
     run.add_argument("--max-iterations", type=int, default=None)
@@ -450,7 +448,7 @@ def _cmd_run(args) -> int:
 
     domain = info(args.algorithm).domain
     spec = _spec_for(args, domain)
-    options: dict = {"mode": args.mode, "work_model": args.work_model}
+    options: dict = {"work_model": args.work_model}
     if args.max_iterations is not None:
         options["max_iterations"] = args.max_iterations
     if args.direction is not None:

@@ -10,19 +10,20 @@ through one run loop (:mod:`repro.engine.loop`: context, trace, health
 monitor, deadline, telemetry, checkpoint resume/flush, stop
 conditions) and one options base; each supplies only its step:
 
-- :class:`SynchronousEngine` — an iteration over the frontier; drive
-  mode ``vectorized`` (whole frontier per phase, CSR segment
-  reductions; production) or ``reference`` (one vertex at a time with
-  phase barriers; the oracle the tests compare against);
+- :class:`SynchronousEngine` — an iteration over the whole frontier,
+  phase by phase;
 - :class:`AsynchronousEngine` — a round of up to ``|V|`` scheduler pops;
 - :class:`EdgeCentricEngine` — a stream pass over every arc;
 - :class:`GraphCentricEngine` — a superstep of partition-local sweeps.
 
-Which kernel runs inside a step — the fused dense CSR kernels of
-:mod:`repro.engine.kernels` or the ``gather_edge`` / ``scatter_edges``
-callbacks — follows from the program's ``gather_shape`` /
+How a step's gather, scatter and stream are evaluated is one layer,
+:mod:`repro.engine.kernels` — the only caller of ``gather_edge`` /
+``scatter_edges``. Whether it takes the callback path or a fused dense
+CSR kernel follows from the program's ``gather_shape`` /
 ``scatter_shape`` declaration (and, synchronously, the ``direction``
-policy); it is not an option.
+policy); it is not an option. The oracles — a vertex-at-a-time engine
+and a kernels wrapper that cross-checks every fused evaluation — live
+in ``tests/engine_oracle.py``.
 """
 
 from repro.engine.async_engine import AsynchronousEngine, AsyncEngineOptions

@@ -42,10 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._util.errors import ValidationError
-from repro._util.segments import REDUCE_IDENTITY
-from repro.engine.instrumentation import Counters
-from repro.engine.kernels import reduce_block
-from repro.engine.loop import GASEngine, Run, RunOptions, adjacency
+from repro.engine.instrumentation import Counters, WorkModel
+from repro.engine.loop import GASEngine, Run, RunOptions
 from repro.engine.program import VertexProgram
 
 SCHEDULERS = ("fifo", "priority")
@@ -71,8 +69,7 @@ class AsyncEngineOptions(RunOptions):
                 f"scheduler must be one of {SCHEDULERS}, got "
                 f"{self.scheduler!r}"
             )
-        if self.work_model not in ("unit", "measured"):
-            raise ValidationError("work_model must be 'unit' or 'measured'")
+        WorkModel(kind=self.work_model)  # validates
         if self.max_steps < 1:
             raise ValidationError("max_steps must be >= 1")
 
@@ -167,8 +164,6 @@ class AsynchronousEngine(GASEngine):
         # progress. The state arrays capture all progress.
         run.frontier = None
         run.steps = 0
-        run.gather_adj = adjacency(run.graph, program.gather_dir)
-        run.scatter_adj = adjacency(run.graph, program.scatter_dir)
 
     def _drained(self, run: Run) -> bool:
         return not len(run.scheduler)
@@ -195,55 +190,21 @@ class AsynchronousEngine(GASEngine):
         return counters, None
 
     def _vertex_step(self, run: Run, v: int) -> tuple[int, int, float]:
-        """Gather → apply → scatter for one popped vertex. Its adjacency
-        slots are contiguous, so slice views and a single-block reduce
-        stand in for index materialization and the segment kernel."""
-        program, ctx = run.program, run.ctx
-        vid = np.asarray([v], dtype=np.int64)
-
-        reads = 0
-        acc = None
-        g_ptr, g_idx, g_eid = run.gather_adj
-        if g_ptr is not None:
-            s, e = int(g_ptr[v]), int(g_ptr[v + 1])
-            if e > s:
-                nbr = g_idx[s:e]
-                center = np.full(nbr.size, v, dtype=np.int64)
-                contributions = np.asarray(
-                    program.gather_edge(ctx, nbr, center, g_eid[s:e]),
-                    dtype=program.gather_dtype)
-                acc = reduce_block(contributions, program.gather_op)
-                reads = nbr.size
-            else:
-                width = program.gather_width
-                shape = (1,) if width == 1 else (1, width)
-                acc = np.full(shape, REDUCE_IDENTITY[program.gather_op],
-                              dtype=program.gather_dtype)
+        """Gather → apply → scatter for one popped vertex."""
+        program, ctx, kernels = run.program, run.ctx, run.kernels
+        acc, reads = kernels.gather_one(ctx, v)
 
         t0 = time.perf_counter()
-        program.apply(ctx, vid, acc)
+        program.apply(ctx, np.asarray([v], dtype=np.int64), acc)
         elapsed = time.perf_counter() - t0
-        extra = ctx.drain_extra_work()
+        work = self._unit_work(run, 1)
         if self.options.work_model == "measured":
             work = elapsed
-        else:
-            work = (program.apply_flops_per_vertex + extra) \
-                * self.options.unit_scale
 
-        msgs = 0
-        s_ptr, s_idx, s_eid = run.scatter_adj
-        if s_ptr is not None:
-            s, e = int(s_ptr[v]), int(s_ptr[v + 1])
-            if e > s:
-                nbr = s_idx[s:e]
-                center = np.full(nbr.size, v, dtype=np.int64)
-                mask = np.asarray(
-                    program.scatter_edges(ctx, center, nbr, s_eid[s:e]),
-                    dtype=bool)
-                msgs = int(mask.sum())
-                for u in nbr[mask].tolist():
-                    run.scheduler.push(u, self._priority(program, ctx, u))
-        return reads, msgs, work
+        signaled = kernels.signaled_by(ctx, v)
+        for u in signaled.tolist():
+            run.scheduler.push(u, self._priority(program, ctx, u))
+        return reads, signaled.size, work
 
     @staticmethod
     def _priority(program, ctx, v) -> float:

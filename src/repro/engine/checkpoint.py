@@ -232,7 +232,8 @@ class SnapshotStore:
         """Checksum-verify and unpickle; raises ValidationError on any
         corruption (bad magic, short file, digest mismatch, torn
         pickle)."""
-        if not blob.startswith(_MAGIC) or len(blob) < len(_MAGIC) + _DIGEST_SIZE:
+        if (not blob.startswith(_MAGIC)
+                or len(blob) < len(_MAGIC) + _DIGEST_SIZE):
             raise ValidationError("snapshot header corrupt")
         digest = blob[len(_MAGIC):len(_MAGIC) + _DIGEST_SIZE]
         payload = blob[len(_MAGIC) + _DIGEST_SIZE:]

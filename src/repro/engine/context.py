@@ -77,7 +77,8 @@ class Context:
 
     def require_param(self, key: str) -> Any:
         if key not in self.params:
-            raise ValidationError(f"missing required algorithm parameter {key!r}")
+            raise ValidationError(
+                f"missing required algorithm parameter {key!r}")
         return self.params[key]
 
     # ------------------------------------------------------------------
@@ -104,5 +105,6 @@ class Context:
     # Frontier helpers
     # ------------------------------------------------------------------
     def all_vertices(self) -> np.ndarray:
-        """Convenience: the full vertex id range (for always-active programs)."""
+        """Convenience: the full vertex id range (for always-active
+        programs)."""
         return np.arange(self.n_vertices, dtype=np.int64)

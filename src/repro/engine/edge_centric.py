@@ -33,17 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._util.errors import ValidationError
-from repro._util.segments import REDUCE_IDENTITY, concat_ranges
 from repro.engine.instrumentation import Counters
-from repro.engine.kernels import FusedKernels
+from repro.engine.kernels import FUSABLE_OPS
 from repro.engine.loop import GASEngine, Run, RunOptions, next_frontier
 from repro.engine.program import Direction, VertexProgram
-
-_REDUCE_AT = {
-    "min": np.minimum.at,
-    "max": np.maximum.at,
-    "sum": np.add.at,
-}
 
 
 @dataclass
@@ -71,7 +64,7 @@ class EdgeCentricEngine(GASEngine):
             raise ValidationError(
                 f"{program.name} does not declare supports_edge_centric"
             )
-        if program.gather_op not in _REDUCE_AT:
+        if program.gather_op not in FUSABLE_OPS:
             raise ValidationError(
                 f"edge-centric execution needs a scatter-add-able "
                 f"reduction, got {program.gather_op!r}"
@@ -88,56 +81,25 @@ class EdgeCentricEngine(GASEngine):
         return self.options.max_iterations
 
     def _setup(self, run: Run) -> None:
-        graph = run.graph
-        # The full arc list in (source, target, eid) form, as streamed:
-        # (graph.in_src, run.tgt, graph.in_eid). Degree-zero targets own
-        # no slots of this expansion (their in_degree repeat count is 0)
-        # and every accumulator path below fills them with the
-        # reduction identity — isolated vertices never see a
-        # divide-by-degree or a garbage accumulator row.
-        run.tgt = np.repeat(np.arange(graph.n_vertices, dtype=np.int64),
-                            graph.in_degree)
-        # Fused stream: when the program declares a fusable gather
-        # shape, the per-arc contributions and the per-target reduction
-        # collapse into one dense CSR segment kernel over cached
-        # offsets. Dead-source slots are pinned to the reduction
-        # identity, which min/max absorb exactly and which leaves sum's
-        # float64 bits unchanged — so the fused stream is bit-identical
-        # to the ``ufunc.at`` scatter-add of the callback path, which
-        # programs without a declared shape keep.
-        kernels = FusedKernels.build(run.program, graph)
-        run.kernels = (kernels if kernels is not None and kernels.can_gather
-                       else None)
         # X-Stream's filter: stream contributions of the vertices whose
         # values changed last iteration (initially, the seed frontier).
         # For monotone relaxations this yields values identical to the
         # vertex-centric full gather — any older source's improvement
         # was already streamed the iteration after it changed.
-        run.source_live = np.zeros(graph.n_vertices, dtype=bool)
+        run.source_live = np.zeros(run.graph.n_vertices, dtype=bool)
         run.source_live[run.frontier] = True
 
     def _step(self, run: Run, iteration: int, phase_times):
-        program, ctx, graph = run.program, run.ctx, run.graph
+        program, ctx, kernels = run.program, run.ctx, run.kernels
         frontier, source_live = run.frontier, run.source_live
-        src = graph.in_src
         timed = phase_times is not None
         mark = time.perf_counter() if timed else 0.0
 
         # ---- Stream phase: touch EVERY arc; act on live sources.
-        live = source_live[src]
-        any_live = live.any()
-        if any_live and run.kernels is not None:
-            acc = run.kernels.stream_dense(ctx, live)
-        else:
-            acc = np.full(graph.n_vertices,
-                          REDUCE_IDENTITY[program.gather_op])
-            if any_live:
-                tgt = run.tgt[live]
-                contributions = np.asarray(
-                    program.gather_edge(ctx, src[live], tgt,
-                                        graph.in_eid[live]),
-                    dtype=np.float64)
-                _REDUCE_AT[program.gather_op](acc, tgt, contributions)
+        # Degree-zero targets own no arc, so their rows hold the
+        # reduction identity — isolated vertices never see a
+        # divide-by-degree or a garbage accumulator row.
+        acc = kernels.stream(ctx, source_live)
         if timed:
             now = time.perf_counter()
             phase_times["stream"] = now - mark
@@ -152,14 +114,7 @@ class EdgeCentricEngine(GASEngine):
             mark = now
 
         # ---- Scatter: same signal semantics as the sync engine.
-        starts = graph.out_ptr[frontier]
-        ends = graph.out_ptr[frontier + 1]
-        slots = concat_ranges(starts, ends)
-        nbr = graph.out_dst[slots]
-        center = np.repeat(frontier, ends - starts)
-        mask = np.asarray(
-            program.scatter_edges(ctx, center, nbr,
-                                  graph.out_eid[slots]), dtype=bool)
+        center, nbr, mask = kernels.signal_edges(ctx, frontier)
         signaled = np.unique(nbr[mask])
         # Next iteration streams the vertices that just emitted
         # updates (a changed vertex improving no neighbor now can
@@ -168,14 +123,12 @@ class EdgeCentricEngine(GASEngine):
         source_live[np.unique(center[mask])] = True
 
         program.on_iteration_end(ctx)
-        work = (program.apply_flops_per_vertex * frontier.size
-                + ctx.drain_extra_work()) * self.options.unit_scale
         counters = Counters(
             active=int(frontier.size),
             updates=int(frontier.size),
-            edge_reads=int(src.size),  # the stream reads all arcs
+            edge_reads=int(run.graph.in_src.size),  # the stream reads all arcs
             messages=int(mask.sum()),
-            work=work,
+            work=self._unit_work(run, frontier.size),
         )
         if timed:
             phase_times["scatter"] = time.perf_counter() - mark

@@ -31,9 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._util.errors import ValidationError
-from repro._util.segments import REDUCE_IDENTITY, concat_ranges, segmented_reduce
 from repro.engine.instrumentation import Counters
-from repro.engine.kernels import FusedKernels
 from repro.engine.loop import GASEngine, Run, RunOptions
 from repro.engine.program import Direction, VertexProgram
 
@@ -88,23 +86,16 @@ class GraphCentricEngine(GASEngine):
         return self.options.max_supersteps
 
     def _setup(self, run: Run) -> None:
-        graph = run.graph
-        run.partition = (np.arange(graph.n_vertices, dtype=np.int64)
+        run.partition = (np.arange(run.graph.n_vertices, dtype=np.int64)
                          % self.options.n_partitions)
-        # Gather only: scatter keeps the callback path — the partition
-        # split needs per-edge (center, neighbor) pairs.
-        kernels = FusedKernels.build(run.program, graph)
-        run.kernels = (kernels if kernels is not None and kernels.can_gather
-                       else None)
 
     def _step(self, run: Run, iteration: int, phase_times):
         opts = self.options
-        program, ctx, graph = run.program, run.ctx, run.graph
-        partition, kernels, frontier = run.partition, run.kernels, run.frontier
-        identity = REDUCE_IDENTITY[program.gather_op]
+        program, ctx, kernels = run.program, run.ctx, run.kernels
+        partition, frontier = run.partition, run.frontier
         # Density gate in vertices: below it the frontier-sliced gather
         # touches fewer slots than the dense kernel would.
-        dense_min = opts.direction_threshold * graph.n_vertices
+        dense_min = opts.direction_threshold * run.graph.n_vertices
 
         updates = 0
         reads = 0
@@ -119,42 +110,20 @@ class GraphCentricEngine(GASEngine):
                 if local.size == 0:
                     break
                 # Gather over all in-edges of the local frontier —
-                # fused dense kernel when the frontier is dense
-                # enough to amortize the full-graph reduction.
-                if kernels is not None and local.size >= dense_min:
-                    acc = kernels.gather_dense(ctx)[local]
-                    n_slots = int(
-                        kernels.gather_side.counts[local].sum())
-                else:
-                    starts = graph.in_ptr[local]
-                    ends = graph.in_ptr[local + 1]
-                    slots = concat_ranges(starts, ends)
-                    nbr = graph.in_src[slots]
-                    center = np.repeat(local, ends - starts)
-                    contributions = np.asarray(
-                        program.gather_edge(ctx, nbr, center,
-                                            graph.in_eid[slots]),
-                        dtype=np.float64)
-                    acc = segmented_reduce(contributions, ends - starts,
-                                           program.gather_op,
-                                           identity=identity)
-                    n_slots = int(slots.size)
+                # dense when it is big enough to amortize the
+                # full-graph reduction.
+                acc, n_slots = kernels.gather(
+                    ctx, local, dense=local.size >= dense_min)
                 program.apply(ctx, local, acc)
                 updates += int(local.size)
                 reads += n_slots
 
-                # Scatter; internal signals continue the sweep,
-                # external ones wait for the superstep barrier.
-                s2 = graph.out_ptr[local]
-                e2 = graph.out_ptr[local + 1]
-                oslots = concat_ranges(s2, e2)
-                onbr = graph.out_dst[oslots]
-                ocenter = np.repeat(local, e2 - s2)
-                mask = np.asarray(
-                    program.scatter_edges(ctx, ocenter, onbr,
-                                          graph.out_eid[oslots]),
-                    dtype=bool)
-                hit = onbr[mask]
+                # Scatter on the callback path (the partition split
+                # needs per-edge recipients); internal signals continue
+                # the sweep, external ones wait for the superstep
+                # barrier.
+                _, nbr, mask = kernels.signal_edges(ctx, local)
+                hit = nbr[mask]
                 internal = hit[partition[hit] == p]
                 external = hit[partition[hit] != p]
                 cross_msgs += int(external.size)
@@ -166,10 +135,9 @@ class GraphCentricEngine(GASEngine):
                 next_frontier_parts.append(local)
 
         program.on_iteration_end(ctx)
-        work = (program.apply_flops_per_vertex * updates
-                + ctx.drain_extra_work()) * opts.unit_scale
         counters = Counters(active=updates, updates=updates,
-                            edge_reads=reads, messages=cross_msgs, work=work)
+                            edge_reads=reads, messages=cross_msgs,
+                            work=self._unit_work(run, updates))
         if next_frontier_parts:
             frontier = np.unique(np.concatenate(next_frontier_parts))
         else:

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro._util.errors import ValidationError
+
 
 @dataclass
 class Counters:
@@ -58,7 +60,8 @@ class WorkModel:
         and for cross-machine comparability.
 
     The scale applied to unit work lives on the engine options
-    (``EngineOptions.unit_scale``), which is what the engines read.
+    (``RunOptions.unit_scale``), which is what the engines read
+    (``GASEngine._unit_work``).
     """
 
     kind: str = "unit"
@@ -67,5 +70,5 @@ class WorkModel:
 
     def __post_init__(self) -> None:
         if self.kind not in self.VALID:
-            raise ValueError(f"work model must be one of {self.VALID}, "
-                             f"got {self.kind!r}")
+            raise ValidationError(
+                f"work model must be one of {self.VALID}, got {self.kind!r}")

@@ -1,14 +1,26 @@
-"""Fused CSR kernels behind the engine interface (DESIGN §13).
+"""The one kernel layer: how a program's gather, scatter and stream are
+evaluated (DESIGN §13).
 
-The GAS callbacks (``gather_edge``/``scatter_edges``) are flexible but
-interpreter-bound: every iteration re-slices the frontier's adjacency,
-materializes ``(nbr, center, eid)`` triples, and funnels them through a
-Python call. For the *recognized reduction shapes* declared by a
-:class:`~repro.engine.program.VertexProgram` (``gather_shape`` /
-``scatter_shape``), the same reduction can instead run as one dense CSR
-segment kernel over the whole graph — a pull-mode sparse-matrix-vector
-product — which is what the GAP benchmark's direction-optimizing
-traversal does.
+Paper §3.3: every execution model conserves "transferring information
+through edges, performing computation on an independent unit, and
+activations". :class:`Kernels` is the first and the last of those for
+all four engines — one object per run, and the only code that calls
+``gather_edge`` / ``scatter_edges``. Each phase has two evaluations:
+
+* the **callback path**: slice the vertices' adjacency slots
+  (``concat_ranges``), hand the ``(nbr, center, eid)`` triples to the
+  program's callback, check the shape of what came back, reduce per
+  vertex (``segmented_reduce``) or read the signal mask;
+* the **fused path**, for the *recognized reduction shapes* a
+  :class:`~repro.engine.program.VertexProgram` declares
+  (``gather_shape`` / ``scatter_shape``): one dense CSR segment kernel
+  over the whole graph — a pull-mode sparse-matrix-vector product,
+  which is what the GAP benchmark's direction-optimizing traversal does.
+
+Which one runs follows from the declaration and from the ``dense`` hint
+of the caller (the synchronous engine's pull decision, the
+graph-centric density gate); an engine never tests what the program
+declared.
 
 Bit-identity contract
 ---------------------
@@ -17,7 +29,7 @@ accumulator bits, same frontier sequences, same counters. That rules
 scipy out of the general gather — its SpMV sums rows in a different
 order than ``np.ufunc.reduceat`` and float addition is not associative
 — so the dense gather always reduces with ``reduceat`` over cached
-full-graph offsets (the exact per-slot order the push path uses).
+full-graph offsets (the exact per-slot order the callback path uses).
 scipy is used only where every summation order yields the same float64
 bits:
 
@@ -28,21 +40,26 @@ bits:
 Counters are *model* counters, not physical traversal counts: a pull
 iteration reports the same ``edge_reads``/``messages`` the push
 iteration would, because the unit work model describes the logical GAS
-work, never the engine's traversal strategy (DESIGN §12). Set
-``REPRO_VERIFY_FUSED=1`` to cross-check every fused phase against the
-callback path at runtime (tests use this; it is far too slow for
-production).
+work, never the engine's traversal strategy (DESIGN §12). The oracles
+for all of this — a vertex-at-a-time engine and a kernels wrapper that
+cross-checks every fused phase against the callback path — live in
+``tests/engine_oracle.py``.
 """
 
 from __future__ import annotations
 
-import os
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro._util.errors import ValidationError
-from repro._util.segments import REDUCE_IDENTITY
+from repro._util.segments import (
+    REDUCE_IDENTITY,
+    REDUCE_UFUNC,
+    concat_ranges,
+    segmented_reduce,
+)
 from repro.engine.program import Direction
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -56,21 +73,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: weight[e]``; ``vertex_times_edge`` → ``weight[e] * source[u]``.
 GATHER_SHAPES = ("vertex", "vertex_plus_edge", "vertex_times_edge")
 
-#: Reductions with a fused dense implementation (``or`` stays on the
-#: callback path: no program declares a fusable ``or`` gather).
+#: The float reductions: the ones with a fused dense implementation and
+#: the ones the edge-centric stream can scatter-add (``or`` stays on
+#: the callback path: no program declares a fusable ``or`` gather).
 FUSABLE_OPS = ("sum", "min", "max")
-
-#: Environment switch: cross-check fused kernels against the callback
-#: path every call and raise on the first mismatch.
-VERIFY_ENV = "REPRO_VERIFY_FUSED"
-
-_UFUNC = {"sum": np.add, "min": np.minimum, "max": np.maximum,
-          "or": np.bitwise_or}
 
 #: reduceat over ``[0]`` reduces one whole block *sequentially* — the
 #: same order ``segmented_reduce`` uses for a single segment (ufunc
 #: ``reduce`` would use pairwise summation and change bits).
 _BLOCK_START = np.zeros(1, dtype=np.intp)
+
+_NO_VERTICES = np.empty(0, dtype=np.int64)
 
 
 def reduce_block(values: np.ndarray, op: str) -> np.ndarray:
@@ -83,11 +96,29 @@ def reduce_block(values: np.ndarray, op: str) -> np.ndarray:
     (floats widen to float64).
     """
     values = np.asarray(values)
-    out = _UFUNC[op].reduceat(values, _BLOCK_START, axis=0)
+    out = REDUCE_UFUNC[op].reduceat(values, _BLOCK_START, axis=0)
     if values.dtype.kind == "f":
         dtype = np.result_type(values.dtype, np.float64)
         out = out.astype(dtype, copy=False)
     return out
+
+
+def adjacency(graph: "Graph", direction: Direction):
+    """(ptr, other-endpoint, eid) arrays for a traversal direction;
+    three Nones for ``Direction.NONE`` (the phase is skipped)."""
+    if direction is Direction.NONE:
+        return None, None, None
+    if direction is Direction.IN:
+        return graph.in_ptr, graph.in_src, graph.in_eid
+    if direction is Direction.OUT:
+        return graph.out_ptr, graph.out_dst, graph.out_eid
+    if not graph.directed:
+        raise ValidationError(
+            "Direction.BOTH on an undirected graph would visit "
+            "every edge twice; use IN or OUT")
+    raise ValidationError(
+        "Direction.BOTH is not supported; gather twice or "
+        "symmetrize the graph")
 
 
 class _DenseSide:
@@ -98,17 +129,13 @@ class _DenseSide:
     row starts exactly where the previous one ended. Reducing those
     offsets therefore yields, row for row, the same sequential
     reduction ``segmented_reduce`` performs — precomputed once per
-    graph instead of re-deriving cumsums every iteration.
+    run instead of re-deriving cumsums every iteration.
     """
 
-    __slots__ = ("ptr", "idx", "eid", "counts", "nonempty",
-                 "all_nonempty", "offsets", "n")
+    __slots__ = ("idx", "counts", "nonempty", "all_nonempty", "offsets", "n")
 
-    def __init__(self, ptr: np.ndarray, idx: np.ndarray,
-                 eid: np.ndarray) -> None:
-        self.ptr = ptr
+    def __init__(self, ptr: np.ndarray, idx: np.ndarray) -> None:
         self.idx = idx
-        self.eid = eid
         self.n = ptr.size - 1
         self.counts = np.diff(ptr)
         self.nonempty = self.counts > 0
@@ -123,7 +150,7 @@ class _DenseSide:
         empty rows hold the reduction identity."""
         if self.idx.size == 0:
             return np.full(self.n, REDUCE_IDENTITY[op], dtype=np.float64)
-        reduced = _UFUNC[op].reduceat(values, self.offsets)
+        reduced = REDUCE_UFUNC[op].reduceat(values, self.offsets)
         if self.all_nonempty:
             return reduced
         out = np.full(self.n, REDUCE_IDENTITY[op], dtype=values.dtype)
@@ -131,205 +158,273 @@ class _DenseSide:
         return out
 
 
-def _side(graph: "Graph", direction: Direction) -> _DenseSide:
-    if direction is Direction.IN:
-        return _DenseSide(graph.in_ptr, graph.in_src, graph.in_eid)
-    return _DenseSide(graph.out_ptr, graph.out_dst, graph.out_eid)
+class Kernels:
+    """Gather, scatter and stream of one (program, graph) pair.
 
-
-class FusedKernels:
-    """Per-run dense kernel dispatch for one (program, graph) pair.
-
-    Build with :meth:`build`, which returns ``None`` when neither phase
-    of the program is fusable; engines then keep the callback path with
-    zero overhead. Holds no program *state* — only graph-derived caches
-    and the program reference — so checkpoint/resume rebuilds it
-    losslessly.
+    Built once per run by the loop. Holds no program *state* — only the
+    program, the adjacency it traverses and graph-derived caches for
+    the fused paths, built on first use — so checkpoint/resume rebuilds
+    it losslessly.
     """
 
-    def __init__(self, program: "VertexProgram", graph: "Graph", *,
-                 can_gather: bool, can_scatter: bool) -> None:
+    def __init__(self, program: "VertexProgram", graph: "Graph") -> None:
         self.program = program
         self.graph = graph
-        self.can_gather = can_gather
-        self.can_scatter = can_scatter
-        self._verify = bool(os.environ.get(VERIFY_ENV, ""))
-
-        if can_gather:
-            self.gather_side = _side(graph, program.gather_dir)
-            self._g_weights = None
-            if program.gather_shape in ("vertex_plus_edge",
-                                        "vertex_times_edge"):
-                self._g_weights = graph.edge_weight[self.gather_side.eid]
-            # Exact integer-valued sums may reorder: scipy SpMV allowed.
-            self._g_mat = None
-            if (program.gather_op == "sum"
-                    and program.gather_shape == "vertex"
-                    and getattr(program, "gather_source_exact", False)):
-                orientation = ("in" if program.gather_dir is Direction.IN
-                               else "out")
-                self._g_mat = graph.ones_adjacency_csr(orientation)
-
-        if can_scatter:
-            self.scatter_counts = np.diff(
-                graph.out_ptr if program.scatter_dir is Direction.OUT
-                else graph.in_ptr)
-            # "Who got signaled" traverses the *reverse* adjacency.
-            self._rev_orientation = (
-                "in" if program.scatter_dir is Direction.OUT else "out")
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def build(cls, program: "VertexProgram",
-              graph: "Graph") -> "FusedKernels | None":
-        """Recognize the program's fusable phases, or return ``None``."""
+        self._gather_adj = adjacency(graph, program.gather_dir)
+        self._scatter_adj = adjacency(graph, program.scatter_dir)
         shape = getattr(program, "gather_shape", None)
-        can_gather = (
+        #: The program's gather has a fused dense evaluation.
+        self.can_gather = (
             shape in GATHER_SHAPES
-            and program.gather_dir in (Direction.IN, Direction.OUT)
+            and program.gather_dir is not Direction.NONE
             and program.gather_op in FUSABLE_OPS
             and program.gather_width == 1
             and program.gather_dtype is np.float64
+            # *_edge shapes need per-edge weights
+            and (shape == "vertex" or graph.edge_weight is not None)
         )
-        if can_gather and shape != "vertex" and graph.edge_weight is None:
-            can_gather = False  # *_edge shapes need per-edge weights
-        can_scatter = (
+        #: The program's scatter has a fused dense evaluation.
+        self.can_scatter = (
             getattr(program, "scatter_shape", None) == "center"
-            and program.scatter_dir in (Direction.IN, Direction.OUT)
+            and program.scatter_dir is not Direction.NONE
         )
-        if not can_gather and not can_scatter:
-            return None
-        return cls(program, graph, can_gather=can_gather,
-                   can_scatter=can_scatter)
+
+    @property
+    def fused(self) -> bool:
+        """Some phase has a dense evaluation, so pulling can pay."""
+        return self.can_gather or self.can_scatter
+
+    # ------------------------------------------------------------------
+    # The callbacks, called here and nowhere else
+    # ------------------------------------------------------------------
+    def _contributions(self, ctx: "Context", nbr: np.ndarray,
+                       center: np.ndarray, eid: np.ndarray) -> np.ndarray:
+        program = self.program
+        values = np.asarray(program.gather_edge(ctx, nbr, center, eid),
+                            dtype=program.gather_dtype)
+        width = program.gather_width
+        expected = (nbr.size,) if width == 1 else (nbr.size, width)
+        if values.shape != expected:
+            raise ValidationError(
+                f"{program.name}.gather_edge returned shape "
+                f"{values.shape}, expected {expected}")
+        return values
+
+    def _signal_mask(self, ctx: "Context", center: np.ndarray,
+                     nbr: np.ndarray, eid: np.ndarray) -> np.ndarray:
+        program = self.program
+        mask = np.asarray(program.scatter_edges(ctx, center, nbr, eid),
+                          dtype=bool)
+        if mask.shape != (nbr.size,):
+            raise ValidationError(
+                f"{program.name}.scatter_edges returned shape "
+                f"{mask.shape}, expected ({nbr.size},)")
+        return mask
+
+    @staticmethod
+    def _edges(adj, vids: np.ndarray):
+        """``(nbr, center, eid, counts)`` over the adjacency slots of
+        ``vids``, in slot order."""
+        ptr, idx, eid = adj
+        starts = ptr[vids]
+        ends = ptr[vids + 1]
+        counts = ends - starts
+        slots = concat_ranges(starts, ends)
+        return idx[slots], np.repeat(vids, counts), eid[slots], counts
 
     # ------------------------------------------------------------------
     # Gather
     # ------------------------------------------------------------------
-    def _slot_values(self, x: np.ndarray) -> np.ndarray:
-        """Per-slot contribution for every adjacency slot of the gather
-        side, in slot order — the fused equivalent of ``gather_edge``."""
-        values = x[self.gather_side.idx]
-        shape = self.program.gather_shape
-        if shape == "vertex_plus_edge":
-            values = values + self._g_weights
-        elif shape == "vertex_times_edge":
-            values = self._g_weights * values
-        return values
+    def gather(self, ctx: "Context", vids: np.ndarray,
+               dense: bool = False) -> "tuple[np.ndarray | None, int]":
+        """Accumulator rows aligned with ``vids`` and the edges read;
+        ``(None, 0)`` for a program that gathers nothing.
 
-    def gather_dense(self, ctx: "Context") -> np.ndarray:
-        """Accumulator rows for *every* vertex (pull-mode full gather)."""
+        ``dense`` asks for the pull-mode kernel over the whole graph
+        where the program's declaration allows it. ``edge_reads`` is
+        the *model* count either way — the gather-degree sum of
+        ``vids`` — and ``vids`` must be sorted unique.
+        """
+        if self._gather_adj[0] is None:
+            return None, 0
+        if dense and self.can_gather:
+            acc = self._gather_dense(ctx)
+            n_reads = int(self._side.counts[vids].sum())
+            if vids.size != acc.shape[0]:
+                acc = acc[vids]
+            return acc, n_reads
+        nbr, center, eid, counts = self._edges(self._gather_adj, vids)
+        values = self._contributions(ctx, nbr, center, eid)
+        acc = segmented_reduce(values, counts, self.program.gather_op)
+        return acc, int(nbr.size)
+
+    def gather_one(self, ctx: "Context",
+                   v: int) -> "tuple[np.ndarray | None, int]":
+        """:meth:`gather` for one vertex on the callback path: its
+        slots are contiguous, so slice views and a single-block reduce
+        stand in for index materialization and the segment kernel."""
+        ptr, idx, eid = self._gather_adj
+        if ptr is None:
+            return None, 0
+        program = self.program
+        s, e = int(ptr[v]), int(ptr[v + 1])
+        if e == s:
+            width = program.gather_width
+            return np.full((1,) if width == 1 else (1, width),
+                           REDUCE_IDENTITY[program.gather_op],
+                           dtype=program.gather_dtype), 0
+        nbr = idx[s:e]
+        values = self._contributions(
+            ctx, nbr, np.full(nbr.size, v, dtype=np.int64), eid[s:e])
+        return reduce_block(values, program.gather_op), nbr.size
+
+    def stream(self, ctx: "Context", source_live: np.ndarray) -> np.ndarray:
+        """Edge-centric gather: touch *every* arc, reduce per target the
+        contributions of arcs whose source is live; every other row
+        holds the reduction identity.
+
+        Fused, the per-arc contributions and the per-target reduction
+        collapse into one dense segment kernel with dead-source slots
+        pinned to the identity (min/max absorb it exactly; for ``sum``
+        the interleaved ``0.0`` terms leave the float64 bits
+        unchanged) — bit-identical to the ``ufunc.at`` scatter-add of
+        the callback path.
+        """
+        _, idx, eid = self._gather_adj
+        op = self.program.gather_op
+        identity = REDUCE_IDENTITY[op]
+        live = source_live[idx]
+        any_live = live.any()
+        if any_live and self.can_gather:
+            values = np.where(live, self._slot_values(self._source(ctx)),
+                              identity)
+            return self._side.reduce(values, op)
+        acc = np.full(self.graph.n_vertices, identity)
+        if any_live:
+            tgt = self._slot_center[live]
+            values = self._contributions(ctx, idx[live], tgt, eid[live])
+            REDUCE_UFUNC[op].at(acc, tgt, values)
+        return acc
+
+    # ------------------------------------------------------------------
+    # Scatter
+    # ------------------------------------------------------------------
+    def signal_edges(self, ctx: "Context", vids: np.ndarray,
+                     ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """``(center, nbr, mask)`` over the scatter edges of ``vids``:
+        ``mask`` is True where the edge delivers a signal."""
+        if self._scatter_adj[0] is None:
+            return _NO_VERTICES, _NO_VERTICES, np.empty(0, dtype=bool)
+        nbr, center, eid, _ = self._edges(self._scatter_adj, vids)
+        return center, nbr, self._signal_mask(ctx, center, nbr, eid)
+
+    def scatter(self, ctx: "Context", vids: np.ndarray,
+                dense: bool = False) -> "tuple[np.ndarray, int]":
+        """The sorted unique vertices ``vids`` signaled and the
+        messages sent; ``dense`` as for :meth:`gather`."""
+        if dense and self.can_scatter:
+            return self._scatter_dense(ctx, vids)
+        _, nbr, mask = self.signal_edges(ctx, vids)
+        return np.unique(nbr[mask]), int(mask.sum())
+
+    def signaled_by(self, ctx: "Context", v: int) -> np.ndarray:
+        """The recipients of one vertex's signals, in slot order (one
+        entry per message) — :meth:`signal_edges` over slice views."""
+        ptr, idx, eid = self._scatter_adj
+        if ptr is None:
+            return _NO_VERTICES
+        s, e = int(ptr[v]), int(ptr[v + 1])
+        if e == s:
+            return _NO_VERTICES
+        nbr = idx[s:e]
+        center = np.full(nbr.size, v, dtype=np.int64)
+        return nbr[self._signal_mask(ctx, center, nbr, eid[s:e])]
+
+    # ------------------------------------------------------------------
+    # The fused paths
+    # ------------------------------------------------------------------
+    @cached_property
+    def _side(self) -> _DenseSide:
+        ptr, idx, _ = self._gather_adj
+        return _DenseSide(ptr, idx)
+
+    @cached_property
+    def _slot_center(self) -> np.ndarray:
+        """The gathering vertex of every slot of the gather side."""
+        ptr = self._gather_adj[0]
+        return np.repeat(np.arange(ptr.size - 1, dtype=np.int64),
+                         np.diff(ptr))
+
+    @cached_property
+    def _weights(self) -> "np.ndarray | None":
+        if self.program.gather_shape == "vertex":
+            return None
+        return self.graph.edge_weight[self._gather_adj[2]]
+
+    @cached_property
+    def _exact_matrix(self):
+        """Exact integer-valued sums may reorder: scipy SpMV allowed."""
+        program = self.program
+        if not (program.gather_op == "sum"
+                and program.gather_shape == "vertex"
+                and getattr(program, "gather_source_exact", False)):
+            return None
+        return self.graph.ones_adjacency_csr(program.gather_dir.value)
+
+    @cached_property
+    def _scatter_counts(self) -> np.ndarray:
+        return np.diff(self._scatter_adj[0])
+
+    def _source(self, ctx: "Context") -> np.ndarray:
         program = self.program
         x = np.asarray(program.gather_source(ctx), dtype=np.float64)
         if x.shape != (self.graph.n_vertices,):
             raise ValidationError(
                 f"{program.name}.gather_source returned shape {x.shape}, "
                 f"expected ({self.graph.n_vertices},)")
-        if self._g_mat is not None:
-            acc = self._g_mat.dot(x)
-        else:
-            acc = self.gather_side.reduce(self._slot_values(x), program.gather_op)
-        if self._verify:
-            self._verify_gather(ctx, acc)
-        return acc
+        return x
 
-    def gather_frontier(self, ctx: "Context",
-                        frontier: np.ndarray) -> tuple[np.ndarray, int]:
-        """Pull-mode gather restricted to the frontier's rows.
+    def _slot_values(self, x: np.ndarray) -> np.ndarray:
+        """Per-slot contribution for every adjacency slot of the gather
+        side, in slot order — the fused equivalent of ``gather_edge``."""
+        values = x[self._side.idx]
+        shape = self.program.gather_shape
+        if shape == "vertex_plus_edge":
+            values = values + self._weights
+        elif shape == "vertex_times_edge":
+            values = self._weights * values
+        return values
 
-        Returns ``(acc, edge_reads)`` where ``edge_reads`` is the
-        *model* count — the frontier's gather-degree sum, exactly what
-        the push path reports.
-        """
-        acc = self.gather_dense(ctx)
-        n_reads = int(self.gather_side.counts[frontier].sum())
-        if frontier.size != acc.shape[0]:
-            acc = acc[frontier]
-        return acc, n_reads
+    def _gather_dense(self, ctx: "Context") -> np.ndarray:
+        """Accumulator rows for *every* vertex (pull-mode full gather)."""
+        x = self._source(ctx)
+        if self._exact_matrix is not None:
+            return self._exact_matrix.dot(x)
+        return self._side.reduce(self._slot_values(x),
+                                 self.program.gather_op)
 
-    def stream_dense(self, ctx: "Context",
-                     live_slot: np.ndarray) -> np.ndarray:
-        """Edge-centric fused stream: reduce every vertex's row over
-        contributions of *live-source* slots, dead slots pinned to the
-        reduction identity (min/max absorb it exactly; for ``sum`` the
-        interleaved ``0.0`` terms leave the float64 bits unchanged)."""
-        program = self.program
-        x = np.asarray(program.gather_source(ctx), dtype=np.float64)
-        values = self._slot_values(x)
-        values = np.where(live_slot, values,
-                          REDUCE_IDENTITY[program.gather_op])
-        acc = self.gather_side.reduce(values, program.gather_op)
-        return acc
-
-    # ------------------------------------------------------------------
-    # Scatter
-    # ------------------------------------------------------------------
-    def scatter_frontier(self, ctx: "Context",
-                         frontier: np.ndarray) -> tuple[np.ndarray, int]:
+    def _scatter_dense(self, ctx: "Context",
+                       vids: np.ndarray) -> "tuple[np.ndarray, int]":
         """Center-shape scatter without materializing the edge mask.
 
         ``messages`` is the masked frontier's scatter-degree sum and
         ``signaled`` the sorted unique recipients — both bit-identical
-        to the push path (the indicator SpMV sums 0/1 values, which
+        to the callback path (the indicator SpMV sums 0/1 values, which
         every summation order reproduces exactly in float64).
         """
         program = self.program
-        m = np.asarray(program.scatter_vertex_mask(ctx, frontier),
-                       dtype=bool)
-        if m.shape != (frontier.size,):
+        m = np.asarray(program.scatter_vertex_mask(ctx, vids), dtype=bool)
+        if m.shape != (vids.size,):
             raise ValidationError(
                 f"{program.name}.scatter_vertex_mask returned shape "
-                f"{m.shape}, expected ({frontier.size},)")
-        senders = frontier[m]
-        n_msgs = int(self.scatter_counts[senders].sum())
+                f"{m.shape}, expected ({vids.size},)")
+        senders = vids[m]
+        n_msgs = int(self._scatter_counts[senders].sum())
         if senders.size == 0:
-            signaled = np.empty(0, dtype=np.int64)
-        else:
-            indicator = np.zeros(self.graph.n_vertices, dtype=np.float64)
-            indicator[senders] = 1.0
-            hits = self.graph.spmv_ones(self._rev_orientation, indicator)
-            signaled = np.flatnonzero(hits > 0.0).astype(np.int64,
-                                                         copy=False)
-        if self._verify:
-            self._verify_scatter(ctx, frontier, signaled, n_msgs)
-        return signaled, n_msgs
-
-    # ------------------------------------------------------------------
-    # Verification (REPRO_VERIFY_FUSED=1)
-    # ------------------------------------------------------------------
-    def _verify_gather(self, ctx: "Context", acc: np.ndarray) -> None:
-        from repro._util.segments import segmented_reduce
-
-        side = self.gather_side
-        program = self.program
-        center = np.repeat(np.arange(side.n, dtype=np.int64), side.counts)
-        ref_vals = np.asarray(
-            program.gather_edge(ctx, side.idx, center, side.eid),
-            dtype=program.gather_dtype)
-        ref = segmented_reduce(ref_vals, side.counts, program.gather_op)
-        if not np.array_equal(acc, ref):
-            raise AssertionError(
-                f"fused gather diverged from gather_edge for "
-                f"{program.name} at iteration {ctx.iteration}")
-
-    def _verify_scatter(self, ctx: "Context", frontier: np.ndarray,
-                        signaled: np.ndarray, n_msgs: int) -> None:
-        from repro._util.segments import concat_ranges
-
-        graph = self.graph
-        program = self.program
-        if program.scatter_dir is Direction.OUT:
-            ptr, idx, eid = graph.out_ptr, graph.out_dst, graph.out_eid
-        else:
-            ptr, idx, eid = graph.in_ptr, graph.in_src, graph.in_eid
-        starts, ends = ptr[frontier], ptr[frontier + 1]
-        slots = concat_ranges(starts, ends)
-        nbr = idx[slots]
-        center = np.repeat(frontier, ends - starts)
-        mask = np.asarray(
-            program.scatter_edges(ctx, center, nbr, eid[slots]), dtype=bool)
-        ref_signaled = np.unique(nbr[mask])
-        if n_msgs != int(mask.sum()) or not np.array_equal(
-                signaled, ref_signaled):
-            raise AssertionError(
-                f"fused scatter diverged from scatter_edges for "
-                f"{program.name} at iteration {ctx.iteration}")
+            return _NO_VERTICES, n_msgs
+        indicator = np.zeros(self.graph.n_vertices, dtype=np.float64)
+        indicator[senders] = 1.0
+        # "Who got signaled" traverses the *reverse* adjacency.
+        reverse = "in" if program.scatter_dir is Direction.OUT else "out"
+        hits = self.graph.spmv_ones(reverse, indicator)
+        return np.flatnonzero(hits > 0.0).astype(np.int64, copy=False), n_msgs

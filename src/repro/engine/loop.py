@@ -35,7 +35,8 @@ from repro.engine.health import (
     validate_health_options,
 )
 from repro.engine.instrumentation import Counters
-from repro.engine.program import Direction, VertexProgram
+from repro.engine.kernels import Kernels
+from repro.engine.program import VertexProgram
 from repro.generators.problem import ProblemInstance
 from repro.obs.telemetry import engine_observer
 
@@ -100,28 +101,10 @@ def next_frontier(program: VertexProgram, ctx: Context,
     return nxt
 
 
-def adjacency(graph, direction: Direction):
-    """(ptr, other-endpoint, eid) arrays for a traversal direction;
-    three Nones for ``Direction.NONE`` (the phase is skipped)."""
-    if direction is Direction.NONE:
-        return None, None, None
-    if direction is Direction.IN:
-        return graph.in_ptr, graph.in_src, graph.in_eid
-    if direction is Direction.OUT:
-        return graph.out_ptr, graph.out_dst, graph.out_eid
-    if not graph.directed:
-        raise ValidationError(
-            "Direction.BOTH on an undirected graph would visit "
-            "every edge twice; use IN or OUT")
-    raise ValidationError(
-        "Direction.BOTH is not supported; gather twice or "
-        "symmetrize the graph")
-
-
 class Run:
     """One run's state, shared by the loop and the engine's step. The
-    engine's ``_setup`` adds its own attributes (kernels, adjacency,
-    scheduler, ...)."""
+    engine's ``_setup`` adds its own attributes (partition, scheduler,
+    ...)."""
 
     #: Set by a step the cap interrupted part-way (an asynchronous
     #: round cut by ``max_steps``): its counters are recorded, but it is
@@ -134,6 +117,8 @@ class Run:
         self.program = program
         self.ctx = ctx
         self.graph = ctx.graph
+        #: How this run's gather / scatter / stream are evaluated.
+        self.kernels = Kernels(program, ctx.graph)
         self.deadline = deadline
         self.obs = obs
         #: The active set the next step runs on; None where the engine
@@ -187,6 +172,14 @@ class GASEngine:
 
     def _drained(self, run: Run) -> bool:
         return run.frontier.size == 0
+
+    def _unit_work(self, run: Run, n_applied: int) -> float:
+        """Unit-model WORK of applying ``n_applied`` vertices: the
+        declared per-vertex cost plus whatever the program reported via
+        ``ctx.add_work`` since the last drain (TC's intersections in
+        gather, DD's slave solves in scatter), scaled."""
+        return ((run.program.apply_flops_per_vertex * n_applied
+                 + run.ctx.drain_extra_work()) * self.options.unit_scale)
 
     # ------------------------------------------------------------------
     # The loop

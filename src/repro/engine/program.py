@@ -3,9 +3,10 @@
 A :class:`VertexProgram` holds the per-vertex (and per-edge) state of
 one algorithm run and implements the three GAS phases as *array-level*
 callbacks: the engine hands it arrays of vertices/edges, never single
-scalars. This one API serves both engine modes — the vectorized engine
-passes the whole frontier; the reference engine passes length-1 slices —
-so every algorithm is written exactly once.
+scalars. This one API serves every caller — the synchronous engine
+passes the whole frontier, the asynchronous engine and the test
+suite's vertex-at-a-time oracle pass length-1 slices — so every
+algorithm is written exactly once.
 
 Phase contracts (synchronous semantics)
 ---------------------------------------
@@ -182,7 +183,8 @@ class VertexProgram(ABC):
         )
 
     @abstractmethod
-    def apply(self, ctx: "Context", vids: np.ndarray, acc: np.ndarray | None) -> None:
+    def apply(self, ctx: "Context", vids: np.ndarray,
+              acc: np.ndarray | None) -> None:
         """Update the state of vertices ``vids`` given gather results.
 
         ``acc`` is ``None`` when ``gather_dir == Direction.NONE``;

@@ -1,7 +1,11 @@
 """Ensemble analysis: spread, coverage, best-ensemble search, and
 complexity-constrained benchmark design (paper Section 5)."""
 
-from repro.ensemble.bounds import UpperBounds, max_coverage_points, max_spread_points
+from repro.ensemble.bounds import (
+    UpperBounds,
+    max_coverage_points,
+    max_spread_points,
+)
 from repro.ensemble.budgets import (
     REPORT_SAMPLES,
     SEARCH_SAMPLES,

@@ -29,7 +29,8 @@ from repro.ensemble.metrics import coverage, spread
 from repro.generators.rng import make_rng
 
 
-def _candidate_pool(space: BehaviorSpace, n_random: int, seed: int) -> np.ndarray:
+def _candidate_pool(space: BehaviorSpace, n_random: int,
+                    seed: int) -> np.ndarray:
     """Hypercube corners + midpoint + uniform random points."""
     dims = space.dims
     corners = np.array(

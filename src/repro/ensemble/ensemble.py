@@ -30,7 +30,8 @@ class Ensemble:
     name: str = ""
 
     @classmethod
-    def of(cls, vectors: Iterable[BehaviorVector], name: str = "") -> "Ensemble":
+    def of(cls, vectors: Iterable[BehaviorVector],
+           name: str = "") -> "Ensemble":
         return cls(members=tuple(vectors), name=name)
 
     @property

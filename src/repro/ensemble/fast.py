@@ -195,7 +195,8 @@ class BlockCache:
         self._bytes = 0
         self._lock = threading.Lock()
 
-    def get(self, key: int, build: "Callable[[int], np.ndarray]") -> np.ndarray:
+    def get(self, key: int,
+            build: "Callable[[int], np.ndarray]") -> np.ndarray:
         tel = get_telemetry()
         with self._lock:
             blk = self._blocks.get(key)

@@ -78,7 +78,8 @@ def mean_min_distance(
     space = space or BehaviorSpace()
     mat = _as_matrix(ensemble, space)
     if mat.shape[0] == 0:
-        raise ValidationError("mean_min_distance of an empty ensemble is undefined")
+        raise ValidationError(
+            "mean_min_distance of an empty ensemble is undefined")
     if samples is None:
         samples = space.sample(n_samples, seed=seed)
     tree = cKDTree(mat)

@@ -65,7 +65,8 @@ class GraphSpec:
                    seed=seed)
 
     @classmethod
-    def clustering(cls, nedges: int, alpha: float, *, seed: int = 0) -> "GraphSpec":
+    def clustering(cls, nedges: int, alpha: float, *,
+                   seed: int = 0) -> "GraphSpec":
         return cls(domain="clustering", nedges=int(nedges),
                    alpha=float(alpha), seed=seed)
 
@@ -234,7 +235,8 @@ PROFILES: dict[str, Profile] = {
 
 
 def get_profile(name: str | None = None) -> Profile:
-    """Resolve a profile by name, or from ``$REPRO_PROFILE`` (default smoke)."""
+    """Resolve a profile by name, or from ``$REPRO_PROFILE`` (default
+    smoke)."""
     if name is None:
         name = os.environ.get("REPRO_PROFILE", "smoke")
     if name not in PROFILES:

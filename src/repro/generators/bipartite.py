@@ -101,7 +101,8 @@ def bipartite_rating_graph(
         )
 
     src = np.concatenate(users) if users else np.empty(0, dtype=np.int64)
-    dst = (np.concatenate(items) if items else np.empty(0, dtype=np.int64)) + n_users
+    dst = (np.concatenate(items) if items
+           else np.empty(0, dtype=np.int64)) + n_users
     ratings = np.clip(
         rng_rate.normal(RATING_MEAN, RATING_STD, size=src.size),
         *RATING_RANGE,

@@ -65,7 +65,8 @@ def matrix_problem(
     cols = cols + (cols >= np.arange(nrows)[:, None])
     # Repair duplicate columns within a row by linear probing.
     for i in np.flatnonzero(
-        (np.sort(cols, axis=1)[:, 1:] == np.sort(cols, axis=1)[:, :-1]).any(axis=1)
+        (np.sort(cols, axis=1)[:, 1:]
+         == np.sort(cols, axis=1)[:, :-1]).any(axis=1)
     ):
         chosen: set[int] = set()
         for j in range(row_degree):

@@ -37,7 +37,8 @@ ALPHA_REAL_WORLD = (2.0, 3.0)
 _MAX_REDRAW_ROUNDS = 60
 
 
-def _truncated_power_law(alpha: float, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+def _truncated_power_law(alpha: float,
+                         k_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Support ``1..k_max`` and probabilities of ``P(k) ∝ k^-α``."""
     ks = np.arange(1, k_max + 1, dtype=np.float64)
     pmf = ks ** (-alpha)

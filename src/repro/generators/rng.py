@@ -14,7 +14,8 @@ import numpy as np
 from repro._util.errors import ValidationError
 
 
-def make_rng(seed: int | np.random.Generator, *context: int | str) -> np.random.Generator:
+def make_rng(seed: int | np.random.Generator,
+             *context: int | str) -> np.random.Generator:
     """Build a deterministic Generator from a seed and a context path.
 
     ``context`` elements (ints or strings) namespace the stream so two
@@ -35,10 +36,12 @@ def make_rng(seed: int | np.random.Generator, *context: int | str) -> np.random.
             entropy.append(hash_str(item))
         else:
             entropy.append(int(item) & 0xFFFFFFFF)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy)))
 
 
-def spawn_rngs(seed: int, count: int, *context: int | str) -> list[np.random.Generator]:
+def spawn_rngs(seed: int, count: int,
+               *context: int | str) -> list[np.random.Generator]:
     """Derive ``count`` independent generators from one seed + context."""
     if count < 0:
         raise ValidationError("count must be non-negative")

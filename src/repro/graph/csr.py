@@ -145,7 +145,8 @@ class Graph:
         if n_vertices <= 0:
             raise GraphConstructionError("graph must have at least one vertex")
         if src.size and (src.min() < 0 or dst.min() < 0
-                         or src.max() >= n_vertices or dst.max() >= n_vertices):
+                         or src.max() >= n_vertices
+                         or dst.max() >= n_vertices):
             raise GraphConstructionError(
                 f"edge endpoints out of range [0, {n_vertices})"
             )

@@ -22,7 +22,8 @@ from repro.graph.csr import Graph
 # Edge lists
 # ----------------------------------------------------------------------
 
-def write_edge_list(graph: Graph, path: str | Path, *, header: bool = True) -> None:
+def write_edge_list(graph: Graph, path: str | Path, *,
+                    header: bool = True) -> None:
     """Write a graph as ``src dst [weight]`` lines.
 
     Undirected edges are written once (canonical ``lo hi`` orientation).
@@ -33,7 +34,8 @@ def write_edge_list(graph: Graph, path: str | Path, *, header: bool = True) -> N
         if header:
             kind = "directed" if graph.directed else "undirected"
             fh.write(f"# repro edge list: {kind} "
-                     f"n_vertices={graph.n_vertices} n_edges={graph.n_edges}\n")
+                     f"n_vertices={graph.n_vertices} "
+                     f"n_edges={graph.n_edges}\n")
         if graph.edge_weight is None:
             for u, v in zip(src.tolist(), dst.tolist()):
                 fh.write(f"{u} {v}\n")
@@ -49,7 +51,8 @@ def read_edge_list(
     n_vertices: int | None = None,
     directed: bool = False,
 ) -> Graph:
-    """Read a ``src dst [weight]`` edge list written by :func:`write_edge_list`.
+    """Read a ``src dst [weight]`` edge list written by
+    :func:`write_edge_list`.
 
     Lines starting with ``#`` are comments; the header comment's
     ``n_vertices`` is honored unless overridden by the argument.
@@ -84,7 +87,8 @@ def read_edge_list(
             parts = line.split()
             if len(parts) not in (2, 3):
                 raise ValidationError(
-                    f"{path}:{lineno}: expected 'src dst [weight]', got {line!r}"
+                    f"{path}:{lineno}: expected 'src dst [weight]', "
+                    f"got {line!r}"
                 )
             srcs.append(int(parts[0]))
             dsts.append(int(parts[1]))
@@ -231,7 +235,8 @@ def read_uai(path: str | Path) -> PairwiseMRF:
 
     kind = take()[0].upper()
     if kind != "MARKOV":
-        raise ValidationError(f"{path}: expected MARKOV preamble, got {kind!r}")
+        raise ValidationError(
+            f"{path}: expected MARKOV preamble, got {kind!r}")
     n_vars = int(take()[0])
     cards = np.asarray([int(t) for t in take(n_vars)], dtype=np.int64)
     n_factors = int(take()[0])
@@ -240,7 +245,8 @@ def read_uai(path: str | Path) -> PairwiseMRF:
         arity = int(take()[0])
         if arity not in (1, 2):
             raise ValidationError(
-                f"{path}: only pairwise MRFs supported, got factor arity {arity}"
+                f"{path}: only pairwise MRFs supported, "
+                f"got factor arity {arity}"
             )
         scope = [int(t) for t in take(arity)]
         if any(i < 0 or i >= n_vars for i in scope):

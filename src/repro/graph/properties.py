@@ -73,13 +73,15 @@ class GraphSummary:
 
     def as_row(self) -> str:
         """One-line human-readable summary."""
-        alpha = f"{self.alpha_mle:.2f}" if self.alpha_mle is not None else "n/a"
+        alpha = ("n/a" if self.alpha_mle is None
+                 else f"{self.alpha_mle:.2f}")
         return (f"|V|={self.n_vertices:>9,} |E|={self.n_edges:>10,} "
                 f"deg[{self.min_degree},{self.max_degree}] "
                 f"mean={self.mean_degree:.2f} α̂={alpha}")
 
 
-def summarize(graph: Graph, *, fit_alpha: bool = True, k_min: int = 2) -> GraphSummary:
+def summarize(graph: Graph, *, fit_alpha: bool = True,
+              k_min: int = 2) -> GraphSummary:
     """Compute a :class:`GraphSummary` for ``graph``."""
     deg = graph.degree
     alpha = None

@@ -15,7 +15,8 @@ from repro._util.errors import ValidationError
 from repro.graph.csr import Graph
 
 
-def induced_subgraph(graph: Graph, vertices: np.ndarray) -> tuple[Graph, np.ndarray]:
+def induced_subgraph(graph: Graph,
+                     vertices: np.ndarray) -> tuple[Graph, np.ndarray]:
     """The subgraph induced by ``vertices``, with compact relabeling.
 
     Returns

@@ -298,7 +298,8 @@ def render_stats(run_dir: "str | Path", *,
                          if shm_fail else ""))
     if ckpt_bytes:
         extras.append(
-            f"checkpoints: {int(_total(snapshot, 'checkpoint_publishes_total'))}"
+            "checkpoints: "
+            f"{int(_total(snapshot, 'checkpoint_publishes_total'))}"
             f" published ({_fmt_bytes(ckpt_bytes)}), "
             f"{int(_total(snapshot, 'checkpoint_restores_total'))} restored")
     trips = _by_label(snapshot, "health_trips_total", "condition")

@@ -93,7 +93,8 @@ def predict_cost(model: SystemModel, metrics: BehaviorMetrics,
     iters = metrics.n_iterations if n_iterations is None else n_iterations
     if iters < 1:
         raise ValidationError("n_iterations must be >= 1")
-    per_iter = float(model.weight_vector() @ metrics.as_array()) + model.overhead
+    per_iter = (float(model.weight_vector() @ metrics.as_array())
+                + model.overhead)
     return per_iter * iters
 
 

@@ -51,7 +51,8 @@ class _Evaluator:
         self.n = pool.shape[0]
         self.space = space
         if metric == "spread":
-            self.P = squareform(pdist(pool)) if self.n > 1 else np.zeros((1, 1))
+            self.P = (squareform(pdist(pool)) if self.n > 1
+                      else np.zeros((1, 1)))
             self.D = None
         else:
             if samples is None:
@@ -82,7 +83,8 @@ class _Evaluator:
             return 2.0 * payload / (k * (k - 1))
         return self.space.diameter - float(payload.mean())
 
-    def scores_of_extensions(self, state, candidates: np.ndarray) -> np.ndarray:
+    def scores_of_extensions(self, state,
+                             candidates: np.ndarray) -> np.ndarray:
         """Vectorized scores of extending ``state`` by each candidate."""
         indices, payload = state
         k = len(indices) + 1

@@ -5,7 +5,6 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.behavior.run import run_computation
 from repro.engine.engine import SynchronousEngine
 from repro.engine.program import VertexProgram  # noqa: F401 (docs)
 from repro.experiments.config import GraphSpec
@@ -27,7 +26,8 @@ def run_program(name, problem, **kw):
     from repro.behavior.run import build_engine_options
 
     program = create(name, **kw.pop("params", {}))
-    engine = SynchronousEngine(build_engine_options(name, kw.pop("options", None)))
+    engine = SynchronousEngine(
+        build_engine_options(name, kw.pop("options", None)))
     trace = engine.run(program, problem)
     return trace, program
 
@@ -41,7 +41,8 @@ class TestConnectedComponents:
     def test_matches_networkx(self, ga):
         trace, prog = run_program("cc", ga)
         G = as_networkx(ga.graph)
-        assert trace.result["n_components"] == nx.number_connected_components(G)
+        assert (trace.result["n_components"]
+                == nx.number_connected_components(G))
         # Same-component vertices share labels; distinct components differ.
         labels = prog.component.astype(int)
         for comp in nx.connected_components(G):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.engine.engine import SynchronousEngine
-from repro.experiments.config import GraphSpec
 from repro.generators import bipartite_rating_graph, powerlaw_graph
 
 
@@ -71,7 +70,8 @@ class TestKMeans:
 
     def test_cluster_sizes_sum_to_n(self, clustering):
         trace, _ = run_program("kmeans", clustering)
-        assert sum(trace.result["cluster_sizes"]) == clustering.graph.n_vertices
+        assert (sum(trace.result["cluster_sizes"])
+                == clustering.graph.n_vertices)
 
     def test_param_validation(self):
         from repro._util.errors import ValidationError

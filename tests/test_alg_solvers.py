@@ -31,7 +31,8 @@ class TestJacobi:
         A = np.zeros((g.n_vertices, g.n_vertices))
         src, dst = g.edge_endpoints()
         A[dst, src] = g.edge_weight
-        A[np.arange(g.n_vertices), np.arange(g.n_vertices)] = prob.inputs["diag"]
+        diagonal = np.arange(g.n_vertices)
+        A[diagonal, diagonal] = prob.inputs["diag"]
         x_direct = np.linalg.solve(A, prob.inputs["b"])
         np.testing.assert_allclose(prog.x, x_direct, atol=1e-6)
 

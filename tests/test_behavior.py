@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 
 from repro._util.errors import ValidationError
 from repro.behavior.metrics import (
-    METRIC_NAMES,
     BehaviorMetrics,
     compute_metrics,
     resample_series,
 )
-from repro.behavior.space import BehaviorSpace, BehaviorVector, normalize_corpus
+from repro.behavior.space import (
+    BehaviorSpace,
+    BehaviorVector,
+    normalize_corpus,
+)
 from repro.behavior.trace import IterationRecord, RunTrace
 
 

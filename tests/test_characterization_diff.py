@@ -1,13 +1,13 @@
 """Tests for corpus characterization and trace diffing."""
 
-import numpy as np
 import pytest
 
-from repro.behavior.diff import TraceDiff, diff_traces
+from repro.behavior.diff import diff_traces
 from repro.behavior.run import run_computation
 from repro.behavior.shapes import ActivityShape
 from repro.experiments.characterization import characterize_corpus
 from repro.experiments.config import GraphSpec
+from tests.engine_oracle import run_reference
 from tests.test_behavior import make_trace
 
 
@@ -82,7 +82,7 @@ class TestDiffTraces:
     def test_on_real_engine_modes(self):
         spec = GraphSpec.ga(nedges=400, alpha=2.5, seed=12)
         a = run_computation("cc", spec)
-        b = run_computation("cc", spec, options={"mode": "reference"})
+        b = run_reference("cc", spec)
         assert diff_traces(a, b).identical
 
     def test_summary_truncates(self):

@@ -35,11 +35,6 @@ class TestRun:
         assert code == 0
         assert "jacobi@matrix" in out
 
-    def test_run_reference_mode(self, capsys):
-        code, out, _err = run_cli(
-            capsys, "run", "cc", "--nedges", "200", "--mode", "reference")
-        assert code == 0
-
     def test_run_writes_json(self, capsys, tmp_path):
         path = tmp_path / "trace.json"
         code, out, _err = run_cli(

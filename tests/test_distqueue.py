@@ -20,7 +20,6 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
 import pytest
 
 from repro.experiments.config import (
@@ -31,7 +30,6 @@ from repro.experiments.config import (
 )
 from repro.experiments.corpus import build_corpus
 from repro.experiments.distqueue import (
-    Claim,
     DistributedQueue,
     NodeBeat,
     TaskRecord,

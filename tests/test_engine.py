@@ -176,8 +176,9 @@ class TestEngineBasics:
 class TestWorkModels:
     def test_unit_work_deterministic(self):
         prob = line_graph(6)
-        a = SynchronousEngine(EngineOptions(work_model="unit")).run(Flood(), prob)
-        b = SynchronousEngine(EngineOptions(work_model="unit")).run(Flood(), prob)
+        options = EngineOptions(work_model="unit")
+        a = SynchronousEngine(options).run(Flood(), prob)
+        b = SynchronousEngine(options).run(Flood(), prob)
         assert [r.work for r in a.iterations] == [r.work for r in b.iterations]
         assert a.iterations[0].work == pytest.approx(1e-9)  # 1 vertex × 1 flop
 
@@ -206,8 +207,11 @@ class TestWorkModels:
 
 class TestEngineOptions:
     def test_rejects_bad_mode(self):
-        with pytest.raises(ValidationError):
-            EngineOptions(mode="async")
+        # No drive mode to pick: the vertex-at-a-time oracle is
+        # tests/engine_oracle.py, not an option.
+        for mode in ("async", "reference", "vectorized"):
+            with pytest.raises(TypeError):
+                EngineOptions(mode=mode)
 
     def test_rejects_bad_work_model(self):
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ reduction identities — never NaN/Inf leaking into vertex state.
 import numpy as np
 import pytest
 
+from repro._util.errors import ValidationError
 from repro.algorithms.registry import create
 from repro.engine.async_engine import AsyncEngineOptions, AsynchronousEngine
 from repro.engine.edge_centric import EdgeCentricEngine, EdgeCentricOptions
@@ -25,6 +26,7 @@ from repro.generators import powerlaw_graph
 from repro.generators.problem import ProblemInstance
 from repro.graph.csr import Graph
 from tests.conftest import unfused
+from tests.engine_oracle import ReferenceEngine
 
 
 @pytest.fixture(scope="module")
@@ -141,7 +143,7 @@ class TestDegreeZero:
 
     @pytest.mark.parametrize("arm", [
         dict(), dict(unfused=True), dict(direction="pull"),
-        dict(mode="reference"),
+        dict(reference=True),
     ])
     def test_pagerank_isolated_vertices_finite(self, arm):
         problem = isolated_problem()
@@ -149,7 +151,9 @@ class TestDegreeZero:
         arm = dict(arm)
         if arm.pop("unfused", False):  # callback path on every iteration
             program = unfused(program)
-        trace = SynchronousEngine(EngineOptions(**arm)).run(program, problem)
+        engine_class = (ReferenceEngine if arm.pop("reference", False)
+                        else SynchronousEngine)
+        trace = engine_class(EngineOptions(**arm)).run(program, problem)
         assert not trace.degraded
         assert np.all(np.isfinite(program.rank))
         # An isolated vertex receives nothing and keeps the teleport
@@ -197,3 +201,49 @@ class TestDegreeZero:
         for label, component in results.items():
             np.testing.assert_array_equal(component, results["sync"],
                                           err_msg=label)
+
+
+# ----------------------------------------------------------------------
+# One callback kernel: a wrong-shape callback is rejected on every
+# engine, not only the synchronous one
+# ----------------------------------------------------------------------
+
+class TestCallbackShapeValidation:
+    """A scalar from ``gather_edge`` used to broadcast through
+    ``ufunc.at`` on the edge-centric engine (converged after 1
+    iteration, 0 messages: a silent wrong answer) and raise a bare
+    ``IndexError`` on the graph-centric one; a scalar ``True`` from
+    ``scatter_edges`` broadcast on both and ended in a watchdog stall."""
+
+    ENGINES = {
+        "synchronous-push": lambda: SynchronousEngine(
+            EngineOptions(direction="push")),
+        "edge-centric": EdgeCentricEngine,
+        "graph-centric": GraphCentricEngine,
+        "asynchronous": AsynchronousEngine,
+    }
+
+    @staticmethod
+    def scalar_cc(callback, value):
+        """CC on the callback path whose ``callback`` returns a scalar."""
+        program = unfused(create("cc"))
+        setattr(program, callback, lambda ctx, a, b, eid: value)
+        return program
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_wrong_shape_gather_edge(self, engine):
+        with pytest.raises(ValidationError,
+                           match=r"cc\.gather_edge returned shape \(\), "
+                                 r"expected \(\d+,\)"):
+            self.ENGINES[engine]().run(
+                self.scalar_cc("gather_edge", 0.0),
+                powerlaw_graph(400, 2.5, seed=3))
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_wrong_shape_scatter_edges(self, engine):
+        with pytest.raises(ValidationError,
+                           match=r"cc\.scatter_edges returned shape \(\), "
+                                 r"expected \(\d+,\)"):
+            self.ENGINES[engine]().run(
+                self.scalar_cc("scatter_edges", True),
+                powerlaw_graph(400, 2.5, seed=3))

@@ -9,6 +9,10 @@ from repro.engine.engine import EngineOptions, SynchronousEngine
 from repro.engine.program import Direction, VertexProgram
 from repro.generators.problem import ProblemInstance
 from repro.graph.csr import Graph
+from tests.engine_oracle import ReferenceEngine
+
+#: The production engine and the vertex-at-a-time oracle.
+MODES = {"vectorized": SynchronousEngine, "reference": ReferenceEngine}
 
 
 def directed_chain(n=5) -> ProblemInstance:
@@ -52,7 +56,7 @@ class ForwardSum(VertexProgram):
 @pytest.mark.parametrize("mode", ["vectorized", "reference"])
 def test_gather_out_direction(mode):
     prob = directed_chain(5)
-    engine = SynchronousEngine(EngineOptions(mode=mode))
+    engine = MODES[mode](EngineOptions())
     program = ForwardSum()
     trace = engine.run(program, prob)
     # Vertex i's only successor is i+1; the sink has none (identity 0).
@@ -72,7 +76,7 @@ def test_scatter_in_direction(mode):
             return ctx.iteration >= 1
 
     prob = directed_chain(4)
-    engine = SynchronousEngine(EngineOptions(mode=mode))
+    engine = MODES[mode](EngineOptions())
     trace = engine.run(BackSignal(), prob)
     # Every vertex with an in-edge signals its predecessor: vertices
     # 1..3 each have one predecessor → 3 messages.
@@ -82,9 +86,8 @@ def test_scatter_in_direction(mode):
 def test_modes_agree_on_directed_graph():
     prob = directed_chain(7)
     traces = {}
-    for mode in ("vectorized", "reference"):
-        engine = SynchronousEngine(EngineOptions(mode=mode))
-        traces[mode] = engine.run(ForwardSum(), prob)
+    for mode, engine_class in MODES.items():
+        traces[mode] = engine_class(EngineOptions()).run(ForwardSum(), prob)
     a, b = traces["vectorized"], traces["reference"]
     assert [(r.active, r.updates, r.edge_reads, r.messages)
             for r in a.iterations] == \

@@ -1,6 +1,7 @@
-"""Vectorized vs reference engine equivalence — the library's core
-correctness guarantee: both drive modes of every algorithm must produce
-identical synchronous traces, counter for counter.
+"""Production vs reference engine equivalence — the library's core
+correctness guarantee: the synchronous engine and the vertex-at-a-time
+oracle (``tests/engine_oracle.py``) must produce identical synchronous
+traces for every algorithm, counter for counter.
 """
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from repro.algorithms.registry import iter_algorithms
 from repro.behavior.run import run_computation
 from repro.experiments.config import GraphSpec
+from tests.engine_oracle import run_reference
 
 SPEC_BY_DOMAIN = {
     "ga": GraphSpec.ga(nedges=300, alpha=2.5, seed=21),
@@ -28,7 +30,7 @@ def test_modes_produce_identical_traces(algorithm):
 
     spec = SPEC_BY_DOMAIN[info(algorithm).domain]
     vec = run_computation(algorithm, spec)
-    ref = run_computation(algorithm, spec, options={"mode": "reference"})
+    ref = run_reference(algorithm, spec)
 
     assert vec.n_iterations == ref.n_iterations, "iteration counts differ"
     assert vec.stop_reason == ref.stop_reason
@@ -50,7 +52,7 @@ def test_modes_produce_identical_results(algorithm):
 
     spec = SPEC_BY_DOMAIN[info(algorithm).domain]
     vec = run_computation(algorithm, spec)
-    ref = run_computation(algorithm, spec, options={"mode": "reference"})
+    ref = run_reference(algorithm, spec)
     assert set(vec.result) == set(ref.result)
     for key, value in vec.result.items():
         other = ref.result[key]

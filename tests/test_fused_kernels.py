@@ -2,15 +2,13 @@
 
 The contract under test: the fused gather/scatter kernels and the
 push/pull direction policy are *pure implementation choices* — every
-arm (push, fused pull, auto-switching, reference mode, and on the
-other three engines the fused path a declared shape selects vs the
+arm (push, fused pull, auto-switching, the reference engine, and on
+the other three engines the fused path a declared shape selects vs the
 callback path the same program takes with its declaration cleared)
 must produce bit-identical traces: same iteration counts, same WORK
 units, same per-iteration counters, and literally the same frontier
 arrays, on power-law, grid, and uniform graphs alike.
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -25,7 +23,7 @@ from repro.engine.checkpoint import (
 from repro.engine.edge_centric import EdgeCentricEngine
 from repro.engine.engine import EngineOptions, SynchronousEngine
 from repro.engine.graph_centric import GraphCentricEngine, GraphCentricOptions
-from repro.engine.kernels import VERIFY_ENV, FusedKernels, reduce_block
+from repro.engine.kernels import Kernels, reduce_block
 from repro.generators import (
     erdos_renyi_graph,
     matrix_problem,
@@ -35,6 +33,7 @@ from repro.generators import (
 from repro.generators.problem import ProblemInstance
 from repro.graph.csr import Graph
 from tests.conftest import unfused
+from tests.engine_oracle import ReferenceEngine, verify_fused
 
 
 def lattice_problem(side=18):
@@ -65,7 +64,8 @@ ARMS = {
     "pull": dict(direction="pull"),
     "auto": dict(direction="auto"),
     "auto-tight": dict(direction="auto", direction_threshold=0.05),
-    "reference": dict(mode="reference"),
+    # The vertex-at-a-time oracle engine, default options.
+    "reference": dict(),
 }
 
 
@@ -92,7 +92,9 @@ def run_arm(algorithm, problem, arm, *, program=None, engine=None, **extra):
 
     program.apply = recording_apply
     if engine is None:
-        engine = SynchronousEngine(EngineOptions(**{**ARMS[arm], **extra}))
+        engine_class = (ReferenceEngine if arm == "reference"
+                        else SynchronousEngine)
+        engine = engine_class(EngineOptions(**{**ARMS[arm], **extra}))
     trace = engine.run(program, problem)
     state = {name: arr for name, arr in vars(program).items()
              if isinstance(arr, np.ndarray)}
@@ -144,8 +146,8 @@ def test_direction_arms_bit_identical(algorithm, family, engine):
     for arm in ARMS:
         if arm == "push":
             continue
-        # Reference mode applies vertex-at-a-time, so its recorded
-        # apply granularity differs; traces and state still match.
+        # The reference engine applies vertex-at-a-time, so its
+        # recorded apply granularity differs; traces and state match.
         assert_equivalent(base, run_arm(algorithm, problem, arm),
                           f"{algorithm}/{family}/{arm}",
                           frontiers=arm != "reference")
@@ -167,13 +169,43 @@ def test_weighted_sssp_and_jacobi_arms():
 
 
 def test_runtime_verification_hook(monkeypatch):
-    """REPRO_VERIFY_FUSED=1 cross-checks every fused gather/scatter
-    against the callback path in-line (and passes)."""
-    monkeypatch.setenv(VERIFY_ENV, "1")
+    """The verifying kernels cross-check every fused gather, scatter
+    and stream against the callback path in-line (and pass)."""
+    verifying = verify_fused(monkeypatch)
     problem = powerlaw_graph(1_000, 2.4, seed=23)
     for algorithm in ("pagerank", "kcore"):
         trace, _, _ = run_arm(algorithm, problem, "pull")
         assert trace.converged
+        # PageRank fuses both phases, K-Core its gather: at least one
+        # cross-check per iteration, or the hook is not installed.
+        assert verifying.checks >= trace.n_iterations
+    streamed = verifying.checks
+    trace = EdgeCentricEngine().run(create("cc"), problem)
+    assert verifying.checks >= streamed + trace.n_iterations
+
+
+class MisdeclaredCC(type(create("cc"))):
+    """CC whose ``gather_source`` is not what ``gather_edge`` reads."""
+
+    def gather_source(self, ctx):
+        return super().gather_source(ctx) + 1.0
+
+
+@pytest.mark.parametrize("engine", [
+    lambda: SynchronousEngine(EngineOptions(direction="pull")),
+    EdgeCentricEngine,
+    lambda: GraphCentricEngine(GraphCentricOptions(direction_threshold=0.0)),
+], ids=["synchronous", "edge-centric", "graph-centric"])
+def test_verifying_kernels_fail_a_misdeclared_gather_shape(
+        monkeypatch, engine):
+    """The oracle wrapper bites: a declared shape whose source vector
+    disagrees with the callback runs unnoticed in production and fails
+    under the wrapper, on the first fused evaluation."""
+    problem = powerlaw_graph(400, 2.5, seed=3)
+    engine().run(MisdeclaredCC(), problem)  # production cannot tell
+    verify_fused(monkeypatch)
+    with pytest.raises(AssertionError, match="diverged from the callback"):
+        engine().run(MisdeclaredCC(), problem)
 
 
 def test_build_rejects_unfusable_programs():
@@ -181,13 +213,13 @@ def test_build_rejects_unfusable_programs():
     graph = problem.graph
     # Diameter gathers with op "or"; triangle declares no gather shape.
     for name in ("diameter", "triangle"):
-        program = create(name)
-        assert FusedKernels.build(program, graph) is None
-    kernels = FusedKernels.build(create("pagerank"), graph)
-    assert kernels is not None
-    assert kernels.can_gather and kernels.can_scatter
-    cc = FusedKernels.build(create("cc"), graph)
-    assert cc is not None and cc.can_gather and not cc.can_scatter
+        kernels = Kernels(create(name), graph)
+        assert not kernels.fused
+        assert not kernels.can_gather and not kernels.can_scatter
+    kernels = Kernels(create("pagerank"), graph)
+    assert kernels.fused and kernels.can_gather and kernels.can_scatter
+    cc = Kernels(create("cc"), graph)
+    assert cc.fused and cc.can_gather and not cc.can_scatter
 
 
 def test_reduce_block_matches_segmented_reduce():
@@ -287,6 +319,11 @@ def test_checkpoint_resume_across_direction_switch(tmp_path, monkeypatch):
                                           arr, err_msg=name)
 
 
-def test_verify_env_name_is_stable():
-    assert VERIFY_ENV == "REPRO_VERIFY_FUSED"
-    assert os.environ.get(VERIFY_ENV) is None
+def test_verify_env_name_is_stable(monkeypatch):
+    """The in-line cross-check left ``src/`` with its env switch: the
+    old name, still set in somebody's shell, is inert — a mis-declared
+    program runs, and only the wrapper above catches it."""
+    monkeypatch.setenv("REPRO_VERIFY_FUSED", "1")
+    trace = SynchronousEngine(EngineOptions(direction="pull")).run(
+        MisdeclaredCC(), powerlaw_graph(400, 2.5, seed=3))
+    assert trace.n_iterations >= 1

@@ -44,7 +44,8 @@ class TestPowerlaw:
         prob = powerlaw_graph(2_000, 2.0, seed=5)
         src, dst = prob.graph.edge_endpoints()
         assert np.all(src != dst)
-        keys = np.minimum(src, dst) * prob.graph.n_vertices + np.maximum(src, dst)
+        keys = (np.minimum(src, dst) * prob.graph.n_vertices
+                + np.maximum(src, dst))
         assert np.unique(keys).size == keys.size
 
     def test_with_points(self):
@@ -190,8 +191,10 @@ class TestMRF:
         g = mrf_problem_small.graph
         src, dst = g.edge_endpoints()
         # eid k's endpoints must be pair_vars[k] (canonical order).
-        np.testing.assert_array_equal(np.minimum(src, dst), mrf.pair_vars[:, 0])
-        np.testing.assert_array_equal(np.maximum(src, dst), mrf.pair_vars[:, 1])
+        np.testing.assert_array_equal(np.minimum(src, dst),
+                                      mrf.pair_vars[:, 0])
+        np.testing.assert_array_equal(np.maximum(src, dst),
+                                      mrf.pair_vars[:, 1])
 
     def test_deterministic(self):
         a = mrf_problem(100, seed=2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro._util.errors import ValidationError
-from repro.generators import mrf_problem, powerlaw_graph
+from repro.generators import powerlaw_graph
 from repro.graph.csr import Graph
 from repro.graph.io import (
     PairwiseMRF,

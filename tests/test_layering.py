@@ -41,3 +41,49 @@ def test_util_imports_only_util():
 def test_upward_allow_list_is_exact():
     assert {e for e in _imports("behavior", "obs")
             if e[1].startswith(UPPER)} == ALLOWED
+
+
+# ----------------------------------------------------------------------
+# One kernel layer: engine/kernels.py is the only place a program's
+# gather / scatter callbacks are evaluated
+# ----------------------------------------------------------------------
+KERNELS = "engine/kernels.py"
+
+
+def _attributes(package=""):
+    """``(file, attribute name, is the callee of a call)`` for every
+    attribute access under ``src/repro/<package>``."""
+    for path in sorted((SRC / package).rglob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        callees = {id(node.func) for node in ast.walk(tree)
+                   if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                yield (path.relative_to(SRC).as_posix(), node.attr,
+                       id(node) in callees)
+
+
+def test_only_the_kernel_layer_calls_the_program_callbacks():
+    callers = {file for file, attr, called in _attributes("engine")
+               if called and attr in ("gather_edge", "scatter_edges")}
+    assert callers == {KERNELS}
+
+
+def test_only_the_kernel_layer_reads_what_a_program_can_fuse():
+    assert {file for file, attr, _ in _attributes()
+            if attr in ("can_gather", "can_scatter")} == {KERNELS}
+
+
+def test_the_engine_oracles_left_src():
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text("utf-8")
+        for gone in ("REPRO_VERIFY_FUSED", "VERIFY_ENV", "_gather_reference",
+                     "_scatter_reference"):
+            assert gone not in text, f"{gone} in {path}"
+    for path in sorted((SRC / "engine").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if (isinstance(node, ast.ClassDef)
+                    and node.name.endswith("Options")):
+                fields = {stmt.target.id for stmt in node.body
+                          if isinstance(stmt, ast.AnnAssign)}
+                assert "mode" not in fields, f"{node.name}.mode in {path}"

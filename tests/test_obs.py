@@ -2,7 +2,6 @@
 merge semantics, and the progress-event/human-line contract."""
 
 import json
-import os
 
 import pytest
 

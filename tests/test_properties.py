@@ -1,7 +1,6 @@
 """Cross-cutting property-based tests (hypothesis) on core invariants."""
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

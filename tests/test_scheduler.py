@@ -29,7 +29,6 @@ from repro.experiments.failures import RunFailure, full_jitter_backoff
 from repro.experiments.results import ResultStore
 from repro.experiments.scheduler import (
     _ALLOWED_TRANSITIONS,
-    SUPERVISOR_WORKER,
     CircuitBreaker,
     SchedulerConfig,
     SchedulerError,

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing as mp
-import os
 
-import pytest
 
 from repro.behavior.trace import IterationRecord, RunTrace
 from repro.engine.checkpoint import Snapshot, SnapshotStore

@@ -4,7 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro._util.errors import GraphConstructionError, ValidationError
+from repro._util.errors import ValidationError
 from repro.generators import powerlaw_graph
 from repro.generators.uniform import erdos_renyi_graph, regular_graph
 from repro.graph.csr import Graph
