@@ -20,8 +20,8 @@ from collections import Counter
 
 from repro.ensemble.search import best_ensemble
 from repro.experiments.corpus import build_corpus
-from repro.prediction import compare_systems
-from repro.prediction.cost_model import ARCHETYPES
+from prediction import compare_systems
+from prediction.cost_model import ARCHETYPES
 
 
 def main() -> None:

@@ -11,13 +11,13 @@ winner flips with the ensemble choice, while behavior-diverse ensembles
 rank systems stably.
 """
 
-from repro.prediction.cost_model import (
+from .cost_model import (
     SystemModel,
     fit_system_model,
     predict_cost,
     predict_ensemble_cost,
 )
-from repro.prediction.comparison import ComparisonReport, compare_systems
+from .comparison import ComparisonReport, compare_systems
 
 __all__ = [
     "ComparisonReport",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from repro._util.errors import ValidationError
 from repro.behavior.metrics import BehaviorMetrics
-from repro.prediction.cost_model import SystemModel, predict_cost
+from .cost_model import SystemModel, predict_cost
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,8 @@ Commands
     coverage, optionally restricted to chosen algorithms.
 ``ensemble``
     Best-ensemble curves over a range of sizes through the blocked
-    fast search engine (DESIGN §15): pick metric, sizes, beam width,
-    engine/strategy, distance-tile budget, and worker count.
+    search engine (DESIGN §15): pick metric, sizes, beam width and
+    strategy.
 ``stats``
     Summarize the telemetry of a run directory: per-phase time
     breakdown, failure taxonomy, cache hit rates, iteration latency.
@@ -159,14 +159,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      metavar="K",
                      help="quarantine a cell as poison after K lease "
                           "expiries (default: 3)")
-    cor.add_argument("--speculative", action="store_true",
-                     help="when workers idle, launch one shadow copy of "
-                          "each straggling run; first completion wins")
-    cor.add_argument("--gc-quarantine", type=int, default=None,
-                     metavar="KEEP",
-                     help="after the build, sweep result/snapshot "
-                          "quarantine dirs down to the newest KEEP "
-                          "entries (oldest removed first)")
     cor.add_argument("--distributed", default=None, metavar="QUEUE_DIR",
                      help="coordinate the build over a shared work "
                           "queue at this directory (a shared "
@@ -185,13 +177,6 @@ def _build_parser() -> argparse.ArgumentParser:
     nod.add_argument("--node-id", default=None, metavar="ID",
                      help="stable node identity (default: "
                           "<hostname>-<pid>-<rand>)")
-    nod.add_argument("--poll", type=float, default=None, metavar="SECONDS",
-                     help="queue poll interval (default: 0.05)")
-    nod.add_argument("--idle-exit", type=float, default=None,
-                     metavar="SECONDS",
-                     help="exit after this long without holding any "
-                          "claim (default: run until the build "
-                          "completes)")
     nod.add_argument("--manifest-wait", type=float, default=60.0,
                      metavar="SECONDS",
                      help="how long to wait for a coordinator to "
@@ -225,20 +210,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      default=None,
                      help="greedy = lazy-greedy submodular selection "
                           "(coverage only, (1-1/e) guarantee)")
-    ens.add_argument("--block-bytes", type=int, default=None,
-                     metavar="BYTES",
-                     help="distance-tile size (default: 32 MiB)")
-    ens.add_argument("--precision", choices=("float64", "float32"),
-                     default=None,
-                     help="distance-tile storage precision; scores "
-                          "always accumulate in float64")
-    ens.add_argument("--workers", type=int, default=None,
-                     help="scoring threads (-1 = all cores; default: 1)")
     ens.add_argument("--samples", type=int, default=None,
                      help="coverage search sample budget "
                           "(default: 4000)")
-    ens.add_argument("--no-refine", action="store_true",
-                     help="skip swap refinement of each best state")
     _add_obs_arguments(ens)
 
     ccz = sub.add_parser(
@@ -283,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           "(default: the first one seen)")
     trc.add_argument("--cell", default=None, metavar="LABEL",
                      help="render only the span subtree of one cell "
-                          "(e.g. 'pagerank@ga-ne1000-a2.0')")
+                          "(e.g. 'pagerank@ga(nedges=1000, α=2.0)')")
     trc.add_argument("--max-depth", type=int, default=None,
                      help="limit tree depth (default: unlimited)")
     trc.add_argument("--check", action="store_true",
@@ -326,7 +300,9 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--artifact", action="append", default=None,
                       metavar="NAME",
                       help="compare only this artifact (repeatable; "
-                           "default: all known BENCH_*.json)")
+                           "one absent from either side fails; "
+                           "default: all known BENCH_*.json present "
+                           "on both)")
     cmp_.add_argument("--format", choices=("table", "json"),
                       default="table",
                       help="human report (default) or the raw JSON "
@@ -429,14 +405,12 @@ def _export_cli_obs(obs_state: "tuple | None") -> None:
     if obs_state is None:
         return
     obs_path, run_id, level = obs_state
-    from repro.obs.export import write_prometheus, write_telemetry_json
+    from repro.obs.export import write_telemetry_json
     from repro.obs.telemetry import deactivate, get_telemetry
 
     tel = get_telemetry()
     tel.emit("run_end", runs=tel.counter_total("runs_total"))
-    snapshot = tel.snapshot()
-    write_telemetry_json(obs_path, snapshot, run=run_id, level=level)
-    write_prometheus(obs_path, snapshot)
+    write_telemetry_json(obs_path, tel.snapshot(), run=run_id, level=level)
     deactivate()
 
 
@@ -594,8 +568,6 @@ def _cmd_corpus(args) -> int:
                               lease_timeout_s=args.lease_timeout,
                               heartbeat_every_s=args.heartbeat_every,
                               max_lease_expiries=args.max_lease_expiries,
-                              speculative=args.speculative,
-                              gc_quarantine=args.gc_quarantine,
                               distributed=args.distributed,
                               obs=args.obs, obs_dir=args.obs_dir)
     print(corpus.summary())
@@ -656,10 +628,7 @@ def _cmd_ensemble(args) -> int:
     corpus = build_corpus(args.profile)
     vectors = corpus.vectors(scheme=args.scheme)
     kwargs: dict = dict(beam_width=args.beam_width,
-                        refine=not args.no_refine,
-                        strategy=args.strategy,
-                        block_bytes=args.block_bytes,
-                        precision=args.precision, workers=args.workers)
+                        strategy=args.strategy)
     if args.samples is not None:
         kwargs["n_samples"] = args.samples
     obs_state = _configure_cli_obs(args)
@@ -846,9 +815,7 @@ def _cmd_node(args) -> int:
 
     return NodeAgent.serve(
         DistributedQueue(args.queue_dir), workers=args.workers,
-        node=args.node_id,
-        poll_s=args.poll if args.poll is not None else 0.05,
-        idle_exit_s=args.idle_exit, manifest_wait_s=args.manifest_wait)
+        node=args.node_id, manifest_wait_s=args.manifest_wait)
 
 
 def _cmd_characterize_corpus(args) -> int:

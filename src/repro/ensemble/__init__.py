@@ -24,7 +24,6 @@ from repro.ensemble.search import (
     best_ensemble,
     best_ensemble_curve,
     best_subset,
-    exhaustive_best,
     top_k_ensembles,
 )
 
@@ -40,7 +39,6 @@ __all__ = [
     "best_ensemble_curve",
     "best_subset",
     "coverage",
-    "exhaustive_best",
     "limit_to_algorithms",
     "limit_to_structures",
     "max_coverage_points",

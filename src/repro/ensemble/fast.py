@@ -1,4 +1,4 @@
-"""Blocked, batched, parallel ensemble-search engine (DESIGN §15).
+"""Blocked, batched ensemble-search engine (DESIGN §15).
 
 The one engine behind :mod:`repro.ensemble.search`. A search that
 materializes the full pairwise matrix (``squareform(pdist(pool))`` —
@@ -10,8 +10,8 @@ is tested against. Here instead:
 - **Blocked distance kernels** — :class:`PairwiseBlocks` (column tiles
   of the pool×pool distances) and :class:`SampleBlocks` (row tiles of
   the pool×samples distances), built on demand through a byte-bounded
-  LRU :class:`BlockCache` with hit/miss telemetry. Tiles may be stored
-  float32 (``dtype``); every *score* is accumulated in float64.
+  LRU :class:`BlockCache` with hit/miss telemetry. Tiles and scores
+  are float64.
 - **Batched beam** — spread scores every state × candidate of a level
   in one masked gather-sum per chunk; coverage takes, per state and
   tile, one contiguous min+sum over the rows past the state's last
@@ -26,11 +26,6 @@ is tested against. Here instead:
   priority queue of stale marginal gains with re-evaluation on pop;
   coverage is monotone submodular, so the greedy pick carries the
   classic ``(1 − 1/e)`` approximation guarantee.
-- **Parallel scoring** — per-level fan-out of beam-state batches /
-  candidate tiles over a thread pool (NumPy releases the GIL in the
-  underlying kernels). Chunk boundaries are fixed by ``block_bytes``,
-  never by ``workers``, so results are bitwise independent of the
-  worker count.
 
 Telemetry (all levels, cheap when off): ``ensemble_search_states_total``
 counts scored beam states, ``ensemble_block_cache_total{kind,outcome}``
@@ -42,12 +37,9 @@ per selection step.
 from __future__ import annotations
 
 import heapq
-import os
-import threading
 import time
 from collections import OrderedDict
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -63,34 +55,12 @@ DEFAULT_BLOCK_BYTES = 32 << 20
 
 #: Scores closer than this are treated as equal and ordered by index
 #: tuple (lexicographically smallest first) — the tie-stability rule
-#: shared by the engine, ``exhaustive_best`` and the test oracle.
+#: shared by the engine and the test oracles.
 TIE_TOL = 1e-12
 
 #: Minimum improvement a swap must bring to be accepted (matches the
 #: oracle's refinement loop).
 SWAP_TOL = 1e-12
-
-VALID_PRECISIONS = ("float64", "float32")
-
-
-def resolve_workers(workers: "int | None") -> int:
-    """Normalize a ``workers`` argument to a concrete thread count."""
-    if workers is None or workers in (0, 1):
-        return 1
-    if workers < 0:
-        return max(1, os.cpu_count() or 1)
-    return int(workers)
-
-
-def resolve_precision(precision: "str | None") -> np.dtype:
-    """Map a precision name to the tile storage dtype."""
-    if precision is None:
-        return np.dtype(np.float64)
-    if precision not in VALID_PRECISIONS:
-        raise ValidationError(
-            f"precision must be one of {VALID_PRECISIONS}")
-    return np.dtype(np.float32 if precision == "float32" else np.float64)
-
 
 # -- tie-stable ordering ----------------------------------------------
 
@@ -180,10 +150,8 @@ def grouped_top(scores: np.ndarray, parent: np.ndarray, cand: np.ndarray,
 class BlockCache:
     """Byte-bounded LRU of distance tiles with hit/miss telemetry.
 
-    Thread-safe: scoring threads may fetch tiles concurrently; a miss
-    builds the tile under the lock (builds are serialized, scoring is
-    not). At least one tile is always retained so the current consumer
-    never sees its block evicted mid-use.
+    At least one tile is always retained so the current consumer never
+    sees its block evicted mid-use.
     """
 
     def __init__(self, budget_bytes: int, kind: str) -> None:
@@ -193,35 +161,33 @@ class BlockCache:
         self.misses = 0
         self._blocks: "OrderedDict[int, np.ndarray]" = OrderedDict()
         self._bytes = 0
-        self._lock = threading.Lock()
 
     def get(self, key: int,
             build: "Callable[[int], np.ndarray]") -> np.ndarray:
         tel = get_telemetry()
-        with self._lock:
-            blk = self._blocks.get(key)
-            if blk is not None:
-                self._blocks.move_to_end(key)
-                self.hits += 1
-                if tel.enabled:
-                    tel.inc("ensemble_block_cache_total",
-                            kind=self.kind, outcome="hit")
-                return blk
-            self.misses += 1
+        blk = self._blocks.get(key)
+        if blk is not None:
+            self._blocks.move_to_end(key)
+            self.hits += 1
             if tel.enabled:
                 tel.inc("ensemble_block_cache_total",
-                        kind=self.kind, outcome="miss")
-            started = time.perf_counter()
-            blk = build(key)
-            if tel.enabled:
-                tel.observe("ensemble_block_build_seconds",
-                            time.perf_counter() - started, kind=self.kind)
-            self._blocks[key] = blk
-            self._bytes += blk.nbytes
-            while self._bytes > self.budget and len(self._blocks) > 1:
-                _, old = self._blocks.popitem(last=False)
-                self._bytes -= old.nbytes
+                        kind=self.kind, outcome="hit")
             return blk
+        self.misses += 1
+        if tel.enabled:
+            tel.inc("ensemble_block_cache_total",
+                    kind=self.kind, outcome="miss")
+        started = time.perf_counter()
+        blk = build(key)
+        if tel.enabled:
+            tel.observe("ensemble_block_build_seconds",
+                        time.perf_counter() - started, kind=self.kind)
+        self._blocks[key] = blk
+        self._bytes += blk.nbytes
+        while self._bytes > self.budget and len(self._blocks) > 1:
+            _, old = self._blocks.popitem(last=False)
+            self._bytes -= old.nbytes
+        return blk
 
     @property
     def cached_bytes(self) -> int:
@@ -240,15 +206,13 @@ class PairwiseBlocks:
 
     def __init__(self, points: np.ndarray, *,
                  block_bytes: "int | None" = None,
-                 dtype: "np.dtype | type" = np.float64,
                  cache_bytes: "int | None" = None) -> None:
         self.X = np.ascontiguousarray(points, dtype=np.float64)
         self.n = self.X.shape[0]
-        self.dtype = np.dtype(dtype)
         block_bytes = int(block_bytes or DEFAULT_BLOCK_BYTES)
         if block_bytes < 1:
             raise ValidationError("block_bytes must be >= 1")
-        row_bytes = max(self.n, 1) * self.dtype.itemsize
+        row_bytes = max(self.n, 1) * self.X.itemsize
         self.cols_per_block = max(1, block_bytes // row_bytes)
         self.n_blocks = -(-max(self.n, 1) // self.cols_per_block)
         self.cache = BlockCache(cache_bytes or 8 * block_bytes, "pairwise")
@@ -256,8 +220,7 @@ class PairwiseBlocks:
     def _build(self, bid: int) -> np.ndarray:
         j0 = bid * self.cols_per_block
         j1 = min(self.n, j0 + self.cols_per_block)
-        blk = cdist(self.X, self.X[j0:j1])
-        return blk.astype(self.dtype, copy=False)
+        return cdist(self.X, self.X[j0:j1])
 
     def block(self, bid: int) -> "tuple[int, int, np.ndarray]":
         """``(j0, j1, dist(X, X[j0:j1]))`` for tile ``bid``."""
@@ -269,7 +232,7 @@ class PairwiseBlocks:
         """Distances from every pool point to the given members."""
         idx = np.asarray(list(idx) if not isinstance(idx, np.ndarray)
                          else idx, dtype=np.intp)
-        out = np.empty((self.n, idx.size), dtype=self.dtype)
+        out = np.empty((self.n, idx.size))
         bids = idx // self.cols_per_block
         for bid in np.unique(bids):
             _, _, blk = self.block(int(bid))
@@ -288,17 +251,15 @@ class SampleBlocks:
 
     def __init__(self, points: np.ndarray, samples: np.ndarray, *,
                  block_bytes: "int | None" = None,
-                 dtype: "np.dtype | type" = np.float64,
                  cache_bytes: "int | None" = None) -> None:
         self.X = np.ascontiguousarray(points, dtype=np.float64)
         self.samples = np.ascontiguousarray(samples, dtype=np.float64)
         self.n = self.X.shape[0]
         self.m = self.samples.shape[0]
-        self.dtype = np.dtype(dtype)
         block_bytes = int(block_bytes or DEFAULT_BLOCK_BYTES)
         if block_bytes < 1:
             raise ValidationError("block_bytes must be >= 1")
-        row_bytes = max(self.m, 1) * self.dtype.itemsize
+        row_bytes = max(self.m, 1) * self.X.itemsize
         self.rows_per_block = max(1, block_bytes // row_bytes)
         self.n_blocks = -(-max(self.n, 1) // self.rows_per_block)
         self.cache = BlockCache(cache_bytes or 8 * block_bytes, "samples")
@@ -306,8 +267,7 @@ class SampleBlocks:
     def _build(self, bid: int) -> np.ndarray:
         i0 = bid * self.rows_per_block
         i1 = min(self.n, i0 + self.rows_per_block)
-        blk = cdist(self.X[i0:i1], self.samples)
-        return blk.astype(self.dtype, copy=False)
+        return cdist(self.X[i0:i1], self.samples)
 
     def block(self, bid: int) -> "tuple[int, int, np.ndarray]":
         """``(i0, i1, dist(X[i0:i1], samples))`` for tile ``bid``."""
@@ -323,7 +283,7 @@ class SampleBlocks:
         """Distance rows for the given pool members, ``(len(idx), m)``."""
         idx = np.asarray(list(idx) if not isinstance(idx, np.ndarray)
                          else idx, dtype=np.intp)
-        out = np.empty((idx.size, self.m), dtype=self.dtype)
+        out = np.empty((idx.size, self.m))
         bids = idx // self.rows_per_block
         for bid in np.unique(bids):
             i0, _, blk = self.block(int(bid))
@@ -339,8 +299,7 @@ class FastEngine:
 
     Drop-in scorer behind :func:`repro.ensemble.search.best_ensemble`
     and friends: beam results are selection-identical to the
-    tie-stable oracle (``tests/ensemble_oracle.py``), with scores
-    accumulated in float64 regardless of the tile storage ``dtype``.
+    tie-stable oracle (``tests/ensemble_oracle.py``).
     """
 
     def __init__(self, pool: np.ndarray, metric: str, *,
@@ -348,9 +307,7 @@ class FastEngine:
                  samples: "np.ndarray | None",
                  n_samples: int,
                  seed: int,
-                 block_bytes: "int | None" = None,
-                 dtype: "np.dtype | type" = np.float64,
-                 workers: "int | None" = None) -> None:
+                 block_bytes: "int | None" = None) -> None:
         if metric not in ("spread", "coverage"):
             raise ValidationError(
                 "metric must be one of ('spread', 'coverage')")
@@ -360,36 +317,20 @@ class FastEngine:
         self.space = space
         self.diam = space.diameter
         self.block_bytes = int(block_bytes or DEFAULT_BLOCK_BYTES)
-        self.workers = resolve_workers(workers)
         if metric == "spread":
             self.pair = PairwiseBlocks(self.pool,
-                                       block_bytes=self.block_bytes,
-                                       dtype=dtype)
+                                       block_bytes=self.block_bytes)
             self.samp = None
             self.m = 0
         else:
             if samples is None:
                 samples = space.sample(n_samples, seed=seed)
             self.samp = SampleBlocks(self.pool, samples,
-                                     block_bytes=self.block_bytes,
-                                     dtype=dtype)
+                                     block_bytes=self.block_bytes)
             self.pair = None
             self.m = self.samp.m
 
     # -- shared helpers ------------------------------------------------
-
-    def _map(self, fn, items: list) -> list:
-        """Map ``fn`` over chunks, threaded when ``workers`` > 1.
-
-        Chunking never depends on the worker count and every chunk
-        computes an independent output, so results are bitwise equal
-        to the serial path.
-        """
-        if self.workers <= 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        with ThreadPoolExecutor(
-                max_workers=min(self.workers, len(items))) as pool:
-            return list(pool.map(fn, items))
 
     def _count_states(self, n_states: int) -> None:
         tel = get_telemetry()
@@ -403,10 +344,10 @@ class FastEngine:
         if self.metric == "spread":
             if idx.size < 2:
                 return 0.0
-            sub = self.pair.columns(idx)[idx].astype(np.float64, copy=False)
+            sub = self.pair.columns(idx)[idx]
             return float(sub.sum() / (idx.size * (idx.size - 1)))
         payload = self.samp.rows(idx).min(axis=0)
-        return self.diam - float(payload.mean(dtype=np.float64))
+        return self.diam - float(payload.mean())
 
     # -- beam ----------------------------------------------------------
 
@@ -446,25 +387,21 @@ class FastEngine:
         rows_idx = np.arange(n)
         found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
-        def scan(bid):
+        for bid in range(self.pair.n_blocks):
             j0, j1, blk = self.pair.block(bid)
             hi = min(j1, j_max + 1)
             if hi <= j0:
-                return None
+                continue
             cols = np.arange(j0, hi)
-            scores = blk[:, :hi - j0].astype(np.float64, copy=True)
+            scores = blk[:, :hi - j0].copy()
             # feasible pairs are strictly upper-triangular: i < j
             scores[rows_idx[:, None] >= cols[None, :]] = -np.inf
             keep = boundary_positions(scores.ravel(), beam_width)
             if keep.size == 0:
-                return None
+                continue
             i_arr = keep // cols.size
             j_arr = cols[keep % cols.size]
-            return scores.ravel()[keep], i_arr, j_arr
-
-        for part in self._map(scan, list(range(self.pair.n_blocks))):
-            if part is not None:
-                found.append(part)
+            found.append((scores.ravel()[keep], i_arr, j_arr))
         if not found:
             raise ValidationError(
                 f"pool of {n} cannot form an ensemble of size {size}")
@@ -491,12 +428,11 @@ class FastEngine:
         norm = 2.0 / (k * (k - 1))
         row_bytes = max(1, n_states * length * 8)
         chunk = max(1, self.block_bytes // row_bytes)
-        chunks = [(r0, min(n, r0 + chunk)) for r0 in range(0, n, chunk)]
-
-        def score_chunk(bounds):
-            r0, r1 = bounds
+        parts = []
+        for r0 in range(0, n, chunk):
+            r1 = min(n, r0 + chunk)
             # adds[c, b] = Σ_l dist(candidate c, member l of state b)
-            adds = dist_u[r0:r1][:, cols].sum(axis=2, dtype=np.float64)
+            adds = dist_u[r0:r1][:, cols].sum(axis=2)
             totals = adds + sums[None, :]
             cand = np.arange(r0, r1)
             feasible = (cand[:, None] > last[None, :]) \
@@ -506,12 +442,11 @@ class FastEngine:
             scores = np.where(feasible, norm * totals, -np.inf)
             keep = boundary_positions(scores.ravel(), beam_width)
             if keep.size == 0:
-                return None
+                continue
             b_arr = (keep % n_states).astype(np.intp)
             c_arr = cand[keep // n_states]
-            return scores.ravel()[keep], totals.ravel()[keep], b_arr, c_arr
-
-        parts = [p for p in self._map(score_chunk, chunks) if p is not None]
+            parts.append((scores.ravel()[keep], totals.ravel()[keep],
+                          b_arr, c_arr))
         if not parts:
             raise ValidationError(
                 f"pool of {n} cannot form an ensemble of size {size}")
@@ -530,13 +465,9 @@ class FastEngine:
     # -- coverage beam -------------------------------------------------
 
     def _coverage_row_sums(self) -> np.ndarray:
-        sums = np.empty(self.n, dtype=np.float64)
-
-        def tile_sum(bid):
-            i0, i1, blk = self.samp.block(bid)
-            sums[i0:i1] = blk.sum(axis=1, dtype=np.float64)
-
-        self._map(tile_sum, list(range(self.samp.n_blocks)))
+        sums = np.empty(self.n)
+        for i0, i1, blk in self.samp.tiles():
+            sums[i0:i1] = blk.sum(axis=1)
         return sums
 
     def _beam_coverage(self, size, beam_width):
@@ -546,7 +477,7 @@ class FastEngine:
         for length in range(1, size):
             members, payloads = self._extend_coverage(
                 members, payloads, length, size, beam_width)
-        sums = payloads.sum(axis=1, dtype=np.float64)
+        sums = payloads.sum(axis=1)
         return [(self.diam - float(sums[b]) / self.m,
                  tuple(int(v) for v in row))
                 for b, row in enumerate(members)]
@@ -568,10 +499,6 @@ class FastEngine:
             return self.samp.rows(members[b])[0] if payloads is None \
                 else payloads[b]
 
-        def min_sums(item):  # disjoint outputs per state: safe to fan out
-            rows, b = item
-            return np.minimum(rows, payload(b)).sum(axis=1, dtype=np.float64)
-
         found = []
         for bid in range(self.samp.n_blocks):
             i0, i1, blk = self.samp.block(bid)
@@ -582,8 +509,8 @@ class FastEngine:
             if live.size == 0:
                 continue
             lo = np.maximum(last[live] + 1, i0)
-            sums = self._map(min_sums, [(blk[first - i0:hi - i0], b)
-                                        for first, b in zip(lo, live)])
+            sums = [np.minimum(blk[first - i0:hi - i0], payload(b)).sum(axis=1)
+                    for first, b in zip(lo, live)]
             scores = self.diam - np.concatenate(sums) / self.m
             keep = boundary_positions(scores, beam_width)
             b_arr = np.repeat(live, hi - lo)[keep]
@@ -623,8 +550,8 @@ class FastEngine:
         denom = k * (k - 1)
         for _ in range(max_passes):
             improved = False
-            cols = self.pair.columns(current).astype(np.float64, copy=False)
-            colsum = cols.sum(axis=1, dtype=np.float64)
+            cols = self.pair.columns(current)
+            colsum = cols.sum(axis=1)
             cur_idx = np.asarray(current, dtype=np.intp)
             pairsum = float(cols[cur_idx].sum()) / 2.0
             for pos in range(k):
@@ -635,8 +562,7 @@ class FastEngine:
                 scores[current] = -np.inf
                 j = tie_argmax(scores)
                 if scores[j] > best_score + SWAP_TOL:
-                    new_col = self.pair.columns([j])[:, 0].astype(
-                        np.float64, copy=False)
+                    new_col = self.pair.columns([j])[:, 0]
                     pairsum = base + float(adds[j])
                     colsum += new_col - cols[:, pos]
                     cols[:, pos] = new_col
@@ -651,9 +577,9 @@ class FastEngine:
     def _refine_coverage(self, indices, max_passes):
         current = list(indices)
         k = len(current)
-        rows = self.samp.rows(current).astype(np.float64, copy=False)
+        rows = self.samp.rows(current)
         payload = rows.min(axis=0)
-        best_score = self.diam - float(payload.mean(dtype=np.float64))
+        best_score = self.diam - float(payload.mean())
         for _ in range(max_passes):
             improved = False
             min1 = rows.min(axis=0)
@@ -668,14 +594,10 @@ class FastEngine:
                 # second-minimum update: the payload without this
                 # member is min2 wherever this member held the minimum
                 without = np.where(arg1 == pos, min2, min1)
-                sums = np.empty(self.n, dtype=np.float64)
-
-                def sweep(bid, without=without, sums=sums):
-                    i0, i1, blk = self.samp.block(bid)
+                sums = np.empty(self.n)
+                for i0, i1, blk in self.samp.tiles():
                     sums[i0:i1] = np.minimum(
-                        blk, without[None, :]).sum(axis=1, dtype=np.float64)
-
-                self._map(sweep, list(range(self.samp.n_blocks)))
+                        blk, without[None, :]).sum(axis=1)
                 scores = self.diam - sums / self.m
                 scores[current] = -np.inf
                 j = tie_argmax(scores)
@@ -728,17 +650,16 @@ class FastEngine:
                 if stamp == len(selected):
                     break
                 row = self.samp.rows([j])[0]
-                gain = float(np.maximum(payload - row, 0.0)
-                             .sum(dtype=np.float64)) / self.m
+                gain = float(np.maximum(payload - row, 0.0).sum()) / self.m
                 reevals += 1
                 heapq.heappush(heap, (-gain, j, len(selected)))
             row = self.samp.rows([j])[0]
-            payload = row.astype(np.float64, copy=True) if payload is None \
+            payload = row if payload is None \
                 else np.minimum(payload, row)
             selected.append(j)
             self._count_states(1 + reevals)
             if tel.enabled:
                 tel.observe("ensemble_greedy_reevaluations", float(reevals),
                             metric=self.metric)
-        score = self.diam - float(payload.mean(dtype=np.float64))
+        score = self.diam - float(payload.mean())
         return tuple(sorted(selected)), score

@@ -22,33 +22,24 @@ refinement, and — for coverage — a lazy-greedy submodular selector
 (``strategy="greedy"``) with the (1 − 1/e) guarantee. Candidates are
 ranked through one tie-stable rule
 (:func:`repro.ensemble.fast.tie_sorted`): scores within 1e-12 are equal
-and the lexicographically smallest index tuple wins.
-:func:`exhaustive_best` scores from scratch and shares no code with the
-engine, so tests can hold the search to it.
+and the lexicographically smallest index tuple wins. The exact
+enumeration and the original evaluator the engine is held to live in
+``tests/ensemble_oracle.py``.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from repro._util.errors import ValidationError
 from repro.behavior.space import BehaviorSpace, BehaviorVector
 from repro.ensemble.budgets import SEARCH_SAMPLES, WIDE_SEARCH_SAMPLES
 from repro.ensemble.ensemble import Ensemble
-from repro.ensemble.fast import (
-    TIE_TOL,
-    FastEngine,
-    resolve_precision,
-    tie_sorted,
-)
+from repro.ensemble.fast import FastEngine, tie_sorted
 from repro.obs.telemetry import get_telemetry
 
-VALID_METRICS = ("spread", "coverage")
 VALID_STRATEGIES = ("beam", "greedy")
 
 
@@ -94,15 +85,6 @@ def _result(vectors, kind, metric, score, indices) -> SearchResult:
     )
 
 
-def _engine(points, metric, space, samples, n_samples, seed,
-            block_bytes, precision, workers) -> FastEngine:
-    return FastEngine(points, metric, space=space, samples=samples,
-                      n_samples=n_samples, seed=seed,
-                      block_bytes=block_bytes,
-                      dtype=resolve_precision(precision),
-                      workers=workers)
-
-
 def _search_best(engine, size, beam_width, refine, strategy):
     """One best-of-size search over a built engine."""
     if size < 1:
@@ -133,8 +115,6 @@ def best_ensemble(
     refine: bool = True,
     strategy: "str | None" = None,
     block_bytes: "int | None" = None,
-    precision: "str | None" = None,
-    workers: "int | None" = None,
 ) -> SearchResult:
     """Find the (approximately) best size-``size`` ensemble in the pool.
 
@@ -143,14 +123,14 @@ def best_ensemble(
     result with :func:`repro.ensemble.metrics.coverage` at the
     reporting budget before quoting it. ``strategy="greedy"``
     (coverage only) swaps the beam for the lazy-greedy submodular
-    selector. ``block_bytes`` / ``precision`` / ``workers`` tune the
-    engine's distance tiles.
+    selector. ``block_bytes`` sizes the engine's distance tiles
+    (default 32 MiB).
     """
     return best_ensemble_curve(
         pool, [size], metric, space=space, samples=samples,
         n_samples=n_samples, seed=seed, beam_width=beam_width,
-        refine=refine, strategy=strategy, block_bytes=block_bytes,
-        precision=precision, workers=workers)[int(size)]
+        refine=refine, strategy=strategy,
+        block_bytes=block_bytes)[int(size)]
 
 
 def top_k_ensembles(
@@ -165,8 +145,6 @@ def top_k_ensembles(
     seed: int = 0,
     beam_width: int = 400,
     block_bytes: "int | None" = None,
-    precision: "str | None" = None,
-    workers: "int | None" = None,
 ) -> list[SearchResult]:
     """The ``k`` best size-``size`` ensembles found by a wide beam.
 
@@ -179,8 +157,9 @@ def top_k_ensembles(
     if k < 1:
         raise ValidationError("k must be >= 1")
     space, vectors, mat = _pool_matrix(pool, space)
-    engine = _engine(mat, metric, space, samples, n_samples, seed,
-                     block_bytes, precision, workers)
+    engine = FastEngine(mat, metric, space=space, samples=samples,
+                        n_samples=n_samples, seed=seed,
+                        block_bytes=block_bytes)
     if size > engine.n:
         raise ValidationError(f"cannot pick {size} of {engine.n} runs")
     with get_telemetry().span("ensemble_search", metric=metric,
@@ -203,8 +182,6 @@ def best_ensemble_curve(
     refine: bool = True,
     strategy: "str | None" = None,
     block_bytes: "int | None" = None,
-    precision: "str | None" = None,
-    workers: "int | None" = None,
 ) -> dict[int, SearchResult]:
     """Best ensembles across a range of sizes (the Figs 14-19 curves).
 
@@ -214,8 +191,9 @@ def best_ensemble_curve(
     """
     strategy = _resolve_strategy(strategy, metric)
     space, vectors, mat = _pool_matrix(pool, space)
-    engine = _engine(mat, metric, space, samples, n_samples, seed,
-                     block_bytes, precision, workers)
+    engine = FastEngine(mat, metric, space=space, samples=samples,
+                        n_samples=n_samples, seed=seed,
+                        block_bytes=block_bytes)
     curve: dict[int, SearchResult] = {}
     for size in sizes:
         indices, score = _search_best(engine, int(size), beam_width,
@@ -237,8 +215,6 @@ def best_subset(
     refine: bool = True,
     strategy: "str | None" = None,
     block_bytes: "int | None" = None,
-    precision: "str | None" = None,
-    workers: "int | None" = None,
 ) -> tuple[tuple[int, ...], float]:
     """Dimension-agnostic best-subset search over raw coordinates.
 
@@ -252,63 +228,7 @@ def best_subset(
         raise ValidationError(
             f"points have {points.shape[1]} dims, space has {space.dims}")
     strategy = _resolve_strategy(strategy, metric)
-    engine = _engine(points, metric, space, samples, n_samples, seed,
-                     block_bytes, precision, workers)
+    engine = FastEngine(points, metric, space=space, samples=samples,
+                        n_samples=n_samples, seed=seed,
+                        block_bytes=block_bytes)
     return _search_best(engine, size, beam_width, refine, strategy)
-
-
-def exhaustive_best(
-    pool: "Ensemble | list[BehaviorVector]",
-    size: int,
-    metric: str = "spread",
-    *,
-    space: BehaviorSpace | None = None,
-    samples: np.ndarray | None = None,
-    n_samples: int = WIDE_SEARCH_SAMPLES,
-    seed: int = 0,
-    limit: int = 500_000,
-) -> SearchResult:
-    """Exact search by enumeration; refuses when C(n, size) exceeds
-    ``limit``. Used by tests to validate the beam search and the
-    lazy-greedy (1 − 1/e) guarantee, so every combination is scored
-    from scratch off the full distance matrix, sharing no code with
-    :class:`~repro.ensemble.fast.FastEngine`.
-
-    Tie-stable: combinations are enumerated in lexicographic order and
-    a later combination only displaces the incumbent when it scores
-    more than :data:`~repro.ensemble.fast.TIE_TOL` better, so equal
-    scores keep the lexicographically smallest index tuple.
-    """
-    if metric not in VALID_METRICS:
-        raise ValidationError(f"metric must be one of {VALID_METRICS}")
-    space, vectors, mat = _pool_matrix(pool, space)
-    n = len(vectors)
-    total = math.comb(n, size)
-    if total > limit:
-        raise ValidationError(
-            f"C({n}, {size}) = {total} exceeds the exhaustive limit {limit}"
-        )
-    if metric == "spread":
-        pairwise = cdist(mat, mat)
-
-        def score_of(combo):
-            if size < 2:
-                return 0.0
-            return float(pairwise[np.ix_(combo, combo)].sum()
-                         / (size * (size - 1)))
-    else:
-        if samples is None:
-            samples = space.sample(n_samples, seed=seed)
-        to_samples = cdist(mat, samples)
-
-        def score_of(combo):
-            return space.diameter - float(
-                to_samples[list(combo)].min(axis=0).mean())
-
-    best_indices: tuple[int, ...] | None = None
-    best_score = -np.inf
-    for combo in itertools.combinations(range(n), size):
-        s = score_of(combo)
-        if s > best_score + TIE_TOL:
-            best_score, best_indices = s, combo
-    return _result(vectors, "exact", metric, best_score, best_indices)

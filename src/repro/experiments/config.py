@@ -317,9 +317,9 @@ class BuildOptions:
     #: Resolved observability level — ``"off"``, ``"basic"`` (sampled
     #: metrics) or ``"full"`` (every iteration timed + span events) —
     #: with the directory holding the event log and the exported
-    #: ``telemetry.json`` / ``metrics.prom``, and the run id stamped on
-    #: every event. Telemetry is purely observational: behavior vectors
-    #: under the ``unit`` work model are bit-identical across levels.
+    #: ``telemetry.json``, and the run id stamped on every event.
+    #: Telemetry is purely observational: behavior vectors under the
+    #: ``unit`` work model are bit-identical across levels.
     obs_level: str = "off"
     obs_dir: "str | None" = None
     run_id: "str | None" = None
@@ -334,10 +334,6 @@ class BuildOptions:
     #: as ``quarantined-poison`` instead of being handed to yet another
     #: worker or node (default 3).
     max_lease_expiries: "int | None" = None
-    #: Bounded speculative re-execution of stragglers: once nothing else
-    #: is dispatchable, idle workers shadow the oldest in-flight cells
-    #: and the first completion wins.
-    speculative: bool = False
 
     def __post_init__(self) -> None:
         for attr in ("checkpoint_dir", "obs_dir"):

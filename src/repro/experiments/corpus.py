@@ -42,7 +42,7 @@ from repro.obs.events import (
     merge_sinks,
     worker_sink_path,
 )
-from repro.obs.export import write_prometheus, write_telemetry_json
+from repro.obs.export import write_telemetry_json
 from repro.obs.telemetry import (
     OBS_DIR_ENV,
     configure,
@@ -103,20 +103,16 @@ class BehaviorCorpus:
     premat_seconds: float = 0.0
     #: Telemetry identifiers when the build ran with ``obs != "off"``:
     #: the run id stamped on every event, and the directory holding the
-    #: event log plus the exported ``telemetry.json``/``metrics.prom``.
+    #: event log plus the exported ``telemetry.json``.
     run_id: "str | None" = None
     obs_dir: "str | None" = None
     #: Supervised-scheduler accounting (multi-worker builds): leases
-    #: lost to dead/hung workers, workers replaced, speculative shadow
-    #: dispatches, and whether the circuit breaker degraded the build
-    #: to inline single-process execution.
+    #: lost to dead/hung workers, workers replaced, and whether the
+    #: circuit breaker degraded the build to inline single-process
+    #: execution.
     lease_expiries: int = 0
     workers_replaced: int = 0
-    speculative_runs: int = 0
     degraded_to_inline: bool = False
-    #: Quarantine files removed by the post-build retention sweep,
-    #: keyed by store ("results", "snapshots").
-    quarantine_swept: "dict[str, int]" = field(default_factory=dict)
     #: Distributed-queue accounting (``build_corpus(distributed=...)``):
     #: whether this build ran over the shared work queue, how many
     #: distinct node agents ever registered, how many were declared
@@ -244,13 +240,12 @@ class BehaviorCorpus:
             lines.append(f"  graph plane: {self.premat_graphs} graphs "
                          f"pre-materialized in {self.premat_seconds:.2f}s")
         if (self.lease_expiries or self.workers_replaced
-                or self.speculative_runs or self.degraded_to_inline):
+                or self.degraded_to_inline):
             mode = (" -> degraded to inline execution"
                     if self.degraded_to_inline else "")
             lines.append(f"  scheduler: {self.lease_expiries} lease "
                          f"expiries, {self.workers_replaced} workers "
-                         f"replaced, {self.speculative_runs} speculative "
-                         f"dispatches{mode}")
+                         f"replaced{mode}")
         if self.distributed:
             lines.append(f"  distributed: {self.nodes_seen} nodes seen, "
                          f"{self.nodes_lost} lost, "
@@ -262,10 +257,6 @@ class BehaviorCorpus:
                              f"{self.stale_done_markers} stale done "
                              f"markers, {self.queue_leftovers} queue "
                              f"files left behind")
-        if self.quarantine_swept:
-            swept = ", ".join(f"{name} {count}" for name, count
-                              in sorted(self.quarantine_swept.items()))
-            lines.append(f"  quarantine sweep: removed {swept}")
         timing = self.timing_decomposition()
         if timing is not None:
             lines.append(
@@ -638,8 +629,6 @@ def build_corpus(
     lease_timeout_s: "float | None" = None,
     heartbeat_every_s: "float | None" = None,
     max_lease_expiries: "int | None" = None,
-    speculative: bool = False,
-    gc_quarantine: "int | None" = None,
     distributed: "str | Path | None" = None,
 ) -> BehaviorCorpus:
     """Execute the full behavior-corpus plan (11 algorithms × 20 graphs).
@@ -684,11 +673,6 @@ def build_corpus(
         directory for the event log and exports (default:
         ``$REPRO_OBS_DIR``, else ``obs/`` under the result store, else
         ``./.repro_obs``).
-    gc_quarantine:
-        When set, sweep the result-store (and, if checkpointing is
-        configured, snapshot-store) quarantine directories after the
-        build, keeping only this many newest entries; counts land in
-        ``quarantine_swept`` and the summary.
     distributed:
         Path to a shared work-queue directory (a filesystem every
         participating machine can reach). The build then runs as a
@@ -745,7 +729,7 @@ def build_corpus(
         obs_level=obs_level, obs_dir=obs_path, run_id=corpus.run_id,
         lease_timeout_s=lease_timeout_s,
         heartbeat_every_s=heartbeat_every_s,
-        max_lease_expiries=max_lease_expiries, speculative=speculative)
+        max_lease_expiries=max_lease_expiries)
 
     def stopped() -> bool:
         return stop_requested is not None and stop_requested()
@@ -800,14 +784,6 @@ def build_corpus(
     finally:
         corpus.interrupted = corpus.interrupted or stopped()
         corpus.build_seconds = time.perf_counter() - started
-        if gc_quarantine is not None:
-            swept: "dict[str, int]" = {}
-            if store is not None:
-                swept["results"] = store.gc_quarantine(gc_quarantine)
-            if checkpoint_every is not None or checkpoint_dir is not None:
-                swept["snapshots"] = SnapshotStore(
-                    checkpoint_dir).gc_quarantine(gc_quarantine)
-            corpus.quarantine_swept = swept
         if obs_path is not None:
             # Fold worker sinks into the parent registry + main log,
             # then drop the exporters next to the event log — also on
@@ -822,12 +798,10 @@ def build_corpus(
                      failures=len(corpus.failures),
                      interrupted=corpus.interrupted,
                      seconds=corpus.build_seconds)
-            snapshot = tel.snapshot()
             write_telemetry_json(
-                obs_path, snapshot, run=corpus.run_id, level=obs_level,
+                obs_path, tel.snapshot(), run=corpus.run_id, level=obs_level,
                 profile=profile.name, workers=workers,
                 build_seconds=corpus.build_seconds,
                 interrupted=corpus.interrupted)
-            write_prometheus(obs_path, snapshot)
             deactivate()
     return corpus

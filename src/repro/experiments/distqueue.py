@@ -375,12 +375,6 @@ class DistributedQueue:
         except (KeyError, TypeError, ValueError, ValidationError):
             return None
 
-    def claim(self, task_id: str, node: str,
-              epoch: int) -> "TaskRecord | None":
-        """:meth:`take`, for callers that want only the record."""
-        claim = self.take(task_id, node, epoch)
-        return None if claim is None else claim.record
-
     def claims(self) -> "list[Claim]":
         out: "list[Claim]" = []
         try:

@@ -9,23 +9,19 @@
 2. this process's :class:`GraphCache` — inline builds and repeated
    :func:`~repro.behavior.run.run_computation` calls reuse graphs they
    already generated;
-3. ``spec.generate()`` — the slow path, counted (see below) and
-   inserted into the cache.
+3. ``spec.generate()`` — the slow path, inserted into the cache.
+
+Every resolution is counted on telemetry as
+``graph_resolutions_total{source=shm|cache|generated}``.
 
 Resolved problems are shared across runs, so their domain inputs are
 frozen read-only — algorithms only ever read inputs, and the graph's
 CSR arrays are immutable already.
-
-Testing hook: when ``$REPRO_COUNT_MATERIALIZE`` names a directory,
-every actual ``generate()`` drops a unique token file there containing
-the spec's cache key, so tests can assert each distinct graph is
-materialized exactly once across a whole multi-process corpus build.
 """
 
 from __future__ import annotations
 
 import os
-import uuid
 from collections import OrderedDict
 
 import numpy as np
@@ -33,8 +29,6 @@ import numpy as np
 from repro.generators.problem import ProblemInstance
 from repro.graph import shm
 
-#: Directory receiving one token file per actual materialization.
-COUNT_MATERIALIZE_ENV = "REPRO_COUNT_MATERIALIZE"
 #: Overrides the default cache capacity; ``0`` disables caching.
 CACHE_BYTES_ENV = "REPRO_GRAPH_CACHE_BYTES"
 #: Default capacity — generous for smoke/paper profiles, bounded so a
@@ -127,20 +121,6 @@ def configure_default_cache(capacity_bytes: "int | None") -> None:
     _default_cache = GraphCache(capacity_bytes)
 
 
-def _count_materialization(key: str) -> None:
-    root = os.environ.get(COUNT_MATERIALIZE_ENV)
-    if not root:
-        return
-    try:
-        os.makedirs(root, exist_ok=True)
-        token = os.path.join(
-            root, f"{os.getpid()}-{uuid.uuid4().hex[:8]}.token")
-        with open(token, "w", encoding="utf-8") as fh:
-            fh.write(key)
-    except OSError:
-        pass
-
-
 def freeze_inputs(problem: ProblemInstance) -> ProblemInstance:
     """Mark array inputs read-only so the problem is safely shareable."""
     for value in problem.inputs.values():
@@ -168,7 +148,6 @@ def materialize_problem(spec) -> tuple[ProblemInstance, str]:
             source = "cache"
         else:
             problem = freeze_inputs(spec.generate())
-            _count_materialization(key)
             cache.put(key, problem)
             source = "generated"
     tel = get_telemetry()

@@ -124,7 +124,6 @@ class NodeAgent(CrewLoop):
         self.stale_rejections = 0
         self._claims: "dict[str, Claim]" = {}
         self._queue_epoch = 0
-        self._last_activity = time.monotonic()
         queue.ensure_layout()
         self._owns_obs = self._configure_obs(options, trace)
         # Workers never touch the shared store (store_root=None): all
@@ -239,7 +238,6 @@ class NodeAgent(CrewLoop):
             claim = self.queue.take(task_id, self.node, self._next_epoch())
             if claim is None:
                 continue  # lost the race (or torn record): move on
-            self._last_activity = time.monotonic()
             if self.tel.enabled:
                 self.tel.inc("distqueue_claims_total")
                 self.tel.emit("node", _trace_ctx=self._span("node", self.node),
@@ -301,7 +299,6 @@ class NodeAgent(CrewLoop):
 
     def _on_update(self, task: Task, envelope: ResultEnvelope,
                    accepted: bool) -> None:
-        self._last_activity = time.monotonic()
         if task.kind == "materialize":
             self._beats.beat()  # segment names reach the coordinator
             return
@@ -394,8 +391,7 @@ class NodeAgent(CrewLoop):
     # ------------------------------------------------------------------
     @classmethod
     def serve(cls, queue: DistributedQueue, *, workers: int = 1,
-              node: "str | None" = None, poll_s: float = 0.05,
-              idle_exit_s: "float | None" = None,
+              node: "str | None" = None,
               manifest_wait_s: float = 60.0) -> int:
         """Join the build in *queue* and serve it until it completes (or
         the queue disappears). Returns a process exit code."""
@@ -412,15 +408,11 @@ class NodeAgent(CrewLoop):
             return 1
         try:
             while not agent.stopping:
-                agent.tick(time.time(), poll_s)
+                agent.tick(time.time(), agent.config.poll_s)
                 if queue.complete() and agent.drained:
                     break
                 if not (queue.root / "manifest.json").exists():
                     break  # queue swept: the build is over
-                if (idle_exit_s is not None and not agent._claims
-                        and time.monotonic() - agent._last_activity
-                        > idle_exit_s):
-                    break
         finally:
             agent.shutdown()
         return 0

@@ -5,11 +5,12 @@ module replaces had no notion of task ownership: one
 ``BrokenProcessPool`` aborted the whole build and a hung worker
 stalled it forever. Following the Pregel-style plan/execute/update
 loop (every task carries a first-class status state machine), the
-build is now an explicit DAG of **materialize → run → store** tasks
-driven by a supervisor:
+build is now an explicit DAG of **materialize → run** tasks driven by
+a supervisor:
 
 - **plan** — ready tasks (deps terminal, backoff elapsed) are leased
-  to idle workers; each lease carries an epoch and a deadline.
+  to idle workers; a task holds at most one lease, and each lease
+  carries an epoch and a deadline.
 - **execute** — workers heartbeat while executing (see
   :mod:`repro.experiments.worksite`); each beat tagged with the lease
   renews its deadline, so slow-but-alive cells never expire while
@@ -48,7 +49,7 @@ from __future__ import annotations
 import tempfile
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -68,9 +69,6 @@ from repro.experiments.worksite import (
 
 #: Task status state machine (the LangGraph-Pregel shape): a task is
 #: planned, owned, then terminal — and never leaves a terminal state.
-TASK_STATES: tuple[str, ...] = (
-    "pending", "leased", "done", "failed", "quarantined",
-)
 TERMINAL_STATES: frozenset = frozenset({"done", "failed", "quarantined"})
 _ALLOWED_TRANSITIONS: dict = {
     "pending": frozenset({"leased"}),
@@ -80,7 +78,8 @@ _ALLOWED_TRANSITIONS: dict = {
     "quarantined": frozenset(),
 }
 
-#: The supervisor leases store tasks to itself under this worker id.
+#: The supervisor leases tasks it executes inline (and re-owns a late
+#: completion) under this worker id.
 SUPERVISOR_WORKER = -1
 
 
@@ -96,7 +95,6 @@ class Lease:
     epoch: int
     deadline: float
     granted_at: float
-    speculative: bool = False
 
 
 @dataclass
@@ -104,30 +102,22 @@ class Task:
     """One node of the build DAG."""
 
     id: str
-    kind: str  # "materialize" | "run" | "store"
+    kind: str  # "materialize" | "run"
     payload: Any = None
     deps: tuple = ()
     status: str = "pending"
-    leases: "list[Lease]" = field(default_factory=list)
+    #: The one live grant of this task, while it is ``leased``.
+    lease: "Lease | None" = None
     #: Leases lost to expiry or worker death — the poison budget.
     lease_expiries: int = 0
     #: Earliest re-dispatch time after a revoked lease (jitter backoff).
     not_before: float = 0.0
     result: Any = None
     failure: "RunFailure | None" = None
-    speculated: bool = False
 
     @property
     def terminal(self) -> bool:
         return self.status in TERMINAL_STATES
-
-    def find_lease(self, worker: int,
-                   epoch: "int | None" = None) -> "Lease | None":
-        for lease in self.leases:
-            if lease.worker == worker and (epoch is None
-                                           or lease.epoch == epoch):
-                return lease
-        return None
 
 
 class TaskBoard:
@@ -196,21 +186,13 @@ class TaskBoard:
     # ------------------------------------------------------------------
     # Lease
     # ------------------------------------------------------------------
-    def lease(self, task_id: str, worker: int, now: float, *,
-              speculative: bool = False) -> int:
+    def lease(self, task_id: str, worker: int, now: float) -> int:
         task = self._require(task_id)
-        if speculative:
-            if task.status != "leased":
-                raise SchedulerError(
-                    f"speculative lease on {task.status!r} task {task_id!r}")
-            task.speculated = True
-        else:
-            self._transition(task, "leased", worker=worker)
+        self._transition(task, "leased", worker=worker)
         self._epoch += 1
-        task.leases.append(Lease(
-            worker=worker, epoch=self._epoch,
-            deadline=now + self.lease_timeout_s, granted_at=now,
-            speculative=speculative))
+        task.lease = Lease(worker=worker, epoch=self._epoch,
+                           deadline=now + self.lease_timeout_s,
+                           granted_at=now)
         return self._epoch
 
     def renew(self, worker: int, task_id: str, epoch: int,
@@ -219,12 +201,10 @@ class TaskBoard:
         ``ts + lease_timeout``. Beats for unknown/stale leases are
         ignored (the worker is executing something already revoked)."""
         task = self.tasks.get(task_id)
-        if task is None or task.status != "leased":
+        lease = task.lease if task is not None else None
+        if lease is None or (lease.worker, lease.epoch) != (worker, epoch):
             return False
-        lease = task.find_lease(worker, epoch)
-        if lease is None:
-            return False
-        task.leases[task.leases.index(lease)] = replace(
+        task.lease = replace(
             lease, deadline=max(lease.deadline, ts + self.lease_timeout_s))
         return True
 
@@ -234,10 +214,10 @@ class TaskBoard:
     def complete(self, task_id: str, result: Any) -> bool:
         """First completion wins: returns False (result dropped) when
         the task already reached a terminal state — the stale result of
-        a revoked or speculative-loser lease. Completions from revoked
-        leases of a *non-terminal* task are accepted: the store write
-        they performed is byte-identical to what the replacement would
-        produce, so taking the early answer only saves work."""
+        a revoked lease. Completions from revoked leases of a
+        *non-terminal* task are accepted: the store write they performed
+        is byte-identical to what the replacement would produce, so
+        taking the early answer only saves work."""
         task = self._require(task_id)
         if task.terminal:
             return False
@@ -246,7 +226,7 @@ class TaskBoard:
             # so the machine never jumps pending -> done directly.
             self._transition(task, "leased", worker=SUPERVISOR_WORKER)
         task.result = result
-        task.leases.clear()
+        task.lease = None
         self._transition(task, "done")
         return True
 
@@ -255,41 +235,30 @@ class TaskBoard:
         (their lease was revoked) are dropped: the replacement attempt
         owns the cell's outcome now."""
         task = self._require(task_id)
-        if task.terminal or task.status != "leased":
-            return False
-        if not any(lease.epoch == epoch for lease in task.leases):
+        if task.lease is None or task.lease.epoch != epoch:
             return False
         task.failure = failure
-        task.leases.clear()
+        task.lease = None
         self._transition(task, "failed", failure_kind=failure.kind)
         return True
 
     def expired_leases(self, now: float) -> "list[tuple[Task, Lease]]":
         """Every lease past its deadline, without revoking anything —
         the supervisor decides (it must also kill the hung worker)."""
-        out = []
-        for task_id in self._order:
-            task = self.tasks[task_id]
-            if task.status != "leased":
-                continue
-            for lease in list(task.leases):
-                if lease.deadline < now:
-                    out.append((task, lease))
-        return out
+        return [(task, task.lease) for task in self.leased()
+                if task.lease.deadline < now]
 
     def revoke_lease(self, task: Task, lease: Lease, now: float,
                      reason: str = "lease-expired") -> str:
         """Take a lease away from its (dead or hung) worker.
 
         Returns what happened to the task: ``"requeued"`` (re-dispatch
-        after jitter backoff), ``"quarantined"`` (poison budget spent),
-        or ``"survived"`` (a speculative twin still holds a live
-        lease). Already-terminal tasks return ``"stale"``.
+        after jitter backoff) or ``"quarantined"`` (poison budget
+        spent). A lease the task no longer holds returns ``"stale"``.
         """
-        if task.terminal:
+        if task.lease != lease:
             return "stale"
-        if lease in task.leases:
-            task.leases.remove(lease)
+        task.lease = None
         task.lease_expiries += 1
         self.total_lease_expiries += 1
         task.failure = RunFailure(
@@ -299,8 +268,6 @@ class TaskBoard:
                      f"{task.lease_expiries}/{self.max_lease_expiries} "
                      f"expiries"),
             attempts=task.lease_expiries)
-        if task.leases:
-            return "survived"
         if task.lease_expiries >= self.max_lease_expiries:
             task.failure = RunFailure(
                 kind="quarantined-poison",
@@ -327,12 +294,6 @@ class TaskBoard:
 
     def all_terminal(self) -> bool:
         return all(t.terminal for t in self.tasks.values())
-
-    def counts(self) -> "dict[str, int]":
-        out = {state: 0 for state in TASK_STATES}
-        for task in self.tasks.values():
-            out[task.status] += 1
-        return out
 
     # ------------------------------------------------------------------
     def _require(self, task_id: str) -> Task:
@@ -438,13 +399,12 @@ class CircuitBreaker:
 
 @dataclass(frozen=True)
 class SchedulerConfig:
-    """Crew-loop tuning; the first four fields are surfaced on the CLI
+    """Crew-loop tuning; the first three fields are surfaced on the CLI
     through :class:`~repro.experiments.config.BuildOptions`."""
 
     lease_timeout_s: float = CREW_LEASE_TIMEOUT_S
     heartbeat_every_s: float = HEARTBEAT_EVERY_S
     max_lease_expiries: int = MAX_LEASE_EXPIRIES
-    speculative: bool = False
     backoff_base_s: float = 0.05
     backoff_cap_s: float = 5.0
     breaker_window: int = 16
@@ -460,7 +420,6 @@ class SchedulerConfig:
         return cls(lease_timeout_s=options.lease_timeout(node=node),
                    heartbeat_every_s=options.heartbeat_every_s,
                    max_lease_expiries=options.max_lease_expiries,
-                   speculative=options.speculative,
                    backoff_base_s=profile.retry_backoff_s)
 
 
@@ -606,14 +565,10 @@ class CrewLoop:
         for task in self.board.ready(now):
             if not idle:
                 break
-            if task.kind == "store":
-                continue  # executed by the supervisor, never leased out
             self._dispatch(idle.pop(), task, now)
 
-    def _dispatch(self, handle, task: Task, now: float, *,
-                  speculative: bool = False) -> None:
-        epoch = self.board.lease(task.id, handle.worker, now,
-                                 speculative=speculative)
+    def _dispatch(self, handle, task: Task, now: float) -> None:
+        epoch = self.board.lease(task.id, handle.worker, now)
         manifest = (None if task.kind == "materialize" else
                     self.manifests.get(task.payload.spec.cache_key()))
         self.crew.dispatch(handle, TaskEnvelope(
@@ -641,16 +596,15 @@ class CrewLoop:
     def _on_worker_death(self, handle, now: float) -> None:
         task = (self.board.get(handle.task_id)
                 if handle.task_id is not None else None)
-        lease = (task.find_lease(handle.worker) if task is not None
-                 else None)
         self._record_outcome(handle.task_id, True, now)
         if self.tel.enabled:
             self.tel.inc("scheduler_worker_deaths_total")
             self.tel.emit("scheduler", action="worker-died",
                           worker=handle.worker,
                           task=handle.task_id)
-        if task is not None and lease is not None and not task.terminal:
-            self._revoke(task, lease, now, "worker-died")
+        if (task is not None and task.lease is not None
+                and task.lease.worker == handle.worker):
+            self._revoke(task, task.lease, now, "worker-died")
         self._retire(handle)
 
     def _on_lease_expiry(self, task: Task, lease: Lease,
@@ -730,11 +684,11 @@ class Supervisor(CrewLoop):
     """One multi-worker corpus build on this machine.
 
     Plans the whole corpus onto the board as an explicit materialize →
-    run → store DAG and fills the
+    run DAG and fills the
     :class:`~repro.experiments.corpus.BehaviorCorpus` in plan order, so
     a supervised build's ``runs`` list is ordered exactly like an inline
-    build's. On top of the shared loop it owns the circuit breaker,
-    speculation and the stop request.
+    build's. On top of the shared loop it owns the circuit breaker and
+    the stop request.
     """
 
     def __init__(self, *, plan: list, profile: Any, store: Any,
@@ -758,8 +712,8 @@ class Supervisor(CrewLoop):
         #: in flight; its outcome alone moves the breaker.
         self._probe_task: "str | None" = None
         self._open_handled = False
-        #: ``(run task, id of its store task)`` per cell, in plan order.
-        self._cells: "list[tuple[Task, str]]" = []
+        #: The run task of every cell, in plan order.
+        self._cells: "list[Task]" = []
         self._premat_pending = False
         self._started = time.perf_counter()  # crew start-up is premat time
         super().__init__(
@@ -788,22 +742,10 @@ class Supervisor(CrewLoop):
                 self._materialize_task(spec)
         else:
             needed = {}
-        prev_store: "str | None" = None
         for planned in self.plan:
-            cell_key = run_cache_key(planned, self.profile)
-            run = self._add_run(
-                f"run:{cell_key}", planned,
-                materialize=planned.spec.cache_key() in needed)
-            # The store chain linearizes collection in plan order, so
-            # corpus.runs ordering is deterministic and identical to an
-            # inline build regardless of completion order.
-            store_deps = [run.id]
-            if prev_store is not None:
-                store_deps.append(prev_store)
-            prev_store = self.board.add(Task(
-                f"store:{cell_key}", "store", payload=planned,
-                deps=tuple(store_deps))).id
-            self._cells.append((run, prev_store))
+            self._cells.append(self._add_run(
+                f"run:{run_cache_key(planned, self.profile)}", planned,
+                materialize=planned.spec.cache_key() in needed))
 
     # ------------------------------------------------------------------
     # Main loop
@@ -818,9 +760,9 @@ class Supervisor(CrewLoop):
                 self.tick(time.time(), self.config.poll_s)
                 self._check_premat_done()
                 if not self.stopping:
-                    self._finalize_stores()
+                    self._collect_finished()
                 if self.board.all_terminal() or (
-                        self.stopping and not self._worker_leases_live()):
+                        self.stopping and not self.board.leased()):
                     polite = True
                     break
         finally:
@@ -835,8 +777,6 @@ class Supervisor(CrewLoop):
             self._degraded_tick(now)
             return
         self._dispatch_ready(now)
-        if self.config.speculative:
-            self._maybe_speculate(now)
 
     def _may_respawn(self) -> bool:
         return not self.stopping and not self.breaker.open
@@ -847,42 +787,18 @@ class Supervisor(CrewLoop):
             self.tel.emit("scheduler", action="stale-result",
                           task=task.id, worker=envelope.worker)
 
-    def _maybe_speculate(self, now: float) -> None:
-        """Bounded speculative re-execution of stragglers: only when
-        nothing else is dispatchable (i.e. near build end), one shadow
-        per task, first completion wins."""
-        idle = self.crew.idle_workers()
-        if not idle:
-            return
-        if any(t.kind != "store" for t in self.board.ready(now)):
-            return
-        candidates = [
-            t for t in self.board.leased()
-            if t.kind == "run" and not t.speculated
-            and len(t.leases) == 1
-            and now - t.leases[0].granted_at
-            > max(self.config.heartbeat_every_s, self.config.poll_s)
-        ]
-        candidates.sort(key=lambda t: t.leases[0].granted_at)
-        for handle, task in zip(idle, candidates):
-            self._dispatch(handle, task, now, speculative=True)
-            self.corpus.speculative_runs += 1
-            if self.tel.enabled:
-                self.tel.inc("scheduler_speculative_total")
-                self.tel.emit("scheduler", action="speculate",
-                              task=task.id, worker=handle.worker)
-
     # ------------------------------------------------------------------
-    # Collection (store tasks, plan order)
+    # Collection (plan order)
     # ------------------------------------------------------------------
-    def _finalize_stores(self) -> None:
+    def _collect_finished(self) -> None:
+        """Collect the finished prefix of the plan: ``corpus.runs`` is
+        ordered like an inline build's whatever order cells complete
+        in."""
         total = len(self.plan)
         while self.corpus.n_collected < total:
-            run_task, store_id = self._cells[self.corpus.n_collected]
+            run_task = self._cells[self.corpus.n_collected]
             if not run_task.terminal:
                 break
-            self.board.lease(store_id, SUPERVISOR_WORKER, time.time())
-            self.board.complete(store_id, None)
             self.corpus.collect(self._corpus_run_for(run_task), total,
                                 self.progress)
 
@@ -918,13 +834,6 @@ class Supervisor(CrewLoop):
         self.tel.emit("premat", graphs=len(self.manifests),
                       seconds=self.corpus.premat_seconds,
                       plane=self.plane is not None)
-
-    def _worker_leases_live(self) -> bool:
-        """Any lease still held by an actual worker (store-task
-        self-leases never block the stopping drain)."""
-        return any(
-            any(lease.worker != SUPERVISOR_WORKER for lease in t.leases)
-            for t in self.board.leased())
 
     # ------------------------------------------------------------------
     # Circuit-breaker degradation (open → half-open probe → close)
@@ -969,9 +878,7 @@ class Supervisor(CrewLoop):
             # revoke them so their tasks are inline-executable (the
             # poison budget charge matches worker-death semantics).
             for task in self.board.leased():
-                for lease in list(task.leases):
-                    if lease.worker != SUPERVISOR_WORKER:
-                        self._revoke(task, lease, now, "circuit-open")
+                self._revoke(task, task.lease, now, "circuit-open")
             if self.tel.enabled:
                 self.tel.inc("scheduler_circuit_trips_total")
                 self.tel.emit("scheduler", action="circuit-open",
@@ -981,8 +888,7 @@ class Supervisor(CrewLoop):
         self._inline_step(now)
 
     def _dispatch_probe(self, now: float) -> None:
-        candidates = [t for t in self.board.ready(now)
-                      if t.kind != "store"]
+        candidates = self.board.ready(now)
         if not candidates:
             # Nothing left to trial the crew on; the inline path
             # finishes the tail and the breaker stays half-open.
@@ -1003,7 +909,7 @@ class Supervisor(CrewLoop):
         from repro.experiments.corpus import _run_cell
 
         for task in self.board.ready(now):
-            if task.kind == "store" or task.id == self._probe_task:
+            if task.id == self._probe_task:
                 continue
             self.board.lease(task.id, SUPERVISOR_WORKER, now)
             if task.kind == "materialize":

@@ -251,8 +251,8 @@ def _execute_envelope(envelope: TaskEnvelope, options: BuildOptions,
     if manifest is not None:
         shm.install_manifest(manifest)
     if envelope.kind == "materialize":
-        # Through materialize_problem, so the materialization counter
-        # sees it and this worker's cache keeps the graph warm; the
+        # Through materialize_problem, so ``graph_resolutions_total``
+        # counts it and this worker's cache keeps the graph warm; the
         # problem is pickled back to the loop, which publishes it.
         return payload.cache_key(), materialize_problem(payload)[0]
     if envelope.kind != "run":

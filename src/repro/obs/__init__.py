@@ -7,21 +7,17 @@ parent registry.
 
 from repro.obs.events import (
     EVENTS_FILENAME,
-    PROM_FILENAME,
     SINKS_DIRNAME,
     TELEMETRY_FILENAME,
     EventLog,
     merge_sinks,
     read_all_events,
     read_events,
-    worker_metrics_path,
     worker_sink_path,
     write_worker_metrics,
 )
 from repro.obs.export import (
     load_telemetry,
-    render_prometheus,
-    write_prometheus,
     write_telemetry_json,
 )
 from repro.obs.benchdiff import compare_artifacts, render_bench_compare
@@ -57,7 +53,6 @@ __all__ = [
     "OBS_DIR_ENV",
     "OBS_ENV",
     "OBS_LEVELS",
-    "PROM_FILENAME",
     "SINKS_DIRNAME",
     "TELEMETRY_FILENAME",
     "EngineObserver",
@@ -82,13 +77,10 @@ __all__ = [
     "read_events",
     "render_bench_compare",
     "render_critical_path",
-    "render_prometheus",
     "render_trace",
     "resolve_obs_level",
     "validate_obs_level",
-    "worker_metrics_path",
     "worker_sink_path",
-    "write_prometheus",
     "write_worker_metrics",
     "write_telemetry_json",
 ]

@@ -77,7 +77,9 @@ def compare_artifacts(baseline_dir: "str | Path",
                       strict: bool = False,
                       artifacts: "tuple[str, ...] | None" = None) \
         -> dict[str, Any]:
-    """Compare every known artifact present in both directories.
+    """Compare every known artifact present in both directories, or
+    exactly the named *artifacts* — one of those absent from either
+    side fails the gate instead of being skipped.
 
     Returns a report dict with one entry per matched metric:
     ``regression_pct`` is positive when the metric moved in the *bad*
@@ -92,8 +94,18 @@ def compare_artifacts(baseline_dir: "str | Path",
     for artifact in artifacts or ARTIFACTS:
         base_path = base_root / artifact
         cand_path = cand_root / artifact
-        if not base_path.exists() or not cand_path.exists():
+        absent = [side for side, path in (("baseline", base_path),
+                                          ("candidate", cand_path))
+                  if not path.exists()]
+        if absent and artifacts is None:
             skipped.append(artifact)
+            continue
+        if absent:
+            # Asked for by name: nothing compared is not a pass.
+            entries.append({"artifact": artifact, "path": "",
+                            "status": "fail",
+                            "note": "artifact absent from "
+                                    + " and ".join(absent)})
             continue
         try:
             base = _numeric_leaves(

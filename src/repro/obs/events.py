@@ -8,7 +8,6 @@ Layout of an observability directory (one per corpus build / run)::
         sinks/
             events-<pid>.jsonl  # per-pool-worker sink, merged + removed
         telemetry.json        # machine-readable metric snapshot
-        metrics.prom          # Prometheus-style text exposition
 
 Every event is one JSON object per line with at least ``ts`` (unix
 seconds), ``kind`` and ``pid``; run/cell/attempt identifiers are added
@@ -27,12 +26,11 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
-from repro._util.durable import publish, read_json_object
+from repro._util.durable import publish, read_json_object, sanitize
 
 EVENTS_FILENAME = "events.jsonl"
 SINKS_DIRNAME = "sinks"
 TELEMETRY_FILENAME = "telemetry.json"
-PROM_FILENAME = "metrics.prom"
 
 DEFAULT_MAX_BYTES = 4 << 20
 DEFAULT_BACKUPS = 3
@@ -109,37 +107,29 @@ def node_sink_path(obs_dir: "str | Path", node: str) -> Path:
     """Per-node sink file for a distributed-build node agent.
 
     Same ``events-<id>.jsonl`` shape as the worker sinks, so
-    :func:`merge_sinks` folds node logs and worker logs identically;
-    node ids are sanitized to keep the name filesystem-safe and free
-    of collisions with numeric pids.
+    :func:`merge_sinks` folds node logs and worker logs identically.
     """
 
-    safe = "".join(c if c.isalnum() or c in "-_" else "-" for c in node)
-    return Path(obs_dir) / SINKS_DIRNAME / f"events-{safe}.jsonl"
+    return (Path(obs_dir) / SINKS_DIRNAME
+            / f"events-{sanitize(node)}.jsonl")
 
 
 def node_metrics_path(obs_dir: "str | Path", node: str) -> Path:
-    """Per-node cumulative metrics-snapshot file (cf. the pid twin)."""
-
-    safe = "".join(c if c.isalnum() or c in "-_" else "-" for c in node)
-    return Path(obs_dir) / SINKS_DIRNAME / f"metrics-{safe}.json"
-
-
-def worker_metrics_path(obs_dir: "str | Path", pid: int) -> Path:
-    """Per-worker cumulative metrics-snapshot file.
+    """Per-node cumulative metrics-snapshot file.
 
     Kept apart from the event sink so the (large, cumulative) registry
     snapshot never rotates cell events out of the sink log.
     """
 
-    return Path(obs_dir) / SINKS_DIRNAME / f"metrics-{pid}.json"
+    return (Path(obs_dir) / SINKS_DIRNAME
+            / f"metrics-{sanitize(node)}.json")
 
 
 def write_worker_metrics(path: "str | Path",
                          snapshot: dict[str, Any]) -> None:
-    """Atomically overwrite a worker's cumulative metrics snapshot: a
-    worker killed mid-write leaves the previous complete one, so the
-    merge still credits every cell it finished before dying."""
+    """Atomically overwrite a cumulative metrics snapshot: a writer
+    killed mid-write leaves the previous complete one, so the merge
+    still credits every cell it finished before dying."""
 
     publish(Path(path), json.dumps(snapshot, separators=(",", ":")))
 
@@ -192,9 +182,9 @@ def merge_sinks(obs_dir: "str | Path", into: "EventLog | None") -> tuple[
 
     Returns ``(n_events, metric_snapshots)``.  Each worker's event
     sink — *including* any rotated generations, oldest first — is
-    appended to *into*; its cumulative ``metrics-<pid>.json`` snapshot
-    (see :func:`write_worker_metrics`) is collected for the caller to
-    merge into the parent registry.  All sink files are removed.
+    appended to *into*; each ``metrics-<id>.json`` snapshot (see
+    :func:`write_worker_metrics`) is collected for the caller to merge
+    into the parent registry.  All sink files are removed.
     """
 
     sink_dir = Path(obs_dir) / SINKS_DIRNAME
@@ -215,8 +205,6 @@ def merge_sinks(obs_dir: "str | Path", into: "EventLog | None") -> tuple[
     for stem in sorted(by_worker):
         for sink in sorted(by_worker[stem], key=generation):
             for event in read_events(sink):
-                if event.get("kind") == "metrics":
-                    continue  # legacy in-band snapshot; superseded
                 if into is not None:
                     into.append(event)
                 merged += 1
@@ -250,10 +238,16 @@ def follow_events(obs_dir: "str | Path", *,
     fh: "io.TextIOWrapper | None" = None
     inode = -1
     buffer = ""
+    # Only the log present when the follow begins is skipped; one that
+    # appears later, or replaces it on rotation, is new from its start.
+    skip_existing = True
     while True:
         if fh is None and path.exists():
             fh = open(path, encoding="utf-8", errors="replace")
             inode = os.fstat(fh.fileno()).st_ino
+            if skip_existing:
+                fh.seek(0, os.SEEK_END)
+        skip_existing = False
         if fh is not None:
             chunk = fh.read()
             if chunk:

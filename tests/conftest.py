@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import shutil
+
 import numpy as np
 import pytest
 
-from repro.experiments.config import Profile
-from repro.experiments.corpus import BehaviorCorpus, build_corpus
+from repro.experiments.config import ExperimentMatrix, Profile, get_profile
+from repro.experiments.corpus import (
+    BehaviorCorpus,
+    build_corpus,
+    run_cache_key,
+)
+from repro.experiments.results import ResultStore
 from repro.generators import (
     bipartite_rating_graph,
     grid_problem,
@@ -47,6 +54,36 @@ def unfused(program):
 def mini_corpus() -> BehaviorCorpus:
     """A full 11-algorithm corpus at tiny scale, built once per session."""
     return build_corpus(MINI_PROFILE, use_cache=False)
+
+
+@pytest.fixture(scope="session")
+def _warm_smoke_root(tmp_path_factory):
+    """The one cold smoke build the CLI tests share."""
+    root = tmp_path_factory.mktemp("warm-smoke")
+    build_corpus("smoke", store=ResultStore(root))
+    return root
+
+
+@pytest.fixture()
+def warm_smoke_cache(_warm_smoke_root, tmp_path, monkeypatch) -> ResultStore:
+    """``$REPRO_CACHE_DIR`` set to this test's own copy of a fully built
+    smoke store, for CLI tests that only need a corpus to exist. A test
+    that needs a cell to execute drops it first with
+    :func:`discard_smoke_cell`."""
+    root = tmp_path / "cache"
+    shutil.copytree(_warm_smoke_root, root)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+    return ResultStore(root)
+
+
+def discard_smoke_cell(store: ResultStore, target: str) -> None:
+    """Drop the one smoke cell whose ``<algorithm>-<spec key>`` contains
+    *target* (the spelling the ``REPRO_INJECT_*`` hooks match on)."""
+    profile = get_profile("smoke")
+    keys = [run_cache_key(planned, profile)
+            for planned in ExperimentMatrix(profile).corpus_runs()]
+    (key,) = [key for key in keys if target in key]
+    assert store.discard(key)
 
 
 @pytest.fixture()

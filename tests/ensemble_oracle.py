@@ -10,25 +10,33 @@ tuples with scores equal to 1e-9, both ranking through the tie-stable
 rule of :func:`repro.ensemble.fast.tie_sorted`. :class:`Oracle` is the
 door the parity suites and ``benchmarks/test_bench_ensemble.py`` use,
 the way they import :func:`tests.conftest.unfused`.
+
+:func:`exhaustive_best` is the second oracle: exact enumeration off the
+full distance matrix, for pools small enough to enumerate.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from repro._util.errors import ValidationError
-from repro.behavior.space import BehaviorSpace
-from repro.ensemble.budgets import SEARCH_SAMPLES
+from repro.behavior.space import BehaviorSpace, BehaviorVector
+from repro.ensemble.budgets import SEARCH_SAMPLES, WIDE_SEARCH_SAMPLES
+from repro.ensemble.ensemble import Ensemble
 from repro.ensemble.fast import (
     TIE_TOL,
     boundary_positions,
     tie_argmax,
     tie_sorted,
 )
-from repro.ensemble.search import VALID_METRICS
+from repro.ensemble.search import SearchResult, _pool_matrix, _result
+
+VALID_METRICS = ("spread", "coverage")
 
 
 class _Evaluator:
@@ -214,3 +222,60 @@ class Oracle:
         if refine:
             indices, score = _swap_refine(self.ev, indices)
         return Found(tuple(int(i) for i in indices), float(score))
+
+
+def exhaustive_best(
+    pool: "Ensemble | list[BehaviorVector]",
+    size: int,
+    metric: str = "spread",
+    *,
+    space: BehaviorSpace | None = None,
+    samples: np.ndarray | None = None,
+    n_samples: int = WIDE_SEARCH_SAMPLES,
+    seed: int = 0,
+    limit: int = 500_000,
+) -> SearchResult:
+    """Exact search by enumeration; refuses when C(n, size) exceeds
+    ``limit``. Validates the beam search and the lazy-greedy
+    (1 − 1/e) guarantee, so every combination is scored from scratch
+    off the full distance matrix, sharing no code with
+    :class:`~repro.ensemble.fast.FastEngine`.
+
+    Tie-stable: combinations are enumerated in lexicographic order and
+    a later combination only displaces the incumbent when it scores
+    more than :data:`~repro.ensemble.fast.TIE_TOL` better, so equal
+    scores keep the lexicographically smallest index tuple.
+    """
+    if metric not in VALID_METRICS:
+        raise ValidationError(f"metric must be one of {VALID_METRICS}")
+    space, vectors, mat = _pool_matrix(pool, space)
+    n = len(vectors)
+    total = math.comb(n, size)
+    if total > limit:
+        raise ValidationError(
+            f"C({n}, {size}) = {total} exceeds the exhaustive limit {limit}"
+        )
+    if metric == "spread":
+        pairwise = cdist(mat, mat)
+
+        def score_of(combo):
+            if size < 2:
+                return 0.0
+            return float(pairwise[np.ix_(combo, combo)].sum()
+                         / (size * (size - 1)))
+    else:
+        if samples is None:
+            samples = space.sample(n_samples, seed=seed)
+        to_samples = cdist(mat, samples)
+
+        def score_of(combo):
+            return space.diameter - float(
+                to_samples[list(combo)].min(axis=0).mean())
+
+    best_indices: tuple[int, ...] | None = None
+    best_score = -np.inf
+    for combo in itertools.combinations(range(n), size):
+        s = score_of(combo)
+        if s > best_score + TIE_TOL:
+            best_score, best_indices = s, combo
+    return _result(vectors, "exact", metric, best_score, best_indices)

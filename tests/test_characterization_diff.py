@@ -96,8 +96,7 @@ class TestDiffTraces:
 
 
 class TestCLICharacterizeCorpus:
-    def test_command(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    def test_command(self, capsys, warm_smoke_cache):
         from repro.cli import main
 
         code = main(["characterize-corpus"])

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from tests.conftest import discard_smoke_cell
 
 
 def run_cli(capsys, *argv):
@@ -165,7 +166,6 @@ class TestObsCommands:
         assert f"telemetry: {obs_dir}" in out
         assert (obs_dir / "events.jsonl").exists()
         assert (obs_dir / "telemetry.json").exists()
-        assert (obs_dir / "metrics.prom").exists()
 
         code, out, _err = run_cli(capsys, "stats", str(obs_dir))
         assert code == 0
@@ -228,11 +228,12 @@ class TestCorpusAndDesign:
         assert "source=run" not in out  # zero re-executions
 
     def test_corpus_crash_exits_nonzero_then_resume_repairs(
-            self, capsys, tiny_cache, monkeypatch):
+            self, capsys, warm_smoke_cache, monkeypatch):
         """Acceptance: an injected arbitrary exception in one cell is
         recorded as kind=crash, the other cells complete, the summary
         still prints, the exit code is nonzero — and --resume
         re-executes only the failed cell."""
+        discard_smoke_cell(warm_smoke_cache, "cc-ga-ne300-a2.0")
         monkeypatch.setenv("REPRO_INJECT_CRASH", "cc-ga-ne300-a2.0")
         code, out, err = run_cli(
             capsys, "corpus", "--profile", "smoke", "--progress")
@@ -252,10 +253,11 @@ class TestCorpusAndDesign:
         assert out.count("source=run") == 1  # only the crashed cell
 
     def test_corpus_engine_fault_exits_3_and_is_not_retried(
-            self, capsys, tiny_cache, monkeypatch):
+            self, capsys, warm_smoke_cache, monkeypatch):
         """Acceptance: an injected engine-level NaN classifies as the
         non-retryable kind=numeric (never a generic crash), the other
         cells complete, and the build exits 3."""
+        discard_smoke_cell(warm_smoke_cache, "cc-ga-ne300-a2.0")
         monkeypatch.setenv("REPRO_INJECT_ENGINE_FAULT",
                            "cc-ga-ne300-a2.0:nan@1")
         code, out, err = run_cli(
@@ -273,17 +275,20 @@ class TestCorpusAndDesign:
         assert "--no-cache" in err
 
     def test_corpus_timeout_and_retries_flags_parse(self, capsys,
-                                                    tiny_cache):
-        # The flags thread through; a generous timeout changes nothing.
+                                                    warm_smoke_cache):
+        # The flags thread through to the one cell left to execute; a
+        # generous timeout changes nothing.
+        discard_smoke_cell(warm_smoke_cache, "cc-ga-ne300-a2.0")
         code, out, _err = run_cli(
             capsys, "corpus", "--profile", "smoke", "--timeout", "300",
             "--retries", "1")
         assert code == 0
         assert "215 runs" in out
+        assert "executed 1, cached 219" in out
 
-    def test_design_on_smoke_subset(self, capsys, tiny_cache, monkeypatch):
+    def test_design_on_smoke_subset(self, capsys, warm_smoke_cache):
         # Keep this cheap: design over two algorithms only; the corpus
-        # itself is built at the smoke profile through the cache.
+        # itself is read back from the smoke store.
         code, out, _err = run_cli(
             capsys, "design", "--size", "4", "--metric", "spread",
             "--algorithms", "triangle", "sssp", "--samples", "2000")

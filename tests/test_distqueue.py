@@ -130,7 +130,7 @@ class TestManifestTransport:
                            use_shm=False, graph_cache_bytes=1 << 20,
                            obs_level="full", obs_dir="obs", run_id="r-1",
                            lease_timeout_s=0.5, heartbeat_every_s=0.1,
-                           max_lease_expiries=2, speculative=True)
+                           max_lease_expiries=2)
 
     def test_options_roundtrip_through_json(self):
         for options in (BuildOptions(), self.OPTIONS):
@@ -188,7 +188,7 @@ class TestQueueBasics:
         record = _record()
         assert queue.publish(record)
         assert not queue.publish(record)  # pending
-        assert queue.claim(record.task_id, "n1", 1) is not None
+        assert queue.take(record.task_id, "n1", 1) is not None
         assert not queue.publish(record)  # claimed
         queue.mark_done(record.task_id, {"status": "ok", "node": "n1",
                                          "epoch": 1})
@@ -211,8 +211,8 @@ class TestClaims:
         queue = _queue(tmp_path)
         record = _record()
         queue.publish(record)
-        got = queue.claim(record.task_id, "node-1", 3)
-        assert got == record
+        got = queue.take(record.task_id, "node-1", 3)
+        assert got.record == record
         assert queue.pending() == []
         (claim,) = queue.claims()
         assert (claim.task_id, claim.node, claim.epoch) == (
@@ -235,7 +235,7 @@ class TestClaims:
         queue.publish(record)
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(
-                lambda i: queue.claim(record.task_id, f"node-{i}", 1),
+                lambda i: queue.take(record.task_id, f"node-{i}", 1),
                 range(8)))
         assert sum(r is not None for r in results) == 1
         assert len(queue.claims()) == 1
@@ -244,7 +244,7 @@ class TestClaims:
         queue = _queue(tmp_path)
         record = _record()
         queue.publish(record)
-        queue.claim(record.task_id, "n1", 1)
+        queue.take(record.task_id, "n1", 1)
         (claim,) = queue.claims()
         assert queue.release(claim)
         assert queue.pending() == [record.task_id]
@@ -254,7 +254,7 @@ class TestClaims:
         queue = _queue(tmp_path)
         record = _record()
         queue.publish(record)
-        queue.claim(record.task_id, "n1", 1)
+        queue.take(record.task_id, "n1", 1)
         (claim,) = queue.claims()
         queue.drop_claim(claim)
         queue.drop_claim(claim)

@@ -25,7 +25,6 @@ from repro.experiments.worksite import HeartbeatWriter, Worksite
 from repro.obs.events import write_worker_metrics
 from repro.obs.export import (
     load_telemetry,
-    write_prometheus,
     write_telemetry_json,
 )
 from repro.obs.telemetry import configure, deactivate
@@ -55,7 +54,7 @@ def _failing_replace(monkeypatch, code: int, times: int) -> list:
 
 
 # ----------------------------------------------------------------------
-# The seven writers: (publish generation g into directory d, read back)
+# The six writers: (publish generation g into directory d, read back)
 # ----------------------------------------------------------------------
 def _queue(d: Path) -> DistributedQueue:
     queue = DistributedQueue(d)
@@ -87,10 +86,6 @@ WRITERS = {
     "telemetry-json": (
         lambda d, g: write_telemetry_json(d, {}, gen=g),
         lambda d: str(load_telemetry(d)["gen"])),
-    "prometheus": (
-        lambda d, g: write_prometheus(
-            d, {"counters": {f"gen{g}": [{"labels": {}, "value": 1}]}}),
-        lambda d: re.search(r"gen(\d)", (d / "metrics.prom").read_text())[1]),
 }
 
 

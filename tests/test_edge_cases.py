@@ -129,8 +129,7 @@ class TestRegistryErrors:
 
 
 class TestCliCorpusCommand:
-    def test_corpus_command(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    def test_corpus_command(self, capsys, warm_smoke_cache):
         from repro.cli import main
 
         code = main(["corpus"])
@@ -138,9 +137,8 @@ class TestCliCorpusCommand:
         assert code == 0
         assert "Behavior corpus [smoke]: 215 runs, 5 failed" in out
 
-    def test_corpus_command_cached_second_call(self, capsys, monkeypatch,
-                                               tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    def test_corpus_command_cached_second_call(self, capsys,
+                                               warm_smoke_cache):
         from repro.cli import main
 
         assert main(["corpus"]) == 0

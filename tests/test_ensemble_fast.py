@@ -4,8 +4,7 @@ The fast engine's contract (DESIGN §15) is checked here from three
 angles: selection parity with the tie-stable oracle the search used
 to ship as its ``legacy`` engine (``tests/ensemble_oracle.py``),
 the (1 - 1/e) lazy-greedy guarantee against exhaustive optima, and
-the blocked-kernel plumbing (LRU byte bound, hit/miss accounting,
-worker- and precision-independence of results).
+the blocked-kernel plumbing (LRU byte bound, hit/miss accounting).
 """
 
 import numpy as np
@@ -20,22 +19,16 @@ from repro.ensemble.fast import (
     PairwiseBlocks,
     SampleBlocks,
     boundary_positions,
-    resolve_precision,
-    resolve_workers,
     tie_sorted,
 )
 from repro.ensemble.metrics import coverage, spread
-from repro.ensemble.search import best_ensemble, exhaustive_best
-from tests.ensemble_oracle import Oracle
+from repro.ensemble.search import best_ensemble
+from tests.ensemble_oracle import Oracle, exhaustive_best
 
 SPACE = BehaviorSpace()
 #: One fixed sample cloud for every coverage comparison in this file —
 #: engine and oracle must see identical samples for scores to agree.
 SAMPLES = SPACE.sample(400, seed=0)
-
-#: Documented score tolerance for float32 tile storage (accumulation
-#: stays float64); see docs/ensemble-search.md.
-FLOAT32_REL_TOL = 1e-5
 
 
 def make_pool(coords) -> list[BehaviorVector]:
@@ -160,55 +153,6 @@ class TestGreedyGuarantee:
         pool = make_pool(np.random.default_rng(0).random((8, 4)))
         with pytest.raises(ValidationError):
             best_ensemble(pool, 3, "spread", strategy="greedy")
-
-
-class TestPrecision:
-    """float32 tile storage keeps scores within the documented
-    relative tolerance of the float64 path (accumulation is always
-    float64)."""
-
-    @pytest.mark.parametrize("metric", ["spread", "coverage"])
-    @given(coords=pools(unit, min_size=8, max_size=12))
-    @settings(max_examples=10, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    def test_float32_within_tolerance(self, coords, metric):
-        pool = make_pool(coords)
-        f64 = best_ensemble(pool, 4, metric, samples=SAMPLES,
-                            precision="float64")
-        f32 = best_ensemble(pool, 4, metric, samples=SAMPLES,
-                            precision="float32")
-        assert f32.score == pytest.approx(f64.score, rel=FLOAT32_REL_TOL)
-        # The quoted score must match a float64 re-score of the chosen
-        # members to the same tolerance — tiles never leak into it.
-        exact = (spread(f32.ensemble) if metric == "spread"
-                 else coverage(f32.ensemble, samples=SAMPLES))
-        assert f32.score == pytest.approx(exact, rel=FLOAT32_REL_TOL)
-
-    def test_resolvers(self):
-        assert resolve_precision(None) == np.dtype(np.float64)
-        assert resolve_precision("float32") == np.dtype(np.float32)
-        with pytest.raises(ValidationError):
-            resolve_precision("float16")
-        assert resolve_workers(None) == 1
-        assert resolve_workers(0) == 1
-        assert resolve_workers(4) == 4
-        assert resolve_workers(-1) >= 1
-
-
-class TestWorkers:
-    """Chunking never depends on the worker count, so threaded scoring
-    is bitwise identical to serial."""
-
-    @pytest.mark.parametrize("metric", ["spread", "coverage"])
-    def test_parallel_equals_serial(self, metric):
-        rng = np.random.default_rng(11)
-        pool = make_pool(rng.random((24, 4)))
-        serial = best_ensemble(pool, 6, metric, samples=SAMPLES,
-                               workers=1)
-        threaded = best_ensemble(pool, 6, metric, samples=SAMPLES,
-                                 workers=4)
-        assert serial.indices == threaded.indices
-        assert serial.score == threaded.score  # bitwise
 
 
 class TestBlockedKernels:

@@ -22,11 +22,10 @@ from repro.ensemble.search import (
     best_ensemble,
     best_ensemble_curve,
     best_subset,
-    exhaustive_best,
     top_k_ensembles,
 )
 from repro.generators.rng import make_rng
-from tests.ensemble_oracle import Oracle
+from tests.ensemble_oracle import Oracle, exhaustive_best
 
 
 def random_pool(n=24, seed=0, tag_algorithms=("a", "b", "c")):

@@ -87,3 +87,41 @@ def test_the_engine_oracles_left_src():
                 fields = {stmt.target.id for stmt in node.body
                           if isinstance(stmt, ast.AnnAssign)}
                 assert "mode" not in fields, f"{node.name}.mode in {path}"
+
+
+# ----------------------------------------------------------------------
+# Options follow the traffic: the paths no workload, smoke, figure
+# benchmark or example took stay out of src/
+# ----------------------------------------------------------------------
+STORES = {"experiments/results.py", "engine/checkpoint.py"}
+
+
+def test_the_untaken_paths_left_src():
+    for path in sorted(SRC.rglob("*.py")):
+        file = path.relative_to(SRC).as_posix()
+        text = path.read_text("utf-8")
+        gone = ["speculative", "speculated", "resolve_workers",
+                "render_prometheus", "REPRO_COUNT_MATERIALIZE"]
+        if file not in STORES:
+            gone.append("gc_quarantine")
+        if file.startswith("ensemble/"):
+            gone += ["precision", "ThreadPoolExecutor"]
+        for name in gone:
+            assert name not in text, f"{name} in {path}"
+
+
+def test_the_build_dag_has_two_task_kinds():
+    """materialize → run: nothing under experiments/ names a third."""
+    kinds = set()
+    for path in sorted((SRC / "experiments").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if (isinstance(node, ast.Compare)
+                    and isinstance(node.left, ast.Attribute)
+                    and node.left.attr == "kind"
+                    and isinstance(node.left.value, ast.Name)
+                    and node.left.value.id in ("task", "envelope")):
+                kinds |= {c.value for c in node.comparators
+                          if isinstance(c, ast.Constant)}
+    assert kinds == {"materialize", "run"}
+    assert '"store"' not in (
+        SRC / "experiments" / "scheduler.py").read_text("utf-8")

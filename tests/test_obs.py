@@ -8,17 +8,16 @@ import pytest
 from repro._util.errors import ValidationError
 from repro.obs.events import (
     EventLog,
+    follow_events,
     merge_sinks,
+    node_metrics_path,
     read_all_events,
     read_events,
-    worker_metrics_path,
     worker_sink_path,
     write_worker_metrics,
 )
 from repro.obs.export import (
     load_telemetry,
-    render_prometheus,
-    write_prometheus,
     write_telemetry_json,
 )
 from repro.obs.telemetry import (
@@ -291,6 +290,56 @@ class TestEventLog:
         assert list(read_events(tmp_path / "nope.jsonl")) == []
 
 
+class TestFollowEvents:
+    @staticmethod
+    def _append(path, *indices):
+        with open(path, "a", encoding="utf-8") as fh:
+            for i in indices:
+                fh.write(json.dumps({"kind": "e", "i": i}) + "\n")
+
+    def _follow(self, tmp_path, steps):
+        """Follow *tmp_path*, running the next of *steps* every time the
+        generator goes idle; stops once they are spent."""
+        steps = iter(steps)
+
+        def stop():
+            step = next(steps, None)
+            if step is None:
+                return True
+            step()
+            return False
+
+        return [e["i"] for e in
+                follow_events(tmp_path, poll_s=0.0, stop=stop)]
+
+    def test_starts_at_the_current_end(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        self._append(path, 0, 1, 2)
+        seen = self._follow(tmp_path, [lambda: self._append(path, 3, 4),
+                                       lambda: None])
+        assert seen == [3, 4]  # not 0, 1, 2 again
+
+    def test_rotated_and_late_logs_are_read_from_their_start(self,
+                                                             tmp_path):
+        path = tmp_path / "events.jsonl"
+        self._append(path, 0)
+
+        def rotate():
+            path.rename(tmp_path / "events.jsonl.1")
+            self._append(path, 1, 2)
+
+        seen = self._follow(tmp_path, [rotate, lambda: None,
+                                       lambda: None])
+        assert seen == [1, 2]
+
+        late = tmp_path / "late"
+        late.mkdir()
+        seen = self._follow(
+            late, [lambda: self._append(late / "events.jsonl", 7),
+                   lambda: None])
+        assert seen == [7]
+
+
 class TestMergeSinks:
     def test_merges_rotated_sinks_and_metrics_files(self, tmp_path):
         sink = worker_sink_path(tmp_path, 111)
@@ -302,7 +351,7 @@ class TestMergeSinks:
             fh.write(json.dumps({"kind": "cell_end", "i": 1}) + "\n")
             fh.write('{"kind": "torn"')  # SIGKILL mid-write
         write_worker_metrics(
-            worker_metrics_path(tmp_path, 111),
+            node_metrics_path(tmp_path, "node-111"),
             {"counters": {"c": [{"labels": {}, "value": 2.0}]},
              "gauges": {}, "histograms": {}})
 
@@ -323,7 +372,7 @@ class TestMergeSinks:
         assert merge_sinks(tmp_path, None) == (0, [])
 
     def test_worker_metrics_overwrite_is_atomic(self, tmp_path):
-        path = worker_metrics_path(tmp_path, 5)
+        path = node_metrics_path(tmp_path, "n/5")
         write_worker_metrics(path, {"v": 1})
         write_worker_metrics(path, {"v": 2})
         assert json.loads(path.read_text(encoding="utf-8")) == {"v": 2}
@@ -339,16 +388,6 @@ class TestExporters:
                     engine="synchronous")
         return tel.snapshot()
 
-    def test_prometheus_rendering(self):
-        text = render_prometheus(self._snapshot())
-        assert "# TYPE repro_corpus_cells_total counter" in text
-        assert 'repro_corpus_cells_total{status="ok"} 3' in text
-        assert "# TYPE repro_peak_rss_bytes gauge" in text
-        assert ('repro_engine_iteration_seconds{engine="synchronous",'
-                'quantile="0.5"} 0.25') in text
-        assert ('repro_engine_iteration_seconds_count'
-                '{engine="synchronous"} 1') in text
-
     def test_telemetry_json_roundtrip(self, tmp_path):
         write_telemetry_json(tmp_path, self._snapshot(), run="abc",
                              level="basic")
@@ -363,24 +402,6 @@ class TestExporters:
         (tmp_path / "telemetry.json").write_text("{not json",
                                                  encoding="utf-8")
         assert load_telemetry(tmp_path) is None
-
-    def test_write_prometheus_file(self, tmp_path):
-        path = write_prometheus(tmp_path, self._snapshot())
-        assert path.read_text(encoding="utf-8").startswith("# HELP")
-
-    def test_prometheus_help_and_summary_aggregates(self):
-        # Downstream consumers derive rates and means from the exact
-        # _count/_sum pair next to the nearest-rank quantiles; pin the
-        # exposition shape.
-        text = render_prometheus(self._snapshot())
-        assert "# HELP repro_corpus_cells_total" in text
-        assert "# HELP repro_peak_rss_bytes" in text
-        assert "# HELP repro_engine_iteration_seconds" in text
-        assert "# TYPE repro_engine_iteration_seconds summary" in text
-        assert ('repro_engine_iteration_seconds_sum'
-                '{engine="synchronous"} 0.25') in text
-        assert ('repro_engine_iteration_seconds_count'
-                '{engine="synchronous"} 1') in text
 
 
 class TestGlobalConfigure:

@@ -46,7 +46,6 @@ class TestFullObsBuild:
 
         # Exporters landed next to the store.
         assert (obs_dir / "events.jsonl").exists()
-        assert (obs_dir / "metrics.prom").exists()
         payload = load_telemetry(obs_dir)
         assert payload is not None and payload["level"] == "full"
         assert payload["profile"] == "tinyobs"

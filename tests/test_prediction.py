@@ -1,18 +1,19 @@
-"""Tests for the behavior-based performance prediction package."""
+"""Tests for the behavior-based performance prediction package that
+ships with ``examples/compare_systems.py``."""
 
 import numpy as np
 import pytest
 
 from repro._util.errors import ValidationError
 from repro.behavior.metrics import METRIC_NAMES, BehaviorMetrics
-from repro.prediction import (
+from examples.prediction import (
     SystemModel,
     compare_systems,
     fit_system_model,
     predict_cost,
     predict_ensemble_cost,
 )
-from repro.prediction.cost_model import ARCHETYPES
+from examples.prediction.cost_model import ARCHETYPES
 
 
 def metrics(updt=0.5, work=1e-8, eread=1.0, msg=0.8, iters=10):

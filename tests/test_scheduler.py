@@ -1,7 +1,7 @@
 """Supervised DAG scheduler tests: the task-board state machine
 (unit + hypothesis property), lease expiry / re-dispatch, poison-cell
-quarantine, the circuit breaker's inline fallback, speculative
-re-execution, quarantine GC, and the scheduler CLI flags.
+quarantine, the circuit breaker's inline fallback, quarantine GC, and
+the scheduler CLI flags.
 
 The board tests are pure (injected clocks, no processes); the
 integration tests spawn a real worker crew and drive the hung-worker
@@ -118,10 +118,11 @@ class TestTaskBoard:
         task = board.add(Task("r", "run"))
         epoch = board.lease("r", 3, 10.0)
         assert task.status == "leased"
-        assert task.find_lease(3, epoch).deadline == pytest.approx(11.0)
+        assert (task.lease.worker, task.lease.epoch) == (3, epoch)
+        assert task.lease.deadline == pytest.approx(11.0)
         assert board.complete("r", "payload")
         assert task.status == "done" and task.result == "payload"
-        assert not task.leases
+        assert task.lease is None
         with pytest.raises(SchedulerError):
             board.lease("r", 0, 12.0)  # terminal states are final
 
@@ -139,9 +140,8 @@ class TestTaskBoard:
         completed — through a supervisor re-own, never pending->done."""
         board = _board()
         task = board.add(Task("r", "run"))
-        epoch = board.lease("r", 0, 0.0)
-        lease = task.find_lease(0, epoch)
-        assert board.revoke_lease(task, lease, 2.0) == "requeued"
+        board.lease("r", 0, 0.0)
+        assert board.revoke_lease(task, task.lease, 2.0) == "requeued"
         assert task.status == "pending"
         assert board.complete("r", "late-but-right")
         assert task.status == "done"
@@ -151,10 +151,10 @@ class TestTaskBoard:
         task = board.add(Task("r", "run"))
         epoch = board.lease("r", 1, 0.0)
         assert board.renew(1, "r", epoch, ts=1.5)
-        assert task.find_lease(1).deadline == pytest.approx(3.5)
+        assert task.lease.deadline == pytest.approx(3.5)
         # A renewal can only extend, never shorten.
         assert board.renew(1, "r", epoch, ts=0.1)
-        assert task.find_lease(1).deadline == pytest.approx(3.5)
+        assert task.lease.deadline == pytest.approx(3.5)
         assert not board.renew(1, "r", epoch + 7, ts=9.0)  # stale epoch
         assert not board.renew(2, "r", epoch, ts=9.0)      # wrong worker
         assert not board.renew(1, "missing", epoch, ts=9.0)
@@ -178,9 +178,9 @@ class TestTaskBoard:
         board = _board(max_lease_expiries=2)
         task = board.add(Task("r", "run"))
         for attempt in range(2):
-            epoch = board.lease("r", attempt, float(attempt))
-            lease = task.find_lease(attempt, epoch)
-            outcome = board.revoke_lease(task, lease, float(attempt) + 2)
+            board.lease("r", attempt, float(attempt))
+            outcome = board.revoke_lease(task, task.lease,
+                                         float(attempt) + 2)
         assert outcome == "quarantined"
         assert task.status == "quarantined"
         assert task.lease_expiries == 2
@@ -193,8 +193,7 @@ class TestTaskBoard:
         board = _board()
         task = board.add(Task("r", "run"))
         epoch = board.lease("r", 0, 0.0)
-        lease = task.find_lease(0, epoch)
-        board.revoke_lease(task, lease, 2.0)
+        board.revoke_lease(task, task.lease, 2.0)
         # The revoked attempt's failure report is stale: dropped.
         assert not board.fail("r", epoch, RunFailure(kind="crash",
                                                      message="stale"))
@@ -205,31 +204,25 @@ class TestTaskBoard:
         assert task.status == "failed"
         assert task.failure.message == "live"
 
-    def test_speculative_twin_survives_primary_revocation(self):
+    def test_revoking_a_lease_the_task_no_longer_holds_is_stale(self):
         board = _board()
         task = board.add(Task("r", "run"))
-        e1 = board.lease("r", 0, 0.0)
-        board.lease("r", 1, 0.5, speculative=True)
-        assert task.speculated and len(task.leases) == 2
-        primary = task.find_lease(0, e1)
-        assert board.revoke_lease(task, primary, 2.0) == "survived"
-        assert task.status == "leased"  # the shadow still owns it
-        assert board.complete("r", "shadow-wins")
-        assert task.status == "done"
-
-    def test_speculative_lease_requires_leased_task(self):
-        board = _board()
-        board.add(Task("r", "run"))
-        with pytest.raises(SchedulerError):
-            board.lease("r", 0, 0.0, speculative=True)
+        board.lease("r", 0, 0.0)
+        old = task.lease
+        board.revoke_lease(task, old, 2.0)
+        board.lease("r", 1, 2.0)
+        # The replacement's lease is untouched by the old one's expiry.
+        assert board.revoke_lease(task, old, 3.0) == "stale"
+        assert task.status == "leased" and task.lease.worker == 1
+        assert task.lease_expiries == 1
 
     def test_transitions_are_observable_and_legal(self):
         seen = []
         board = _board(
             on_transition=lambda t, old, new, info: seen.append((old, new)))
         task = board.add(Task("r", "run"))
-        epoch = board.lease("r", 0, 0.0)
-        board.revoke_lease(task, task.find_lease(0, epoch), 2.0)
+        board.lease("r", 0, 0.0)
+        board.revoke_lease(task, task.lease, 2.0)
         board.lease("r", 1, 2.0)
         board.complete("r", "v")
         assert seen == [("pending", "leased"), ("leased", "pending"),
@@ -243,8 +236,8 @@ class TestTaskBoard:
         board.add(Task("b", "run"))
         board.lease("a", 0, 0.0)
         board.complete("a", None)
-        counts = board.counts()
-        assert counts["done"] == 1 and counts["pending"] == 1
+        statuses = sorted(t.status for t in board.tasks.values())
+        assert statuses == ["done", "pending"]
         assert not board.all_terminal()
 
 
@@ -292,18 +285,18 @@ class TestTaskBoardProperty:
                 board.complete(data.draw(st.sampled_from(leased)).id, "v")
             elif action == "fail" and leased:
                 task = data.draw(st.sampled_from(leased))
-                board.fail(task.id, task.leases[-1].epoch,
+                board.fail(task.id, task.lease.epoch,
                            RunFailure(kind="crash", message="x"))
             elif action == "kill" and leased:
                 # SIGKILL / hard stall: the lease is lost, the task is
                 # requeued or quarantined.
                 task = data.draw(st.sampled_from(leased))
-                board.revoke_lease(task, task.leases[-1], now,
+                board.revoke_lease(task, task.lease, now,
                                    reason="worker-died")
             elif action == "renew" and leased:
                 task = data.draw(st.sampled_from(leased))
-                board.renew(task.leases[-1].worker, task.id,
-                            task.leases[-1].epoch, now)
+                board.renew(task.lease.worker, task.id,
+                            task.lease.epoch, now)
 
         # Drain: what the supervisor's main loop guarantees — expired
         # leases are revoked, ready tasks are dispatched and finished.
@@ -512,14 +505,6 @@ class TestQuarantineGC:
         assert snaps.gc_quarantine(1) == 3
         assert [p.name for p in qdir.glob("*.snap")] == ["old-3.snap"]
 
-    def test_build_corpus_gc_flag_records_sweep(self, tmp_path):
-        store = ResultStore(tmp_path / "cache")
-        self._populate(store.quarantine_dir, 4)
-        corpus = build_corpus(SCHED_PROFILE, store=store, workers=1,
-                              gc_quarantine=1)
-        assert corpus.quarantine_swept["results"] == 3
-        assert "quarantine sweep" in corpus.summary()
-
 
 # ----------------------------------------------------------------------
 # Materialize-phase wall-clock budget (satellite 1)
@@ -695,35 +680,6 @@ class TestCircuitBreaker_Integration:
         assert "degraded to inline" in corpus.summary()
 
 
-class TestSpeculativeExecution:
-    def test_straggler_is_shadowed_and_first_completion_wins(
-            self, tmp_path, monkeypatch):
-        """With speculation on, an idle worker shadows a straggling
-        cell; the shadow's completion lands first and the build does
-        not wait out the straggler's stall."""
-        token_dir = tmp_path / "stall-tokens"
-        token_dir.mkdir()
-        (token_dir / "token-0").touch()
-        monkeypatch.setenv(INJECT_STALL_ENV, f"{STALL_TARGET}:25")
-        monkeypatch.setenv(INJECT_STALL_TOKENS_ENV, str(token_dir))
-        store = ResultStore(tmp_path / "cache")
-        plan = _plan_for({"cc"})
-        corpus = BehaviorCorpus(profile=SCHED_PROFILE)
-        config = SchedulerConfig(
-            lease_timeout_s=120.0,  # no expiry: speculation must save us
-            heartbeat_every_s=0.2, speculative=True)
-        started = time.perf_counter()
-        Supervisor(plan=plan, profile=SCHED_PROFILE, store=store,
-                   corpus=corpus, workers=3, options=_worker_ctx(store),
-                   config=config).run()
-        elapsed = time.perf_counter() - started
-        assert corpus.speculative_runs >= 1
-        assert len(corpus.runs) == len(plan)
-        assert not corpus.failures
-        assert elapsed < 25, "the build waited out the straggler"
-        assert "speculative" in corpus.summary()
-
-
 # ----------------------------------------------------------------------
 # CLI wiring
 # ----------------------------------------------------------------------
@@ -742,16 +698,13 @@ class TestCliFlags:
         monkeypatch.setattr(corpus_mod, "build_corpus", fake_build)
         code = main(["corpus", "--workers", "4",
                      "--lease-timeout", "2.5", "--heartbeat-every", "0.5",
-                     "--max-lease-expiries", "5", "--speculative",
-                     "--gc-quarantine", "64"])
+                     "--max-lease-expiries", "5"])
         capsys.readouterr()
         assert code == 0
         assert captured["workers"] == 4
         assert captured["lease_timeout_s"] == 2.5
         assert captured["heartbeat_every_s"] == 0.5
         assert captured["max_lease_expiries"] == 5
-        assert captured["speculative"] is True
-        assert captured["gc_quarantine"] == 64
 
     def test_scheduler_flags_default_to_none(self, capsys, monkeypatch):
         import repro.experiments.corpus as corpus_mod
@@ -769,5 +722,3 @@ class TestCliFlags:
         assert captured["lease_timeout_s"] is None
         assert captured["heartbeat_every_s"] is None
         assert captured["max_lease_expiries"] is None
-        assert captured["speculative"] is False
-        assert captured["gc_quarantine"] is None

@@ -16,13 +16,13 @@ from repro.behavior.run import INJECT_SLEEP_ENV
 from repro.experiments.config import ExperimentMatrix, GraphSpec, Profile
 from repro.experiments.corpus import build_corpus
 from repro.experiments.graph_cache import (
-    COUNT_MATERIALIZE_ENV,
     GraphCache,
     materialize_problem,
     problem_nbytes,
 )
 from repro.experiments.results import ResultStore
 from repro.graph import shm
+from repro.obs.export import load_telemetry
 
 #: Tiny profile so a full multi-process build finishes in seconds.
 TINY_PROFILE = Profile(
@@ -173,8 +173,7 @@ class TestGraphCache:
         assert len(cache) == 0
 
     def test_materialize_problem_hits_cache_second_time(
-            self, clean_plane_state, monkeypatch):
-        monkeypatch.delenv(COUNT_MATERIALIZE_ENV, raising=False)
+            self, clean_plane_state):
         spec = GraphSpec.ga(nedges=150, alpha=2.25, seed=9)
         first, _source = materialize_problem(spec)
         second, source = materialize_problem(spec)
@@ -190,26 +189,25 @@ class TestGraphCache:
 # ----------------------------------------------------------------------
 class TestCorpusGraphPlane:
     def test_parallel_build_materializes_each_graph_once(
-            self, tmp_path, monkeypatch, clean_plane_state):
-        count_dir = tmp_path / "tokens"
-        monkeypatch.setenv(COUNT_MATERIALIZE_ENV, str(count_dir))
+            self, tmp_path, clean_plane_state):
         lines = []
         corpus = build_corpus(TINY_PROFILE,
                               store=ResultStore(tmp_path / "plane"),
-                              workers=2, progress=lines.append)
-        monkeypatch.delenv(COUNT_MATERIALIZE_ENV)
+                              workers=2, progress=lines.append,
+                              obs="basic", obs_dir=tmp_path / "obs")
 
         assert corpus.graph_plane
-        counts = {}
-        for token in count_dir.glob("*.token"):
-            key = token.read_text(encoding="utf-8").strip()
-            counts[key] = counts.get(key, 0) + 1
+        # Worker registries merge back into the build's, so this is
+        # every generate() of the whole multi-process build.
+        (generated,) = [
+            entry["value"] for entry in load_telemetry(tmp_path / "obs")[
+                "metrics"]["counters"]["graph_resolutions_total"]
+            if entry["labels"] == {"source": "generated"}]
         distinct = {p.spec.cache_key()
                     for p in ExperimentMatrix(TINY_PROFILE).corpus_runs()}
-        assert set(counts) == distinct
-        assert max(counts.values()) == 1, \
-            "a graph was materialized more than once"
         assert corpus.premat_graphs == len(distinct)
+        assert generated == len(distinct), \
+            "a graph was materialized more than once"
 
         # Per-cell timing decomposition reaches traces and progress.
         executed = [r for r in corpus.runs if r.trace is not None]

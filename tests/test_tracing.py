@@ -281,6 +281,24 @@ class TestBenchCompare:
                      str(tmp_path / "base")]) == 0
         capsys.readouterr()
 
+    def test_named_artifact_absent_from_either_side_fails(self, tmp_path,
+                                                          capsys):
+        from repro.cli import main
+        base, cand = tmp_path / "base", tmp_path / "cand"
+        _write_bench(base, speedup=2.0)
+        cand.mkdir()
+        report = compare_artifacts(base, cand,
+                                   artifacts=("BENCH_corpus.json",))
+        (entry,) = report["entries"]
+        assert entry["status"] == "fail" and report["failed"]
+        assert entry["note"] == "artifact absent from candidate"
+        assert report["skipped"] == []
+        assert main(["bench", "compare", str(base), str(base),
+                     "--artifact", "nope.json"]) == 1
+        out = capsys.readouterr().out
+        assert "artifact absent from baseline and candidate" in out
+        assert "RESULT: FAIL" in out
+
 
 class TestChaosTracePropagation:
     """Satellite 4 acceptance: on a chaos build with SIGKILLed workers
