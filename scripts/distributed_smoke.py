@@ -12,6 +12,12 @@ Runs, on a single machine:
    - one agent freezes past its lease, then wakes and tries to
      publish with a fenced epoch (``REPRO_INJECT_NODE_FREEZE``),
 
+   The coordinator waits on events, not on a cadence, and would drain
+   these 18 cells before a peer's interpreter is up. Admission is this
+   script's business: it holds the coordinator's one worker on its
+   first cell (``REPRO_INJECT_STALL``, one token, shorter than the
+   lease) until both peers have joined.
+
 and asserts the robustness contract end to end:
 
 - the distributed corpus vectors are **bit-identical** to the inline
@@ -52,6 +58,10 @@ sys.path.insert(0, str(SRC))
 FREEZE_S = 6.0
 LEASE_TIMEOUT_S = 2.5
 HEARTBEAT_S = 0.2
+#: How long the coordinator's worker is held on its first cell: two
+#: interpreter starts (~0.7 s each) fit, the crew's lease does not end.
+ADMISSION_S = 1.5
+ADMISSION_ENVS = ("REPRO_INJECT_STALL", "REPRO_INJECT_STALL_TOKENS")
 
 
 def log(msg: str) -> None:
@@ -79,7 +89,7 @@ def vector_fingerprint(corpus):
 
 def spawn_agent(queue_dir: Path, scratch: Path, name: str,
                 inject: "dict[str, str]") -> subprocess.Popen:
-    env = dict(os.environ)
+    env = {k: v for k, v in os.environ.items() if k not in ADMISSION_ENVS}
     env["PYTHONPATH"] = str(SRC)
     env["REPRO_CACHE_DIR"] = str(scratch / "cache")
     env.update(inject)
@@ -128,15 +138,26 @@ def run(timeout_s: float, keep: bool) -> int:
             spawn_agent(queue_dir, scratch, "sleeper",
                         {"REPRO_INJECT_NODE_FREEZE": f"*:{FREEZE_S}"}),
         ]
+        tokens = scratch / "admission-tokens"
+        tokens.mkdir()
+        (tokens / "token-0").touch()
+        # Every run task id starts with the profile name; the one token
+        # bounds the hold to the first cell dispatched.
+        os.environ["REPRO_INJECT_STALL"] = f"{profile.name}:{ADMISSION_S}"
+        os.environ["REPRO_INJECT_STALL_TOKENS"] = str(tokens)
         t0 = time.monotonic()
         obs_dir = scratch / "obs"
-        dist = build_corpus(profile,
-                            store=ResultStore(scratch / "store-dist"),
-                            workers=1,
-                            distributed=queue_dir,
-                            lease_timeout_s=LEASE_TIMEOUT_S,
-                            heartbeat_every_s=HEARTBEAT_S,
-                            obs="full", obs_dir=obs_dir)
+        try:
+            dist = build_corpus(profile,
+                                store=ResultStore(scratch / "store-dist"),
+                                workers=1,
+                                distributed=queue_dir,
+                                lease_timeout_s=LEASE_TIMEOUT_S,
+                                heartbeat_every_s=HEARTBEAT_S,
+                                obs="full", obs_dir=obs_dir)
+        finally:
+            for env in ADMISSION_ENVS:
+                os.environ.pop(env, None)
         log(f"distributed: {len(dist.runs)} runs, "
             f"{len(dist.failures)} failures, "
             f"nodes seen {dist.nodes_seen}, lost {dist.nodes_lost}, "
@@ -144,6 +165,11 @@ def run(timeout_s: float, keep: bool) -> int:
             f"stale rejections {dist.stale_epoch_rejections} "
             f"({time.monotonic() - t0:.1f}s)")
 
+        if dist.nodes_seen != 3:
+            # A peer that arrives after the sweep waits out its whole
+            # --manifest-wait; say what happened instead.
+            return fail(f"peers never joined: nodes seen "
+                        f"{dist.nodes_seen}, want 3")
         for proc in agents:
             try:
                 proc.wait(timeout=30)

@@ -53,6 +53,7 @@ sweep that leaves no queue/heartbeat/shm artifacts behind.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -112,7 +113,7 @@ class TaskRecord:
     algorithm: str
     spec: GraphSpec
 
-    @property
+    @functools.cached_property
     def task_id(self) -> str:
         digest = hashlib.blake2b(
             json.dumps(self._payload(), sort_keys=True).encode("utf-8"),
@@ -628,6 +629,8 @@ class Coordinator:
         self._lost_nodes: "set[str]" = set()
         self._peer_stale: "dict[str, int]" = {}
         self._peer_segments: "dict[str, tuple]" = {}
+        #: ``time.monotonic()`` of the next listing of the shared queue.
+        self._supervise_due = 0.0
 
     # ------------------------------------------------------------------
     def run(self) -> None:
@@ -652,18 +655,7 @@ class Coordinator:
                 if self._stop():
                     self.corpus.interrupted = True
                     break
-                now = time.time()
-                agent.tick(now)
-                self._supervise(now)
-                self._collect()
-                if self.corpus.n_collected < len(self.plan):
-                    # A fixed cadence, not a wait on the crew's result
-                    # queue: every round lists claims/, nodes/ and
-                    # done/ on the shared filesystem, and the embedded
-                    # agent must not drain a small queue before a peer
-                    # (0.7 s of interpreter start) can join it, which
-                    # scripts/distributed_smoke.py's chaos relies on.
-                    time.sleep(self.config.poll_s)
+                self._round(agent)
         finally:
             self.queue.mark_complete()
             agent.shutdown()
@@ -675,6 +667,30 @@ class Coordinator:
             if self.tel.enabled:
                 self.tel.emit("distqueue", action="swept",
                               leftovers=leftovers)
+
+    def _round(self, agent: Any) -> None:
+        """One round: tick the embedded agent, supervise the peers,
+        collect the finished prefix of the plan.
+
+        The tick blocks on the embedded crew's result queue, so a cell
+        finished here wakes the round at once. Nothing can wake it for
+        what a peer did — a shared directory has no cross-host
+        notification — so ``nodes/`` and ``claims/`` are listed once
+        per ``poll_s`` whatever the local crew does in between, and no
+        wait outlasts the next listing.
+        """
+        wait_s = max(0.0, self._supervise_due - time.monotonic())
+        if agent.stopping:
+            # Its tick returns at once and no local result can wake the
+            # round any more; peers may still finish the build.
+            time.sleep(wait_s)
+        else:
+            agent.tick(time.time(), wait_s)
+        woke = time.monotonic()
+        if woke >= self._supervise_due:
+            self._supervise_due = woke + self.config.poll_s
+            self._supervise(time.time())
+        self._collect()
 
     # ------------------------------------------------------------------
     def _enqueue_plan(self) -> None:
@@ -796,7 +812,12 @@ class Coordinator:
             if self.queue.is_done(claim.task_id):
                 self.queue.drop_claim(claim)
                 continue
-            if self.queue.release(claim):
+            # A fenced owner that woke during the backoff found its
+            # publish refused and dropped the claim itself: there is
+            # nothing left to rename, so the record is published anew
+            # (refused in turn if the cell is pending, claimed or done).
+            if (self.queue.release(claim)
+                    or self.queue.publish(state.record)):
                 self.corpus.queue_requeues += 1
                 if self.tel.enabled:
                     self.tel.emit(
@@ -849,7 +870,8 @@ class Coordinator:
         marker = self.queue.read_done(record.task_id)
         source = "cache"
         if marker is not None:
-            if not self._marker_live(record, marker):
+            if not self._marker_live(marker):
+                self._reenqueue(record, stale=marker)
                 return None
             source = str(marker.get("source", "run"))
         # A done marker vouches for whatever the store holds; without
@@ -862,45 +884,59 @@ class Coordinator:
         if hit is not None:
             return CorpusRun(record.algorithm, record.spec, hit,
                              compute_metrics(hit), source=source)
-        # Marked done but the store lost the entry (quarantined as
-        # corrupt): drop the marker and re-enqueue the cell.
         if marker is not None:
-            self.queue.drop_done(record.task_id)
-            self.queue.publish(record)
+            self._reenqueue(record)
         return None
 
-    def _marker_live(self, record: TaskRecord, marker: dict) -> bool:
-        """Reject a done marker signed with a fenced epoch.
+    def _marker_live(self, marker: dict) -> bool:
+        """False for a done marker signed with a fenced epoch.
 
-        Node agents check their fence before publishing, so this only
-        fires in the razor-thin window where a marker lands while the
-        fence write is in flight; the store bytes it points at may be
-        from a revoked attempt, so the coordinator refuses it, counts
-        it, and re-enqueues the cell. A chaos run asserts this counter
-        stays zero — the cooperative fence check catches everything.
+        Node agents check their fence before publishing, so one only
+        lands in the razor-thin window where the fence write is in
+        flight; the store bytes it points at may be from a revoked
+        attempt. A chaos run asserts none is ever seen — the
+        cooperative fence check catches everything.
         """
         node = str(marker.get("node", ""))
         try:
             epoch = int(marker.get("epoch", 0))
         except (TypeError, ValueError):
             epoch = 0
-        if (node in ("", self.local_node)
-                or marker.get("status") == "quarantined"):
-            return True
-        if self.queue.check_fence(node, epoch):
-            return True
-        self.corpus.stale_done_markers += 1
-        if self.tel.enabled:
-            self.tel.inc("distqueue_stale_done_markers_total", node=node)
-            self.tel.emit(
-                "distqueue",
-                _trace_ctx=self._ctx("task", record.task_id),
-                action="stale-done-rejected",
-                task=record.task_id, node=node, epoch=epoch)
+        return (node in ("", self.local_node)
+                or marker.get("status") == "quarantined"
+                or self.queue.check_fence(node, epoch))
+
+    def _reenqueue(self, record: TaskRecord,
+                   stale: "dict | None" = None) -> None:
+        """Put back a cell whose done marker cannot be honoured: signed
+        with a fenced epoch (*stale*; refused, counted, and the store
+        entry goes with it), or vouching for an entry the store lost
+        (quarantined as corrupt, or discarded with a stale marker while
+        the replacement was publishing).
+
+        Only once nobody holds a claim on the cell. While someone does
+        — its completer about to let go, a replacement still running —
+        ``publish`` refuses, and with the marker dropped and the claim
+        let go next the cell would be nowhere: not pending, not
+        claimed, not done. The holder lets go or is revoked, and the
+        next round comes back here.
+        """
+        if any(c.task_id == record.task_id for c in self.queue.claims()):
+            return
         self.queue.drop_done(record.task_id)
-        self.store.discard(record.cell_key)
+        if stale is not None:
+            node = str(stale.get("node", ""))
+            self.corpus.stale_done_markers += 1
+            if self.tel.enabled:
+                self.tel.inc("distqueue_stale_done_markers_total",
+                             node=node)
+                self.tel.emit(
+                    "distqueue",
+                    _trace_ctx=self._ctx("task", record.task_id),
+                    action="stale-done-rejected", task=record.task_id,
+                    node=node, epoch=stale.get("epoch"))
+            self.store.discard(record.cell_key)
         self.queue.publish(record)
-        return False
 
     # ------------------------------------------------------------------
     # Peer accounting + shutdown hygiene

@@ -318,7 +318,10 @@ class NodeAgent(CrewLoop):
 
     def _publish(self, claim: Claim, outcome) -> None:
         """Publish a claimed cell's run (or bare failure) behind the
-        fence, count it, and let go of the claim."""
+        fence, count it, and let go of the claim and of its board task:
+        a cell that comes back (this publish fenced, the store entry
+        lost, a stale marker refused) is claimed and run like a new
+        one, under the new epoch."""
         from repro.experiments.corpus import CorpusRun
 
         if isinstance(outcome, RunFailure):
@@ -332,6 +335,7 @@ class NodeAgent(CrewLoop):
         else:
             self._count_stale(claim)
         self.queue.drop_claim(claim)
+        self.board.discard(claim.task_id)
 
     def _count_stale(self, claim: Claim) -> None:
         """The fence says this lease was revoked while we held it: the

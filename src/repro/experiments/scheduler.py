@@ -143,8 +143,8 @@ class TaskBoard:
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
         self.on_transition = on_transition
+        #: In insertion order, which is dispatch order.
         self.tasks: "dict[str, Task]" = {}
-        self._order: "list[str]" = []
         self._epoch = 0
         self.total_lease_expiries = 0
 
@@ -159,8 +159,16 @@ class TaskBoard:
                 raise SchedulerError(
                     f"task {task.id!r} depends on unknown {dep!r}")
         self.tasks[task.id] = task
-        self._order.append(task.id)
         return task
+
+    def discard(self, task_id: str) -> None:
+        """Forget a terminal task, so that its id can be planned again
+        (a node re-claims a cell it finished once its publish was
+        fenced, or the store lost the entry)."""
+        if not self._require(task_id).terminal:
+            raise SchedulerError(
+                f"task {task_id!r} is still in flight; cannot discard")
+        del self.tasks[task_id]
 
     def get(self, task_id: str) -> "Task | None":
         return self.tasks.get(task_id)
@@ -175,8 +183,7 @@ class TaskBoard:
         its cells runnable; regenerating is then the cell's own
         problem, recorded against the cell.)"""
         out = []
-        for task_id in self._order:
-            task = self.tasks[task_id]
+        for task in self.tasks.values():
             if task.status != "pending" or task.not_before > now:
                 continue
             if all(self.tasks[d].terminal for d in task.deps):
@@ -289,8 +296,7 @@ class TaskBoard:
     # Introspection
     # ------------------------------------------------------------------
     def leased(self) -> "list[Task]":
-        return [self.tasks[t] for t in self._order
-                if self.tasks[t].status == "leased"]
+        return [t for t in self.tasks.values() if t.status == "leased"]
 
     def all_terminal(self) -> bool:
         return all(t.terminal for t in self.tasks.values())

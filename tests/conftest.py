@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,10 @@ from repro.generators import (
     mrf_problem,
     powerlaw_graph,
 )
+
+#: The checkout this suite runs from: subprocess tests start `repro`
+#: from here, so a suite run from a clone measures the clone.
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 #: A very small profile so integration tests build a corpus in seconds.
 MINI_PROFILE = Profile(

@@ -44,6 +44,7 @@ from repro.experiments.corpus import (
 )
 from repro.experiments.results import ResultStore
 from repro.generators import powerlaw_graph
+from tests.conftest import REPO_ROOT
 
 ENGINES = ("synchronous", "asynchronous", "edge-centric", "graph-centric")
 
@@ -467,7 +468,7 @@ class TestRunCheckpointCli:
         env[INJECT_KILL_ENV] = "cc-:2"
         first = subprocess.run(
             [sys.executable, "-m", "repro", *spec_args],
-            cwd="/root/repo", env=env, capture_output=True, text=True)
+            cwd=REPO_ROOT, env=env, capture_output=True, text=True)
         assert first.returncode != 0
         assert "SimulatedKillError" in first.stderr
 
@@ -475,7 +476,7 @@ class TestRunCheckpointCli:
         second = subprocess.run(
             [sys.executable, "-m", "repro", *spec_args,
              "--from-checkpoint"],
-            cwd="/root/repo", env=env, capture_output=True, text=True)
+            cwd=REPO_ROOT, env=env, capture_output=True, text=True)
         assert second.returncode == 0, second.stderr
         assert "resumed from checkpoint at iteration 3" in second.stdout
 
@@ -499,7 +500,7 @@ class TestCorpusSigint:
         proc = subprocess.Popen(
             [sys.executable, "-u", "-m", "repro", "corpus",
              "--profile", "smoke", "--progress", "--workers", "2"],
-            cwd="/root/repo", env=env, stdout=subprocess.PIPE,
+            cwd=REPO_ROOT, env=env, stdout=subprocess.PIPE,
             stderr=subprocess.PIPE, text=True)
         # Wait for the first progress line so the pool is actually up.
         line = proc.stdout.readline()

@@ -19,6 +19,7 @@ import subprocess
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import pytest
 
@@ -28,8 +29,10 @@ from repro.experiments.config import (
     PlannedRun,
     Profile,
 )
-from repro.experiments.corpus import build_corpus
+from repro.experiments import distqueue, nodeagent
+from repro.experiments.corpus import ExperimentMatrix, build_corpus
 from repro.experiments.distqueue import (
+    Coordinator,
     DistributedQueue,
     NodeBeat,
     TaskRecord,
@@ -41,6 +44,7 @@ from repro.experiments.distqueue import (
 )
 from repro.experiments.failures import RunFailure
 from repro.experiments.results import ResultStore
+from repro.experiments.scheduler import SchedulerConfig
 
 DQ_PROFILE = Profile(
     name="dq-test",
@@ -440,6 +444,12 @@ class TestCoordinatorEndToEnd:
         loop behind a Supervisor / a Coordinator: the same runs in the
         same order, byte-identical vectors, the same progress events."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        # Neither loop may sleep between rounds: both wait on the crew's
+        # result queue (this is what keeps smoke-distqueue at the
+        # fabric's wall, checked without a stopwatch).
+        sleeps = []
+        monkeypatch.setattr("repro.experiments.distqueue.time.sleep",
+                            sleeps.append)
 
         def build(name, **kwargs):
             lines = []
@@ -459,6 +469,7 @@ class TestCoordinatorEndToEnd:
         assert [r.tag for r in other.runs] == [r.tag for r in inline.runs]
         assert self._vectors(other) == self._vectors(inline)
         assert other_progress == inline_progress
+        assert sleeps == []
 
     def test_ghost_node_claim_is_fenced_and_requeued(self, tmp_path,
                                                      monkeypatch):
@@ -472,8 +483,6 @@ class TestCoordinatorEndToEnd:
                               workers=1)
         queue = DistributedQueue(tmp_path / "queue")
         queue.ensure_layout()
-        from repro.experiments.corpus import ExperimentMatrix
-
         planned = ExperimentMatrix(DQ_PROFILE).corpus_runs()[0]
         record = TaskRecord.for_planned(planned, DQ_PROFILE)
         ghost_claim = (queue.claims_dir
@@ -491,3 +500,127 @@ class TestCoordinatorEndToEnd:
         assert dist.queue_leftovers == 0
         assert not (tmp_path / "queue").exists()
         assert self._vectors(dist) == self._vectors(inline)
+
+    def test_lost_store_entry_is_run_again(self, tmp_path, monkeypatch):
+        """The store loses a cell's entry after its done marker landed:
+        the coordinator re-publishes the record and the embedded agent,
+        which finished that task id once already, runs it again."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        inline = build_corpus(DQ_PROFILE,
+                              store=ResultStore(tmp_path / "s-inline"),
+                              workers=1)
+        victim = TaskRecord.for_planned(
+            ExperimentMatrix(DQ_PROFILE).corpus_runs()[2], DQ_PROFILE)
+        epochs = []
+
+        def publish_then_lose(queue, store, node, epoch, record, run):
+            ok = publish_result(queue, store, node, epoch, record, run)
+            if record == victim:
+                epochs.append(epoch)
+                if len(epochs) == 1:
+                    store.discard(record.cell_key)
+            return ok
+
+        monkeypatch.setattr(nodeagent, "publish_result", publish_then_lose)
+        dist = build_corpus(DQ_PROFILE,
+                            store=ResultStore(tmp_path / "s-dist"),
+                            workers=2, distributed=tmp_path / "queue")
+        assert not dist.failures
+        assert len(epochs) == 2 and epochs[0] < epochs[1]
+        assert self._vectors(dist) == self._vectors(inline)
+
+
+class TestReclaim:
+    def test_agent_runs_a_reclaimed_cell_again(self, tmp_path, monkeypatch):
+        """publish -> done -> (store entry and marker gone, record
+        published again) -> done again, under the next epoch: the board
+        keeps no finished task in the way of its id."""
+        from repro.obs.telemetry import get_telemetry
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        queue = _queue(tmp_path)
+        store = ResultStore(tmp_path / "store")
+        record = TaskRecord.for_planned(
+            ExperimentMatrix(DQ_PROFILE).corpus_runs()[0], DQ_PROFILE)
+        agent = nodeagent.NodeAgent(queue, BuildOptions(), DQ_PROFILE,
+                                    str(store.root), node="n1")
+        try:
+            for epoch in (1, 2):
+                assert queue.publish(record)
+                deadline = time.monotonic() + 60.0
+                while not queue.is_done(record.task_id):
+                    assert time.monotonic() < deadline and not agent.stopping
+                    agent.tick(time.time(), 0.05)
+                marker = queue.read_done(record.task_id)
+                assert (marker["status"], marker["epoch"]) == ("ok", epoch)
+                assert store.replay(record.cell_key, False) is not None
+                assert agent.drained and queue.claims() == []
+                store.discard(record.cell_key)
+                queue.drop_done(record.task_id)
+        finally:
+            agent.shutdown()
+            get_telemetry().set_node(None)
+
+
+class TestCoordinatorRound:
+    """The round waits on events, lists the queue once per ``poll_s``,
+    and never spins — on a fake clock, without a build."""
+
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        clock = SimpleNamespace(now=100.0, slept=[])
+
+        def sleep(seconds):
+            clock.slept.append(seconds)
+            clock.now += seconds
+
+        monkeypatch.setattr(distqueue, "time", SimpleNamespace(
+            time=lambda: clock.now, monotonic=lambda: clock.now,
+            sleep=sleep))
+        return clock
+
+    def _coordinator(self, tmp_path, monkeypatch):
+        co = Coordinator(
+            queue=_queue(tmp_path), plan=[], profile=DQ_PROFILE,
+            store=_FakeStore(), workers=1, options=BuildOptions(),
+            corpus=SimpleNamespace(n_collected=0, nodes_seen=0,
+                                   stale_epoch_rejections=0))
+        co.local_node, co.config = "coordinator", SchedulerConfig()
+        listings = []
+        monkeypatch.setattr(co, "_supervise", listings.append)
+        return co, listings
+
+    def test_stopped_agent_does_not_spin_the_round(self, tmp_path,
+                                                   monkeypatch, clock):
+        co, listings = self._coordinator(tmp_path, monkeypatch)
+        agent = SimpleNamespace(stopping=True, tick=lambda now, wait_s:
+                                pytest.fail("a stopped agent is not ticked"))
+        rounds = 0
+        while clock.now < 101.0:
+            co._round(agent)
+            rounds += 1
+        budget = 1.0 / co.config.poll_s + 2
+        assert rounds <= budget and len(listings) <= budget
+        assert sum(clock.slept) == pytest.approx(1.0, abs=co.config.poll_s)
+
+    def test_busy_crew_does_not_raise_the_listing_rate(self, tmp_path,
+                                                       monkeypatch, clock):
+        """A result every millisecond wakes a round every millisecond;
+        nodes/ and claims/ are still listed once per ``poll_s``, and the
+        tick never waits past the next listing."""
+        co, listings = self._coordinator(tmp_path, monkeypatch)
+        waits = []
+
+        def tick(now, wait_s):
+            waits.append(wait_s)
+            clock.now += min(wait_s, 0.001)
+
+        agent = SimpleNamespace(stopping=False, tick=tick)
+        while clock.now < 101.0:
+            co._round(agent)
+        poll_s = co.config.poll_s
+        assert len(waits) > 500 and clock.slept == []
+        assert max(waits) <= poll_s
+        assert 1.0 / poll_s - 1 <= len(listings) <= 1.0 / poll_s + 2
+        gaps = [b - a for a, b in zip(listings, listings[1:])]
+        assert min(gaps) >= poll_s - 1e-9

@@ -23,6 +23,7 @@ from repro.experiments.graph_cache import (
 from repro.experiments.results import ResultStore
 from repro.graph import shm
 from repro.obs.export import load_telemetry
+from tests.conftest import REPO_ROOT
 
 #: Tiny profile so a full multi-process build finishes in seconds.
 TINY_PROFILE = Profile(
@@ -254,7 +255,7 @@ class TestSigintLifecycle:
             self, tmp_path):
         pre = _shm_segments()
         env = dict(os.environ)
-        env["PYTHONPATH"] = "/root/repo/src"
+        env["PYTHONPATH"] = str(REPO_ROOT / "src")
         env["REPRO_CACHE_DIR"] = str(tmp_path / "cache")
         env["REPRO_PROFILE"] = "smoke"
         # Slow every clustering cell down so the SIGINT lands mid-build
