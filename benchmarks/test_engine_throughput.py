@@ -8,8 +8,11 @@ optimizations (or regressions) to the CSR segment kernels are visible:
 - one Triangle Counting run (intersection-heavy);
 - the gather kernel in isolation;
 - the fused-kernel ablation: edges/sec per algorithm × engine ×
-  direction mode, written to ``benchmarks/artifacts/BENCH_engine.json``
-  (uploaded by CI's perf-smoke step).
+  direction mode, each synchronous fused arm against a bare-NumPy
+  gather, and what the production-default health monitor adds to the
+  fastest of them, written to
+  ``benchmarks/artifacts/BENCH_engine.json`` (uploaded by CI's
+  perf-smoke step).
 
 Timing protocol for the ablation (the satellite bugfix this file
 carries): every problem is materialized **once** before any clock
@@ -85,9 +88,30 @@ def test_throughput_graph_construction(benchmark):
 ARTIFACT_DIR = Path(__file__).parent / "artifacts"
 
 ROUNDS = 3
+FLOOR_PASSES = 10
 #: The acceptance gate: at least one dense-frontier workload must run
-#: ≥3× faster (model edges/sec) with the fused kernels on.
-MIN_DENSE_SPEEDUP = 3.0
+#: this much faster (model edges/sec) with the fused kernels on. It was
+#: 3.0 while the callback arm built its signaled set with ``np.unique``
+#: and re-sliced full frontiers: two thirds of the 5.7× (PageRank) and
+#: 15× (Jacobi) measured then was that, not the kernels. With the
+#: callback path rid of both, the same fused arms (no slower than
+#: before) measure 2.8-2.9× and 1.6-1.7×.
+MIN_DENSE_SPEEDUP = 2.0
+#: A ratio to the callback arm moves when the callback arm does, so each
+#: synchronous fused arm also answers to a yardstick that cannot: its
+#: wall per iteration in passes of ``_gather_floor`` over the same
+#: graph, timed in the same rounds (a plain ns/edge ceiling fails on a
+#: loaded host: 18-26 ns/edge in four consecutive runs of one commit).
+#: The ceilings are the medians of six runs of the fused arms of
+#: f28dcf5, the last commit whose callback arm still paid for
+#: ``np.unique`` (3.09-3.47 and 4.95-5.96; 2.58-3.29 and 2.78-3.84 one
+#: commit later) — a fused arm slower than it was then fails, whatever
+#: its baseline does.
+MAX_FUSED_STEP_OVER_FLOOR = {"pagerank/sync": 3.3, "jacobi/sync": 5.2}
+#: What the default ``strict`` health monitor may cost the dense
+#: PageRank pull arm (strict wall / monitor-off wall). Every other arm
+#: runs with the monitor off, so this is the one number that sees it.
+MAX_MONITOR_OVERHEAD = 1.25
 
 
 def _records(trace):
@@ -104,30 +128,48 @@ def _assert_identical(reference, trace, label):
     assert reference.result == trace.result, label
 
 
-def _bench_arms(arms):
+def _gather_floor(graph):
+    """``FLOOR_PASSES`` pull gathers over the whole graph in bare
+    NumPy: read a float64 per in-slot, sum every row in slot order —
+    arithmetic no fused gather avoids, and no engine code."""
+    offsets = graph.in_ptr[:-1][np.diff(graph.in_ptr) > 0]
+    x = np.random.default_rng(0).random(graph.n_vertices)
+
+    def passes():
+        for _ in range(FLOOR_PASSES):
+            np.add.reduceat(x[graph.in_src], offsets)
+    return passes
+
+
+def _bench_arms(arms, floor=None):
     """Warm up each arm once, then alternate timed rounds; best-of-N.
 
     ``arms`` maps name → zero-argument callable returning a RunTrace.
-    Returns (report_dict, {name: warmup_trace}).
+    Returns (report_dict, {name: warmup_trace}); ``floor``, timed in
+    the same rounds, is reported as ``gather-floor`` (walls only).
     """
     traces = {name: run() for name, run in arms.items()}  # warm-up
-    walls: dict[str, list[float]] = {name: [] for name in arms}
+    timed = dict(arms) if floor is None else {**arms, "gather-floor": floor}
+    walls: dict[str, list[float]] = {name: [] for name in timed}
     for _ in range(ROUNDS):
-        for name, run in arms.items():
+        for name, run in timed.items():
             started = time.perf_counter()
             run()
             walls[name].append(time.perf_counter() - started)
-    report = {}
+    report = {name: {"wall_s": walls[name], "best_s": min(walls[name])}
+              for name in timed}
     for name in arms:
         reads = sum(r.edge_reads for r in traces[name].iterations)
-        best = min(walls[name])
-        report[name] = {
-            "wall_s": walls[name],
-            "best_s": best,
-            "total_edge_reads": reads,
-            "edges_per_s": reads / best,
-        }
+        report[name]["total_edge_reads"] = reads
+        report[name]["edges_per_s"] = reads / report[name]["best_s"]
     return report, traces
+
+
+def _step_over_floor(workload):
+    """A fused iteration's wall in ``_gather_floor`` passes."""
+    arms = workload["arms"]
+    return ((arms[workload["fused"]]["best_s"] / workload["n_iterations"])
+            / (arms["gather-floor"]["best_s"] / FLOOR_PASSES))
 
 
 def test_bench_engine_kernels():
@@ -154,7 +196,8 @@ def test_bench_engine_kernels():
         "push-legacy": pr_arm(direction="push"),
         "auto": pr_arm(direction="auto"),
         "pull": pr_arm(direction="pull"),
-    })
+        "pull-strict": pr_arm(direction="pull", health_policy="strict"),
+    }, floor=_gather_floor(pr_problem.graph))
     for name, trace in traces.items():
         _assert_identical(traces["push-legacy"], trace, f"pagerank/{name}")
     workloads["pagerank/sync"] = {
@@ -165,6 +208,8 @@ def test_bench_engine_kernels():
         "dense_frontier": True,
         "arms": report,
     }
+    monitor_overhead = (report["pull-strict"]["best_s"]
+                        / report["pull"]["best_s"])
 
     # -- Jacobi, synchronous engine: always-active (every iteration is
     # a full-frontier Σ A_ij·x_j), the purest dense-gather workload.
@@ -178,7 +223,7 @@ def test_bench_engine_kernels():
     report, traces = _bench_arms({
         "push-legacy": ja_arm(direction="push"),
         "pull": ja_arm(direction="pull"),
-    })
+    }, floor=_gather_floor(ja_problem.graph))
     _assert_identical(traces["push-legacy"], traces["pull"], "jacobi/pull")
     workloads["jacobi/sync"] = {
         "n_edges": ja_problem.graph.n_edges,
@@ -255,14 +300,21 @@ def test_bench_engine_kernels():
     }
     dense = {n: s for n, s in speedups.items()
              if workloads[n]["dense_frontier"]}
+    over_floor = {name: _step_over_floor(workloads[name])
+                  for name in MAX_FUSED_STEP_OVER_FLOOR}
     out = {
         "rounds": ROUNDS,
         "workloads": workloads,
         "speedup": speedups,
         "max_dense_frontier_speedup": max(dense.values()),
+        "fused_step_over_floor": over_floor,
+        "monitor_overhead": monitor_overhead,
     }
     ARTIFACT_DIR.mkdir(parents=True, exist_ok=True)
     path = ARTIFACT_DIR / "BENCH_engine.json"
     path.write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
 
     assert max(dense.values()) >= MIN_DENSE_SPEEDUP, out["speedup"]
+    for name, ceiling in MAX_FUSED_STEP_OVER_FLOOR.items():
+        assert over_floor[name] <= ceiling, (name, over_floor)
+    assert monitor_overhead <= MAX_MONITOR_OVERHEAD, monitor_overhead

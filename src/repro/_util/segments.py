@@ -1,10 +1,12 @@
 """Vectorized segment operations over CSR-style index ranges.
 
 These are the hot kernels behind the Gather phase of the GAS engine:
-given the frontier's per-vertex adjacency ranges in a CSR structure, we
-need (a) the concatenation of all adjacency slots (``concat_ranges``)
-and (b) a per-vertex reduction over per-edge values
-(``segmented_reduce``), both without Python-level loops.
+given a partial frontier's per-vertex adjacency ranges in a CSR
+structure, we need (a) the concatenation of all adjacency slots
+(``concat_ranges``) and (b) a per-vertex reduction over per-edge values
+(``segmented_reduce``), both without Python-level loops; and behind
+every frontier the engine builds, (c) the sorted set of a batch of
+vertex ids (``sorted_unique_ids``).
 
 ``np.ufunc.reduceat`` has two sharp edges that this module papers over:
 
@@ -78,6 +80,25 @@ def concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     global_offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
     local = np.arange(total, dtype=np.int64) - global_offsets[seg_of_slot]
     return starts[seg_of_slot] + local
+
+
+def sorted_unique_ids(ids: np.ndarray, n: int) -> np.ndarray:
+    """The distinct values of ``ids``, ascending: ``np.unique(ids)`` as
+    a fresh int64 array, for integer ids the caller knows lie in
+    ``[0, n)`` — a negative id would wrap in the flag scatter and one
+    ``>= n`` raise ``IndexError``, so validate first
+    (``engine.loop.canonical_frontier`` does).
+
+    Knowing the range is what makes it cheap: a flag scatter over
+    ``[0, n)`` and ``flatnonzero`` — linear in ``n + ids.size``, no
+    hashing, no sort. Sorting is faster below ``n / 8`` ids, but the
+    callers run once per engine step (graph-centric: per partition
+    sweep) beside passes over whole per-vertex arrays, and a second
+    mechanism moved no workload (DESIGN §13).
+    """
+    flags = np.zeros(n, dtype=bool)
+    flags[np.asarray(ids)] = True
+    return np.flatnonzero(flags).astype(np.int64, copy=False)
 
 
 def segment_offsets(counts: np.ndarray) -> np.ndarray:

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._util.errors import ValidationError
+from repro._util.segments import sorted_unique_ids
 from repro.engine.instrumentation import Counters
 from repro.engine.kernels import FUSABLE_OPS
 from repro.engine.loop import GASEngine, Run, RunOptions, next_frontier
@@ -115,12 +116,12 @@ class EdgeCentricEngine(GASEngine):
 
         # ---- Scatter: same signal semantics as the sync engine.
         center, nbr, mask = kernels.signal_edges(ctx, frontier)
-        signaled = np.unique(nbr[mask])
+        signaled = sorted_unique_ids(nbr[mask], run.graph.n_vertices)
         # Next iteration streams the vertices that just emitted
         # updates (a changed vertex improving no neighbor now can
         # never improve one later under a monotone reduction).
         source_live[:] = False
-        source_live[np.unique(center[mask])] = True
+        source_live[center[mask]] = True  # a flag scatter: no set needed
 
         program.on_iteration_end(ctx)
         counters = Counters(

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._util.errors import ValidationError
+from repro._util.segments import sorted_unique_ids
 from repro.engine.instrumentation import Counters
 from repro.engine.loop import GASEngine, Run, RunOptions
 from repro.engine.program import Direction, VertexProgram
@@ -93,9 +94,10 @@ class GraphCentricEngine(GASEngine):
         opts = self.options
         program, ctx, kernels = run.program, run.ctx, run.kernels
         partition, frontier = run.partition, run.frontier
+        n = run.graph.n_vertices
         # Density gate in vertices: below it the frontier-sliced gather
         # touches fewer slots than the dense kernel would.
-        dense_min = opts.direction_threshold * run.graph.n_vertices
+        dense_min = opts.direction_threshold * n
 
         updates = 0
         reads = 0
@@ -127,8 +129,8 @@ class GraphCentricEngine(GASEngine):
                 internal = hit[partition[hit] == p]
                 external = hit[partition[hit] != p]
                 cross_msgs += int(external.size)
-                next_frontier_parts.append(np.unique(external))
-                local = np.unique(internal)
+                next_frontier_parts.append(external)
+                local = sorted_unique_ids(internal, n)
             if local.size:
                 # Inner-sweep cap hit: carry the residue into the
                 # next superstep rather than dropping it.
@@ -139,7 +141,8 @@ class GraphCentricEngine(GASEngine):
                             edge_reads=reads, messages=cross_msgs,
                             work=self._unit_work(run, updates))
         if next_frontier_parts:
-            frontier = np.unique(np.concatenate(next_frontier_parts))
+            frontier = sorted_unique_ids(
+                np.concatenate(next_frontier_parts), n)
         else:
             frontier = np.empty(0, dtype=np.int64)
         return counters, frontier

@@ -20,10 +20,13 @@ observation per iteration (round / superstep). The monitor implements:
     is.
 
 **Convergence watchdogs**
-    Each check records a signature of (frontier, full program state).
-    For a deterministic program an exact recurrence is proof of
-    pathology: minimal period 1 over the window is a **stall** (the run
-    can only repeat itself), period ≥ 2 is an **oscillation**. A third
+    For a deterministic program an exact recurrence of (frontier, full
+    program state) is proof of pathology: minimal period 1 over a full
+    window of blake2b signatures is a **stall** (the run can only
+    repeat itself), period ≥ 2 is an **oscillation**. The signature is
+    two-level (DESIGN §8): every check takes a word-sum fingerprint of
+    the same bytes, and only a check whose fingerprint equals a recent
+    one pays for the digest — a healthy run never hashes. A third
     watchdog tracks the magnitude of state; growth past
     ``divergence_factor`` × its observed floor is a **divergence**.
 
@@ -43,9 +46,10 @@ observation per iteration (round / superstep). The monitor implements:
 from __future__ import annotations
 
 import hashlib
+import math
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -211,17 +215,21 @@ def _float_state(program: "VertexProgram") -> dict[str, np.ndarray]:
             if np.issubdtype(arr.dtype, np.floating)}
 
 
-def _finite_norm(arrays: Iterable[np.ndarray]) -> "float | None":
-    """Max |finite value| across arrays; None if no finite float data."""
-    norm = None
-    for arr in arrays:
-        if not arr.size:
-            continue
-        finite = arr[np.isfinite(arr)]
-        if finite.size:
-            peak = float(np.abs(finite).max())
-            norm = peak if norm is None else max(norm, peak)
-    return norm
+def _finite_peak(arr: np.ndarray) -> "float | None":
+    """Max |finite value| of a non-empty float array; NaN if it holds a
+    NaN (which propagates through ``max``), None if nothing in it is
+    finite. One ``max`` / ``min`` pair; only an array holding Inf pays
+    for a mask."""
+    hi, lo = float(arr.max()), float(arr.min())
+    if math.isnan(hi):
+        return hi
+    if math.isinf(hi) or math.isinf(lo):
+        finite = np.isfinite(arr)
+        hi = float(arr.max(where=finite, initial=-np.inf))
+        lo = float(arr.min(where=finite, initial=np.inf))
+        if hi < lo:
+            return None
+    return max(abs(hi), abs(lo))
 
 
 def _signature(frontier: "np.ndarray | None",
@@ -240,10 +248,42 @@ def _signature(frontier: "np.ndarray | None",
     return digest.digest()
 
 
-def _minimal_period(history: "deque[bytes]") -> "int | None":
+def _word_sum(arr: np.ndarray) -> int:
+    """The array's bytes summed as 64-bit words modulo 2**64 (bytes
+    past the last whole word are added singly): one SIMD pass."""
+    raw = np.ascontiguousarray(arr).reshape(-1).view(np.uint8)
+    whole = raw.size - raw.size % 8
+    total = int(raw[:whole].view(np.uint64).sum(dtype=np.uint64))
+    if whole != raw.size:
+        total += int(raw[whole:].sum(dtype=np.uint64))
+    return total
+
+
+def _fingerprint(frontier: "np.ndarray | None",
+                 arrays: dict[str, np.ndarray]) -> tuple:
+    """Frontier size and the word sums of the bytes :func:`_signature`
+    digests, at memory speed. A function of those bytes alone, so equal
+    states have equal fingerprints and a check whose fingerprint is new
+    cannot be a recurrence; the converse is false (a permuted array
+    sums the same), so a fingerprint only ever *nominates* a check for
+    the digest and decides nothing."""
+    if frontier is None:
+        words = [0, 0]
+    else:
+        f = np.asarray(frontier, dtype=np.int64)
+        words = [f.size, _word_sum(f)]
+    words.extend(_word_sum(arrays[name]) for name in sorted(arrays))
+    return tuple(words)
+
+
+def _minimal_period(history: "deque[bytes | None]") -> "int | None":
     """Smallest p ≥ 1 such that the whole history is p-periodic, or
-    None if aperiodic over the window."""
+    None if aperiodic over the window. An entry that was never digested
+    (None) equals nothing, itself included: a history holding one has
+    no period."""
     sigs = list(history)
+    if None in sigs:
+        return None
     n = len(sigs)
     for period in range(1, n // 2 + 1):
         if all(sigs[i] == sigs[i - period] for i in range(period, n)):
@@ -264,7 +304,13 @@ class HealthMonitor:
         recurrence window counts *checks*, not iterations.
     window:
         Number of recent signatures kept; a stall/oscillation fires only
-        once the window is full, so small runs are never flagged.
+        once the window is full *of digests*, so small runs are never
+        flagged. A check is digested when its fingerprint equals one of
+        the previous ``window // 2`` — every check from the second
+        period of a recurrence on — so a recurrence of period ``p`` that
+        starts at check ``s`` fires at check ``s + window - 1 + p``:
+        ``p`` checks (``p * check_every`` iterations) after an
+        every-check digest would.
     divergence_factor:
         Growth of the state-magnitude norm, relative to its observed
         floor (with an absolute floor of 1.0), treated as divergence.
@@ -290,7 +336,11 @@ class HealthMonitor:
         self.window = int(window)
         self.divergence_factor = float(divergence_factor)
         self.fault = FaultPlan.parse(fault)
-        self._signatures: deque[bytes] = deque(maxlen=self.window)
+        #: One entry per check: its digest, or None where the
+        #: fingerprint matched no recent one and nothing was hashed.
+        self._signatures: "deque[bytes | None]" = deque(maxlen=self.window)
+        #: Fingerprints of the checks a period <= window // 2 can reach.
+        self._fingerprints: deque[tuple] = deque(maxlen=self.window // 2)
         self._norm_floor: "float | None" = None
         self.verdict: "HealthVerdict | None" = None
 
@@ -303,19 +353,26 @@ class HealthMonitor:
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
         """Mutable watchdog state for a run snapshot — the signature
-        window and the divergence norm floor must survive a resume or
-        the watchdogs would restart blind (a stall spanning the kill
-        point would need a whole fresh window to fire again)."""
+        window, the fingerprints that gate it and the divergence norm
+        floor must survive a resume or the watchdogs would restart
+        blind (a stall spanning the kill point would need a whole fresh
+        window to fire again)."""
         return {
             "signatures": list(self._signatures),
+            "fingerprints": list(self._fingerprints),
             "norm_floor": self._norm_floor,
             "verdict": self.verdict,
         }
 
     def restore_state(self, state: dict) -> None:
         """Inverse of :meth:`state_dict`; configuration (policy, window,
-        cadence) stays whatever this monitor was built with."""
+        cadence) stays whatever this monitor was built with. A snapshot
+        from before the fingerprints carries none: it resumes with its
+        digests in the window and an empty fingerprint history, which
+        the next ``window // 2`` checks refill."""
         self._signatures = deque(state["signatures"], maxlen=self.window)
+        self._fingerprints = deque(state.get("fingerprints", ()),
+                                   maxlen=self.window // 2)
         self._norm_floor = state["norm_floor"]
         self.verdict = state["verdict"]
 
@@ -389,22 +446,26 @@ class HealthMonitor:
     # ------------------------------------------------------------------
     def _check(self, program, *, iteration, frontier, work):
         state = _state_arrays(program)
-        floats = {name: arr for name, arr in state.items()
-                  if np.issubdtype(arr.dtype, np.floating)}
 
         # ---- Numeric guard: NaN state, non-finite work counter.
         if not np.isfinite(work):
             return HealthVerdict("numeric", iteration,
                                  f"WORK counter is {work!r}")
-        for name, arr in floats.items():
-            if arr.size and np.isnan(arr).any():
+        norm = None
+        for name, arr in state.items():
+            if not (arr.size and arr.dtype.kind == "f"):
+                continue
+            peak = _finite_peak(arr)
+            if peak is None:
+                continue
+            if math.isnan(peak):
                 count = int(np.isnan(arr).sum())
                 return HealthVerdict(
                     "numeric", iteration,
                     f"state array {name!r} holds {count} NaN value(s)")
+            norm = peak if norm is None else max(norm, peak)
 
         # ---- Divergence: state magnitude past its floor × factor.
-        norm = _finite_norm(floats.values())
         if norm is not None:
             if self._norm_floor is None:
                 self._norm_floor = norm
@@ -418,7 +479,13 @@ class HealthMonitor:
                     f"{self._norm_floor:.3g}")
 
         # ---- Stall / oscillation: exact (frontier, state) recurrence.
-        self._signatures.append(_signature(frontier, state))
+        # Only a state whose fingerprint was seen within reach of a
+        # legal period can be one, so only that one is digested.
+        fingerprint = _fingerprint(frontier, state)
+        self._signatures.append(
+            _signature(frontier, state)
+            if fingerprint in self._fingerprints else None)
+        self._fingerprints.append(fingerprint)
         if len(self._signatures) == self.window:
             period = _minimal_period(self._signatures)
             if period == 1:

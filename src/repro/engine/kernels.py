@@ -7,10 +7,13 @@ activations". :class:`Kernels` is the first and the last of those for
 all four engines — one object per run, and the only code that calls
 ``gather_edge`` / ``scatter_edges``. Each phase has two evaluations:
 
-* the **callback path**: slice the vertices' adjacency slots
-  (``concat_ranges``), hand the ``(nbr, center, eid)`` triples to the
-  program's callback, check the shape of what came back, reduce per
-  vertex (``segmented_reduce``) or read the signal mask;
+* the **callback path**: hand the ``(nbr, center, eid)`` triples of
+  the vertices' adjacency slots to the program's callback, check the
+  shape of what came back, reduce per vertex (``segmented_reduce``) or
+  read the signal mask. A partial frontier's slots are sliced out
+  (``concat_ranges``); the full frontier's are the adjacency arrays
+  themselves, read-only, with the slot-centre and count arrays built
+  once per run (:meth:`_Side.edges`);
 * the **fused path**, for the *recognized reduction shapes* a
   :class:`~repro.engine.program.VertexProgram` declares
   (``gather_shape`` / ``scatter_shape``): one dense CSR segment kernel
@@ -59,6 +62,7 @@ from repro._util.segments import (
     REDUCE_UFUNC,
     concat_ranges,
     segmented_reduce,
+    sorted_unique_ids,
 )
 from repro.engine.program import Direction
 
@@ -121,8 +125,14 @@ def adjacency(graph: "Graph", direction: Direction):
         "symmetrize the graph")
 
 
-class _DenseSide:
-    """Cached full-graph segment-reduce machinery for one adjacency.
+def _side(graph: "Graph", direction: Direction) -> "_Side | None":
+    ptr, idx, eid = adjacency(graph, direction)
+    return None if ptr is None else _Side(ptr, idx, eid)
+
+
+class _Side:
+    """One traversal direction's adjacency and the full-graph arrays
+    derived from it, each built on first use and kept for the run.
 
     ``ptr[:-1]`` restricted to non-empty rows is a valid ``reduceat``
     index vector: an empty row spans no slots, so the next non-empty
@@ -132,29 +142,61 @@ class _DenseSide:
     run instead of re-deriving cumsums every iteration.
     """
 
-    __slots__ = ("idx", "counts", "nonempty", "all_nonempty", "offsets", "n")
-
-    def __init__(self, ptr: np.ndarray, idx: np.ndarray) -> None:
-        self.idx = idx
+    def __init__(self, ptr: np.ndarray, idx: np.ndarray,
+                 eid: np.ndarray) -> None:
+        self.ptr, self.idx, self.eid = ptr, idx, eid
         self.n = ptr.size - 1
-        self.counts = np.diff(ptr)
-        self.nonempty = self.counts > 0
-        self.all_nonempty = bool(self.nonempty.all())
-        offsets = ptr[:-1]
-        if not self.all_nonempty:
-            offsets = offsets[self.nonempty]
-        self.offsets = offsets
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """Slots per vertex."""
+        counts = np.diff(self.ptr)
+        counts.setflags(write=False)
+        return counts
+
+    @cached_property
+    def slot_center(self) -> np.ndarray:
+        """The vertex owning every slot."""
+        center = np.repeat(np.arange(self.n, dtype=np.int64), self.counts)
+        center.setflags(write=False)
+        return center
+
+    def edges(self, vids: np.ndarray):
+        """``(nbr, center, eid, counts)`` over the adjacency slots of
+        ``vids``, in slot order. ``vids`` must be sorted unique (every
+        frontier the engines hold is): one as long as the vertex count
+        is then every vertex, and its slots are the adjacency arrays as
+        they stand (read-only, like the graph's) — a length-``n``
+        ``vids`` with a duplicate would get them too."""
+        if vids.size == self.n:
+            return self.idx, self.slot_center, self.eid, self.counts
+        starts = self.ptr[vids]
+        ends = self.ptr[vids + 1]
+        counts = ends - starts
+        slots = concat_ranges(starts, ends)
+        return (self.idx[slots], np.repeat(vids, counts), self.eid[slots],
+                counts)
+
+    @cached_property
+    def _rows(self):
+        """``(ids of the non-empty rows, or None when every row is one;
+        their reduceat offsets)``."""
+        if self.counts.all():
+            return None, self.ptr[:-1]
+        rows = np.flatnonzero(self.counts)
+        return rows, self.ptr[:-1][rows]
 
     def reduce(self, values: np.ndarray, op: str) -> np.ndarray:
         """Per-row reduction of per-slot ``values`` over every vertex;
         empty rows hold the reduction identity."""
         if self.idx.size == 0:
             return np.full(self.n, REDUCE_IDENTITY[op], dtype=np.float64)
-        reduced = REDUCE_UFUNC[op].reduceat(values, self.offsets)
-        if self.all_nonempty:
+        rows, offsets = self._rows
+        reduced = REDUCE_UFUNC[op].reduceat(values, offsets)
+        if rows is None:
             return reduced
         out = np.full(self.n, REDUCE_IDENTITY[op], dtype=values.dtype)
-        out[self.nonempty] = reduced
+        out[rows] = reduced
         return out
 
 
@@ -162,16 +204,21 @@ class Kernels:
     """Gather, scatter and stream of one (program, graph) pair.
 
     Built once per run by the loop. Holds no program *state* — only the
-    program, the adjacency it traverses and graph-derived caches for
-    the fused paths, built on first use — so checkpoint/resume rebuilds
-    it losslessly.
+    program, the adjacency it traverses and graph-derived caches (the
+    full-frontier arrays of the callback path, the fused paths'
+    offsets, weights and matrices), built on first use — so
+    checkpoint/resume rebuilds it losslessly.
     """
 
     def __init__(self, program: "VertexProgram", graph: "Graph") -> None:
         self.program = program
         self.graph = graph
-        self._gather_adj = adjacency(graph, program.gather_dir)
-        self._scatter_adj = adjacency(graph, program.scatter_dir)
+        self._gather_side = _side(graph, program.gather_dir)
+        # One object when both phases traverse the same direction: its
+        # full-frontier arrays are then built once.
+        self._scatter_side = (
+            self._gather_side if program.scatter_dir is program.gather_dir
+            else _side(graph, program.scatter_dir))
         shape = getattr(program, "gather_shape", None)
         #: The program's gather has a fused dense evaluation.
         self.can_gather = (
@@ -221,17 +268,6 @@ class Kernels:
                 f"{mask.shape}, expected ({nbr.size},)")
         return mask
 
-    @staticmethod
-    def _edges(adj, vids: np.ndarray):
-        """``(nbr, center, eid, counts)`` over the adjacency slots of
-        ``vids``, in slot order."""
-        ptr, idx, eid = adj
-        starts = ptr[vids]
-        ends = ptr[vids + 1]
-        counts = ends - starts
-        slots = concat_ranges(starts, ends)
-        return idx[slots], np.repeat(vids, counts), eid[slots], counts
-
     # ------------------------------------------------------------------
     # Gather
     # ------------------------------------------------------------------
@@ -245,15 +281,15 @@ class Kernels:
         the *model* count either way — the gather-degree sum of
         ``vids`` — and ``vids`` must be sorted unique.
         """
-        if self._gather_adj[0] is None:
+        if self._gather_side is None:
             return None, 0
         if dense and self.can_gather:
             acc = self._gather_dense(ctx)
-            n_reads = int(self._side.counts[vids].sum())
+            n_reads = int(self._gather_side.counts[vids].sum())
             if vids.size != acc.shape[0]:
                 acc = acc[vids]
             return acc, n_reads
-        nbr, center, eid, counts = self._edges(self._gather_adj, vids)
+        nbr, center, eid, counts = self._gather_side.edges(vids)
         values = self._contributions(ctx, nbr, center, eid)
         acc = segmented_reduce(values, counts, self.program.gather_op)
         return acc, int(nbr.size)
@@ -263,9 +299,10 @@ class Kernels:
         """:meth:`gather` for one vertex on the callback path: its
         slots are contiguous, so slice views and a single-block reduce
         stand in for index materialization and the segment kernel."""
-        ptr, idx, eid = self._gather_adj
-        if ptr is None:
+        side = self._gather_side
+        if side is None:
             return None, 0
+        ptr, idx, eid = side.ptr, side.idx, side.eid
         program = self.program
         s, e = int(ptr[v]), int(ptr[v + 1])
         if e == s:
@@ -290,7 +327,8 @@ class Kernels:
         unchanged) — bit-identical to the ``ufunc.at`` scatter-add of
         the callback path.
         """
-        _, idx, eid = self._gather_adj
+        side = self._gather_side
+        idx, eid = side.idx, side.eid
         op = self.program.gather_op
         identity = REDUCE_IDENTITY[op]
         live = source_live[idx]
@@ -298,10 +336,10 @@ class Kernels:
         if any_live and self.can_gather:
             values = np.where(live, self._slot_values(self._source(ctx)),
                               identity)
-            return self._side.reduce(values, op)
+            return side.reduce(values, op)
         acc = np.full(self.graph.n_vertices, identity)
         if any_live:
-            tgt = self._slot_center[live]
+            tgt = side.slot_center[live]
             values = self._contributions(ctx, idx[live], tgt, eid[live])
             REDUCE_UFUNC[op].at(acc, tgt, values)
         return acc
@@ -311,28 +349,32 @@ class Kernels:
     # ------------------------------------------------------------------
     def signal_edges(self, ctx: "Context", vids: np.ndarray,
                      ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """``(center, nbr, mask)`` over the scatter edges of ``vids``:
-        ``mask`` is True where the edge delivers a signal."""
-        if self._scatter_adj[0] is None:
+        """``(center, nbr, mask)`` over the scatter edges of ``vids``
+        (sorted unique, as for :meth:`gather`): ``mask`` is True where
+        the edge delivers a signal."""
+        if self._scatter_side is None:
             return _NO_VERTICES, _NO_VERTICES, np.empty(0, dtype=bool)
-        nbr, center, eid, _ = self._edges(self._scatter_adj, vids)
+        nbr, center, eid, _ = self._scatter_side.edges(vids)
         return center, nbr, self._signal_mask(ctx, center, nbr, eid)
 
     def scatter(self, ctx: "Context", vids: np.ndarray,
                 dense: bool = False) -> "tuple[np.ndarray, int]":
-        """The sorted unique vertices ``vids`` signaled and the
-        messages sent; ``dense`` as for :meth:`gather`."""
+        """The sorted unique vertices signaled by ``vids`` and the
+        messages sent; ``vids`` (sorted unique) and ``dense`` as for
+        :meth:`gather`."""
         if dense and self.can_scatter:
             return self._scatter_dense(ctx, vids)
         _, nbr, mask = self.signal_edges(ctx, vids)
-        return np.unique(nbr[mask]), int(mask.sum())
+        return (sorted_unique_ids(nbr[mask], self.graph.n_vertices),
+                int(mask.sum()))
 
     def signaled_by(self, ctx: "Context", v: int) -> np.ndarray:
         """The recipients of one vertex's signals, in slot order (one
         entry per message) — :meth:`signal_edges` over slice views."""
-        ptr, idx, eid = self._scatter_adj
-        if ptr is None:
+        side = self._scatter_side
+        if side is None:
             return _NO_VERTICES
+        ptr, idx, eid = side.ptr, side.idx, side.eid
         s, e = int(ptr[v]), int(ptr[v + 1])
         if e == s:
             return _NO_VERTICES
@@ -344,22 +386,10 @@ class Kernels:
     # The fused paths
     # ------------------------------------------------------------------
     @cached_property
-    def _side(self) -> _DenseSide:
-        ptr, idx, _ = self._gather_adj
-        return _DenseSide(ptr, idx)
-
-    @cached_property
-    def _slot_center(self) -> np.ndarray:
-        """The gathering vertex of every slot of the gather side."""
-        ptr = self._gather_adj[0]
-        return np.repeat(np.arange(ptr.size - 1, dtype=np.int64),
-                         np.diff(ptr))
-
-    @cached_property
     def _weights(self) -> "np.ndarray | None":
         if self.program.gather_shape == "vertex":
             return None
-        return self.graph.edge_weight[self._gather_adj[2]]
+        return self.graph.edge_weight[self._gather_side.eid]
 
     @cached_property
     def _exact_matrix(self):
@@ -370,10 +400,6 @@ class Kernels:
                 and getattr(program, "gather_source_exact", False)):
             return None
         return self.graph.ones_adjacency_csr(program.gather_dir.value)
-
-    @cached_property
-    def _scatter_counts(self) -> np.ndarray:
-        return np.diff(self._scatter_adj[0])
 
     def _source(self, ctx: "Context") -> np.ndarray:
         program = self.program
@@ -387,7 +413,7 @@ class Kernels:
     def _slot_values(self, x: np.ndarray) -> np.ndarray:
         """Per-slot contribution for every adjacency slot of the gather
         side, in slot order — the fused equivalent of ``gather_edge``."""
-        values = x[self._side.idx]
+        values = x[self._gather_side.idx]
         shape = self.program.gather_shape
         if shape == "vertex_plus_edge":
             values = values + self._weights
@@ -400,8 +426,8 @@ class Kernels:
         x = self._source(ctx)
         if self._exact_matrix is not None:
             return self._exact_matrix.dot(x)
-        return self._side.reduce(self._slot_values(x),
-                                 self.program.gather_op)
+        return self._gather_side.reduce(self._slot_values(x),
+                                   self.program.gather_op)
 
     def _scatter_dense(self, ctx: "Context",
                        vids: np.ndarray) -> "tuple[np.ndarray, int]":
@@ -419,7 +445,7 @@ class Kernels:
                 f"{program.name}.scatter_vertex_mask returned shape "
                 f"{m.shape}, expected ({vids.size},)")
         senders = vids[m]
-        n_msgs = int(self._scatter_counts[senders].sum())
+        n_msgs = int(self._scatter_side.counts[senders].sum())
         if senders.size == 0:
             return _NO_VERTICES, n_msgs
         indicator = np.zeros(self.graph.n_vertices, dtype=np.float64)

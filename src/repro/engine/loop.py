@@ -21,6 +21,7 @@ from typing import Any, ClassVar
 import numpy as np
 
 from repro._util.errors import ResourceLimitError, ValidationError
+from repro._util.segments import sorted_unique_ids
 from repro._util.timing import Deadline
 from repro.behavior.trace import IterationRecord, RunTrace
 from repro.engine.checkpoint import (
@@ -82,11 +83,12 @@ class RunOptions:
 
 
 def canonical_frontier(vids: np.ndarray, n_vertices: int) -> np.ndarray:
-    """Sorted unique in-range int64 vertex ids."""
+    """Sorted unique in-range int64 vertex ids (a fresh array). The
+    range check comes first: ``sorted_unique_ids`` indexes with them."""
     vids = np.asarray(vids, dtype=np.int64).ravel()
     if vids.size and (vids.min() < 0 or vids.max() >= n_vertices):
         raise ValidationError("frontier vertex ids out of range")
-    return np.unique(vids)
+    return sorted_unique_ids(vids, n_vertices)
 
 
 def next_frontier(program: VertexProgram, ctx: Context,
@@ -94,7 +96,7 @@ def next_frontier(program: VertexProgram, ctx: Context,
     """The program's pick for the next frontier, canonical. ``signaled``
     must be a sorted unique in-range array (every engine scatter path
     produces one): re-canonicalizing it when the program returns it
-    untouched would only re-sort the hot loop's largest intermediate."""
+    untouched would only rebuild the hot loop's largest intermediate."""
     nxt = program.select_next_frontier(ctx, signaled)
     if nxt is not signaled:
         nxt = canonical_frontier(nxt, ctx.graph.n_vertices)

@@ -21,6 +21,10 @@ Phase contracts (synchronous semantics)
     Runs after every apply of the iteration; sees post-apply state. May
     mutate per-edge state. Returns the boolean signal mask that defines
     both the MSG counter and the next frontier.
+
+The ``nbr`` / ``center`` / ``eid`` arrays a callback receives are
+inputs: on a step over every vertex they are the graph's own read-only
+adjacency arrays, and writing to one raises.
 """
 
 from __future__ import annotations

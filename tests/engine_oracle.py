@@ -1,4 +1,5 @@
-"""The engine oracles: what production's one kernel path is held to.
+"""The engine oracles: what production's one kernel path and its
+health monitor are held to.
 
 Two independent checks of :mod:`repro.engine.kernels`, both shipped in
 ``src/`` until the kernel layer became one path and moved here the way
@@ -20,6 +21,15 @@ Two independent checks of :mod:`repro.engine.kernels`, both shipped in
 
 The third oracle arm, the same program with its shape declarations
 cleared, is :func:`tests.conftest.unfused`.
+
+And one of :mod:`repro.engine.health`:
+
+* :class:`EagerMonitor` — the monitor production ran until its
+  recurrence signature became two-level: every check pays the blake2b
+  digest, the NaN scan and the fancy-indexed norm. It decides what
+  production must decide, ``period`` checks earlier for a stall or an
+  oscillation and at the same iteration for everything else.
+  :func:`eager_monitor` installs it for a test.
 """
 
 from __future__ import annotations
@@ -31,6 +41,13 @@ from repro._util.segments import REDUCE_IDENTITY, segmented_reduce
 from repro.algorithms.registry import create
 from repro.behavior.run import build_engine_options
 from repro.engine.engine import SynchronousEngine
+from repro.engine.health import (
+    HealthMonitor,
+    HealthVerdict,
+    _minimal_period,
+    _signature,
+    _state_arrays,
+)
 from repro.engine.instrumentation import Counters
 from repro.engine.kernels import Kernels, adjacency
 from repro.engine.loop import next_frontier
@@ -182,3 +199,72 @@ def verify_fused(monkeypatch):
     monkeypatch.setattr(VerifyingKernels, "checks", 0)
     monkeypatch.setattr("repro.engine.loop.Kernels", VerifyingKernels)
     return VerifyingKernels
+
+
+def _finite_norm(arrays):
+    """Max |finite value| across arrays; None if no finite float data."""
+    norm = None
+    for arr in arrays:
+        if not arr.size:
+            continue
+        finite = arr[np.isfinite(arr)]
+        if finite.size:
+            peak = float(np.abs(finite).max())
+            norm = peak if norm is None else max(norm, peak)
+    return norm
+
+
+class EagerMonitor(HealthMonitor):
+    """Every check digested: the ``_check`` production had before the
+    fingerprint, kept whole (its own NaN scan and norm included) so the
+    numeric and divergence verdicts are checked too, not only the
+    recurrence. Shares the digest itself and the period rule with
+    production — those are the definition, not the mechanism."""
+
+    def _check(self, program, *, iteration, frontier, work):
+        state = _state_arrays(program)
+        floats = {name: arr for name, arr in state.items()
+                  if np.issubdtype(arr.dtype, np.floating)}
+        if not np.isfinite(work):
+            return HealthVerdict("numeric", iteration,
+                                 f"WORK counter is {work!r}")
+        for name, arr in floats.items():
+            if arr.size and np.isnan(arr).any():
+                count = int(np.isnan(arr).sum())
+                return HealthVerdict(
+                    "numeric", iteration,
+                    f"state array {name!r} holds {count} NaN value(s)")
+        norm = _finite_norm(floats.values())
+        if norm is not None:
+            if self._norm_floor is None:
+                self._norm_floor = norm
+            self._norm_floor = min(self._norm_floor, norm)
+            threshold = self.divergence_factor * max(self._norm_floor, 1.0)
+            if norm > threshold:
+                return HealthVerdict(
+                    "divergence", iteration,
+                    f"state magnitude {norm:.3g} exceeds "
+                    f"{self.divergence_factor:g}× its floor "
+                    f"{self._norm_floor:.3g}")
+        self._signatures.append(_signature(frontier, state))
+        if len(self._signatures) == self.window:
+            period = _minimal_period(self._signatures)
+            if period == 1:
+                return HealthVerdict(
+                    "stall", iteration,
+                    f"frontier and state unchanged over the last "
+                    f"{self.window} checks")
+            if period is not None and period <= self.window // 2:
+                return HealthVerdict(
+                    "oscillation", iteration,
+                    f"frontier and state repeat with period {period} "
+                    f"over the last {self.window} checks")
+        return None
+
+
+def eager_monitor(monkeypatch):
+    """Make every engine run of this test observe with an
+    :class:`EagerMonitor` (``build_monitor`` looks the class up in its
+    module, once per run)."""
+    monkeypatch.setattr("repro.engine.health.HealthMonitor", EagerMonitor)
+    return EagerMonitor

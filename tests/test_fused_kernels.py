@@ -23,7 +23,9 @@ from repro.engine.checkpoint import (
 from repro.engine.edge_centric import EdgeCentricEngine
 from repro.engine.engine import EngineOptions, SynchronousEngine
 from repro.engine.graph_centric import GraphCentricEngine, GraphCentricOptions
-from repro.engine.kernels import Kernels, reduce_block
+from repro._util.segments import concat_ranges
+from repro.engine.context import Context
+from repro.engine.kernels import Kernels, _Side, reduce_block
 from repro.generators import (
     erdos_renyi_graph,
     matrix_problem,
@@ -327,3 +329,108 @@ def test_verify_env_name_is_stable(monkeypatch):
     trace = SynchronousEngine(EngineOptions(direction="pull")).run(
         MisdeclaredCC(), powerlaw_graph(400, 2.5, seed=3))
     assert trace.n_iterations >= 1
+
+
+# ----------------------------------------------------------------------
+# Full-frontier views: a frontier as long as the vertex count takes the
+# adjacency arrays as they stand instead of slicing every slot out
+# ----------------------------------------------------------------------
+def _sliced_edges(self, vids):
+    """``_Side.edges`` with the view branch cut away."""
+    starts, ends = self.ptr[vids], self.ptr[vids + 1]
+    slots = concat_ranges(starts, ends)
+    return (self.idx[slots], np.repeat(vids, ends - starts),
+            self.eid[slots], ends - starts)
+
+
+def _with_isolated_vertex(problem):
+    """``problem`` plus one vertex no edge touches, its id the last."""
+    graph = problem.graph
+    src, dst = graph.edge_endpoints()
+    return ProblemInstance(
+        graph=Graph.from_edges(graph.n_vertices + 1, src, dst,
+                               directed=graph.directed),
+        domain=problem.domain, params=dict(problem.params))
+
+
+def test_full_frontier_views_are_the_sliced_slots():
+    """Kernel level: everyone through the views against everyone but
+    an isolated vertex — which owns no slot — through the slices."""
+    problem = _with_isolated_vertex(powerlaw_graph(2_000, 2.3, seed=11))
+    n = problem.graph.n_vertices
+    everyone = np.arange(n, dtype=np.int64)
+    program = unfused(create("pagerank"))
+    ctx = Context(problem)
+    program.init(ctx)
+    kernels = Kernels(program, problem.graph)
+    for side in (kernels._gather_side, kernels._scatter_side):
+        views, slices = side.edges(everyone), side.edges(everyone[:-1])
+        assert views[0] is side.idx and views[2] is side.eid
+        assert not any(arr.flags.writeable for arr in views)
+        for view, sliced in zip(views[:3], slices[:3]):
+            np.testing.assert_array_equal(view, sliced)
+        assert views[3][-1] == 0
+        np.testing.assert_array_equal(views[3][:-1], slices[3])
+
+    acc, reads = kernels.gather(ctx, everyone)
+    acc_sliced, reads_sliced = kernels.gather(ctx, everyone[:-1])
+    assert acc[:-1].tobytes() == acc_sliced.tobytes()
+    assert acc[-1] == 0.0 and reads == reads_sliced
+    program.apply(ctx, everyone, acc)  # so that there is news to signal
+    signaled, messages = kernels.scatter(ctx, everyone)
+    signaled_sliced, messages_sliced = kernels.scatter(ctx, everyone[:-1])
+    np.testing.assert_array_equal(signaled, signaled_sliced)
+    assert messages == messages_sliced > 0
+
+
+#: (algorithm, engine factory or None for synchronous push) whose
+#: steps start from — or never leave — the full vertex set.
+VIEW_RUNS = {
+    "synchronous-kmeans": ("kmeans", None),
+    "synchronous-pagerank": ("pagerank", None),
+    "synchronous-cc": ("cc", None),
+    "edge-centric-cc": ("cc", EdgeCentricEngine),
+    "graph-centric-cc": ("cc", lambda: GraphCentricEngine(
+        GraphCentricOptions(n_partitions=1))),
+    # Pops one vertex at a time: never reaches ``edges`` at all.
+    "asynchronous-cc": ("cc", AsynchronousEngine),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VIEW_RUNS))
+def test_view_steps_and_sliced_steps_trace_identically(case, monkeypatch):
+    """Engine level: the same callback-path run with the view branch
+    live and cut away — every accumulator handed to ``apply``, every
+    counter, every frontier and the final state, bit for bit."""
+    algorithm, make_engine = VIEW_RUNS[case]
+    problem = powerlaw_graph(2_000, 2.3, seed=11,
+                             with_points=algorithm == "kmeans")
+    n = problem.graph.n_vertices
+
+    def run():
+        program = unfused(create(algorithm))
+        accs = []
+        inner_apply = program.apply
+
+        def recording_apply(ctx, vids, acc):
+            accs.append(None if acc is None else np.asarray(acc).tobytes())
+            return inner_apply(ctx, vids, acc)
+
+        program.apply = recording_apply
+        out = run_arm(algorithm, problem, "push", program=program,
+                      engine=make_engine and make_engine(),
+                      max_iterations=12)
+        return out, accs
+
+    full_steps = []
+    production_edges = _Side.edges
+    monkeypatch.setattr(_Side, "edges", lambda self, vids: (
+        full_steps.append(vids.size == n),
+        production_edges(self, vids))[1])
+    views, view_accs = run()
+    assert any(full_steps) == (not case.startswith("asynchronous"))
+
+    monkeypatch.setattr(_Side, "edges", _sliced_edges)
+    slices, sliced_accs = run()
+    assert_equivalent(views, slices, case)
+    assert view_accs == sliced_accs and len(view_accs) >= 2

@@ -90,6 +90,31 @@ def test_the_engine_oracles_left_src():
 
 
 # ----------------------------------------------------------------------
+# One way to build a frontier set: the engine knows its ids lie in
+# [0, n), so it never pays for a general-purpose ``unique``
+# ----------------------------------------------------------------------
+def test_the_engine_builds_no_set_with_unique():
+    callers = {(file, attr) for file, attr, called in _attributes("engine")
+               if called and "unique" in attr}
+    assert callers == set()
+    for path in sorted((SRC / "engine").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                assert (node.func.id == "sorted_unique_ids"
+                        or "unique" not in node.func.id), path
+
+
+def test_sorted_unique_ids_is_defined_once():
+    definitions = [
+        path.relative_to(SRC).as_posix()
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text("utf-8")))
+        if isinstance(node, ast.FunctionDef)
+        and node.name == "sorted_unique_ids"]
+    assert definitions == ["_util/segments.py"]
+
+
+# ----------------------------------------------------------------------
 # Options follow the traffic: the paths no workload, smoke, figure
 # benchmark or example took stay out of src/
 # ----------------------------------------------------------------------

@@ -11,7 +11,9 @@ from repro._util.segments import (
     concat_ranges,
     segment_offsets,
     segmented_reduce,
+    sorted_unique_ids,
 )
+from repro.engine.loop import canonical_frontier
 
 
 class TestConcatRanges:
@@ -144,3 +146,71 @@ class TestSegmentedReduce:
                 np.testing.assert_allclose(got[i], fn(vals[pos:pos + c]),
                                            rtol=1e-12, atol=1e-12 * 10 * c)
             pos += c
+
+
+class TestSortedUniqueIds:
+    """Equals ``np.unique`` on ids in ``[0, n)``, few or many against
+    ``n``."""
+
+    @staticmethod
+    def _check(ids, n):
+        ids = np.asarray(ids)
+        before = ids.copy()
+        got = sorted_unique_ids(ids, n)
+        assert got.dtype == np.int64
+        assert got.tolist() == np.unique(ids).tolist()
+        assert not np.shares_memory(got, ids)  # a fresh array
+        np.testing.assert_array_equal(ids, before)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_np_unique(self, data):
+        n = data.draw(st.integers(0, 300))
+        ids = data.draw(st.lists(st.integers(0, max(n - 1, 0)),
+                                 max_size=0 if n == 0 else 120))
+        dtype = data.draw(st.sampled_from([np.int64, np.int32]))
+        self._check(np.asarray(ids, dtype=dtype), n)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_degenerate_ranges(self, n):
+        self._check(np.empty(0, dtype=np.int64), n)
+        if n:
+            self._check([0], n)
+            self._check([0, 0, 0], n)
+
+    def test_empty_input_in_a_wide_range(self):
+        self._check(np.empty(0, dtype=np.int64), 10_000)
+
+    @pytest.mark.parametrize("n", [7, 4_000])
+    def test_unsorted_duplicated_and_int32(self, n):
+        self._check(np.array([6, 0, 6, 3, 3, 0, 5], dtype=np.int32), n)
+        self._check(np.full(9, 4), n)
+        self._check(np.arange(6, -1, -1), n)
+
+    def test_a_full_range_comes_back_as_a_copy(self):
+        ids = np.arange(500, dtype=np.int64)
+        self._check(ids, 500)
+
+
+class TestCanonicalFrontier:
+    @pytest.mark.parametrize("bad", [[-1], [0, 3, -2], [5], [0, 9, 1]])
+    @pytest.mark.parametrize("pad", [0, 200])
+    def test_out_of_range_raises_before_anything_is_indexed(
+            self, bad, pad, monkeypatch):
+        """A negative id would wrap in the flag scatter instead of
+        failing: the range check has to come first, for a short and
+        for a long batch."""
+        monkeypatch.setattr("repro.engine.loop.sorted_unique_ids",
+                            lambda *args: pytest.fail("indexed first"))
+        vids = np.concatenate([np.asarray(bad), np.zeros(pad, dtype=int)])
+        with pytest.raises(ValidationError, match="out of range"):
+            canonical_frontier(vids, 5)
+
+    def test_canonical_is_sorted_unique_int64_and_fresh(self):
+        vids = np.array([3, 1, 3, 0], dtype=np.int32)
+        out = canonical_frontier(vids, 5)
+        assert out.dtype == np.int64 and out.tolist() == [0, 1, 3]
+        everyone = np.arange(5, dtype=np.int64)
+        again = canonical_frontier(everyone, 5)
+        assert again.tolist() == everyone.tolist()
+        assert not np.shares_memory(again, everyone)
