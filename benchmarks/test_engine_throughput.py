@@ -7,12 +7,12 @@ optimizations (or regressions) to the CSR segment kernels are visible:
 - one SSSP run (frontier churn);
 - one Triangle Counting run (intersection-heavy);
 - the gather kernel in isolation;
-- the fused-kernel ablation: edges/sec per algorithm × engine ×
-  direction mode, each synchronous fused arm against a bare-NumPy
-  gather, and what the production-default health monitor adds to the
-  fastest of them, written to
-  ``benchmarks/artifacts/BENCH_engine.json`` (uploaded by CI's
-  perf-smoke step).
+- the fused-kernel gate: the synchronous pull step (the one fused
+  evaluation, DESIGN §13) in edges/sec against the callback path on
+  dense PageRank and Jacobi, each against a bare-NumPy gather, and
+  what the production-default health monitor adds to the faster of
+  them, written to ``benchmarks/artifacts/BENCH_engine.json``
+  (uploaded by CI's perf-smoke step).
 
 Timing protocol for the ablation (the satellite bugfix this file
 carries): every problem is materialized **once** before any clock
@@ -29,7 +29,9 @@ import numpy as np
 import pytest
 
 from repro._util.segments import concat_ranges, segmented_reduce
-from repro.behavior.run import run_computation
+from repro.algorithms.registry import create
+from repro.behavior.run import build_engine_options, run_computation
+from repro.engine.engine import PULL_ACTIVE_FRACTION, SynchronousEngine
 from repro.generators import matrix_problem, powerlaw_graph
 from tests.conftest import unfused
 
@@ -173,140 +175,78 @@ def _step_over_floor(workload):
 
 
 def test_bench_engine_kernels():
-    """Fused CSR kernels and direction modes vs the callback paths."""
+    """The synchronous pull step — the one fused evaluation — against
+    the callback path, a bare gather, and itself under the monitor."""
     workloads = {}
 
-    # -- PageRank, synchronous engine: the dense-frontier workload the
-    # direction optimization targets. A tight tolerance under a fixed
-    # iteration budget keeps the frontier at (or near) the full vertex
-    # set, where pull-mode dense gathers and the indicator-SpMV scatter
-    # replace the per-frontier expansion entirely.
+    def sync_arm(algorithm, problem, params, options, fused=True):
+        """Defaults pull when the frontier is dense enough; the
+        baseline runs the same program with its shape declarations
+        cleared, so every iteration takes the callback path."""
+        def run():
+            program = create(algorithm, **params)
+            return SynchronousEngine(
+                build_engine_options(algorithm, options)).run(
+                    program if fused else unfused(program), problem)
+        return run
+
+    def workload(problem, report, traces):
+        pulled = traces["pull"]
+        # "pull" is the name of what the arm did, not of an option:
+        # every step's frontier must have reached the constant.
+        assert all(r.active >= PULL_ACTIVE_FRACTION * problem.graph.n_vertices
+                   for r in pulled.iterations)
+        for name, trace in traces.items():
+            _assert_identical(traces["unfused"], trace, name)
+        return {
+            "n_edges": problem.graph.n_edges,
+            "n_iterations": pulled.n_iterations,
+            "baseline": "unfused",
+            "fused": "pull",
+            "arms": report,
+        }
+
+    # -- PageRank: the dense-frontier workload the pull step targets. A
+    # tight tolerance under a fixed iteration budget keeps the frontier
+    # at (or near) the full vertex set, where pull-mode dense gathers
+    # and the indicator-SpMV scatter replace the per-frontier expansion
+    # entirely.
     pr_problem = powerlaw_graph(60_000, 2.2, seed=43)
     pr_params = {"tol": 1e-12}
-    pr_options = {"max_iterations": 20, "health_policy": "off"}
-
-    def pr_arm(**extra):
-        return lambda: run_computation(
-            "pagerank", pr_problem, params=pr_params,
-            options={**pr_options, **extra})
-
-    # "push" keeps every iteration on the callback path, whatever the
-    # program declares: the synchronous baseline arm.
+    pr_off = {"max_iterations": 20, "health_policy": "off"}
     report, traces = _bench_arms({
-        "push-legacy": pr_arm(direction="push"),
-        "auto": pr_arm(direction="auto"),
-        "pull": pr_arm(direction="pull"),
-        "pull-strict": pr_arm(direction="pull", health_policy="strict"),
+        "unfused": sync_arm("pagerank", pr_problem, pr_params, pr_off,
+                            fused=False),
+        "pull": sync_arm("pagerank", pr_problem, pr_params, pr_off),
+        "pull-strict": sync_arm("pagerank", pr_problem, pr_params,
+                                {**pr_off, "health_policy": "strict"}),
     }, floor=_gather_floor(pr_problem.graph))
-    for name, trace in traces.items():
-        _assert_identical(traces["push-legacy"], trace, f"pagerank/{name}")
-    workloads["pagerank/sync"] = {
-        "n_edges": pr_problem.graph.n_edges,
-        "n_iterations": traces["pull"].n_iterations,
-        "baseline": "push-legacy",
-        "fused": "pull",
-        "dense_frontier": True,
-        "arms": report,
-    }
+    workloads["pagerank/sync"] = workload(pr_problem, report, traces)
     monitor_overhead = (report["pull-strict"]["best_s"]
                         / report["pull"]["best_s"])
 
-    # -- Jacobi, synchronous engine: always-active (every iteration is
-    # a full-frontier Σ A_ij·x_j), the purest dense-gather workload.
+    # -- Jacobi: always-active (every iteration is a full-frontier
+    # Σ A_ij·x_j), the purest dense-gather workload.
     ja_problem = matrix_problem(2_000, seed=3)
-    ja_options = {"health_policy": "off"}
-
-    def ja_arm(**extra):
-        return lambda: run_computation(
-            "jacobi", ja_problem, options={**ja_options, **extra})
-
+    ja_off = {"health_policy": "off"}
     report, traces = _bench_arms({
-        "push-legacy": ja_arm(direction="push"),
-        "pull": ja_arm(direction="pull"),
+        "unfused": sync_arm("jacobi", ja_problem, {}, ja_off, fused=False),
+        "pull": sync_arm("jacobi", ja_problem, {}, ja_off),
     }, floor=_gather_floor(ja_problem.graph))
-    _assert_identical(traces["push-legacy"], traces["pull"], "jacobi/pull")
-    workloads["jacobi/sync"] = {
-        "n_edges": ja_problem.graph.n_edges,
-        "n_iterations": traces["pull"].n_iterations,
-        "baseline": "push-legacy",
-        "fused": "pull",
-        "dense_frontier": True,
-        "arms": report,
-    }
-
-    # -- CC, edge-centric engine: the stream touches every arc every
-    # iteration (dense by construction); the declared gather shape
-    # replaces the ``np.minimum.at`` scatter-add with one segment
-    # reduction. The legacy arms here and below run the same program
-    # with its shape declarations cleared.
-    from repro.algorithms.registry import create
-    from repro.engine.edge_centric import EdgeCentricEngine
-
-    ec_problem = powerlaw_graph(SCALE, 2.3, seed=61)
-
-    def cc(fused):
-        return create("cc") if fused else unfused(create("cc"))
-
-    def ec_arm(fused):
-        return lambda: EdgeCentricEngine().run(cc(fused), ec_problem)
-
-    report, traces = _bench_arms({
-        "stream-legacy": ec_arm(False),
-        "stream-fused": ec_arm(True),
-    })
-    _assert_identical(traces["stream-legacy"], traces["stream-fused"],
-                      "cc/edge-centric")
-    workloads["cc/edge-centric"] = {
-        "n_edges": ec_problem.graph.n_edges,
-        "n_iterations": traces["stream-fused"].n_iterations,
-        "baseline": "stream-legacy",
-        "fused": "stream-fused",
-        "dense_frontier": True,
-        "arms": report,
-    }
-
-    # -- CC, graph-centric engine: threshold 0 forces every inner sweep
-    # through the dense kernel.
-    from repro.engine.graph_centric import (
-        GraphCentricEngine,
-        GraphCentricOptions,
-    )
-
-    def gc_arm(fused, **kw):
-        opts = GraphCentricOptions(**kw)
-        return lambda: GraphCentricEngine(opts).run(cc(fused), ec_problem)
-
-    report, traces = _bench_arms({
-        "sweep-legacy": gc_arm(False),
-        "sweep-fused": gc_arm(True, direction_threshold=0.0),
-    })
-    _assert_identical(traces["sweep-legacy"], traces["sweep-fused"],
-                      "cc/graph-centric")
-    workloads["cc/graph-centric"] = {
-        "n_edges": ec_problem.graph.n_edges,
-        "n_iterations": traces["sweep-fused"].n_iterations,
-        "baseline": "sweep-legacy",
-        "fused": "sweep-fused",
-        # Partition-local frontiers are sparse slices of |V|; the dense
-        # kernel is forced here for coverage, not for speed.
-        "dense_frontier": False,
-        "arms": report,
-    }
+    workloads["jacobi/sync"] = workload(ja_problem, report, traces)
 
     speedups = {
         name: (w["arms"][w["fused"]]["edges_per_s"]
                / w["arms"][w["baseline"]]["edges_per_s"])
         for name, w in workloads.items()
     }
-    dense = {n: s for n, s in speedups.items()
-             if workloads[n]["dense_frontier"]}
     over_floor = {name: _step_over_floor(workloads[name])
                   for name in MAX_FUSED_STEP_OVER_FLOOR}
     out = {
         "rounds": ROUNDS,
         "workloads": workloads,
         "speedup": speedups,
-        "max_dense_frontier_speedup": max(dense.values()),
+        "max_dense_frontier_speedup": max(speedups.values()),
         "fused_step_over_floor": over_floor,
         "monitor_overhead": monitor_overhead,
     }
@@ -314,7 +254,7 @@ def test_bench_engine_kernels():
     path = ARTIFACT_DIR / "BENCH_engine.json"
     path.write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
 
-    assert max(dense.values()) >= MIN_DENSE_SPEEDUP, out["speedup"]
+    assert max(speedups.values()) >= MIN_DENSE_SPEEDUP, out["speedup"]
     for name, ceiling in MAX_FUSED_STEP_OVER_FLOOR.items():
         assert over_floor[name] <= ceiling, (name, over_floor)
     assert monitor_overhead <= MAX_MONITOR_OVERHEAD, monitor_overhead

@@ -46,16 +46,17 @@ if [ "${REPRO_SKIP_BENCH:-0}" != "1" ]; then
     echo "== telemetry overhead smoke =="
     PYTHONPATH=src python -m pytest benchmarks/test_bench_obs.py -x -q
 
-    # Engine perf smoke: the fused kernels a program's shape
-    # declaration selects keep their ≥2× dense-frontier win over the
-    # callback path (push / the same program with the declaration
-    # cleared) and stay bit-identical to it, the two synchronous fused
-    # arms stay under their `fused_step_over_floor` ceilings — wall
-    # per iteration in bare-NumPy gather passes, a yardstick the
-    # callback arm cannot move (DESIGN.md §13) — and the
-    # default strict health monitor costs the dense PageRank pull arm
-    # no more than 1.25× its monitor-off wall (`monitor_overhead` in
-    # BENCH_engine.json; DESIGN.md §8).
+    # Engine perf smoke: the synchronous pull step — the one fused
+    # evaluation, taken from the frontier's active fraction — keeps its
+    # ≥2× dense-frontier win over the callback path (the same program
+    # with its shape declarations cleared) and stays bit-identical to
+    # it, on PageRank and Jacobi it stays under its
+    # `fused_step_over_floor` ceiling — wall per iteration in
+    # bare-NumPy gather passes, a yardstick the callback arm cannot
+    # move (DESIGN.md §13) — and the default strict health monitor
+    # costs the dense PageRank pull arm no more than 1.25× its
+    # monitor-off wall (`monitor_overhead` in BENCH_engine.json;
+    # DESIGN.md §8).
     echo "== engine kernel perf smoke =="
     PYTHONPATH=src python -m pytest \
         benchmarks/test_engine_throughput.py::test_bench_engine_kernels \

@@ -123,7 +123,7 @@ def run_computation(
         Algorithm parameter overrides (merged over registry defaults).
     options:
         Engine option overrides (merged over registry defaults), e.g.
-        ``{"direction": "push", "work_model": "measured"}``.
+        ``{"max_iterations": 20, "work_model": "measured"}``.
     timeout_s:
         Wall-clock limit covering graph materialization plus engine
         execution; None (default) disables it.

@@ -62,17 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--work-model", choices=("unit", "measured"),
                      default="unit")
     run.add_argument("--max-iterations", type=int, default=None)
-    run.add_argument("--direction", choices=("auto", "push", "pull"),
-                     default=None,
-                     help="gather traversal direction for fusable "
-                          "programs: push follows the frontier, pull "
-                          "reduces over the whole graph, auto switches "
-                          "on frontier density (default: auto)")
-    run.add_argument("--direction-threshold", type=float, default=None,
-                     metavar="FRAC",
-                     help="active fraction of |V| above which "
-                          "--direction auto gathers in pull mode "
-                          "(default: 0.25)")
     run.add_argument("--health-policy", choices=("strict", "degrade", "off"),
                      default=None,
                      help="convergence-watchdog policy: strict raises, "
@@ -331,10 +320,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _add_obs_arguments(sub_parser: argparse.ArgumentParser) -> None:
     sub_parser.add_argument(
-        "--obs", choices=("off", "basic", "full"), default=None,
-        help="telemetry level (default: $REPRO_OBS or off); 'basic' "
-             "records sampled metrics only, 'full' adds per-span "
-             "events")
+        "--obs", choices=("off", "full"), default=None,
+        help="telemetry level (default: $REPRO_OBS or off); 'full' "
+             "records metrics, per-iteration timing and span events")
     sub_parser.add_argument(
         "--obs-dir", default=None, metavar="DIR",
         help="telemetry output directory (default: $REPRO_OBS_DIR, or "
@@ -425,10 +413,6 @@ def _cmd_run(args) -> int:
     options: dict = {"work_model": args.work_model}
     if args.max_iterations is not None:
         options["max_iterations"] = args.max_iterations
-    if args.direction is not None:
-        options["direction"] = args.direction
-    if args.direction_threshold is not None:
-        options["direction_threshold"] = args.direction_threshold
     if args.health_policy is not None:
         options["health_policy"] = args.health_policy
     if args.health_check_every is not None:

@@ -18,12 +18,13 @@ conditions) and one options base; each supplies only its step:
 
 How a step's gather, scatter and stream are evaluated is one layer,
 :mod:`repro.engine.kernels` — the only caller of ``gather_edge`` /
-``scatter_edges``. Whether it takes the callback path or a fused dense
-CSR kernel follows from the program's ``gather_shape`` /
-``scatter_shape`` declaration (and, synchronously, the ``direction``
-policy); it is not an option. The oracles — a vertex-at-a-time engine
-and a kernels wrapper that cross-checks every fused evaluation — live
-in ``tests/engine_oracle.py``.
+``scatter_edges``. It takes the callback path everywhere except the
+one step where a fused dense CSR kernel pays: a synchronous iteration
+of a program that declares a ``gather_shape`` / ``scatter_shape``
+whose frontier is dense enough (``engine.PULL_ACTIVE_FRACTION``); it is
+not an option. The oracles — a vertex-at-a-time engine and a kernels
+wrapper that cross-checks every fused evaluation — live in
+``tests/engine_oracle.py``.
 """
 
 from repro.engine.async_engine import AsynchronousEngine, AsyncEngineOptions

@@ -290,10 +290,9 @@ class SnapshotStore:
             tel.inc("checkpoint_publishes_total")
             tel.inc("checkpoint_published_bytes_total", len(blob))
             tel.observe("checkpoint_publish_seconds", elapsed)
-            if tel.full:
-                tel.emit("checkpoint", action="publish", key=key,
-                         iteration=snapshot.iteration,
-                         bytes=len(blob), seconds=elapsed)
+            tel.emit("checkpoint", action="publish", key=key,
+                     iteration=snapshot.iteration,
+                     bytes=len(blob), seconds=elapsed)
         return latest
 
     def quarantine(self, path: Path) -> "Path | None":
@@ -351,9 +350,8 @@ class SnapshotStore:
                 elapsed = time.perf_counter() - started
                 tel.inc("checkpoint_restores_total")
                 tel.observe("checkpoint_restore_seconds", elapsed)
-                if tel.full:
-                    tel.emit("checkpoint", action="restore", key=key,
-                             iteration=snapshot.iteration, seconds=elapsed)
+                tel.emit("checkpoint", action="restore", key=key,
+                         iteration=snapshot.iteration, seconds=elapsed)
         return snapshot
 
     def latest_iteration(self, key: str) -> "int | None":

@@ -14,8 +14,11 @@ All three phases operate on the entire frontier at once; how gather
 and scatter are evaluated — frontier-sliced callbacks (**push**) or
 the fused dense CSR kernels (**pull**) — is
 :class:`~repro.engine.kernels.Kernels`' business, steered only by this
-engine's per-iteration direction decision. The vertex-at-a-time oracle
-the test suite compares this engine against, counter for counter, is
+engine's per-iteration decision: a step pulls when the program
+declares a fusable shape and the frontier's active fraction reaches
+:data:`PULL_ACTIVE_FRACTION`. This is the one place a fused kernel
+runs (DESIGN §13). The vertex-at-a-time oracle the test suite compares
+this engine against, counter for counter, is
 ``tests/engine_oracle.py``.
 """
 
@@ -29,6 +32,13 @@ from repro._util.timing import Stopwatch
 from repro.engine.instrumentation import Counters, WorkModel
 from repro.engine.loop import GASEngine, Run, RunOptions, next_frontier
 
+#: Active fraction of |V| from which a step of a fusable program pulls
+#: (one dense kernel over the whole graph) instead of pushing (slicing
+#: the frontier's slots out): below it the slices touch fewer slots
+#: than the whole-graph reduction would. Both evaluations are
+#: bit-identical, so the number moves wall time only.
+PULL_ACTIVE_FRACTION = 0.25
+
 
 @dataclass
 class EngineOptions(RunOptions):
@@ -40,16 +50,6 @@ class EngineOptions(RunOptions):
     work_model: str = "unit"
     #: Memory budget enforced against graph + program state estimates.
     memory_budget_bytes: int = 4 << 30
-    #: Traversal direction policy: ``"auto"`` pulls when the active
-    #: fraction reaches :attr:`direction_threshold`, ``"push"``/
-    #: ``"pull"`` force one mode. Pull runs the fused dense CSR kernels
-    #: (bit-identical to the callback path; DESIGN §13) and so needs a
-    #: program that declares a fusable shape; any other program stays
-    #: on the push path.
-    direction: str = "auto"
-    #: Active-fraction threshold at which ``"auto"`` switches from push
-    #: (frontier-sliced) to pull (dense full-graph) traversal.
-    direction_threshold: float = 0.25
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -58,13 +58,6 @@ class EngineOptions(RunOptions):
             raise ValidationError("max_iterations must be >= 1")
         if self.memory_budget_bytes < 1:
             raise ValidationError("memory_budget_bytes must be >= 1")
-        if self.direction not in ("auto", "push", "pull"):
-            raise ValidationError(
-                f"direction must be 'auto', 'push' or 'pull', got "
-                f"{self.direction!r}")
-        if not 0.0 <= self.direction_threshold <= 1.0:
-            raise ValidationError(
-                "direction_threshold must be in [0, 1]")
 
 
 class SynchronousEngine(GASEngine):
@@ -86,13 +79,10 @@ class SynchronousEngine(GASEngine):
         program, ctx, frontier = run.program, run.ctx, run.frontier
         kernels = run.kernels
         # Direction decision: a pure function of this iteration's
-        # active fraction and the configured policy — stateless, so
-        # a resumed run re-derives the identical push/pull sequence.
+        # active fraction — stateless, so a resumed run re-derives the
+        # identical push/pull sequence.
         active_fraction = frontier.size / run.graph.n_vertices
-        pull = kernels.fused and (
-            opts.direction == "pull"
-            or (opts.direction == "auto"
-                and active_fraction >= opts.direction_threshold))
+        pull = kernels.fused and active_fraction >= PULL_ACTIVE_FRACTION
         if run.obs is not None:
             mode_label = "pull" if pull else "push"
             run.obs.direction(

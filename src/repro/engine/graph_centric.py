@@ -46,10 +46,6 @@ class GraphCentricOptions(RunOptions):
     max_supersteps: int = 10_000
     #: Cap on inner sweeps per partition per superstep.
     max_inner_sweeps: int = 1_000
-    #: Local-frontier density (fraction of |V|) above which a sweep's
-    #: gather uses the fused dense kernel instead of frontier slicing,
-    #: for programs that declare a fusable gather shape.
-    direction_threshold: float = 0.25
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -57,9 +53,6 @@ class GraphCentricOptions(RunOptions):
             raise ValidationError("n_partitions must be >= 1")
         if self.max_supersteps < 1 or self.max_inner_sweeps < 1:
             raise ValidationError("iteration caps must be >= 1")
-        if not 0.0 <= self.direction_threshold <= 1.0:
-            raise ValidationError(
-                "direction_threshold must be in [0, 1]")
 
 
 class GraphCentricEngine(GASEngine):
@@ -95,9 +88,6 @@ class GraphCentricEngine(GASEngine):
         program, ctx, kernels = run.program, run.ctx, run.kernels
         partition, frontier = run.partition, run.frontier
         n = run.graph.n_vertices
-        # Density gate in vertices: below it the frontier-sliced gather
-        # touches fewer slots than the dense kernel would.
-        dense_min = opts.direction_threshold * n
 
         updates = 0
         reads = 0
@@ -111,11 +101,10 @@ class GraphCentricEngine(GASEngine):
             for _sweep in range(opts.max_inner_sweeps):
                 if local.size == 0:
                     break
-                # Gather over all in-edges of the local frontier —
-                # dense when it is big enough to amortize the
-                # full-graph reduction.
-                acc, n_slots = kernels.gather(
-                    ctx, local, dense=local.size >= dense_min)
+                # Gather over all in-edges of the local frontier: a
+                # partition-local set is a slice of |V|, never worth a
+                # whole-graph kernel (DESIGN §13).
+                acc, n_slots = kernels.gather(ctx, local)
                 program.apply(ctx, local, acc)
                 updates += int(local.size)
                 reads += n_slots

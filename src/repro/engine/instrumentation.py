@@ -47,6 +47,11 @@ class Counters:
         self.work += other.work
 
 
+#: Scale applied to unit-model WORK so magnitudes resemble seconds;
+#: what ``GASEngine._unit_work`` multiplies by.
+UNIT_SCALE = 1e-9
+
+
 @dataclass
 class WorkModel:
     """How the WORK metric is produced.
@@ -57,11 +62,8 @@ class WorkModel:
     ``unit``
         Deterministic cost model: ``flops_per_vertex * |apply set| +
         program-reported extra work`` — bit-reproducible, used by tests
-        and for cross-machine comparability.
-
-    The scale applied to unit work lives on the engine options
-    (``RunOptions.unit_scale``), which is what the engines read
-    (``GASEngine._unit_work``).
+        and for cross-machine comparability, scaled by
+        :data:`UNIT_SCALE`.
     """
 
     kind: str = "unit"

@@ -5,7 +5,8 @@ Paper §3.3: every execution model conserves "transferring information
 through edges, performing computation on an independent unit, and
 activations". :class:`Kernels` is the first and the last of those for
 all four engines — one object per run, and the only code that calls
-``gather_edge`` / ``scatter_edges``. Each phase has two evaluations:
+``gather_edge`` / ``scatter_edges``. Gather and scatter each have two
+evaluations (the edge-centric stream has the first only):
 
 * the **callback path**: hand the ``(nbr, center, eid)`` triples of
   the vertices' adjacency slots to the program's callback, check the
@@ -20,21 +21,26 @@ all four engines — one object per run, and the only code that calls
   over the whole graph — a pull-mode sparse-matrix-vector product,
   which is what the GAP benchmark's direction-optimizing traversal does.
 
-Which one runs follows from the declaration and from the ``dense`` hint
-of the caller (the synchronous engine's pull decision, the
-graph-centric density gate); an engine never tests what the program
-declared.
+The fused path runs in one place: the synchronous engine's pull step,
+which passes ``dense`` when the frontier's active fraction makes the
+whole-graph kernel pay (``engine/engine.py``). Every other caller —
+the edge-centric stream, the graph-centric sweeps, the asynchronous
+single-vertex steps — is the callback path; an engine never tests what
+the program declared.
 
 Bit-identity contract
 ---------------------
 Fused kernels must be *bit-identical* to the callback path: same
-accumulator bits, same frontier sequences, same counters. That rules
-scipy out of the general gather — its SpMV sums rows in a different
-order than ``np.ufunc.reduceat`` and float addition is not associative
-— so the dense gather always reduces with ``reduceat`` over cached
-full-graph offsets (the exact per-slot order the callback path uses).
-scipy is used only where every summation order yields the same float64
-bits:
+accumulator bits, same frontier sequences, same counters. Every float
+reducer here and in ``_util/segments.py`` is ``np.ufunc.reduceat``, so
+they agree with each other — in an order NumPy owns, which is *not*
+left to right (on NumPy 2.4 a segment's sum is its first element plus
+a pairwise sum of the rest). That rules ``np.sum`` and scipy out of
+the general gather — each associates differently and float addition is
+not associative — so the dense gather reduces with ``reduceat`` over
+cached full-graph offsets, the per-row call the callback path makes.
+``tests/test_segments.py::TestReduceatContract`` pins it. scipy is
+used only where every summation order yields the same float64 bits:
 
 * the scatter "who got signaled" SpMV (an indicator vector of 0/1), and
 * gathers whose source is declared integer-valued
@@ -82,9 +88,10 @@ GATHER_SHAPES = ("vertex", "vertex_plus_edge", "vertex_times_edge")
 #: the callback path: no program declares a fusable ``or`` gather).
 FUSABLE_OPS = ("sum", "min", "max")
 
-#: reduceat over ``[0]`` reduces one whole block *sequentially* — the
-#: same order ``segmented_reduce`` uses for a single segment (ufunc
-#: ``reduce`` would use pairwise summation and change bits).
+#: reduceat over ``[0]`` reduces one whole block the way
+#: ``segmented_reduce`` reduces a single segment — same ufunc method,
+#: same order (ufunc ``reduce`` associates differently and changes
+#: bits).
 _BLOCK_START = np.zeros(1, dtype=np.intp)
 
 _NO_VERTICES = np.empty(0, dtype=np.int64)
@@ -137,7 +144,7 @@ class _Side:
     ``ptr[:-1]`` restricted to non-empty rows is a valid ``reduceat``
     index vector: an empty row spans no slots, so the next non-empty
     row starts exactly where the previous one ended. Reducing those
-    offsets therefore yields, row for row, the same sequential
+    offsets therefore yields, row for row, the same ``reduceat``
     reduction ``segmented_reduce`` performs — precomputed once per
     run instead of re-deriving cumsums every iteration.
     """
@@ -205,7 +212,7 @@ class Kernels:
 
     Built once per run by the loop. Holds no program *state* — only the
     program, the adjacency it traverses and graph-derived caches (the
-    full-frontier arrays of the callback path, the fused paths'
+    full-frontier arrays of the callback path, the fused path's
     offsets, weights and matrices), built on first use — so
     checkpoint/resume rebuilds it losslessly.
     """
@@ -316,31 +323,17 @@ class Kernels:
         return reduce_block(values, program.gather_op), nbr.size
 
     def stream(self, ctx: "Context", source_live: np.ndarray) -> np.ndarray:
-        """Edge-centric gather: touch *every* arc, reduce per target the
-        contributions of arcs whose source is live; every other row
-        holds the reduction identity.
-
-        Fused, the per-arc contributions and the per-target reduction
-        collapse into one dense segment kernel with dead-source slots
-        pinned to the identity (min/max absorb it exactly; for ``sum``
-        the interleaved ``0.0`` terms leave the float64 bits
-        unchanged) — bit-identical to the ``ufunc.at`` scatter-add of
-        the callback path.
-        """
+        """Edge-centric gather: touch *every* arc, scatter-add per
+        target the contributions of arcs whose source is live; every
+        other row holds the reduction identity."""
         side = self._gather_side
-        idx, eid = side.idx, side.eid
         op = self.program.gather_op
-        identity = REDUCE_IDENTITY[op]
-        live = source_live[idx]
-        any_live = live.any()
-        if any_live and self.can_gather:
-            values = np.where(live, self._slot_values(self._source(ctx)),
-                              identity)
-            return side.reduce(values, op)
-        acc = np.full(self.graph.n_vertices, identity)
-        if any_live:
+        acc = np.full(self.graph.n_vertices, REDUCE_IDENTITY[op])
+        live = source_live[side.idx]
+        if live.any():
             tgt = side.slot_center[live]
-            values = self._contributions(ctx, idx[live], tgt, eid[live])
+            values = self._contributions(ctx, side.idx[live], tgt,
+                                         side.eid[live])
             REDUCE_UFUNC[op].at(acc, tgt, values)
         return acc
 

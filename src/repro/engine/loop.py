@@ -35,7 +35,7 @@ from repro.engine.health import (
     mark_degraded,
     validate_health_options,
 )
-from repro.engine.instrumentation import Counters
+from repro.engine.instrumentation import UNIT_SCALE, Counters
 from repro.engine.kernels import Kernels
 from repro.engine.program import VertexProgram
 from repro.generators.problem import ProblemInstance
@@ -47,8 +47,6 @@ class RunOptions:
     """The options every engine takes; each engine's options class
     inherits these and adds only its own fields."""
 
-    #: Scale for unit work so magnitudes resemble seconds.
-    unit_scale: float = 1e-9
     #: Extra algorithm parameters forwarded into the Context.
     params: dict[str, Any] = field(default_factory=dict)
     #: Seed for the run-scoped RNG (stochastic programs only).
@@ -72,8 +70,6 @@ class RunOptions:
     checkpoint: "CheckpointConfig | None" = None
 
     def __post_init__(self) -> None:
-        if self.unit_scale <= 0:
-            raise ValidationError("unit_scale must be positive")
         validate_health_options(self.health_policy, self.health_check_every,
                                 self.health_window)
         if (self.wall_clock_budget_s is not None
@@ -181,7 +177,7 @@ class GASEngine:
         ``ctx.add_work`` since the last drain (TC's intersections in
         gather, DD's slave solves in scatter), scaled."""
         return ((run.program.apply_flops_per_vertex * n_applied
-                 + run.ctx.drain_extra_work()) * self.options.unit_scale)
+                 + run.ctx.drain_extra_work()) * UNIT_SCALE)
 
     # ------------------------------------------------------------------
     # The loop
@@ -270,12 +266,12 @@ class GASEngine:
                 break
             ctx.iteration = iteration
             active = run.frontier
-            # Telemetry is observational only: phase timing is sampled
-            # (obs level dependent) and never feeds back into counters,
-            # so the unit work model stays bit-reproducible.
-            sampled = obs is not None and obs.sampled(iteration)
-            phase_times: "dict[str, float] | None" = {} if sampled else None
-            obs_started = time.perf_counter() if sampled else 0.0
+            # Telemetry is observational only: phase timing never feeds
+            # back into counters, so the unit work model stays
+            # bit-reproducible.
+            timed = obs is not None
+            phase_times: "dict[str, float] | None" = {} if timed else None
+            obs_started = time.perf_counter() if timed else 0.0
             counters, run.frontier = self._step(run, iteration, phase_times)
             if not run.cut_short:
                 monitor.inject_state_fault(program, iteration)
@@ -292,9 +288,8 @@ class GASEngine:
             if run.cut_short:
                 break
             if obs is not None:
-                seconds = (time.perf_counter() - obs_started
-                           if sampled else None)
-                if sampled and self.step_phase is not None:
+                seconds = time.perf_counter() - obs_started
+                if self.step_phase is not None:
                     phase_times[self.step_phase] = seconds
                 obs.iteration(
                     iteration=iteration, active=counters.active,

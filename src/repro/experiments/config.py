@@ -314,8 +314,8 @@ class BuildOptions:
     #: Capacity of the per-process graph LRU cache (None keeps the
     #: default / ``$REPRO_GRAPH_CACHE_BYTES``; 0 disables caching).
     graph_cache_bytes: "int | None" = None
-    #: Resolved observability level — ``"off"``, ``"basic"`` (sampled
-    #: metrics) or ``"full"`` (every iteration timed + span events) —
+    #: Resolved observability level — ``"off"`` or ``"full"`` (metrics,
+    #: every iteration timed, span events) —
     #: with the directory holding the event log and the exported
     #: ``telemetry.json``, and the run id stamped on every event.
     #: Telemetry is purely observational: behavior vectors under the

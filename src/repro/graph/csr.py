@@ -25,11 +25,6 @@ import numpy as np
 
 from repro._util.errors import GraphConstructionError, ValidationError
 
-try:  # scipy accelerates the fused indicator SpMV; pure NumPy works too.
-    from scipy import sparse as _sparse
-except ImportError:  # pragma: no cover - scipy is a standard dependency
-    _sparse = None
-
 
 class Graph:
     """Immutable graph in dual-CSR form.
@@ -265,18 +260,16 @@ class Graph:
         """``scipy.sparse`` CSR of one adjacency with unit data, cached.
 
         Row ``v`` holds a ``1.0`` per adjacency slot, so ``M @ x`` is
-        the per-vertex sum of neighbor values. Returns ``None`` when
-        scipy is unavailable (callers fall back to the segment-reduce
-        path). The matrix is built once per orientation and cached on
-        the immutable graph.
+        the per-vertex sum of neighbor values. The matrix is built once
+        per orientation and cached on the immutable graph.
         """
-        if _sparse is None:
-            return None
         cache = self.__dict__.setdefault("_ones_csr_cache", {})
         mat = cache.get(orientation)
         if mat is None:
+            from scipy import sparse
+
             ptr, idx = self._csr_arrays(orientation)
-            mat = _sparse.csr_matrix(
+            mat = sparse.csr_matrix(
                 (np.ones(idx.size, dtype=np.float64),
                  idx.astype(np.int64, copy=True),
                  ptr.astype(np.int64, copy=True)),
@@ -288,19 +281,13 @@ class Graph:
     def spmv_ones(self, orientation: str, x: np.ndarray) -> np.ndarray:
         """``y[v] = Σ x[u]`` over ``v``'s neighbors in one adjacency.
 
-        scipy-backed when available, else a pure-NumPy segment reduce.
-        The two backends sum in different orders, so this is only used
-        where every order gives the same float64 result — integer-valued
-        ``x`` (indicator/count vectors) whose per-row sums stay below
-        2**53, as in the fused scatter's "who got signaled" SpMV.
+        A scipy SpMV, which sums a row in another order than the
+        engine's ``reduceat`` reducers, so this is only used where every
+        order gives the same float64 result — integer-valued ``x``
+        (indicator/count vectors) whose per-row sums stay below 2**53,
+        as in the fused scatter's "who got signaled" SpMV.
         """
-        mat = self.ones_adjacency_csr(orientation)
-        if mat is not None:
-            return mat.dot(x)
-        from repro._util.segments import segmented_reduce
-
-        ptr, idx = self._csr_arrays(orientation)
-        return segmented_reduce(x[idx], np.diff(ptr), "sum")
+        return self.ones_adjacency_csr(orientation).dot(x)
 
     def out_neighbors(self, v: int) -> np.ndarray:
         """Sorted out-neighbor ids of ``v`` (a read-only view)."""

@@ -396,8 +396,7 @@ class GraphPlane:
         if tel.enabled:
             tel.inc("shm_publishes_total")
             tel.inc("shm_published_bytes_total", total)
-            if tel.full:
-                tel.emit("shm", action="publish", key=key, bytes=total)
+            tel.emit("shm", action="publish", key=key, bytes=total)
         return manifest
 
     def close(self) -> None:

@@ -23,7 +23,6 @@ from repro.obs.export import (
 from repro.obs.benchdiff import compare_artifacts, render_bench_compare
 from repro.obs.critpath import critical_path, render_critical_path
 from repro.obs.telemetry import (
-    BASIC_SAMPLE_EVERY,
     OBS_DIR_ENV,
     OBS_ENV,
     OBS_LEVELS,
@@ -48,7 +47,6 @@ from repro.obs.tracing import (
 )
 
 __all__ = [
-    "BASIC_SAMPLE_EVERY",
     "EVENTS_FILENAME",
     "OBS_DIR_ENV",
     "OBS_ENV",

@@ -38,6 +38,9 @@ RULES: "tuple[tuple[str, str, str, str], ...]" = (
     ("BENCH_engine.json", "workloads.*.arms.*.edges_per_s",
      "higher", "wall"),
     ("BENCH_engine.json", "workloads.*.arms.*.best_s", "lower", "wall"),
+    ("BENCH_engine.json", "speedup.*", "higher", "ratio"),
+    ("BENCH_engine.json", "monitor_overhead", "lower", "ratio"),
+    ("BENCH_engine.json", "fused_step_over_floor.*", "lower", "ratio"),
     ("BENCH_corpus.json", "speedup", "higher", "ratio"),
     ("BENCH_corpus.json", "best_wall_s.*", "lower", "wall"),
     ("BENCH_ensemble.json", "*.speedup", "higher", "ratio"),

@@ -8,24 +8,20 @@ instance writing to a per-worker sink file; the parent merges worker
 snapshots back at the end of a corpus build (see
 ``repro.obs.events.merge_sinks``).
 
-Three observability levels gate the cost:
+Two observability levels gate the cost:
 
 ``off``
     The default.  ``get_telemetry().enabled`` is ``False`` and
     ``engine_observer()`` returns ``None`` — instrumented code paths
     reduce to a single attribute check / ``None`` test.
-``basic``
-    Metrics only.  Engine iterations are *sampled* (every
-    ``BASIC_SAMPLE_EVERY``-th iteration is timed); no event log
-    chatter beyond cell-level lifecycle events.
 ``full``
-    Every iteration is timed, spans and subsystem actions are also
-    emitted as events.
+    Metrics, every engine iteration timed, and spans and subsystem
+    actions emitted as events.
 
 Crucially, no instrumentation ever touches ``Counters``, frontiers, or
 any value that feeds :meth:`BehaviorCorpus.vectors`.  Under the
 ``unit`` work model the behavior vectors are therefore bit-identical
-across all three levels — telemetry observes the computation, it never
+at both levels — telemetry observes the computation, it never
 participates in it (DESIGN §12).
 """
 
@@ -43,16 +39,13 @@ from repro._util.errors import ValidationError
 from repro.obs.events import EventLog
 from repro.obs.tracing import TraceContext
 
-#: Recognised observability levels, least to most verbose.
-OBS_LEVELS = ("off", "basic", "full")
+#: Recognised observability levels.
+OBS_LEVELS = ("off", "full")
 
 #: Environment variable consulted when no explicit level is given.
 OBS_ENV = "REPRO_OBS"
 #: Environment variable for the default event/export directory.
 OBS_DIR_ENV = "REPRO_OBS_DIR"
-
-#: At level ``basic`` engines time one iteration in this many.
-BASIC_SAMPLE_EVERY = 16
 
 #: Bounded per-series reservoir used for p50/p95 estimates.
 RESERVOIR_SIZE = 2048
@@ -207,10 +200,6 @@ class Telemetry:
     def enabled(self) -> bool:
         return self.level != "off"
 
-    @property
-    def full(self) -> bool:
-        return self.level == "full"
-
     # -- context ------------------------------------------------------
     def set_context(self, *, cell: "str | None" = None,
                     attempt: "int | None" = None) -> None:
@@ -282,8 +271,8 @@ class Telemetry:
         are only known mid-region via :meth:`SpanHandle.set` and read
         the measured duration from ``handle.seconds`` afterwards.  The
         region is *always* timed (callers often need the duration even
-        with telemetry off); recording and the level-full ``span``
-        event only happen when enabled.
+        with telemetry off); recording and the ``span`` event only
+        happen when enabled.
         """
 
         handle = SpanHandle(name, dict(labels))
@@ -295,15 +284,14 @@ class Telemetry:
             if self.enabled:
                 self.observe(f"{name}_seconds", handle.seconds,
                              **handle.labels)
-                if self.full:
-                    # Phase spans are children of the ambient span
-                    # (the cell), keyed by name + attempt so a retry's
-                    # phases get their own deterministic node.
-                    ctx = None
-                    if self.trace is not None:
-                        ctx = self.trace.child(name, self.attempt or 0)
-                    self.emit("span", _trace_ctx=ctx, name=name,
-                              seconds=handle.seconds, **handle.labels)
+                # Phase spans are children of the ambient span (the
+                # cell), keyed by name + attempt so a retry's phases
+                # get their own deterministic node.
+                ctx = None
+                if self.trace is not None:
+                    ctx = self.trace.child(name, self.attempt or 0)
+                self.emit("span", _trace_ctx=ctx, name=name,
+                          seconds=handle.seconds, **handle.labels)
 
     # -- events --------------------------------------------------------
     def emit(self, kind: str,
@@ -413,27 +401,20 @@ class Telemetry:
 
 
 class EngineObserver:
-    """Per-run engine hook: sampled phase/iteration timing + totals.
+    """Per-run engine hook: phase/iteration timing + totals.
 
-    Engines call :meth:`sampled` at the top of each iteration to decide
-    whether to pay for ``perf_counter`` phase timing this iteration
-    (every iteration at ``full``, one in :data:`BASIC_SAMPLE_EVERY` at
-    ``basic``), then :meth:`iteration` with the per-iteration
-    ``Counters`` deltas.  Totals are cheap dict increments and are
-    recorded every iteration; wall-time histograms only on sampled
-    ones.  Nothing here feeds back into the computation.
+    Where one exists the loop times every step's phases with
+    ``perf_counter`` and calls :meth:`iteration` with the per-iteration
+    ``Counters`` deltas: totals are dict increments, wall times go to
+    histograms.  Nothing here feeds back into the computation.
     """
 
-    __slots__ = ("tel", "engine", "algorithm", "_every")
+    __slots__ = ("tel", "engine", "algorithm")
 
     def __init__(self, tel: Telemetry, engine: str, algorithm: str) -> None:
         self.tel = tel
         self.engine = engine
         self.algorithm = algorithm
-        self._every = 1 if tel.full else BASIC_SAMPLE_EVERY
-
-    def sampled(self, iteration: int) -> bool:
-        return iteration % self._every == 0
 
     def iteration(self, *, iteration: int, active: int, updates: int,
                   edge_reads: int, messages: int,

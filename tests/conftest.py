@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import shutil
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,18 @@ def unfused(program):
     program.__class__ = type(cls.__name__, (cls,), {
         "gather_shape": cleared, "scatter_shape": cleared})
     return program
+
+
+@contextmanager
+def pull_from(fraction):
+    """The synchronous engine pulling from ``fraction`` of |V| active
+    instead of ``PULL_ACTIVE_FRACTION``: 0.0 is the fused arm on every
+    step of a fusable program (sparse frontiers too), a value inside a
+    run's range of active fractions a mid-run switch. The other arm,
+    push on every step, is :func:`unfused`."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.engine.engine.PULL_ACTIVE_FRACTION", fraction)
+        yield
 
 
 @pytest.fixture(scope="session")

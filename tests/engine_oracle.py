@@ -14,8 +14,8 @@ Two independent checks of :mod:`repro.engine.kernels`, both shipped in
   former ``EngineOptions(mode="reference")`` ran, its shape check
   inlined).
 * :class:`VerifyingKernels` — a :class:`~repro.engine.kernels.Kernels`
-  that re-evaluates every fused gather, scatter and stream on the
-  callback path and fails on the first bit that differs (the former
+  that re-evaluates every fused gather and scatter on the callback
+  path and fails on the first bit that differs (the former
   ``REPRO_VERIFY_FUSED=1``). :func:`verify_fused` installs it for a
   test.
 
@@ -112,7 +112,7 @@ def _scatter_reference(program, ctx, frontier, ptr, idx, eid):
 class ReferenceEngine(SynchronousEngine):
     """The synchronous engine, one vertex at a time (unit work model).
     Takes the same :class:`~repro.engine.engine.EngineOptions`; the
-    direction policy has nothing to steer here."""
+    pull decision has nothing to steer here."""
 
     def _step(self, run, iteration, phase_times):
         program, ctx, frontier = run.program, run.ctx, run.frontier
@@ -182,13 +182,6 @@ class VerifyingKernels(Kernels):
         out = super().scatter(ctx, vids, dense)
         if dense and self.can_scatter:
             self._same(ctx, "scatter", out, self.callback.scatter(ctx, vids))
-        return out
-
-    def stream(self, ctx, source_live):
-        out = super().stream(ctx, source_live)
-        if self.can_gather:
-            self._same(ctx, "stream", (out,),
-                       (self.callback.stream(ctx, source_live),))
         return out
 
 

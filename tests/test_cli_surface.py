@@ -66,7 +66,7 @@ _FAULT = _argv("run pagerank --nedges 300 --health-policy degrade "
 _CHARACTERIZE = _argv("characterize cc --sizes 200 --alphas 2.0 2.5 "
                       "--seed 3")
 _CORPUS = "corpus --profile surface "
-_CORPUS_OBS = _argv(_CORPUS + "--obs basic --obs-dir {tmp}/obs")
+_CORPUS_OBS = _argv(_CORPUS + "--obs full --obs-dir {tmp}/obs")
 _NODE = _argv("node {queue} --workers 1 --node-id surface-node "
               "--manifest-wait 5")
 _DESIGN = _argv("design --profile surface --size 3 --metric coverage "
@@ -74,7 +74,7 @@ _DESIGN = _argv("design --profile surface --size 3 --metric coverage "
 _ENSEMBLE = _argv("ensemble --profile surface --metric coverage "
                   "--sizes 2 3 --scheme log --beam-width 8 "
                   "--strategy greedy --samples 200 "
-                  "--obs basic --obs-dir {tmp}/obs")
+                  "--obs full --obs-dir {tmp}/obs")
 _CHECKPOINT = _argv("run pagerank --nedges 300 --checkpoint-every 2 "
                     "--checkpoint-dir {tmp}/ckpt")
 _CELL_CHECKPOINT = _argv(_CORPUS + "--checkpoint-every 2 "
@@ -94,9 +94,6 @@ SURFACE: "dict[tuple[str, str], tuple[str, ...]]" = {
     ("run", "--work-model"): _argv(_RUN + "--work-model measured"),
     ("run", "--max-iterations"): _argv(
         "run pagerank --nedges 300 --max-iterations 2"),
-    ("run", "--direction"): _argv(_RUN + "--direction pull"),
-    ("run", "--direction-threshold"): _argv(
-        _RUN + "--direction auto --direction-threshold 0.5"),
     ("run", "--health-policy"): _FAULT,
     ("run", "--health-check-every"): _argv(
         _RUN + "--health-check-every 2"),

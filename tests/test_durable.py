@@ -209,7 +209,7 @@ class TestRetryTransientDisk:
         assert state["calls"] == 4
 
     def test_result_store_counts_its_retries(self, tmp_path, monkeypatch):
-        tel = configure("basic")
+        tel = configure("full")
         _failing_replace(monkeypatch, errno.EIO, times=2)
         store = ResultStore(tmp_path)
         store.save("k", _trace_for("k"))
@@ -218,7 +218,7 @@ class TestRetryTransientDisk:
         assert tel.counter_total("checkpoint_disk_retries_total") == 0
 
     def test_snapshot_store_counts_its_retries(self, tmp_path, monkeypatch):
-        tel = configure("basic")
+        tel = configure("full")
         _failing_replace(monkeypatch, errno.EIO, times=2)
         store = SnapshotStore(tmp_path)
         store.save("k", _snapshot_for("k", 4))

@@ -20,12 +20,16 @@ from repro._util.errors import ValidationError
 from repro.algorithms.registry import create
 from repro.engine.async_engine import AsyncEngineOptions, AsynchronousEngine
 from repro.engine.edge_centric import EdgeCentricEngine, EdgeCentricOptions
-from repro.engine.engine import EngineOptions, SynchronousEngine
+from repro.engine.engine import (
+    PULL_ACTIVE_FRACTION,
+    EngineOptions,
+    SynchronousEngine,
+)
 from repro.engine.graph_centric import GraphCentricEngine, GraphCentricOptions
 from repro.generators import powerlaw_graph
 from repro.generators.problem import ProblemInstance
 from repro.graph.csr import Graph
-from tests.conftest import unfused
+from tests.conftest import pull_from, unfused
 from tests.engine_oracle import ReferenceEngine
 
 
@@ -142,18 +146,18 @@ class TestDegreeZero:
             1.0 / g.out_degree[~isolated].astype(np.float64))
 
     @pytest.mark.parametrize("arm", [
-        dict(), dict(unfused=True), dict(direction="pull"),
+        dict(), dict(unfused=True), dict(pull_from=0.0),
         dict(reference=True),
     ])
     def test_pagerank_isolated_vertices_finite(self, arm):
         problem = isolated_problem()
         program = create("pagerank")
-        arm = dict(arm)
-        if arm.pop("unfused", False):  # callback path on every iteration
+        if arm.get("unfused"):  # callback path on every iteration
             program = unfused(program)
-        engine_class = (ReferenceEngine if arm.pop("reference", False)
+        engine_class = (ReferenceEngine if arm.get("reference")
                         else SynchronousEngine)
-        trace = engine_class(EngineOptions(**arm)).run(program, problem)
+        with pull_from(arm.get("pull_from", PULL_ACTIVE_FRACTION)):
+            trace = engine_class().run(program, problem)
         assert not trace.degraded
         assert np.all(np.isfinite(program.rank))
         # An isolated vertex receives nothing and keeps the teleport
@@ -216,8 +220,7 @@ class TestCallbackShapeValidation:
     ``scatter_edges`` broadcast on both and ended in a watchdog stall."""
 
     ENGINES = {
-        "synchronous-push": lambda: SynchronousEngine(
-            EngineOptions(direction="push")),
+        "synchronous-push": SynchronousEngine,
         "edge-centric": EdgeCentricEngine,
         "graph-centric": GraphCentricEngine,
         "asynchronous": AsynchronousEngine,

@@ -1,13 +1,14 @@
 """Fused CSR kernels and direction optimization (DESIGN §13).
 
 The contract under test: the fused gather/scatter kernels and the
-push/pull direction policy are *pure implementation choices* — every
-arm (push, fused pull, auto-switching, the reference engine, and on
-the other three engines the fused path a declared shape selects vs the
-callback path the same program takes with its declaration cleared)
-must produce bit-identical traces: same iteration counts, same WORK
-units, same per-iteration counters, and literally the same frontier
-arrays, on power-law, grid, and uniform graphs alike.
+push/pull decision are *pure implementation choices* — every arm (the
+callback path a program takes with its declarations cleared, pull on
+every step, the production switch, a tighter switch, the reference
+engine, and on the other three engines declared vs cleared, which
+holds by construction: they never evaluate a declaration) must produce
+bit-identical traces: same iteration counts, same WORK units, same
+per-iteration counters, and literally the same frontier arrays, on
+power-law, grid, and uniform graphs alike.
 """
 
 import numpy as np
@@ -21,7 +22,11 @@ from repro.engine.checkpoint import (
     SnapshotStore,
 )
 from repro.engine.edge_centric import EdgeCentricEngine
-from repro.engine.engine import EngineOptions, SynchronousEngine
+from repro.engine.engine import (
+    PULL_ACTIVE_FRACTION,
+    EngineOptions,
+    SynchronousEngine,
+)
 from repro.engine.graph_centric import GraphCentricEngine, GraphCentricOptions
 from repro._util.segments import concat_ranges
 from repro.engine.context import Context
@@ -34,7 +39,7 @@ from repro.generators import (
 )
 from repro.generators.problem import ProblemInstance
 from repro.graph.csr import Graph
-from tests.conftest import unfused
+from tests.conftest import pull_from, unfused
 from tests.engine_oracle import ReferenceEngine, verify_fused
 
 
@@ -59,25 +64,21 @@ GRAPHS = {
 
 ALGORITHMS = ("pagerank", "cc", "sssp", "kcore")
 
+#: The active fraction a synchronous arm pulls from: on every step, at
+#: the production switch, at a tighter one.
+PULL_FROM = {"pull": 0.0, "auto": PULL_ACTIVE_FRACTION, "auto-tight": 0.05}
+
 #: Synchronous arms. "push" is the base: the callback path on every
-#: iteration, whatever the program declares.
-ARMS = {
-    "push": dict(direction="push"),
-    "pull": dict(direction="pull"),
-    "auto": dict(direction="auto"),
-    "auto-tight": dict(direction="auto", direction_threshold=0.05),
-    # The vertex-at-a-time oracle engine, default options.
-    "reference": dict(),
-}
+#: iteration — the program with its declarations cleared. "reference"
+#: is the vertex-at-a-time oracle engine.
+ARMS = ("push", *PULL_FROM, "reference")
 
 
-#: The other engines pick the kernel path from the program's shape
-#: declaration: (engine with the dense path forced where it is gated).
+#: One path for every program on the other engines: declared shapes
+#: must not matter.
 SHAPE_ENGINES = {
     "edge-centric": EdgeCentricEngine,
-    "graph-centric": lambda: GraphCentricEngine(
-        GraphCentricOptions(direction_threshold=0.0)),
-    # One path for every program: declared shapes must not matter.
+    "graph-centric": GraphCentricEngine,
     "asynchronous": AsynchronousEngine,
 }
 
@@ -85,6 +86,8 @@ SHAPE_ENGINES = {
 def run_arm(algorithm, problem, arm, *, program=None, engine=None, **extra):
     """One run; returns (trace, frontier list, final state arrays)."""
     program = program or create(algorithm)
+    if arm == "push":
+        program = unfused(program)
     frontiers = []
     inner_apply = program.apply
 
@@ -96,8 +99,9 @@ def run_arm(algorithm, problem, arm, *, program=None, engine=None, **extra):
     if engine is None:
         engine_class = (ReferenceEngine if arm == "reference"
                         else SynchronousEngine)
-        engine = engine_class(EngineOptions(**{**ARMS[arm], **extra}))
-    trace = engine.run(program, problem)
+        engine = engine_class(EngineOptions(**extra))
+    with pull_from(PULL_FROM.get(arm, PULL_ACTIVE_FRACTION)):
+        trace = engine.run(program, problem)
     state = {name: arr for name, arr in vars(program).items()
              if isinstance(arr, np.ndarray)}
     return trace, frontiers, state
@@ -136,8 +140,7 @@ def test_direction_arms_bit_identical(algorithm, family, engine):
     problem = GRAPHS[family]()
     if engine is not None:
         build = SHAPE_ENGINES[engine]
-        base = run_arm(algorithm, problem, None, engine=build(),
-                       program=unfused(create(algorithm)))
+        base = run_arm(algorithm, problem, "push", engine=build())
         assert sum(r.messages for r in base[0].iterations) > 0
         assert_equivalent(base,
                           run_arm(algorithm, problem, None, engine=build()),
@@ -171,8 +174,9 @@ def test_weighted_sssp_and_jacobi_arms():
 
 
 def test_runtime_verification_hook(monkeypatch):
-    """The verifying kernels cross-check every fused gather, scatter
-    and stream against the callback path in-line (and pass)."""
+    """The verifying kernels cross-check every fused gather and scatter
+    against the callback path in-line (and pass) — and find a fused
+    evaluation on the synchronous engine only."""
     verifying = verify_fused(monkeypatch)
     problem = powerlaw_graph(1_000, 2.4, seed=23)
     for algorithm in ("pagerank", "kcore"):
@@ -181,9 +185,16 @@ def test_runtime_verification_hook(monkeypatch):
         # PageRank fuses both phases, K-Core its gather: at least one
         # cross-check per iteration, or the hook is not installed.
         assert verifying.checks >= trace.n_iterations
-    streamed = verifying.checks
-    trace = EdgeCentricEngine().run(create("cc"), problem)
-    assert verifying.checks >= streamed + trace.n_iterations
+    pulled = verifying.checks
+    # The other engines never read a declaration, so even a wrong one
+    # (``MisdeclaredCC`` below) changes nothing and there is nothing
+    # for the wrapper to check.
+    for build in SHAPE_ENGINES.values():
+        declared, wrong = create("cc"), MisdeclaredCC()
+        assert build().run(declared, problem).converged
+        assert build().run(wrong, problem).converged
+        np.testing.assert_array_equal(wrong.component, declared.component)
+    assert verifying.checks == pulled
 
 
 class MisdeclaredCC(type(create("cc"))):
@@ -193,21 +204,21 @@ class MisdeclaredCC(type(create("cc"))):
         return super().gather_source(ctx) + 1.0
 
 
-@pytest.mark.parametrize("engine", [
-    lambda: SynchronousEngine(EngineOptions(direction="pull")),
-    EdgeCentricEngine,
-    lambda: GraphCentricEngine(GraphCentricOptions(direction_threshold=0.0)),
-], ids=["synchronous", "edge-centric", "graph-centric"])
+@pytest.mark.parametrize("engine", [SynchronousEngine],
+                         ids=["synchronous"])
 def test_verifying_kernels_fail_a_misdeclared_gather_shape(
         monkeypatch, engine):
     """The oracle wrapper bites: a declared shape whose source vector
     disagrees with the callback runs unnoticed in production and fails
-    under the wrapper, on the first fused evaluation."""
+    under the wrapper, on the first fused evaluation — on the one
+    engine that has any."""
     problem = powerlaw_graph(400, 2.5, seed=3)
-    engine().run(MisdeclaredCC(), problem)  # production cannot tell
-    verify_fused(monkeypatch)
-    with pytest.raises(AssertionError, match="diverged from the callback"):
-        engine().run(MisdeclaredCC(), problem)
+    with pull_from(0.0):
+        engine().run(MisdeclaredCC(), problem)  # production cannot tell
+        verify_fused(monkeypatch)
+        with pytest.raises(AssertionError,
+                           match="diverged from the callback"):
+            engine().run(MisdeclaredCC(), problem)
 
 
 def test_build_rejects_unfusable_programs():
@@ -239,7 +250,7 @@ def test_reduce_block_matches_segmented_reduce():
     assert reduce_block(values, "min")[0] == values.min()
 
 
-def test_auto_switch_telemetry(tmp_path):
+def test_auto_switch_telemetry(tmp_path, monkeypatch):
     """A run that crosses the direction threshold mid-flight records
     per-mode iteration counters and the switch-point histogram."""
     from repro.obs.telemetry import configure, deactivate, get_telemetry
@@ -247,8 +258,8 @@ def test_auto_switch_telemetry(tmp_path):
     problem = powerlaw_graph(2_000, 2.3, seed=11)
     # PageRank's frontier decays gradually: with the threshold at 0.5
     # the run starts in pull mode and switches to push as it drains.
-    extra = dict(direction_threshold=0.5)
-    base = run_arm("pagerank", problem, "auto", **extra)
+    monkeypatch.setitem(PULL_FROM, "auto", 0.5)
+    base = run_arm("pagerank", problem, "auto")
     fractions = [r.active / problem.graph.n_vertices
                  for r in base[0].iterations]
     assert max(fractions) >= 0.5 > min(fractions), \
@@ -256,7 +267,7 @@ def test_auto_switch_telemetry(tmp_path):
 
     configure("full", run_id="dirsw")
     try:
-        run_arm("pagerank", problem, "auto", **extra)
+        run_arm("pagerank", problem, "auto")
         tel = get_telemetry()
         labels = dict(engine="synchronous", algorithm="pagerank")
         pulls = tel.counter_value("engine_direction_iterations_total",
@@ -273,17 +284,16 @@ def test_auto_switch_telemetry(tmp_path):
 
 
 def test_checkpoint_resume_across_direction_switch(tmp_path, monkeypatch):
-    """Killing an auto-direction run *before* its pull→push switch and
-    resuming replays the identical trace — the direction decision is a
-    pure function of (active_fraction, threshold), not of run history."""
+    """Killing a run *before* its pull→push switch and resuming replays
+    the identical trace — the direction decision is a pure function of
+    (active_fraction, threshold), not of run history."""
     from repro.engine.checkpoint import INJECT_KILL_ENV, SimulatedKillError
 
     problem = powerlaw_graph(2_000, 2.3, seed=11)
-    options = dict(direction="auto", direction_threshold=0.5)
+    monkeypatch.setattr("repro.engine.engine.PULL_ACTIVE_FRACTION", 0.5)
 
     base_program = create("pagerank")
-    base = SynchronousEngine(EngineOptions(**options)).run(
-        base_program, problem)
+    base = SynchronousEngine().run(base_program, problem)
     fractions = [r.active / problem.graph.n_vertices
                  for r in base.iterations]
     switch_at = next(i for i, f in enumerate(fractions) if f < 0.5)
@@ -296,7 +306,7 @@ def test_checkpoint_resume_across_direction_switch(tmp_path, monkeypatch):
     # Die right after the snapshot covering the pre-switch iteration.
     monkeypatch.setenv(INJECT_KILL_ENV, f"{key}:{switch_at - 1}")
     with pytest.raises(SimulatedKillError):
-        SynchronousEngine(EngineOptions(checkpoint=config, **options)).run(
+        SynchronousEngine(EngineOptions(checkpoint=config)).run(
             create("pagerank"), problem)
     monkeypatch.delenv(INJECT_KILL_ENV)
     assert store.latest_iteration(key) == switch_at
@@ -305,8 +315,7 @@ def test_checkpoint_resume_across_direction_switch(tmp_path, monkeypatch):
     config = CheckpointConfig(store=SnapshotStore(tmp_path),
                               policy=CheckpointPolicy.parse("1"),
                               key=key, resume=True)
-    trace = SynchronousEngine(
-        EngineOptions(checkpoint=config, **options)).run(
+    trace = SynchronousEngine(EngineOptions(checkpoint=config)).run(
         resumed_program, problem)
 
     assert trace.meta["resumed_from_iteration"] == switch_at
@@ -326,8 +335,9 @@ def test_verify_env_name_is_stable(monkeypatch):
     old name, still set in somebody's shell, is inert — a mis-declared
     program runs, and only the wrapper above catches it."""
     monkeypatch.setenv("REPRO_VERIFY_FUSED", "1")
-    trace = SynchronousEngine(EngineOptions(direction="pull")).run(
-        MisdeclaredCC(), powerlaw_graph(400, 2.5, seed=3))
+    with pull_from(0.0):
+        trace = SynchronousEngine().run(
+            MisdeclaredCC(), powerlaw_graph(400, 2.5, seed=3))
     assert trace.n_iterations >= 1
 
 

@@ -90,6 +90,26 @@ def test_the_engine_oracles_left_src():
 
 
 # ----------------------------------------------------------------------
+# One fused step: the synchronous engine's pull decision is the only
+# caller that asks for a dense kernel, and nothing steers it by option
+# ----------------------------------------------------------------------
+def test_only_the_synchronous_step_asks_for_a_dense_kernel():
+    dense_callers = set()
+    for path in sorted((SRC / "engine").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Call) and any(
+                    keyword.arg == "dense" for keyword in node.keywords):
+                dense_callers.add(path.relative_to(SRC).as_posix())
+            if (isinstance(node, ast.ClassDef)
+                    and node.name.endswith("Options")):
+                for stmt in node.body:
+                    assert not (isinstance(stmt, ast.AnnAssign)
+                                and stmt.target.id.startswith("direction")), \
+                        f"{node.name}.{stmt.target.id} in {path}"
+    assert dense_callers == {"engine/engine.py"}
+
+
+# ----------------------------------------------------------------------
 # One way to build a frontier set: the engine knows its ids lie in
 # [0, n), so it never pays for a general-purpose ``unique``
 # ----------------------------------------------------------------------

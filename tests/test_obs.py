@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro._util.errors import ValidationError
+from repro.behavior.run import run_computation
 from repro.obs.events import (
     EventLog,
     follow_events,
@@ -21,7 +22,6 @@ from repro.obs.export import (
     write_telemetry_json,
 )
 from repro.obs.telemetry import (
-    BASIC_SAMPLE_EVERY,
     OBS_ENV,
     EngineObserver,
     Histogram,
@@ -49,7 +49,13 @@ class TestObsLevels:
 
     def test_explicit_level_wins(self, monkeypatch):
         monkeypatch.setenv(OBS_ENV, "full")
-        assert resolve_obs_level("basic") == "basic"
+        assert resolve_obs_level("off") == "off"
+        # The sampled middle level left: naming it is an error, not a
+        # silent fallback to one of the two that remain.
+        with pytest.raises(ValidationError):
+            resolve_obs_level("basic")
+        with pytest.raises(ValidationError):
+            Telemetry(level="basic")
 
     def test_env_fallback(self, monkeypatch):
         monkeypatch.setenv(OBS_ENV, "full")
@@ -125,7 +131,7 @@ class TestTelemetryRegistry:
                                   "histograms": {}}
 
     def test_labeled_series_are_distinct(self):
-        tel = Telemetry(level="basic")
+        tel = Telemetry(level="full")
         tel.inc("cells", status="ok")
         tel.inc("cells", status="ok")
         tel.inc("cells", status="failed")
@@ -134,7 +140,7 @@ class TestTelemetryRegistry:
         assert tel.counter_total("cells") == 3.0
 
     def test_gauge_keeps_maximum(self):
-        tel = Telemetry(level="basic")
+        tel = Telemetry(level="full")
         tel.gauge_max("peak", 10.0)
         tel.gauge_max("peak", 4.0)
         tel.gauge_max("peak", 12.0)
@@ -142,12 +148,12 @@ class TestTelemetryRegistry:
         assert snap["gauges"]["peak"][0]["value"] == 12.0
 
     def test_merge_snapshot_sums_counters_maxes_gauges(self):
-        parent = Telemetry(level="basic")
+        parent = Telemetry(level="full")
         parent.inc("cells", 2.0, status="ok")
         parent.gauge_max("peak_rss_bytes", 100.0)
         parent.observe("lat", 1.0)
 
-        worker = Telemetry(level="basic")
+        worker = Telemetry(level="full")
         worker.inc("cells", 3.0, status="ok")
         worker.gauge_max("peak_rss_bytes", 250.0)
         worker.observe("lat", 3.0)
@@ -161,7 +167,7 @@ class TestTelemetryRegistry:
 
     def test_merge_is_associative_on_registries(self):
         def fresh(n):
-            t = Telemetry(level="basic")
+            t = Telemetry(level="full")
             t.inc("c", n, kind="x")
             t.gauge_max("g", n * 10.0)
             return t
@@ -189,7 +195,7 @@ class TestSpan:
         assert tel.histogram("work_seconds") is None
 
     def test_records_histogram_and_late_labels(self):
-        tel = Telemetry(level="basic")
+        tel = Telemetry(level="full")
         with tel.span("materialize") as sp:
             sp.set(source="shm")
         hist = tel.histogram("materialize_seconds", source="shm")
@@ -212,7 +218,7 @@ class TestSpan:
         assert ev["seconds"] >= 0.0
 
     def test_records_on_exception(self):
-        tel = Telemetry(level="basic")
+        tel = Telemetry(level="full")
         with pytest.raises(RuntimeError):
             with tel.span("engine_run"):
                 raise RuntimeError("boom")
@@ -224,12 +230,19 @@ class TestEngineObserver:
         deactivate()
         assert engine_observer("synchronous", "cc") is None
 
-    def test_sampling_rate_by_level(self):
-        basic = EngineObserver(Telemetry(level="basic"), "e", "a")
-        full = EngineObserver(Telemetry(level="full"), "e", "a")
-        basic_hits = sum(basic.sampled(i) for i in range(64))
-        assert basic_hits == 64 // BASIC_SAMPLE_EVERY
-        assert all(full.sampled(i) for i in range(64))
+    def test_sampling_rate_by_level(self, ga_problem):
+        """Two levels, two rates: no observer at ``off``, every
+        iteration timed at ``full``."""
+        deactivate()
+        run_computation("cc", ga_problem)
+        assert get_telemetry().histogram(
+            "engine_iteration_seconds", engine="synchronous",
+            algorithm="cc") is None
+        tel = configure("full")
+        trace = run_computation("cc", ga_problem)
+        assert tel.histogram(
+            "engine_iteration_seconds", engine="synchronous",
+            algorithm="cc").count == trace.n_iterations >= 2
 
     def test_iteration_totals_and_sampled_timing(self):
         tel = Telemetry(level="full")
@@ -238,7 +251,7 @@ class TestEngineObserver:
                       messages=20, seconds=0.5,
                       phases={"gather": 0.2, "apply": 0.3})
         obs.iteration(iteration=1, active=4, updates=4, edge_reads=16,
-                      messages=8)  # unsampled: totals only
+                      messages=8)  # untimed: totals only
         labels = {"engine": "synchronous", "algorithm": "cc"}
         assert tel.counter_value("engine_iterations_total",
                                  **labels) == 2.0
@@ -381,7 +394,7 @@ class TestMergeSinks:
 
 class TestExporters:
     def _snapshot(self):
-        tel = Telemetry(level="basic")
+        tel = Telemetry(level="full")
         tel.inc("corpus_cells_total", 3.0, status="ok")
         tel.gauge_max("peak_rss_bytes", 1024.0)
         tel.observe("engine_iteration_seconds", 0.25,
@@ -390,7 +403,7 @@ class TestExporters:
 
     def test_telemetry_json_roundtrip(self, tmp_path):
         write_telemetry_json(tmp_path, self._snapshot(), run="abc",
-                             level="basic")
+                             level="full")
         payload = load_telemetry(tmp_path)
         assert payload["schema"] == 1
         assert payload["run"] == "abc"
@@ -409,7 +422,7 @@ class TestGlobalConfigure:
         tel = configure("full", run_id="r9",
                         events_path=tmp_path / "events.jsonl")
         assert get_telemetry() is tel
-        assert tel.full and tel.run_id == "r9"
+        assert tel.enabled and tel.run_id == "r9"
         deactivate()
         assert not get_telemetry().enabled
 

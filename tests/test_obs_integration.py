@@ -78,7 +78,7 @@ class TestFullObsBuild:
         build_corpus(TINY, store=store, workers=1)  # warm, no obs
         obs_dir = tmp_path / "obs"
         corpus = build_corpus(TINY, store=store, workers=1,
-                              obs="basic", obs_dir=obs_dir)
+                              obs="full", obs_dir=obs_dir)
         assert corpus.n_executed == 0
         payload = load_telemetry(obs_dir)
         by_source = {
@@ -93,15 +93,14 @@ class TestFullObsBuild:
 class TestObsDoesNotPerturbBehavior:
     def test_vectors_bit_identical_across_levels(self, tmp_path):
         """The acceptance bar: under the unit work model the behavior
-        corpus is byte-for-byte identical at obs off/basic/full."""
+        corpus is byte-for-byte identical at obs off/full."""
         fingerprints = {}
-        for level in ("off", "basic", "full"):
+        for level in ("off", "full"):
             corpus = build_corpus(
                 TINY, store=ResultStore(tmp_path / f"cache-{level}"),
                 workers=1, obs=level, obs_dir=tmp_path / f"obs-{level}")
             assert not corpus.unexpected_failures
             fingerprints[level] = _vector_fingerprint(corpus)
-        assert fingerprints["off"] == fingerprints["basic"]
         assert fingerprints["off"] == fingerprints["full"]
 
     def test_off_level_writes_nothing(self, tmp_path):

@@ -444,15 +444,16 @@ class TestEngineOptionValidation:
         assert not hasattr(WorkModel(), "unit_scale")
 
     def test_engine_options_validate_unit_scale(self):
+        """The unit scale had one value everywhere: a constant beside
+        ``WorkModel`` now, not an option to validate."""
         from repro.engine.engine import EngineOptions
+        from repro.engine.instrumentation import UNIT_SCALE
 
-        with pytest.raises(ValidationError):
-            EngineOptions(unit_scale=0.0)
-        with pytest.raises(ValidationError):
-            EngineOptions(unit_scale=-1e-9)
+        with pytest.raises(TypeError):
+            EngineOptions(unit_scale=1e-6)
+        assert UNIT_SCALE == 1e-9
         with pytest.raises(ValidationError):
             EngineOptions(memory_budget_bytes=0)
-        EngineOptions(unit_scale=1e-6)  # valid
 
     def test_profile_validates_resilience_knobs(self):
         with pytest.raises(ValidationError):

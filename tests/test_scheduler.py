@@ -577,7 +577,7 @@ class TestLeaseExpiryIntegration:
         corpus = build_corpus(
             SCHED_PROFILE, store=ResultStore(tmp_path / "cache"),
             workers=2, lease_timeout_s=1.5, heartbeat_every_s=0.2,
-            obs="basic", obs_dir=obs_dir)
+            obs="full", obs_dir=obs_dir)
         assert not list(token_dir.iterdir()), \
             "the stall never fired — the harness tested nothing"
         assert corpus.lease_expiries >= 1

@@ -13,6 +13,7 @@ from repro._util.segments import (
     segmented_reduce,
     sorted_unique_ids,
 )
+from repro.engine.kernels import _Side, reduce_block
 from repro.engine.loop import canonical_frontier
 
 
@@ -139,13 +140,60 @@ class TestSegmentedReduce:
             if c == 0:
                 assert got[i] == REDUCE_IDENTITY[op]
             else:
-                # atol scaled to the summands: reduceat sums
-                # sequentially, np.sum pairwise, so a nearly-cancelling
+                # atol scaled to the summands: reduceat and np.sum
+                # associate differently, so a nearly-cancelling
                 # segment leaves a roundoff-sized difference that no
                 # pure rtol on the tiny result can absorb.
                 np.testing.assert_allclose(got[i], fn(vals[pos:pos + c]),
                                            rtol=1e-12, atol=1e-12 * 10 * c)
             pos += c
+
+
+class TestReduceatContract:
+    """The numeric contract (DESIGN §13): every float reducer is
+    ``np.ufunc.reduceat``, so the kernel paths agree with each other
+    bit for bit — in an order NumPy owns, which is not left to right.
+    Swap any of the three for ``np.sum`` or a SciPy product and it
+    sums these rows left to right instead."""
+
+    #: Three rows (the middle one empty) whose left-to-right float sums
+    #: are not what ``reduceat`` returns.
+    COUNTS = np.array([3, 0, 4])
+    VALUES = np.array([0.1, 0.2, 0.3, 1.0, 2.0 ** 53, 1.0, -2.0 ** 53])
+    REDUCEAT = np.add.reduceat(VALUES, [0, 3])
+
+    @staticmethod
+    def left_to_right(values):
+        total = values[0]
+        for value in values[1:]:
+            total = total + value
+        return total
+
+    def test_fixture_distinguishes_the_orders(self):
+        rows = (self.VALUES[:3], self.VALUES[3:])
+        for got, row in zip(self.REDUCEAT, rows):
+            assert got != self.left_to_right(row)
+            assert self.left_to_right(row) == np.sum(row)
+        from scipy import sparse
+
+        spmv = sparse.csr_matrix(
+            (self.VALUES, np.arange(7), [0, 3, 3, 7])).dot(np.ones(7))
+        assert spmv[0] != self.REDUCEAT[0] and spmv[2] != self.REDUCEAT[1]
+
+    def test_every_reducer_is_reduceat(self):
+        want = [self.REDUCEAT[0], 0.0, self.REDUCEAT[1]]
+        got = segmented_reduce(self.VALUES, self.COUNTS, "sum")
+        assert got.tolist() == want
+        # ... and on its branch for counts without an empty row.
+        got = segmented_reduce(self.VALUES, self.COUNTS[[0, 2]], "sum")
+        assert got.tolist() == self.REDUCEAT.tolist()
+        for row, expected in ((self.VALUES[:3], self.REDUCEAT[0]),
+                              (self.VALUES[3:], self.REDUCEAT[1])):
+            assert reduce_block(row, "sum").tolist() == [expected]
+        ptr = np.concatenate(([0], np.cumsum(self.COUNTS)))
+        side = _Side(ptr, np.zeros(7, dtype=np.int64),
+                     np.arange(7, dtype=np.int64))
+        assert side.reduce(self.VALUES, "sum").tolist() == want
 
 
 class TestSortedUniqueIds:

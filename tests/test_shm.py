@@ -195,7 +195,7 @@ class TestCorpusGraphPlane:
         corpus = build_corpus(TINY_PROFILE,
                               store=ResultStore(tmp_path / "plane"),
                               workers=2, progress=lines.append,
-                              obs="basic", obs_dir=tmp_path / "obs")
+                              obs="full", obs_dir=tmp_path / "obs")
 
         assert corpus.graph_plane
         # Worker registries merge back into the build's, so this is

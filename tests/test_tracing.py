@@ -222,6 +222,18 @@ def _write_bench(root, speedup, fast_wall=1.0):
          "label": "x"}), encoding="utf-8")
 
 
+def _write_engine_bench(root, monitor_overhead=1.08, speedup=2.8,
+                        over_floor=2.5):
+    root.mkdir(parents=True, exist_ok=True)
+    (root / "BENCH_engine.json").write_text(json.dumps(
+        {"speedup": {"pagerank/sync": speedup},
+         "fused_step_over_floor": {"pagerank/sync": over_floor},
+         "monitor_overhead": monitor_overhead,
+         "workloads": {"pagerank/sync": {"arms": {
+             "pull": {"best_s": 0.04, "edges_per_s": 6e7}}}}}),
+        encoding="utf-8")
+
+
 class TestBenchCompare:
     def test_ratio_regressions_warn_then_fail(self, tmp_path):
         _write_bench(tmp_path / "base", speedup=2.0)
@@ -279,6 +291,26 @@ class TestBenchCompare:
                      str(tmp_path / "cand")]) == 1
         assert main(["bench", "compare", str(tmp_path / "base"),
                      str(tmp_path / "base")]) == 0
+        capsys.readouterr()
+
+    def test_engine_ratios_are_gated(self, tmp_path, capsys):
+        """The engine artifact's three ratios fail the command, not
+        only its (informational) walls: a monitor 30 % dearer, a fused
+        step 30 % further from its floor, a speedup 30 % smaller."""
+        from repro.cli import main
+        base = tmp_path / "base"
+        _write_engine_bench(base)
+        assert main(["bench", "compare", str(base), str(base)]) == 0
+        for n, moved in enumerate((dict(monitor_overhead=1.08 * 1.3),
+                                   dict(over_floor=2.5 * 1.3),
+                                   dict(speedup=2.8 * 0.7))):
+            cand = tmp_path / f"cand{n}"
+            _write_engine_bench(cand, **moved)
+            report = compare_artifacts(base, cand)
+            failed = [e["path"] for e in report["entries"]
+                      if e["status"] == "fail"]
+            assert len(failed) == 1, (moved, failed)
+            assert main(["bench", "compare", str(base), str(cand)]) == 1
         capsys.readouterr()
 
     def test_named_artifact_absent_from_either_side_fails(self, tmp_path,
