@@ -27,8 +27,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.experiments.config import ExperimentMatrix, Profile
-from repro.experiments.corpus import build_corpus, run_cache_key
+from repro.experiments.config import Profile
+from repro.experiments.corpus import build_corpus
 from repro.experiments.results import ResultStore
 from repro.obs.critpath import critical_path, render_critical_path
 from repro.obs.events import read_all_events

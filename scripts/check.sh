@@ -13,10 +13,10 @@ cd "$(dirname "$0")/.."
 
 if command -v ruff >/dev/null 2>&1; then
     echo "== ruff check =="
-    ruff check src tests benchmarks examples
+    ruff check src tests benchmarks examples scripts
 else
     echo "== lint fallback (ruff not installed) =="
-    python scripts/lint_fallback.py src tests benchmarks examples
+    python scripts/lint_fallback.py src tests benchmarks examples scripts
 fi
 
 echo "== tier-1 tests =="

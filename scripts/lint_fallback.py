@@ -10,7 +10,7 @@ refactor most often trips, stdlib only.
 - trailing whitespace (W291 / W293).
 
 Usage: ``python scripts/lint_fallback.py [paths...]`` (default: ``src
-tests benchmarks examples``, the trees ``scripts/check.sh`` hands to
+tests benchmarks examples scripts``, the trees ``scripts/check.sh`` hands to
 ``ruff check``). Exits 1 when anything is reported.
 """
 
@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-DEFAULT_PATHS = ("src", "tests", "benchmarks", "examples")
+DEFAULT_PATHS = ("src", "tests", "benchmarks", "examples", "scripts")
 
 
 def line_length() -> int:

@@ -6,7 +6,8 @@ structure, we need (a) the concatenation of all adjacency slots
 (``concat_ranges``) and (b) a per-vertex reduction over per-edge values
 (``segmented_reduce``), both without Python-level loops; and behind
 every frontier the engine builds, (c) the sorted set of a batch of
-vertex ids (``sorted_unique_ids``).
+vertex ids (``sorted_unique_ids``). Graph construction's one dedup
+rule, (d) ``first_occurrences``, sits beside it.
 
 ``np.ufunc.reduceat`` has two sharp edges that this module papers over:
 
@@ -99,6 +100,22 @@ def sorted_unique_ids(ids: np.ndarray, n: int) -> np.ndarray:
     flags = np.zeros(n, dtype=bool)
     flags[np.asarray(ids)] = True
     return np.flatnonzero(flags).astype(np.int64, copy=False)
+
+
+def first_occurrences(key: np.ndarray) -> np.ndarray:
+    """Ascending positions of the first occurrence of every distinct
+    value of ``key``: ``np.sort(np.unique(key, return_index=True)[1])``.
+
+    ``key[first_occurrences(key)]`` is ``key`` deduplicated in input
+    order with the first occurrence winning — the one dedup rule of
+    graph construction (DESIGN §5). One stable sort; the positions come
+    back ordered from a flag scatter, not a second sort.
+    """
+    order = np.argsort(key, kind="stable")
+    ranked = key[order]
+    leads = np.ones(key.size, dtype=bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=leads[1:])
+    return sorted_unique_ids(order[leads], key.size)
 
 
 def segment_offsets(counts: np.ndarray) -> np.ndarray:

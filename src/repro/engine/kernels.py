@@ -132,14 +132,24 @@ def adjacency(graph: "Graph", direction: Direction):
         "symmetrize the graph")
 
 
-def _side(graph: "Graph", direction: Direction) -> "_Side | None":
+def _side(graph: "Graph", direction: Direction,
+          twin: "_Side | None" = None) -> "_Side | None":
+    """The direction's side — ``twin`` itself when it already holds
+    these arrays, so what it derived from them is built once."""
     ptr, idx, eid = adjacency(graph, direction)
-    return None if ptr is None else _Side(ptr, idx, eid)
+    if ptr is None:
+        return None
+    if twin is not None and twin.ptr is ptr:
+        return twin
+    return _Side(ptr, idx, eid)
 
 
 class _Side:
-    """One traversal direction's adjacency and the full-graph arrays
-    derived from it, each built on first use and kept for the run.
+    """One stored adjacency and the full-graph arrays derived from it,
+    each built on first use and kept for the run. A side belongs to
+    the arrays, not to a ``Direction``: an undirected graph stores one
+    adjacency (``graph/csr.py``), so its gather and scatter share one
+    side whatever directions the program names.
 
     ``ptr[:-1]`` restricted to non-empty rows is a valid ``reduceat``
     index vector: an empty row spans no slots, so the next non-empty
@@ -221,11 +231,10 @@ class Kernels:
         self.program = program
         self.graph = graph
         self._gather_side = _side(graph, program.gather_dir)
-        # One object when both phases traverse the same direction: its
-        # full-frontier arrays are then built once.
-        self._scatter_side = (
-            self._gather_side if program.scatter_dir is program.gather_dir
-            else _side(graph, program.scatter_dir))
+        # One object when both phases traverse the same arrays: the
+        # same direction, or any two on an undirected graph.
+        self._scatter_side = _side(graph, program.scatter_dir,
+                                   self._gather_side)
         shape = getattr(program, "gather_shape", None)
         #: The program's gather has a fused dense evaluation.
         self.can_gather = (

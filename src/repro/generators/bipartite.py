@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._util.errors import GraphConstructionError, ValidationError
+from repro._util.errors import ValidationError
+from repro.generators.pairs import distinct_pairs
 from repro.generators.powerlaw import _truncated_power_law
 from repro.generators.problem import ProblemInstance
 from repro.generators.rng import make_rng
 from repro.graph.csr import Graph
-
-_MAX_REDRAW_ROUNDS = 60
 
 #: Gaussian rating parameters (mean star rating and spread).
 RATING_MEAN = 3.5
@@ -36,7 +35,6 @@ def bipartite_rating_graph(
     alpha: float,
     *,
     seed: int = 0,
-    edge_tolerance: float = 0.02,
 ) -> ProblemInstance:
     """Generate a user-item rating graph with ``~nedges`` ratings.
 
@@ -69,40 +67,13 @@ def bipartite_rating_graph(
     user_p = user_w / user_w.sum()
     item_p = item_w / item_w.sum()
 
-    target = nedges
-    seen: set[int] = set()
-    users: list[np.ndarray] = []
-    items: list[np.ndarray] = []
-    collected = 0
-    for _ in range(_MAX_REDRAW_ROUNDS):
-        need = target - collected
-        if need <= 0:
-            break
-        batch = max(1024, int(need * 1.25))
+    def draw(batch: int) -> tuple[np.ndarray, np.ndarray]:
         u = rng_pair.choice(n_users, size=batch, p=user_p).astype(np.int64)
         it = rng_pair.choice(n_items, size=batch, p=item_p).astype(np.int64)
-        key = u * np.int64(n_items) + it
-        _, first = np.unique(key, return_index=True)
-        first.sort()
-        u, it, key = u[first], it[first], key[first]
-        fresh = np.fromiter((k not in seen for k in key.tolist()),
-                            dtype=bool, count=key.size)
-        u, it, key = u[fresh], it[fresh], key[fresh]
-        if u.size > need:
-            u, it, key = u[:need], it[:need], key[:need]
-        seen.update(key.tolist())
-        users.append(u)
-        items.append(it)
-        collected += u.size
-    if abs(collected - target) > edge_tolerance * target:
-        raise GraphConstructionError(
-            f"could not reach {target} ratings (got {collected}) for "
-            f"nedges={nedges}, alpha={alpha}"
-        )
+        return u, it
 
-    src = np.concatenate(users) if users else np.empty(0, dtype=np.int64)
-    dst = (np.concatenate(items) if items
-           else np.empty(0, dtype=np.int64)) + n_users
+    src, items = distinct_pairs(draw, nedges, n_items)
+    dst = items + n_users
     ratings = np.clip(
         rng_rate.normal(RATING_MEAN, RATING_STD, size=src.size),
         *RATING_RANGE,

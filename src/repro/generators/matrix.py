@@ -68,14 +68,10 @@ def matrix_problem(
         (np.sort(cols, axis=1)[:, 1:]
          == np.sort(cols, axis=1)[:, :-1]).any(axis=1)
     ):
-        chosen: set[int] = set()
         for j in range(row_degree):
             c = int(cols[i, j])
-            while c in chosen or c == i:
+            while c == i or c in cols[i, :j]:
                 c = (c + 1) % nrows
-                if c == i:
-                    c = (c + 1) % nrows
-            chosen.add(c)
             cols[i, j] = c
     cols_flat = cols.ravel().astype(np.int64)
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro._util.errors import ValidationError
 from repro.generators.grid import lattice_edges
+from repro.generators.pairs import distinct_pairs
 from repro.generators.problem import ProblemInstance
 from repro.generators.rng import make_rng
 from repro.graph.io import PairwiseMRF
@@ -59,26 +60,18 @@ def mrf_problem(
     rng_chords = make_rng(seed, "mrf", "chords")
     rng_pots = make_rng(seed, "mrf", "potentials")
 
-    existing = set((int(u) * n + int(v)) for u, v in zip(src, dst))
-    chords_u: list[int] = []
-    chords_v: list[int] = []
-    while len(chords_u) < nedges - src.size:
-        u = int(rng_chords.integers(0, n))
-        v = int(rng_chords.integers(0, n))
-        if u == v:
-            continue
-        lo, hi = (u, v) if u < v else (v, u)
-        key = lo * n + hi
-        if key in existing:
-            continue
-        existing.add(key)
-        chords_u.append(lo)
-        chords_v.append(hi)
+    def draw(batch: int) -> tuple[np.ndarray, np.ndarray]:
+        pairs = rng_chords.integers(0, n, size=(batch, 2))
+        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        # A chord joins two distinct pixels that are not lattice
+        # neighbours (right: lo + 1 in the same row; down: lo + side).
+        gap = hi - lo
+        chord = (gap != 0) & (gap != side) & ((gap != 1) | (hi % side == 0))
+        return lo[chord], hi[chord]
 
-    pair_vars = np.column_stack([
-        np.concatenate([src, np.asarray(chords_u, dtype=np.int64)]),
-        np.concatenate([dst, np.asarray(chords_v, dtype=np.int64)]),
-    ])
+    chords_u, chords_v = distinct_pairs(draw, nedges - src.size, n)
+    pair_vars = np.column_stack([np.concatenate([src, chords_u]),
+                                 np.concatenate([dst, chords_v])])
 
     cards = np.full(n, n_states, dtype=np.int64)
     unary = [rng_pots.normal(0.0, 1.0, size=n_states) for _ in range(n)]

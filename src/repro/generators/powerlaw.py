@@ -26,15 +26,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._util.errors import GraphConstructionError, ValidationError
+from repro._util.errors import ValidationError
+from repro.generators.pairs import distinct_pairs
 from repro.generators.problem import ProblemInstance
 from repro.generators.rng import make_rng
 from repro.graph.csr import Graph
 
 #: Range of α seen in real-world scale-free graphs (paper Section 2.2).
 ALPHA_REAL_WORLD = (2.0, 3.0)
-
-_MAX_REDRAW_ROUNDS = 60
 
 
 def _truncated_power_law(alpha: float,
@@ -54,7 +53,6 @@ def powerlaw_graph(
     directed: bool = False,
     with_points: bool = False,
     with_weights: bool = False,
-    edge_tolerance: float = 0.02,
 ) -> ProblemInstance:
     """Generate a scale-free graph with ``~nedges`` edges and exponent ``α``.
 
@@ -62,8 +60,8 @@ def powerlaw_graph(
     ----------
     nedges:
         Target number of (logical) edges. The achieved count is within
-        ``edge_tolerance`` of the target or a
-        :class:`GraphConstructionError` is raised.
+        :data:`~repro.generators.pairs.EDGE_TOLERANCE` of the target
+        or a :class:`GraphConstructionError` is raised.
     alpha:
         Power-law exponent; the paper sweeps 2.0–3.0.
     seed:
@@ -75,8 +73,6 @@ def powerlaw_graph(
         Attach Gaussian 2-D data points per vertex (Clustering domain).
     with_weights:
         Attach Gaussian edge weights.
-    edge_tolerance:
-        Acceptable relative deviation of the final edge count.
 
     Returns
     -------
@@ -100,50 +96,17 @@ def powerlaw_graph(
     weights = rng_deg.choice(ks, size=n, p=pmf).astype(np.float64)
     endpoint_p = weights / weights.sum()
 
-    target = nedges
-    seen: set[tuple[int, int]] = set()
-    srcs: list[np.ndarray] = []
-    dsts: list[np.ndarray] = []
-    collected = 0
-    for _ in range(_MAX_REDRAW_ROUNDS):
-        need = target - collected
-        if need <= 0:
-            break
-        # Oversample to absorb self-loop/duplicate losses.
-        batch = max(1024, int(need * 1.25))
+    def draw(batch: int) -> tuple[np.ndarray, np.ndarray]:
         draws = rng_pair.choice(n, size=2 * batch, p=endpoint_p)
         u = draws[:batch].astype(np.int64)
         v = draws[batch:].astype(np.int64)
         keep = u != v
         u, v = u[keep], v[keep]
-        if not directed:
-            lo = np.minimum(u, v)
-            hi = np.maximum(u, v)
-            u, v = lo, hi
-        # In-batch dedup, then dedup against earlier batches.
-        key = u * np.int64(n) + v
-        _, first = np.unique(key, return_index=True)
-        first.sort()
-        u, v, key = u[first], v[first], key[first]
-        fresh = np.fromiter((k not in seen for k in key.tolist()),
-                            dtype=bool, count=key.size)
-        u, v, key = u[fresh], v[fresh], key[fresh]
-        if u.size > need:
-            u, v, key = u[:need], v[:need], key[:need]
-        seen.update(key.tolist())
-        srcs.append(u)
-        dsts.append(v)
-        collected += u.size
-    achieved = collected
-    if abs(achieved - target) > edge_tolerance * target:
-        raise GraphConstructionError(
-            f"could not reach {target} edges (got {achieved}) for "
-            f"nedges={nedges}, alpha={alpha}; the weight distribution may "
-            f"be too concentrated"
-        )
+        if directed:
+            return u, v
+        return np.minimum(u, v), np.maximum(u, v)
 
-    src = np.concatenate(srcs) if srcs else np.empty(0, dtype=np.int64)
-    dst = np.concatenate(dsts) if dsts else np.empty(0, dtype=np.int64)
+    src, dst = distinct_pairs(draw, nedges, n)
 
     edge_weight = None
     if with_weights:
@@ -154,7 +117,7 @@ def powerlaw_graph(
         n, src, dst,
         weight=edge_weight,
         directed=directed,
-        dedup=False,  # already deduped above
+        dedup=False,  # distinct_pairs returns distinct pairs
         drop_self_loops=False,
         meta={"generator": "powerlaw", "nedges": nedges, "alpha": alpha,
               "seed": seed},

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._util.errors import GraphConstructionError, ValidationError
+from repro._util.errors import ValidationError
+from repro._util.segments import first_occurrences
+from repro.generators.pairs import distinct_pairs
 from repro.generators.problem import ProblemInstance
 from repro.generators.rng import make_rng
 from repro.graph.csr import Graph
-
-_MAX_REDRAW_ROUNDS = 60
 
 
 def erdos_renyi_graph(
@@ -32,7 +32,6 @@ def erdos_renyi_graph(
     *,
     mean_degree: float = 8.0,
     seed: int = 0,
-    edge_tolerance: float = 0.02,
 ) -> ProblemInstance:
     """G(n, m) with ``n`` derived from the requested mean degree."""
     if nedges < 1:
@@ -42,40 +41,16 @@ def erdos_renyi_graph(
     n = max(2, int(round(2.0 * nedges / mean_degree)))
     rng = make_rng(seed, "uniform", "er")
 
-    seen: set[int] = set()
-    srcs: list[np.ndarray] = []
-    dsts: list[np.ndarray] = []
-    collected = 0
-    for _ in range(_MAX_REDRAW_ROUNDS):
-        need = nedges - collected
-        if need <= 0:
-            break
-        batch = max(1024, int(need * 1.2))
+    def draw(batch: int) -> tuple[np.ndarray, np.ndarray]:
         u = rng.integers(0, n, size=batch)
         v = rng.integers(0, n, size=batch)
         keep = u != v
         u, v = u[keep], v[keep]
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
-        key = lo * np.int64(n) + hi
-        _, first = np.unique(key, return_index=True)
-        first.sort()
-        lo, hi, key = lo[first], hi[first], key[first]
-        fresh = np.fromiter((k not in seen for k in key.tolist()),
-                            dtype=bool, count=key.size)
-        lo, hi, key = lo[fresh], hi[fresh], key[fresh]
-        if lo.size > need:
-            lo, hi, key = lo[:need], hi[:need], key[:need]
-        seen.update(key.tolist())
-        srcs.append(lo)
-        dsts.append(hi)
-        collected += lo.size
-    if abs(collected - nedges) > edge_tolerance * nedges:
-        raise GraphConstructionError(
-            f"could not reach {nedges} edges (got {collected})"
-        )
+        return np.minimum(u, v), np.maximum(u, v)
+
+    lo, hi = distinct_pairs(draw, nedges, n, oversample=1.2)
     graph = Graph.from_edges(
-        n, np.concatenate(srcs), np.concatenate(dsts),
+        n, lo, hi,
         directed=False, dedup=False, drop_self_loops=False,
         meta={"generator": "erdos-renyi", "nedges": nedges, "seed": seed},
     )
@@ -115,10 +90,8 @@ def regular_graph(
         keep = u != v
         lo = np.minimum(u[keep], v[keep])
         hi = np.maximum(u[keep], v[keep])
-        key = lo * np.int64(n_vertices) + hi
-        _, first = np.unique(key, return_index=True)
+        first = first_occurrences(lo * np.int64(n_vertices) + hi)
         if best is None or first.size > best[0]:
-            first.sort()
             best = (first.size, lo[first], hi[first])
         if best[0] == stubs.size // 2:
             break

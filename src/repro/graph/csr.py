@@ -1,11 +1,16 @@
 """Immutable CSR (compressed sparse row) graph.
 
 The :class:`Graph` is the single graph representation used by the whole
-library. It stores a directed adjacency in both orientations (out-edges
-and in-edges) so the GAS engine can gather over either direction with
+library. It exposes the adjacency in both orientations (out-edges and
+in-edges) so the GAS engine can gather over either direction with
 contiguous slices, plus an *edge id* per adjacency slot so that the two
 orientations (and, for undirected graphs, the two arcs of one logical
-edge) share one weight/state slot.
+edge) share one weight/state slot. A directed graph stores two CSRs; an
+undirected graph's two orientations are equal element for element, so
+it stores one and its ``in_*`` attributes *are* its ``out_*`` arrays
+(as the GAP reference ``CSRGraph`` does). The construction contract —
+canonical ``(lo, hi)``, first occurrence wins, slot order, edge ids —
+is DESIGN §5.
 
 Terminology
 -----------
@@ -24,10 +29,11 @@ from functools import cached_property
 import numpy as np
 
 from repro._util.errors import GraphConstructionError, ValidationError
+from repro._util.segments import first_occurrences
 
 
 class Graph:
-    """Immutable graph in dual-CSR form.
+    """Immutable CSR graph, readable in both orientations.
 
     Build instances with :meth:`Graph.from_edges`; the raw constructor
     expects already-validated CSR arrays and is intended for internal
@@ -50,7 +56,9 @@ class Graph:
         logical edge ids ``out_eid[...]``. Neighbors are sorted per
         vertex.
     in_ptr, in_src, in_eid:
-        CSR of in-edges, same layout.
+        CSR of in-edges, same layout. On an undirected graph these are
+        the ``out_*`` arrays themselves (``g.in_ptr is g.out_ptr``),
+        not copies; :meth:`buffers` names each distinct array once.
     edge_weight:
         Optional float64 array of shape ``(n_edges,)``.
     """
@@ -164,9 +172,7 @@ class Graph:
             src, dst = lo, hi
 
         if dedup and src.size:
-            key = src * np.int64(n_vertices) + dst
-            _, first = np.unique(key, return_index=True)
-            first.sort()
+            first = first_occurrences(src * np.int64(n_vertices) + dst)
             src, dst = src[first], dst[first]
             if w is not None:
                 w = w[first]
@@ -181,7 +187,10 @@ class Graph:
             a_eid = np.concatenate([eid, eid])
 
         out_ptr, out_dst, out_eid = _build_csr(n_vertices, a_src, a_dst, a_eid)
-        in_ptr, in_src, in_eid = _build_csr(n_vertices, a_dst, a_src, a_eid)
+        # A symmetric arc set sorts to the same CSR from either end.
+        in_ptr, in_src, in_eid = (
+            _build_csr(n_vertices, a_dst, a_src, a_eid) if directed
+            else (out_ptr, out_dst, out_eid))
 
         return cls(
             n_vertices=n_vertices,
@@ -211,6 +220,8 @@ class Graph:
     def in_degree(self) -> np.ndarray:
         """In-degree of every vertex (undirected: total degree);
         cached read-only like :attr:`out_degree`."""
+        if self.in_ptr is self.out_ptr:
+            return self.out_degree
         deg = np.diff(self.in_ptr)
         deg.setflags(write=False)
         return deg
@@ -243,6 +254,8 @@ class Graph:
     def inv_in_degree(self) -> np.ndarray:
         """``1 / in_degree`` with isolated vertices mapped to ``0.0``;
         guarded and cached like :attr:`inv_out_degree`."""
+        if self.in_ptr is self.out_ptr:
+            return self.inv_out_degree
         deg = self.in_degree.astype(np.float64)
         inv = np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0)
         inv.setflags(write=False)
@@ -261,14 +274,17 @@ class Graph:
 
         Row ``v`` holds a ``1.0`` per adjacency slot, so ``M @ x`` is
         the per-vertex sum of neighbor values. The matrix is built once
-        per orientation and cached on the immutable graph.
+        per stored adjacency — an undirected graph's two orientations
+        are one — and cached on the immutable graph.
         """
+        ptr, idx = self._csr_arrays(orientation)
+        if ptr is self.out_ptr:
+            orientation = "out"
         cache = self.__dict__.setdefault("_ones_csr_cache", {})
         mat = cache.get(orientation)
         if mat is None:
             from scipy import sparse
 
-            ptr, idx = self._csr_arrays(orientation)
             mat = sparse.csr_matrix(
                 (np.ones(idx.size, dtype=np.float64),
                  idx.astype(np.int64, copy=True),
@@ -342,22 +358,32 @@ class Graph:
         return (f"Graph({kind}, n_vertices={self.n_vertices}, "
                 f"n_edges={self.n_edges})")
 
-    def memory_bytes(self) -> int:
-        """Approximate resident size of the CSR arrays."""
-        total = 0
-        for name in ("out_ptr", "out_dst", "out_eid",
-                     "in_ptr", "in_src", "in_eid"):
-            total += getattr(self, name).nbytes
+    def buffers(self) -> "dict[str, np.ndarray]":
+        """Every distinct array the graph holds, by attribute name: the
+        ``in_*`` side only where it is not the ``out_*`` array itself,
+        ``edge_weight`` when present. What is counted
+        (:meth:`memory_bytes`) and published (``graph/shm.py``)."""
+        found = {name: getattr(self, name)
+                 for name in ("out_ptr", "out_dst", "out_eid")}
+        for name, twin in (("in_ptr", "out_ptr"), ("in_src", "out_dst"),
+                           ("in_eid", "out_eid")):
+            if getattr(self, name) is not found[twin]:
+                found[name] = getattr(self, name)
         if self.edge_weight is not None:
-            total += self.edge_weight.nbytes
-        return total
+            found["edge_weight"] = self.edge_weight
+        return found
+
+    def memory_bytes(self) -> int:
+        """Approximate resident size: each distinct array once."""
+        return sum(arr.nbytes for arr in self.buffers().values())
 
 
 def _build_csr(
     n: int, src: np.ndarray, dst: np.ndarray, eid: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort arcs by (src, dst) and compress into (ptr, dst, eid)."""
-    order = np.lexsort((dst, src))
+    """Sort arcs by (src, dst) and compress into (ptr, dst, eid); arcs
+    that tie keep their input order (the sort is stable)."""
+    order = np.argsort(src * np.int64(n) + dst, kind="stable")
     s = src[order]
     d = dst[order]
     e = eid[order]

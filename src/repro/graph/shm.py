@@ -10,9 +10,11 @@ read-only zero-copy view of it.
 Layout
 ------
 One ``multiprocessing.shared_memory`` segment per published problem,
-named ``repro-shm-<hex>``. The segment packs the graph's CSR arrays
-(``out_ptr/out_dst/out_eid/in_ptr/in_src/in_eid``, plus ``edge_weight``
-when present) followed by every array-valued domain input
+named ``repro-shm-<hex>``. The segment packs each distinct array of
+the graph once (:meth:`Graph.buffers`: ``out_ptr/out_dst/out_eid``, the
+``in_*`` side only for a directed graph, ``edge_weight`` when present —
+the attach side re-aliases an undirected graph's ``in_*`` to its
+``out_*`` views) followed by every array-valued domain input
 (``points``, ``is_user``, ...), each at a 64-byte-aligned offset. A
 small picklable :class:`ShmManifest` carries the segment name, per-array
 ``(name, dtype, shape, offset)`` records, and the problem's scalar
@@ -56,10 +58,6 @@ SEGMENT_PREFIX = "repro-shm-"
 
 #: Per-array alignment inside a segment.
 _ALIGNMENT = 64
-
-#: CSR arrays published for every graph, in layout order.
-_GRAPH_ARRAYS = ("out_ptr", "out_dst", "out_eid",
-                 "in_ptr", "in_src", "in_eid")
 
 #: Scalar input types that travel in the manifest instead of the segment.
 _SCALAR_TYPES = (bool, int, float, str, np.bool_, np.integer, np.floating)
@@ -154,12 +152,10 @@ def _aligned(offset: int) -> int:
 
 def _layout(problem: ProblemInstance) -> tuple[list, list, int]:
     """Plan the segment: (array entries, scalar inputs, total bytes)."""
-    graph = problem.graph
     pairs: list[tuple[str, np.ndarray]] = [
-        (f"graph.{name}", getattr(graph, name)) for name in _GRAPH_ARRAYS
+        (f"graph.{name}", arr)
+        for name, arr in problem.graph.buffers().items()
     ]
-    if graph.edge_weight is not None:
-        pairs.append(("graph.edge_weight", graph.edge_weight))
     scalars: list[tuple[str, object]] = []
     for key in sorted(problem.inputs):
         value = problem.inputs[key]
@@ -222,9 +218,10 @@ def _problem_from_segment(manifest: ShmManifest, seg) -> ProblemInstance:
         out_ptr=views["graph.out_ptr"],
         out_dst=views["graph.out_dst"],
         out_eid=views["graph.out_eid"],
-        in_ptr=views["graph.in_ptr"],
-        in_src=views["graph.in_src"],
-        in_eid=views["graph.in_eid"],
+        # Published only where they are arrays of their own.
+        in_ptr=views.get("graph.in_ptr", views["graph.out_ptr"]),
+        in_src=views.get("graph.in_src", views["graph.out_dst"]),
+        in_eid=views.get("graph.in_eid", views["graph.out_eid"]),
         edge_weight=views.get("graph.edge_weight"),
         meta=dict(manifest.graph_meta),
     )
@@ -404,6 +401,9 @@ class GraphPlane:
         if self._closed:
             return
         self._closed = True
+        # A closed plane has nothing left for exit to do, and a
+        # registered bound method would keep it alive until then.
+        atexit.unregister(self.close)
         for key, seg in self._segments.items():
             # Views over the segment die with it: drop the parent-side
             # problem so later resolution regenerates instead of

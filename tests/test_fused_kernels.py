@@ -444,3 +444,23 @@ def test_view_steps_and_sliced_steps_trace_identically(case, monkeypatch):
     slices, sliced_accs = run()
     assert_equivalent(views, slices, case)
     assert view_accs == sliced_accs and len(view_accs) >= 2
+
+
+def test_one_side_per_stored_adjacency():
+    """Every program gathers IN and scatters OUT. On an undirected
+    graph those are the same arrays, so one side (one slot-centre
+    array, one set of reduceat offsets) and one ones-matrix serve both
+    phases; a directed graph keeps a side per orientation."""
+    undirected = powerlaw_graph(500, 2.5, seed=3).graph
+    kernels = Kernels(create("pagerank"), undirected)
+    assert kernels._gather_side is kernels._scatter_side
+    assert undirected.ones_adjacency_csr("in") \
+        is undirected.ones_adjacency_csr("out")
+
+    directed = matrix_problem(40, seed=3).graph
+    kernels = Kernels(create("jacobi"), directed)
+    assert kernels._gather_side is not kernels._scatter_side
+    assert kernels._gather_side.ptr is directed.in_ptr
+    assert kernels._scatter_side.ptr is directed.out_ptr
+    assert directed.ones_adjacency_csr("in") \
+        is not directed.ones_adjacency_csr("out")

@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._util.errors import GraphConstructionError, ValidationError
+from repro._util.segments import first_occurrences
+from repro.generators.problem import ProblemInstance
+from repro.graph import shm
 from repro.graph.csr import Graph
 
 
@@ -191,3 +194,187 @@ def test_csr_invariants(n, m, directed, seed):
     # Total degree equals arc count.
     assert int(g.out_degree.sum()) == g.n_arcs
     assert int(g.in_degree.sum()) == g.n_arcs
+
+
+# ----------------------------------------------------------------------
+# The construction contract (DESIGN §5), as properties: one adjacency
+# per undirected graph, checked against a two-key lexsort oracle
+# ----------------------------------------------------------------------
+CSR_PAIRS = (("in_ptr", "out_ptr"), ("in_src", "out_dst"),
+             ("in_eid", "out_eid"))
+
+
+@st.composite
+def edge_lists(draw):
+    """``(n, src, dst)`` with everything construction must state a rule
+    for: self-loops, repeated edges, both orientations of one edge, and
+    ids in ``[n_used, n)`` that no edge touches."""
+    n_used = draw(st.integers(1, 12))
+    n = n_used + draw(st.integers(0, 4))
+    vertex = st.integers(0, n_used - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=40))
+    pairs += [(v, u) for u, v in
+              draw(st.lists(st.sampled_from(pairs), max_size=8)
+                   if pairs else st.just([]))]
+    pairs = draw(st.permutations(pairs))
+    src = np.array([u for u, _ in pairs], dtype=np.int64)
+    dst = np.array([v for _, v in pairs], dtype=np.int64)
+    return n, src, dst
+
+
+def oracle_edges(n, src, dst, directed, dedup, drop_self_loops):
+    """The logical edges by eid, stated with Python containers."""
+    edges, seen = [], set()
+    for u, v in zip(src.tolist(), dst.tolist()):
+        if drop_self_loops and u == v:
+            continue
+        if not directed:
+            u, v = min(u, v), max(u, v)
+        if dedup and (u, v) in seen:
+            continue
+        seen.add((u, v))
+        edges.append((u, v))
+    return edges
+
+
+def oracle_csr(n, rows, cols, eids):
+    """``(ptr, idx, eid)`` by the two-key ``lexsort`` the graph used to
+    run once per orientation."""
+    rows, cols, eids = (np.asarray(a, dtype=np.int64)
+                        for a in (rows, cols, eids))
+    order = np.lexsort((cols, rows))
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=ptr[1:])
+    return ptr, cols[order], eids[order]
+
+
+def oracle_arcs(edges, directed):
+    us = [u for u, _ in edges]
+    vs = [v for _, v in edges]
+    eids = list(range(len(edges)))
+    if directed:
+        return us, vs, eids
+    return us + vs, vs + us, eids + eids
+
+
+def assert_csr(graph, side, expected):
+    names = {"out": ("out_ptr", "out_dst", "out_eid"),
+             "in": ("in_ptr", "in_src", "in_eid")}[side]
+    for name, want in zip(names, expected):
+        got = getattr(graph, name)
+        assert got.dtype == np.int64 and not got.flags.writeable
+        np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+@given(edge_lists(), st.booleans(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_an_undirected_graph_stores_one_adjacency(edges, dedup, drop):
+    n, src, dst = edges
+    g = Graph.from_edges(n, src, dst, dedup=dedup, drop_self_loops=drop)
+    for in_name, out_name in CSR_PAIRS:
+        assert getattr(g, in_name) is getattr(g, out_name)
+    logical = oracle_edges(n, src, dst, False, dedup, drop)
+    assert g.n_edges == len(logical)
+    rows, cols, eids = oracle_arcs(logical, directed=False)
+    assert_csr(g, "out", oracle_csr(n, rows, cols, eids))
+    # ... and it is the in-CSR a second sort would have built.
+    assert_csr(g, "in", oracle_csr(n, cols, rows, eids))
+    assert g.in_degree is g.out_degree
+    assert g.ones_adjacency_csr("in") is g.ones_adjacency_csr("out")
+    assert set(g.buffers()) == {"out_ptr", "out_dst", "out_eid"}
+    assert g.memory_bytes() == sum(
+        a.nbytes for a in (g.out_ptr, g.out_dst, g.out_eid))
+
+
+@given(edge_lists(), st.booleans(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_a_directed_graph_keeps_two_adjacencies(edges, dedup, drop):
+    n, src, dst = edges
+    g = Graph.from_edges(n, src, dst, directed=True, dedup=dedup,
+                         drop_self_loops=drop)
+    for in_name, out_name in CSR_PAIRS:
+        assert getattr(g, in_name) is not getattr(g, out_name)
+    logical = oracle_edges(n, src, dst, True, dedup, drop)
+    rows, cols, eids = oracle_arcs(logical, directed=True)
+    assert_csr(g, "out", oracle_csr(n, rows, cols, eids))
+    assert_csr(g, "in", oracle_csr(n, cols, rows, eids))
+    assert g.ones_adjacency_csr("in") is not g.ones_adjacency_csr("out")
+    assert len(g.buffers()) == 6
+    assert g.memory_bytes() == sum(
+        getattr(g, name).nbytes for pair in CSR_PAIRS for name in pair)
+
+
+@given(edge_lists(), st.booleans(), st.booleans(), st.booleans(),
+       st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_structure_ignores_edge_order_and_eids_follow_it(
+        edges, directed, dedup, drop, random):
+    """Metamorphic: permuting the edge list moves no adjacency slot's
+    neighbour; on a list of distinct edges every slot's eid is the
+    permuted position of the edge it had."""
+    n, src, dst = edges
+    perm = np.array(random.sample(range(src.size), src.size), dtype=np.int64)
+    kwargs = dict(directed=directed, dedup=dedup, drop_self_loops=drop)
+    g = Graph.from_edges(n, src, dst, **kwargs)
+    h = Graph.from_edges(n, src[perm], dst[perm], **kwargs)
+    for name in ("out_ptr", "out_dst", "in_ptr", "in_src"):
+        np.testing.assert_array_equal(getattr(g, name), getattr(h, name))
+
+    # The distinct edges of g, fed back in a permuted order.
+    u, v = g.edge_endpoints()
+    if not dedup:  # parallel edges tie on (src, dst): keep one of each
+        first = first_occurrences(u * np.int64(n) + v)
+        u, v = u[first], v[first]
+    perm = np.array(random.sample(range(u.size), u.size), dtype=np.int64)
+    a = Graph.from_edges(n, u, v, directed=directed, dedup=False,
+                         drop_self_loops=False)
+    b = Graph.from_edges(n, u[perm], v[perm], directed=directed,
+                         dedup=False, drop_self_loops=False)
+    np.testing.assert_array_equal(perm[b.out_eid], a.out_eid)
+    np.testing.assert_array_equal(perm[b.in_eid], a.in_eid)
+
+
+@given(st.lists(st.integers(-5, 5), max_size=60))
+@settings(max_examples=200, deadline=None)
+def test_first_occurrences_is_the_sorted_unique_index(values):
+    key = np.array(values, dtype=np.int64)
+    first = first_occurrences(key)
+    np.testing.assert_array_equal(
+        first, np.sort(np.unique(key, return_index=True)[1]))
+    assert first.dtype == np.int64
+
+
+@given(edge_lists(), st.booleans(), st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_shm_round_trips_values_and_aliasing(edges, directed, weighted):
+    n, src, dst = edges
+    g = Graph.from_edges(n, src, dst, directed=directed)
+    if weighted:
+        g = Graph.from_edges(n, src, dst, directed=directed,
+                             weight=np.arange(src.size, dtype=np.float64))
+    problem = ProblemInstance(graph=g, domain="ga",
+                              inputs={"mask": np.ones(n, dtype=bool)})
+    plane = shm.GraphPlane()
+    try:
+        manifest = plane.publish("prop", problem)
+        # Published once per distinct array: the bytes the e2e
+        # benchmark reports as graph.shm.bytes.
+        assert sum(a.nbytes for a in manifest.arrays) == \
+            g.memory_bytes() + n
+        for attached in (shm.attach(manifest).graph,
+                         shm.resolve("prop").graph):
+            for name in ("out_ptr", "out_dst", "out_eid",
+                         "in_ptr", "in_src", "in_eid"):
+                np.testing.assert_array_equal(getattr(attached, name),
+                                              getattr(g, name))
+                assert not getattr(attached, name).flags.writeable
+            for in_name, out_name in CSR_PAIRS:
+                assert (getattr(attached, in_name)
+                        is getattr(attached, out_name)) is not directed
+            if weighted:
+                np.testing.assert_array_equal(attached.edge_weight,
+                                              g.edge_weight)
+            assert attached.memory_bytes() == g.memory_bytes()
+    finally:
+        plane.close()
+        shm._close_attachments()

@@ -170,3 +170,79 @@ def test_the_build_dag_has_two_task_kinds():
     assert kinds == {"materialize", "run"}
     assert '"store"' not in (
         SRC / "experiments" / "scheduler.py").read_text("utf-8")
+
+
+# ----------------------------------------------------------------------
+# Graph construction is stated once (DESIGN §5): one redraw loop, one
+# first-occurrence dedup, one arc sort
+# ----------------------------------------------------------------------
+def _functions_naming(package, name):
+    """``file::function`` for every function under ``package`` whose
+    body mentions the identifier ``name``."""
+    found = set()
+    for path in sorted((SRC / package).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.FunctionDef) and any(
+                    (isinstance(inner, ast.Name) and inner.id == name)
+                    or (isinstance(inner, ast.Attribute)
+                        and inner.attr == name)
+                    for inner in ast.walk(node)):
+                found.add(f"{path.relative_to(SRC).as_posix()}"
+                          f"::{node.name}")
+    return found
+
+
+def test_generators_keep_edge_keys_in_arrays():
+    """No Python container of edge keys: no ``set``, no ``.tolist()``
+    feeding one, no per-edge ``fromiter``."""
+    for path in sorted((SRC / "generators").rglob("*.py")):
+        text = path.read_text("utf-8")
+        for gone in (".tolist()", "fromiter", "return_index=True",
+                     "edge_tolerance"):
+            assert gone not in text, f"{gone} in {path}"
+        for node in ast.walk(ast.parse(text)):
+            assert not isinstance(node, (ast.Set, ast.SetComp)), path
+            assert not (isinstance(node, ast.Name)
+                        and node.id == "set"), path
+
+
+def test_the_redraw_loop_exists_once():
+    assert _functions_naming("", "MAX_REDRAW_ROUNDS") == {
+        "generators/pairs.py::distinct_pairs"}
+    callers = _functions_naming("", "distinct_pairs")
+    assert callers == {"generators/powerlaw.py::powerlaw_graph",
+                       "generators/uniform.py::erdos_renyi_graph",
+                       "generators/bipartite.py::bipartite_rating_graph",
+                       "generators/mrf.py::mrf_problem"}
+
+
+def test_the_first_occurrence_dedup_exists_once():
+    csr = (SRC / "graph" / "csr.py").read_text("utf-8")
+    assert "return_index=True" not in csr
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Call):
+                assert not any(k.arg == "return_index"
+                               for k in node.keywords), path
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name == "first_occurrences"):
+                assert path.relative_to(SRC).as_posix() == \
+                    "_util/segments.py"
+    assert _functions_naming("", "first_occurrences") == {
+        "graph/csr.py::from_edges",
+        "generators/pairs.py::distinct_pairs",
+        "generators/uniform.py::regular_graph"}
+
+
+def test_the_arc_sort_exists_once():
+    """One stable single-key sort, in ``_build_csr``; ``from_edges``
+    calls it once per *stored* adjacency and sorts nothing itself."""
+    csr = (SRC / "graph" / "csr.py").read_text("utf-8")
+    assert "lexsort" not in csr
+    assert _functions_naming("graph", "lexsort") == set()
+    assert _functions_naming("graph", "_build_csr") == {
+        "graph/csr.py::from_edges"}
+    # edge_endpoints orders slots by eid — a read, not construction.
+    assert _functions_naming("graph", "argsort") == {
+        "graph/csr.py::_build_csr", "graph/csr.py::edge_endpoints"}
+    assert _functions_naming("generators", "argsort") == set()

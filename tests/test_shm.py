@@ -2,12 +2,14 @@
 graph cache, materialize-once corpus builds, and segment lifecycle
 (nothing may outlive the builder in ``/dev/shm``)."""
 
+import gc
 import glob
 import os
 import signal
 import subprocess
 import sys
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -99,6 +101,63 @@ class TestPublishAttach:
             second = plane.publish(spec.cache_key(), spec.generate())
             assert first is second
             assert len(plane) == 1
+        finally:
+            plane.close()
+
+    def test_close_takes_its_exit_hook_with_it(self, clean_plane_state,
+                                               monkeypatch):
+        """A long-lived process builds many planes; a closed one must
+        not stay reachable from ``atexit`` until the process ends."""
+        spec = GraphSpec.ga(nedges=200, alpha=2.5, seed=2)
+        # With the real atexit: nothing but the test holds the plane.
+        plane = shm.GraphPlane()
+        plane.publish(spec.cache_key(), spec.generate())
+        plane.close()
+        alive = weakref.ref(plane)
+        del plane
+        gc.collect()
+        assert alive() is None
+
+        # The callback count (CPython's own ``_ncallbacks`` keeps
+        # counting an unregistered slot before 3.13, so count here).
+        hooks = []
+
+        class Registry:
+            register = staticmethod(hooks.append)
+            unregister = staticmethod(hooks.remove)
+        monkeypatch.setattr(shm, "atexit", Registry)
+        plane = shm.GraphPlane()
+        assert hooks == [plane.close]
+        plane.publish(spec.cache_key(), spec.generate())
+        plane.close()
+        assert hooks == []
+        plane.close()  # still a no-op: nothing to unlink or unregister
+        assert hooks == [] and len(plane) == 0
+        with pytest.raises(RuntimeError):
+            plane.publish(spec.cache_key(), spec.generate())
+
+    def test_an_undirected_graph_is_published_once(self,
+                                                   clean_plane_state):
+        spec = GraphSpec.cf(nedges=300, alpha=2.5, seed=3)
+        original = spec.generate()
+        plane = shm.GraphPlane()
+        try:
+            manifest = plane.publish(spec.cache_key(), original)
+            assert [a.name for a in manifest.arrays] == [
+                "graph.out_ptr", "graph.out_dst", "graph.out_eid",
+                "graph.edge_weight", "input.is_user"]
+            assert sum(a.nbytes for a in manifest.arrays) == \
+                problem_nbytes(original)
+            g = shm.attach(manifest).graph
+            assert g.in_ptr is g.out_ptr and g.in_src is g.out_dst \
+                and g.in_eid is g.out_eid
+            directed = GraphSpec.matrix(nrows=30, seed=3)
+            manifest = plane.publish(directed.cache_key(),
+                                     directed.generate())
+            assert len([a for a in manifest.arrays
+                        if a.name.startswith("graph.")]) == 7
+            g = shm.attach(manifest).graph
+            assert g.in_ptr is not g.out_ptr
         finally:
             plane.close()
 
