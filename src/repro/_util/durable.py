@@ -32,6 +32,7 @@ import errno
 import hashlib
 import json
 import os
+import re
 import time
 import uuid
 from collections.abc import Iterator
@@ -50,6 +51,8 @@ TRANSIENT_DISK_ERRNOS: frozenset = frozenset({
 })
 #: Hex digits of the raw-key hash appended to every entry name.
 _KEY_DIGEST_LEN = 10
+#: What :func:`sanitize` replaces: ``\w`` is ``str.isalnum`` plus ``_``.
+_UNSAFE = re.compile(r"[^\w\-.=]")
 
 
 # ----------------------------------------------------------------------
@@ -118,14 +121,12 @@ def retry_transient_disk(fn: "Callable[[], Any]", *, key: str,
 # ----------------------------------------------------------------------
 # Read back
 # ----------------------------------------------------------------------
-def load_json_object(path: Path) -> dict:
-    """Parse one JSON-object file. Raises :class:`FileNotFoundError`
-    when it is absent and another :class:`OSError` or a
-    :class:`ValueError` when it is present but unreadable (torn,
-    undecodable, not an object)."""
-    data = json.loads(path.read_text(encoding="utf-8"))
+def parse_json_object(text: str) -> dict:
+    """The JSON object ``text`` spells; :class:`ValueError` when it is
+    torn or not an object."""
+    data = json.loads(text)
     if not isinstance(data, dict):
-        raise ValueError(f"{path.name} does not hold a JSON object")
+        raise ValueError("not a JSON object")
     return data
 
 
@@ -134,7 +135,7 @@ def read_json_object(path: Path) -> "dict | None":
     had (rule 2): a torn file means a writer outside this module died
     mid-write, and its owner will publish a whole one again."""
     try:
-        return load_json_object(path)
+        return parse_json_object(path.read_text(encoding="utf-8"))
     except (OSError, ValueError):
         return None
 
@@ -144,7 +145,7 @@ def read_json_object(path: Path) -> "dict | None":
 # ----------------------------------------------------------------------
 def sanitize(text: str) -> str:
     """Filesystem-safe token: alnum plus ``-_.=``, the rest ``_``."""
-    return "".join(c if c.isalnum() or c in "-_.=" else "_" for c in text)
+    return _UNSAFE.sub("_", text)
 
 
 def entry_name(key: str) -> str:

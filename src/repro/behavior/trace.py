@@ -9,6 +9,7 @@ corpus on disk.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
@@ -16,6 +17,10 @@ from typing import Any
 import numpy as np
 
 from repro._util.errors import ValidationError
+
+
+#: The integer fields of an :class:`IterationRecord`.
+_COUNTERS = ("iteration", "active", "updates", "edge_reads", "messages")
 
 
 @dataclass(frozen=True)
@@ -162,10 +167,33 @@ class RunTrace:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunTrace":
+        """Build from :meth:`to_dict`'s shape. ``data`` is read from
+        files other processes write, so beside the key names (a
+        :class:`TypeError`) the types every reduction computes on are
+        checked: a wrong one is a :class:`ValidationError` here, not an
+        arithmetic error in whoever first touches the trace."""
         data = dict(data)
-        data["iterations"] = [IterationRecord(**rec)
-                              for rec in data.get("iterations", [])]
-        return cls(**data)
+        records = data.get("iterations", [])
+        if not isinstance(records, list):
+            raise ValidationError("iterations is not a list of records")
+        data["iterations"] = [IterationRecord(**rec) for rec in records]
+        trace = cls(**data)
+        for name in ("n_vertices", "n_edges"):
+            if type(getattr(trace, name)) is not int:
+                raise ValidationError(f"{name} is not an integer")
+        for rec in trace.iterations:
+            for name in _COUNTERS:
+                value = getattr(rec, name)
+                if type(value) is not int or value < 0:
+                    raise ValidationError(
+                        f"iteration record {rec.iteration!r}: {name} is "
+                        f"{value!r}, not a non-negative integer")
+            if type(rec.work) not in (int, float) or not math.isfinite(
+                    rec.work):
+                raise ValidationError(
+                    f"iteration record {rec.iteration}: work is "
+                    f"{rec.work!r}, not a finite number")
+        return trace
 
     def to_json(self, path: str | Path | None = None) -> str:
         text = json.dumps(self.to_dict(), indent=None, sort_keys=True)

@@ -36,7 +36,7 @@ from repro.experiments.config import (
 )
 from repro.experiments.failures import RunFailure, full_jitter_backoff
 from repro.experiments.graph_cache import configure_default_cache
-from repro.experiments.results import ResultStore
+from repro.experiments.results import ResultStore, StoredRun
 from repro.obs.events import (
     EVENTS_FILENAME,
     merge_sinks,
@@ -53,13 +53,34 @@ from repro.obs.telemetry import (
 from repro.obs.tracing import TraceContext, derive_run_id
 
 
+class _TraceField:
+    """Descriptor behind :attr:`CorpusRun.trace`. A run served from the
+    store's summary index is built with a
+    :class:`~repro.experiments.results.StoredRun` in the trace's place;
+    the first read of ``trace`` loads the trace through it."""
+
+    def __get__(self, run: "CorpusRun | None", owner: "type | None" = None):
+        if run is None:
+            # Class access: tells @dataclass the field has no default.
+            raise AttributeError("trace")
+        held = run.__dict__["trace"]
+        if isinstance(held, StoredRun):
+            held = run.__dict__["trace"] = held.load()
+        return held
+
+    def __set__(self, run: "CorpusRun", value: Any) -> None:
+        run.__dict__["trace"] = value
+
+
 @dataclass
 class CorpusRun:
     """One executed (or failed) cell of the corpus."""
 
     algorithm: str
     spec: GraphSpec
-    trace: "RunTrace | None"
+    #: None for a failed cell. Read ``ok`` / ``degraded`` / ``health``
+    #: where those are all that is wanted: they never load a trace.
+    trace: "RunTrace | None" = _TraceField()
     metrics: "BehaviorMetrics | None"
     failure: "RunFailure | None" = None
     #: ``"run"`` if this result was (re-)executed in this build,
@@ -75,8 +96,23 @@ class CorpusRun:
     obs_snapshot: "dict | None" = None
 
     @property
+    def _held(self) -> "RunTrace | StoredRun | None":
+        """The trace or its stand-in, whichever is there: no load."""
+        return self.__dict__["trace"]
+
+    @property
     def ok(self) -> bool:
-        return self.trace is not None
+        return self._held is not None
+
+    @property
+    def degraded(self) -> bool:
+        """The trace's ``degraded`` flag (False for a failed cell)."""
+        return self.ok and self._held.degraded
+
+    @property
+    def health(self) -> dict:
+        """The trace's health verdict."""
+        return self._held.health
 
     @property
     def tag(self) -> tuple:
@@ -149,10 +185,11 @@ class BehaviorCorpus:
             tel.merge_snapshot(run.obs_snapshot)
             run.obs_snapshot = None
         (self.runs if run.ok else self.failures).append(run)
-        event = progress_event(run, self.n_collected, total)
-        tel.emit("progress", **event)
-        if progress is not None:
-            progress(format_progress(event))
+        if tel.enabled or progress is not None:
+            event = progress_event(run, self.n_collected, total)
+            tel.emit("progress", **event)
+            if progress is not None:
+                progress(format_progress(event))
 
     @property
     def n_executed(self) -> int:
@@ -178,14 +215,12 @@ class BehaviorCorpus:
         ``degrade`` health policy. Their partial traces are kept for
         inspection but excluded from :meth:`vectors` — a truncated
         trace would distort the ensemble search's behavior space."""
-        return [r for r in self.runs
-                if r.trace is not None and r.trace.degraded]
+        return [r for r in self.runs if r.degraded]
 
     def vectors(self, *, scheme: str = "max") -> list[BehaviorVector]:
         """Corpus-normalized behavior vectors, tagged with run identity
         (healthy runs only; degraded partial traces are excluded)."""
-        healthy = [r for r in self.runs
-                   if r.trace is None or not r.trace.degraded]
+        healthy = [r for r in self.runs if not r.degraded]
         metrics = [r.metrics for r in healthy]
         tags = [r.tag for r in healthy]
         return normalize_corpus(metrics, scheme=scheme, tags=tags)
@@ -266,13 +301,13 @@ class BehaviorCorpus:
                 f"{timing['cells']:.0f} executed cells "
                 f"({timing['graph_reuses']:.0f} graph reuses)")
         for run in degraded:
-            health = run.trace.health
+            health = run.health
             lines.append(f"  DEGRADED {run.algorithm}@{run.spec.label}: "
                          f"{health.get('condition', '?')} at iteration "
                          f"{health.get('iteration', '?')}")
         for alg in self.algorithms():
             runs = self.by_algorithm(alg)
-            iters = [r.trace.n_iterations for r in runs]
+            iters = [r.metrics.n_iterations for r in runs]
             lines.append(f"  {alg:<10} {len(runs):>3} runs, "
                          f"iterations {min(iters)}..{max(iters)}")
         for fail in self.failures:
@@ -382,17 +417,20 @@ def _execute_cell(planned: PlannedRun, profile: Profile,
         )
 
     tel = get_telemetry()
-    cell = f"{planned.algorithm}@{planned.spec.label}"
+    # Only telemetry names the cell; a warm build with it off is
+    # thousands of cells an interactive second, so it skips the label.
+    cell = f"{planned.algorithm}@{planned.spec.label}" if tel.enabled else ""
 
-    cached = store.replay(key, options.resume) if store is not None else None
-    if isinstance(cached, RunTrace):
+    cached = (store.outcome(key, options.resume) if store is not None
+              else None)
+    if isinstance(cached, StoredRun):
         if tel.enabled:
             status = "degraded" if cached.degraded else "ok"
             tel.inc("corpus_cells_total", status=status, source="cache")
             tel.emit("cell_end", cell=cell, status=status, source="cache",
-                     graph_source=cached.meta.get("graph_source"))
+                     graph_source=cached.graph_source)
         return CorpusRun(planned.algorithm, planned.spec, cached,
-                         compute_metrics(cached), source="cache")
+                         cached.metrics, source="cache")
     if cached is not None:
         if tel.enabled:
             tel.inc("corpus_cells_total", status="failed", source="cache")
@@ -526,9 +564,9 @@ def progress_event(run: CorpusRun, done: int, total: int) -> dict:
         "source": run.source,
     }
     if run.ok:
-        if run.trace.degraded:
+        if run.degraded:
             event["status"] = "degraded"
-            event["condition"] = run.trace.health.get("condition", "?")
+            event["condition"] = run.health.get("condition", "?")
         else:
             event["status"] = "ok"
         if run.source == "run":
@@ -595,13 +633,14 @@ def _specs_needing_materialization(
     resume: bool,
 ) -> "dict[str, GraphSpec]":
     """Distinct specs with at least one cell that will actually execute
-    (by :meth:`ResultStore.replay`'s rule, like every other path): a
-    fully cached rebuild pre-materializes nothing."""
+    (by :meth:`ResultStore.replay`'s rule, like every other path,
+    asked through its summary door): a fully cached rebuild
+    pre-materializes nothing."""
     needed: dict[str, GraphSpec] = {}
     for planned in plan:
         spec_key = planned.spec.cache_key()
         if spec_key not in needed and (
-                store is None or store.replay(
+                store is None or store.outcome(
                     run_cache_key(planned, profile), resume) is None):
             needed[spec_key] = planned.spec
     return needed
@@ -782,6 +821,8 @@ def build_corpus(
             else:
                 Supervisor(**crewed).run()
     finally:
+        if store is not None:
+            store.publish_index()
         corpus.interrupted = corpus.interrupted or stopped()
         corpus.build_seconds = time.perf_counter() - started
         if obs_path is not None:

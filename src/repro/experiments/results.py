@@ -21,17 +21,29 @@ layout is designed for concurrent writers:
   reports a miss, so the runner re-executes the cell instead of
   silently consuming a corrupt trace. Only if that move itself fails
   does the store raise :class:`~repro._util.errors.CacheCorruptError`.
+
+A corpus build takes from each cached trace six numbers and two flags,
+so the store keeps those beside the entries, in the summary index
+``<root>/index/summaries.json`` (DESIGN.md §7): one record per entry
+file, holding the blake2b digest of the bytes it was reduced from.
+:meth:`ResultStore.outcome` answers from a record only when the bytes
+it reads from the entry *now* hash to that digest, and parses the entry
+as :meth:`ResultStore.replay` does in every other case.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from collections.abc import Iterator
+from dataclasses import astuple, dataclass
 from pathlib import Path
+from typing import Any
 
 from repro._util import durable
-from repro._util.errors import CacheCorruptError, ValidationError
+from repro._util.errors import CacheCorruptError, ReproError, ValidationError
+from repro.behavior.metrics import BehaviorMetrics, compute_metrics
 from repro.behavior.trace import RunTrace
 from repro.experiments.failures import RunFailure
 
@@ -44,6 +56,13 @@ QUARANTINE_DIRNAME = "quarantine"
 #: call sweeps the oldest entries beyond this bound, so resumed builds
 #: cannot grow the directory without limit.
 QUARANTINE_MAX_ENTRIES = 256
+#: The summary index, under the store root; in a directory of its own
+#: so that no ``*.json`` scan of the root takes it for an entry.
+_INDEX_PATH = Path("index", "summaries.json")
+#: Bump when a record changes shape or a metric is added (records hold
+#: :class:`BehaviorMetrics` positionally): an index of another number
+#: is ignored whole and rebuilt by reads.
+_INDEX_SCHEMA = 1
 
 
 def default_cache_dir() -> Path:
@@ -51,6 +70,40 @@ def default_cache_dir() -> Path:
     if env:
         return Path(env)
     return Path.cwd() / ".repro_cache"
+
+
+def _digest(text: str) -> str:
+    """Digest of an entry's content as read (every entry is UTF-8)."""
+    return hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
+
+
+@dataclass(frozen=True)
+class StoredRun:
+    """A cached successful run as :meth:`ResultStore.outcome` hands it
+    out: what a corpus takes from the trace, and the way to the trace
+    itself. Stands in for the trace in a
+    :class:`~repro.experiments.corpus.CorpusRun` until something reads
+    it."""
+
+    root: Path
+    key: str
+    #: Digest of the entry bytes the fields below were reduced from.
+    digest: str
+    metrics: BehaviorMetrics
+    degraded: bool
+    health: "dict[str, Any]"
+    graph_source: "str | None"
+    #: The parsed trace, when this summary was made from it just now.
+    trace: "RunTrace | None" = None
+
+    def load(self) -> RunTrace:
+        """The trace the summary was made from. Raises
+        :class:`ReproError` when the entry has vanished or changed
+        since: an ``ok`` run never hands back another run's trace, or
+        none."""
+        if self.trace is not None:
+            return self.trace
+        return ResultStore(self.root).load_summarised(self.key, self.digest)
 
 
 class ResultStore:
@@ -67,6 +120,11 @@ class ResultStore:
         self.root = Path(root) if root is not None else default_cache_dir()
         self._quarantine = durable.QuarantineDir(
             self.root / QUARANTINE_DIRNAME, "*.json*")
+        self._paths: "dict[str, Path]" = {}
+        #: Records of the summary index by entry file name, read on
+        #: first use; None until then and after :meth:`publish_index`.
+        self._records: "dict[str, dict] | None" = None
+        self._records_changed = False
 
     # ------------------------------------------------------------------
     # Layout
@@ -76,7 +134,11 @@ class ResultStore:
         return self._quarantine.root
 
     def _path(self, key: str) -> Path:
-        return self.root / f"{durable.entry_name(key)}.json"
+        path = self._paths.get(key)
+        if path is None:
+            path = self._paths[key] = (
+                self.root / f"{durable.entry_name(key)}.json")
+        return path
 
     def _write_atomic(self, path: Path, text: str) -> None:
         """Publish one entry. Transient disk faults (EIO, ENOSPC,
@@ -136,21 +198,56 @@ class ResultStore:
 
         This is the one statement of the cache-replay rule; the cell
         executor, the pre-materialization planner, the coordinator and
-        the node agents all ask it, so they cannot disagree on which
-        cells a build will run. Corrupt entries are quarantined and
-        reported as a miss so the caller re-executes the run.
+        the node agents all ask it (the first two through
+        :meth:`outcome`, its summary door), so they cannot disagree on
+        which cells a build will run. Corrupt entries are quarantined
+        and reported as a miss so the caller re-executes the run.
         """
-        data = self._read_entry(key)
-        if data is None:
-            return None
+        return self._replay(key, resume, self._parse_entry)
+
+    def outcome(self, key: str,
+                resume: bool = False) -> "StoredRun | RunFailure | None":
+        """:meth:`replay` for a caller that wants the outcome but not
+        the trace: same rule, same quarantine, a :class:`StoredRun` in
+        place of the trace.
+
+        The entry's bytes are read and hashed on every call. When the
+        summary index holds a record made from bytes of that digest,
+        the record is the answer — identical bytes parse, validate and
+        reduce identically, so the check :meth:`replay` makes on every
+        call was made when the record was. Otherwise the entry goes
+        through :meth:`replay`'s parse and the outcome is recorded, for
+        :meth:`publish_index` to write out.
+        """
+        return self._replay(key, resume, self._summary_of)
+
+    def _replay(self, key: str, resume: bool, decode) -> Any:
+        path = self._path(key)
         try:
-            if not data.get(_FAILED_MARKER):
-                return RunTrace.from_dict(data)
-            failure = RunFailure.from_dict(data)
-        except (TypeError, KeyError, ValueError):
-            self.quarantine(self._path(key))
+            text = path.read_text(encoding="utf-8")
+        except FileNotFoundError:
             return None
-        return None if resume and failure.retryable else failure
+        except (OSError, ValueError):
+            self.quarantine(path)
+            return None
+        hit = decode(key, path, text)
+        if isinstance(hit, RunFailure) and resume and hit.retryable:
+            return None
+        return hit
+
+    def _parse_entry(self, key: str, path: Path,
+                     text: str) -> "RunTrace | RunFailure | None":
+        """Parse and validate one entry's content; an unreadable entry is
+        quarantined. Decided from the one read — a second look could
+        see an entry a writer published in between."""
+        try:
+            data = durable.parse_json_object(text)
+            if data.get(_FAILED_MARKER):
+                return RunFailure.from_dict(data)
+            return RunTrace.from_dict(data)
+        except (TypeError, KeyError, ValueError):
+            self.quarantine(path)
+            return None
 
     def load(self, key: str) -> "RunTrace | None":
         """Return the cached trace, or None if absent or failed."""
@@ -194,21 +291,103 @@ class ResultStore:
                 continue
 
     # ------------------------------------------------------------------
+    # Summary index
+    # ------------------------------------------------------------------
+    def _summary_of(self, key: str, path: Path,
+                    text: str) -> "StoredRun | RunFailure | None":
+        """The outcome in ``text``: from the index when a record vouches
+        for exactly this content, else parsed, reduced and recorded."""
+        if self._records is None:
+            self._records = self._read_index()
+        digest = _digest(text)
+        record = self._records.get(path.name)
+        if record is not None:
+            try:
+                if record["entry_blake2b"] == digest:
+                    return self._decode_record(key, digest, record)
+            except (TypeError, KeyError, ValueError):
+                pass  # not a record this code wrote: replace it
+        hit = self._parse_entry(key, path, text)
+        if hit is None:
+            return None
+        if isinstance(hit, RunFailure):
+            record = {"entry_blake2b": digest,
+                      "failure_record": hit.to_dict()}
+        else:
+            try:
+                metrics = compute_metrics(hit)
+            except ValidationError:
+                # Loads, but no corpus can use it: as corrupt as an
+                # entry that does not load.
+                self.quarantine(path)
+                return None
+            record = {"entry_blake2b": digest,
+                      "metric_values": astuple(metrics),
+                      "degraded_flag": hit.degraded,
+                      "health_verdict": hit.health,
+                      "graph_origin": hit.meta.get("graph_source")}
+            hit = StoredRun(self.root, key, digest, metrics, hit.degraded,
+                            hit.health, hit.meta.get("graph_source"), hit)
+        self._records[path.name] = record
+        self._records_changed = True
+        return hit
+
+    def _decode_record(self, key: str, digest: str,
+                       record: dict) -> "StoredRun | RunFailure":
+        if "failure_record" in record:
+            return RunFailure.from_dict(record["failure_record"])
+        values, health = record["metric_values"], record["health_verdict"]
+        if not (isinstance(health, dict)
+                and {type(v) for v in values} <= {int, float}):
+            raise TypeError("not a summary record")
+        return StoredRun(self.root, key, digest, BehaviorMetrics(*values),
+                         bool(record["degraded_flag"]), health,
+                         record["graph_origin"])
+
+    def _read_index(self) -> "dict[str, dict]":
+        """The published records; none when the index is absent, torn
+        or of another schema — every cell then takes the full parse
+        and the index is written afresh."""
+        data = durable.read_json_object(self.root / _INDEX_PATH)
+        if data is None or data.get("schema") != _INDEX_SCHEMA:
+            return {}
+        records = data.get("entries")
+        return records if isinstance(records, dict) else {}
+
+    def publish_index(self) -> None:
+        """Write the index out if :meth:`outcome` recorded anything the
+        published one lacks, and let go of the copy in memory: the
+        next call reads what is then on disk. Called once at the end
+        of a build. Concurrent builds publish whole indexes, last
+        writer wins; a lost record costs its cell one more parse. A
+        store that cannot be written (read-only media) stays usable
+        without an index."""
+        records, changed = self._records, self._records_changed
+        self._records, self._records_changed = None, False
+        if not changed:
+            return
+        try:
+            durable.publish(self.root / _INDEX_PATH, json.dumps(
+                {"schema": _INDEX_SCHEMA, "entries": records}))
+        except OSError:
+            pass
+
+    def load_summarised(self, key: str, digest: str) -> RunTrace:
+        """The trace of the entry whose bytes hash to ``digest`` (see
+        :meth:`StoredRun.load`)."""
+        try:
+            text = self._path(key).read_text(encoding="utf-8")
+        except (OSError, ValueError):
+            text = None
+        if text is None or _digest(text) != digest:
+            raise ReproError(
+                f"cache entry {key!r} vanished or changed after the "
+                f"corpus was built from its summary; rebuild the corpus")
+        return RunTrace.from_dict(json.loads(text))
+
+    # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def _read_entry(self, key: str) -> "dict | None":
-        """Read and parse one entry: absent is a miss, present but
-        unreadable is quarantined. Decided from the one read — a second
-        look could see an entry a writer published in between."""
-        path = self._path(key)
-        try:
-            return durable.load_json_object(path)
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError):
-            self.quarantine(path)
-            return None
-
     def discard(self, key: str) -> bool:
         """Remove one entry (used by ``--resume`` to force a failed
         cell to re-execute); returns True if something was removed."""
@@ -236,4 +415,6 @@ class ResultStore:
             path.unlink()
             removed += 1
         self._quarantine.sweep(0)
+        (self.root / _INDEX_PATH).unlink(missing_ok=True)
+        self._records, self._records_changed = None, False
         return removed

@@ -4,6 +4,7 @@ directory, what a failed quarantine raises, what a reader sees after a
 failed publish."""
 
 import errno
+import hashlib
 import json
 import os
 import re
@@ -17,8 +18,12 @@ from repro._util.errors import CacheCorruptError
 from repro._util.faulthooks import hook_value
 from repro.engine import SnapshotStore
 from repro.experiments import nodeagent
-from repro.experiments.config import BuildOptions
-from repro.experiments.corpus import _run_cell
+from repro.experiments.config import (
+    BuildOptions,
+    ExperimentMatrix,
+    get_profile,
+)
+from repro.experiments.corpus import _run_cell, run_cache_key
 from repro.experiments.distqueue import DistributedQueue
 from repro.experiments.results import ResultStore
 from repro.experiments.worksite import HeartbeatWriter, Worksite
@@ -312,6 +317,29 @@ def test_entry_names_are_shared_and_collision_proof(tmp_path):
             == f"{stem}.prev.snap")
     with pytest.raises(ValueError):
         durable.entry_name("")
+
+
+def test_entry_names_are_the_ones_existing_stores_were_written_under():
+    """Pinned byte for byte (read off the commit before ``sanitize``
+    became one ``re.sub``): a renamed entry is a cold store."""
+    assert [durable.entry_name(key) for key in (
+        "a@b", "a#b", "k", "é²-x y/z", "smoke-x=1.5")] == [
+        "a_b-7508d8b501", "a_b-8187fc8f7f", "k-8254c329a9",
+        "é²-x_y_z-b3a214919b", "smoke-x=1.5-f056804ac8"]
+    smoke = get_profile("smoke")
+    names = [ResultStore("unused")._path(run_cache_key(planned, smoke)).name
+             for planned in ExperimentMatrix(smoke).corpus_runs()]
+    assert names[0] == "smoke-cc-ga-ne300-a2.0-nrNone-s7-2ac20782c0.json"
+    assert len(names) == 220 and hashlib.sha256(
+        "\n".join(name[:-len(".json")] for name in names).encode()
+    ).hexdigest() == ("c03207f18e34f6e1eaa38f1bcb255ac5"
+                      "f2529110f4b9be72ba14379e2b3c5730")
+    # ``\w`` is str.isalnum plus "_" at every code point.
+    every = "".join(map(chr, range(0x3000))) + "\U0001d7d8\U00020000"
+    assert durable.sanitize(every) == "".join(
+        c if c.isalnum() or c in "-_.=" else "_" for c in every)
+    store = ResultStore("unused")
+    assert store._path("k") is store._path("k")
 
 
 def test_hook_value(monkeypatch):

@@ -246,3 +246,36 @@ def test_the_arc_sort_exists_once():
     assert _functions_naming("graph", "argsort") == {
         "graph/csr.py::_build_csr", "graph/csr.py::edge_endpoints"}
     assert _functions_naming("generators", "argsort") == set()
+
+
+# ----------------------------------------------------------------------
+# One module knows the stored formats (DESIGN §7): the summary index's
+# file and record keys, and the parse of an entry into a RunTrace
+# ----------------------------------------------------------------------
+RESULTS = "experiments/results.py"
+
+
+def test_the_summary_index_format_stays_in_the_result_store():
+    names = ("index/", "summaries.json", "entry_blake2b", "metric_values",
+             "degraded_flag", "health_verdict", "graph_origin",
+             "failure_record")
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text("utf-8")
+        for name in names:
+            if path.relative_to(SRC).as_posix() == RESULTS:
+                assert name in text, f"{name} left {path}: update this scan"
+            else:
+                assert name not in text, f"{name} in {path}"
+
+
+def test_only_the_result_store_parses_entries():
+    parsers = set()
+    for path in sorted((SRC / "experiments").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "from_dict"
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "RunTrace"):
+                parsers.add(path.relative_to(SRC).as_posix())
+    assert parsers == {RESULTS}

@@ -1,6 +1,8 @@
 """Tests for the resilient corpus execution subsystem: the failure
 taxonomy, crash isolation, timeouts, retries, quarantine, and resume."""
 
+import json
+import shutil
 import time
 
 import pytest
@@ -13,6 +15,7 @@ from repro._util.errors import (
 )
 from repro._util.timing import wall_clock_limit
 from repro.behavior.run import INJECT_CRASH_ENV, INJECT_SLEEP_ENV
+from repro.behavior.trace import RunTrace
 from repro.experiments.config import ExperimentMatrix, Profile
 from repro.experiments.corpus import (
     build_corpus,
@@ -419,6 +422,75 @@ class TestQuarantineAndResume:
         assert not replayed.ok
         assert replayed.source == "cache"
         assert replayed.failure.kind == "crash"
+
+
+def _mistype_counter(data):
+    data["iterations"][0]["updates"] = "many"
+
+
+def _null_edge_count(data):
+    data["n_edges"] = None
+
+
+def _iterations_not_a_list(data):
+    data["iterations"] = {}
+
+
+def _no_edges(data):
+    """Well-typed, but its per-edge metrics are undefined."""
+    data["n_edges"] = 0
+
+
+class TestMistypedEntries:
+    """An entry that is JSON with the right key names but the wrong
+    types is as corrupt as a torn one: quarantined, re-executed."""
+
+    @pytest.fixture(scope="class")
+    def tiny_root(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("tiny-store")
+        build_corpus(TINY_PROFILE, store=ResultStore(root))
+        return root
+
+    @pytest.mark.parametrize("mangle", [
+        _mistype_counter, _null_edge_count, _iterations_not_a_list,
+        _no_edges])
+    def test_quarantined_reexecuted_then_cached(self, tiny_root, tmp_path,
+                                                mangle):
+        store = ResultStore(shutil.copytree(tiny_root, tmp_path / "store"))
+        path = store._path(run_cache_key(_planned("cc"), TINY_PROFILE))
+        data = json.loads(path.read_text())
+        mangle(data)
+        path.write_text(json.dumps(data))
+
+        rebuilt = build_corpus(TINY_PROFILE, store=store)
+        assert store.n_quarantined() == 1
+        (run,) = [r for r in rebuilt.runs + rebuilt.failures
+                  if r.source == "run"]
+        assert run.ok and run.algorithm == "cc"
+        assert rebuilt.unexpected_failures == []
+        again = build_corpus(TINY_PROFILE, store=store)
+        assert again.n_executed == 0 and store.n_quarantined() == 1
+        assert again.unexpected_failures == []
+
+    def test_from_dict_names_what_is_wrong(self):
+        good = execute_planned_run(_planned("cc"), TINY_PROFILE).trace
+        for mangle, what in ((_mistype_counter, "updates"),
+                             (_null_edge_count, "n_edges"),
+                             (_iterations_not_a_list, "iterations")):
+            data = good.to_dict()
+            mangle(data)
+            with pytest.raises(ValidationError, match=what):
+                RunTrace.from_dict(data)
+        for bad_work in ("1.0", float("nan"), float("inf"), None, True):
+            data = good.to_dict()
+            data["iterations"][0]["work"] = bad_work
+            with pytest.raises(ValidationError, match="work"):
+                RunTrace.from_dict(data)
+        data = good.to_dict()
+        data["iterations"][0]["active"] = -1
+        with pytest.raises(ValidationError, match="active"):
+            RunTrace.from_dict(data)
+        assert RunTrace.from_dict(good.to_dict()) == good
 
 
 class TestProgressLines:

@@ -17,6 +17,8 @@ import json
 import multiprocessing as mp
 
 
+from repro._util.errors import ReproError
+from repro.behavior.metrics import compute_metrics
 from repro.behavior.trace import IterationRecord, RunTrace
 from repro.engine.checkpoint import Snapshot, SnapshotStore
 from repro.experiments.failures import RunFailure
@@ -97,6 +99,36 @@ def _result_corrupt_and_load(root, keys, rounds) -> None:
             assert store.load(key) is None  # quarantined, not crashed
 
 
+def _result_republisher(root, keys, rounds) -> None:
+    """Every key alternates between two generations of its trace whose
+    summaries differ."""
+    store = ResultStore(root)
+    for r in range(rounds):
+        for key in keys:
+            trace = _trace_for(key)
+            trace.n_edges += r % 2
+            store.save(key, trace)
+
+
+def _result_summariser(root, keys, rounds) -> None:
+    """A warm build's store traffic: ask every key's outcome, publish
+    the index. A summary must be the reduction of the very bytes its
+    digest names — checked by loading them through the digest, which
+    may refuse (the entry moved on) but never hands back other bytes."""
+    for r in range(rounds):
+        store = ResultStore(root)
+        for key in keys:
+            served = store.outcome(key)
+            if served is None:
+                continue  # not yet written
+            try:
+                trace = store.load_summarised(key, served.digest)
+            except ReproError:
+                continue
+            assert served.metrics == compute_metrics(trace)
+        store.publish_index()
+
+
 def _result_gc(root, rounds) -> None:
     store = ResultStore(root)
     for r in range(rounds):
@@ -164,6 +196,22 @@ class TestResultStoreConcurrency:
         store = ResultStore(tmp_path)
         trace, failure = store.load(key), store.load_failure(key)
         assert (trace is None) != (failure is None)  # exactly one form
+        assert store.n_quarantined() == 0
+
+    def test_summaries_race_republished_entries(self, tmp_path):
+        keys = [f"cell-{i}" for i in range(4)]
+        _result_republisher(tmp_path, keys, 1)
+        _run_procs(lambda body, *args: body(*args), [
+            (_result_summariser, tmp_path, keys, N_ROUNDS * 3),
+            (_result_summariser, tmp_path, keys, N_ROUNDS * 3),
+            (_result_republisher, tmp_path, keys, N_ROUNDS * 3)])
+        # Whichever index was published last, it serves what a full
+        # parse of the settled entries gives.
+        store = ResultStore(tmp_path)
+        assert (tmp_path / "index" / "summaries.json").exists()
+        for key in keys:
+            assert store.outcome(key).metrics == compute_metrics(
+                store.load(key))
         assert store.n_quarantined() == 0
 
     def test_torn_tmp_litter_is_ignored(self, tmp_path):
