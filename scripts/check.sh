@@ -39,9 +39,14 @@ if [ "${REPRO_SKIP_CHAOS:-0}" != "1" ]; then
     PYTHONPATH=src timeout 300 python scripts/distributed_smoke.py
 fi
 
-# Telemetry-overhead smoke: a full-observability corpus build must
-# stay within 15% of a dark build (DESIGN.md §12). Skip with
+# Perf smokes for the three gates the end-to-end ledger cannot express
+# (BENCH_obs / BENCH_engine / BENCH_ensemble.json); the graph plane's
+# cost is on the ledger (`fabric.premat_s`, `graph.shm.*` on
+# `smoke-fabric`) and has no smoke of its own. Skip with
 # REPRO_SKIP_BENCH=1 when iterating on unrelated code.
+#
+# Telemetry-overhead smoke: a full-observability corpus build must
+# stay within 15% of a dark build (DESIGN.md §12).
 if [ "${REPRO_SKIP_BENCH:-0}" != "1" ]; then
     echo "== telemetry overhead smoke =="
     PYTHONPATH=src python -m pytest benchmarks/test_bench_obs.py -x -q

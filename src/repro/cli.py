@@ -127,15 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cor.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                      help="snapshot directory (default: "
                           "$REPRO_CHECKPOINT_DIR or ./.repro_checkpoints)")
-    cor.add_argument("--no-shm", action="store_true",
-                     help="disable the shared-memory graph plane; "
-                          "workers materialize graphs per process "
-                          "(through their own LRU cache)")
-    cor.add_argument("--graph-cache-bytes", type=int, default=None,
-                     metavar="BYTES",
-                     help="per-process graph cache capacity (default: "
-                          "$REPRO_GRAPH_CACHE_BYTES or 256 MiB; 0 "
-                          "disables)")
     cor.add_argument("--lease-timeout", type=float, default=None,
                      metavar="SECONDS",
                      help="scheduler lease deadline; a worker whose "
@@ -547,8 +538,6 @@ def _cmd_corpus(args) -> int:
                               checkpoint_dir=args.checkpoint_dir,
                               checkpoint_every=args.checkpoint_every,
                               stop_requested=governor.stop_requested,
-                              use_shm=not args.no_shm,
-                              graph_cache_bytes=args.graph_cache_bytes,
                               lease_timeout_s=args.lease_timeout,
                               heartbeat_every_s=args.heartbeat_every,
                               max_lease_expiries=args.max_lease_expiries,

@@ -77,9 +77,12 @@ FAULT_KINDS: tuple[str, ...] = ("nan", "diverge", "counter")
 #: Scale applied to state arrays per iteration by the ``diverge`` fault.
 _DIVERGE_SCALE = 32.0
 
+#: Recurrence window, in checks, of every run's stall / oscillation
+#: watchdogs (see :class:`HealthMonitor`).
+WATCHDOG_WINDOW = 20
 
-def validate_health_options(policy: str, check_every: int,
-                            window: int) -> None:
+
+def validate_health_options(policy: str, check_every: int) -> None:
     """Shared validation for the health knobs on every engine options
     dataclass."""
     if policy not in HEALTH_POLICIES:
@@ -89,17 +92,16 @@ def validate_health_options(policy: str, check_every: int,
         )
     if check_every < 1:
         raise ValidationError("health_check_every must be >= 1")
-    if window < 4:
-        raise ValidationError("health_window must be >= 4")
 
 
 def build_monitor(options) -> "HealthMonitor":
     """Construct a run's monitor from any engine options dataclass
-    (which all carry the same ``health_*``/``inject_fault`` fields)."""
+    (which all carry the same ``health_*``/``inject_fault`` fields);
+    the window is :data:`WATCHDOG_WINDOW`, read per run."""
     return HealthMonitor(
         policy=options.health_policy,
         check_every=options.health_check_every,
-        window=options.health_window,
+        window=WATCHDOG_WINDOW,
         fault=options.inject_fault,
     )
 
@@ -324,11 +326,13 @@ class HealthMonitor:
         *,
         policy: str = "strict",
         check_every: int = 1,
-        window: int = 20,
+        window: int = WATCHDOG_WINDOW,
         divergence_factor: float = 1e6,
         fault: "str | FaultPlan | None" = None,
     ) -> None:
-        validate_health_options(policy, check_every, window)
+        validate_health_options(policy, check_every)
+        if window < 4:
+            raise ValidationError("window must be >= 4")
         if divergence_factor <= 1.0:
             raise ValidationError("divergence_factor must be > 1")
         self.policy = policy

@@ -57,8 +57,6 @@ class RunOptions:
     #: Cadence, in steps of the loop (iterations / rounds /
     #: supersteps), of numeric guard + watchdog checks.
     health_check_every: int = 1
-    #: Recurrence window (in checks) for the stall/oscillation watchdogs.
-    health_window: int = 20
     #: Fault-injection spec (``"nan@3"``, ``"diverge@2"``, ``"counter@1"``)
     #: for exercising the health path; None in production.
     inject_fault: "str | None" = None
@@ -70,8 +68,7 @@ class RunOptions:
     checkpoint: "CheckpointConfig | None" = None
 
     def __post_init__(self) -> None:
-        validate_health_options(self.health_policy, self.health_check_every,
-                                self.health_window)
+        validate_health_options(self.health_policy, self.health_check_every)
         if (self.wall_clock_budget_s is not None
                 and self.wall_clock_budget_s <= 0):
             raise ValidationError(

@@ -306,8 +306,7 @@ class FastEngine:
                  space: BehaviorSpace,
                  samples: "np.ndarray | None",
                  n_samples: int,
-                 seed: int,
-                 block_bytes: "int | None" = None) -> None:
+                 seed: int) -> None:
         if metric not in ("spread", "coverage"):
             raise ValidationError(
                 "metric must be one of ('spread', 'coverage')")
@@ -316,7 +315,9 @@ class FastEngine:
         self.n = self.pool.shape[0]
         self.space = space
         self.diam = space.diameter
-        self.block_bytes = int(block_bytes or DEFAULT_BLOCK_BYTES)
+        # Read per engine, not bound as a default, so tests can force
+        # small tiles by patching the constant.
+        self.block_bytes = DEFAULT_BLOCK_BYTES
         if metric == "spread":
             self.pair = PairwiseBlocks(self.pool,
                                        block_bytes=self.block_bytes)

@@ -114,7 +114,6 @@ def best_ensemble(
     beam_width: int = 64,
     refine: bool = True,
     strategy: "str | None" = None,
-    block_bytes: "int | None" = None,
 ) -> SearchResult:
     """Find the (approximately) best size-``size`` ensemble in the pool.
 
@@ -123,14 +122,12 @@ def best_ensemble(
     result with :func:`repro.ensemble.metrics.coverage` at the
     reporting budget before quoting it. ``strategy="greedy"``
     (coverage only) swaps the beam for the lazy-greedy submodular
-    selector. ``block_bytes`` sizes the engine's distance tiles
-    (default 32 MiB).
+    selector.
     """
     return best_ensemble_curve(
         pool, [size], metric, space=space, samples=samples,
         n_samples=n_samples, seed=seed, beam_width=beam_width,
-        refine=refine, strategy=strategy,
-        block_bytes=block_bytes)[int(size)]
+        refine=refine, strategy=strategy)[int(size)]
 
 
 def top_k_ensembles(
@@ -144,7 +141,6 @@ def top_k_ensembles(
     n_samples: int = WIDE_SEARCH_SAMPLES,
     seed: int = 0,
     beam_width: int = 400,
-    block_bytes: "int | None" = None,
 ) -> list[SearchResult]:
     """The ``k`` best size-``size`` ensembles found by a wide beam.
 
@@ -158,8 +154,7 @@ def top_k_ensembles(
         raise ValidationError("k must be >= 1")
     space, vectors, mat = _pool_matrix(pool, space)
     engine = FastEngine(mat, metric, space=space, samples=samples,
-                        n_samples=n_samples, seed=seed,
-                        block_bytes=block_bytes)
+                        n_samples=n_samples, seed=seed)
     if size > engine.n:
         raise ValidationError(f"cannot pick {size} of {engine.n} runs")
     with get_telemetry().span("ensemble_search", metric=metric,
@@ -181,7 +176,6 @@ def best_ensemble_curve(
     beam_width: int = 64,
     refine: bool = True,
     strategy: "str | None" = None,
-    block_bytes: "int | None" = None,
 ) -> dict[int, SearchResult]:
     """Best ensembles across a range of sizes (the Figs 14-19 curves).
 
@@ -192,8 +186,7 @@ def best_ensemble_curve(
     strategy = _resolve_strategy(strategy, metric)
     space, vectors, mat = _pool_matrix(pool, space)
     engine = FastEngine(mat, metric, space=space, samples=samples,
-                        n_samples=n_samples, seed=seed,
-                        block_bytes=block_bytes)
+                        n_samples=n_samples, seed=seed)
     curve: dict[int, SearchResult] = {}
     for size in sizes:
         indices, score = _search_best(engine, int(size), beam_width,
@@ -214,7 +207,6 @@ def best_subset(
     beam_width: int = 64,
     refine: bool = True,
     strategy: "str | None" = None,
-    block_bytes: "int | None" = None,
 ) -> tuple[tuple[int, ...], float]:
     """Dimension-agnostic best-subset search over raw coordinates.
 
@@ -229,6 +221,5 @@ def best_subset(
             f"points have {points.shape[1]} dims, space has {space.dims}")
     strategy = _resolve_strategy(strategy, metric)
     engine = FastEngine(points, metric, space=space, samples=samples,
-                        n_samples=n_samples, seed=seed,
-                        block_bytes=block_bytes)
+                        n_samples=n_samples, seed=seed)
     return _search_best(engine, size, beam_width, refine, strategy)

@@ -305,15 +305,6 @@ class BuildOptions:
     #: attempts that made no forward progress.
     checkpoint_dir: "str | None" = None
     checkpoint_every: "str | None" = None
-    #: Shared-memory graph plane for multi-worker builds: each distinct
-    #: graph is materialized once, published into shared memory and
-    #: attached zero-copy by every worker. Off (or when shared memory is
-    #: unavailable), workers materialize per process through their own
-    #: :class:`~repro.experiments.graph_cache.GraphCache`.
-    use_shm: bool = True
-    #: Capacity of the per-process graph LRU cache (None keeps the
-    #: default / ``$REPRO_GRAPH_CACHE_BYTES``; 0 disables caching).
-    graph_cache_bytes: "int | None" = None
     #: Resolved observability level — ``"off"`` or ``"full"`` (metrics,
     #: every iteration timed, span events) —
     #: with the directory holding the event log and the exported

@@ -35,7 +35,6 @@ from repro.experiments.config import (
     get_profile,
 )
 from repro.experiments.failures import RunFailure, full_jitter_backoff
-from repro.experiments.graph_cache import configure_default_cache
 from repro.experiments.results import ResultStore, StoredRun
 from repro.obs.events import (
     EVENTS_FILENAME,
@@ -611,11 +610,6 @@ def format_progress(event: dict) -> str:
             f"{event['message']}")
 
 
-def _progress_line(run: CorpusRun, done: int, total: int) -> str:
-    """One structured progress line per completed cell."""
-    return format_progress(progress_event(run, done, total))
-
-
 def _affinity_order(plan: "list[PlannedRun]") -> "list[PlannedRun]":
     """Graph-affinity scheduling: order the plan graph-major.
 
@@ -661,8 +655,6 @@ def build_corpus(
     checkpoint_dir: "str | Path | None" = None,
     checkpoint_every: "str | None" = None,
     stop_requested: "Callable[[], bool] | None" = None,
-    use_shm: bool = True,
-    graph_cache_bytes: "int | None" = None,
     obs: "str | None" = None,
     obs_dir: "str | Path | None" = None,
     lease_timeout_s: "float | None" = None,
@@ -734,7 +726,6 @@ def build_corpus(
     corpus = BehaviorCorpus(profile=profile)
     started = time.perf_counter()
     plan = _affinity_order(matrix.corpus_runs())
-    configure_default_cache(graph_cache_bytes)
 
     obs_level = resolve_obs_level(obs)
     obs_path: "Path | None" = None
@@ -764,7 +755,6 @@ def build_corpus(
         health_policy=health_policy,
         health_check_every=health_check_every,
         checkpoint_dir=checkpoint_dir, checkpoint_every=checkpoint_every,
-        use_shm=use_shm, graph_cache_bytes=graph_cache_bytes,
         obs_level=obs_level, obs_dir=obs_path, run_id=corpus.run_id,
         lease_timeout_s=lease_timeout_s,
         heartbeat_every_s=heartbeat_every_s,

@@ -72,9 +72,10 @@ from repro.experiments.config import (
     Profile,
 )
 from repro.experiments.failures import RunFailure, full_jitter_backoff
+from repro.experiments.scheduler import POLL_S
 
 #: Queue layout version; bumped on incompatible manifest changes.
-QUEUE_VERSION = 2
+QUEUE_VERSION = 3
 
 MANIFEST_FILENAME = "manifest.json"
 COMPLETE_FILENAME = "complete.json"
@@ -676,7 +677,7 @@ class Coordinator:
         finished here wakes the round at once. Nothing can wake it for
         what a peer did — a shared directory has no cross-host
         notification — so ``nodes/`` and ``claims/`` are listed once
-        per ``poll_s`` whatever the local crew does in between, and no
+        per ``POLL_S`` whatever the local crew does in between, and no
         wait outlasts the next listing.
         """
         wait_s = max(0.0, self._supervise_due - time.monotonic())
@@ -688,7 +689,7 @@ class Coordinator:
             agent.tick(time.time(), wait_s)
         woke = time.monotonic()
         if woke >= self._supervise_due:
-            self._supervise_due = woke + self.config.poll_s
+            self._supervise_due = woke + POLL_S
             self._supervise(time.time())
         self._collect()
 
@@ -972,7 +973,7 @@ class Coordinator:
                        if not b.done and not b.provably_dead()]
             if not pending or time.monotonic() >= deadline:
                 return
-            time.sleep(2 * self.config.poll_s)
+            time.sleep(2 * POLL_S)
 
     def _reap_lost_segments(self) -> None:
         """Unlink shared-memory segments published by nodes that died.

@@ -21,7 +21,6 @@ CSR arrays are immutable already.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 
 import numpy as np
@@ -29,10 +28,9 @@ import numpy as np
 from repro.generators.problem import ProblemInstance
 from repro.graph import shm
 
-#: Overrides the default cache capacity; ``0`` disables caching.
-CACHE_BYTES_ENV = "REPRO_GRAPH_CACHE_BYTES"
-#: Default capacity — generous for smoke/paper profiles, bounded so a
-#: long-lived process cannot accumulate every graph it ever touched.
+#: Capacity of the process-wide cache — generous for smoke/paper
+#: profiles, bounded so a long-lived process cannot accumulate every
+#: graph it ever touched.
 DEFAULT_CACHE_BYTES = 256 << 20
 
 
@@ -53,10 +51,7 @@ class GraphCache:
     admitted.
     """
 
-    def __init__(self, capacity_bytes: "int | None" = None) -> None:
-        if capacity_bytes is None:
-            capacity_bytes = int(os.environ.get(CACHE_BYTES_ENV,
-                                                DEFAULT_CACHE_BYTES))
+    def __init__(self, capacity_bytes: int = DEFAULT_CACHE_BYTES) -> None:
         self.capacity_bytes = max(0, int(capacity_bytes))
         self._entries: "OrderedDict[str, tuple[ProblemInstance, int]]" = \
             OrderedDict()
@@ -98,27 +93,11 @@ _default_cache: "GraphCache | None" = None
 
 
 def default_cache() -> GraphCache:
-    """The process-wide cache (capacity from the environment)."""
+    """The process-wide cache, of :data:`DEFAULT_CACHE_BYTES`."""
     global _default_cache
     if _default_cache is None:
         _default_cache = GraphCache()
     return _default_cache
-
-
-def configure_default_cache(capacity_bytes: "int | None") -> None:
-    """Resize the process-wide cache; None keeps the current one.
-
-    A no-op when the capacity is unchanged, so pool workers calling
-    this per cell do not flush the cache they are benefiting from.
-    """
-    global _default_cache
-    if capacity_bytes is None:
-        return
-    capacity_bytes = max(0, int(capacity_bytes))
-    if _default_cache is not None \
-            and _default_cache.capacity_bytes == capacity_bytes:
-        return
-    _default_cache = GraphCache(capacity_bytes)
 
 
 def freeze_inputs(problem: ProblemInstance) -> ProblemInstance:

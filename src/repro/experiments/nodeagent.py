@@ -60,7 +60,12 @@ from repro.experiments.distqueue import (
 )
 from repro.experiments.failures import RunFailure
 from repro.experiments.results import ResultStore
-from repro.experiments.scheduler import CrewLoop, SchedulerConfig, Task
+from repro.experiments.scheduler import (
+    POLL_S,
+    CrewLoop,
+    SchedulerConfig,
+    Task,
+)
 from repro.experiments.worksite import HeartbeatWriter, ResultEnvelope
 
 #: ``"<substring|*>:<count>"`` — SIGKILL this *entire agent process*
@@ -412,7 +417,7 @@ class NodeAgent(CrewLoop):
             return 1
         try:
             while not agent.stopping:
-                agent.tick(time.time(), agent.config.poll_s)
+                agent.tick(time.time(), POLL_S)
                 if queue.complete() and agent.drained:
                     break
                 if not (queue.root / "manifest.json").exists():

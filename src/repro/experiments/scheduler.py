@@ -82,6 +82,10 @@ _ALLOWED_TRANSITIONS: dict = {
 #: completion) under this worker id.
 SUPERVISOR_WORKER = -1
 
+#: Ceiling of the full-jitter backoff before a revoked task is
+#: re-dispatched.
+BACKOFF_CAP_S = 5.0
+
 
 class SchedulerError(RuntimeError):
     """An illegal task transition — a scheduler bug, not a task fault."""
@@ -132,7 +136,7 @@ class TaskBoard:
     def __init__(self, *, lease_timeout_s: float = CREW_LEASE_TIMEOUT_S,
                  max_lease_expiries: int = MAX_LEASE_EXPIRIES,
                  backoff_base_s: float = 0.05,
-                 backoff_cap_s: float = 5.0,
+                 backoff_cap_s: float = BACKOFF_CAP_S,
                  on_transition: "Callable | None" = None) -> None:
         if lease_timeout_s <= 0:
             raise ValueError("lease_timeout_s must be positive")
@@ -318,6 +322,15 @@ class TaskBoard:
             self.on_transition(task, old, new, info)
 
 
+#: Circuit-breaker tuning of a :class:`Supervisor`: the sliding window
+#: of outcomes, the infra failures it takes to judge, the failure
+#: fraction that trips it, and the cooldown before a half-open probe.
+BREAKER_WINDOW = 16
+BREAKER_MIN_EVENTS = 4
+BREAKER_THRESHOLD = 0.5
+BREAKER_COOLDOWN_S = 30.0
+
+
 class CircuitBreaker:
     """Trips when worker *infra* failures dominate recent outcomes.
 
@@ -344,9 +357,10 @@ class CircuitBreaker:
         failure re-trips it for another full cooldown.
     """
 
-    def __init__(self, *, window: int = 16, min_events: int = 4,
-                 threshold: float = 0.5,
-                 cooldown_s: float = 30.0) -> None:
+    def __init__(self, *, window: int = BREAKER_WINDOW,
+                 min_events: int = BREAKER_MIN_EVENTS,
+                 threshold: float = BREAKER_THRESHOLD,
+                 cooldown_s: float = BREAKER_COOLDOWN_S) -> None:
         self.window = window
         self.min_events = min_events
         self.threshold = threshold
@@ -403,21 +417,21 @@ class CircuitBreaker:
         return self.state != "closed"
 
 
+#: Longest a crew loop waits on its result queue per round; also how
+#: often a coordinator lists the shared queue.
+POLL_S = 0.05
+
+
 @dataclass(frozen=True)
 class SchedulerConfig:
-    """Crew-loop tuning; the first three fields are surfaced on the CLI
-    through :class:`~repro.experiments.config.BuildOptions`."""
+    """Crew-loop tuning that a build sets: the three lease values of
+    :class:`~repro.experiments.config.BuildOptions` (surfaced on the
+    CLI) and the profile's retry backoff."""
 
     lease_timeout_s: float = CREW_LEASE_TIMEOUT_S
     heartbeat_every_s: float = HEARTBEAT_EVERY_S
     max_lease_expiries: int = MAX_LEASE_EXPIRIES
     backoff_base_s: float = 0.05
-    backoff_cap_s: float = 5.0
-    breaker_window: int = 16
-    breaker_min_events: int = 4
-    breaker_threshold: float = 0.5
-    breaker_cooldown_s: float = 30.0
-    poll_s: float = 0.05
 
     @classmethod
     def for_build(cls, options: BuildOptions, profile: Any, *,
@@ -462,7 +476,6 @@ class CrewLoop:
             lease_timeout_s=config.lease_timeout_s,
             max_lease_expiries=config.max_lease_expiries,
             backoff_base_s=config.backoff_base_s,
-            backoff_cap_s=config.backoff_cap_s,
             on_transition=self._emit_transition)
         self.site = Worksite(
             site_root or tempfile.mkdtemp(prefix="repro-worksite-"))
@@ -471,9 +484,9 @@ class CrewLoop:
                                store_root)
         self.plane = None
         self.manifests: dict = {}
-        #: Set once shared memory turned out unusable (or was never
-        #: wanted): every later cell materializes per process.
-        self._plane_failed = not options.use_shm
+        #: Set once shared memory turned out unusable: every later cell
+        #: materializes per process.
+        self._plane_failed = False
         self.stopping = False
 
     # ------------------------------------------------------------------
@@ -699,7 +712,6 @@ class Supervisor(CrewLoop):
 
     def __init__(self, *, plan: list, profile: Any, store: Any,
                  corpus: Any, workers: int, options: BuildOptions,
-                 config: "SchedulerConfig | None" = None,
                  progress: "Callable | None" = None,
                  stop_requested: "Callable | None" = None) -> None:
         self.plan = plan
@@ -708,12 +720,11 @@ class Supervisor(CrewLoop):
         self.workers = max(2, int(workers))
         self.progress = progress
         self._stop = stop_requested or (lambda: False)
-        config = config or SchedulerConfig.for_build(options, profile)
+        # The constants are read here, not bound as defaults, so a test
+        # can patch them.
         self.breaker = CircuitBreaker(
-            window=config.breaker_window,
-            min_events=config.breaker_min_events,
-            threshold=config.breaker_threshold,
-            cooldown_s=config.breaker_cooldown_s)
+            window=BREAKER_WINDOW, min_events=BREAKER_MIN_EVENTS,
+            threshold=BREAKER_THRESHOLD, cooldown_s=BREAKER_COOLDOWN_S)
         #: Task id of the single half-open trial dispatch, if one is
         #: in flight; its outcome alone moves the breaker.
         self._probe_task: "str | None" = None
@@ -723,7 +734,8 @@ class Supervisor(CrewLoop):
         self._premat_pending = False
         self._started = time.perf_counter()  # crew start-up is premat time
         super().__init__(
-            options=options, profile=profile, config=config,
+            options=options, profile=profile,
+            config=SchedulerConfig.for_build(options, profile),
             workers=self.workers,
             store_root=str(store.root) if store is not None else None)
 
@@ -738,7 +750,7 @@ class Supervisor(CrewLoop):
         from repro.graph import shm
 
         needed: dict = {}
-        if self.options.use_shm and shm.shm_available():
+        if shm.shm_available():
             self._premat_pending = True
             needed = _specs_needing_materialization(
                 self.plan, self.profile, self.store, self.options.resume)
@@ -763,7 +775,7 @@ class Supervisor(CrewLoop):
             while True:
                 if not self.stopping and self._stop():
                     self.stopping = True
-                self.tick(time.time(), self.config.poll_s)
+                self.tick(time.time(), POLL_S)
                 self._check_premat_done()
                 if not self.stopping:
                     self._collect_finished()

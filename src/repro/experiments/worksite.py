@@ -237,13 +237,12 @@ def _maybe_stall(envelope: TaskEnvelope, beats: HeartbeatWriter) -> None:
 
 
 def _execute_envelope(envelope: TaskEnvelope, options: BuildOptions,
-                      profile: Any, store_root: "str | None") -> Any:
+                      profile: Any, store: Any) -> Any:
     """Run one task body. Imports are lazy: the worksite stays loadable
     without pulling the whole corpus module into importers that only
     need the heartbeat types."""
     from repro.experiments import corpus as corpus_mod
     from repro.experiments.graph_cache import materialize_problem
-    from repro.experiments.results import ResultStore
     from repro.graph import shm
     from repro.obs.telemetry import get_telemetry
 
@@ -257,7 +256,6 @@ def _execute_envelope(envelope: TaskEnvelope, options: BuildOptions,
         return payload.cache_key(), materialize_problem(payload)[0]
     if envelope.kind != "run":
         raise ValueError(f"unknown task kind {envelope.kind!r}")
-    store = ResultStore(store_root) if store_root is not None else None
     result = corpus_mod._run_cell(payload, profile, store, options)
     tel = get_telemetry()
     if tel.enabled:
@@ -311,10 +309,12 @@ def worker_main(worker: int, task_queue, result_queue,
 
     from repro.experiments.corpus import _configure_worker_obs
     from repro.experiments.failures import RunFailure
-    from repro.experiments.graph_cache import configure_default_cache
+    from repro.experiments.results import ResultStore
 
     _configure_worker_obs(options)
-    configure_default_cache(options.graph_cache_bytes)
+    # One store for the worker's life, so its summary index is read
+    # once per worker rather than once per cell.
+    store = ResultStore(store_root) if store_root is not None else None
     site = Worksite(worksite_root)
     beats = HeartbeatWriter(site.heartbeat_path(worker), worker,
                             heartbeat_every)
@@ -333,7 +333,7 @@ def worker_main(worker: int, task_queue, result_queue,
             try:
                 _maybe_stall(envelope, beats)
                 value = _execute_envelope(envelope, options, profile,
-                                          store_root)
+                                          store)
                 result_queue.put(ResultEnvelope(
                     envelope.task_id, envelope.epoch, worker, True,
                     value=value))

@@ -1,7 +1,7 @@
 """``repro bench compare``: perf-regression gate over BENCH artifacts.
 
 Diffs the JSON reports the benchmark smokes drop under
-``benchmarks/artifacts/`` (``BENCH_engine.json``, ``BENCH_corpus.json``,
+``benchmarks/artifacts/`` (``BENCH_engine.json``,
 ``BENCH_ensemble.json``, ``BENCH_obs.json``) between a *baseline* and a
 *candidate* directory, flagging metric movements beyond configurable
 thresholds.
@@ -28,8 +28,7 @@ from pathlib import Path
 from typing import Any
 
 #: Known artifacts, in comparison order.
-ARTIFACTS = ("BENCH_engine.json", "BENCH_corpus.json",
-             "BENCH_ensemble.json", "BENCH_obs.json")
+ARTIFACTS = ("BENCH_engine.json", "BENCH_ensemble.json", "BENCH_obs.json")
 
 #: (artifact glob, dotted-path glob, direction, kind).  ``direction``
 #: is the *good* direction: "higher" metrics regress when they drop,
@@ -41,8 +40,6 @@ RULES: "tuple[tuple[str, str, str, str], ...]" = (
     ("BENCH_engine.json", "speedup.*", "higher", "ratio"),
     ("BENCH_engine.json", "monitor_overhead", "lower", "ratio"),
     ("BENCH_engine.json", "fused_step_over_floor.*", "lower", "ratio"),
-    ("BENCH_corpus.json", "speedup", "higher", "ratio"),
-    ("BENCH_corpus.json", "best_wall_s.*", "lower", "wall"),
     ("BENCH_ensemble.json", "*.speedup", "higher", "ratio"),
     ("BENCH_ensemble.json", "*.best_wall_s.fast", "lower", "wall"),
     ("BENCH_obs.json", "overhead", "lower", "ratio"),

@@ -467,9 +467,7 @@ def get_telemetry() -> Telemetry:
 
 
 def configure(level: str, *, events_path: "str | None" = None,
-              run_id: "str | None" = None,
-              max_bytes: "int | None" = None,
-              backups: "int | None" = None) -> Telemetry:
+              run_id: "str | None" = None) -> Telemetry:
     """Install a fresh process-global registry and return it."""
 
     global _TELEMETRY
@@ -477,12 +475,7 @@ def configure(level: str, *, events_path: "str | None" = None,
         _TELEMETRY.close()
     events = None
     if events_path is not None and level != "off":
-        kwargs: dict[str, Any] = {}
-        if max_bytes is not None:
-            kwargs["max_bytes"] = max_bytes
-        if backups is not None:
-            kwargs["backups"] = backups
-        events = EventLog(events_path, **kwargs)
+        events = EventLog(events_path)
     _TELEMETRY = Telemetry(level=level, events=events, run_id=run_id)
     return _TELEMETRY
 

@@ -12,7 +12,7 @@ Fixtures are named by placeholders in the argv:
 ``{obs}``     obs dir of one 300-edge ``repro run --obs full``
 ``{build}``   obs dir of one full-obs build through a queue, no peers
 ``{trace}``   the trace id of ``{obs}``
-``{bench}``   a directory holding one ``BENCH_corpus.json``
+``{bench}``   a directory holding one ``BENCH_ensemble.json``
 ``{arts}``    a directory holding one ``*.txt`` artifact
 ``{queue}``   a live queue with one pending task, completed once the
               node under test has run it
@@ -27,7 +27,6 @@ import time
 import pytest
 
 import repro.experiments.config as config
-import repro.experiments.graph_cache as graph_cache
 from repro.cli import _build_parser, main
 from repro.experiments.config import BuildOptions, ExperimentMatrix, Profile
 from repro.experiments.distqueue import (
@@ -122,9 +121,6 @@ SURFACE: "dict[tuple[str, str], tuple[str, ...]]" = {
         _CORPUS + "--health-check-every 2"),
     ("corpus", "--checkpoint-every"): _CELL_CHECKPOINT,
     ("corpus", "--checkpoint-dir"): _CELL_CHECKPOINT,
-    ("corpus", "--no-shm"): _argv(_CORPUS + "--workers 2 --no-shm"),
-    ("corpus", "--graph-cache-bytes"): _argv(
-        _CORPUS + "--graph-cache-bytes 0"),
     ("corpus", "--lease-timeout"): _argv(
         _CORPUS + "--workers 2 --lease-timeout 30"),
     ("corpus", "--heartbeat-every"): _argv(
@@ -174,7 +170,7 @@ SURFACE: "dict[tuple[str, str], tuple[str, ...]]" = {
     ("bench compare", "--fail-pct"): _argv(_COMPARE + "--fail-pct 50"),
     ("bench compare", "--strict"): _argv(_COMPARE + "--strict"),
     ("bench compare", "--artifact"): _argv(
-        _COMPARE + "--artifact BENCH_corpus.json"),
+        _COMPARE + "--artifact BENCH_ensemble.json"),
     ("bench compare", "--format"): _argv(_COMPARE + "--format json"),
     ("tail", "--lines"): _argv("tail {obs} -n 3"),
     ("tail", "--follow"): _FOLLOW,
@@ -235,9 +231,6 @@ def test_table_keys_equal_the_parser_options():
 def _patch_globals(monkeypatch) -> None:
     monkeypatch.setitem(config.PROFILES, "surface", SURFACE_PROFILE)
     monkeypatch.setattr(config, "CORPUS_ALGORITHMS", SURFACE_ALGORITHMS)
-    # ``--graph-cache-bytes`` resizes the process-wide cache for good;
-    # undoing the patch hands later tests back the one they had.
-    monkeypatch.setattr(graph_cache, "_default_cache", None)
 
 
 @pytest.fixture(scope="module")
@@ -268,7 +261,7 @@ def _live_queue(root) -> "tuple[str, threading.Thread]":
     queue = DistributedQueue(root / "queue")
     queue.ensure_layout()
     queue.write_manifest(build_manifest(
-        BuildOptions(use_shm=False), SURFACE_PROFILE, root / "store", None))
+        BuildOptions(), SURFACE_PROFILE, root / "store", None))
     record = TaskRecord.for_planned(
         ExperimentMatrix(SURFACE_PROFILE).runs_for_algorithm("cc")[0],
         SURFACE_PROFILE)

@@ -44,7 +44,7 @@ from repro.experiments.distqueue import (
 )
 from repro.experiments.failures import RunFailure
 from repro.experiments.results import ResultStore
-from repro.experiments.scheduler import SchedulerConfig
+from repro.experiments.scheduler import POLL_S, SchedulerConfig
 
 DQ_PROFILE = Profile(
     name="dq-test",
@@ -131,7 +131,6 @@ class TestManifestTransport:
     OPTIONS = BuildOptions(timeout_s=2.5, retries=1, resume=True,
                            health_policy="degrade", health_check_every=4,
                            checkpoint_dir="ckpt", checkpoint_every="5",
-                           use_shm=False, graph_cache_bytes=1 << 20,
                            obs_level="full", obs_dir="obs", run_id="r-1",
                            lease_timeout_s=0.5, heartbeat_every_s=0.1,
                            max_lease_expiries=2)
@@ -563,7 +562,7 @@ class TestReclaim:
 
 
 class TestCoordinatorRound:
-    """The round waits on events, lists the queue once per ``poll_s``,
+    """The round waits on events, lists the queue once per ``POLL_S``,
     and never spins — on a fake clock, without a build."""
 
     @pytest.fixture
@@ -599,14 +598,14 @@ class TestCoordinatorRound:
         while clock.now < 101.0:
             co._round(agent)
             rounds += 1
-        budget = 1.0 / co.config.poll_s + 2
+        budget = 1.0 / POLL_S + 2
         assert rounds <= budget and len(listings) <= budget
-        assert sum(clock.slept) == pytest.approx(1.0, abs=co.config.poll_s)
+        assert sum(clock.slept) == pytest.approx(1.0, abs=POLL_S)
 
     def test_busy_crew_does_not_raise_the_listing_rate(self, tmp_path,
                                                        monkeypatch, clock):
         """A result every millisecond wakes a round every millisecond;
-        nodes/ and claims/ are still listed once per ``poll_s``, and the
+        nodes/ and claims/ are still listed once per ``POLL_S``, and the
         tick never waits past the next listing."""
         co, listings = self._coordinator(tmp_path, monkeypatch)
         waits = []
@@ -618,9 +617,8 @@ class TestCoordinatorRound:
         agent = SimpleNamespace(stopping=False, tick=tick)
         while clock.now < 101.0:
             co._round(agent)
-        poll_s = co.config.poll_s
         assert len(waits) > 500 and clock.slept == []
-        assert max(waits) <= poll_s
-        assert 1.0 / poll_s - 1 <= len(listings) <= 1.0 / poll_s + 2
+        assert max(waits) <= POLL_S
+        assert 1.0 / POLL_S - 1 <= len(listings) <= 1.0 / POLL_S + 2
         gaps = [b - a for a, b in zip(listings, listings[1:])]
-        assert min(gaps) >= poll_s - 1e-9
+        assert min(gaps) >= POLL_S - 1e-9

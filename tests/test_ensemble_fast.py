@@ -7,6 +7,8 @@ the (1 - 1/e) lazy-greedy guarantee against exhaustive optima, and
 the blocked-kernel plumbing (LRU byte bound, hit/miss accounting).
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro._util.errors import ValidationError
 from repro.behavior.space import BehaviorSpace, BehaviorVector
+from repro.ensemble import fast as fast_mod
 from repro.ensemble.fast import (
     BlockCache,
     PairwiseBlocks,
@@ -53,9 +56,13 @@ block_budgets = st.sampled_from([None, 160, 3200, 7000])
 
 
 def assert_matches_oracle(pool, size, metric, block_bytes=None, **search):
-    """Identical index tuple, score equal to 1e-9."""
-    fast = best_ensemble(pool, size, metric, samples=SAMPLES,
-                         block_bytes=block_bytes, **search)
+    """Identical index tuple, score equal to 1e-9, with the engine's
+    tiles of ``block_bytes`` (None: the default). Patched with
+    ``mock`` rather than ``monkeypatch``: hypothesis re-enters a test
+    body many times under one function-scoped fixture."""
+    budget = block_bytes or fast_mod.DEFAULT_BLOCK_BYTES
+    with mock.patch.object(fast_mod, "DEFAULT_BLOCK_BYTES", budget):
+        fast = best_ensemble(pool, size, metric, samples=SAMPLES, **search)
     oracle = Oracle(pool, metric, samples=SAMPLES).best(size, **search)
     assert fast.indices == oracle.indices
     assert fast.score == pytest.approx(oracle.score, abs=1e-9)

@@ -2,6 +2,7 @@
 watchdogs, fault injection, trace validation, and corpus accounting."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from repro.algorithms.registry import create
 from repro.behavior.run import INJECT_ENGINE_FAULT_ENV, run_computation
 from repro.behavior.trace import IterationRecord, RunTrace
 from repro.behavior.validate import validate_trace
+from repro.engine import health as health_mod
 from repro.engine import (
     AsyncEngineOptions,
     AsynchronousEngine,
@@ -98,8 +100,12 @@ def problem():
 
 
 def run_engine(engine_name: str, program, problem, **health):
-    """Build the named engine with fast-failing health defaults."""
-    health.setdefault("health_window", 4)
+    """Run the named engine with a fast-failing watchdog window."""
+    with mock.patch.object(health_mod, "WATCHDOG_WINDOW", 4):
+        return _run_engine(engine_name, program, problem, **health)
+
+
+def _run_engine(engine_name: str, program, problem, **health):
     if engine_name == "synchronous":
         return SynchronousEngine(
             EngineOptions(max_iterations=60, **health)).run(program, problem)

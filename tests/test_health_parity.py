@@ -76,8 +76,8 @@ def _run(engine, program, problem, **options):
 def test_production_decides_what_the_eager_monitor_decides(
         engine, mode, window, every, problem, monkeypatch):
     program_mode, fault, condition, period = MODES[mode]
-    options = dict(health_window=window, health_check_every=every,
-                   inject_fault=fault)
+    monkeypatch.setattr(health, "WATCHDOG_WINDOW", window)
+    options = dict(health_check_every=every, inject_fault=fault)
     production = _run(engine, PathologicalProgram(program_mode), problem,
                       **options).health
     eager_monitor(monkeypatch)
@@ -97,8 +97,8 @@ def test_a_kill_in_mid_cycle_still_fires_where_it_would_have(
     """The fingerprints travel with the digests: killed with the window
     half full of an oscillation, the resumed run trips at the iteration
     the uninterrupted one does."""
-    base = _run(engine, PathologicalProgram("oscillation"), problem,
-                health_window=8).health
+    monkeypatch.setattr(health, "WATCHDOG_WINDOW", 8)
+    base = _run(engine, PathologicalProgram("oscillation"), problem).health
     assert base["condition"] == "oscillation"
 
     key = f"mid-cycle-{engine}"
@@ -111,7 +111,7 @@ def test_a_kill_in_mid_cycle_still_fires_where_it_would_have(
 
     with pytest.raises(SimulatedKillError):
         _run(engine, PathologicalProgram("oscillation"), problem,
-             health_window=8, checkpoint=config())
+             checkpoint=config())
     snapshot = SnapshotStore(tmp_path).load_latest(key)
     history = snapshot.payload["monitor"]
     assert len(history["fingerprints"]) == min(kill_at + 1, 4)
@@ -119,7 +119,7 @@ def test_a_kill_in_mid_cycle_still_fires_where_it_would_have(
 
     monkeypatch.delenv(INJECT_KILL_ENV)
     resumed = _run(engine, PathologicalProgram("oscillation"), problem,
-                   health_window=8, checkpoint=config())
+                   checkpoint=config())
     assert resumed.meta["resumed_from_iteration"] == kill_at + 1
     assert resumed.health == base
 

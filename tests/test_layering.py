@@ -1,6 +1,9 @@
 """Import layering: lower packages never import the layers above."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -146,13 +149,30 @@ def test_the_untaken_paths_left_src():
         file = path.relative_to(SRC).as_posix()
         text = path.read_text("utf-8")
         gone = ["speculative", "speculated", "resolve_workers",
-                "render_prometheus", "REPRO_COUNT_MATERIALIZE"]
+                "render_prometheus", "REPRO_COUNT_MATERIALIZE",
+                "use_shm", "graph_cache_bytes", "REPRO_GRAPH_CACHE_BYTES",
+                "configure_default_cache", "health_window", "breaker_"]
         if file not in STORES:
             gone.append("gc_quarantine")
         if file.startswith("ensemble/"):
             gone += ["precision", "ThreadPoolExecutor"]
+        if file == "ensemble/search.py":
+            gone.append("block_bytes")
         for name in gone:
             assert name not in text, f"{name} in {path}"
+
+
+def test_import_repro_leaves_the_offline_obs_tools_unloaded():
+    """``obs/__init__`` re-exports nothing, so neither ``import repro``
+    nor the CLI's import pulls in the bench comparer or the
+    critical-path report."""
+    probe = ("import sys, repro, repro.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m in ('repro.obs.benchdiff', 'repro.obs.critpath')))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.stdout.strip() == "[]"
 
 
 def test_the_build_dag_has_two_task_kinds():

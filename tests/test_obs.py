@@ -463,16 +463,9 @@ class TestProgressEventContract:
         return CorpusRun("cc", spec, None, None, failure=failure)
 
     def test_ok_line_matches_formatter(self):
-        from repro.experiments.corpus import (
-            _progress_line,
-            format_progress,
-            progress_event,
-        )
+        from repro.experiments.corpus import format_progress, progress_event
 
-        run = self._ok_run()
-        event = progress_event(run, 3, 10)
-        assert _progress_line(run, 3, 10) == format_progress(event)
-        line = format_progress(event)
+        line = format_progress(progress_event(self._ok_run(), 3, 10))
         assert line.startswith("[3/10] cc@")
         assert "status=ok source=run" in line
         assert "graph=" in line and "mat=" in line

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro._util.errors import RunTimeoutError
 from repro.behavior.run import INJECT_SLEEP_ENV, run_computation
+from repro.experiments import scheduler
 from repro.experiments.config import BuildOptions, ExperimentMatrix, Profile
 from repro.experiments.corpus import (
     BehaviorCorpus,
@@ -27,10 +28,10 @@ from repro.experiments.corpus import (
 )
 from repro.experiments.failures import RunFailure, full_jitter_backoff
 from repro.experiments.results import ResultStore
+from repro.graph import shm
 from repro.experiments.scheduler import (
     _ALLOWED_TRANSITIONS,
     CircuitBreaker,
-    SchedulerConfig,
     SchedulerError,
     Supervisor,
     Task,
@@ -74,8 +75,13 @@ def _plan_for(algorithms) -> list:
     return [p for p in matrix.corpus_runs() if p.algorithm in algorithms]
 
 
-def _worker_ctx(store) -> BuildOptions:
-    return BuildOptions(retries=0, use_shm=False)
+def _supervise(plan, store, corpus, monkeypatch, **options) -> None:
+    """One supervised 2-worker build with per-process graphs (no shm
+    plane) and no retries."""
+    monkeypatch.setattr(shm, "shm_available", lambda: False)
+    Supervisor(plan=plan, profile=SCHED_PROFILE, store=store,
+               corpus=corpus, workers=2,
+               options=BuildOptions(retries=0, **options)).run()
 
 
 # ----------------------------------------------------------------------
@@ -618,13 +624,10 @@ class TestPoisonQuarantine:
         store = ResultStore(tmp_path / "cache")
         plan = _plan_for({"cc"})
         corpus = BehaviorCorpus(profile=SCHED_PROFILE)
-        config = SchedulerConfig(
-            lease_timeout_s=0.8, heartbeat_every_s=0.2,
-            max_lease_expiries=2, breaker_min_events=1_000)
+        monkeypatch.setattr(scheduler, "BREAKER_MIN_EVENTS", 1_000)
         started = time.perf_counter()
-        Supervisor(plan=plan, profile=SCHED_PROFILE, store=store,
-                   corpus=corpus, workers=2, options=_worker_ctx(store),
-                   config=config).run()
+        _supervise(plan, store, corpus, monkeypatch, lease_timeout_s=0.8,
+                   heartbeat_every_s=0.2, max_lease_expiries=2)
         elapsed = time.perf_counter() - started
         assert elapsed < 60, "the poison cell hung the build"
 
@@ -666,14 +669,11 @@ class TestCircuitBreaker_Integration:
         store = ResultStore(tmp_path / "cache")
         plan = _plan_for({"cc"})
         corpus = BehaviorCorpus(profile=SCHED_PROFILE)
-        config = SchedulerConfig(
-            lease_timeout_s=0.6, heartbeat_every_s=0.2,
-            max_lease_expiries=100,  # requeue, don't quarantine
-            breaker_window=8, breaker_min_events=2,
-            breaker_threshold=0.5)
-        Supervisor(plan=plan, profile=SCHED_PROFILE, store=store,
-                   corpus=corpus, workers=2, options=_worker_ctx(store),
-                   config=config).run()
+        monkeypatch.setattr(scheduler, "BREAKER_WINDOW", 8)
+        monkeypatch.setattr(scheduler, "BREAKER_MIN_EVENTS", 2)
+        _supervise(plan, store, corpus, monkeypatch, lease_timeout_s=0.6,
+                   heartbeat_every_s=0.2,
+                   max_lease_expiries=100)  # requeue, don't quarantine
         assert corpus.degraded_to_inline
         assert len(corpus.runs) == len(plan)
         assert not corpus.failures

@@ -283,9 +283,11 @@ class TestCorpusGraphPlane:
         assert "graph plane on" in corpus.summary()
 
         # And the no-shm build produces bit-identical vectors.
-        plain = build_corpus(TINY_PROFILE,
-                             store=ResultStore(tmp_path / "plain"),
-                             workers=2, use_shm=False)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(shm, "shm_available", lambda: False)
+            plain = build_corpus(TINY_PROFILE,
+                                 store=ResultStore(tmp_path / "plain"),
+                                 workers=2)
         assert not plain.graph_plane
 
         def vec(c):

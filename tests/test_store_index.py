@@ -146,10 +146,12 @@ def _swap_same_length_and_mtime(root, key):
 
 def _index_other_schema(root, _key):
     path = root / INDEX
-    if path.exists():
+    try:
         data = json.loads(path.read_text())
-        data["schema"] += 1
-        path.write_text(json.dumps(data))
+    except (OSError, ValueError):
+        return  # absent, or torn already
+    data["schema"] += 1
+    path.write_text(json.dumps(data))
 
 
 def _index_tear(root, _key):
@@ -287,6 +289,28 @@ def test_a_warm_crewed_build_parses_nothing_in_the_parent(
     assert parent.trace_parses == 0 and parent.published == []
     # Crew workers hand back summaries; the traces still load.
     assert all(r.trace.algorithm == r.algorithm for r in corpus.runs)
+
+
+def test_a_crew_worker_builds_one_store_for_all_its_cells(
+        warm_smoke_cache, tmp_path):
+    """So a warm crewed build reads the summary index once per worker,
+    not once per cell."""
+    log, real_init = tmp_path / "stores.log", ResultStore.__init__
+
+    def init(self, *args, **kwargs):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        real_init(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        # The crew is forked, so its workers run the patched class too.
+        patch.setattr(ResultStore, "__init__", init)
+        corpus = build_corpus("smoke", store=ResultStore(
+            warm_smoke_cache.root), workers=2)
+    assert corpus.n_cached == 220 and corpus.workers_replaced == 0
+    in_workers = [pid for pid in log.read_text().split()
+                  if pid != str(os.getpid())]
+    assert len(in_workers) == len(set(in_workers)) == 2
 
 
 # ----------------------------------------------------------------------

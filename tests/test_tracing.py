@@ -217,9 +217,9 @@ class TestCriticalPath:
 
 def _write_bench(root, speedup, fast_wall=1.0):
     root.mkdir(parents=True, exist_ok=True)
-    (root / "BENCH_corpus.json").write_text(json.dumps(
-        {"speedup": speedup, "best_wall_s": {"fast": fast_wall},
-         "label": "x"}), encoding="utf-8")
+    (root / "BENCH_ensemble.json").write_text(json.dumps(
+        {"spread": {"speedup": speedup, "best_wall_s": {"fast": fast_wall},
+                    "label": "x"}}), encoding="utf-8")
 
 
 def _write_engine_bench(root, monitor_overhead=1.08, speedup=2.8,
@@ -242,7 +242,7 @@ class TestBenchCompare:
             report = compare_artifacts(tmp_path / "base",
                                        tmp_path / "cand")
             entry = next(e for e in report["entries"]
-                         if e["path"] == "speedup")
+                         if e["path"] == "spread.speedup")
             assert entry["status"] == status, (new, entry)
             assert report["failed"] == (status == "fail")
         assert "RESULT: FAIL" in render_bench_compare(report)
@@ -260,25 +260,26 @@ class TestBenchCompare:
         _write_bench(tmp_path / "cand", fast_wall=3.0, speedup=2.0)
         lax = compare_artifacts(tmp_path / "base", tmp_path / "cand")
         wall = next(e for e in lax["entries"]
-                    if e["path"] == "best_wall_s.fast")
+                    if e["path"] == "spread.best_wall_s.fast")
         assert wall["status"] == "info" and not lax["failed"]
         strict = compare_artifacts(tmp_path / "base", tmp_path / "cand",
                                    strict=True)
         wall = next(e for e in strict["entries"]
-                    if e["path"] == "best_wall_s.fast")
+                    if e["path"] == "spread.best_wall_s.fast")
         assert wall["status"] == "fail" and strict["failed"]
 
     def test_new_missing_and_skipped(self, tmp_path):
         base, cand = tmp_path / "base", tmp_path / "cand"
         _write_bench(base, speedup=2.0)
         cand.mkdir()
-        (cand / "BENCH_corpus.json").write_text(json.dumps(
-            {"best_wall_s": {"fast": 1.0, "slow": 9.0}}),
+        (cand / "BENCH_ensemble.json").write_text(json.dumps(
+            {"spread": {"best_wall_s": {"fast": 1.0}},
+             "coverage": {"speedup": 9.0}}),
             encoding="utf-8")
         report = compare_artifacts(base, cand)
         by_path = {e["path"]: e["status"] for e in report["entries"]}
-        assert by_path["speedup"] == "missing"
-        assert by_path["best_wall_s.slow"] == "new"
+        assert by_path["spread.speedup"] == "missing"
+        assert by_path["coverage.speedup"] == "new"
         assert not report["failed"]
         # Artifacts absent on either side are skipped, not failed.
         assert "BENCH_engine.json" in report["skipped"]
@@ -320,7 +321,7 @@ class TestBenchCompare:
         _write_bench(base, speedup=2.0)
         cand.mkdir()
         report = compare_artifacts(base, cand,
-                                   artifacts=("BENCH_corpus.json",))
+                                   artifacts=("BENCH_ensemble.json",))
         (entry,) = report["entries"]
         assert entry["status"] == "fail" and report["failed"]
         assert entry["note"] == "artifact absent from candidate"
