@@ -67,9 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="convergence-watchdog policy: strict raises, "
                           "degrade stops early with a flagged partial "
                           "trace, off disables (default: strict)")
-    run.add_argument("--health-check-every", type=int, default=None,
-                     metavar="N", help="run health checks every N "
-                                       "iterations (default: 1)")
     run.add_argument("--inject-fault", default=None, metavar="KIND@ITER",
                      help="engine-level fault injection for testing: "
                           "nan@3, diverge@2 or counter@1")
@@ -115,10 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      choices=("strict", "degrade", "off"), default=None,
                      help="per-run convergence-watchdog policy "
                           "(default: strict)")
-    cor.add_argument("--health-check-every", type=int, default=None,
-                     metavar="N",
-                     help="run health checks every N iterations "
-                          "(default: 1)")
     cor.add_argument("--checkpoint-every", default=None, metavar="SPEC",
                      help="snapshot each cell's run state every N "
                           "iterations and/or T seconds ('5', '2.5s' or "
@@ -406,8 +399,6 @@ def _cmd_run(args) -> int:
         options["max_iterations"] = args.max_iterations
     if args.health_policy is not None:
         options["health_policy"] = args.health_policy
-    if args.health_check_every is not None:
-        options["health_check_every"] = args.health_check_every
     if args.inject_fault is not None:
         options["inject_fault"] = args.inject_fault
     if args.checkpoint_every is not None or args.from_checkpoint:
@@ -534,7 +525,6 @@ def _cmd_corpus(args) -> int:
                               timeout_s=args.timeout, retries=args.retries,
                               resume=args.resume,
                               health_policy=args.health_policy,
-                              health_check_every=args.health_check_every,
                               checkpoint_dir=args.checkpoint_dir,
                               checkpoint_every=args.checkpoint_every,
                               stop_requested=governor.stop_requested,

@@ -48,7 +48,7 @@ from repro.engine.health import (
     HealthVerdict,
     build_monitor,
     mark_degraded,
-    validate_health_options,
+    validate_health_policy,
 )
 from repro.engine.instrumentation import Counters
 from repro.engine.program import Direction, VertexProgram
@@ -79,5 +79,5 @@ __all__ = [
     "VertexProgram",
     "build_monitor",
     "mark_degraded",
-    "validate_health_options",
+    "validate_health_policy",
 ]

@@ -80,27 +80,29 @@ _DIVERGE_SCALE = 32.0
 #: Recurrence window, in checks, of every run's stall / oscillation
 #: watchdogs (see :class:`HealthMonitor`).
 WATCHDOG_WINDOW = 20
+#: Cadence, in steps of the loop (iterations / rounds / supersteps), of
+#: every run's numeric guard + watchdog checks.
+CHECK_EVERY = 1
 
 
-def validate_health_options(policy: str, check_every: int) -> None:
-    """Shared validation for the health knobs on every engine options
-    dataclass."""
+def validate_health_policy(policy: str) -> None:
+    """Validation of the ``health_policy`` every engine options
+    dataclass carries."""
     if policy not in HEALTH_POLICIES:
         raise ValidationError(
             f"health_policy must be one of {HEALTH_POLICIES}, "
             f"got {policy!r}"
         )
-    if check_every < 1:
-        raise ValidationError("health_check_every must be >= 1")
 
 
 def build_monitor(options) -> "HealthMonitor":
     """Construct a run's monitor from any engine options dataclass
-    (which all carry the same ``health_*``/``inject_fault`` fields);
-    the window is :data:`WATCHDOG_WINDOW`, read per run."""
+    (which all carry the same ``health_policy``/``inject_fault``
+    fields); the cadence and the window are :data:`CHECK_EVERY` and
+    :data:`WATCHDOG_WINDOW`, read per run."""
     return HealthMonitor(
         policy=options.health_policy,
-        check_every=options.health_check_every,
+        check_every=CHECK_EVERY,
         window=WATCHDOG_WINDOW,
         fault=options.inject_fault,
     )
@@ -330,7 +332,9 @@ class HealthMonitor:
         divergence_factor: float = 1e6,
         fault: "str | FaultPlan | None" = None,
     ) -> None:
-        validate_health_options(policy, check_every)
+        validate_health_policy(policy)
+        if check_every < 1:
+            raise ValidationError("check_every must be >= 1")
         if window < 4:
             raise ValidationError("window must be >= 4")
         if divergence_factor <= 1.0:

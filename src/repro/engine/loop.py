@@ -33,7 +33,7 @@ from repro.engine.context import Context
 from repro.engine.health import (
     build_monitor,
     mark_degraded,
-    validate_health_options,
+    validate_health_policy,
 )
 from repro.engine.instrumentation import UNIT_SCALE, Counters
 from repro.engine.kernels import Kernels
@@ -54,9 +54,6 @@ class RunOptions:
     #: Run-health policy: ``"strict"`` (raise on detected pathologies),
     #: ``"degrade"`` (stop early, flag the trace), or ``"off"``.
     health_policy: str = "strict"
-    #: Cadence, in steps of the loop (iterations / rounds /
-    #: supersteps), of numeric guard + watchdog checks.
-    health_check_every: int = 1
     #: Fault-injection spec (``"nan@3"``, ``"diverge@2"``, ``"counter@1"``)
     #: for exercising the health path; None in production.
     inject_fault: "str | None" = None
@@ -68,7 +65,7 @@ class RunOptions:
     checkpoint: "CheckpointConfig | None" = None
 
     def __post_init__(self) -> None:
-        validate_health_options(self.health_policy, self.health_check_every)
+        validate_health_policy(self.health_policy)
         if (self.wall_clock_budget_s is not None
                 and self.wall_clock_budget_s <= 0):
             raise ValidationError(

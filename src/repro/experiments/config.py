@@ -290,11 +290,10 @@ class BuildOptions:
     #: Re-execute a *cached* transient failure instead of replaying it
     #: (cached successes and memory-budget failures are still reused).
     resume: bool = False
-    #: Run-health overrides (see
+    #: Run-health policy override (see
     #: :class:`~repro.engine.engine.EngineOptions`); None keeps the
-    #: engine defaults (``strict``, every iteration).
+    #: engine default, ``strict``.
     health_policy: "str | None" = None
-    health_check_every: "int | None" = None
     #: Iteration-level checkpointing (see :mod:`repro.engine.checkpoint`).
     #: ``checkpoint_every`` is a
     #: :meth:`~repro.engine.checkpoint.CheckpointPolicy.parse` spec;

@@ -332,7 +332,6 @@ def execute_planned_run(
     retries: "int | None" = None,
     resume: bool = False,
     health_policy: "str | None" = None,
-    health_check_every: "int | None" = None,
     checkpoint_dir: "str | Path | None" = None,
     checkpoint_every: "str | None" = None,
 ) -> CorpusRun:
@@ -346,7 +345,6 @@ def execute_planned_run(
     return _run_cell(planned, profile, store, BuildOptions(
         timeout_s=timeout_s, retries=retries, resume=resume,
         health_policy=health_policy,
-        health_check_every=health_check_every,
         checkpoint_dir=checkpoint_dir,
         checkpoint_every=checkpoint_every), isolate=False)
 
@@ -395,8 +393,6 @@ def _execute_cell(planned: PlannedRun, profile: Profile,
         "memory_budget_bytes": profile.memory_budget_bytes}
     if options.health_policy is not None:
         engine_options["health_policy"] = options.health_policy
-    if options.health_check_every is not None:
-        engine_options["health_check_every"] = options.health_check_every
     params: dict = {}
     if planned.algorithm == "diameter":
         params["n_hashes"] = profile.ad_n_hashes
@@ -651,7 +647,6 @@ def build_corpus(
     retries: "int | None" = None,
     resume: bool = False,
     health_policy: "str | None" = None,
-    health_check_every: "int | None" = None,
     checkpoint_dir: "str | Path | None" = None,
     checkpoint_every: "str | None" = None,
     stop_requested: "Callable[[], bool] | None" = None,
@@ -753,7 +748,6 @@ def build_corpus(
     options = BuildOptions(
         timeout_s=timeout_s, retries=retries, resume=resume,
         health_policy=health_policy,
-        health_check_every=health_check_every,
         checkpoint_dir=checkpoint_dir, checkpoint_every=checkpoint_every,
         obs_level=obs_level, obs_dir=obs_path, run_id=corpus.run_id,
         lease_timeout_s=lease_timeout_s,

@@ -74,8 +74,9 @@ from repro.experiments.config import (
 from repro.experiments.failures import RunFailure, full_jitter_backoff
 from repro.experiments.scheduler import POLL_S
 
-#: Queue layout version; bumped on incompatible manifest changes.
-QUEUE_VERSION = 3
+#: Queue layout version; bumped on incompatible manifest or layout
+#: changes.
+QUEUE_VERSION = 4
 
 MANIFEST_FILENAME = "manifest.json"
 COMPLETE_FILENAME = "complete.json"
@@ -84,7 +85,6 @@ CLAIMS_DIRNAME = "claims"
 DONE_DIRNAME = "done"
 NODES_DIRNAME = "nodes"
 FENCES_DIRNAME = "fences"
-WORK_DIRNAME = "work"
 
 #: Hex digits of the content hash appended to every task id.
 _TASK_DIGEST_LEN = 12
@@ -292,20 +292,10 @@ class DistributedQueue:
     def fences_dir(self) -> Path:
         return self.root / FENCES_DIRNAME
 
-    @property
-    def work_dir(self) -> Path:
-        return self.root / WORK_DIRNAME
-
     def ensure_layout(self) -> None:
         for sub in (self.tasks_dir, self.claims_dir, self.done_dir,
-                    self.nodes_dir, self.fences_dir, self.work_dir):
+                    self.nodes_dir, self.fences_dir):
             sub.mkdir(parents=True, exist_ok=True)
-
-    def node_workdir(self, node: str) -> Path:
-        """Per-node scratch (crew worksite) *inside* the queue root, so
-        a SIGKILLed node's heartbeat litter is removed by the final
-        sweep instead of leaking into the system tmpdir."""
-        return self.work_dir / sanitize(node)
 
     # -- manifest ------------------------------------------------------
     def write_manifest(self, manifest: dict) -> None:
@@ -512,16 +502,13 @@ class DistributedQueue:
         number of files that could not be removed (0 = clean exit with
         no orphan queue/heartbeat artifacts)."""
         leftovers = 0
-        for sub in (self.work_dir, self.tasks_dir, self.claims_dir,
-                    self.done_dir, self.nodes_dir, self.fences_dir):
+        for sub in (self.tasks_dir, self.claims_dir, self.done_dir,
+                    self.nodes_dir, self.fences_dir):
             if not sub.exists():
                 continue
-            for path in sorted(sub.rglob("*"), reverse=True):
+            for path in sub.iterdir():
                 try:
-                    if path.is_dir():
-                        path.rmdir()
-                    else:
-                        path.unlink()
+                    path.unlink()
                 except OSError:
                     leftovers += 1
             try:
@@ -701,8 +688,8 @@ class Coordinator:
             record = TaskRecord.for_planned(planned, self.profile)
             self._records.append(record)
             self._tasks[record.task_id] = _TaskState(record)
-            if self.store.replay(record.cell_key,
-                                 self.options.resume) is None:
+            if self.store.outcome(record.cell_key,
+                                  self.options.resume) is None:
                 self.queue.publish(record)
 
     # ------------------------------------------------------------------
@@ -864,8 +851,10 @@ class Coordinator:
             self.corpus.collect(run, total, self.progress)
 
     def _resolve(self, record: TaskRecord):
-        """One cell's outcome, or None when still in flight."""
-        from repro.behavior.metrics import compute_metrics
+        """One cell's outcome, or None when still in flight. The store
+        is read through its summary door, so the run carries a
+        :class:`~repro.experiments.results.StoredRun` that loads the
+        trace only if something reads it."""
         from repro.experiments.corpus import CorpusRun
 
         marker = self.queue.read_done(record.task_id)
@@ -877,14 +866,14 @@ class Coordinator:
             source = str(marker.get("source", "run"))
         # A done marker vouches for whatever the store holds; without
         # one, only an entry the replay rule accepts counts.
-        hit = self.store.replay(
+        hit = self.store.outcome(
             record.cell_key, marker is None and self.options.resume)
         if isinstance(hit, RunFailure):
             return CorpusRun(record.algorithm, record.spec, None, None,
                              failure=hit, source=source)
         if hit is not None:
             return CorpusRun(record.algorithm, record.spec, hit,
-                             compute_metrics(hit), source=source)
+                             hit.metrics, source=source)
         if marker is not None:
             self._reenqueue(record)
         return None

@@ -136,12 +136,10 @@ class NodeAgent(CrewLoop):
         super().__init__(
             options=options, profile=profile,
             config=SchedulerConfig.for_build(options, profile, node=True),
-            workers=max(1, int(workers)), store_root=None,
-            site_root=queue.node_workdir(self.node))
+            workers=max(1, int(workers)), store_root=None)
         self._beats = HeartbeatWriter(
-            None, self.node, self.config.heartbeat_every_s,
-            publish=lambda: queue.write_beat(self.node,
-                                             self._beat_payload()))
+            self.node, self.config.heartbeat_every_s,
+            lambda: queue.write_beat(self.node, self._beat_payload()))
         self._beats.start()
         if self.tel.enabled:
             self.tel.emit("node", _trace_ctx=self._span("node", self.node),
@@ -257,9 +255,10 @@ class NodeAgent(CrewLoop):
 
     def _resolve_cached(self, claim: Claim) -> bool:
         """A requeued task may have been satisfied while it bounced
-        between nodes; replay the store instead of re-executing."""
-        if self.store.replay(claim.record.cell_key,
-                             self.options.resume) is None:
+        between nodes; take the stored outcome instead of re-executing
+        (through the store's summary door: no trace is parsed)."""
+        if self.store.outcome(claim.record.cell_key,
+                              self.options.resume) is None:
             return False
         try:
             self.queue.mark_done(claim.task_id, {

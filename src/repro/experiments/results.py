@@ -198,10 +198,11 @@ class ResultStore:
 
         This is the one statement of the cache-replay rule; the cell
         executor, the pre-materialization planner, the coordinator and
-        the node agents all ask it (the first two through
-        :meth:`outcome`, its summary door), so they cannot disagree on
-        which cells a build will run. Corrupt entries are quarantined
-        and reported as a miss so the caller re-executes the run.
+        the node agents all ask it through :meth:`outcome`, its summary
+        door, so they cannot disagree on which cells a build will run
+        (:meth:`load` and :meth:`load_failure` take it directly).
+        Corrupt entries are quarantined and reported as a miss so the
+        caller re-executes the run.
         """
         return self._replay(key, resume, self._parse_entry)
 

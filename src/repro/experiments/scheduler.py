@@ -11,10 +11,12 @@ a supervisor:
 - **plan** — ready tasks (deps terminal, backoff elapsed) are leased
   to idle workers; a task holds at most one lease, and each lease
   carries an epoch and a deadline.
-- **execute** — workers heartbeat while executing (see
-  :mod:`repro.experiments.worksite`); each beat tagged with the lease
-  renews its deadline, so slow-but-alive cells never expire while
-  dead or hung workers do.
+- **execute** — workers heartbeat while executing, into a shared
+  (lease epoch, time) array each (see
+  :mod:`repro.experiments.worksite`); a beat stamped with the lease's
+  epoch renews its deadline, so slow-but-alive cells never expire
+  while dead or stopped workers do. (A livelocked or blocked cell
+  still beats: its wall-clock limit ends it, as a ``timeout``.)
 - **update** — results transition tasks to ``done``/``failed``; an
   expired lease is revoked and the task re-dispatched with full-jitter
   backoff, resuming from its last checkpoint. After K expiries the
@@ -46,11 +48,9 @@ reaches a terminal state.
 
 from __future__ import annotations
 
-import tempfile
 import time
 from collections import deque
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Any, Callable
 
 from repro.experiments.config import (
@@ -64,7 +64,6 @@ from repro.experiments.worksite import (
     ResultEnvelope,
     TaskEnvelope,
     WorkerCrew,
-    Worksite,
 )
 
 #: Task status state machine (the LangGraph-Pregel shape): a task is
@@ -445,7 +444,7 @@ class SchedulerConfig:
 
 class CrewLoop:
     """The one plan/lease/execute/update loop of every multi-process
-    build: a :class:`TaskBoard`, a worksite, a forked
+    build: a :class:`TaskBoard`, a forked
     :class:`~repro.experiments.worksite.WorkerCrew` and the graph plane,
     advanced by :meth:`tick`.
 
@@ -464,8 +463,7 @@ class CrewLoop:
 
     def __init__(self, *, options: BuildOptions, profile: Any,
                  config: SchedulerConfig, workers: int,
-                 store_root: "str | None",
-                 site_root: "str | Path | None" = None) -> None:
+                 store_root: "str | None") -> None:
         from repro.obs.telemetry import get_telemetry
 
         self.options = options
@@ -477,11 +475,8 @@ class CrewLoop:
             max_lease_expiries=config.max_lease_expiries,
             backoff_base_s=config.backoff_base_s,
             on_transition=self._emit_transition)
-        self.site = Worksite(
-            site_root or tempfile.mkdtemp(prefix="repro-worksite-"))
-        self.crew = WorkerCrew(workers, self.site,
-                               config.heartbeat_every_s, options, profile,
-                               store_root)
+        self.crew = WorkerCrew(workers, config.heartbeat_every_s, options,
+                               profile, store_root)
         self.plane = None
         self.manifests: dict = {}
         #: Set once shared memory turned out unusable: every later cell
@@ -497,10 +492,7 @@ class CrewLoop:
         expire leases, dispatch what is ready, then drain results —
         waiting up to *wait_s* for the first, so an idle loop sleeps on
         the result queue and a finished cell wakes it at once."""
-        for beat in self.site.read_heartbeats().values():
-            if beat.task_id is not None:
-                self.board.renew(beat.worker, beat.task_id, beat.epoch,
-                                 beat.ts)
+        self._renew_leases()
         for handle in self.crew.dead_workers():
             self._on_worker_death(handle, now)
         for task, lease in self.board.expired_leases(now):
@@ -512,14 +504,23 @@ class CrewLoop:
             self._on_result(envelope)
             envelope = self.crew.poll_result(0.0)
 
+    def _renew_leases(self) -> None:
+        """Renew each busy worker's lease from its beat array. The
+        board renews only the lease whose epoch the beat names, and
+        epochs are unique, so a beat from the worker's previous task
+        renews nothing."""
+        for handle in self.crew.workers.values():
+            if handle.task_id is not None:
+                epoch, ts = handle.beat[:]
+                self.board.renew(handle.worker, handle.task_id, int(epoch),
+                                 ts)
+
     def close(self, *, kill: bool = False) -> None:
-        """Stop the crew and remove the worksite and every published
-        segment. After the crew is down no process can still be
-        attached, so unlinking is safe on the SIGINT and exception
-        paths too."""
+        """Stop the crew and remove every published segment. After the
+        crew is down no process can still be attached, so unlinking is
+        safe on the SIGINT and exception paths too."""
         busy = any(not h.idle for h in self.crew.workers.values())
         self.crew.shutdown(kill=kill or busy)
-        self.site.cleanup()
         if self.plane is not None:
             self.plane.close()
             self.plane, self.manifests = None, {}

@@ -1,5 +1,5 @@
-"""The worksite: worker processes, heartbeats, and the supervisor's
-view of both.
+"""The worksite: worker processes, their heartbeats, and the
+supervisor's view of both.
 
 The supervised scheduler (:mod:`repro.experiments.scheduler`) splits
 cleanly into pure decision logic (the task board) and the messy
@@ -10,13 +10,20 @@ process-management substrate this module owns:
   :class:`~concurrent.futures.ProcessPoolExecutor`, a SIGKILLed worker
   does not poison the pool: the supervisor detects the death, replaces
   the worker, and re-dispatches its task.
-- **Heartbeats** — each worker runs a daemon thread writing a one-line
-  JSON beat file (``hb-<worker>.json``, atomically replaced)
-  every ``heartbeat_every`` seconds, tagged with the task and lease
-  epoch it is executing. The supervisor reads the beats to renew
-  leases, so a *busy* worker on a legitimately slow cell never expires
-  while a *dead or hung* one does.
-- **Stall injection** — ``REPRO_INJECT_STALL`` simulates the hung-
+- **Heartbeats** — each worker owns one shared ``RawArray('d', 2)``
+  of (lease epoch, last beat time). The worker sets the epoch when a
+  task arrives, and a daemon thread stamps the time every
+  ``heartbeat_every`` seconds. The supervisor reads the array to renew
+  the lease of the epoch it names, so a *busy* worker on a
+  legitimately slow cell never expires while a *dead or stopped* one
+  does. A crew is always one machine, so no beat touches a file.
+- **What a beat detects** — a beat thread keeps beating through a
+  pure-Python livelock and a blocking syscall (it only needs the GIL
+  now and then), so the lease catches a process that stops being
+  scheduled: SIGSTOP, a cgroup freeze, a C call that holds the GIL. A
+  livelocked or blocked *cell* is ended by its wall-clock limit
+  instead, as a ``timeout`` failure; a dead worker by ``is_alive``.
+- **Stall injection** — ``REPRO_INJECT_STALL`` simulates the stopped-
   worker failure mode SIGKILL cannot: the worker stays alive but stops
   making progress *and stops heartbeating*, which is exactly what the
   lease-expiry path must detect.
@@ -29,7 +36,6 @@ comes back as a recorded failure, never as a dead worker.
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import threading
@@ -38,148 +44,65 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
-from repro._util.durable import publish, read_json_object
 from repro._util.faulthooks import claim_token, hook_value
 from repro.experiments.config import BuildOptions
 
 #: Stall injection: ``"<substring>:<seconds>"`` — a worker dispatched a
 #: task whose id contains the substring sleeps that long *with
-#: heartbeats suspended* before executing, simulating a hung worker.
+#: heartbeats suspended* before executing, simulating a stopped worker.
 INJECT_STALL_ENV = "REPRO_INJECT_STALL"
 #: Optional token directory bounding stall injection (same atomic
 #: claim-one-file protocol as ``REPRO_CHAOS_KILL``). Unset, every
 #: matching dispatch stalls — which is how a poison cell is simulated.
 INJECT_STALL_TOKENS_ENV = "REPRO_INJECT_STALL_TOKENS"
 
-_HEARTBEAT_PREFIX = "hb-"
-
 
 # ----------------------------------------------------------------------
 # Heartbeats
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class Heartbeat:
-    """One worker's latest beat, as read back by the supervisor."""
-
-    worker: int
-    pid: int
-    ts: float
-    task_id: "str | None"
-    epoch: int
-
-
-class Worksite:
-    """The heartbeat directory shared by one build's supervisor and
-    workers. Beat files are tiny, per-worker, and atomically replaced,
-    so readers never see torn JSON — and the whole directory is removed
-    when the build ends (leaked beat files would be litter *and* a
-    stale-freshness trap for a later build)."""
-
-    def __init__(self, root: "str | Path") -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-
-    def heartbeat_path(self, worker: int) -> Path:
-        return self.root / f"{_HEARTBEAT_PREFIX}{worker}.json"
-
-    def read_heartbeats(self) -> "dict[int, Heartbeat]":
-        """Latest beat per worker; unreadable files are skipped (the
-        writer will replace them within one beat interval)."""
-        beats: dict[int, Heartbeat] = {}
-        for path in self.root.glob(f"{_HEARTBEAT_PREFIX}*.json"):
-            data = read_json_object(path)
-            if data is None:
-                continue
-            try:
-                beat = Heartbeat(
-                    worker=int(data["worker"]), pid=int(data["pid"]),
-                    ts=float(data["ts"]),
-                    task_id=data.get("task_id"),
-                    epoch=int(data.get("epoch", 0)))
-            except (ValueError, KeyError, TypeError):
-                continue
-            beats[beat.worker] = beat
-        return beats
-
-    def remove_heartbeat(self, worker: int) -> None:
-        self.heartbeat_path(worker).unlink(missing_ok=True)
-
-    def cleanup(self) -> None:
-        for path in self.root.glob(f"{_HEARTBEAT_PREFIX}*"):
-            path.unlink(missing_ok=True)
-        try:
-            self.root.rmdir()
-        except OSError:
-            pass  # foreign files: leave the directory for inspection
-
-
 class HeartbeatWriter:
-    """The beat emitter (daemon thread) of both levels of the fabric.
+    """The beat emitter (daemon thread) of both levels of the fabric:
+    every ``every_s`` seconds it calls *publish*.
 
-    A crew worker beats ``hb-<worker>.json`` in its worksite, tagged
-    with the task and lease epoch it is executing. A node agent passes
-    ``publish``, which writes its registry beat into the queue instead.
+    A crew worker's *publish* stamps the time into the worker's shared
+    beat array; a node agent's writes its registry beat into the
+    queue's ``nodes/``, the one beat that has to cross hosts.
 
     ``suspend()`` models a hang for stall and freeze injection: the
-    thread keeps running but writes nothing, so the supervisor's view
-    goes stale exactly as it would for a worker (or node) stuck in an
-    uninterruptible call.
+    thread keeps running but publishes nothing, so the supervisor's
+    view goes stale exactly as it does for a process that stops being
+    scheduled (SIGSTOP, a cgroup freeze, a C call holding the GIL).
     """
 
-    def __init__(self, path: "Path | None", worker: "int | str",
-                 every_s: float = 1.0,
-                 publish: "Callable[[], None] | None" = None) -> None:
-        self.path = path
-        self.worker = worker
+    def __init__(self, name: "int | str", every_s: float,
+                 publish: "Callable[[], None]") -> None:
+        self.name = name
         self.every_s = max(0.05, float(every_s))
-        self._publish = publish or self._write_beat_file
-        self._task_id: "str | None" = None
-        self._epoch = 0
+        self._publish = publish
         self._suspended = False
-        self._lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: "threading.Thread | None" = None
 
     def start(self) -> None:
         self.beat()
         self._thread = threading.Thread(target=self._loop, daemon=True,
-                                        name=f"heartbeat-{self.worker}")
+                                        name=f"heartbeat-{self.name}")
         self._thread.start()
 
-    def set_task(self, task_id: "str | None", epoch: int = 0) -> None:
-        """Tag subsequent beats with the task being executed, beating
-        immediately so the supervisor sees the handoff right away."""
-        with self._lock:
-            self._task_id = task_id
-            self._epoch = epoch
-        self.beat()
-
     def suspend(self) -> None:
-        with self._lock:
-            self._suspended = True
+        self._suspended = True
 
     def resume(self) -> None:
-        with self._lock:
-            self._suspended = False
+        self._suspended = False
         self.beat()
 
     def beat(self) -> None:
-        with self._lock:
-            if self._suspended:
-                return
+        if self._suspended:
+            return
         try:
             self._publish()
         except OSError:
-            pass  # missed beat (directory swept or unreachable); next retries
-
-    def _write_beat_file(self) -> None:
-        with self._lock:
-            payload = {"worker": self.worker, "pid": os.getpid(),
-                       "ts": time.time(), "task_id": self._task_id,
-                       "epoch": self._epoch}
-        # No mkdir: a beat into a worksite the build already removed
-        # must fail (and be dropped by ``beat``), not recreate it.
-        publish(self.path, json.dumps(payload), mkdir=False)
+            pass  # missed beat (queue swept or unreachable); next retries
 
     def stop(self) -> None:
         self._stop.set()
@@ -285,11 +208,13 @@ def _arm_parent_death_signal() -> None:
         pass
 
 
-def worker_main(worker: int, task_queue, result_queue,
-                worksite_root: str, heartbeat_every: float,
-                options: BuildOptions, profile: Any,
-                store_root: "str | None") -> None:
+def worker_main(worker: int, task_queue, result_queue, beat,
+                heartbeat_every: float, options: BuildOptions,
+                profile: Any, store_root: "str | None") -> None:
     """Crew worker loop: beat, take a lease, execute, send the result.
+
+    *beat* is the worker's shared (lease epoch, last beat time) array:
+    the epoch is set as each task arrives, the time by the beat thread.
 
     *options*, *profile* and *store_root* are the build-wide
     configuration, forked in once instead of riding on every task. A
@@ -315,9 +240,11 @@ def worker_main(worker: int, task_queue, result_queue,
     # One store for the worker's life, so its summary index is read
     # once per worker rather than once per cell.
     store = ResultStore(store_root) if store_root is not None else None
-    site = Worksite(worksite_root)
-    beats = HeartbeatWriter(site.heartbeat_path(worker), worker,
-                            heartbeat_every)
+
+    def stamp() -> None:
+        beat[1] = time.time()
+
+    beats = HeartbeatWriter(worker, heartbeat_every, stamp)
     beats.start()
     try:
         while True:
@@ -329,7 +256,8 @@ def worker_main(worker: int, task_queue, result_queue,
                 continue
             if envelope is None:
                 break
-            beats.set_task(envelope.task_id, envelope.epoch)
+            beat[0] = envelope.epoch
+            beats.beat()
             try:
                 _maybe_stall(envelope, beats)
                 value = _execute_envelope(envelope, options, profile,
@@ -344,10 +272,8 @@ def worker_main(worker: int, task_queue, result_queue,
                         error=RunFailure.from_exception(exc)))
                 except Exception:
                     break  # result queue gone: supervisor is shutting down
-            beats.set_task(None, 0)
     finally:
         beats.stop()
-        site.remove_heartbeat(worker)
 
 
 # ----------------------------------------------------------------------
@@ -358,6 +284,8 @@ class WorkerHandle:
     worker: int
     process: Any
     queue: Any
+    #: The worker's shared (lease epoch, last beat time).
+    beat: Any
     #: Task id the supervisor believes this worker is executing.
     task_id: "str | None" = None
 
@@ -372,16 +300,15 @@ class WorkerHandle:
 class WorkerCrew:
     """Spawn, feed, reap, and replace the build's worker processes."""
 
-    def __init__(self, n_workers: int, worksite: Worksite,
-                 heartbeat_every: float, options: BuildOptions,
-                 profile: Any, store_root: "str | None") -> None:
+    def __init__(self, n_workers: int, heartbeat_every: float,
+                 options: BuildOptions, profile: Any,
+                 store_root: "str | None") -> None:
         import multiprocessing as mp
 
         try:
             self._mp = mp.get_context("fork")
         except ValueError:  # pragma: no cover - non-fork platforms
             self._mp = mp.get_context()
-        self.worksite = worksite
         self.worker_args = (options, profile, store_root)
         self.heartbeat_every = heartbeat_every
         self.results = self._mp.Queue()
@@ -395,13 +322,14 @@ class WorkerCrew:
         worker = self._next_id
         self._next_id += 1
         queue = self._mp.Queue()
+        beat = self._mp.RawArray("d", 2)
         process = self._mp.Process(
             target=worker_main,
-            args=(worker, queue, self.results, str(self.worksite.root),
-                  self.heartbeat_every, *self.worker_args),
+            args=(worker, queue, self.results, beat, self.heartbeat_every,
+                  *self.worker_args),
             name=f"repro-crew-{worker}", daemon=True)
         process.start()
-        handle = WorkerHandle(worker, process, queue)
+        handle = WorkerHandle(worker, process, queue, beat)
         self.workers[worker] = handle
         return handle
 
@@ -433,7 +361,6 @@ class WorkerCrew:
         handle.process.join(timeout=5.0)
         self._close(handle)
         self.workers.pop(handle.worker, None)
-        self.worksite.remove_heartbeat(handle.worker)
 
     def poll_result(self, timeout: float) -> "ResultEnvelope | None":
         import queue as queue_mod

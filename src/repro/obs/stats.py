@@ -66,6 +66,10 @@ def _by_label(snapshot: dict[str, Any], name: str,
     return out
 
 
+def _or(value: Any, default: str) -> Any:
+    return default if value is None else value
+
+
 def _fmt_s(value: float) -> str:
     return f"{value:.3f}"
 
@@ -113,10 +117,7 @@ def _node_rollup(events: list[dict[str, Any]]) -> dict[str, dict[str, int]]:
     return per_node
 
 
-def _node_table(events: list[dict[str, Any]]) -> "str | None":
-    per_node = _node_rollup(events)
-    if not per_node:
-        return None
+def _node_table(per_node: dict[str, dict[str, int]]) -> str:
     rows = [[node, row["events"], row["claims"], row["cells"],
              row["stale"]]
             for node, row in sorted(per_node.items())]
@@ -125,9 +126,11 @@ def _node_table(events: list[dict[str, Any]]) -> "str | None":
         rows, title=f"Nodes ({len(per_node)})")
 
 
-#: telemetry.json keys surfaced in the stats header / JSON meta block.
-_META_KEYS = ("run", "level", "profile", "workers", "build_seconds",
-              "interrupted", "generated_at", "schema")
+#: telemetry.json keys the text report's header shows, in order, and
+#: the JSON payload's meta block.
+_HEADER_KEYS = ("run", "level", "profile", "workers", "build_seconds",
+                "interrupted")
+_META_KEYS = _HEADER_KEYS + ("generated_at", "schema")
 
 
 def stats_payload(run_dir: "str | Path", *,
@@ -183,7 +186,8 @@ def stats_payload(run_dir: "str | Path", *,
 
 def render_stats(run_dir: "str | Path", *,
                  node: "str | None" = None) -> str:
-    """Full ``repro stats`` report for an observability directory.
+    """Full ``repro stats`` report for an observability directory: a
+    formatter over :func:`stats_payload`.
 
     With *node*, the event-derived sections (per-cell table, node
     table) are restricted to events stamped with that node id; the
@@ -191,34 +195,22 @@ def render_stats(run_dir: "str | Path", *,
     registries are merged without node labels).
     """
 
-    obs_dir = resolve_run_dir(run_dir)
-    payload = load_telemetry(obs_dir)
-    events = read_all_events(obs_dir)
-    if payload is None and not events:
-        raise ValidationError(f"no telemetry data in {obs_dir}")
-    node_table = _node_table(events)
-    if node is not None:
-        events = [e for e in events if e.get("node") == node]
-        if not events:
-            raise ValidationError(
-                f"no events stamped node={node!r} in {obs_dir}")
-    snapshot = (payload or {}).get("metrics", {})
+    payload = stats_payload(run_dir, node=node)
+    snapshot, meta = payload["metrics"], payload["meta"]
     sections: list[str] = []
 
-    header = [f"telemetry: {obs_dir}"]
+    header = [f"telemetry: {payload['obs_dir']}"]
     if node is not None:
         header.append(f"node filter: {node}")
-    if payload:
-        for key in ("run", "level", "profile", "workers",
-                    "build_seconds", "interrupted"):
-            if key in payload:
-                value = payload[key]
-                if key == "build_seconds":
-                    value = _fmt_s(float(value)) + " s"
-                header.append(f"{key}: {value}")
+    for key in _HEADER_KEYS:
+        if key in meta:
+            value = meta[key]
+            if key == "build_seconds":
+                value = _fmt_s(float(value)) + " s"
+            header.append(f"{key}: {value}")
     sections.append("\n".join(header))
-    if node_table is not None and node is None:
-        sections.append(node_table)
+    if payload["nodes"] and node is None:
+        sections.append(_node_table(payload["nodes"]))
 
     # Cell outcome summary.
     status_counts = _by_label(snapshot, "corpus_cells_total", "status")
@@ -380,23 +372,15 @@ def render_stats(run_dir: "str | Path", *,
             ["engine", "algorithm", "iters", "p50 ms", "p95 ms"],
             latency_rows, title="Iteration latency (sampled)"))
 
-    # Per-cell table from lifecycle events.
-    cell_rows = []
-    for event in events:
-        if event.get("kind") != "cell_end":
-            continue
-        cell_rows.append([
-            event.get("cell", "?"),
-            event.get("status", "?"),
-            event.get("source", "?"),
-            event.get("graph_source", "-"),
-            event.get("attempts", 1),
-            _fmt_s(float(event.get("materialize_s", 0.0))),
-            _fmt_s(float(event.get("engine_s", 0.0))),
-            _fmt_s(float(event.get("store_s", 0.0))),
-        ])
+    # Per-cell table from lifecycle events (a field the event lacks
+    # is None in the payload).
+    cell_rows = [[
+        _or(cell["cell"], "?"), _or(cell["status"], "?"),
+        _or(cell["source"], "?"), _or(cell["graph_source"], "-"),
+        cell["attempts"], _fmt_s(cell["materialize_s"]),
+        _fmt_s(cell["engine_s"]), _fmt_s(cell["store_s"]),
+    ] for cell in payload["cells"]]
     if cell_rows:
-        cell_rows.sort(key=lambda r: str(r[0]))
         sections.append(format_table(
             ["cell", "status", "from", "graph", "tries",
              "mat s", "eng s", "store s"],

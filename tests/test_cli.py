@@ -71,11 +71,16 @@ class TestRun:
         assert "DEGRADED" in out
         assert "numeric" in out
 
-    def test_health_check_every_flag(self, capsys):
-        code, _out, _err = run_cli(
-            capsys, "run", "cc", "--nedges", "200",
-            "--health-check-every", "3")
-        assert code == 0
+    def test_health_check_cadence_is_the_constant(self, capsys,
+                                                  monkeypatch):
+        from repro.engine import health
+
+        monkeypatch.setattr(health, "CHECK_EVERY", 3)
+        code, _out, err = run_cli(
+            capsys, "run", "pagerank", "--nedges", "300",
+            "--inject-fault", "nan@1")
+        assert code == 1
+        assert "numeric guard tripped at iteration 3" in err
 
 
 class TestCharacterize:

@@ -94,8 +94,6 @@ SURFACE: "dict[tuple[str, str], tuple[str, ...]]" = {
     ("run", "--max-iterations"): _argv(
         "run pagerank --nedges 300 --max-iterations 2"),
     ("run", "--health-policy"): _FAULT,
-    ("run", "--health-check-every"): _argv(
-        _RUN + "--health-check-every 2"),
     ("run", "--inject-fault"): _FAULT,
     ("run", "--checkpoint-every"): _CHECKPOINT,
     ("run", "--checkpoint-dir"): _CHECKPOINT,
@@ -117,8 +115,6 @@ SURFACE: "dict[tuple[str, str], tuple[str, ...]]" = {
     ("corpus", "--resume"): _argv(_CORPUS + "--resume"),
     ("corpus", "--health-policy"): _argv(
         _CORPUS + "--health-policy degrade"),
-    ("corpus", "--health-check-every"): _argv(
-        _CORPUS + "--health-check-every 2"),
     ("corpus", "--checkpoint-every"): _CELL_CHECKPOINT,
     ("corpus", "--checkpoint-dir"): _CELL_CHECKPOINT,
     ("corpus", "--lease-timeout"): _argv(

@@ -45,6 +45,7 @@ from repro.experiments.distqueue import (
 from repro.experiments.failures import RunFailure
 from repro.experiments.results import ResultStore
 from repro.experiments.scheduler import POLL_S, SchedulerConfig
+from repro.experiments.worksite import HeartbeatWriter
 
 DQ_PROFILE = Profile(
     name="dq-test",
@@ -129,7 +130,7 @@ class TestProfileTransport:
 
 class TestManifestTransport:
     OPTIONS = BuildOptions(timeout_s=2.5, retries=1, resume=True,
-                           health_policy="degrade", health_check_every=4,
+                           health_policy="degrade",
                            checkpoint_dir="ckpt", checkpoint_every="5",
                            obs_level="full", obs_dir="obs", run_id="r-1",
                            lease_timeout_s=0.5, heartbeat_every_s=0.1,
@@ -344,6 +345,35 @@ class TestBeats:
         queue.drop_beat("n1")
         assert queue.read_beats() == {}
 
+    def test_writer_publishes_through_its_callback(self, tmp_path):
+        queue = _queue(tmp_path)
+        writer = HeartbeatWriter(
+            "n1", 0.05, lambda: queue.write_beat("n1", {"epoch": 7}))
+        writer.beat()
+        assert queue.read_beats()["n1"].epoch == 7
+
+    def test_torn_beat_files_are_skipped(self, tmp_path):
+        queue = _queue(tmp_path)
+        (queue.nodes_dir / "n0.json").write_text('{"node": "n0", "pid"',
+                                                 encoding="utf-8")
+        queue.write_beat("n1", {"epoch": 1})
+        assert set(queue.read_beats()) == {"n1"}
+
+    def test_suspend_models_a_hang(self, tmp_path):
+        queue = _queue(tmp_path)
+        writer = HeartbeatWriter(
+            "n1", 0.05, lambda: queue.write_beat("n1", {"epoch": 1}))
+        writer.start()
+        try:
+            writer.suspend()
+            stale = queue.read_beats()["n1"].ts
+            time.sleep(0.2)
+            assert queue.read_beats()["n1"].ts == stale
+            writer.resume()
+            assert queue.read_beats()["n1"].ts > stale
+        finally:
+            writer.stop()
+
 
 class TestPublishResult:
     def test_live_epoch_publishes_trace_and_marker(self, tmp_path):
@@ -408,7 +438,6 @@ class TestSweep:
         queue.mark_done("t-x", {"status": "ok", "node": "n1", "epoch": 1})
         queue.write_manifest({"store_root": "x"})
         queue.mark_complete()
-        (queue.node_workdir("n1")).mkdir(parents=True)
         assert queue.sweep() == 0
         assert not queue.root.exists()
 
@@ -435,6 +464,28 @@ class TestCoordinatorEndToEnd:
         assert dist.queue_leftovers == 0
         assert not (tmp_path / "queue").exists()
         assert self._vectors(dist) == self._vectors(inline)
+
+    def test_queue_holds_no_liveness_files(self, tmp_path, monkeypatch):
+        """Crew workers beat into shared memory: at the sweep the queue
+        root holds the manifest, the completion marker and the five
+        protocol directories, and ``nodes/`` one beat per node."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        layouts = []
+        real_sweep = DistributedQueue.sweep
+
+        def sweep(queue):
+            layouts.append((sorted(p.name for p in queue.root.iterdir()),
+                            sorted(p.name for p in queue.nodes_dir.iterdir()),
+                            [p.name for p in queue.root.rglob("hb-*")]))
+            return real_sweep(queue)
+
+        monkeypatch.setattr(DistributedQueue, "sweep", sweep)
+        corpus = build_corpus(DQ_PROFILE, store=ResultStore(tmp_path / "s"),
+                              workers=2, distributed=tmp_path / "queue")
+        assert not corpus.failures and corpus.queue_leftovers == 0
+        assert layouts == [(
+            ["claims", "complete.json", "done", "fences", "manifest.json",
+             "nodes", "tasks"], ["coordinator.json"], [])]
 
     @pytest.mark.parametrize("path", ["fabric", "distqueue"])
     def test_every_build_path_matches_inline(self, tmp_path, monkeypatch,

@@ -37,6 +37,7 @@ import os
 import time
 from pathlib import Path
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import pytest
 
@@ -62,6 +63,14 @@ FAULT_AFTER = ("take", "check", "store", "done")
 MAX_STEPS = 200
 
 
+class _Stored(NamedTuple):
+    """What the stand-in's ``outcome`` hands back for an entry: its tag,
+    and no metrics (a real store's ``StoredRun`` carries them)."""
+
+    tag: tuple
+    metrics: None = None
+
+
 class _Store:
     """In-memory stand-in for the shared result store: an entry is the
     ``(node, epoch)`` of the publish that wrote it."""
@@ -69,8 +78,9 @@ class _Store:
     def __init__(self) -> None:
         self.entries: dict = {}
 
-    def replay(self, key, resume):
-        return self.entries.get(key)
+    def outcome(self, key, resume):
+        entry = self.entries.get(key)
+        return None if entry is None else _Stored(entry)
 
     def save(self, key, entry) -> None:
         self.entries[key] = entry
@@ -162,7 +172,7 @@ class _Node:
             claim = queue.take(tid, self.name, self.epoch)
             held = (tid, claim.epoch)
             key = claim.record.cell_key
-            if store.replay(key, False) is not None:  # _resolve_cached
+            if store.outcome(key, False) is not None:  # _resolve_cached
                 yield ("cached", *held)
                 self._mark(claim, "cached")
             else:
@@ -402,9 +412,6 @@ def make_world(tmp_path, monkeypatch):
     clock = SimpleNamespace(base=time.time(), now=0.0)
     monkeypatch.setattr(distqueue, "time", SimpleNamespace(
         time=lambda: clock.now, monotonic=lambda: clock.now))
-    # The store holds (node, epoch) tags, not traces.
-    monkeypatch.setattr("repro.behavior.metrics.compute_metrics",
-                        lambda trace: None)
 
     def make(fault, tape=()):
         return _World(tmp_path / "queue", clock, fault, tape)

@@ -26,7 +26,6 @@ from repro.experiments.config import (
 from repro.experiments.corpus import _run_cell, run_cache_key
 from repro.experiments.distqueue import DistributedQueue
 from repro.experiments.results import ResultStore
-from repro.experiments.worksite import HeartbeatWriter, Worksite
 from repro.obs.events import write_worker_metrics
 from repro.obs.export import (
     load_telemetry,
@@ -68,9 +67,9 @@ def _queue(d: Path) -> DistributedQueue:
 
 
 def _beat(d: Path, g: int) -> None:
-    beats = HeartbeatWriter(Worksite(d).heartbeat_path(0), 0)
-    beats._epoch = g  # set_task would beat, and beat swallows OSError
-    beats._write_beat_file()
+    # A node beat, the one heartbeat that is a file (crew workers beat
+    # into shared memory).
+    _queue(d).write_beat("n", {"epoch": g})
 
 
 WRITERS = {
@@ -84,7 +83,7 @@ WRITERS = {
         lambda d, g: _queue(d).mark_done("t", {"gen": g}),
         lambda d: str(_queue(d).read_done("t")["gen"])),
     "heartbeat": (
-        _beat, lambda d: str(Worksite(d).read_heartbeats()[0].epoch)),
+        _beat, lambda d: str(_queue(d).read_beats()["n"].epoch)),
     "worker-metrics": (
         lambda d, g: write_worker_metrics(d / "m.json", {"gen": g}),
         lambda d: str(durable.read_json_object(d / "m.json")["gen"])),
@@ -135,7 +134,7 @@ def test_queue_and_heartbeat_writes_never_create_a_directory(tmp_path):
     with pytest.raises(FileNotFoundError):
         DistributedQueue(gone).mark_done("t", {})
     with pytest.raises(FileNotFoundError):
-        HeartbeatWriter(gone / "hb-0.json", 0)._write_beat_file()
+        DistributedQueue(gone).write_beat("n", {"epoch": 1})
     assert not gone.exists()
 
 

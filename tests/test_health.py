@@ -220,17 +220,16 @@ class TestHealthMonitor:
             with pytest.raises(ValidationError):
                 Options(health_policy="bogus")
             with pytest.raises(ValidationError):
-                Options(health_check_every=0)
-            with pytest.raises(ValidationError):
                 Options(wall_clock_budget_s=-1.0)
 
-    def test_check_cadence_skips_iterations(self, problem):
+    def test_check_cadence_skips_iterations(self, problem, monkeypatch):
         # With checks every 5 iterations and a NaN at iteration 1, the
         # guard only sees the NaN at the next on-cadence iteration (5).
+        monkeypatch.setattr(health_mod, "CHECK_EVERY", 5)
         program = PathologicalProgram("healthy")
         with pytest.raises(NumericError) as excinfo:
             run_engine("synchronous", program, problem,
-                       inject_fault="nan@1", health_check_every=5)
+                       inject_fault="nan@1")
         assert excinfo.value.iteration == 5
 
     def test_nonfinite_work_counter_is_numeric(self):

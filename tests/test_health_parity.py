@@ -77,7 +77,8 @@ def test_production_decides_what_the_eager_monitor_decides(
         engine, mode, window, every, problem, monkeypatch):
     program_mode, fault, condition, period = MODES[mode]
     monkeypatch.setattr(health, "WATCHDOG_WINDOW", window)
-    options = dict(health_check_every=every, inject_fault=fault)
+    monkeypatch.setattr(health, "CHECK_EVERY", every)
+    options = dict(inject_fault=fault)
     production = _run(engine, PathologicalProgram(program_mode), problem,
                       **options).health
     eager_monitor(monkeypatch)

@@ -151,7 +151,11 @@ def test_the_untaken_paths_left_src():
         gone = ["speculative", "speculated", "resolve_workers",
                 "render_prometheus", "REPRO_COUNT_MATERIALIZE",
                 "use_shm", "graph_cache_bytes", "REPRO_GRAPH_CACHE_BYTES",
-                "configure_default_cache", "health_window", "breaker_"]
+                "configure_default_cache", "health_window", "breaker_",
+                "health_check_every", "Worksite", "class Heartbeat:",
+                "read_heartbeats", "_write_beat_file", "hb-",
+                "repro-worksite-", "work_dir", "node_workdir",
+                "WORK_DIRNAME"]
         if file not in STORES:
             gone.append("gc_quarantine")
         if file.startswith("ensemble/"):

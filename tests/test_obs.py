@@ -2,12 +2,14 @@
 merge semantics, and the progress-event/human-line contract."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro._util.errors import ValidationError
 from repro.behavior.run import run_computation
 from repro.obs.events import (
+    EVENTS_FILENAME,
     EventLog,
     follow_events,
     merge_sinks,
@@ -34,6 +36,74 @@ from repro.obs.telemetry import (
     resolve_obs_level,
     validate_obs_level,
 )
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def write_stats_fixture(obs_dir: Path) -> None:
+    """An obs directory that fills every section of ``repro stats``:
+    a metric snapshot, and node-stamped events including a failed cell
+    whose ``cell_end`` has no graph source or timings."""
+    tel = Telemetry(level="full")
+    tel.inc("corpus_cells_total", 5.0, status="ok", source="run")
+    tel.inc("corpus_cells_total", 2.0, status="ok", source="cache")
+    tel.inc("corpus_cells_total", 1.0, status="failed", source="run")
+    tel.inc("corpus_failures_total", 1.0, kind="timeout")
+    tel.inc("corpus_retries_total", 2.0)
+    tel.inc("corpus_cell_seconds_total", 8.0, phase="engine")
+    tel.inc("corpus_cell_seconds_total", 2.0, phase="materialize")
+    tel.inc("corpus_cell_seconds_total", 0.25, phase="store")
+    for engine, phase, seconds in (("synchronous", "gather", 0.003),
+                                   ("synchronous", "apply", 0.001),
+                                   ("asynchronous", "scatter", 0.002)):
+        for _ in range(3):
+            tel.observe("engine_phase_seconds", seconds, engine=engine,
+                        phase=phase)
+    # A second series of one (engine, phase): the report merges them.
+    tel.observe("engine_phase_seconds", 0.004, engine="synchronous",
+                phase="gather", algorithm="pagerank")
+    tel.inc("graph_resolutions_total", 9.0, source="shm")
+    tel.inc("graph_resolutions_total", 1.0, source="generated")
+    tel.inc("shm_published_bytes_total", float(3 << 20))
+    tel.inc("shm_attach_failures_total", 1.0)
+    tel.inc("checkpoint_published_bytes_total", 4096.0)
+    tel.inc("checkpoint_publishes_total", 3.0)
+    tel.inc("checkpoint_restores_total", 1.0)
+    tel.inc("health_trips_total", 1.0, condition="stall")
+    tel.gauge_max("peak_rss_bytes", float(64 << 20), pid="11")
+    tel.gauge_max("peak_rss_bytes", float(80 << 20), node="n1")
+    tel.observe("engine_iteration_seconds", 0.1,
+                engine="synchronous", algorithm="cc")
+    tel.observe("ensemble_search_seconds", 0.2, metric="spread",
+                size=4, strategy="beam")
+    tel.observe("ensemble_search_seconds", 0.1, metric="spread",
+                size=12, strategy="beam")
+    tel.inc("ensemble_search_states_total", 70.0, metric="spread")
+    tel.inc("ensemble_block_cache_total", 3.0, outcome="hit")
+    tel.inc("ensemble_block_cache_total", 1.0, outcome="miss")
+    tel.observe("ensemble_greedy_reevaluations", 6.0)
+    write_telemetry_json(obs_dir, tel.snapshot(), run="deadbeef",
+                         level="full", profile="fixture", workers=2,
+                         build_seconds=1.5, interrupted=False)
+    events = [
+        {"kind": "node", "node": "n1", "action": "claim"},
+        {"kind": "node", "node": "n1", "action": "stale-epoch-rejected"},
+        {"kind": "cell_end", "node": "n1", "cell": "pagerank@b",
+         "status": "ok", "source": "run", "graph_source": "shm",
+         "attempts": 2, "materialize_s": 0.01, "engine_s": 0.5,
+         "store_s": 0.002},
+        {"kind": "cell_end", "node": "coordinator", "cell": "cc@a",
+         "status": "failed", "source": "run", "failure_kind": "timeout",
+         "attempts": 3},
+        {"kind": "cell_end", "node": "n1", "cell": "als@a",
+         "status": "ok", "source": "cache", "graph_source": "cache"},
+        {"kind": "cell_end", "cell": "kmeans@c", "status": "degraded",
+         "source": "run", "graph_source": "generated"},
+    ]
+    (obs_dir / EVENTS_FILENAME).write_text(
+        "".join(json.dumps({"ts": 1.0, "pid": 1, **e}) + "\n"
+                for e in events), encoding="utf-8")
 
 
 @pytest.fixture(autouse=True)
@@ -552,6 +622,19 @@ class TestStatsRendering:
         assert [c.strip() for c in table[1].split("|")] == [
             "metric", "strategy", "size", "searches", "total s"]
         assert "ensemble states scored: 75" in out
+
+    @pytest.mark.parametrize("node", [None, "n1"])
+    def test_text_report_is_pinned(self, tmp_path, node):
+        """The text report is a formatter over ``stats_payload``; its
+        bytes are pinned to the report the earlier, separately derived
+        renderer printed for the same directory."""
+        from repro.obs.stats import render_stats
+
+        write_stats_fixture(tmp_path)
+        name = "stats_report.txt" if node is None else "stats_report_n1.txt"
+        expected = (DATA / name).read_text(encoding="utf-8")
+        out = render_stats(tmp_path, node=node)
+        assert out.replace(str(tmp_path), "<obs>") == expected
 
     def test_format_event_generic_and_progress(self):
         from repro.obs.stats import format_event

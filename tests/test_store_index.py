@@ -291,6 +291,21 @@ def test_a_warm_crewed_build_parses_nothing_in_the_parent(
     assert all(r.trace.algorithm == r.algorithm for r in corpus.runs)
 
 
+def test_a_warm_distributed_build_parses_nothing_in_the_coordinator(
+        warm_smoke_cache, tmp_path):
+    """The coordinator's plan filter and collector and the node agent's
+    dedup take the store's summary door, as the cell executor does."""
+    root = warm_smoke_cache.root
+    inline = build_corpus("smoke", store=ResultStore(root))  # the index
+    with pytest.MonkeyPatch.context() as patch:
+        coordinator = Counts(patch, root)
+        corpus = build_corpus("smoke", store=ResultStore(root), workers=2,
+                              distributed=tmp_path / "queue")
+    assert corpus.distributed and corpus.n_cached == 220
+    assert coordinator.trace_parses == 0
+    assert _vector_rows(corpus) == _vector_rows(inline)
+
+
 def test_a_crew_worker_builds_one_store_for_all_its_cells(
         warm_smoke_cache, tmp_path):
     """So a warm crewed build reads the summary index once per worker,
