@@ -16,7 +16,10 @@ section asserts identical index tuples and scores equal to 1e-9. At
 the paper's corpus scale (n = 215) the engine must not lose to the
 oracle on spread or on the coverage beam; at n = 2000 it must clear a
 >=5x gate on the spread curve. The coverage section also showcases the
-lazy-greedy selector. Results merge into
+lazy-greedy selector, and ``coverage_greedy_n3000`` races it (plus
+swap refinement) against the oracle's plain greedy on the
+``design-wide`` pool shape: n = 3000, size 12, 4 000 samples, where
+the engine must not lose. Results merge into
 ``benchmarks/artifacts/BENCH_ensemble.json`` (uploaded by CI's
 perf-smoke step). The n = 10_000 arm runs only when
 ``REPRO_BENCH_LARGE`` is set.
@@ -62,14 +65,15 @@ def _merge_report(key: str, payload: dict) -> None:
     path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
 
 
-def _fast_curve(pool, metric, sizes, samples):
+def _fast_curve(pool, metric, sizes, samples, strategy):
     return best_ensemble_curve(pool, sizes, metric, samples=samples,
-                               beam_width=BEAM_WIDTH)
+                               beam_width=BEAM_WIDTH, strategy=strategy)
 
 
-def _oracle_curve(pool, metric, sizes, samples):
+def _oracle_curve(pool, metric, sizes, samples, strategy):
     oracle = Oracle(pool, metric, samples=samples)
-    return {size: oracle.best(size, beam_width=BEAM_WIDTH)
+    return {size: oracle.best(size, beam_width=BEAM_WIDTH,
+                              strategy=strategy)
             for size in sizes}
 
 
@@ -77,7 +81,7 @@ ARMS = {"fast": _fast_curve, "legacy": _oracle_curve}
 
 
 def _race(pool, metric="spread", sizes=SIZES, samples=None,
-          fast=3, legacy=3):
+          fast=3, legacy=3, strategy="beam"):
     """Alternate the arms, ``fast`` / ``legacy`` repeats each; assert
     the curves agree; return the report fields every section shares."""
     repeats = {"fast": fast, "legacy": legacy}
@@ -87,7 +91,7 @@ def _race(pool, metric="spread", sizes=SIZES, samples=None,
         for arm, run in ARMS.items():
             if rep < repeats[arm]:
                 started = time.perf_counter()
-                curves[arm] = run(pool, metric, sizes, samples)
+                curves[arm] = run(pool, metric, sizes, samples, strategy)
                 walls[arm].append(time.perf_counter() - started)
     for size in sizes:
         assert curves["fast"][size].indices \
@@ -140,6 +144,18 @@ def test_bench_coverage_validation():
     # The lazy-greedy selector is the corpus-scale coverage path; it
     # must come in well under the beam walls.
     assert greedy_wall < min(report["best_wall_s"].values())
+
+
+def test_bench_coverage_greedy_n3000():
+    """Greedy + refine at n = 3000, size 12, 4 000 samples: CELF over
+    read-only row views and refine's streamed sweep must select what
+    the oracle's plain greedy + swap refine selects, no slower."""
+    samples = BehaviorSpace().sample(4_000, seed=0)
+    report = _race(make_pool(3_000), "coverage", sizes=[12],
+                   samples=samples, legacy=1, strategy="greedy")
+    report["n_samples"] = 4_000
+    _merge_report("coverage_greedy_n3000", report)
+    assert report["speedup"] >= 1.0, report
 
 
 @pytest.mark.skipif(not os.environ.get("REPRO_BENCH_LARGE"),

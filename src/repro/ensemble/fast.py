@@ -11,7 +11,8 @@ is tested against. Here instead:
   of the pool×pool distances) and :class:`SampleBlocks` (row tiles of
   the pool×samples distances), built on demand through a byte-bounded
   LRU :class:`BlockCache` with hit/miss telemetry. Tiles and scores
-  are float64.
+  are float64, and tiles are read-only: a single candidate's row is a
+  view into its tile (:meth:`SampleBlocks.row`), never a copy.
 - **Batched beam** — spread scores every state × candidate of a level
   in one masked gather-sum per chunk; coverage takes, per state and
   tile, one contiguous min+sum over the rows past the state's last
@@ -21,7 +22,9 @@ is tested against. Here instead:
 - **Incremental swap refinement** — per-position replacement scoring
   reuses a maintained column-sum (spread) or per-sample first/second
   minimum (coverage) instead of recomputing ``D[others].min(axis=0)``
-  from scratch for every position.
+  from scratch for every position. Coverage still scores every
+  candidate per position: one :meth:`SampleBlocks.sweep`, which
+  streams the tiles through a cache-sized scratch buffer.
 - **Lazy-greedy submodular selection** (coverage only) — CELF-style
   priority queue of stale marginal gains with re-evaluation on pop;
   coverage is monotone submodular, so the greedy pick carries the
@@ -52,6 +55,11 @@ from repro.obs.telemetry import get_telemetry
 #: Default distance-tile size. 32 MiB keeps a tile comfortably inside
 #: L3 on server parts while amortizing the Python dispatch per tile.
 DEFAULT_BLOCK_BYTES = 32 << 20
+
+#: Scratch size of :meth:`SampleBlocks.sweep`: each tile streams
+#: through one reused buffer this large (16 rows at 4 000 samples, well
+#: inside L2) instead of a fresh tile-sized temporary per sweep.
+SWEEP_BYTES = 512 << 10
 
 #: Scores closer than this are treated as equal and ordered by index
 #: tuple (lexicographically smallest first) — the tie-stability rule
@@ -151,7 +159,9 @@ class BlockCache:
     """Byte-bounded LRU of distance tiles with hit/miss telemetry.
 
     At least one tile is always retained so the current consumer never
-    sees its block evicted mid-use.
+    sees its block evicted mid-use. Tiles are marked read-only when
+    built: consumers hold views into them (:meth:`SampleBlocks.row`),
+    and none may write through one into the cache.
     """
 
     def __init__(self, budget_bytes: int, kind: str) -> None:
@@ -179,6 +189,7 @@ class BlockCache:
                     kind=self.kind, outcome="miss")
         started = time.perf_counter()
         blk = build(key)
+        blk.flags.writeable = False
         if tel.enabled:
             tel.observe("ensemble_block_build_seconds",
                         time.perf_counter() - started, kind=self.kind)
@@ -263,6 +274,9 @@ class SampleBlocks:
         self.rows_per_block = max(1, block_bytes // row_bytes)
         self.n_blocks = -(-max(self.n, 1) // self.rows_per_block)
         self.cache = BlockCache(cache_bytes or 8 * block_bytes, "samples")
+        sweep_rows = max(1, SWEEP_BYTES // row_bytes)
+        self._scratch = np.empty((min(sweep_rows, self.rows_per_block),
+                                  self.m))
 
     def _build(self, bid: int) -> np.ndarray:
         i0 = bid * self.rows_per_block
@@ -278,6 +292,30 @@ class SampleBlocks:
     def tiles(self) -> "Iterable[tuple[int, int, np.ndarray]]":
         for bid in range(self.n_blocks):
             yield self.block(bid)
+
+    def row(self, j: int) -> np.ndarray:
+        """Read-only view of pool member ``j``'s distance row."""
+        bid, r = divmod(j, self.rows_per_block)
+        return self.block(bid)[2][r]
+
+    def sweep(self, op: "Callable[..., np.ndarray]",
+              vec: np.ndarray) -> np.ndarray:
+        """Per-row sums of ``op(tile_rows, vec)`` over every candidate.
+
+        ``op`` is a binary ufunc. Each tile streams through one reused
+        scratch buffer of :data:`SWEEP_BYTES`; every row is still one
+        contiguous ``sum(axis=1)`` over the same ``m`` values, so the
+        sums are bit-identical to ``op(tile, vec).sum(axis=1)``.
+        """
+        out = np.empty(self.n)
+        step = self._scratch.shape[0]
+        for i0, i1, blk in self.tiles():
+            for r0 in range(0, i1 - i0, step):
+                r1 = min(i1 - i0, r0 + step)
+                buf = self._scratch[:r1 - r0]
+                op(blk[r0:r1], vec, out=buf)
+                buf.sum(axis=1, out=out[i0 + r0:i0 + r1])
+        return out
 
     def rows(self, idx: "Iterable[int]") -> np.ndarray:
         """Distance rows for the given pool members, ``(len(idx), m)``."""
@@ -394,9 +432,10 @@ class FastEngine:
             if hi <= j0:
                 continue
             cols = np.arange(j0, hi)
-            scores = blk[:, :hi - j0].copy()
-            # feasible pairs are strictly upper-triangular: i < j
-            scores[rows_idx[:, None] >= cols[None, :]] = -np.inf
+            # feasible pairs are strictly upper-triangular, i < j, so
+            # no row past hi - 2 holds one
+            scores = blk[:hi - 1, :hi - j0].copy()
+            scores[rows_idx[:hi - 1, None] >= cols[None, :]] = -np.inf
             keep = boundary_positions(scores.ravel(), beam_width)
             if keep.size == 0:
                 continue
@@ -497,7 +536,7 @@ class FastEngine:
         last = members[:, -1]
 
         def payload(b):
-            return self.samp.rows(members[b])[0] if payloads is None \
+            return self.samp.row(members[b, 0]) if payloads is None \
                 else payloads[b]
 
         found = []
@@ -595,16 +634,13 @@ class FastEngine:
                 # second-minimum update: the payload without this
                 # member is min2 wherever this member held the minimum
                 without = np.where(arg1 == pos, min2, min1)
-                sums = np.empty(self.n)
-                for i0, i1, blk in self.samp.tiles():
-                    sums[i0:i1] = np.minimum(
-                        blk, without[None, :]).sum(axis=1)
+                sums = self.samp.sweep(np.minimum, without)
                 scores = self.diam - sums / self.m
                 scores[current] = -np.inf
                 j = tie_argmax(scores)
                 if scores[j] > best_score + SWAP_TOL:
                     current[pos] = j
-                    rows[pos] = self.samp.rows([j])[0]
+                    rows[pos] = self.samp.row(j)
                     min1 = rows.min(axis=0)
                     arg1 = rows.argmin(axis=0)
                     if k > 1:
@@ -650,11 +686,11 @@ class FastEngine:
                 neg_gain, j, stamp = heapq.heappop(heap)
                 if stamp == len(selected):
                     break
-                row = self.samp.rows([j])[0]
+                row = self.samp.row(j)
                 gain = float(np.maximum(payload - row, 0.0).sum()) / self.m
                 reevals += 1
                 heapq.heappush(heap, (-gain, j, len(selected)))
-            row = self.samp.rows([j])[0]
+            row = self.samp.row(j)
             payload = row if payload is None \
                 else np.minimum(payload, row)
             selected.append(j)

@@ -11,6 +11,10 @@ rule of :func:`repro.ensemble.fast.tie_sorted`. :class:`Oracle` is the
 door the parity suites and ``benchmarks/test_bench_ensemble.py`` use,
 the way they import :func:`tests.conftest.unfused`.
 
+:func:`_greedy` is the reference for the engine's CELF lazy-greedy
+coverage selector: the plain, non-lazy greedy, every gain recomputed
+fresh from the full ``cdist(pool, samples)`` at every step.
+
 :func:`exhaustive_best` is the second oracle: exact enumeration off the
 full distance matrix, for pools small enough to enumerate.
 """
@@ -195,6 +199,29 @@ def _swap_refine(ev: _Evaluator, indices: tuple[int, ...],
     return tuple(sorted(current)), best_score
 
 
+def _greedy(ev: _Evaluator, size: int) -> tuple[tuple[int, ...], float]:
+    """Plain greedy coverage: at every step, the member with the largest
+    fresh marginal gain; exact ties go to the smallest index.
+
+    Gains are formed as the engine forms them (``diam − mean`` of a row
+    on the first step, the mean positive improvement over the payload
+    after it), so the two select identical members, not merely members
+    of 1e-9-close gain.
+    """
+    m = ev.D.shape[1]
+    gains = ev.space.diameter - ev.D.sum(axis=1) / m
+    selected: list[int] = []
+    payload = None
+    while len(selected) < size:
+        if payload is not None:
+            gains = np.maximum(payload[None, :] - ev.D, 0.0).sum(axis=1) / m
+        gains[selected] = -np.inf
+        j = int(np.argmax(gains))  # first maximum: the smallest index
+        payload = ev.D[j] if payload is None else np.minimum(payload, ev.D[j])
+        selected.append(j)
+    return tuple(sorted(selected)), ev.space.diameter - float(payload.mean())
+
+
 class Found(NamedTuple):
     indices: tuple[int, ...]
     score: float
@@ -217,8 +244,11 @@ class Oracle:
                 for score, indices in ordered[:k]]
 
     def best(self, size: int, beam_width: int = 64,
-             refine: bool = True) -> Found:
-        indices, score = self.top_k(size, 1, beam_width)[0]
+             refine: bool = True, strategy: str = "beam") -> Found:
+        if strategy == "greedy":
+            indices, score = _greedy(self.ev, size)
+        else:
+            indices, score = self.top_k(size, 1, beam_width)[0]
         if refine:
             indices, score = _swap_refine(self.ev, indices)
         return Found(tuple(int(i) for i in indices), float(score))

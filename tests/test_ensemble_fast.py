@@ -2,9 +2,12 @@
 
 The fast engine's contract (DESIGN §15) is checked here from three
 angles: selection parity with the tie-stable oracle the search used
-to ship as its ``legacy`` engine (``tests/ensemble_oracle.py``),
-the (1 - 1/e) lazy-greedy guarantee against exhaustive optima, and
-the blocked-kernel plumbing (LRU byte bound, hit/miss accounting).
+to ship as its ``legacy`` engine (``tests/ensemble_oracle.py``) —
+for the beam and for the lazy-greedy selector against the oracle's
+plain greedy —, the (1 - 1/e) lazy-greedy guarantee against
+exhaustive optima, and the blocked-kernel plumbing (LRU byte bound,
+hit/miss accounting, read-only tiles, the streamed sweep's bit
+identity).
 """
 
 from unittest import mock
@@ -126,6 +129,35 @@ class TestFastMatchesLegacy:
             coverage(cov.ensemble, samples=SAMPLES), rel=1e-9)
 
 
+class TestGreedyMatchesOracle:
+    """CELF lazy-greedy selects what the oracle's plain greedy (every
+    gain fresh, exact ties to the smallest index) selects: identical
+    index tuples, scores equal to 1e-9, with refine on and off, on
+    generic pools, under maximal tie pressure and across tiles."""
+
+    @pytest.mark.parametrize("refine", [True, False])
+    @given(coords=pools(unit), size=st.integers(2, 5),
+           block_bytes=block_budgets)
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_generic_pools(self, coords, size, block_bytes, refine):
+        pool = make_pool(coords)
+        assert_matches_oracle(pool, min(size, len(pool)), "coverage",
+                              block_bytes=block_bytes, strategy="greedy",
+                              refine=refine)
+
+    @pytest.mark.parametrize("refine", [True, False])
+    @given(coords=pools(grid), size=st.integers(2, 4),
+           block_bytes=block_budgets)
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_tie_heavy_pools(self, coords, size, block_bytes, refine):
+        pool = make_pool(coords)
+        assert_matches_oracle(pool, min(size, len(pool)), "coverage",
+                              block_bytes=block_bytes, strategy="greedy",
+                              refine=refine)
+
+
 class TestGreedyGuarantee:
     """Lazy-greedy coverage carries the classic (1 - 1/e) bound
     relative to the exhaustive optimum (coverage is monotone
@@ -184,6 +216,49 @@ class TestBlockedKernels:
         assert sb.n_blocks > 1
         idx = [2, 3, 29]
         np.testing.assert_array_equal(sb.rows(idx), cdist(X[idx], S))
+
+    @pytest.mark.parametrize("tile_rows, sweep_rows", [
+        (5, 2),    # several tiles, each ending on a short chunk
+        (4, 9),    # a chunk larger than a tile
+        (None, 3),  # one tile; 31 rows are no multiple of the chunk
+    ])
+    def test_sweep_is_bit_identical_to_whole_tile(self, tile_rows,
+                                                  sweep_rows):
+        from scipy.spatial.distance import cdist
+
+        rng = np.random.default_rng(6)
+        X, S, v = rng.random((31, 4)), rng.random((64, 4)), rng.random(64)
+        row_bytes = 64 * 8
+        block_bytes = (tile_rows * row_bytes if tile_rows
+                       else fast_mod.DEFAULT_BLOCK_BYTES)
+        with mock.patch.object(fast_mod, "DEFAULT_BLOCK_BYTES",
+                               block_bytes), \
+                mock.patch.object(fast_mod, "SWEEP_BYTES",
+                                  sweep_rows * row_bytes):
+            sb = SampleBlocks(X, S)
+        sums = sb.sweep(np.minimum, v)
+        np.testing.assert_array_equal(
+            sums, np.minimum(cdist(X, S), v).sum(axis=1))
+        # one block() call per tile, as the whole-tile loop made
+        assert sb.cache.hits + sb.cache.misses == sb.n_blocks
+
+    def test_tiles_are_read_only(self):
+        from scipy.spatial.distance import cdist
+
+        rng = np.random.default_rng(8)
+        X, S = rng.random((30, 4)), rng.random((64, 4))
+        sb = SampleBlocks(X, S, block_bytes=64 * 8 * 4)
+        row = sb.row(13)
+        np.testing.assert_array_equal(row, cdist(X[13:14], S)[0])
+        assert sb.cache.hits + sb.cache.misses == 1  # one block() call
+        with pytest.raises(ValueError):
+            row[0] = 0.0
+        with pytest.raises(ValueError):
+            sb.block(0)[2][0, 0] = 0.0
+        pb = PairwiseBlocks(X, block_bytes=30 * 8 * 3)
+        with pytest.raises(ValueError):
+            pb.block(1)[2][0, 0] = 0.0
+        np.testing.assert_array_equal(sb.row(13), cdist(X[13:14], S)[0])
 
     def test_lru_byte_bound_and_counters(self):
         block = np.zeros(100)  # 800 bytes
