@@ -174,11 +174,11 @@ def _build_parser() -> argparse.ArgumentParser:
                           "smoke)")
     ens.add_argument("--metric", choices=("spread", "coverage"),
                      default="spread")
-    ens.add_argument("--sizes", type=int, nargs="+",
+    ens.add_argument("--sizes", type=_positive_int, nargs="+",
                      default=[2, 4, 6, 8, 10],
                      help="ensemble sizes for the curve")
     ens.add_argument("--scheme", choices=("max", "log"), default="max")
-    ens.add_argument("--beam-width", type=int, default=64)
+    ens.add_argument("--beam-width", type=_positive_int, default=64)
     ens.add_argument("--strategy", choices=("beam", "greedy"),
                      default=None,
                      help="greedy = lazy-greedy submodular selection "
@@ -300,6 +300,18 @@ def _build_parser() -> argparse.ArgumentParser:
     tai.add_argument("--node", default=None, metavar="ID",
                      help="only show events stamped with this node id")
     return parser
+
+
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _add_obs_arguments(sub_parser: argparse.ArgumentParser) -> None:

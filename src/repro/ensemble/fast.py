@@ -7,23 +7,26 @@ loop stops scaling near the paper's corpus size; that formulation lives
 on in ``tests/ensemble_oracle.py`` as the selection oracle this engine
 is tested against. Here instead:
 
-- **Blocked distance kernels** — :class:`PairwiseBlocks` (column tiles
-  of the pool×pool distances) and :class:`SampleBlocks` (row tiles of
-  the pool×samples distances), built on demand through a byte-bounded
-  LRU :class:`BlockCache` with hit/miss telemetry. Tiles and scores
-  are float64, and tiles are read-only: a single candidate's row is a
-  view into its tile (:meth:`SampleBlocks.row`), never a copy.
+- **Blocked distance kernels** — one :class:`DistanceTiles`: row tiles
+  of ``cdist(pool, targets)``, where the targets are the pool itself
+  (spread) or the sample cloud (coverage), built on demand through a
+  byte-bounded LRU :class:`BlockCache` with hit/miss telemetry. The
+  pool×pool matrix is symmetric bit for bit, so a member's row is its
+  column too (DESIGN §15, "Blocked distance kernels"). Tiles and
+  scores are float64, and tiles are read-only: a single point's row is
+  a view into its tile (:meth:`DistanceTiles.row`), never a copy.
 - **Batched beam** — spread scores every state × candidate of a level
   in one masked gather-sum per chunk; coverage takes, per state and
   tile, one contiguous min+sum over the rows past the state's last
-  member, at the first level as at every later one. Selection is
-  tie-stable (see :func:`tie_sorted`) so results are deterministic
-  across NumPy versions and identical to the oracle's.
+  member, at the first level as at every later one. Every level ends
+  in the same selection step, tie-stable (see :func:`tie_sorted`), so
+  results are deterministic across NumPy versions and identical to
+  the oracle's.
 - **Incremental swap refinement** — per-position replacement scoring
   reuses a maintained column-sum (spread) or per-sample first/second
   minimum (coverage) instead of recomputing ``D[others].min(axis=0)``
   from scratch for every position. Coverage still scores every
-  candidate per position: one :meth:`SampleBlocks.sweep`, which
+  candidate per position: one :meth:`DistanceTiles.sweep`, which
   streams the tiles through a cache-sized scratch buffer.
 - **Lazy-greedy submodular selection** (coverage only) — CELF-style
   priority queue of stale marginal gains with re-evaluation on pop;
@@ -56,7 +59,7 @@ from repro.obs.telemetry import get_telemetry
 #: L3 on server parts while amortizing the Python dispatch per tile.
 DEFAULT_BLOCK_BYTES = 32 << 20
 
-#: Scratch size of :meth:`SampleBlocks.sweep`: each tile streams
+#: Scratch size of :meth:`DistanceTiles.sweep`: each tile streams
 #: through one reused buffer this large (16 rows at 4 000 samples, well
 #: inside L2) instead of a fresh tile-sized temporary per sweep.
 SWEEP_BYTES = 512 << 10
@@ -160,7 +163,7 @@ class BlockCache:
 
     At least one tile is always retained so the current consumer never
     sees its block evicted mid-use. Tiles are marked read-only when
-    built: consumers hold views into them (:meth:`SampleBlocks.row`),
+    built: consumers hold views into them (:meth:`DistanceTiles.row`),
     and none may write through one into the cache.
     """
 
@@ -205,86 +208,40 @@ class BlockCache:
         return self._bytes
 
 
-class PairwiseBlocks:
-    """Column tiles of the pool's pairwise Euclidean distance matrix.
+class DistanceTiles:
+    """Row tiles of the Euclidean distance matrix ``cdist(X, targets)``.
 
-    Every consumer of pairwise distances (beam extension, swap
-    refinement, from-scratch scoring) wants *all rows × a few columns*
-    — the columns of current ensemble members — so tiles are
-    column-major: tile ``b`` holds ``dist(X, X[j0:j1])`` for a
-    contiguous column range sized to ``block_bytes``.
+    Tile ``b`` holds ``dist(X[i0:i1], targets)`` for a contiguous range
+    of points sized to ``block_bytes``. Spread tiles the pool against
+    itself (``targets`` is ``points``) and coverage tiles it against
+    the sample cloud. The pool×pool matrix is symmetric bit for bit
+    (DESIGN §15), so a member's distance row doubles as its column.
     """
 
-    def __init__(self, points: np.ndarray, *,
+    def __init__(self, points: np.ndarray, targets: np.ndarray, *,
                  block_bytes: "int | None" = None,
                  cache_bytes: "int | None" = None) -> None:
+        kind = "pairwise" if targets is points else "samples"
         self.X = np.ascontiguousarray(points, dtype=np.float64)
+        self.targets = np.ascontiguousarray(targets, dtype=np.float64)
         self.n = self.X.shape[0]
+        self.m = self.targets.shape[0]
         block_bytes = int(block_bytes or DEFAULT_BLOCK_BYTES)
         if block_bytes < 1:
             raise ValidationError("block_bytes must be >= 1")
-        row_bytes = max(self.n, 1) * self.X.itemsize
-        self.cols_per_block = max(1, block_bytes // row_bytes)
-        self.n_blocks = -(-max(self.n, 1) // self.cols_per_block)
-        self.cache = BlockCache(cache_bytes or 8 * block_bytes, "pairwise")
-
-    def _build(self, bid: int) -> np.ndarray:
-        j0 = bid * self.cols_per_block
-        j1 = min(self.n, j0 + self.cols_per_block)
-        return cdist(self.X, self.X[j0:j1])
-
-    def block(self, bid: int) -> "tuple[int, int, np.ndarray]":
-        """``(j0, j1, dist(X, X[j0:j1]))`` for tile ``bid``."""
-        j0 = bid * self.cols_per_block
-        j1 = min(self.n, j0 + self.cols_per_block)
-        return j0, j1, self.cache.get(bid, self._build)
-
-    def columns(self, idx: "Iterable[int]") -> np.ndarray:
-        """Distances from every pool point to the given members."""
-        idx = np.asarray(list(idx) if not isinstance(idx, np.ndarray)
-                         else idx, dtype=np.intp)
-        out = np.empty((self.n, idx.size))
-        bids = idx // self.cols_per_block
-        for bid in np.unique(bids):
-            _, _, blk = self.block(int(bid))
-            sel = np.flatnonzero(bids == bid)
-            out[:, sel] = blk[:, idx[sel] - int(bid) * self.cols_per_block]
-        return out
-
-
-class SampleBlocks:
-    """Row tiles of the pool-to-samples distance matrix.
-
-    Coverage scoring sweeps candidate rows against the sample cloud,
-    so tiles are row-major: tile ``b`` holds
-    ``dist(X[i0:i1], samples)`` for a contiguous candidate range.
-    """
-
-    def __init__(self, points: np.ndarray, samples: np.ndarray, *,
-                 block_bytes: "int | None" = None,
-                 cache_bytes: "int | None" = None) -> None:
-        self.X = np.ascontiguousarray(points, dtype=np.float64)
-        self.samples = np.ascontiguousarray(samples, dtype=np.float64)
-        self.n = self.X.shape[0]
-        self.m = self.samples.shape[0]
-        block_bytes = int(block_bytes or DEFAULT_BLOCK_BYTES)
-        if block_bytes < 1:
-            raise ValidationError("block_bytes must be >= 1")
-        row_bytes = max(self.m, 1) * self.X.itemsize
-        self.rows_per_block = max(1, block_bytes // row_bytes)
+        self.row_bytes = max(self.m, 1) * self.X.itemsize
+        self.rows_per_block = max(1, block_bytes // self.row_bytes)
         self.n_blocks = -(-max(self.n, 1) // self.rows_per_block)
-        self.cache = BlockCache(cache_bytes or 8 * block_bytes, "samples")
-        sweep_rows = max(1, SWEEP_BYTES // row_bytes)
-        self._scratch = np.empty((min(sweep_rows, self.rows_per_block),
-                                  self.m))
+        self.cache = BlockCache(cache_bytes or 8 * block_bytes, kind)
+        self._scratch: "np.ndarray | None" = None
 
     def _build(self, bid: int) -> np.ndarray:
         i0 = bid * self.rows_per_block
         i1 = min(self.n, i0 + self.rows_per_block)
-        return cdist(self.X[i0:i1], self.samples)
+        return cdist(self.X[i0:i1], self.targets)
 
     def block(self, bid: int) -> "tuple[int, int, np.ndarray]":
-        """``(i0, i1, dist(X[i0:i1], samples))`` for tile ``bid``."""
+        """``(i0, i1, dist(X[i0:i1], targets))`` for tile ``bid``."""
         i0 = bid * self.rows_per_block
         i1 = min(self.n, i0 + self.rows_per_block)
         return i0, i1, self.cache.get(bid, self._build)
@@ -294,19 +251,24 @@ class SampleBlocks:
             yield self.block(bid)
 
     def row(self, j: int) -> np.ndarray:
-        """Read-only view of pool member ``j``'s distance row."""
+        """Read-only view of point ``j``'s distance row."""
         bid, r = divmod(j, self.rows_per_block)
         return self.block(bid)[2][r]
 
     def sweep(self, op: "Callable[..., np.ndarray]",
               vec: np.ndarray) -> np.ndarray:
-        """Per-row sums of ``op(tile_rows, vec)`` over every candidate.
+        """Per-row sums of ``op(tile_rows, vec)`` over every point.
 
         ``op`` is a binary ufunc. Each tile streams through one reused
-        scratch buffer of :data:`SWEEP_BYTES`; every row is still one
-        contiguous ``sum(axis=1)`` over the same ``m`` values, so the
-        sums are bit-identical to ``op(tile, vec).sum(axis=1)``.
+        scratch buffer of :data:`SWEEP_BYTES`, allocated by the first
+        sweep; every row is still one contiguous ``sum(axis=1)`` over
+        the same ``m`` values, so the sums are bit-identical to
+        ``op(tile, vec).sum(axis=1)``.
         """
+        if self._scratch is None:
+            sweep_rows = max(1, SWEEP_BYTES // self.row_bytes)
+            self._scratch = np.empty(
+                (min(sweep_rows, self.rows_per_block), self.m))
         out = np.empty(self.n)
         step = self._scratch.shape[0]
         for i0, i1, blk in self.tiles():
@@ -317,16 +279,25 @@ class SampleBlocks:
                 buf.sum(axis=1, out=out[i0 + r0:i0 + r1])
         return out
 
-    def rows(self, idx: "Iterable[int]") -> np.ndarray:
-        """Distance rows for the given pool members, ``(len(idx), m)``."""
+    def rows(self, idx: "Iterable[int]", *,
+             transposed: bool = False) -> np.ndarray:
+        """Distance rows of the given points, ``(len(idx), m)``.
+
+        ``transposed`` lays them out ``(m, len(idx))``, filled tile by
+        tile: on pool×pool tiles, the member columns ``D[:, idx]``.
+        """
         idx = np.asarray(list(idx) if not isinstance(idx, np.ndarray)
                          else idx, dtype=np.intp)
-        out = np.empty((idx.size, self.m))
+        out = np.empty((self.m, idx.size) if transposed
+                       else (idx.size, self.m))
         bids = idx // self.rows_per_block
         for bid in np.unique(bids):
             i0, _, blk = self.block(int(bid))
             sel = np.flatnonzero(bids == bid)
-            out[sel] = blk[idx[sel] - i0]
+            if transposed:
+                out[:, sel] = blk[idx[sel] - i0].T
+            else:
+                out[sel] = blk[idx[sel] - i0]
         return out
 
 
@@ -353,21 +324,20 @@ class FastEngine:
         self.n = self.pool.shape[0]
         self.space = space
         self.diam = space.diameter
+        targets = self.pool
+        if metric == "coverage":
+            targets = (space.sample(n_samples, seed=seed) if samples is None
+                       else np.asarray(samples, dtype=np.float64))
+            if targets.ndim != 2 or targets.shape[1] != space.dims:
+                raise ValidationError(
+                    f"samples of shape {targets.shape} do not lie in a "
+                    f"{space.dims}-dimensional space")
         # Read per engine, not bound as a default, so tests can force
         # small tiles by patching the constant.
         self.block_bytes = DEFAULT_BLOCK_BYTES
-        if metric == "spread":
-            self.pair = PairwiseBlocks(self.pool,
-                                       block_bytes=self.block_bytes)
-            self.samp = None
-            self.m = 0
-        else:
-            if samples is None:
-                samples = space.sample(n_samples, seed=seed)
-            self.samp = SampleBlocks(self.pool, samples,
-                                     block_bytes=self.block_bytes)
-            self.pair = None
-            self.m = self.samp.m
+        self.dist = DistanceTiles(self.pool, targets,
+                                  block_bytes=self.block_bytes)
+        self.m = self.dist.m
 
     # -- shared helpers ------------------------------------------------
 
@@ -383,9 +353,9 @@ class FastEngine:
         if self.metric == "spread":
             if idx.size < 2:
                 return 0.0
-            sub = self.pair.columns(idx)[idx]
+            sub = self.dist.rows(idx)[:, idx]
             return float(sub.sum() / (idx.size * (idx.size - 1)))
-        payload = self.samp.rows(idx).min(axis=0)
+        payload = self.dist.rows(idx).min(axis=0)
         return self.diam - float(payload.mean())
 
     # -- beam ----------------------------------------------------------
@@ -396,6 +366,8 @@ class FastEngine:
             raise ValidationError("size must be >= 1")
         if size > self.n:
             raise ValidationError(f"cannot pick {size} of {self.n} runs")
+        if beam_width < 1:
+            raise ValidationError("beam_width must be >= 1")
         if size == 1:
             self._count_states(self.n)
             if self.metric == "spread":
@@ -406,6 +378,27 @@ class FastEngine:
         if self.metric == "spread":
             return self._beam_spread(size, beam_width)
         return self._beam_coverage(size, beam_width)
+
+    def _select(self, members, found, size, beam_width):
+        """Extend ``members`` by the tie-stable top ``beam_width``
+        candidates; the new states come out in lexicographic order.
+
+        ``found`` holds one ``(scores, parent, cand, *carry)`` tuple per
+        chunk of a level, the chunk's :func:`boundary_positions`;
+        ``parent`` indexes ``members``. Returns the new members, each
+        new state's parent, and each ``carry`` column at the kept
+        candidates.
+        """
+        if not found:
+            raise ValidationError(
+                f"pool of {self.n} cannot form an ensemble of size {size}")
+        scores, parent, cand, *carry = (np.concatenate(col)
+                                        for col in zip(*found))
+        top = grouped_top(scores, parent, cand, beam_width)
+        top = top[np.lexsort((cand[top], parent[top]))]
+        new_members = np.concatenate(
+            [members[parent[top]], cand[top, None]], axis=1)
+        return (new_members, parent[top], *(col[top] for col in carry))
 
     # -- spread beam ---------------------------------------------------
 
@@ -419,40 +412,34 @@ class FastEngine:
                 for b, row in enumerate(members)]
 
     def _level1_spread(self, size, beam_width):
-        """Rank all feasible pairs straight off the distance tiles."""
+        """Rank all feasible pairs ``i < j <= j_max`` off the row tiles."""
         n = self.n
         j_max = n - size + 1  # highest feasible second member
         self._count_states(n)
-        rows_idx = np.arange(n)
-        found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-
-        for bid in range(self.pair.n_blocks):
-            j0, j1, blk = self.pair.block(bid)
-            hi = min(j1, j_max + 1)
-            if hi <= j0:
-                continue
-            cols = np.arange(j0, hi)
-            # feasible pairs are strictly upper-triangular, i < j, so
-            # no row past hi - 2 holds one
-            scores = blk[:hi - 1, :hi - j0].copy()
-            scores[rows_idx[:hi - 1, None] >= cols[None, :]] = -np.inf
-            keep = boundary_positions(scores.ravel(), beam_width)
-            if keep.size == 0:
-                continue
-            i_arr = keep // cols.size
-            j_arr = cols[keep % cols.size]
-            found.append((scores.ravel()[keep], i_arr, j_arr))
-        if not found:
-            raise ValidationError(
-                f"pool of {n} cannot form an ensemble of size {size}")
-        scores = np.concatenate([p[0] for p in found])
-        i_arr = np.concatenate([p[1] for p in found])
-        j_arr = np.concatenate([p[2] for p in found])
-        top = grouped_top(scores, i_arr, j_arr, beam_width)
-        i_top, j_top, s_top = i_arr[top], j_arr[top], scores[top]
-        order = np.lexsort((j_top, i_top))  # lexicographic state order
-        members = np.stack([i_top[order], j_top[order]], axis=1)
-        return members, s_top[order]
+        found = []
+        for i0, i1, blk in self.dist.tiles():
+            hi = min(i1, j_max)  # no row from j_max on has a partner
+            if hi <= i0:
+                break  # this tile and every later one is past j_max
+            # feasible pairs are strictly upper-triangular, i < j: the
+            # tile's rows pair with its diagonal block above the
+            # diagonal and with every column right of that block. Two
+            # chunks, so no copy spans the row and the masked lower
+            # triangle is never ranked.
+            split = min(i1, j_max + 1)
+            for c0, c1 in ((i0 + 1, split), (split, j_max + 1)):
+                if c1 <= c0:
+                    continue
+                cols = np.arange(c0, c1)
+                scores = blk[:hi - i0, c0:c1].copy()
+                scores[np.arange(i0, hi)[:, None] >= cols[None, :]] = -np.inf
+                keep = boundary_positions(scores.ravel(), beam_width)
+                dists = scores.ravel()[keep]
+                found.append((dists, i0 + keep // cols.size,
+                              cols[keep % cols.size], dists))
+        members, _, sums = self._select(np.arange(n)[:, None], found,
+                                        size, beam_width)
+        return members, sums
 
     def _extend_spread(self, members, sums, length, size, beam_width):
         """Score every state × candidate in one batched gather-sum."""
@@ -461,14 +448,14 @@ class FastEngine:
         self._count_states(n_states)
         uniq, inverse = np.unique(members, return_inverse=True)
         cols = inverse.reshape(members.shape).astype(np.intp)
-        dist_u = self.pair.columns(uniq)  # (n, u)
+        dist_u = self.dist.rows(uniq, transposed=True)  # (n, u)
         j_max = n - size + length  # feasibility bound for the next pick
         last = members[:, -1]
         k = length + 1
         norm = 2.0 / (k * (k - 1))
         row_bytes = max(1, n_states * length * 8)
         chunk = max(1, self.block_bytes // row_bytes)
-        parts = []
+        found = []
         for r0 in range(0, n, chunk):
             r1 = min(n, r0 + chunk)
             # adds[c, b] = Σ_l dist(candidate c, member l of state b)
@@ -483,30 +470,17 @@ class FastEngine:
             keep = boundary_positions(scores.ravel(), beam_width)
             if keep.size == 0:
                 continue
-            b_arr = (keep % n_states).astype(np.intp)
-            c_arr = cand[keep // n_states]
-            parts.append((scores.ravel()[keep], totals.ravel()[keep],
-                          b_arr, c_arr))
-        if not parts:
-            raise ValidationError(
-                f"pool of {n} cannot form an ensemble of size {size}")
-        scores = np.concatenate([p[0] for p in parts])
-        totals = np.concatenate([p[1] for p in parts])
-        b_arr = np.concatenate([p[2] for p in parts])
-        c_arr = np.concatenate([p[3] for p in parts])
-        top = grouped_top(scores, b_arr, c_arr, beam_width)
-        b_top, c_top = b_arr[top], c_arr[top]
-        order = np.lexsort((c_top, b_top))
-        b_top, c_top = b_top[order], c_top[order]
-        new_members = np.concatenate(
-            [members[b_top], c_top[:, None]], axis=1)
-        return new_members, totals[top][order]
+            found.append((scores.ravel()[keep], keep % n_states,
+                          cand[keep // n_states], totals.ravel()[keep]))
+        new_members, _, new_sums = self._select(members, found, size,
+                                                beam_width)
+        return new_members, new_sums
 
     # -- coverage beam -------------------------------------------------
 
     def _coverage_row_sums(self) -> np.ndarray:
         sums = np.empty(self.n)
-        for i0, i1, blk in self.samp.tiles():
+        for i0, i1, blk in self.dist.tiles():
             sums[i0:i1] = blk.sum(axis=1)
         return sums
 
@@ -530,18 +504,16 @@ class FastEngine:
         singleton level, where a state's payload is its own distance
         row, read from the tiles as the level goes.
         """
-        n = self.n
         self._count_states(members.shape[0])
-        j_max = n - size + length  # feasibility bound for the next pick
+        j_max = self.n - size + length  # feasibility bound for the next pick
         last = members[:, -1]
 
         def payload(b):
-            return self.samp.row(members[b, 0]) if payloads is None \
+            return self.dist.row(members[b, 0]) if payloads is None \
                 else payloads[b]
 
         found = []
-        for bid in range(self.samp.n_blocks):
-            i0, i1, blk = self.samp.block(bid)
+        for i0, i1, blk in self.dist.tiles():
             hi = min(i1, j_max + 1)
             if hi <= i0:
                 break  # this tile and every later one is past j_max
@@ -556,20 +528,10 @@ class FastEngine:
             b_arr = np.repeat(live, hi - lo)[keep]
             c_arr = concat_ranges(lo, np.full_like(lo, hi))[keep]
             found.append((scores[keep], b_arr, c_arr))
-        if not found:
-            raise ValidationError(
-                f"pool of {n} cannot form an ensemble of size {size}")
-        scores = np.concatenate([p[0] for p in found])
-        b_arr = np.concatenate([p[1] for p in found])
-        c_arr = np.concatenate([p[2] for p in found])
-        top = grouped_top(scores, b_arr, c_arr, beam_width)
-        b_top, c_top = b_arr[top], c_arr[top]
-        order = np.lexsort((c_top, b_top))
-        b_top, c_top = b_top[order], c_top[order]
-        new_members = np.concatenate(
-            [members[b_top], c_top[:, None]], axis=1)
-        new_payloads = np.minimum([payload(b) for b in b_top],
-                                  self.samp.rows(c_top))
+        new_members, parents = self._select(members, found, size,
+                                            beam_width)
+        new_payloads = np.minimum([payload(b) for b in parents],
+                                  self.dist.rows(new_members[:, -1]))
         return new_members, new_payloads
 
     # -- swap refinement ----------------------------------------------
@@ -590,10 +552,9 @@ class FastEngine:
         denom = k * (k - 1)
         for _ in range(max_passes):
             improved = False
-            cols = self.pair.columns(current)
+            cols = self.dist.rows(current, transposed=True)  # (n, k)
             colsum = cols.sum(axis=1)
-            cur_idx = np.asarray(current, dtype=np.intp)
-            pairsum = float(cols[cur_idx].sum()) / 2.0
+            pairsum = float(cols[current].sum()) / 2.0
             for pos in range(k):
                 r = current[pos]
                 base = pairsum - float(colsum[r])
@@ -602,12 +563,11 @@ class FastEngine:
                 scores[current] = -np.inf
                 j = tie_argmax(scores)
                 if scores[j] > best_score + SWAP_TOL:
-                    new_col = self.pair.columns([j])[:, 0]
+                    new_col = self.dist.row(j)
                     pairsum = base + float(adds[j])
                     colsum += new_col - cols[:, pos]
                     cols[:, pos] = new_col
                     current[pos] = j
-                    cur_idx = np.asarray(current, dtype=np.intp)
                     best_score = float(scores[j])
                     improved = True
             if not improved:
@@ -617,36 +577,34 @@ class FastEngine:
     def _refine_coverage(self, indices, max_passes):
         current = list(indices)
         k = len(current)
-        rows = self.samp.rows(current)
-        payload = rows.min(axis=0)
-        best_score = self.diam - float(payload.mean())
+        rows = self.dist.rows(current)
+
+        def minima():
+            """Per sample: the nearest member's distance and position,
+            and the distance to the runner-up (inf for one member)."""
+            min1, arg1 = rows.min(axis=0), rows.argmin(axis=0)
+            if k == 1:
+                return min1, arg1, np.full(self.m, np.inf)
+            masked = rows.copy()
+            masked[arg1, np.arange(self.m)] = np.inf
+            return min1, arg1, masked.min(axis=0)
+
+        min1, arg1, min2 = minima()
+        best_score = self.diam - float(min1.mean())
         for _ in range(max_passes):
             improved = False
-            min1 = rows.min(axis=0)
-            arg1 = rows.argmin(axis=0)
-            if k > 1:
-                masked = rows.copy()
-                masked[arg1, np.arange(self.m)] = np.inf
-                min2 = masked.min(axis=0)
-            else:
-                min2 = np.full(self.m, np.inf)
             for pos in range(k):
                 # second-minimum update: the payload without this
                 # member is min2 wherever this member held the minimum
                 without = np.where(arg1 == pos, min2, min1)
-                sums = self.samp.sweep(np.minimum, without)
+                sums = self.dist.sweep(np.minimum, without)
                 scores = self.diam - sums / self.m
                 scores[current] = -np.inf
                 j = tie_argmax(scores)
                 if scores[j] > best_score + SWAP_TOL:
                     current[pos] = j
-                    rows[pos] = self.samp.row(j)
-                    min1 = rows.min(axis=0)
-                    arg1 = rows.argmin(axis=0)
-                    if k > 1:
-                        masked = rows.copy()
-                        masked[arg1, np.arange(self.m)] = np.inf
-                        min2 = masked.min(axis=0)
+                    rows[pos] = self.dist.row(j)
+                    min1, arg1, min2 = minima()
                     best_score = float(scores[j])
                     improved = True
             if not improved:
@@ -686,11 +644,11 @@ class FastEngine:
                 neg_gain, j, stamp = heapq.heappop(heap)
                 if stamp == len(selected):
                     break
-                row = self.samp.row(j)
+                row = self.dist.row(j)
                 gain = float(np.maximum(payload - row, 0.0).sum()) / self.m
                 reevals += 1
                 heapq.heappush(heap, (-gain, j, len(selected)))
-            row = self.samp.row(j)
+            row = self.dist.row(j)
             payload = row if payload is None \
                 else np.minimum(payload, row)
             selected.append(j)

@@ -195,6 +195,14 @@ PRINTS: "dict[tuple[str, str], str]" = {
 }
 
 
+#: Argvs the parser refuses (exit 2) before the command starts, so a
+#: bad search parameter never waits on a corpus build.
+REJECTED: "tuple[tuple[str, ...], ...]" = (
+    _argv("ensemble --profile surface --beam-width 0"),
+    _argv("ensemble --profile surface --sizes 2 0"),
+)
+
+
 def _parser_options() -> "dict[tuple[str, str], tuple[str, ...]]":
     """``(subcommand, canonical option) -> every spelling`` over the
     whole parser tree; positionals and ``--help`` are not options."""
@@ -295,3 +303,18 @@ def test_row_runs(argv, shared, tmp_path, monkeypatch, capsys):
     for key, row in SURFACE.items():
         if row == argv and key in PRINTS:
             assert PRINTS[key] in out, (key, out)
+
+
+@pytest.mark.parametrize("argv", REJECTED, ids=" ".join)
+def test_parser_rejects(argv, monkeypatch, capsys):
+    import repro.experiments.corpus as corpus
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the corpus was built for a rejected argv")
+
+    _patch_globals(monkeypatch)
+    monkeypatch.setattr(corpus, "build_corpus", no_build)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err

@@ -22,8 +22,7 @@ from repro.behavior.space import BehaviorSpace, BehaviorVector
 from repro.ensemble import fast as fast_mod
 from repro.ensemble.fast import (
     BlockCache,
-    PairwiseBlocks,
-    SampleBlocks,
+    DistanceTiles,
     boundary_positions,
     tie_sorted,
 )
@@ -108,9 +107,9 @@ class TestFastMatchesLegacy:
         rng = np.random.default_rng(5)
         pool = make_pool(rng.random((61, 4)))
         mat = SPACE.to_matrix(pool)
-        assert PairwiseBlocks(mat, block_bytes=block_bytes).n_blocks > 1
-        assert SampleBlocks(mat, SAMPLES,
-                            block_bytes=block_bytes).n_blocks > 1
+        assert DistanceTiles(mat, mat, block_bytes=block_bytes).n_blocks > 1
+        assert DistanceTiles(mat, SAMPLES,
+                             block_bytes=block_bytes).n_blocks > 1
         for size in (2, 3, 7, 60, 61):
             for beam_width in (64, 9):
                 assert_matches_oracle(pool, size, metric,
@@ -195,27 +194,38 @@ class TestGreedyGuarantee:
 
 
 class TestBlockedKernels:
+    """One tile kind, :class:`DistanceTiles`, serves both metrics: the
+    pool against itself (spread) and against the samples (coverage)."""
+
     def test_pairwise_columns_match_cdist(self):
+        """The pool×pool tiles are symmetric bit for bit: a member's
+        rows, transposed, are its columns of ``cdist(X, X)``."""
         from scipy.spatial.distance import cdist
 
         rng = np.random.default_rng(3)
         X = rng.random((50, 4))
-        # Tiny block budget forces many column tiles.
-        pb = PairwiseBlocks(X, block_bytes=50 * 8 * 3)
-        assert pb.n_blocks > 1
+        # Tiny block budget forces many row tiles.
+        tiles = DistanceTiles(X, X, block_bytes=50 * 8 * 3)
+        assert tiles.n_blocks > 1
+        assert tiles.cache.kind == "pairwise"
         idx = [0, 7, 13, 49]
-        np.testing.assert_array_equal(pb.columns(idx),
+        np.testing.assert_array_equal(tiles.rows(idx).T, cdist(X, X[idx]))
+        np.testing.assert_array_equal(tiles.rows(idx, transposed=True),
                                       cdist(X, X[idx]))
+        # filled in place, not a transposed view: the spread gathers
+        # index it row-major
+        assert tiles.rows(idx, transposed=True).flags.c_contiguous
 
     def test_sample_rows_match_cdist(self):
         from scipy.spatial.distance import cdist
 
         rng = np.random.default_rng(4)
         X, S = rng.random((30, 4)), rng.random((64, 4))
-        sb = SampleBlocks(X, S, block_bytes=64 * 8 * 4)
-        assert sb.n_blocks > 1
+        tiles = DistanceTiles(X, S, block_bytes=64 * 8 * 4)
+        assert tiles.n_blocks > 1
+        assert tiles.cache.kind == "samples"
         idx = [2, 3, 29]
-        np.testing.assert_array_equal(sb.rows(idx), cdist(X[idx], S))
+        np.testing.assert_array_equal(tiles.rows(idx), cdist(X[idx], S))
 
     @pytest.mark.parametrize("tile_rows, sweep_rows", [
         (5, 2),    # several tiles, each ending on a short chunk
@@ -235,30 +245,32 @@ class TestBlockedKernels:
                                block_bytes), \
                 mock.patch.object(fast_mod, "SWEEP_BYTES",
                                   sweep_rows * row_bytes):
-            sb = SampleBlocks(X, S)
-        sums = sb.sweep(np.minimum, v)
+            tiles = DistanceTiles(X, S)
+            sums = tiles.sweep(np.minimum, v)
         np.testing.assert_array_equal(
             sums, np.minimum(cdist(X, S), v).sum(axis=1))
         # one block() call per tile, as the whole-tile loop made
-        assert sb.cache.hits + sb.cache.misses == sb.n_blocks
+        assert tiles.cache.hits + tiles.cache.misses == tiles.n_blocks
 
     def test_tiles_are_read_only(self):
         from scipy.spatial.distance import cdist
 
         rng = np.random.default_rng(8)
         X, S = rng.random((30, 4)), rng.random((64, 4))
-        sb = SampleBlocks(X, S, block_bytes=64 * 8 * 4)
-        row = sb.row(13)
+        tiles = DistanceTiles(X, S, block_bytes=64 * 8 * 4)
+        row = tiles.row(13)
         np.testing.assert_array_equal(row, cdist(X[13:14], S)[0])
-        assert sb.cache.hits + sb.cache.misses == 1  # one block() call
+        assert tiles.cache.hits + tiles.cache.misses == 1  # one block()
         with pytest.raises(ValueError):
             row[0] = 0.0
         with pytest.raises(ValueError):
-            sb.block(0)[2][0, 0] = 0.0
-        pb = PairwiseBlocks(X, block_bytes=30 * 8 * 3)
+            tiles.block(0)[2][0, 0] = 0.0
+        pairwise = DistanceTiles(X, X, block_bytes=30 * 8 * 3)
         with pytest.raises(ValueError):
-            pb.block(1)[2][0, 0] = 0.0
-        np.testing.assert_array_equal(sb.row(13), cdist(X[13:14], S)[0])
+            pairwise.block(1)[2][0, 0] = 0.0
+        with pytest.raises(ValueError):
+            pairwise.row(29)[0] = 0.0
+        np.testing.assert_array_equal(tiles.row(13), cdist(X[13:14], S)[0])
 
     def test_lru_byte_bound_and_counters(self):
         block = np.zeros(100)  # 800 bytes

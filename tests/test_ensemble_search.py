@@ -81,6 +81,35 @@ class TestBestEnsemble:
         with pytest.raises(ValidationError):
             best_ensemble(pool, 2, "entropy")
 
+    @pytest.mark.parametrize("metric", ["spread", "coverage"])
+    def test_beam_width_below_one_is_rejected(self, metric):
+        """A non-positive width fails where the beam runs, as a
+        ValidationError rather than NumPy's partition error; the
+        greedy selector never reads the width."""
+        pool = random_pool(12, seed=2)
+        for width in (0, -3):
+            with pytest.raises(ValidationError, match="beam_width"):
+                best_ensemble(pool, 3, metric, beam_width=width)
+        if metric == "coverage":
+            greedy = best_ensemble(pool, 3, metric, beam_width=0,
+                                   strategy="greedy")
+            assert greedy.indices == best_ensemble(
+                pool, 3, metric, strategy="greedy").indices
+
+    def test_samples_off_the_space_are_rejected(self):
+        """Coverage samples must lie in the space: a wrong width is a
+        ValidationError when the engine is built, before any tile."""
+        pool = random_pool(8)
+        rng = np.random.default_rng(0)
+        for samples in (rng.random((50, 3)), rng.random((50, 5)),
+                        rng.random(4)):
+            with pytest.raises(ValidationError, match="samples"):
+                FastEngine(BehaviorSpace().to_matrix(pool), "coverage",
+                           space=BehaviorSpace(), samples=samples,
+                           n_samples=0, seed=0)
+            with pytest.raises(ValidationError, match="samples"):
+                best_ensemble(pool, 3, "coverage", samples=samples)
+
     def test_curve_keys(self):
         pool = random_pool(15, seed=9)
         curve = best_ensemble_curve(pool, [2, 4, 6], "spread")

@@ -155,7 +155,7 @@ def test_the_untaken_paths_left_src():
                 "health_check_every", "Worksite", "class Heartbeat:",
                 "read_heartbeats", "_write_beat_file", "hb-",
                 "repro-worksite-", "work_dir", "node_workdir",
-                "WORK_DIRNAME"]
+                "WORK_DIRNAME", "PairwiseBlocks", ".columns("]
         if file not in STORES:
             gone.append("gc_quarantine")
         if file.startswith("ensemble/"):
