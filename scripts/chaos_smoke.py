@@ -2,8 +2,9 @@
 """Chaos smoke gate: one supervised corpus build under random worker
 SIGKILLs plus an injected worker stall must converge — in a single
 pass — to vectors exactly matching an undisturbed build, with zero
-unexpected failures, no leaked shared-memory segments, and no leaked
-worksite/heartbeat files.
+unexpected failures, no leaked shared-memory segments, and no worker
+process left alive after either build (the replacements for the
+SIGKILLed and stalled workers included).
 
 The chaos build runs with full observability and must additionally
 reconstruct as **one connected trace with zero orphan spans** (every
@@ -22,12 +23,13 @@ Exit codes: 0 pass, 1 assertion failed.
 from __future__ import annotations
 
 import glob
+import multiprocessing
 import os
 import sys
 import tempfile
 from pathlib import Path
 
-from repro.experiments.config import Profile
+from repro.experiments.config import BuildOptions, Profile
 from repro.experiments.corpus import build_corpus
 from repro.experiments.results import ResultStore
 from repro.obs.critpath import critical_path, render_critical_path
@@ -62,15 +64,23 @@ def fail(message: str) -> None:
     sys.exit(1)
 
 
+def check_no_workers_left(build: str) -> None:
+    """Every crew worker a build spawned — replacements included — is
+    reaped by the time the build returns."""
+    alive = multiprocessing.active_children()
+    if alive:
+        fail(f"{build} build left worker processes alive: "
+             f"{sorted(p.name for p in alive)}")
+
+
 def main() -> None:
     workdir = Path(tempfile.mkdtemp(prefix="repro-chaos-smoke-"))
     pre_segments = set(glob.glob("/dev/shm/repro-shm-*"))
-    pre_worksites = set(glob.glob(
-        os.path.join(tempfile.gettempdir(), "repro-worksite-*")))
 
     print("== clean reference build (inline) ==")
     clean = build_corpus(PROFILE, store=ResultStore(workdir / "clean"),
                          workers=1)
+    check_no_workers_left("clean")
     if clean.unexpected_failures:
         fail(f"clean build had unexpected failures: "
              f"{[str(f.failure) for f in clean.unexpected_failures]}")
@@ -93,14 +103,16 @@ def main() -> None:
     obs_dir = workdir / "obs"
     corpus = build_corpus(
         PROFILE, store=ResultStore(workdir / "chaos"), workers=2,
-        retries=0, checkpoint_dir=workdir / "snaps", checkpoint_every="1",
-        lease_timeout_s=2.0, heartbeat_every_s=0.25,
-        max_lease_expiries=N_KILL_TOKENS + 3,
+        options=BuildOptions(
+            retries=0, checkpoint_dir=workdir / "snaps",
+            checkpoint_every="1", lease_timeout_s=2.0,
+            max_lease_expiries=N_KILL_TOKENS + 3),
         obs="full", obs_dir=obs_dir)
     for env in ("REPRO_CHAOS_KILL", "REPRO_INJECT_STALL",
                 "REPRO_INJECT_STALL_TOKENS"):
         os.environ.pop(env, None)
     print(corpus.summary())
+    check_no_workers_left("chaos")
 
     if list(kill_tokens.iterdir()) or list(stall_tokens.iterdir()):
         fail("fault injection never fired — the gate tested nothing")
@@ -148,10 +160,6 @@ def main() -> None:
     leaked_shm = set(glob.glob("/dev/shm/repro-shm-*")) - pre_segments
     if leaked_shm:
         fail(f"leaked shared-memory segments: {sorted(leaked_shm)}")
-    leaked_sites = set(glob.glob(os.path.join(
-        tempfile.gettempdir(), "repro-worksite-*"))) - pre_worksites
-    if leaked_sites:
-        fail(f"leaked worksite/heartbeat files: {sorted(leaked_sites)}")
 
     print(f"CHAOS-SMOKE PASS: {corpus.n_runs} runs bit-identical under "
           f"{corpus.workers_replaced} worker replacements and "

@@ -24,7 +24,7 @@ PYTHONPATH=src python -m pytest -x -q "$@"
 
 # Chaos smoke: one supervised corpus build under random worker SIGKILL
 # + an injected stall must converge to bit-identical vectors with no
-# leaked shm segments or heartbeat files (DESIGN.md §14). Time-bounded
+# leaked shm segments or worker processes (DESIGN.md §14). Time-bounded
 # so a scheduler hang fails the gate instead of wedging it.
 if [ "${REPRO_SKIP_CHAOS:-0}" != "1" ]; then
     echo "== chaos smoke (supervised scheduler) =="

@@ -57,7 +57,6 @@ sys.path.insert(0, str(SRC))
 
 FREEZE_S = 6.0
 LEASE_TIMEOUT_S = 2.5
-HEARTBEAT_S = 0.2
 #: How long the coordinator's worker is held on its first cell: two
 #: interpreter starts (~0.7 s each) fit, the crew's lease does not end.
 ADMISSION_S = 1.5
@@ -102,6 +101,7 @@ def spawn_agent(queue_dir: Path, scratch: Path, name: str,
 
 
 def run(timeout_s: float, keep: bool) -> int:
+    from repro.experiments.config import BuildOptions
     from repro.experiments.corpus import build_corpus
     from repro.experiments.results import ResultStore
 
@@ -152,8 +152,8 @@ def run(timeout_s: float, keep: bool) -> int:
                                 store=ResultStore(scratch / "store-dist"),
                                 workers=1,
                                 distributed=queue_dir,
-                                lease_timeout_s=LEASE_TIMEOUT_S,
-                                heartbeat_every_s=HEARTBEAT_S,
+                                options=BuildOptions(
+                                    lease_timeout_s=LEASE_TIMEOUT_S),
                                 obs="full", obs_dir=obs_dir)
         finally:
             for env in ADMISSION_ENVS:

@@ -124,10 +124,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      metavar="SECONDS",
                      help="scheduler lease deadline; a worker whose "
                           "heartbeat goes silent this long has its task "
-                          "revoked and re-dispatched (default: 60)")
-    cor.add_argument("--heartbeat-every", type=float, default=None,
-                     metavar="SECONDS",
-                     help="worker heartbeat interval (default: 1)")
+                          "revoked and re-dispatched; workers beat ten "
+                          "times per lease (default: 60, 15 per node "
+                          "of a distributed build)")
     cor.add_argument("--max-lease-expiries", type=int, default=None,
                      metavar="K",
                      help="quarantine a cell as poison after K lease "
@@ -527,22 +526,23 @@ class _SigintGovernor:
 
 
 def _cmd_corpus(args) -> int:
+    from repro.experiments.config import BuildOptions
     from repro.experiments.corpus import build_corpus
     from repro.experiments.failures import RETRYABLE_KINDS
 
+    options = BuildOptions(
+        timeout_s=args.timeout, retries=args.retries, resume=args.resume,
+        health_policy=args.health_policy,
+        checkpoint_dir=args.checkpoint_dir,
+        checkpoint_every=args.checkpoint_every,
+        lease_timeout_s=args.lease_timeout,
+        max_lease_expiries=args.max_lease_expiries)
     progress = (lambda line: print(f"  {line}")) if args.progress else None
     with _SigintGovernor() as governor:
         corpus = build_corpus(args.profile, use_cache=not args.no_cache,
                               progress=progress, workers=args.workers,
-                              timeout_s=args.timeout, retries=args.retries,
-                              resume=args.resume,
-                              health_policy=args.health_policy,
-                              checkpoint_dir=args.checkpoint_dir,
-                              checkpoint_every=args.checkpoint_every,
+                              options=options,
                               stop_requested=governor.stop_requested,
-                              lease_timeout_s=args.lease_timeout,
-                              heartbeat_every_s=args.heartbeat_every,
-                              max_lease_expiries=args.max_lease_expiries,
                               distributed=args.distributed,
                               obs=args.obs, obs_dir=args.obs_dir)
     print(corpus.summary())

@@ -18,8 +18,7 @@ from repro.experiments.results import ResultStore
 
 _LAZY = {"BehaviorCorpus", "build_corpus", "CorpusRun", "execute_planned_run"}
 _LAZY_CHARACTERIZATION = {"CorpusCharacterization", "characterize_corpus"}
-_LAZY_SCHEDULER = {"CircuitBreaker", "SchedulerConfig", "Supervisor",
-                   "Task", "TaskBoard"}
+_LAZY_SCHEDULER = {"CircuitBreaker", "Supervisor", "Task", "TaskBoard"}
 
 
 def __getattr__(name: str):
@@ -52,7 +51,6 @@ __all__ = [
     "RETRYABLE_KINDS",
     "ResultStore",
     "RunFailure",
-    "SchedulerConfig",
     "Supervisor",
     "Task",
     "TaskBoard",

@@ -257,26 +257,32 @@ class PlannedRun:
 #: Lease defaults, stated once. A crew worker's lease on a cell is long
 #: (a dead worker is also seen by ``is_alive``); a node's lease on its
 #: claims is short, because a missed beat is the only sign of a dead or
-#: partitioned node.
+#: partitioned node. Beats are not configured: whoever holds a lease
+#: beats ten times per lease timeout (see
+#: :class:`~repro.experiments.worksite.HeartbeatWriter`).
 CREW_LEASE_TIMEOUT_S = 60.0
 NODE_LEASE_TIMEOUT_S = 15.0
-HEARTBEAT_EVERY_S = 1.0
 MAX_LEASE_EXPIRIES = 3
 
 
 @dataclass(frozen=True)
 class BuildOptions:
-    """How a build executes its cells: the one object behind the keyword
-    doors :func:`~repro.experiments.corpus.build_corpus` and
-    :func:`~repro.experiments.corpus.execute_planned_run`.
+    """How a build executes its cells: the one spelling of a build
+    setting. :func:`~repro.experiments.corpus.build_corpus` and
+    :func:`~repro.experiments.corpus.execute_planned_run` take it whole
+    (``repro corpus`` builds one from its flags), and no layer below
+    restates a field as a parameter of its own.
 
-    Built once at a door, forked into every crew worker, and written —
-    as :meth:`to_dict` plus profile, store root and trace — into a
+    The build door fills in the three telemetry fields from its
+    ``obs`` / ``obs_dir`` requests; every other field is the caller's.
+    The object is then forked into every crew worker and written — as
+    :meth:`to_dict` plus profile, store root and trace — into a
     distributed build's ``manifest.json``, so every layer and every
     node reads the same fields. ``None`` always means "the default",
     resolved here (or, for the lease timeout, by :meth:`lease_timeout`);
-    an explicit out-of-range value raises here instead of silently
-    becoming the default.
+    an explicit out-of-range or unparseable value raises here, before
+    any cell runs, instead of silently becoming the default or failing
+    every cell.
     """
 
     #: Per-run wall-clock limit (default: the profile's
@@ -315,11 +321,9 @@ class BuildOptions:
     run_id: "str | None" = None
     #: How long a dispatched cell (or, in a distributed build, a node)
     #: may go without a heartbeat before its lease is revoked and the
-    #: work re-dispatched. See :meth:`lease_timeout` for the defaults.
+    #: work re-dispatched. See :meth:`lease_timeout` for the defaults;
+    #: the beat interval is a tenth of it.
     lease_timeout_s: "float | None" = None
-    #: Heartbeat interval (default 1 s); must be comfortably below the
-    #: lease timeout.
-    heartbeat_every_s: "float | None" = None
     #: Poison budget: after this many lost leases a cell is quarantined
     #: as ``quarantined-poison`` instead of being handed to yet another
     #: worker or node (default 3).
@@ -332,14 +336,28 @@ class BuildOptions:
             if getattr(self, attr) is not None:
                 object.__setattr__(
                     self, attr, str(Path(getattr(self, attr)).resolve()))
-        for attr, default in (("heartbeat_every_s", HEARTBEAT_EVERY_S),
-                              ("max_lease_expiries", MAX_LEASE_EXPIRIES)):
-            if getattr(self, attr) is None:
-                object.__setattr__(self, attr, default)
-        if self.lease_timeout_s is not None and self.lease_timeout_s <= 0:
-            raise ValidationError("lease_timeout_s must be positive")
+        if self.max_lease_expiries is None:
+            object.__setattr__(self, "max_lease_expiries",
+                               MAX_LEASE_EXPIRIES)
+        for attr in ("timeout_s", "lease_timeout_s"):
+            if getattr(self, attr) is not None and getattr(self, attr) <= 0:
+                raise ValidationError(f"{attr} must be positive")
+        if self.retries is not None and self.retries < 0:
+            raise ValidationError("retries must be >= 0")
         if self.max_lease_expiries < 1:
             raise ValidationError("max_lease_expiries must be >= 1")
+        # Imported here so config stays import-light.
+        if self.health_policy is not None:
+            from repro.engine.health import validate_health_policy
+
+            validate_health_policy(self.health_policy)
+        if self.checkpoint_every is not None:
+            from repro.engine.checkpoint import CheckpointPolicy
+
+            try:
+                CheckpointPolicy.parse(self.checkpoint_every)
+            except ValidationError as exc:
+                raise ValidationError(f"checkpoint_every: {exc}") from None
 
     def lease_timeout(self, *, node: bool) -> float:
         """The lease timeout of a local crew (60 s) or of a node and its

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable
 
+from repro._util.errors import ValidationError
 from repro.behavior.metrics import BehaviorMetrics, compute_metrics
 from repro.behavior.run import run_computation
 from repro.behavior.space import BehaviorVector, normalize_corpus
@@ -327,26 +328,16 @@ def execute_planned_run(
     planned: PlannedRun,
     profile: Profile,
     store: "ResultStore | None" = None,
-    *,
-    timeout_s: "float | None" = None,
-    retries: "int | None" = None,
-    resume: bool = False,
-    health_policy: "str | None" = None,
-    checkpoint_dir: "str | Path | None" = None,
-    checkpoint_every: "str | None" = None,
+    options: "BuildOptions | None" = None,
 ) -> CorpusRun:
-    """Execute one cell (or fetch it from the store), profile-configured.
+    """Execute one cell (or fetch it from the store), profile-configured,
+    under *options* (default: every field's default).
 
-    The keyword door to one cell: the arguments are the cell-execution
-    fields of :class:`~repro.experiments.config.BuildOptions`, which
-    documents them. Unlike a build, it lets a fault outside the run
-    itself (store I/O, metric computation) propagate.
+    Unlike a build, it lets a fault outside the run itself (store I/O,
+    metric computation) propagate.
     """
-    return _run_cell(planned, profile, store, BuildOptions(
-        timeout_s=timeout_s, retries=retries, resume=resume,
-        health_policy=health_policy,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_every=checkpoint_every), isolate=False)
+    return _run_cell(planned, profile, store, options or BuildOptions(),
+                     isolate=False)
 
 
 def _run_cell(planned: PlannedRun, profile: Profile,
@@ -620,7 +611,7 @@ def _specs_needing_materialization(
     plan: "list[PlannedRun]",
     profile: Profile,
     store: "ResultStore | None",
-    resume: bool,
+    options: BuildOptions,
 ) -> "dict[str, GraphSpec]":
     """Distinct specs with at least one cell that will actually execute
     (by :meth:`ResultStore.replay`'s rule, like every other path,
@@ -631,7 +622,7 @@ def _specs_needing_materialization(
         spec_key = planned.spec.cache_key()
         if spec_key not in needed and (
                 store is None or store.outcome(
-                    run_cache_key(planned, profile), resume) is None):
+                    run_cache_key(planned, profile), options.resume) is None):
             needed[spec_key] = planned.spec
     return needed
 
@@ -643,18 +634,10 @@ def build_corpus(
     use_cache: bool = True,
     progress: "Callable[[str], None] | None" = None,
     workers: int = 1,
-    timeout_s: "float | None" = None,
-    retries: "int | None" = None,
-    resume: bool = False,
-    health_policy: "str | None" = None,
-    checkpoint_dir: "str | Path | None" = None,
-    checkpoint_every: "str | None" = None,
+    options: "BuildOptions | None" = None,
     stop_requested: "Callable[[], bool] | None" = None,
     obs: "str | None" = None,
     obs_dir: "str | Path | None" = None,
-    lease_timeout_s: "float | None" = None,
-    heartbeat_every_s: "float | None" = None,
-    max_lease_expiries: "int | None" = None,
     distributed: "str | Path | None" = None,
 ) -> BehaviorCorpus:
     """Execute the full behavior-corpus plan (11 algorithms × 20 graphs).
@@ -664,13 +647,9 @@ def build_corpus(
     recorded as a structured :class:`~repro.experiments.failures.RunFailure`
     while the remaining cells complete. Completed cells are checkpointed
     through the store as they finish, which makes builds resumable — a
-    rerun after a crash (or with ``resume=True`` after recorded
-    transient failures) re-executes only the missing/failed cells.
-
-    This is the keyword door to a build. Every argument not listed
-    below is a field of :class:`~repro.experiments.config.BuildOptions`
-    (``obs`` resolves into its ``obs_level``), documented there; the
-    door builds that one object and everything below it takes it.
+    rerun after a crash (or with ``BuildOptions(resume=True)`` after
+    recorded transient failures) re-executes only the missing/failed
+    cells.
 
     Parameters
     ----------
@@ -689,6 +668,12 @@ def build_corpus(
         per-key filenames). 1 (default) runs inline, as a plain call
         loop; more run under the supervised crew loop of
         :mod:`repro.experiments.scheduler`.
+    options:
+        How the cells execute, documented on
+        :class:`~repro.experiments.config.BuildOptions` (default: every
+        field's default). Its telemetry fields are the door's to fill
+        in from ``obs`` / ``obs_dir``: an object that already sets them
+        is refused.
     stop_requested:
         Optional callable polled between cells (the CLI's SIGINT hook).
         Once it returns True, no further cell is dispatched; in-flight
@@ -698,7 +683,8 @@ def build_corpus(
         Observability level (None resolves ``$REPRO_OBS``) and the
         directory for the event log and exports (default:
         ``$REPRO_OBS_DIR``, else ``obs/`` under the result store, else
-        ``./.repro_obs``).
+        ``./.repro_obs``), resolved into the options' ``obs_level``,
+        ``obs_dir`` and ``run_id``.
     distributed:
         Path to a shared work-queue directory (a filesystem every
         participating machine can reach). The build then runs as a
@@ -713,6 +699,13 @@ def build_corpus(
         ordinary in-process path. Results flow through the shared
         ``store`` (created at the default location when None).
     """
+    if options is None:
+        options = BuildOptions()
+    elif (options.obs_level, options.obs_dir, options.run_id) != (
+            "off", None, None):
+        raise ValidationError(
+            "build_corpus resolves obs_level / obs_dir / run_id from its "
+            "obs and obs_dir arguments; pass those instead")
     if not isinstance(profile, Profile):
         profile = get_profile(profile)
     if store is None and use_cache:
@@ -745,14 +738,8 @@ def build_corpus(
         tel.emit("build_start", profile=profile.name, workers=workers,
                  planned=len(plan), level=obs_level, seed=profile.seed)
     tel = get_telemetry()
-    options = BuildOptions(
-        timeout_s=timeout_s, retries=retries, resume=resume,
-        health_policy=health_policy,
-        checkpoint_dir=checkpoint_dir, checkpoint_every=checkpoint_every,
-        obs_level=obs_level, obs_dir=obs_path, run_id=corpus.run_id,
-        lease_timeout_s=lease_timeout_s,
-        heartbeat_every_s=heartbeat_every_s,
-        max_lease_expiries=max_lease_expiries)
+    options = replace(options, obs_level=obs_level, obs_dir=obs_path,
+                      run_id=corpus.run_id)
 
     def stopped() -> bool:
         return stop_requested is not None and stop_requested()

@@ -76,7 +76,7 @@ from repro.experiments.scheduler import POLL_S
 
 #: Queue layout version; bumped on incompatible manifest or layout
 #: changes.
-QUEUE_VERSION = 4
+QUEUE_VERSION = 5
 
 MANIFEST_FILENAME = "manifest.json"
 COMPLETE_FILENAME = "complete.json"
@@ -303,9 +303,14 @@ class DistributedQueue:
                            {"version": QUEUE_VERSION, **manifest})
 
     def read_manifest(self) -> "dict | None":
+        """The build manifest, or None while none is readable. A
+        manifest of another queue version is refused: waiting would
+        not change it."""
         data = read_json_object(self.root / MANIFEST_FILENAME)
-        if data is None or int(data.get("version", 0)) != QUEUE_VERSION:
-            return None
+        if data is not None and data.get("version") != QUEUE_VERSION:
+            raise ValidationError(
+                f"the queue manifest is version {data.get('version')!r}; "
+                f"this node speaks version {QUEUE_VERSION}")
         return data
 
     # -- tasks ---------------------------------------------------------
@@ -611,6 +616,9 @@ class Coordinator:
         self.options = options
         self.progress = progress
         self._stop = stop_requested or (lambda: False)
+        # A node's lease on its claims and its requeue budget are its
+        # crew's lease and poison budget, one level up.
+        self.lease_s = options.lease_timeout(node=True)
         self.tel = get_telemetry()
         self._tasks: "dict[str, _TaskState]" = {}
         self._records: "list[TaskRecord]" = []
@@ -634,9 +642,6 @@ class Coordinator:
                           str(self.store.root), workers=self.workers,
                           trace=trace, embedded=True)
         self.local_node = agent.node
-        # A node's lease on its claims and its requeue budget are its
-        # crew's lease and poison budget, one level up.
-        self.config = agent.config
         self.corpus.distributed = True
         try:
             while self.corpus.n_collected < len(self.plan):
@@ -705,7 +710,7 @@ class Coordinator:
                 continue  # the embedded agent supervises its own crew
             beat = beats.get(node)
             fresh = (beat is not None and not beat.done
-                     and beat.age_s <= self.config.lease_timeout_s)
+                     and beat.age_s <= self.lease_s)
             if fresh:
                 if node in self._lost_nodes:
                     # The partition healed: the node beats again, and
@@ -717,7 +722,7 @@ class Coordinator:
                                       action="node-recovered", node=node)
                 continue
             if beat is None and any(
-                    c.age_s <= self.config.lease_timeout_s
+                    c.age_s <= self.lease_s
                     for c in node_claims):
                 # Claimed but never beat: a node that just arrived, or
                 # one that died on arrival — claim age decides which.
@@ -773,11 +778,11 @@ class Coordinator:
                 continue
             state.requeues += 1
             self.corpus.lease_expiries += 1
-            if state.requeues >= self.config.max_lease_expiries:
+            if state.requeues >= self.options.max_lease_expiries:
                 self._quarantine(state, claim, reason)
                 continue
             backoff = full_jitter_backoff(
-                self.config.backoff_base_s, state.requeues,
+                self.profile.retry_backoff_s, state.requeues,
                 key=claim.task_id, cap_s=self.BACKOFF_CAP_S)
             state.pending_claim = claim
             state.not_before = now + backoff

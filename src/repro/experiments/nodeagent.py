@@ -50,6 +50,7 @@ import sys
 import time
 import uuid
 
+from repro._util.errors import ValidationError
 from repro._util.faulthooks import hook_value
 from repro.experiments.config import BuildOptions, Profile
 from repro.experiments.distqueue import (
@@ -60,12 +61,7 @@ from repro.experiments.distqueue import (
 )
 from repro.experiments.failures import RunFailure
 from repro.experiments.results import ResultStore
-from repro.experiments.scheduler import (
-    POLL_S,
-    CrewLoop,
-    SchedulerConfig,
-    Task,
-)
+from repro.experiments.scheduler import POLL_S, CrewLoop, Task
 from repro.experiments.worksite import HeartbeatWriter, ResultEnvelope
 
 #: ``"<substring|*>:<count>"`` — SIGKILL this *entire agent process*
@@ -135,10 +131,10 @@ class NodeAgent(CrewLoop):
         # publication funnels through the agent's fence-checked path.
         super().__init__(
             options=options, profile=profile,
-            config=SchedulerConfig.for_build(options, profile, node=True),
-            workers=max(1, int(workers)), store_root=None)
+            workers=max(1, int(workers)), store_root=None, node=True)
+        # The node's own beat renews its claims, leased like its crew's.
         self._beats = HeartbeatWriter(
-            self.node, self.config.heartbeat_every_s,
+            self.node, self.lease_s,
             lambda: queue.write_beat(self.node, self._beat_payload()))
         self._beats.start()
         if self.tel.enabled:
@@ -403,10 +399,8 @@ class NodeAgent(CrewLoop):
               manifest_wait_s: float = 60.0) -> int:
         """Join the build in *queue* and serve it until it completes (or
         the queue disappears). Returns a process exit code."""
-        manifest = _await_manifest(queue, manifest_wait_s)
-        if manifest is None:
-            return 1
         try:
+            manifest = _await_manifest(queue, manifest_wait_s)
             options, profile, store_root, trace = parse_manifest(manifest)
             agent = cls(queue, options, profile, store_root,
                         workers=workers, node=node, trace=trace)
@@ -426,12 +420,17 @@ class NodeAgent(CrewLoop):
         return 0
 
 
-def _await_manifest(queue: DistributedQueue,
-                    wait_s: float) -> "dict | None":
+def _await_manifest(queue: DistributedQueue, wait_s: float) -> dict:
+    """The queue's build manifest, once a coordinator has written it;
+    ``ValidationError`` if the build is over or none appears within
+    *wait_s*, or at once for one of another queue version."""
     deadline = time.monotonic() + max(0.0, wait_s)
     while not queue.complete():
         manifest = queue.read_manifest()
-        if manifest is not None or time.monotonic() >= deadline:
+        if manifest is not None:
             return manifest
+        if time.monotonic() >= deadline:
+            raise ValidationError(
+                f"no build manifest appeared within {wait_s:g}s")
         time.sleep(0.1)
-    return None
+    raise ValidationError("the build is already complete")

@@ -55,7 +55,6 @@ from typing import Any, Callable
 
 from repro.experiments.config import (
     CREW_LEASE_TIMEOUT_S,
-    HEARTBEAT_EVERY_S,
     MAX_LEASE_EXPIRIES,
     BuildOptions,
 )
@@ -421,27 +420,6 @@ class CircuitBreaker:
 POLL_S = 0.05
 
 
-@dataclass(frozen=True)
-class SchedulerConfig:
-    """Crew-loop tuning that a build sets: the three lease values of
-    :class:`~repro.experiments.config.BuildOptions` (surfaced on the
-    CLI) and the profile's retry backoff."""
-
-    lease_timeout_s: float = CREW_LEASE_TIMEOUT_S
-    heartbeat_every_s: float = HEARTBEAT_EVERY_S
-    max_lease_expiries: int = MAX_LEASE_EXPIRIES
-    backoff_base_s: float = 0.05
-
-    @classmethod
-    def for_build(cls, options: BuildOptions, profile: Any, *,
-                  node: bool = False) -> "SchedulerConfig":
-        """The config of a local crew, or of one node's crew."""
-        return cls(lease_timeout_s=options.lease_timeout(node=node),
-                   heartbeat_every_s=options.heartbeat_every_s,
-                   max_lease_expiries=options.max_lease_expiries,
-                   backoff_base_s=profile.retry_backoff_s)
-
-
 class CrewLoop:
     """The one plan/lease/execute/update loop of every multi-process
     build: a :class:`TaskBoard`, a forked
@@ -456,27 +434,31 @@ class CrewLoop:
     They hook in at the ``_schedule`` / ``_on_*`` / ``_may_respawn``
     methods, whose defaults here do nothing.
 
+    Its settings are read from the build's options and profile; *node*
+    picks a node's lease (a distributed build) over a local crew's.
+
     (A ``workers<=1`` build does not come here at all: an in-process
     call needs no lease, and driving it through the board costs more
     than the call it would supervise — see docs/scheduling.md.)
     """
 
     def __init__(self, *, options: BuildOptions, profile: Any,
-                 config: SchedulerConfig, workers: int,
-                 store_root: "str | None") -> None:
+                 workers: int, store_root: "str | None",
+                 node: bool) -> None:
         from repro.obs.telemetry import get_telemetry
 
         self.options = options
         self.profile = profile
-        self.config = config
+        #: The lease every beat of this loop's workers renews.
+        self.lease_s = options.lease_timeout(node=node)
         self.tel = get_telemetry()
         self.board = TaskBoard(
-            lease_timeout_s=config.lease_timeout_s,
-            max_lease_expiries=config.max_lease_expiries,
-            backoff_base_s=config.backoff_base_s,
+            lease_timeout_s=self.lease_s,
+            max_lease_expiries=options.max_lease_expiries,
+            backoff_base_s=profile.retry_backoff_s,
             on_transition=self._emit_transition)
-        self.crew = WorkerCrew(workers, config.heartbeat_every_s, options,
-                               profile, store_root)
+        self.crew = WorkerCrew(workers, self.lease_s, options, profile,
+                               store_root)
         self.plane = None
         self.manifests: dict = {}
         #: Set once shared memory turned out unusable: every later cell
@@ -735,10 +717,9 @@ class Supervisor(CrewLoop):
         self._premat_pending = False
         self._started = time.perf_counter()  # crew start-up is premat time
         super().__init__(
-            options=options, profile=profile,
-            config=SchedulerConfig.for_build(options, profile),
-            workers=self.workers,
-            store_root=str(store.root) if store is not None else None)
+            options=options, profile=profile, workers=self.workers,
+            store_root=str(store.root) if store is not None else None,
+            node=False)
 
     # ------------------------------------------------------------------
     # DAG construction
@@ -754,7 +735,7 @@ class Supervisor(CrewLoop):
         if shm.shm_available():
             self._premat_pending = True
             needed = _specs_needing_materialization(
-                self.plan, self.profile, self.store, self.options.resume)
+                self.plan, self.profile, self.store, self.options)
         if needed and self._plane_wanted():
             for spec in needed.values():
                 # Every graph ahead of every cell: one parallel phase.

@@ -12,8 +12,8 @@ process-management substrate this module owns:
   the worker, and re-dispatches its task.
 - **Heartbeats** — each worker owns one shared ``RawArray('d', 2)``
   of (lease epoch, last beat time). The worker sets the epoch when a
-  task arrives, and a daemon thread stamps the time every
-  ``heartbeat_every`` seconds. The supervisor reads the array to renew
+  task arrives, and a daemon thread stamps the time ten times per lease
+  timeout. The supervisor reads the array to renew
   the lease of the epoch it names, so a *busy* worker on a
   legitimately slow cell never expires while a *dead or stopped* one
   does. A crew is always one machine, so no beat touches a file.
@@ -57,12 +57,19 @@ INJECT_STALL_ENV = "REPRO_INJECT_STALL"
 INJECT_STALL_TOKENS_ENV = "REPRO_INJECT_STALL_TOKENS"
 
 
+#: Beats per lease timeout: a lease survives nine missed beats, and
+#: still expires a dead holder one lease timeout after its last beat.
+BEATS_PER_LEASE = 10
+
+
 # ----------------------------------------------------------------------
 # Heartbeats
 # ----------------------------------------------------------------------
 class HeartbeatWriter:
     """The beat emitter (daemon thread) of both levels of the fabric:
-    every ``every_s`` seconds it calls *publish*.
+    it calls *publish* :data:`BEATS_PER_LEASE` times per *lease_s*, the
+    lease timeout its beats renew (never more often than every 0.05 s)
+    — the one place a beat interval is worked out.
 
     A crew worker's *publish* stamps the time into the worker's shared
     beat array; a node agent's writes its registry beat into the
@@ -74,10 +81,10 @@ class HeartbeatWriter:
     scheduled (SIGSTOP, a cgroup freeze, a C call holding the GIL).
     """
 
-    def __init__(self, name: "int | str", every_s: float,
+    def __init__(self, name: "int | str", lease_s: float,
                  publish: "Callable[[], None]") -> None:
         self.name = name
-        self.every_s = max(0.05, float(every_s))
+        self.every_s = max(0.05, float(lease_s) / BEATS_PER_LEASE)
         self._publish = publish
         self._suspended = False
         self._stop = threading.Event()
@@ -209,12 +216,13 @@ def _arm_parent_death_signal() -> None:
 
 
 def worker_main(worker: int, task_queue, result_queue, beat,
-                heartbeat_every: float, options: BuildOptions,
+                lease_s: float, options: BuildOptions,
                 profile: Any, store_root: "str | None") -> None:
     """Crew worker loop: beat, take a lease, execute, send the result.
 
     *beat* is the worker's shared (lease epoch, last beat time) array:
-    the epoch is set as each task arrives, the time by the beat thread.
+    the epoch is set as each task arrives, the time by the beat thread,
+    which beats at the rate the loop's lease timeout *lease_s* sets.
 
     *options*, *profile* and *store_root* are the build-wide
     configuration, forked in once instead of riding on every task. A
@@ -244,7 +252,7 @@ def worker_main(worker: int, task_queue, result_queue, beat,
     def stamp() -> None:
         beat[1] = time.time()
 
-    beats = HeartbeatWriter(worker, heartbeat_every, stamp)
+    beats = HeartbeatWriter(worker, lease_s, stamp)
     beats.start()
     try:
         while True:
@@ -298,9 +306,10 @@ class WorkerHandle:
 
 
 class WorkerCrew:
-    """Spawn, feed, reap, and replace the build's worker processes."""
+    """Spawn, feed, reap, and replace the build's worker processes,
+    whose beats renew leases of *lease_s*."""
 
-    def __init__(self, n_workers: int, heartbeat_every: float,
+    def __init__(self, n_workers: int, lease_s: float,
                  options: BuildOptions, profile: Any,
                  store_root: "str | None") -> None:
         import multiprocessing as mp
@@ -309,8 +318,7 @@ class WorkerCrew:
             self._mp = mp.get_context("fork")
         except ValueError:  # pragma: no cover - non-fork platforms
             self._mp = mp.get_context()
-        self.worker_args = (options, profile, store_root)
-        self.heartbeat_every = heartbeat_every
+        self.worker_args = (lease_s, options, profile, store_root)
         self.results = self._mp.Queue()
         self.workers: "dict[int, WorkerHandle]" = {}
         self.replaced = 0
@@ -325,8 +333,7 @@ class WorkerCrew:
         beat = self._mp.RawArray("d", 2)
         process = self._mp.Process(
             target=worker_main,
-            args=(worker, queue, self.results, beat, self.heartbeat_every,
-                  *self.worker_args),
+            args=(worker, queue, self.results, beat, *self.worker_args),
             name=f"repro-crew-{worker}", daemon=True)
         process.start()
         handle = WorkerHandle(worker, process, queue, beat)

@@ -36,7 +36,7 @@ from repro.engine import (
     SynchronousEngine,
 )
 from repro.engine.checkpoint import INJECT_KILL_ENV
-from repro.experiments.config import GraphSpec, Profile
+from repro.experiments.config import BuildOptions, GraphSpec, Profile
 from repro.experiments.corpus import (
     build_corpus,
     execute_planned_run,
@@ -369,9 +369,9 @@ class TestCorpusCheckpointing:
         monkeypatch.setenv(INJECT_KILL_ENV, f"{key}:1")
 
         baseline = execute_planned_run(planned, TINY, None)
-        run = execute_planned_run(
-            planned, TINY, None, retries=0,
-            checkpoint_dir=tmp_path / "snaps", checkpoint_every="1")
+        run = execute_planned_run(planned, TINY, None, BuildOptions(
+            retries=0, checkpoint_dir=tmp_path / "snaps",
+            checkpoint_every="1"))
         assert run.ok, run.failure
         assert run.trace.meta["resumed_from_iteration"] == 2
         _assert_traces_identical(baseline.trace, run.trace)
@@ -385,9 +385,9 @@ class TestCorpusCheckpointing:
         # prefix), unlike the snapshot key.
         monkeypatch.setenv("REPRO_INJECT_CRASH",
                            f"cc-{planned.spec.cache_key()}")
-        run = execute_planned_run(
-            planned, TINY, None, retries=0,
-            checkpoint_dir=tmp_path / "snaps", checkpoint_every="1")
+        run = execute_planned_run(planned, TINY, None, BuildOptions(
+            retries=0, checkpoint_dir=tmp_path / "snaps",
+            checkpoint_every="1"))
         assert not run.ok
         assert run.failure.kind == "crash"
         assert run.failure.attempts == 1
@@ -396,9 +396,8 @@ class TestCorpusCheckpointing:
         planned = _planned_cc()
         key = run_cache_key(planned, TINY)
         snap_dir = tmp_path / "snaps"
-        run = execute_planned_run(planned, TINY, None,
-                                  checkpoint_dir=snap_dir,
-                                  checkpoint_every="1")
+        run = execute_planned_run(planned, TINY, None, BuildOptions(
+            checkpoint_dir=snap_dir, checkpoint_every="1"))
         assert run.ok
         assert SnapshotStore(snap_dir).load_latest(key) is None
 
@@ -436,9 +435,10 @@ class TestChaosKills:
         corpus = None
         for _attempt in range(n_tokens + 3):
             corpus = build_corpus(TINY, store=store, workers=2,
-                                  resume=True, retries=0,
-                                  checkpoint_dir=snap_dir,
-                                  checkpoint_every="1")
+                                  options=BuildOptions(
+                                      resume=True, retries=0,
+                                      checkpoint_dir=snap_dir,
+                                      checkpoint_every="1"))
             if not corpus.unexpected_failures:
                 break
         assert corpus is not None and not corpus.unexpected_failures, \

@@ -291,6 +291,23 @@ class TestCorpusAndDesign:
         assert "215 runs" in out
         assert "executed 1, cached 219" in out
 
+    def test_corpus_bad_checkpoint_spec_fails_before_any_cell(
+            self, capsys, tiny_cache, monkeypatch):
+        """An unparseable spec is refused when the options are built:
+        it used to crash every cell and exit 3 with a --resume hint."""
+        import repro.experiments.corpus as corpus_mod
+
+        cells = []
+        monkeypatch.setattr(corpus_mod, "_run_cell",
+                            lambda *args, **kwargs: cells.append(args))
+        code, out, err = run_cli(
+            capsys, "corpus", "--profile", "smoke",
+            "--checkpoint-every", "abc")
+        assert code == 1
+        assert cells == []
+        assert "checkpoint_every" in err and "--resume" not in err
+        assert out == ""
+
     def test_design_on_smoke_subset(self, capsys, warm_smoke_cache):
         # Keep this cheap: design over two algorithms only; the corpus
         # itself is read back from the smoke store.

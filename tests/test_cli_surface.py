@@ -119,8 +119,6 @@ SURFACE: "dict[tuple[str, str], tuple[str, ...]]" = {
     ("corpus", "--checkpoint-dir"): _CELL_CHECKPOINT,
     ("corpus", "--lease-timeout"): _argv(
         _CORPUS + "--workers 2 --lease-timeout 30"),
-    ("corpus", "--heartbeat-every"): _argv(
-        _CORPUS + "--workers 2 --heartbeat-every 0.5"),
     ("corpus", "--max-lease-expiries"): _argv(
         _CORPUS + "--workers 2 --max-lease-expiries 2"),
     ("corpus", "--distributed"): _argv(

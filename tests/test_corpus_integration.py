@@ -4,13 +4,14 @@ ensemble methodology over it (the paper's Section 5 pipeline)."""
 import numpy as np
 import pytest
 
+from repro._util.errors import ValidationError
 from repro.behavior.space import BehaviorSpace
 from repro.ensemble.bounds import UpperBounds
 from repro.ensemble.constrained import limit_to_algorithms
 from repro.ensemble.frequency import algorithm_frequencies
 from repro.ensemble.metrics import coverage, spread
 from repro.ensemble.search import best_ensemble, top_k_ensembles
-from repro.experiments.config import CORPUS_ALGORITHMS
+from repro.experiments.config import CORPUS_ALGORITHMS, BuildOptions
 from repro.experiments.corpus import build_corpus, execute_planned_run
 from repro.experiments.results import ResultStore
 from tests.conftest import MINI_PROFILE
@@ -112,8 +113,21 @@ class TestCaching:
         # Expected (memory) failures are never re-executed, even under
         # --resume: the budget check is deterministic.
         resumed = execute_planned_run(failing, MINI_PROFILE, store,
-                                      resume=True)
+                                      BuildOptions(resume=True))
         assert resumed.source == "cache"
+
+
+    def test_options_may_not_spell_the_telemetry_fields(self, tmp_path):
+        """The build door resolves obs_level / obs_dir / run_id from its
+        obs / obs_dir requests; an options object that sets them is
+        refused before any cell runs."""
+        for options in (BuildOptions(obs_level="full"),
+                        BuildOptions(obs_dir=tmp_path / "obs"),
+                        BuildOptions(run_id="r-1")):
+            with pytest.raises(ValidationError, match="obs_dir"):
+                build_corpus(MINI_PROFILE, store=ResultStore(tmp_path),
+                             options=options)
+        assert list(tmp_path.rglob("*.json")) == []
 
 
 class TestEnsemblePipeline:

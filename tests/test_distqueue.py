@@ -44,7 +44,7 @@ from repro.experiments.distqueue import (
 )
 from repro.experiments.failures import RunFailure
 from repro.experiments.results import ResultStore
-from repro.experiments.scheduler import POLL_S, SchedulerConfig
+from repro.experiments.scheduler import POLL_S
 from repro.experiments.worksite import HeartbeatWriter
 
 DQ_PROFILE = Profile(
@@ -133,8 +133,7 @@ class TestManifestTransport:
                            health_policy="degrade",
                            checkpoint_dir="ckpt", checkpoint_every="5",
                            obs_level="full", obs_dir="obs", run_id="r-1",
-                           lease_timeout_s=0.5, heartbeat_every_s=0.1,
-                           max_lease_expiries=2)
+                           lease_timeout_s=0.5, max_lease_expiries=2)
 
     def test_options_roundtrip_through_json(self):
         for options in (BuildOptions(), self.OPTIONS):
@@ -155,6 +154,20 @@ class TestManifestTransport:
             BuildOptions(lease_timeout_s=0)
         with pytest.raises(ValueError, match="max_lease_expiries"):
             BuildOptions(max_lease_expiries=0)
+        for seconds in (0, -1.0):
+            with pytest.raises(ValueError, match="timeout_s"):
+                BuildOptions(timeout_s=seconds)
+        with pytest.raises(ValueError, match="retries"):
+            BuildOptions(retries=-1)
+        # Values that used to pass here and then fail every cell of the
+        # build (a crash per cell) are refused up front too.
+        with pytest.raises(ValueError, match="health_policy"):
+            BuildOptions(health_policy="bogus")
+        for spec in ("abc", "", "0", "-2s"):
+            with pytest.raises(ValueError, match="checkpoint"):
+                BuildOptions(checkpoint_every=spec)
+        assert BuildOptions(retries=0, health_policy="degrade",
+                            checkpoint_every="5,30s").retries == 0
         assert BuildOptions().lease_timeout(node=False) == 60.0
         assert BuildOptions().lease_timeout(node=True) == 15.0
         assert BuildOptions().max_lease_expiries == 3
@@ -168,6 +181,29 @@ class TestManifestTransport:
             queue.read_manifest())
         assert (options, profile, got) == (self.OPTIONS, DQ_PROFILE, trace)
         assert store_root == str((tmp_path / "store").resolve())
+
+    def test_a_manifest_of_another_version_is_refused_at_once(
+            self, tmp_path, capsys):
+        """A node does not wait out ``--manifest-wait`` on a manifest it
+        can never read: it exits at once, naming both versions."""
+        queue = _queue(tmp_path)
+        other = distqueue.QUEUE_VERSION - 1
+        queue.write_manifest({**build_manifest(
+            BuildOptions(), DQ_PROFILE, tmp_path, None), "version": other})
+        started = time.monotonic()
+        assert nodeagent.NodeAgent.serve(queue, manifest_wait_s=60) == 1
+        assert time.monotonic() - started < 10
+        err = capsys.readouterr().err
+        assert f"version {other}" in err
+        assert f"version {distqueue.QUEUE_VERSION}" in err
+
+    def test_a_manifest_that_never_appears_is_reported(self, tmp_path,
+                                                       capsys):
+        queue = _queue(tmp_path)
+        assert nodeagent.NodeAgent.serve(queue, manifest_wait_s=0.2) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "no build manifest appeared within 0.2s" in err
 
     def test_malformed_manifest_is_a_clear_error(self, tmp_path):
         manifest = build_manifest(BuildOptions(), DQ_PROFILE,
@@ -348,9 +384,18 @@ class TestBeats:
     def test_writer_publishes_through_its_callback(self, tmp_path):
         queue = _queue(tmp_path)
         writer = HeartbeatWriter(
-            "n1", 0.05, lambda: queue.write_beat("n1", {"epoch": 7}))
+            "n1", 0.5, lambda: queue.write_beat("n1", {"epoch": 7}))
         writer.beat()
         assert queue.read_beats()["n1"].epoch == 7
+
+    def test_the_beat_is_a_tenth_of_the_lease(self):
+        """The ≥10× rule is what the code does, at both levels: a crew
+        default (60 s), a node default (15 s), the smokes' leases, and
+        the floor for a lease too short to divide."""
+        for lease, beat in ((60.0, 6.0), (15.0, 1.5), (2.5, 0.25),
+                            (2.0, 0.2), (0.1, 0.05)):
+            assert HeartbeatWriter("n", lease, lambda: None).every_s \
+                == pytest.approx(beat)
 
     def test_torn_beat_files_are_skipped(self, tmp_path):
         queue = _queue(tmp_path)
@@ -362,7 +407,7 @@ class TestBeats:
     def test_suspend_models_a_hang(self, tmp_path):
         queue = _queue(tmp_path)
         writer = HeartbeatWriter(
-            "n1", 0.05, lambda: queue.write_beat("n1", {"epoch": 1}))
+            "n1", 0.5, lambda: queue.write_beat("n1", {"epoch": 1}))
         writer.start()
         try:
             writer.suspend()
@@ -543,7 +588,7 @@ class TestCoordinatorEndToEnd:
                             store=ResultStore(tmp_path / "s-dist"),
                             workers=1,
                             distributed=tmp_path / "queue",
-                            lease_timeout_s=0.5)
+                            options=BuildOptions(lease_timeout_s=0.5))
         assert not dist.failures
         assert dist.nodes_lost >= 1
         assert dist.queue_requeues >= 1
@@ -635,7 +680,7 @@ class TestCoordinatorRound:
             store=_FakeStore(), workers=1, options=BuildOptions(),
             corpus=SimpleNamespace(n_collected=0, nodes_seen=0,
                                    stale_epoch_rejections=0))
-        co.local_node, co.config = "coordinator", SchedulerConfig()
+        co.local_node = "coordinator"
         listings = []
         monkeypatch.setattr(co, "_supervise", listings.append)
         return co, listings

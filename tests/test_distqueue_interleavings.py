@@ -51,7 +51,6 @@ from repro.experiments.distqueue import (
     TaskRecord,
     publish_result,
 )
-from repro.experiments.scheduler import SchedulerConfig
 from tests.test_distqueue import DQ_PROFILE
 
 LEASE_S = 10.0
@@ -233,11 +232,9 @@ class _World:
         self.coordinator = co = Coordinator(
             queue=self.queue, plan=self.PLAN, profile=DQ_PROFILE,
             store=self.store, corpus=self.corpus, workers=1,
-            options=BuildOptions())
+            options=BuildOptions(lease_timeout_s=LEASE_S,
+                                 max_lease_expiries=4))
         co.local_node = "coordinator"
-        co.config = SchedulerConfig(lease_timeout_s=LEASE_S,
-                                    backoff_base_s=0.05,
-                                    max_lease_expiries=4)
         co._enqueue_plan()
         self.tasks = [r.task_id for r in co._records]
         self.nodes = [_Node(self, "A", fault), _Node(self, "B")]

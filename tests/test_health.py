@@ -33,7 +33,11 @@ from repro.engine import (
     SynchronousEngine,
     VertexProgram,
 )
-from repro.experiments.config import ExperimentMatrix, GraphSpec
+from repro.experiments.config import (
+    BuildOptions,
+    ExperimentMatrix,
+    GraphSpec,
+)
 from repro.experiments.corpus import build_corpus, execute_planned_run
 from repro.experiments.failures import classify_exception
 from repro.experiments.results import ResultStore
@@ -356,7 +360,8 @@ class TestCorpusHealthAccounting:
                                                     monkeypatch):
         monkeypatch.setenv(INJECT_ENGINE_FAULT_ENV, f"{self.TARGET}:nan@1")
         run = execute_planned_run(self._planned(), TINY_PROFILE,
-                                  ResultStore(tmp_path), retries=3)
+                                  ResultStore(tmp_path),
+                                  BuildOptions(retries=3))
         assert not run.ok
         assert run.failure.kind == "numeric"
         assert run.failure.attempts == 1  # deterministic: no retries
@@ -377,7 +382,7 @@ class TestCorpusHealthAccounting:
             self, tmp_path, monkeypatch):
         monkeypatch.setenv(INJECT_ENGINE_FAULT_ENV, f"{self.TARGET}:nan@1")
         corpus = build_corpus(TINY_PROFILE, store=ResultStore(tmp_path),
-                              health_policy="degrade")
+                              options=BuildOptions(health_policy="degrade"))
         total = len(ExperimentMatrix(TINY_PROFILE).corpus_runs())
         assert corpus.n_runs == total  # the degraded run still completed
         assert corpus.failures == []
@@ -391,7 +396,8 @@ class TestCorpusHealthAccounting:
         monkeypatch.setenv(INJECT_ENGINE_FAULT_ENV, f"{self.TARGET}:nan@1")
         lines: list = []
         build_corpus(TINY_PROFILE, store=ResultStore(tmp_path),
-                     health_policy="degrade", progress=lines.append)
+                     options=BuildOptions(health_policy="degrade"),
+                     progress=lines.append)
         flagged = [l for l in lines if "health=" in l]
         assert len(flagged) == 1
         assert "status=degraded health=numeric" in flagged[0]

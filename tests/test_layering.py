@@ -155,7 +155,8 @@ def test_the_untaken_paths_left_src():
                 "health_check_every", "Worksite", "class Heartbeat:",
                 "read_heartbeats", "_write_beat_file", "hb-",
                 "repro-worksite-", "work_dir", "node_workdir",
-                "WORK_DIRNAME", "PairwiseBlocks", ".columns("]
+                "WORK_DIRNAME", "PairwiseBlocks", ".columns(",
+                "SchedulerConfig", "heartbeat_every"]
         if file not in STORES:
             gone.append("gc_quarantine")
         if file.startswith("ensemble/"):
@@ -164,6 +165,51 @@ def test_the_untaken_paths_left_src():
             gone.append("block_bytes")
         for name in gone:
             assert name not in text, f"{name} in {path}"
+
+
+#: Functions that may take a parameter named after a BuildOptions field:
+#: the pure task board (property tests drive it with explicit values),
+#: the build door's ``obs_dir`` request (resolved into the options'
+#: field), and the result store's replay rule, which takes the one
+#: flag it reads (every build passes ``options.resume``).
+SPELLED_ELSEWHERE = {("experiments/scheduler.py", "TaskBoard.__init__"),
+                     ("experiments/corpus.py", "build_corpus"),
+                     ("experiments/results.py", "ResultStore.replay"),
+                     ("experiments/results.py", "ResultStore.outcome"),
+                     ("experiments/results.py", "ResultStore._replay")}
+
+
+def test_a_build_setting_is_spelled_once():
+    """No function under experiments/ or in the CLI restates a
+    BuildOptions field as a parameter: a setting enters a build as
+    the one options object."""
+    from dataclasses import fields
+
+    from repro.experiments.config import BuildOptions
+
+    names = {f.name for f in fields(BuildOptions)}
+    spelled = {}
+    paths = sorted((SRC / "experiments").glob("*.py")) + [SRC / "cli.py"]
+    for path in paths:
+        file = path.relative_to(SRC).as_posix()
+        tree = ast.parse(path.read_text("utf-8"))
+        owners = {id(fn): cls.name for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) for fn in cls.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            taken = {a.arg for a in (args.posonlyargs + args.args
+                                     + args.kwonlyargs)} & names
+            name = getattr(node, "name", "<lambda>")
+            if id(node) in owners:
+                name = f"{owners[id(node)]}.{name}"
+            if taken and not name.startswith("BuildOptions."):
+                spelled[(file, name)] = taken
+    assert set(spelled) == SPELLED_ELSEWHERE, spelled
+    assert spelled[("experiments/corpus.py", "build_corpus")] == {"obs_dir"}
+    assert spelled[("experiments/scheduler.py", "TaskBoard.__init__")] == {
+        "lease_timeout_s", "max_lease_expiries"}
 
 
 def test_import_repro_leaves_the_offline_obs_tools_unloaded():

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.experiments.config import ExperimentMatrix, Profile
+from repro.experiments.config import BuildOptions, ExperimentMatrix, Profile
 from repro.experiments.corpus import build_corpus
 from repro.experiments.results import ResultStore
 from repro.obs.events import read_all_events
@@ -131,9 +131,10 @@ class TestWorkerKillCrashConsistency:
         corpus = None
         for _attempt in range(6):
             corpus = build_corpus(TINY, store=store, workers=workers,
-                                  resume=True, retries=0,
-                                  checkpoint_dir=tmp_path / "snaps",
-                                  checkpoint_every="1",
+                                  options=BuildOptions(
+                                      resume=True, retries=0,
+                                      checkpoint_dir=tmp_path / "snaps",
+                                      checkpoint_every="1"),
                                   obs="full", obs_dir=obs_dir)
             # Telemetry must be written even when the build had
             # failures (exporters run in the finally path).

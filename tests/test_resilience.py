@@ -16,7 +16,7 @@ from repro._util.errors import (
 from repro._util.timing import wall_clock_limit
 from repro.behavior.run import INJECT_CRASH_ENV, INJECT_SLEEP_ENV
 from repro.behavior.trace import RunTrace
-from repro.experiments.config import ExperimentMatrix, Profile
+from repro.experiments.config import BuildOptions, ExperimentMatrix, Profile
 from repro.experiments.corpus import (
     build_corpus,
     execute_planned_run,
@@ -326,7 +326,8 @@ class TestTimeoutsAndRetries:
     def test_slow_run_records_timeout(self, tmp_path, monkeypatch):
         monkeypatch.setenv(INJECT_SLEEP_ENV, "sssp-ga-ne200-a2.0:5")
         run = execute_planned_run(_planned("sssp"), TINY_PROFILE,
-                                  ResultStore(tmp_path), timeout_s=0.2)
+                                  ResultStore(tmp_path),
+                                  BuildOptions(timeout_s=0.2))
         assert not run.ok
         assert run.failure.kind == "timeout"
         assert "wall-clock" in run.failure.message
@@ -334,7 +335,8 @@ class TestTimeoutsAndRetries:
     def test_persistent_crash_exhausts_retries(self, tmp_path, monkeypatch):
         monkeypatch.setenv(INJECT_CRASH_ENV, CRASH_TARGET)
         run = execute_planned_run(_planned("cc"), TINY_PROFILE,
-                                  ResultStore(tmp_path), retries=2)
+                                  ResultStore(tmp_path),
+                                  BuildOptions(retries=2))
         assert run.failure.kind == "crash"
         assert run.failure.attempts == 3
 
@@ -353,7 +355,8 @@ class TestTimeoutsAndRetries:
 
         monkeypatch.setattr(corpus_mod, "run_computation", flaky)
         run = execute_planned_run(_planned("cc"), TINY_PROFILE,
-                                  ResultStore(tmp_path), retries=1)
+                                  ResultStore(tmp_path),
+                                  BuildOptions(retries=1))
         assert run.ok
         assert calls["n"] == 2
 
@@ -368,7 +371,8 @@ class TestTimeoutsAndRetries:
 
         monkeypatch.setattr(corpus_mod, "run_computation", always_oom)
         run = execute_planned_run(_planned("cc"), TINY_PROFILE,
-                                  ResultStore(tmp_path), retries=5)
+                                  ResultStore(tmp_path),
+                                  BuildOptions(retries=5))
         assert run.failure.kind == "memory"
         assert calls["n"] == 1
 
@@ -394,7 +398,8 @@ class TestQuarantineAndResume:
         cold = build_corpus(TINY_PROFILE, store=store)
         assert cold.n_executed == len(
             ExperimentMatrix(TINY_PROFILE).corpus_runs())
-        resumed = build_corpus(TINY_PROFILE, store=store, resume=True)
+        resumed = build_corpus(TINY_PROFILE, store=store,
+                               options=BuildOptions(resume=True))
         assert resumed.n_executed == 0
         assert resumed.n_cached == cold.n_executed
         assert [r.tag for r in resumed.runs] == [r.tag for r in cold.runs]
@@ -406,7 +411,8 @@ class TestQuarantineAndResume:
         cold = build_corpus(TINY_PROFILE, store=store)
         assert len(cold.unexpected_failures) == 1
         monkeypatch.delenv(INJECT_CRASH_ENV)
-        resumed = build_corpus(TINY_PROFILE, store=store, resume=True)
+        resumed = build_corpus(TINY_PROFILE, store=store,
+                               options=BuildOptions(resume=True))
         assert resumed.n_executed == 1  # only the crashed cell
         assert resumed.failures == []
         assert resumed.n_runs == cold.n_runs + 1

@@ -420,9 +420,8 @@ class TestCrewBeats:
         """Board epochs are unique: a worker whose array still names
         its previous lease cannot keep the current one alive."""
         loop = scheduler.CrewLoop(
-            options=BuildOptions(), profile=SCHED_PROFILE,
-            config=scheduler.SchedulerConfig(lease_timeout_s=1.0),
-            workers=0, store_root=None)
+            options=BuildOptions(lease_timeout_s=1.0), profile=SCHED_PROFILE,
+            workers=0, store_root=None, node=False)
         handle = WorkerHandle(0, None, None, multiprocessing.RawArray("d", 2))
         loop.crew.workers[0] = handle
         try:
@@ -597,7 +596,7 @@ class TestLeaseExpiryIntegration:
         obs_dir = tmp_path / "obs"
         corpus = build_corpus(
             SCHED_PROFILE, store=ResultStore(tmp_path / "cache"),
-            workers=2, lease_timeout_s=1.5, heartbeat_every_s=0.2,
+            workers=2, options=BuildOptions(lease_timeout_s=1.5),
             obs="full", obs_dir=obs_dir)
         assert not list(token_dir.iterdir()), \
             "the stall never fired — the harness tested nothing"
@@ -653,7 +652,7 @@ class TestLeaseExpiryIntegration:
         monkeypatch.setattr(WorkerCrew, "_close", close)
         corpus = build_corpus(
             SCHED_PROFILE, store=ResultStore(tmp_path / "cache"),
-            workers=2, lease_timeout_s=1.5, heartbeat_every_s=0.2)
+            workers=2, options=BuildOptions(lease_timeout_s=1.5))
         assert stopped, "the target cell was never dispatched"
         assert exit_codes[stopped[0]] == -signal.SIGKILL
         assert corpus.lease_expiries >= 1
@@ -705,7 +704,7 @@ class TestPoisonQuarantine:
         monkeypatch.setattr(scheduler, "BREAKER_MIN_EVENTS", 1_000)
         started = time.perf_counter()
         _supervise(plan, store, corpus, monkeypatch, lease_timeout_s=0.8,
-                   heartbeat_every_s=0.2, max_lease_expiries=2)
+                   max_lease_expiries=2)
         elapsed = time.perf_counter() - started
         assert elapsed < 60, "the poison cell hung the build"
 
@@ -750,7 +749,6 @@ class TestCircuitBreaker_Integration:
         monkeypatch.setattr(scheduler, "BREAKER_WINDOW", 8)
         monkeypatch.setattr(scheduler, "BREAKER_MIN_EVENTS", 2)
         _supervise(plan, store, corpus, monkeypatch, lease_timeout_s=0.6,
-                   heartbeat_every_s=0.2,
                    max_lease_expiries=100)  # requeue, don't quarantine
         assert corpus.degraded_to_inline
         assert len(corpus.runs) == len(plan)
@@ -775,14 +773,13 @@ class TestCliFlags:
 
         monkeypatch.setattr(corpus_mod, "build_corpus", fake_build)
         code = main(["corpus", "--workers", "4",
-                     "--lease-timeout", "2.5", "--heartbeat-every", "0.5",
+                     "--lease-timeout", "2.5",
                      "--max-lease-expiries", "5"])
         capsys.readouterr()
         assert code == 0
         assert captured["workers"] == 4
-        assert captured["lease_timeout_s"] == 2.5
-        assert captured["heartbeat_every_s"] == 0.5
-        assert captured["max_lease_expiries"] == 5
+        assert captured["options"] == BuildOptions(
+            lease_timeout_s=2.5, max_lease_expiries=5)
 
     def test_scheduler_flags_default_to_none(self, capsys, monkeypatch):
         import repro.experiments.corpus as corpus_mod
@@ -797,6 +794,5 @@ class TestCliFlags:
         monkeypatch.setattr(corpus_mod, "build_corpus", fake_build)
         assert main(["corpus"]) == 0
         capsys.readouterr()
-        assert captured["lease_timeout_s"] is None
-        assert captured["heartbeat_every_s"] is None
-        assert captured["max_lease_expiries"] is None
+        assert captured["options"] == BuildOptions()
+        assert captured["options"].lease_timeout_s is None

@@ -20,7 +20,7 @@ from repro._util.errors import ReproError
 from repro.behavior.metrics import BehaviorMetrics, compute_metrics
 from repro.behavior.trace import RunTrace
 from repro.experiments import results
-from repro.experiments.config import ExperimentMatrix, Profile
+from repro.experiments.config import BuildOptions, ExperimentMatrix, Profile
 from repro.experiments.corpus import build_corpus, run_cache_key
 from repro.experiments.failures import RunFailure
 from repro.experiments.graph_cache import default_cache
@@ -176,7 +176,8 @@ ACTIONS = {
     "index-tear": _index_tear,
     "index-schema": _index_other_schema,
     "build": lambda root, _key: _warm(root),
-    "build-resume": lambda root, _key: _warm(root, resume=True),
+    "build-resume": lambda root, _key: _warm(
+        root, options=BuildOptions(resume=True)),
 }
 #: ``copy`` is the one action that moves the store.
 STEPS = st.lists(st.tuples(st.sampled_from(sorted(ACTIONS) + ["copy"]),
@@ -196,9 +197,10 @@ def test_an_index_served_build_is_the_full_replay_build(
             else:
                 ACTIONS[action](root, key)
         twin = Path(shutil.copytree(root, scratch / "twin"))
-        served = _warm(root, resume=resume, obs="full",
+        options = BuildOptions(resume=resume)
+        served = _warm(root, options=options, obs="full",
                        obs_dir=scratch / "obs")
-        oracle = _oracle_build(twin, resume=resume, obs="full",
+        oracle = _oracle_build(twin, options=options, obs="full",
                                obs_dir=scratch / "obs-twin")
         assert (_observed(served, root, scratch / "obs")
                 == _observed(oracle, twin, scratch / "obs-twin"))
@@ -343,7 +345,7 @@ def test_a_served_retryable_failure_reruns_only_under_resume(
     assert counts.json_parses == 1 and counts.trace_parses == 0
     assert sorted((f.failure.kind, f.source) for f in replayed.failures) == [
         ("crash", "cache"), ("memory", "cache")]
-    resumed = _warm(root, resume=True)
+    resumed = _warm(root, options=BuildOptions(resume=True))
     assert resumed.n_executed == 1
     assert [(f.failure.kind, f.source) for f in resumed.failures] == [
         ("memory", "cache")]

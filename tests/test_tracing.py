@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from repro.experiments.config import ExperimentMatrix, Profile
+from repro.experiments.config import BuildOptions, ExperimentMatrix, Profile
 from repro.experiments.corpus import build_corpus
 from repro.experiments.results import ResultStore
 from repro.obs.benchdiff import compare_artifacts, render_bench_compare
@@ -351,9 +351,10 @@ class TestChaosTracePropagation:
         corpus = None
         for _attempt in range(6):
             corpus = build_corpus(TINY, store=store, workers=2,
-                                  resume=True, retries=0,
-                                  checkpoint_dir=tmp_path / "snaps",
-                                  checkpoint_every="1",
+                                  options=BuildOptions(
+                                      resume=True, retries=0,
+                                      checkpoint_dir=tmp_path / "snaps",
+                                      checkpoint_every="1"),
                                   obs="full", obs_dir=obs_dir)
             if not corpus.unexpected_failures:
                 break
