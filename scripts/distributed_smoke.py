@@ -29,6 +29,8 @@ and asserts the robustness contract end to end:
   resolved),
 - the queue directory is swept away and no shared-memory or
   heartbeat artifacts leak,
+- every peer's event sink and metrics snapshot were on disk before
+  its final beat, so the merge left no ``<obs_dir>/sinks/`` behind,
 - the full-obs event log reconstructs as **one connected trace with
   zero orphan spans** across the killed node, the fenced zombie, and
   every re-dispatch (trace + critical-path reports are written to
@@ -104,6 +106,7 @@ def run(timeout_s: float, keep: bool) -> int:
     from repro.experiments.config import BuildOptions
     from repro.experiments.corpus import build_corpus
     from repro.experiments.results import ResultStore
+    from repro.obs.events import SINKS_DIRNAME
 
     signal.signal(signal.SIGALRM,
                   lambda *_: (_ for _ in ()).throw(
@@ -201,6 +204,11 @@ def run(timeout_s: float, keep: bool) -> int:
                         "the sweep")
         if queue_dir.exists():
             return fail("queue directory was not removed")
+        sinks = obs_dir / SINKS_DIRNAME
+        if sinks.exists():
+            return fail(f"{sinks} outlived the merge (a peer flushed "
+                        f"after its done beat): "
+                        f"{sorted(p.name for p in sinks.iterdir())}")
         shm_leaked = set(glob.glob("/dev/shm/repro-shm-*")) - shm_before
         if shm_leaked:
             return fail(f"leaked shm segments: {sorted(shm_leaked)}")

@@ -71,7 +71,7 @@ from repro.experiments.config import (
     PlannedRun,
     Profile,
 )
-from repro.experiments.failures import RunFailure, full_jitter_backoff
+from repro.experiments.failures import RunFailure
 from repro.experiments.scheduler import POLL_S
 
 #: Queue layout version; bumped on incompatible manifest or layout
@@ -505,10 +505,17 @@ class DistributedQueue:
     def sweep(self) -> int:
         """Remove every queue artifact and the root itself; returns the
         number of files that could not be removed (0 = clean exit with
-        no orphan queue/heartbeat artifacts)."""
+        no orphan queue/heartbeat artifacts). ``fences/`` goes first,
+        in one rename: :meth:`check_fence` fails closed without it, but
+        would read a floor deleted from it as 0 and pass a zombie."""
+        swept_fences = self.root / f"{FENCES_DIRNAME}.swept"
+        try:
+            self.fences_dir.rename(swept_fences)
+        except OSError:
+            pass  # absent, or left for the loop below to empty in place
         leftovers = 0
-        for sub in (self.tasks_dir, self.claims_dir, self.done_dir,
-                    self.nodes_dir, self.fences_dir):
+        for sub in (swept_fences, self.tasks_dir, self.claims_dir,
+                    self.done_dir, self.nodes_dir, self.fences_dir):
             if not sub.exists():
                 continue
             for path in sub.iterdir():
@@ -538,36 +545,40 @@ class DistributedQueue:
 # Fence-checked publication (shared by agents and the coordinator)
 # ----------------------------------------------------------------------
 def publish_result(queue: DistributedQueue, store: Any, node: str,
-                   epoch: int, record: TaskRecord, run: Any) -> bool:
+                   epoch: int, record: TaskRecord, run: Any) -> "str | None":
     """Publish one executed cell's outcome, gated by the node's fence.
 
-    Returns True when the result was stored and the done marker
-    written; False when the lease epoch was at or below the node's
-    fence — the work was revoked while we held it, so the store
+    Returns the done marker's status once the outcome is stored and
+    the marker written; None when the lease epoch was at or below the
+    node's fence — the work was revoked while we held it, so the store
     attempt is rejected (counted and logged by the caller) and the
     replacement's outcome stands instead.
 
     The order matters: fence check, then store publish, then marker.
     A death after the store publish but before the marker wastes
     nothing — the replacement finds the store entry and marks done
-    without re-executing.
+    without re-executing. A trace the store cannot take (a full disk)
+    fails the cell as ``disk-io``, as it does in an inline build.
     """
     if not queue.check_fence(node, epoch):
-        return False
-    status = "ok"
+        return None
+    failure = run.failure
     if run.trace is not None:
-        store.save(record.cell_key, run.trace)
-        if run.trace.degraded:
-            status = "degraded"
-    else:
-        store.save_failure(record.cell_key, run.failure)
+        try:
+            store.save(record.cell_key, run.trace)
+        except OSError as exc:
+            failure = RunFailure.from_exception(exc)
+    if failure is not None:
+        store.save_failure(record.cell_key, failure)
         status = "failed"
+    else:
+        status = "degraded" if run.trace.degraded else "ok"
     queue.mark_done(record.task_id, {
         "status": status, "node": node, "epoch": int(epoch),
         "source": "run",
-        "failure_kind": None if run.failure is None else run.failure.kind,
+        "failure_kind": None if failure is None else failure.kind,
     })
-    return True
+    return status
 
 
 # ----------------------------------------------------------------------
@@ -579,8 +590,6 @@ class _TaskState:
 
     record: TaskRecord
     requeues: int = 0
-    not_before: float = 0.0
-    pending_claim: "Claim | None" = None
 
 
 class Coordinator:
@@ -589,15 +598,14 @@ class Coordinator:
     Runs its own in-process node agent (so zero peers degrade to the
     PR 7 single-node shape), detects dead or partitioned nodes by
     heartbeat age, fences them *before* requeueing their claims (the
-    fencing order is what makes a woken zombie harmless), re-dispatches
-    revoked leases with full-jitter backoff, quarantines poison cells
-    globally, and collects done markers into the corpus in plan order
-    so ``vectors()`` is bit-identical with an inline build.
+    fencing order is what makes a woken zombie harmless, and what lets
+    the claims go back at once), quarantines poison cells globally,
+    and collects done markers into the corpus in plan order so
+    ``vectors()`` is bit-identical with an inline build.
     """
 
-    #: Cap of the requeue backoff, and how long the final sweep waits
-    #: for silent peers that are not provably dead.
-    BACKOFF_CAP_S = 2.0
+    #: How long the final sweep waits for silent peers that are not
+    #: provably dead.
     PEER_EXIT_GRACE_S = 10.0
 
     def __init__(self, *, queue: DistributedQueue, plan: list,
@@ -645,7 +653,10 @@ class Coordinator:
         self.corpus.distributed = True
         try:
             while self.corpus.n_collected < len(self.plan):
-                if self._stop():
+                # A stopped embedded agent (its queue or store I/O
+                # failed) runs nothing more; its shutdown below puts
+                # its claims back for a peer or a resumed build.
+                if self._stop() or agent.stopping:
                     self.corpus.interrupted = True
                     break
                 self._round(agent)
@@ -672,17 +683,12 @@ class Coordinator:
         per ``POLL_S`` whatever the local crew does in between, and no
         wait outlasts the next listing.
         """
-        wait_s = max(0.0, self._supervise_due - time.monotonic())
-        if agent.stopping:
-            # Its tick returns at once and no local result can wake the
-            # round any more; peers may still finish the build.
-            time.sleep(wait_s)
-        else:
-            agent.tick(time.time(), wait_s)
+        agent.tick(time.time(),
+                   max(0.0, self._supervise_due - time.monotonic()))
         woke = time.monotonic()
         if woke >= self._supervise_due:
             self._supervise_due = woke + POLL_S
-            self._supervise(time.time())
+            self._supervise()
         self._collect()
 
     # ------------------------------------------------------------------
@@ -700,7 +706,7 @@ class Coordinator:
     # ------------------------------------------------------------------
     # Node supervision: fencing, requeue, quarantine
     # ------------------------------------------------------------------
-    def _supervise(self, now: float) -> None:
+    def _supervise(self) -> None:
         beats = self._harvest_beats()
         by_node: "dict[str, list[Claim]]" = {}
         for claim in self.queue.claims():
@@ -733,22 +739,14 @@ class Coordinator:
                 # First loss, or a recovered node lost *again* (its
                 # post-recovery claims sit above the old fence): fence
                 # at the node's newest epoch before touching claims.
-                self._declare_lost(node, node_claims, beat, now)
+                self._declare_lost(node, node_claims, beat)
                 floor = self.queue.fence_epoch(node)
             self._revoke_node(
                 node, [c for c in node_claims if c.epoch <= floor],
-                now, reason="node-lost")
-        self._drain_requeues(now)
-
-    def _ctx(self, *parts):
-        """Deterministic child span of the build for task/node events
-        (``None`` when the build runs untraced)."""
-        if self.tel.trace is None:
-            return None
-        return self.tel.trace.child(*parts)
+                reason="node-lost")
 
     def _declare_lost(self, node: str, node_claims: "list[Claim]",
-                      beat: "NodeBeat | None", now: float) -> None:
+                      beat: "NodeBeat | None") -> None:
         """Fence first, then revoke: after the fence write any publish
         attempt from the node's old epochs is rejected, so requeueing
         its claims can never race a zombie completion."""
@@ -761,15 +759,20 @@ class Coordinator:
         self.corpus.nodes_lost += 1
         if self.tel.enabled:
             self.tel.inc("distqueue_nodes_lost_total")
-            self.tel.emit("distqueue", _trace_ctx=self._ctx("node", node),
+            self.tel.emit("distqueue",
+                          _trace_ctx=self.tel.child("node", node),
                           action="node-lost", node=node,
                           fence_epoch=floor, claims=len(node_claims))
 
     def _revoke_node(self, node: str, node_claims: "list[Claim]",
-                     now: float, reason: str) -> None:
+                     reason: str) -> None:
+        """Take a fenced node's claims back as a crew takes back a lost
+        worker's lease: each charges its cell's poison budget and goes
+        back to ``tasks/`` at once (the fence already refuses the old
+        owner's publish), or to quarantine with the budget spent."""
         for claim in node_claims:
             state = self._tasks.get(claim.task_id)
-            if state is None or state.pending_claim is not None:
+            if state is None:
                 continue
             if self.queue.is_done(claim.task_id):
                 # Completed before the fence landed; the claim file is
@@ -781,54 +784,31 @@ class Coordinator:
             if state.requeues >= self.options.max_lease_expiries:
                 self._quarantine(state, claim, reason)
                 continue
-            backoff = full_jitter_backoff(
-                self.profile.retry_backoff_s, state.requeues,
-                key=claim.task_id, cap_s=self.BACKOFF_CAP_S)
-            state.pending_claim = claim
-            state.not_before = now + backoff
+            span = self.tel.child("task", claim.task_id)
             if self.tel.enabled:
                 self.tel.inc("distqueue_requeues_total", node=node)
-                self.tel.emit("distqueue",
-                              _trace_ctx=self._ctx("task", claim.task_id),
+                self.tel.emit("distqueue", _trace_ctx=span,
                               action="lease-revoked",
                               task=claim.task_id, node=node,
                               epoch=claim.epoch, reason=reason,
-                              backoff_s=backoff,
                               requeues=state.requeues)
-
-    def _drain_requeues(self, now: float) -> None:
-        for state in self._tasks.values():
-            claim = state.pending_claim
-            if claim is None or state.not_before > now:
-                continue
-            state.pending_claim = None
-            if self.queue.is_done(claim.task_id):
-                self.queue.drop_claim(claim)
-                continue
-            # A fenced owner that woke during the backoff found its
-            # publish refused and dropped the claim itself: there is
-            # nothing left to rename, so the record is published anew
-            # (refused in turn if the cell is pending, claimed or done).
+            # A fenced owner that woke found its publish refused and
+            # dropped the claim itself: there is nothing left to
+            # rename, so the record is published anew (refused in turn
+            # if the cell is pending, claimed or done).
             if (self.queue.release(claim)
                     or self.queue.publish(state.record)):
                 self.corpus.queue_requeues += 1
                 if self.tel.enabled:
-                    self.tel.emit(
-                        "distqueue",
-                        _trace_ctx=self._ctx("task", claim.task_id),
-                        action="requeued",
-                        task=claim.task_id, node=claim.node)
+                    self.tel.emit("distqueue", _trace_ctx=span,
+                                  action="requeued",
+                                  task=claim.task_id, node=node)
 
     def _quarantine(self, state: _TaskState, claim: Claim,
                     reason: str) -> None:
         """Global poison verdict: persisted through the shared store so
         every node (and every future resumed build) replays it."""
-        failure = RunFailure(
-            kind="quarantined-poison",
-            message=(f"quarantined after {state.requeues} revoked "
-                     f"node leases (last: {reason}) — this cell takes "
-                     f"down every node that claims it"),
-            attempts=state.requeues)
+        failure = RunFailure.poison("node", state.requeues, reason)
         self.store.save_failure(state.record.cell_key, failure)
         self.queue.mark_done(state.record.task_id, {
             "status": "quarantined", "node": claim.node,
@@ -839,7 +819,8 @@ class Coordinator:
             self.tel.inc("distqueue_quarantined_total")
             self.tel.emit(
                 "distqueue",
-                _trace_ctx=self._ctx("task", state.record.task_id),
+                _trace_ctx=self.tel.child("task",
+                                          state.record.task_id),
                 action="quarantined",
                 task=state.record.task_id, node=claim.node,
                 requeues=state.requeues)
@@ -927,7 +908,8 @@ class Coordinator:
                              node=node)
                 self.tel.emit(
                     "distqueue",
-                    _trace_ctx=self._ctx("task", record.task_id),
+                    _trace_ctx=self.tel.child("task",
+                                              record.task_id),
                     action="stale-done-rejected", task=record.task_id,
                     node=node, epoch=stale.get("epoch"))
             self.store.discard(record.cell_key)
@@ -960,14 +942,17 @@ class Coordinator:
         lease is already fenced, but tearing the fence files down
         before it wakes would let its stale publish through unchecked.
         Cross-host silence is indistinguishable from a partition, so
-        those peers simply cost the full grace period."""
+        those peers simply cost the full grace period. It is also how
+        a woken zombie's rejection reaches ``stale_epoch_rejections``
+        (on its next beat), and how peers' sinks, flushed before their
+        ``done`` beats, are whole when ``build_corpus`` merges them."""
         deadline = time.monotonic() + self.PEER_EXIT_GRACE_S
         while True:
             pending = [b for b in self._harvest_beats().values()
                        if not b.done and not b.provably_dead()]
             if not pending or time.monotonic() >= deadline:
                 return
-            time.sleep(2 * POLL_S)
+            time.sleep(POLL_S)
 
     def _reap_lost_segments(self) -> None:
         """Unlink shared-memory segments published by nodes that died.

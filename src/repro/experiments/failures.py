@@ -67,7 +67,7 @@ import errno as _errno
 import traceback as _traceback
 from dataclasses import dataclass
 
-# Re-exported: the cell, lease and claim retry sites import it from here.
+# Re-exported: the cell and lease retry sites import it from here.
 from repro._util.backoff import full_jitter_backoff as full_jitter_backoff
 from repro._util.durable import TRANSIENT_DISK_ERRNOS
 from repro._util.errors import (
@@ -153,6 +153,18 @@ class RunFailure:
             traceback="".join(_traceback.format_exception(exc)),
             attempts=attempts,
         )
+
+    @classmethod
+    def poison(cls, holder: str, losses: int, reason: str) -> "RunFailure":
+        """The poison verdict on a cell that lost *losses* leases held
+        by a *holder* (``"worker"`` or ``"node"``), the last through
+        *reason*."""
+        return cls(
+            kind="quarantined-poison",
+            message=(f"quarantined after {losses} lost {holder} leases "
+                     f"(last: {reason}) — this cell takes down every "
+                     f"{holder} that runs it"),
+            attempts=losses)
 
     @property
     def expected(self) -> bool:

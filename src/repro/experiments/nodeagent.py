@@ -138,7 +138,7 @@ class NodeAgent(CrewLoop):
             lambda: queue.write_beat(self.node, self._beat_payload()))
         self._beats.start()
         if self.tel.enabled:
-            self.tel.emit("node", _trace_ctx=self._span("node", self.node),
+            self.tel.emit("node", _trace_ctx=self.tel.child("node", self.node),
                           action="start", workers=len(self.crew.workers),
                           embedded=self.embedded)
 
@@ -191,6 +191,7 @@ class NodeAgent(CrewLoop):
         except OSError:
             # The queue root vanished under us (swept after completion,
             # or the shared filesystem went away): nothing left to do.
+            # An embedded agent's coordinator then ends the build.
             self.stopping = True
 
     def _schedule(self, now: float) -> None:
@@ -239,7 +240,8 @@ class NodeAgent(CrewLoop):
                 continue  # lost the race (or torn record): move on
             if self.tel.enabled:
                 self.tel.inc("distqueue_claims_total")
-                self.tel.emit("node", _trace_ctx=self._span("node", self.node),
+                self.tel.emit("node",
+                              _trace_ctx=self.tel.child("node", self.node),
                               action="claim", task=task_id,
                               epoch=claim.epoch)
             if self._resolve_cached(claim):
@@ -327,13 +329,13 @@ class NodeAgent(CrewLoop):
         if isinstance(outcome, RunFailure):
             outcome = CorpusRun(claim.record.algorithm, claim.record.spec,
                                 None, None, failure=outcome)
-        if publish_result(self.queue, self.store, self.node,
-                          claim.epoch, claim.record, outcome):
-            if self.tel.enabled:
-                self.tel.inc("distqueue_publishes_total",
-                             status="ok" if outcome.ok else "failed")
-        else:
+        status = publish_result(self.queue, self.store, self.node,
+                                claim.epoch, claim.record, outcome)
+        if status is None:
             self._count_stale(claim)
+        elif self.tel.enabled:
+            self.tel.inc("distqueue_publishes_total",
+                         status="failed" if status == "failed" else "ok")
         self.queue.drop_claim(claim)
         self.board.discard(claim.task_id)
 
@@ -344,7 +346,7 @@ class NodeAgent(CrewLoop):
         self.stale_rejections += 1
         if self.tel.enabled:
             self.tel.inc("distqueue_stale_rejections_total")
-            self.tel.emit("node", _trace_ctx=self._span("node", self.node),
+            self.tel.emit("node", _trace_ctx=self.tel.child("node", self.node),
                           action="stale-epoch-rejected",
                           task=claim.task_id, epoch=claim.epoch,
                           fence=self.queue.fence_epoch(self.node))
@@ -366,17 +368,19 @@ class NodeAgent(CrewLoop):
         self._claims.clear()
         self.close()
         self._beats.stop()
-        try:
-            self.queue.write_beat(self.node, self._beat_payload(done=True))
-        except OSError:
-            pass  # queue already swept
         if self.tel.enabled:
-            self.tel.emit("node", _trace_ctx=self._span("node", self.node),
+            self.tel.emit("node", _trace_ctx=self.tel.child("node", self.node),
                           action="stop",
                           stale_rejections=self.stale_rejections)
             self.tel.record_peak_rss()
         if self._owns_obs:
             self._flush_obs()
+        # The done beat comes last: once the coordinator reads it, it
+        # may merge this node's sink and sweep the queue.
+        try:
+            self.queue.write_beat(self.node, self._beat_payload(done=True))
+        except OSError:
+            pass  # queue already swept
 
     def _flush_obs(self) -> None:
         from repro.obs.events import node_metrics_path, write_worker_metrics
@@ -432,5 +436,5 @@ def _await_manifest(queue: DistributedQueue, wait_s: float) -> dict:
         if time.monotonic() >= deadline:
             raise ValidationError(
                 f"no build manifest appeared within {wait_s:g}s")
-        time.sleep(0.1)
+        time.sleep(POLL_S)
     raise ValidationError("the build is already complete")

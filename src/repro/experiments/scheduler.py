@@ -81,7 +81,7 @@ _ALLOWED_TRANSITIONS: dict = {
 SUPERVISOR_WORKER = -1
 
 #: Ceiling of the full-jitter backoff before a revoked task is
-#: re-dispatched.
+#: re-dispatched: the one requeue cap.
 BACKOFF_CAP_S = 5.0
 
 
@@ -134,7 +134,6 @@ class TaskBoard:
     def __init__(self, *, lease_timeout_s: float = CREW_LEASE_TIMEOUT_S,
                  max_lease_expiries: int = MAX_LEASE_EXPIRIES,
                  backoff_base_s: float = 0.05,
-                 backoff_cap_s: float = BACKOFF_CAP_S,
                  on_transition: "Callable | None" = None) -> None:
         if lease_timeout_s <= 0:
             raise ValueError("lease_timeout_s must be positive")
@@ -143,7 +142,6 @@ class TaskBoard:
         self.lease_timeout_s = lease_timeout_s
         self.max_lease_expiries = max_lease_expiries
         self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
         self.on_transition = on_transition
         #: In insertion order, which is dispatch order.
         self.tasks: "dict[str, Task]" = {}
@@ -278,17 +276,13 @@ class TaskBoard:
                      f"expiries"),
             attempts=task.lease_expiries)
         if task.lease_expiries >= self.max_lease_expiries:
-            task.failure = RunFailure(
-                kind="quarantined-poison",
-                message=(f"quarantined after {task.lease_expiries} lost "
-                         f"leases (last: {reason}) — this cell kills or "
-                         f"hangs every worker that touches it"),
-                attempts=task.lease_expiries)
+            task.failure = RunFailure.poison("worker", task.lease_expiries,
+                                             reason)
             self._transition(task, "quarantined", reason=reason)
             return "quarantined"
         backoff = full_jitter_backoff(
             self.backoff_base_s, task.lease_expiries, key=task.id,
-            cap_s=self.backoff_cap_s)
+            cap_s=BACKOFF_CAP_S)
         task.not_before = now + backoff
         self._transition(task, "pending", reason=reason,
                          backoff_s=backoff)
@@ -415,8 +409,8 @@ class CircuitBreaker:
         return self.state != "closed"
 
 
-#: Longest a crew loop waits on its result queue per round; also how
-#: often a coordinator lists the shared queue.
+#: Longest a crew loop waits on its result queue per round: the one
+#: cadence of every poll of the shared queue.
 POLL_S = 0.05
 
 
@@ -670,16 +664,9 @@ class CrewLoop:
         self.tel.inc("scheduler_transitions_total", to=new)
         # Every transition of one task shares one span, so lease /
         # revoke / re-dispatch cycles thread onto one trace node.
-        self.tel.emit("task", _trace_ctx=self._span("task", task.id),
+        self.tel.emit("task", _trace_ctx=self.tel.child("task", task.id),
                       task=task.id, task_kind=task.kind,
                       **{"from": old, "to": new}, **info)
-
-    def _span(self, *key: str):
-        """The deterministic child span of the build keyed by *key*
-        (``None`` when the build runs untraced)."""
-        if self.tel.trace is None:
-            return None
-        return self.tel.trace.child(*key)
 
 
 class Supervisor(CrewLoop):

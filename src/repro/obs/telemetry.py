@@ -221,6 +221,11 @@ class Telemetry:
         """
         self.trace = trace
 
+    def child(self, *key: Any) -> "TraceContext | None":
+        """The deterministic child span of the ambient context keyed by
+        *key* (``None`` when the build runs untraced)."""
+        return None if self.trace is None else self.trace.child(*key)
+
     def record_peak_rss(self) -> None:
         """Record this process's peak RSS under worker/node labels.
 
@@ -287,11 +292,10 @@ class Telemetry:
                 # Phase spans are children of the ambient span (the
                 # cell), keyed by name + attempt so a retry's phases
                 # get their own deterministic node.
-                ctx = None
-                if self.trace is not None:
-                    ctx = self.trace.child(name, self.attempt or 0)
-                self.emit("span", _trace_ctx=ctx, name=name,
-                          seconds=handle.seconds, **handle.labels)
+                self.emit("span",
+                          _trace_ctx=self.child(name, self.attempt or 0),
+                          name=name, seconds=handle.seconds,
+                          **handle.labels)
 
     # -- events --------------------------------------------------------
     def emit(self, kind: str,

@@ -13,8 +13,10 @@ across real processes) lives in ``scripts/distributed_smoke.py``.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -30,7 +32,12 @@ from repro.experiments.config import (
     Profile,
 )
 from repro.experiments import distqueue, nodeagent
-from repro.experiments.corpus import ExperimentMatrix, build_corpus
+from repro.experiments.corpus import (
+    BehaviorCorpus,
+    ExperimentMatrix,
+    build_corpus,
+    run_cache_key,
+)
 from repro.experiments.distqueue import (
     Coordinator,
     DistributedQueue,
@@ -46,6 +53,7 @@ from repro.experiments.failures import RunFailure
 from repro.experiments.results import ResultStore
 from repro.experiments.scheduler import POLL_S
 from repro.experiments.worksite import HeartbeatWriter
+from repro.obs.events import node_metrics_path, node_sink_path, read_events
 
 DQ_PROFILE = Profile(
     name="dq-test",
@@ -475,6 +483,29 @@ class TestPublishResult:
 
 
 class TestSweep:
+    def test_the_fence_holds_while_the_sweep_unlinks(self, tmp_path,
+                                                     monkeypatch):
+        """Every file the sweep unlinks leaves a fenced epoch fenced: a
+        zombie's publish must never see ``fences/`` present but its
+        floor deleted (a floor of 0 would pass it, and its failure
+        record would overwrite the good store entry)."""
+        queue = _queue(tmp_path)
+        queue.raise_fence("zombie", 5)
+        queue.publish(_record())
+        queue.write_beat("zombie", {"epoch": 5})
+        verdicts = []
+        real_unlink = type(queue.root).unlink
+
+        def unlink(path, *args, **kwargs):
+            real_unlink(path, *args, **kwargs)
+            verdicts.append((path.name, queue.check_fence("zombie", 5)))
+
+        monkeypatch.setattr(type(queue.root), "unlink", unlink)
+        assert not queue.check_fence("zombie", 5)
+        assert queue.sweep() == 0
+        assert "zombie.json" in [name for name, _ in verdicts]
+        assert [v for v in verdicts if v[1]] == []
+
     def test_sweep_removes_everything(self, tmp_path):
         queue = _queue(tmp_path)
         queue.publish(_record())
@@ -682,21 +713,43 @@ class TestCoordinatorRound:
                                    stale_epoch_rejections=0))
         co.local_node = "coordinator"
         listings = []
-        monkeypatch.setattr(co, "_supervise", listings.append)
+        monkeypatch.setattr(co, "_supervise",
+                            lambda: listings.append(distqueue.time.time()))
         return co, listings
 
-    def test_stopped_agent_does_not_spin_the_round(self, tmp_path,
-                                                   monkeypatch, clock):
-        co, listings = self._coordinator(tmp_path, monkeypatch)
-        agent = SimpleNamespace(stopping=True, tick=lambda now, wait_s:
-                                pytest.fail("a stopped agent is not ticked"))
-        rounds = 0
-        while clock.now < 101.0:
-            co._round(agent)
-            rounds += 1
-        budget = 1.0 / POLL_S + 2
-        assert rounds <= budget and len(listings) <= budget
-        assert sum(clock.slept) == pytest.approx(1.0, abs=POLL_S)
+    def test_a_stopped_agent_ends_the_build(self, tmp_path, monkeypatch,
+                                            clock):
+        """An embedded agent that stopped (its queue or store I/O
+        failed) can run nothing more: the build ends at once,
+        interrupted, through the agent's shutdown, which puts its
+        claims back, instead of idling beside them."""
+        shutdowns = []
+
+        def tick(now, wait_s):
+            agent.stopping = True
+
+        agent = SimpleNamespace(node="coordinator", stopping=False,
+                                tick=tick,
+                                shutdown=lambda: shutdowns.append(now()))
+        monkeypatch.setattr(nodeagent, "NodeAgent",
+                            lambda *args, **kwargs: agent)
+        now = distqueue.time.time
+        real_sleep = distqueue.time.sleep
+
+        def sleep(seconds):
+            assert now() < 110.0, "the coordinator idles on"
+            real_sleep(seconds)
+
+        monkeypatch.setattr(distqueue.time, "sleep", sleep)
+        queue = _queue(tmp_path)
+        corpus = BehaviorCorpus(profile=DQ_PROFILE)
+        plan = ExperimentMatrix(DQ_PROFILE).corpus_runs()[:2]
+        Coordinator(queue=queue, plan=plan, profile=DQ_PROFILE,
+                    store=ResultStore(tmp_path / "store"), corpus=corpus,
+                    workers=1, options=BuildOptions()).run()
+        assert corpus.interrupted and corpus.n_collected == 0
+        assert shutdowns == [100.0] and clock.slept == []
+        assert corpus.queue_leftovers == 0 and not queue.root.exists()
 
     def test_busy_crew_does_not_raise_the_listing_rate(self, tmp_path,
                                                        monkeypatch, clock):
@@ -718,3 +771,77 @@ class TestCoordinatorRound:
         assert 1.0 / POLL_S - 1 <= len(listings) <= 1.0 / POLL_S + 2
         gaps = [b - a for a, b in zip(listings, listings[1:])]
         assert min(gaps) >= POLL_S - 1e-9
+
+
+class TestShutdownAndFaults:
+    @pytest.mark.parametrize("path", ["inline", "distqueue"])
+    def test_a_store_fault_is_a_recorded_failure(self, tmp_path,
+                                                 monkeypatch, path):
+        """One ENOSPC on the third store write: the build finishes with
+        every cell, that one recorded as ``disk-io``, inline and over
+        the queue with no peers alike. (The distributed build used to
+        hang: its embedded agent stopped holding its claims, and the
+        coordinator idled beside them.)"""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        saved = []
+        real_save = ResultStore.save
+
+        def save(store, key, trace):
+            saved.append(key)
+            if len(saved) == 3:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_save(store, key, trace)
+
+        def hung(signum, frame):
+            raise TimeoutError("the build hung")
+
+        monkeypatch.setattr(ResultStore, "save", save)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.setitimer(signal.ITIMER_REAL, 60.0)
+        try:
+            corpus = build_corpus(
+                DQ_PROFILE, store=ResultStore(tmp_path / "s"), workers=1,
+                distributed=(tmp_path / "queue" if path == "distqueue"
+                             else None))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        plan = ExperimentMatrix(DQ_PROFILE).corpus_runs()
+        assert corpus.n_collected == len(plan) and not corpus.interrupted
+        (failed,) = corpus.failures
+        assert failed.failure.kind == "disk-io"
+        assert run_cache_key(PlannedRun(failed.algorithm, failed.spec),
+                             DQ_PROFILE) == saved[2]
+        assert corpus.queue_leftovers == 0
+        assert not (tmp_path / "queue").exists()
+
+    def test_a_node_flushes_before_its_done_beat(self, tmp_path):
+        """The coordinator merges a peer's sink once it reads the peer's
+        ``done`` beat: the metrics snapshot and the ``stop`` event must
+        be on disk by then."""
+        from repro.obs.telemetry import get_telemetry
+
+        queue, obs_dir = _queue(tmp_path), tmp_path / "obs"
+        agent = nodeagent.NodeAgent(
+            queue, BuildOptions(obs_level="full", obs_dir=str(obs_dir),
+                                run_id="r-1"),
+            DQ_PROFILE, str(tmp_path / "store"), node="n1")
+        seen = []
+        real_write_beat = queue.write_beat
+
+        def write_beat(node, payload):
+            if payload["done"]:
+                seen.append((
+                    node_metrics_path(obs_dir, node).exists(),
+                    [e.get("action") for e in
+                     read_events(node_sink_path(obs_dir, node))]))
+            real_write_beat(node, payload)
+
+        queue.write_beat = write_beat
+        try:
+            agent.shutdown()
+        finally:
+            get_telemetry().set_node(None)
+        (at_done,) = seen
+        assert at_done[0] and at_done[1][-1] == "stop"
+        assert queue.read_beats()["n1"].done

@@ -10,9 +10,8 @@ is a generator that yields between the protocol's atomic steps:
   (``check_fence`` → store write → ``mark_done``) and lets go
   (``drop_claim``);
 - the coordinator is the real :class:`Coordinator`, one ``_supervise``
-  (``raise_fence`` on a silent node; ``release`` of its claims one
-  backoff, i.e. one call, later) or one ``_collect`` (``read_done`` /
-  ``_marker_live``) per step.
+  (``raise_fence`` on a silent node, then ``release`` of its claims) or
+  one ``_collect`` (``read_done`` / ``_marker_live``) per step.
 
 A scenario fixes one fault on node ``A``'s first cell: crash after a
 step, or freeze past the lease after it and wake at any later point.
@@ -54,8 +53,8 @@ from repro.experiments.distqueue import (
 from tests.test_distqueue import DQ_PROFILE
 
 LEASE_S = 10.0
-#: One coordinator step of fake time: longer than any requeue backoff,
-#: so a revoked claim is released by the next ``_supervise``.
+#: One coordinator step of fake time. No step waits on the clock: the
+#: ``_supervise`` that fences a lost node also releases its claims.
 ROUND_S = 1.0
 #: The victim's steps a fault can follow.
 FAULT_AFTER = ("take", "check", "store", "done")
@@ -293,7 +292,7 @@ class _World:
             yield "supervise"
             self.clock.now += ROUND_S
             before = self.observe(self.shape)
-            co._supervise(self.clock.now)
+            co._supervise()
             self._shape = None
             yield "collect"
             co._collect()
@@ -360,8 +359,7 @@ class _World:
                          for name in os.listdir(queue.fences_dir))),
             tuple(sorted(self.real_store.entries)),
             tuple(n.alive for n in self.nodes),
-            tuple((s.requeues, s.pending_claim is not None)
-                  for s in co._tasks.values()),
+            tuple(s.requeues for s in co._tasks.values()),
             tuple(sorted(co._lost_nodes)), self.corpus.n_collected,
         )
 

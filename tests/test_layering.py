@@ -156,7 +156,8 @@ def test_the_untaken_paths_left_src():
                 "read_heartbeats", "_write_beat_file", "hb-",
                 "repro-worksite-", "work_dir", "node_workdir",
                 "WORK_DIRNAME", "PairwiseBlocks", ".columns(",
-                "SchedulerConfig", "heartbeat_every"]
+                "SchedulerConfig", "heartbeat_every", "pending_claim",
+                "_drain_requeues", "backoff_cap_s"]
         if file not in STORES:
             gone.append("gc_quarantine")
         if file.startswith("ensemble/"):
@@ -165,6 +166,27 @@ def test_the_untaken_paths_left_src():
             gone.append("block_bytes")
         for name in gone:
             assert name not in text, f"{name} in {path}"
+
+
+def test_the_poison_verdict_is_built_once():
+    """``quarantined-poison`` is spelled into a failure in one place,
+    and the worker's board and the node's coordinator both ask it."""
+    builders, askers = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        file = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            values = list(node.args) + [k.value for k in node.keywords]
+            if any(isinstance(v, ast.Constant)
+                   and v.value == "quarantined-poison" for v in values):
+                builders.append(file)
+            if (isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "poison"):
+                askers.add(file)
+    assert builders == ["experiments/failures.py"]
+    assert askers == {"experiments/scheduler.py",
+                      "experiments/distqueue.py"}
 
 
 #: Functions that may take a parameter named after a BuildOptions field:

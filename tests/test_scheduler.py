@@ -170,7 +170,7 @@ class TestTaskBoard:
         assert not board.renew(1, "missing", epoch, ts=9.0)
 
     def test_expiry_requeues_with_jitter_backoff(self):
-        board = _board(backoff_base_s=0.5, backoff_cap_s=4.0)
+        board = _board(backoff_base_s=0.5)
         task = board.add(Task("r", "run"))
         epoch = board.lease("r", 0, 0.0)
         assert board.expired_leases(0.5) == []
@@ -180,7 +180,8 @@ class TestTaskBoard:
         assert task.status == "pending"
         assert task.lease_expiries == 1
         assert task.failure.kind == "lease-expired"
-        expected = full_jitter_backoff(0.5, 1, key="r", cap_s=4.0)
+        expected = full_jitter_backoff(0.5, 1, key="r",
+                                       cap_s=scheduler.BACKOFF_CAP_S)
         assert task.not_before == pytest.approx(1.5 + expected)
         assert board.total_lease_expiries == 1
 
