@@ -104,8 +104,7 @@ def main() -> None:
     corpus = build_corpus(
         PROFILE, store=ResultStore(workdir / "chaos"), workers=2,
         options=BuildOptions(
-            retries=0, checkpoint_dir=workdir / "snaps",
-            checkpoint_every="1", lease_timeout_s=2.0,
+            retries=0, lease_timeout_s=2.0,
             max_lease_expiries=N_KILL_TOKENS + 3),
         obs="full", obs_dir=obs_dir)
     for env in ("REPRO_CHAOS_KILL", "REPRO_INJECT_STALL",
@@ -131,6 +130,19 @@ def main() -> None:
     # -- causal-trace contract: one connected tree, zero orphans, and
     # a critical path that accounts for the wall despite the chaos.
     events = read_all_events(obs_dir)
+    # Every kill landed on a cell, which then started again whole.
+    killed = [e.get("task") for e in events
+              if e.get("kind") == "scheduler"
+              and e.get("action") == "worker-died"]
+    if len(killed) != N_KILL_TOKENS or not all(
+            str(t).startswith("run:") for t in killed):
+        fail(f"expected {N_KILL_TOKENS} workers to die holding a cell, "
+             f"saw {killed}")
+    starts = [e.get("key") for e in events if e.get("kind") == "cell_start"]
+    rerun = [t for t in killed if starts.count(t[len("run:"):]) >= 2]
+    if rerun != killed:
+        fail(f"killed cells that never started again: "
+             f"{sorted(set(killed) - set(rerun))}")
     traces = list_traces(events)
     if len(traces) != 1:
         fail(f"expected one trace, found {traces}")

@@ -1,10 +1,10 @@
 """Crash-safe files shared between processes.
 
-The result store, the snapshot store, the distributed queue, the
-heartbeats and the telemetry exports all leave files that *another*
-process reads while the writer may be killed, or raced by a second
-writer, at any instruction. This module is the one statement of how
-such a file is handled (docs/architecture.md, "Durable files"):
+The result store, the distributed queue, the heartbeats and the
+telemetry exports all leave files that *another* process reads while
+the writer may be killed, or raced by a second writer, at any
+instruction. This module is the one statement of how such a file is
+handled (docs/architecture.md, "Durable files"):
 
 1. **Publish** — write the whole content into a staging file whose name
    no other writer can share (``<name>.<pid>.<uuid8>.tmp``, next to the
@@ -35,8 +35,6 @@ import os
 import re
 import time
 import uuid
-from collections.abc import Iterator
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable
 
@@ -58,10 +56,8 @@ _UNSAFE = re.compile(r"[^\w\-.=]")
 # ----------------------------------------------------------------------
 # Publish
 # ----------------------------------------------------------------------
-@contextmanager
-def staged(path: Path, *, mkdir: bool = True) -> "Iterator[Path]":
-    """Yield a writer-unique staging path for ``path``; publish it over
-    ``path`` when the block exits cleanly, remove it when it does not.
+def publish(path: Path, text: str, *, mkdir: bool = True) -> None:
+    """Atomically make ``text`` the content of ``path`` (rule 1).
 
     ``mkdir=False`` is for files whose directory someone else owns and
     may already have swept: the write must then fail, not resurrect it.
@@ -71,17 +67,11 @@ def staged(path: Path, *, mkdir: bool = True) -> "Iterator[Path]":
     tmp = path.with_name(
         f"{path.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp")
     try:
-        yield tmp
+        tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def publish(path: Path, text: str, *, mkdir: bool = True) -> None:
-    """Atomically make ``text`` the content of ``path`` (rule 1)."""
-    with staged(path, mkdir=mkdir) as tmp:
-        tmp.write_text(text, encoding="utf-8")
 
 
 def retry_transient_disk(fn: "Callable[[], Any]", *, key: str,

@@ -70,15 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--inject-fault", default=None, metavar="KIND@ITER",
                      help="engine-level fault injection for testing: "
                           "nan@3, diverge@2 or counter@1")
-    run.add_argument("--checkpoint-every", default=None, metavar="SPEC",
-                     help="snapshot run state every N iterations and/or "
-                          "T seconds ('5', '2.5s' or '5,30s')")
-    run.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                     help="snapshot directory (default: "
-                          "$REPRO_CHECKPOINT_DIR or ./.repro_checkpoints)")
-    run.add_argument("--from-checkpoint", action="store_true",
-                     help="resume from the newest snapshot of this run "
-                          "if one exists")
     run.add_argument("--json", metavar="PATH", default=None,
                      help="also write the full trace as JSON")
     _add_obs_arguments(run)
@@ -112,14 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      choices=("strict", "degrade", "off"), default=None,
                      help="per-run convergence-watchdog policy "
                           "(default: strict)")
-    cor.add_argument("--checkpoint-every", default=None, metavar="SPEC",
-                     help="snapshot each cell's run state every N "
-                          "iterations and/or T seconds ('5', '2.5s' or "
-                          "'5,30s'); killed or timed-out cells then "
-                          "resume from their last snapshot")
-    cor.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                     help="snapshot directory (default: "
-                          "$REPRO_CHECKPOINT_DIR or ./.repro_checkpoints)")
     cor.add_argument("--lease-timeout", type=float, default=None,
                      metavar="SECONDS",
                      help="scheduler lease deadline; a worker whose "
@@ -412,28 +395,12 @@ def _cmd_run(args) -> int:
         options["health_policy"] = args.health_policy
     if args.inject_fault is not None:
         options["inject_fault"] = args.inject_fault
-    if args.checkpoint_every is not None or args.from_checkpoint:
-        from repro.engine.checkpoint import (
-            CheckpointConfig,
-            CheckpointPolicy,
-            SnapshotStore,
-        )
-
-        options["checkpoint"] = CheckpointConfig(
-            store=SnapshotStore(args.checkpoint_dir),
-            policy=CheckpointPolicy.parse(args.checkpoint_every or "1"),
-            key=f"{args.algorithm}-{spec.cache_key()}",
-            resume=args.from_checkpoint,
-        )
     obs_state = _configure_cli_obs(args)
     try:
         trace = run_computation(args.algorithm, spec, options=options)
     finally:
         _export_cli_obs(obs_state)
     print(trace.summary())
-    resumed = trace.meta.get("resumed_from_iteration")
-    if resumed is not None:
-        print(f"  resumed from checkpoint at iteration {resumed}")
     m = compute_metrics(trace)
     print(f"  behavior: <updt={m.updt:.4g}, work={m.work:.4g}, "
           f"eread={m.eread:.4g}, msg={m.msg:.4g}>")
@@ -489,8 +456,8 @@ class _SigintGovernor:
     """Two-stage Ctrl-C for long builds.
 
     The first SIGINT only *requests* a stop: the build finishes its
-    in-flight cells (which flush their checkpoints and land in the
-    store) and comes back marked interrupted. A second SIGINT restores
+    in-flight cells (which land in the store) and comes back marked
+    interrupted. A second SIGINT restores
     the default handler behavior by re-raising ``KeyboardInterrupt`` —
     the user insists, so abort now.
     """
@@ -509,7 +476,7 @@ class _SigintGovernor:
                 raise KeyboardInterrupt
             self._stop.set()
             print("\ninterrupt: no new cells will start; waiting for "
-                  "in-flight cells to flush (^C again to abort now)",
+                  "in-flight cells to finish (^C again to abort now)",
                   file=sys.stderr)
 
         self._previous = signal.signal(signal.SIGINT, handler)
@@ -533,8 +500,6 @@ def _cmd_corpus(args) -> int:
     options = BuildOptions(
         timeout_s=args.timeout, retries=args.retries, resume=args.resume,
         health_policy=args.health_policy,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
         lease_timeout_s=args.lease_timeout,
         max_lease_expiries=args.max_lease_expiries)
     progress = (lambda line: print(f"  {line}")) if args.progress else None

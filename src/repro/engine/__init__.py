@@ -7,8 +7,8 @@ Gather → Apply → Scatter sweep over the active set is an *iteration*.
 
 Four engines run the same :class:`~repro.engine.program.VertexProgram`
 through one run loop (:mod:`repro.engine.loop`: context, trace, health
-monitor, deadline, telemetry, checkpoint resume/flush, stop
-conditions) and one options base; each supplies only its step:
+monitor, deadline, telemetry, stop conditions) and one options
+base; each supplies only its step:
 
 - :class:`SynchronousEngine` — an iteration over the whole frontier,
   phase by phase;
@@ -28,14 +28,6 @@ wrapper that cross-checks every fused evaluation — live in
 """
 
 from repro.engine.async_engine import AsynchronousEngine, AsyncEngineOptions
-from repro.engine.checkpoint import (
-    CheckpointConfig,
-    CheckpointPolicy,
-    CheckpointSession,
-    SimulatedKillError,
-    Snapshot,
-    SnapshotStore,
-)
 from repro.engine.context import Context
 from repro.engine.edge_centric import EdgeCentricEngine, EdgeCentricOptions
 from repro.engine.engine import EngineOptions, SynchronousEngine
@@ -56,14 +48,8 @@ from repro.engine.program import Direction, VertexProgram
 __all__ = [
     "AsyncEngineOptions",
     "AsynchronousEngine",
-    "CheckpointConfig",
-    "CheckpointPolicy",
-    "CheckpointSession",
     "EdgeCentricEngine",
     "EdgeCentricOptions",
-    "SimulatedKillError",
-    "Snapshot",
-    "SnapshotStore",
     "FAULT_KINDS",
     "FaultPlan",
     "GraphCentricEngine",

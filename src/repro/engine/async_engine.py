@@ -51,8 +51,8 @@ SCHEDULERS = ("fifo", "priority")
 
 @dataclass
 class AsyncEngineOptions(RunOptions):
-    """Configuration of an asynchronous run (health checks, the
-    wall-clock budget and checkpoints work at *round* granularity)."""
+    """Configuration of an asynchronous run (health checks and the
+    wall-clock budget work at *round* granularity)."""
 
     #: ``fifo`` or ``priority`` (needs the program's signal_priority).
     scheduler: str = "fifo"
@@ -136,9 +136,6 @@ class AsynchronousEngine(GASEngine):
     drained_reason = "scheduler-drained"
     # Async phases interleave per vertex, so telemetry times the round.
     step_phase = "round"
-    # The scheduler object is snapshotted wholesale, so a resumed run
-    # pops the exact same vertex sequence the uninterrupted run would.
-    snapshot_keys = ("scheduler", "steps")
 
     def _check_program(self, program: VertexProgram) -> None:
         if not getattr(program, "supports_async", False):

@@ -58,7 +58,6 @@ class EdgeCentricEngine(GASEngine):
     options_class = EdgeCentricOptions
     label = "edge-centric"
     cap_reason = "max-iterations"
-    snapshot_keys = ("frontier", "source_live")
 
     def _check_program(self, program: VertexProgram) -> None:
         if not getattr(program, "supports_edge_centric", False):

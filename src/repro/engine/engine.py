@@ -79,8 +79,7 @@ class SynchronousEngine(GASEngine):
         program, ctx, frontier = run.program, run.ctx, run.frontier
         kernels = run.kernels
         # Direction decision: a pure function of this iteration's
-        # active fraction — stateless, so a resumed run re-derives the
-        # identical push/pull sequence.
+        # active fraction, so it carries no state between steps.
         active_fraction = frontier.size / run.graph.n_vertices
         pull = kernels.fused and active_fraction >= PULL_ACTIVE_FRACTION
         if run.obs is not None:

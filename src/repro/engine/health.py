@@ -357,34 +357,6 @@ class HealthMonitor:
         return self.policy != "off"
 
     # ------------------------------------------------------------------
-    # Checkpoint support
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Mutable watchdog state for a run snapshot — the signature
-        window, the fingerprints that gate it and the divergence norm
-        floor must survive a resume or the watchdogs would restart
-        blind (a stall spanning the kill point would need a whole fresh
-        window to fire again)."""
-        return {
-            "signatures": list(self._signatures),
-            "fingerprints": list(self._fingerprints),
-            "norm_floor": self._norm_floor,
-            "verdict": self.verdict,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`state_dict`; configuration (policy, window,
-        cadence) stays whatever this monitor was built with. A snapshot
-        from before the fingerprints carries none: it resumes with its
-        digests in the window and an empty fingerprint history, which
-        the next ``window // 2`` checks refill."""
-        self._signatures = deque(state["signatures"], maxlen=self.window)
-        self._fingerprints = deque(state.get("fingerprints", ()),
-                                   maxlen=self.window // 2)
-        self._norm_floor = state["norm_floor"]
-        self.verdict = state["verdict"]
-
-    # ------------------------------------------------------------------
     # Fault injection entry points (called by engines even when policy
     # is "off": injected faults must corrupt runs regardless, so tests
     # can prove the *absence* of guards lets them through).

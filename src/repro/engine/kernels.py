@@ -223,8 +223,7 @@ class Kernels:
     Built once per run by the loop. Holds no program *state* — only the
     program, the adjacency it traverses and graph-derived caches (the
     full-frontier arrays of the callback path, the fused path's
-    offsets, weights and matrices), built on first use — so
-    checkpoint/resume rebuilds it losslessly.
+    offsets, weights and matrices), built on first use.
     """
 
     def __init__(self, program: "VertexProgram", graph: "Graph") -> None:

@@ -3,13 +3,11 @@
 Paper §3.3: vertex-, edge- and graph-centric execution conserve the
 same basic behavior. In code: :meth:`GASEngine.run` owns everything a
 run does around its steps — context and ``program.init``, the trace,
-the health monitor, the cooperative deadline, telemetry, checkpoint
-resume and flush, the stop conditions and the finish — and an engine
-supplies only what is its own: which programs it accepts
-(``_check_program``), its per-run setup (``_setup``), one step — an
-iteration, a ≤|V|-pop round, a stream pass, a superstep — (``_step``),
-its cap (``_cap``), its labels, and the loop state its snapshots carry
-(``snapshot_keys``).
+the health monitor, the cooperative deadline, telemetry, the stop
+conditions and the finish — and an engine supplies only what is its
+own: which programs it accepts (``_check_program``), its per-run setup
+(``_setup``), one step — an iteration, a ≤|V|-pop round, a stream
+pass, a superstep — (``_step``), its cap (``_cap``) and its labels.
 """
 
 from __future__ import annotations
@@ -24,11 +22,6 @@ from repro._util.errors import ResourceLimitError, ValidationError
 from repro._util.segments import sorted_unique_ids
 from repro._util.timing import Deadline
 from repro.behavior.trace import IterationRecord, RunTrace
-from repro.engine.checkpoint import (
-    CheckpointConfig,
-    CheckpointSession,
-    restore_runtime,
-)
 from repro.engine.context import Context
 from repro.engine.health import (
     build_monitor,
@@ -61,8 +54,6 @@ class RunOptions:
     #: the timeout fallback where SIGALRM cannot enforce one. None
     #: disables.
     wall_clock_budget_s: "float | None" = None
-    #: Step-level checkpointing contract; None disables snapshots.
-    checkpoint: "CheckpointConfig | None" = None
 
     def __post_init__(self) -> None:
         validate_health_policy(self.health_policy)
@@ -123,7 +114,7 @@ class GASEngine:
     all four engines share."""
 
     options_class: ClassVar[type]
-    #: ``RunTrace.engine``, snapshot identity and telemetry label.
+    #: ``RunTrace.engine`` and telemetry label.
     label: ClassVar[str]
     #: Stop reason when the cap, not the computation, ends the run.
     cap_reason: ClassVar[str]
@@ -132,9 +123,6 @@ class GASEngine:
     #: Telemetry phase label of a step the engine does not time in
     #: parts; None when ``_step`` fills the phase times itself.
     step_phase: ClassVar["str | None"] = None
-    #: :class:`Run` attributes saved in (and restored from) snapshots
-    #: beside the common program / context / monitor state.
-    snapshot_keys: ClassVar[tuple] = ("frontier",)
 
     def __init__(self, options=None) -> None:
         self.options = options or self.options_class()
@@ -224,35 +212,8 @@ class GASEngine:
                   initial)
         self._setup(run)
 
-        # Snapshots live at step boundaries and carry the engine's whole
-        # loop state, so a resumed run replays exactly what the
-        # uninterrupted run would have done.
-        session = CheckpointSession.begin(opts.checkpoint)
-        start = 0
-        elapsed_before = 0.0
-        if session is not None:
-            snapshot = session.load(engine=label, program=program,
-                                    problem=problem)
-            if snapshot is not None:
-                restore_runtime(snapshot.payload, program, ctx, monitor)
-                for key in self.snapshot_keys:
-                    setattr(run, key, snapshot.payload[key])
-                trace = snapshot.trace
-                start = snapshot.iteration
-                elapsed_before = snapshot.elapsed_s
-                trace.meta["resumed_from_iteration"] = start
-
-        def flush(next_iteration: int) -> None:
-            session.save_state(
-                engine=label, program=program, problem=problem,
-                ctx=ctx, monitor=monitor, trace=trace,
-                next_iteration=next_iteration,
-                elapsed_s=elapsed_before + time.perf_counter() - started,
-                extra={key: getattr(run, key)
-                       for key in self.snapshot_keys})
-
         stop_reason = self.cap_reason
-        for iteration in range(start, self._cap(run)):
+        for iteration in range(self._cap(run)):
             run.deadline.check()
             if self._drained(run):
                 stop_reason = self.drained_reason
@@ -295,8 +256,6 @@ class GASEngine:
                                       frontier=active, work=counters.work)
             if verdict is not None:
                 mark_degraded(trace, verdict)
-                if session is not None:
-                    flush(iteration + 1)
                 break
             if program.converged(ctx):
                 stop_reason = "converged"
@@ -310,13 +269,9 @@ class GASEngine:
                 stop_reason = self.drained_reason
                 trace.converged = True
                 break
-            if session is not None and session.due(iteration):
-                flush(iteration + 1)
 
         if not trace.degraded:
             trace.stop_reason = stop_reason
         trace.result = program.result(ctx)
-        trace.wall_time_s = elapsed_before + time.perf_counter() - started
-        if session is not None:
-            session.complete(trace)
+        trace.wall_time_s = time.perf_counter() - started
         return trace

@@ -291,6 +291,8 @@ class BuildOptions:
     #: Extra attempts for transient failure kinds (timeout, crash,
     #: cache-corrupt), with full-jitter backoff from the profile's
     #: ``retry_backoff_s``. Default: the profile's ``max_retries``.
+    #: Each attempt re-runs the whole cell: a cell is seconds of work,
+    #: and nothing of a lost attempt is kept.
     #: Memory-budget failures are deterministic and never retried.
     retries: "int | None" = None
     #: Re-execute a *cached* transient failure instead of replaying it
@@ -300,16 +302,6 @@ class BuildOptions:
     #: :class:`~repro.engine.engine.EngineOptions`); None keeps the
     #: engine default, ``strict``.
     health_policy: "str | None" = None
-    #: Iteration-level checkpointing (see :mod:`repro.engine.checkpoint`).
-    #: ``checkpoint_every`` is a
-    #: :meth:`~repro.engine.checkpoint.CheckpointPolicy.parse` spec;
-    #: setting it snapshots each run's state to ``checkpoint_dir``
-    #: (default: ``$REPRO_CHECKPOINT_DIR`` or ``./.repro_checkpoints``)
-    #: so a timed-out or killed attempt *resumes from its last snapshot*
-    #: on retry or on the next build, and the retry budget charges only
-    #: attempts that made no forward progress.
-    checkpoint_dir: "str | None" = None
-    checkpoint_every: "str | None" = None
     #: Resolved observability level — ``"off"`` or ``"full"`` (metrics,
     #: every iteration timed, span events) —
     #: with the directory holding the event log and the exported
@@ -330,12 +322,11 @@ class BuildOptions:
     max_lease_expiries: "int | None" = None
 
     def __post_init__(self) -> None:
-        for attr in ("checkpoint_dir", "obs_dir"):
+        if self.obs_dir is not None:
             # Absolute, so a peer node with another cwd reads the same
             # directory out of the manifest.
-            if getattr(self, attr) is not None:
-                object.__setattr__(
-                    self, attr, str(Path(getattr(self, attr)).resolve()))
+            object.__setattr__(self, "obs_dir",
+                               str(Path(self.obs_dir).resolve()))
         if self.max_lease_expiries is None:
             object.__setattr__(self, "max_lease_expiries",
                                MAX_LEASE_EXPIRIES)
@@ -351,13 +342,6 @@ class BuildOptions:
             from repro.engine.health import validate_health_policy
 
             validate_health_policy(self.health_policy)
-        if self.checkpoint_every is not None:
-            from repro.engine.checkpoint import CheckpointPolicy
-
-            try:
-                CheckpointPolicy.parse(self.checkpoint_every)
-            except ValidationError as exc:
-                raise ValidationError(f"checkpoint_every: {exc}") from None
 
     def lease_timeout(self, *, node: bool) -> float:
         """The lease timeout of a local crew (60 s) or of a node and its

@@ -22,11 +22,6 @@ from repro.behavior.run import run_computation
 from repro.behavior.space import BehaviorVector, normalize_corpus
 from repro.behavior.trace import RunTrace
 from repro.behavior.validate import validate_trace
-from repro.engine.checkpoint import (
-    CheckpointConfig,
-    CheckpointPolicy,
-    SnapshotStore,
-)
 from repro.experiments.config import (
     BuildOptions,
     ExperimentMatrix,
@@ -393,15 +388,6 @@ def _execute_cell(planned: PlannedRun, profile: Profile,
     retries = (profile.max_retries if options.retries is None
                else options.retries)
 
-    snap_store: "SnapshotStore | None" = None
-    if options.checkpoint_every is not None:
-        snap_store = SnapshotStore(options.checkpoint_dir)
-        engine_options["checkpoint"] = CheckpointConfig(
-            store=snap_store,
-            policy=CheckpointPolicy.parse(options.checkpoint_every),
-            key=key,
-        )
-
     tel = get_telemetry()
     # Only telemetry names the cell; a warm build with it off is
     # thousands of cells an interactive second, so it skips the label.
@@ -425,11 +411,6 @@ def _execute_cell(planned: PlannedRun, profile: Profile,
         return CorpusRun(planned.algorithm, planned.spec, None, None,
                          failure=cached, source="cache")
 
-    def snapshot_progress() -> int:
-        if snap_store is None:
-            return -1
-        return snap_store.latest_iteration(key) or -1
-
     if tel.enabled:
         tel.set_context(cell=cell, attempt=1)
         # ``key`` lets the critical-path analyser join this cell to
@@ -437,8 +418,6 @@ def _execute_cell(planned: PlannedRun, profile: Profile,
         tel.emit("cell_start", key=key, timeout_s=timeout_s,
                  retries=retries)
     attempts = 0
-    stalled_attempts = 0
-    last_progress = snapshot_progress()
     while True:
         attempts += 1
         if tel.enabled:
@@ -453,17 +432,7 @@ def _execute_cell(planned: PlannedRun, profile: Profile,
             validate_trace(trace)
         except Exception as exc:  # crash-isolation boundary
             failure = RunFailure.from_exception(exc, attempts=attempts)
-            # The retry budget measures *forward progress*, not
-            # attempts: an attempt that advanced the cell's snapshot
-            # (more completed iterations on disk) resets the budget,
-            # because resuming from further along is not spinning.
-            progress = snapshot_progress()
-            if progress > last_progress:
-                last_progress = progress
-                stalled_attempts = 0
-            else:
-                stalled_attempts += 1
-            if failure.retryable and stalled_attempts <= retries:
+            if failure.retryable and attempts <= retries:
                 # Full jitter decorrelates simultaneously failing
                 # workers (deterministic doubling retried them in
                 # lockstep); seeding from the cache key keeps one
@@ -645,11 +614,10 @@ def build_corpus(
     The build is resilient by construction: every cell runs inside a
     crash-isolation boundary, so a faulting (algorithm, graph) pair is
     recorded as a structured :class:`~repro.experiments.failures.RunFailure`
-    while the remaining cells complete. Completed cells are checkpointed
-    through the store as they finish, which makes builds resumable — a
-    rerun after a crash (or with ``BuildOptions(resume=True)`` after
-    recorded transient failures) re-executes only the missing/failed
-    cells.
+    while the remaining cells complete. Completed cells are saved to the
+    store as they finish, which makes builds resumable — a rerun after
+    a crash (or with ``BuildOptions(resume=True)`` after recorded
+    transient failures) re-executes only the missing/failed cells.
 
     Parameters
     ----------
@@ -677,8 +645,8 @@ def build_corpus(
     stop_requested:
         Optional callable polled between cells (the CLI's SIGINT hook).
         Once it returns True, no further cell is dispatched; in-flight
-        crew cells finish (and flush their checkpoints), and the corpus
-        comes back with ``interrupted=True``.
+        crew cells finish and reach the store, and the corpus comes
+        back with ``interrupted=True``.
     obs, obs_dir:
         Observability level (None resolves ``$REPRO_OBS``) and the
         directory for the event log and exports (default:

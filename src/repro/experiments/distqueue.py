@@ -76,7 +76,7 @@ from repro.experiments.scheduler import POLL_S
 
 #: Queue layout version; bumped on incompatible manifest or layout
 #: changes.
-QUEUE_VERSION = 5
+QUEUE_VERSION = 6
 
 MANIFEST_FILENAME = "manifest.json"
 COMPLETE_FILENAME = "complete.json"

@@ -43,8 +43,8 @@ corpora. Every failed cell is therefore recorded as a
     A scheduler lease on the cell expired: the worker holding it was
     killed, hung, or stopped heartbeating
     (:mod:`repro.experiments.scheduler`). An *infra* fault, not a cell
-    fault — retryable, and the re-dispatched attempt resumes from the
-    cell's last checkpoint.
+    fault — retryable, and the re-dispatched attempt runs the whole
+    cell again.
 ``quarantined-poison``
     The cell burned through its lease-expiry budget (K expiries across
     distinct workers), so the supervisor quarantined it instead of
@@ -53,7 +53,7 @@ corpora. Every failed cell is therefore recorded as a
     *unexpected* (nonzero CLI exit).
 ``disk-io``
     A transient I/O fault (``EIO``, ``ENOSPC``, ``ESTALE``) while
-    publishing to the result or snapshot store — the classic NFS /
+    publishing to the result store — the classic NFS /
     full-scratch-volume hiccup of multi-node builds on a shared
     filesystem. Retryable with bounded jittered retries at the publish
     site (:func:`repro._util.durable.retry_transient_disk`); the errno

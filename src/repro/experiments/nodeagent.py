@@ -3,8 +3,8 @@
 An agent is the per-node half of :mod:`repro.experiments.distqueue`:
 it registers in the queue's node directory with heartbeat files, pulls
 tasks by atomic claim, executes them through the existing
-:class:`~repro.experiments.worksite.WorkerCrew` / checkpoint / shm
-machinery, and publishes outcomes into the shared
+:class:`~repro.experiments.worksite.WorkerCrew` / shm machinery, and
+publishes outcomes into the shared
 :class:`~repro.experiments.results.ResultStore` behind an epoch fence
 check.
 

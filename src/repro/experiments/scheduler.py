@@ -19,7 +19,7 @@ a supervisor:
   still beats: its wall-clock limit ends it, as a ``timeout``.)
 - **update** — results transition tasks to ``done``/``failed``; an
   expired lease is revoked and the task re-dispatched with full-jitter
-  backoff, resuming from its last checkpoint. After K expiries the
+  backoff, to run the whole cell again. After K expiries the
   cell is quarantined as ``quarantined-poison`` instead of burning a
   K+1th worker. Worker *infra* failures (deaths, expiries — not task
   failures) feed a circuit breaker that degrades the whole build to

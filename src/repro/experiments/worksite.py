@@ -23,10 +23,14 @@ process-management substrate this module owns:
   scheduled: SIGSTOP, a cgroup freeze, a C call that holds the GIL. A
   livelocked or blocked *cell* is ended by its wall-clock limit
   instead, as a ``timeout`` failure; a dead worker by ``is_alive``.
-- **Stall injection** — ``REPRO_INJECT_STALL`` simulates the stopped-
-  worker failure mode SIGKILL cannot: the worker stays alive but stops
-  making progress *and stops heartbeating*, which is exactly what the
-  lease-expiry path must detect.
+- **Kill and stall injection** — ``REPRO_CHAOS_KILL`` marks a cell
+  as it reaches a worker; the worker runs the cell without storing it,
+  then SIGKILLs itself holding the lease, so the cell's events are
+  written, its result is lost, and the whole cell runs again
+  elsewhere. ``REPRO_INJECT_STALL`` simulates
+  the stopped-worker failure mode SIGKILL cannot: the worker stays
+  alive but stops making progress *and stops heartbeating*, which is
+  exactly what the lease-expiry path must detect.
 
 Workers ignore SIGINT (the supervisor decides when to stop
 dispatching) and execute tasks through the same crash-isolation
@@ -37,6 +41,7 @@ comes back as a recorded failure, never as a dead worker.
 from __future__ import annotations
 
 import os
+import random
 import signal
 import threading
 import time
@@ -47,6 +52,12 @@ from typing import Any, Callable
 from repro._util.faulthooks import claim_token, hook_value
 from repro.experiments.config import BuildOptions
 
+#: Chaos kill: ``"<token-dir>:<p>"`` — a worker dispatched a cell
+#: (a ``run`` task) SIGKILLs itself with probability ``p`` once the
+#: cell has run and before it is stored or reported, spending one token
+#: file of ``token-dir`` per kill, so a chaos run ends once the tokens
+#: are gone.
+CHAOS_KILL_ENV = "REPRO_CHAOS_KILL"
 #: Stall injection: ``"<substring>:<seconds>"`` — a worker dispatched a
 #: task whose id contains the substring sleeps that long *with
 #: heartbeats suspended* before executing, simulating a stopped worker.
@@ -153,6 +164,19 @@ class ResultEnvelope:
 # ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
+def _chaos_marked(envelope: TaskEnvelope) -> bool:
+    """Honor ``REPRO_CHAOS_KILL``: whether this worker is to die
+    holding this cell's lease. Only cells are marked; a materialize
+    task is the scheduler's to lose, not a cell's."""
+    if envelope.kind != "run":
+        return False
+    token_dir, _, prob = os.environ.get(CHAOS_KILL_ENV, "").rpartition(":")
+    if not token_dir:
+        return False
+    draw = random.Random(os.getpid() * 1_000_003 + envelope.epoch).random()
+    return draw < float(prob) and claim_token(Path(token_dir))
+
+
 def _maybe_stall(envelope: TaskEnvelope, beats: HeartbeatWriter) -> None:
     """Honor ``REPRO_INJECT_STALL`` for a matching task id."""
     seconds = hook_value(INJECT_STALL_ENV, envelope.task_id)
@@ -267,9 +291,14 @@ def worker_main(worker: int, task_queue, result_queue, beat,
             beat[0] = envelope.epoch
             beats.beat()
             try:
+                doomed = _chaos_marked(envelope)
                 _maybe_stall(envelope, beats)
                 value = _execute_envelope(envelope, options, profile,
-                                          store)
+                                          None if doomed else store)
+                if doomed:
+                    # The cell ran and wrote its events but stored
+                    # nothing: its re-dispatch runs it again whole.
+                    os.kill(os.getpid(), signal.SIGKILL)  # pragma: no cover
                 result_queue.put(ResultEnvelope(
                     envelope.task_id, envelope.epoch, worker, True,
                     value=value))

@@ -282,18 +282,11 @@ def render_stats(run_dir: "str | Path", *,
             title="Graph resolution"))
     shm_bytes = _total(snapshot, "shm_published_bytes_total")
     shm_fail = _total(snapshot, "shm_attach_failures_total")
-    ckpt_bytes = _total(snapshot, "checkpoint_published_bytes_total")
     extras = []
     if shm_bytes:
         extras.append(f"shm published: {_fmt_bytes(shm_bytes)}"
                       + (f", attach failures: {int(shm_fail)}"
                          if shm_fail else ""))
-    if ckpt_bytes:
-        extras.append(
-            "checkpoints: "
-            f"{int(_total(snapshot, 'checkpoint_publishes_total'))}"
-            f" published ({_fmt_bytes(ckpt_bytes)}), "
-            f"{int(_total(snapshot, 'checkpoint_restores_total'))} restored")
     trips = _by_label(snapshot, "health_trips_total", "condition")
     if trips:
         extras.append("health trips: " + ", ".join(

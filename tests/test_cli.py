@@ -216,7 +216,7 @@ class TestCorpusAndDesign:
 
     def test_corpus_smoke_roundtrip_workers2(self, capsys, tiny_cache):
         """Cold multi-process build, then a resumed build that performs
-        zero re-executions — the full checkpoint/resume path."""
+        zero re-executions — the full resume path."""
         code, out, _err = run_cli(
             capsys, "corpus", "--profile", "smoke", "--workers", "2",
             "--progress")
@@ -291,21 +291,21 @@ class TestCorpusAndDesign:
         assert "215 runs" in out
         assert "executed 1, cached 219" in out
 
-    def test_corpus_bad_checkpoint_spec_fails_before_any_cell(
+    def test_corpus_bad_retries_fails_before_any_cell(
             self, capsys, tiny_cache, monkeypatch):
-        """An unparseable spec is refused when the options are built:
-        it used to crash every cell and exit 3 with a --resume hint."""
+        """An out-of-range setting is refused when the options are
+        built, never by crashing every cell into exit 3 with a
+        --resume hint."""
         import repro.experiments.corpus as corpus_mod
 
         cells = []
         monkeypatch.setattr(corpus_mod, "_run_cell",
                             lambda *args, **kwargs: cells.append(args))
         code, out, err = run_cli(
-            capsys, "corpus", "--profile", "smoke",
-            "--checkpoint-every", "abc")
+            capsys, "corpus", "--profile", "smoke", "--retries", "-1")
         assert code == 1
         assert cells == []
-        assert "checkpoint_every" in err and "--resume" not in err
+        assert "retries" in err and "--resume" not in err
         assert out == ""
 
     def test_design_on_smoke_subset(self, capsys, warm_smoke_cache):

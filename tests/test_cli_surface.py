@@ -74,10 +74,6 @@ _ENSEMBLE = _argv("ensemble --profile surface --metric coverage "
                   "--sizes 2 3 --scheme log --beam-width 8 "
                   "--strategy greedy --samples 200 "
                   "--obs full --obs-dir {tmp}/obs")
-_CHECKPOINT = _argv("run pagerank --nedges 300 --checkpoint-every 2 "
-                    "--checkpoint-dir {tmp}/ckpt")
-_CELL_CHECKPOINT = _argv(_CORPUS + "--checkpoint-every 2 "
-                         "--checkpoint-dir {tmp}/ckpt")
 _REPORT = _argv("report --artifacts {arts} --store {tmp}/cache "
                 "--out {tmp}/report.md")
 _CHARACTERIZE_CORPUS = _argv(
@@ -95,11 +91,6 @@ SURFACE: "dict[tuple[str, str], tuple[str, ...]]" = {
         "run pagerank --nedges 300 --max-iterations 2"),
     ("run", "--health-policy"): _FAULT,
     ("run", "--inject-fault"): _FAULT,
-    ("run", "--checkpoint-every"): _CHECKPOINT,
-    ("run", "--checkpoint-dir"): _CHECKPOINT,
-    ("run", "--from-checkpoint"): _argv(
-        "run pagerank --nedges 300 --checkpoint-dir {tmp}/ckpt "
-        "--from-checkpoint"),
     ("run", "--json"): _argv(_RUN + "--json {tmp}/trace.json"),
     ("run", "--obs"): _RUN_OBS,
     ("run", "--obs-dir"): _RUN_OBS,
@@ -115,8 +106,6 @@ SURFACE: "dict[tuple[str, str], tuple[str, ...]]" = {
     ("corpus", "--resume"): _argv(_CORPUS + "--resume"),
     ("corpus", "--health-policy"): _argv(
         _CORPUS + "--health-policy degrade"),
-    ("corpus", "--checkpoint-every"): _CELL_CHECKPOINT,
-    ("corpus", "--checkpoint-dir"): _CELL_CHECKPOINT,
     ("corpus", "--lease-timeout"): _argv(
         _CORPUS + "--workers 2 --lease-timeout 30"),
     ("corpus", "--max-lease-expiries"): _argv(

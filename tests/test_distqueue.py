@@ -138,9 +138,8 @@ class TestProfileTransport:
 
 class TestManifestTransport:
     OPTIONS = BuildOptions(timeout_s=2.5, retries=1, resume=True,
-                           health_policy="degrade",
-                           checkpoint_dir="ckpt", checkpoint_every="5",
-                           obs_level="full", obs_dir="obs", run_id="r-1",
+                           health_policy="degrade", obs_level="full",
+                           obs_dir="obs", run_id="r-1",
                            lease_timeout_s=0.5, max_lease_expiries=2)
 
     def test_options_roundtrip_through_json(self):
@@ -171,11 +170,11 @@ class TestManifestTransport:
         # build (a crash per cell) are refused up front too.
         with pytest.raises(ValueError, match="health_policy"):
             BuildOptions(health_policy="bogus")
-        for spec in ("abc", "", "0", "-2s"):
-            with pytest.raises(ValueError, match="checkpoint"):
-                BuildOptions(checkpoint_every=spec)
+        for seconds in (0, -0.5):
+            with pytest.raises(ValueError, match="lease_timeout_s"):
+                BuildOptions(lease_timeout_s=seconds)
         assert BuildOptions(retries=0, health_policy="degrade",
-                            checkpoint_every="5,30s").retries == 0
+                            lease_timeout_s=0.5).retries == 0
         assert BuildOptions().lease_timeout(node=False) == 60.0
         assert BuildOptions().lease_timeout(node=True) == 15.0
         assert BuildOptions().max_lease_expiries == 3

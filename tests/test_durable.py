@@ -16,7 +16,6 @@ import pytest
 from repro._util import durable
 from repro._util.errors import CacheCorruptError
 from repro._util.faulthooks import hook_value
-from repro.engine import SnapshotStore
 from repro.experiments import nodeagent
 from repro.experiments.config import (
     BuildOptions,
@@ -33,7 +32,7 @@ from repro.obs.export import (
 )
 from repro.obs.telemetry import configure, deactivate
 from tests.test_resilience import TINY_PROFILE, _planned
-from tests.test_store_concurrency import _snapshot_for, _trace_for
+from tests.test_store_concurrency import _trace_for
 
 
 @pytest.fixture(autouse=True)
@@ -58,7 +57,7 @@ def _failing_replace(monkeypatch, code: int, times: int) -> list:
 
 
 # ----------------------------------------------------------------------
-# The six writers: (publish generation g into directory d, read back)
+# The five writers: (publish generation g into directory d, read back)
 # ----------------------------------------------------------------------
 def _queue(d: Path) -> DistributedQueue:
     queue = DistributedQueue(d)
@@ -76,9 +75,6 @@ WRITERS = {
     "result-store": (
         lambda d, g: ResultStore(d).save("k", _trace_for(f"gen{g}")),
         lambda d: ResultStore(d).load("k").algorithm[-1]),
-    "snapshot-store": (
-        lambda d, g: SnapshotStore(d).save("k", _snapshot_for("k", g)),
-        lambda d: str(SnapshotStore(d).latest_iteration("k"))),
     "queue-record": (
         lambda d, g: _queue(d).mark_done("t", {"gen": g}),
         lambda d: str(_queue(d).read_done("t")["gen"])),
@@ -118,9 +114,8 @@ def test_staging_name_is_unique_per_writer(name, tmp_path, monkeypatch):
         assert re.fullmatch(rf".+\.{os.getpid()}\.[0-9a-f]{{8}}\.tmp", tmp)
 
 
-@pytest.mark.parametrize(
-    "name", sorted(set(WRITERS) - {"result-store", "snapshot-store"}))
-def test_only_the_two_stores_retry_transient_errnos(
+@pytest.mark.parametrize("name", sorted(set(WRITERS) - {"result-store"}))
+def test_only_the_result_store_retries_transient_errnos(
         name, tmp_path, monkeypatch):
     WRITERS[name][0](tmp_path, 1)
     calls = _failing_replace(monkeypatch, errno.EIO, times=1)
@@ -219,16 +214,6 @@ class TestRetryTransientDisk:
         store.save("k", _trace_for("k"))
         assert store.load("k") is not None
         assert tel.counter_total("store_disk_retries_total") == 2
-        assert tel.counter_total("checkpoint_disk_retries_total") == 0
-
-    def test_snapshot_store_counts_its_retries(self, tmp_path, monkeypatch):
-        tel = configure("full")
-        _failing_replace(monkeypatch, errno.EIO, times=2)
-        store = SnapshotStore(tmp_path)
-        store.save("k", _snapshot_for("k", 4))
-        assert store.latest_iteration("k") == 4
-        assert tel.counter_total("checkpoint_disk_retries_total") == 2
-        assert tel.counter_total("store_disk_retries_total") == 0
 
     def test_exhausted_budget_records_a_disk_io_cell(
             self, tmp_path, monkeypatch):
@@ -245,23 +230,6 @@ class TestRetryTransientDisk:
 # ----------------------------------------------------------------------
 # Per-store decisions
 # ----------------------------------------------------------------------
-def test_snapshot_stages_fully_before_demoting_latest(
-        tmp_path, monkeypatch):
-    store = SnapshotStore(tmp_path)
-    store.save("k", _snapshot_for("k", 3))
-    store.save("k", _snapshot_for("k", 6))
-
-    def full_disk(self, data):
-        raise OSError(errno.EDQUOT, "quota exceeded")
-
-    monkeypatch.setattr(Path, "write_bytes", full_disk)
-    with pytest.raises(OSError):
-        store.save("k", _snapshot_for("k", 9))
-    monkeypatch.undo()
-    assert store._load_one(store._latest_path("k")).iteration == 6
-    assert store._load_one(store._prev_path("k")).iteration == 3
-
-
 def test_entry_appearing_after_a_failed_read_is_a_miss(
         tmp_path, monkeypatch):
     store = ResultStore(tmp_path)
@@ -292,16 +260,12 @@ def test_unreadable_entry_is_quarantined_absent_is_not(tmp_path):
 
 
 def test_failed_quarantine_move_error_mapping(tmp_path, monkeypatch):
-    results, snaps = ResultStore(tmp_path / "r"), SnapshotStore(tmp_path / "s")
+    results = ResultStore(tmp_path / "r")
     results.save("k", _trace_for("k"))
     results._path("k").write_text("{torn", encoding="utf-8")
-    snaps.save("k", _snapshot_for("k", 1))
-    snaps._latest_path("k").write_bytes(b"garbage")
     _failing_replace(monkeypatch, errno.EACCES, times=2)
     with pytest.raises(CacheCorruptError):
         results.replay("k")
-    with pytest.raises(PermissionError):
-        snaps.load_latest("k")
 
 
 # ----------------------------------------------------------------------
@@ -312,8 +276,6 @@ def test_entry_names_are_shared_and_collision_proof(tmp_path):
     assert durable.entry_name("a@b").startswith("a_b-")
     stem = durable.entry_name("cc-ga:7")
     assert ResultStore(tmp_path)._path("cc-ga:7").name == f"{stem}.json"
-    assert (SnapshotStore(tmp_path)._prev_path("cc-ga:7").name
-            == f"{stem}.prev.snap")
     with pytest.raises(ValueError):
         durable.entry_name("")
 

@@ -16,11 +16,6 @@ import pytest
 
 from repro.algorithms.registry import create
 from repro.engine.async_engine import AsynchronousEngine
-from repro.engine.checkpoint import (
-    CheckpointConfig,
-    CheckpointPolicy,
-    SnapshotStore,
-)
 from repro.engine.edge_centric import EdgeCentricEngine
 from repro.engine.engine import (
     PULL_ACTIVE_FRACTION,
@@ -281,53 +276,6 @@ def test_auto_switch_telemetry(tmp_path, monkeypatch):
         assert hist is not None and hist.count >= 1
     finally:
         deactivate()
-
-
-def test_checkpoint_resume_across_direction_switch(tmp_path, monkeypatch):
-    """Killing a run *before* its pull→push switch and resuming replays
-    the identical trace — the direction decision is a pure function of
-    (active_fraction, threshold), not of run history."""
-    from repro.engine.checkpoint import INJECT_KILL_ENV, SimulatedKillError
-
-    problem = powerlaw_graph(2_000, 2.3, seed=11)
-    monkeypatch.setattr("repro.engine.engine.PULL_ACTIVE_FRACTION", 0.5)
-
-    base_program = create("pagerank")
-    base = SynchronousEngine().run(base_program, problem)
-    fractions = [r.active / problem.graph.n_vertices
-                 for r in base.iterations]
-    switch_at = next(i for i, f in enumerate(fractions) if f < 0.5)
-    assert 1 <= switch_at < len(fractions)
-
-    key = "dirswitch"
-    store = SnapshotStore(tmp_path)
-    config = CheckpointConfig(store=store,
-                              policy=CheckpointPolicy.parse("1"), key=key)
-    # Die right after the snapshot covering the pre-switch iteration.
-    monkeypatch.setenv(INJECT_KILL_ENV, f"{key}:{switch_at - 1}")
-    with pytest.raises(SimulatedKillError):
-        SynchronousEngine(EngineOptions(checkpoint=config)).run(
-            create("pagerank"), problem)
-    monkeypatch.delenv(INJECT_KILL_ENV)
-    assert store.latest_iteration(key) == switch_at
-
-    resumed_program = create("pagerank")
-    config = CheckpointConfig(store=SnapshotStore(tmp_path),
-                              policy=CheckpointPolicy.parse("1"),
-                              key=key, resume=True)
-    trace = SynchronousEngine(EngineOptions(checkpoint=config)).run(
-        resumed_program, problem)
-
-    assert trace.meta["resumed_from_iteration"] == switch_at
-    assert [(r.iteration, r.active, r.updates, r.edge_reads, r.messages,
-             r.work) for r in trace.iterations] == \
-           [(r.iteration, r.active, r.updates, r.edge_reads, r.messages,
-             r.work) for r in base.iterations]
-    assert trace.stop_reason == base.stop_reason
-    for name, arr in vars(base_program).items():
-        if isinstance(arr, np.ndarray):
-            np.testing.assert_array_equal(getattr(resumed_program, name),
-                                          arr, err_msg=name)
 
 
 def test_verify_env_name_is_stable(monkeypatch):

@@ -3,9 +3,6 @@
 monitor production ran before): same verdicts, a recurrence exactly
 ``period`` checks later, nothing ever decided on a fingerprint."""
 
-import pickle
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -14,25 +11,19 @@ from repro.behavior.run import run_computation
 from repro.engine import (
     AsyncEngineOptions,
     AsynchronousEngine,
-    CheckpointConfig,
-    CheckpointPolicy,
     EdgeCentricEngine,
     EdgeCentricOptions,
     EngineOptions,
     GraphCentricEngine,
     GraphCentricOptions,
     HealthMonitor,
-    SnapshotStore,
     SynchronousEngine,
 )
 from repro.engine import health
-from repro.engine.checkpoint import INJECT_KILL_ENV, SimulatedKillError
 from repro.experiments.config import GraphSpec
 from repro.generators import powerlaw_graph
 from tests.engine_oracle import EagerMonitor, eager_monitor
 from tests.test_health import ENGINE_NAMES, PathologicalProgram
-
-PARENT_SNAPSHOTS = Path(__file__).parent / "data" / "parent_snapshots"
 
 #: mode -> (program mode, injected fault, condition, period in checks;
 #: None where the verdict is not a recurrence and must not move).
@@ -90,54 +81,6 @@ def test_production_decides_what_the_eager_monitor_decides(
         oracle["condition"], oracle["detail"])
     late = 0 if period is None else period * every
     assert production["iteration"] == oracle["iteration"] + late
-
-
-@pytest.mark.parametrize("engine", ENGINE_NAMES)
-def test_a_kill_in_mid_cycle_still_fires_where_it_would_have(
-        engine, problem, tmp_path, monkeypatch):
-    """The fingerprints travel with the digests: killed with the window
-    half full of an oscillation, the resumed run trips at the iteration
-    the uninterrupted one does."""
-    monkeypatch.setattr(health, "WATCHDOG_WINDOW", 8)
-    base = _run(engine, PathologicalProgram("oscillation"), problem).health
-    assert base["condition"] == "oscillation"
-
-    key = f"mid-cycle-{engine}"
-    kill_at = base["iteration"] // 2
-    monkeypatch.setenv(INJECT_KILL_ENV, f"{key}:{kill_at}")
-
-    def config():
-        return CheckpointConfig(store=SnapshotStore(tmp_path),
-                                policy=CheckpointPolicy.parse("1"), key=key)
-
-    with pytest.raises(SimulatedKillError):
-        _run(engine, PathologicalProgram("oscillation"), problem,
-             checkpoint=config())
-    snapshot = SnapshotStore(tmp_path).load_latest(key)
-    history = snapshot.payload["monitor"]
-    assert len(history["fingerprints"]) == min(kill_at + 1, 4)
-    assert len(history["signatures"]) == kill_at + 1
-
-    monkeypatch.delenv(INJECT_KILL_ENV)
-    resumed = _run(engine, PathologicalProgram("oscillation"), problem,
-                   checkpoint=config())
-    assert resumed.meta["resumed_from_iteration"] == kill_at + 1
-    assert resumed.health == base
-
-
-@pytest.mark.parametrize("snap", sorted(PARENT_SNAPSHOTS.glob("*.snap")),
-                         ids=lambda path: path.stem)
-def test_a_monitor_state_without_fingerprints_restores(snap):
-    """Snapshots written before the fingerprint existed carry digests
-    only (the full resume is ``test_engine_loop``'s); the monitor takes
-    them as they are and starts its fingerprint history empty."""
-    store = SnapshotStore(snap.parent)
-    state = store.load_latest(snap.stem.rsplit("-", 1)[0]).payload["monitor"]
-    assert "fingerprints" not in state and state["signatures"]
-    monitor = HealthMonitor()
-    monitor.restore_state(pickle.loads(pickle.dumps(state)))
-    assert list(monitor._signatures) == state["signatures"]
-    assert not monitor._fingerprints
 
 
 class _State:

@@ -141,7 +141,7 @@ def test_sorted_unique_ids_is_defined_once():
 # Options follow the traffic: the paths no workload, smoke, figure
 # benchmark or example took stay out of src/
 # ----------------------------------------------------------------------
-STORES = {"experiments/results.py", "engine/checkpoint.py"}
+STORES = {"experiments/results.py"}
 
 
 def test_the_untaken_paths_left_src():
@@ -157,7 +157,9 @@ def test_the_untaken_paths_left_src():
                 "repro-worksite-", "work_dir", "node_workdir",
                 "WORK_DIRNAME", "PairwiseBlocks", ".columns(",
                 "SchedulerConfig", "heartbeat_every", "pending_claim",
-                "_drain_requeues", "backoff_cap_s"]
+                "_drain_requeues", "backoff_cap_s", "checkpoint",
+                "CheckpointConfig", "SnapshotStore", "snapshot_keys",
+                "REPRO_CHECKPOINT_DIR", "REPRO_INJECT_KILL", "state_dict"]
         if file not in STORES:
             gone.append("gc_quarantine")
         if file.startswith("ensemble/"):

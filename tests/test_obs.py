@@ -67,9 +67,6 @@ def write_stats_fixture(obs_dir: Path) -> None:
     tel.inc("graph_resolutions_total", 1.0, source="generated")
     tel.inc("shm_published_bytes_total", float(3 << 20))
     tel.inc("shm_attach_failures_total", 1.0)
-    tel.inc("checkpoint_published_bytes_total", 4096.0)
-    tel.inc("checkpoint_publishes_total", 3.0)
-    tel.inc("checkpoint_restores_total", 1.0)
     tel.inc("health_trips_total", 1.0, condition="stall")
     tel.gauge_max("peak_rss_bytes", float(64 << 20), pid="11")
     tel.gauge_max("peak_rss_bytes", float(80 << 20), node="n1")

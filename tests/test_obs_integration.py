@@ -13,7 +13,7 @@ from repro.obs.events import read_all_events
 from repro.obs.export import load_telemetry
 from repro.obs.stats import render_stats
 
-#: Tiny two-size profile; same shape as the resilience/checkpoint ones.
+#: Tiny two-size profile; same shape as the resilience one.
 TINY = Profile(
     name="tinyobs",
     ga_sizes=(200, 600),
@@ -132,9 +132,7 @@ class TestWorkerKillCrashConsistency:
         for _attempt in range(6):
             corpus = build_corpus(TINY, store=store, workers=workers,
                                   options=BuildOptions(
-                                      resume=True, retries=0,
-                                      checkpoint_dir=tmp_path / "snaps",
-                                      checkpoint_every="1"),
+                                      resume=True, retries=0),
                                   obs="full", obs_dir=obs_dir)
             # Telemetry must be written even when the build had
             # failures (exporters run in the finally path).
@@ -144,6 +142,12 @@ class TestWorkerKillCrashConsistency:
         assert corpus is not None and not corpus.unexpected_failures
         assert not list(token_dir.iterdir()), \
             "chaos kills never fired — the harness tested nothing"
+
+        # Each kill landed on a cell, after its events were written.
+        died = [e.get("task") for e in read_all_events(obs_dir)
+                if e.get("kind") == "scheduler"
+                and e.get("action") == "worker-died"]
+        assert died and all(str(t).startswith("run:") for t in died), died
 
         # No worker sink survives a merge; the merged log parses
         # line-by-line with zero torn entries.

@@ -2,7 +2,11 @@
 taxonomy, crash isolation, timeouts, retries, quarantine, and resume."""
 
 import json
+import os
 import shutil
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -30,6 +34,7 @@ from repro.experiments.failures import (
     classify_exception,
 )
 from repro.experiments.results import ResultStore
+from tests.conftest import REPO_ROOT
 
 #: Tiny two-size profile so resilience builds finish in a few seconds.
 TINY_PROFILE = Profile(
@@ -629,3 +634,75 @@ class TestStopRequested:
             assert governor.stop_requested()
             with pytest.raises(KeyboardInterrupt):
                 handler(_signal.SIGINT, None)
+
+
+class TestCorpusSigint:
+    def test_first_sigint_stops_cleanly_exit_130(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = "src"
+        env["REPRO_CACHE_DIR"] = str(tmp_path / "cache")
+        # Slow every cell down a touch so the build is still mid-flight
+        # when the signal arrives.
+        env["REPRO_INJECT_SLEEP"] = "-:0.05"
+        proc = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro", "corpus",
+             "--profile", "smoke", "--progress", "--workers", "2"],
+            cwd=REPO_ROOT, env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True)
+        # Wait for the first progress line so the pool is actually up.
+        line = proc.stdout.readline()
+        assert line, "corpus produced no output"
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 130, (out, err)
+        assert "interrupted" in err
+        assert "rerun the same command" in err
+
+
+# ----------------------------------------------------------------------
+# Chaos: workers SIGKILLed holding a lease; the lost cells run again
+# whole and the corpus still converges
+# ----------------------------------------------------------------------
+class TestChaosKills:
+    def test_corpus_survives_random_worker_sigkills(self, tmp_path,
+                                                    monkeypatch):
+        """SIGKILL crew workers as tasks reach them; builds must
+        complete the corpus with vectors exactly matching an
+        undisturbed build — and leak no shared-memory segments
+        (workers only attach; the parent owns every name)."""
+        import glob
+
+        pre_segments = set(glob.glob("/dev/shm/repro-shm-*"))
+        clean = build_corpus(TINY_PROFILE,
+                             store=ResultStore(tmp_path / "clean"),
+                             workers=1)
+        assert not clean.unexpected_failures
+        expected = [(v.tag, v.as_array().tolist())
+                    for v in clean.vectors()]
+
+        # A finite kill budget: each SIGKILL consumes one token, so the
+        # chaos loop is guaranteed to terminate.
+        token_dir = tmp_path / "tokens"
+        token_dir.mkdir()
+        n_tokens = 3
+        for i in range(n_tokens):
+            (token_dir / f"token-{i}").touch()
+        monkeypatch.setenv("REPRO_CHAOS_KILL", f"{token_dir}:1.0")
+
+        store = ResultStore(tmp_path / "chaos")
+        corpus = None
+        for _attempt in range(n_tokens + 3):
+            corpus = build_corpus(TINY_PROFILE, store=store, workers=2,
+                                  options=BuildOptions(resume=True,
+                                                       retries=0))
+            if not corpus.unexpected_failures:
+                break
+        assert corpus is not None and not corpus.unexpected_failures, \
+            [str(f.failure) for f in corpus.unexpected_failures]
+        assert not list(token_dir.iterdir()), \
+            "chaos kills never fired — the harness tested nothing"
+
+        actual = [(v.tag, v.as_array().tolist()) for v in corpus.vectors()]
+        assert sorted(actual) == sorted(expected)
+        leaked = set(glob.glob("/dev/shm/repro-shm-*")) - pre_segments
+        assert not leaked, f"chaos builds leaked shm segments: {leaked}"

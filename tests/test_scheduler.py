@@ -511,21 +511,6 @@ class TestQuarantineGC:
         assert store.quarantine(tmp_path / "bad.json") is not None
         assert store.n_quarantined() == 3
 
-    def test_snapshot_store_gc(self, tmp_path):
-        from repro.engine import SnapshotStore
-
-        snaps = SnapshotStore(tmp_path)
-        qdir = tmp_path / "quarantine"
-        qdir.mkdir()
-        import os
-
-        for i in range(4):
-            path = qdir / f"old-{i}.snap"
-            path.write_bytes(b"x")
-            os.utime(path, (i, i))
-        assert snaps.gc_quarantine(1) == 3
-        assert [p.name for p in qdir.glob("*.snap")] == ["old-3.snap"]
-
 
 # ----------------------------------------------------------------------
 # Materialize-phase wall-clock budget (satellite 1)

@@ -1,12 +1,12 @@
 """Cross-process concurrency tests for the on-disk stores.
 
 The distributed queue's first-completion-wins story rests on one
-claim: :class:`~repro.experiments.results.ResultStore` and
-:class:`~repro.engine.checkpoint.SnapshotStore` stay consistent under
-concurrent writers from *different processes* — atomic publishes
-never tear, duplicate writers of the same content are harmless, a
-writer killed mid-stage leaves only ignorable ``.tmp`` litter, and a
-quarantine sweep can race a live writer without either crashing.
+claim: :class:`~repro.experiments.results.ResultStore` stays
+consistent under concurrent writers from *different processes* —
+atomic publishes never tear, duplicate writers of the same content are
+harmless, a writer killed mid-stage leaves only ignorable ``.tmp``
+litter, and a quarantine sweep can race a live writer without either
+crashing.
 
 These tests exercise exactly that, with real forked processes.
 """
@@ -16,11 +16,9 @@ from __future__ import annotations
 import json
 import multiprocessing as mp
 
-
 from repro._util.errors import ReproError
 from repro.behavior.metrics import compute_metrics
 from repro.behavior.trace import IterationRecord, RunTrace
-from repro.engine.checkpoint import Snapshot, SnapshotStore
 from repro.experiments.failures import RunFailure
 from repro.experiments.results import ResultStore
 
@@ -38,15 +36,6 @@ def _trace_for(key: str) -> RunTrace:
         domain="ga", n_vertices=n * 5, n_edges=n * 10,
         iterations=[IterationRecord(i, n, n, 2 * n, n, 0.25)
                     for i in range(n)])
-
-
-def _snapshot_for(key: str, iteration: int) -> Snapshot:
-    return Snapshot(
-        engine="synchronous", algorithm=f"algo-{key}",
-        n_vertices=10, n_edges=20, iteration=iteration,
-        trace=RunTrace(algorithm=f"algo-{key}", graph_params={},
-                       domain="ga", n_vertices=10, n_edges=20),
-        payload={"round": iteration})
 
 
 def _run_procs(target, argslist) -> None:
@@ -131,27 +120,6 @@ def _result_summariser(root, keys, rounds) -> None:
 
 def _result_gc(root, rounds) -> None:
     store = ResultStore(root)
-    for r in range(rounds):
-        store.gc_quarantine(keep=2)
-
-
-def _snap_writer(root, key, rounds, stride) -> None:
-    store = SnapshotStore(root)
-    for i in range(rounds):
-        store.save(key, _snapshot_for(key, i * stride + 1))
-
-
-def _snap_corrupt_and_load(root, key, rounds) -> None:
-    store = SnapshotStore(root)
-    for r in range(rounds):
-        store._latest_path(key).write_bytes(b"\x00 torn snapshot \x00")
-        snap = store.load_latest(key)  # falls back or cold-starts
-        if snap is not None:
-            assert snap.algorithm == f"algo-{key}"
-
-
-def _snap_gc(root, rounds) -> None:
-    store = SnapshotStore(root)
     for r in range(rounds):
         store.gc_quarantine(keep=2)
 
@@ -244,49 +212,3 @@ class TestResultStoreConcurrency:
         assert store.load("healthy") is not None
         store.gc_quarantine(keep=2)
         assert store.n_quarantined() <= 2
-
-
-# ----------------------------------------------------------------------
-# SnapshotStore
-# ----------------------------------------------------------------------
-class TestSnapshotStoreConcurrency:
-    def test_concurrent_writers_always_leave_a_whole_generation(
-            self, tmp_path):
-        key = "run-1"
-        _run_procs(_snap_writer,
-                   [(tmp_path, key, N_ROUNDS, stride)
-                    for stride in range(1, N_PROCS + 1)])
-        store = SnapshotStore(tmp_path)
-        snap = store.load_latest(key)
-        assert snap is not None  # checksum verified
-        assert snap.algorithm == "algo-run-1"
-        assert snap.payload["round"] == snap.iteration
-        assert not list(tmp_path.glob("*.tmp"))
-
-    def test_corrupt_latest_falls_back_to_prev_generation(self, tmp_path):
-        store = SnapshotStore(tmp_path)
-        store.save("k", _snapshot_for("k", 1))
-        store.save("k", _snapshot_for("k", 2))  # demotes 1 to .prev
-        store._latest_path("k").write_bytes(b"garbage")
-        snap = store.load_latest("k")
-        assert snap is not None and snap.iteration == 1
-        assert store.n_quarantined() == 1
-
-    def test_quarantine_sweep_races_snapshot_writer(self, tmp_path):
-        ctx = mp.get_context("fork")
-        procs = [
-            ctx.Process(target=_snap_writer,
-                        args=(tmp_path, "victim", N_ROUNDS, 1)),
-            ctx.Process(target=_snap_corrupt_and_load,
-                        args=(tmp_path, "victim", N_ROUNDS)),
-            ctx.Process(target=_snap_gc, args=(tmp_path, N_ROUNDS * 3)),
-        ]
-        for p in procs:
-            p.start()
-        for p in procs:
-            p.join(timeout=60)
-        assert all(p.exitcode == 0 for p in procs)
-        store = SnapshotStore(tmp_path)
-        store.save("victim", _snapshot_for("victim", 99))
-        snap = store.load_latest("victim")
-        assert snap is not None and snap.iteration == 99

@@ -334,9 +334,9 @@ class TestBenchCompare:
 
 
 class TestChaosTracePropagation:
-    """Satellite 4 acceptance: on a chaos build with SIGKILLed workers
-    and resumed attempts, the trace is one connected tree per cell with
-    zero orphans, and the critical path accounts for the wall."""
+    """On a chaos build with SIGKILLed workers and re-dispatched
+    attempts, the trace is one connected tree per cell with zero
+    orphans, and the critical path accounts for the wall."""
 
     def test_killed_and_resumed_build_stays_connected(
             self, tmp_path, monkeypatch):
@@ -352,9 +352,7 @@ class TestChaosTracePropagation:
         for _attempt in range(6):
             corpus = build_corpus(TINY, store=store, workers=2,
                                   options=BuildOptions(
-                                      resume=True, retries=0,
-                                      checkpoint_dir=tmp_path / "snaps",
-                                      checkpoint_every="1"),
+                                      resume=True, retries=0),
                                   obs="full", obs_dir=obs_dir)
             if not corpus.unexpected_failures:
                 break
@@ -363,6 +361,17 @@ class TestChaosTracePropagation:
             "chaos kills never fired — the harness tested nothing"
 
         events = read_all_events(obs_dir)
+        # The kills landed on cells, and each killed cell started
+        # again whole on another worker.
+        killed = {e["task"] for e in events
+                  if e.get("kind") == "scheduler"
+                  and e.get("action") == "worker-died"}
+        assert killed and all(t.startswith("run:") for t in killed), \
+            killed
+        starts = [e.get("key") for e in events
+                  if e.get("kind") == "cell_start"]
+        for task in killed:
+            assert starts.count(task[len("run:"):]) >= 2, task
         # Every build (crashed or resumed) derived the same ids, so
         # the whole log is one trace with one root and no orphans.
         assert len(list_traces(events)) == 1
@@ -376,7 +385,7 @@ class TestChaosTracePropagation:
         cell_spans = {c.name: c for c in root.children
                       if c.kind in ("cell_start", "cell_end")}
         assert len(cell_spans) == N_CELLS
-        # Resumed attempts re-derived the original cell span: every
+        # Re-dispatched attempts re-derived the cell span: every
         # phase span parents straight to its cell, none dangle.
         for cell in cell_spans.values():
             for phase in cell.children:
