@@ -176,8 +176,8 @@ class QuarantineDir:
         return dest
 
     def sweep(self, keep: int) -> int:
-        """Unlink all but the ``keep`` newest entries (by mtime, name
-        as tiebreaker); returns how many were removed. Entries another
+        """Unlink all but the ``keep`` newest entries (by mtime, then by
+        name); returns how many were removed. Entries another
         process sweeps first are skipped."""
         if keep < 0 or not self.root.exists():
             return 0

@@ -18,7 +18,7 @@ from repro.experiments.results import ResultStore
 
 _LAZY = {"BehaviorCorpus", "build_corpus", "CorpusRun", "execute_planned_run"}
 _LAZY_CHARACTERIZATION = {"CorpusCharacterization", "characterize_corpus"}
-_LAZY_SCHEDULER = {"CircuitBreaker", "Supervisor", "Task", "TaskBoard"}
+_LAZY_SCHEDULER = {"Supervisor", "Task", "TaskBoard"}
 
 
 def __getattr__(name: str):
@@ -42,7 +42,6 @@ def __getattr__(name: str):
 __all__ = [
     "BehaviorCorpus",
     "BuildOptions",
-    "CircuitBreaker",
     "ExperimentMatrix",
     "FAILURE_KINDS",
     "GraphSpec",

@@ -137,13 +137,11 @@ class BehaviorCorpus:
     #: event log plus the exported ``telemetry.json``.
     run_id: "str | None" = None
     obs_dir: "str | None" = None
-    #: Supervised-scheduler accounting (multi-worker builds): leases
-    #: lost to dead/hung workers, workers replaced, and whether the
-    #: circuit breaker degraded the build to inline single-process
-    #: execution.
+    #: Supervised-scheduler accounting (multi-worker and distributed
+    #: builds): leases lost to dead/hung workers or lost nodes, and
+    #: workers replaced.
     lease_expiries: int = 0
     workers_replaced: int = 0
-    degraded_to_inline: bool = False
     #: Distributed-queue accounting (``build_corpus(distributed=...)``):
     #: whether this build ran over the shared work queue, how many
     #: distinct node agents ever registered, how many were declared
@@ -269,13 +267,10 @@ class BehaviorCorpus:
         if self.graph_plane:
             lines.append(f"  graph plane: {self.premat_graphs} graphs "
                          f"pre-materialized in {self.premat_seconds:.2f}s")
-        if (self.lease_expiries or self.workers_replaced
-                or self.degraded_to_inline):
-            mode = (" -> degraded to inline execution"
-                    if self.degraded_to_inline else "")
+        if self.lease_expiries or self.workers_replaced:
             lines.append(f"  scheduler: {self.lease_expiries} lease "
                          f"expiries, {self.workers_replaced} workers "
-                         f"replaced{mode}")
+                         f"replaced")
         if self.distributed:
             lines.append(f"  distributed: {self.nodes_seen} nodes seen, "
                          f"{self.nodes_lost} lost, "

@@ -663,6 +663,9 @@ class Coordinator:
         finally:
             self.queue.mark_complete()
             agent.shutdown()
+            # The embedded crew's losses, beside the nodes' own.
+            self.corpus.workers_replaced += agent.crew.replaced
+            self.corpus.lease_expiries += agent.board.total_lease_expiries
             self._harvest_beats()
             self._wait_for_peers()
             self._reap_lost_segments()
@@ -676,7 +679,7 @@ class Coordinator:
         """One round: tick the embedded agent, supervise the peers,
         collect the finished prefix of the plan.
 
-        The tick blocks on the embedded crew's result queue, so a cell
+        The tick blocks on the embedded crew's worker pipes, so a cell
         finished here wakes the round at once. Nothing can wake it for
         what a peer did — a shared directory has no cross-host
         notification — so ``nodes/`` and ``claims/`` are listed once

@@ -21,9 +21,16 @@ a supervisor:
   expired lease is revoked and the task re-dispatched with full-jitter
   backoff, to run the whole cell again. After K expiries the
   cell is quarantined as ``quarantined-poison`` instead of burning a
-  K+1th worker. Worker *infra* failures (deaths, expiries — not task
-  failures) feed a circuit breaker that degrades the whole build to
-  inline single-process execution when the crew is unhealthy.
+  K+1th worker.
+
+That is the one failure rule, whatever the crew's health: a lost
+lease costs its cell one unit of that cell's poison budget, and
+nothing else. A cell is never executed in the loop's own process,
+because a cell that kills whatever runs it would take the build with
+it; a crew whose every worker dies ends with the affected cells
+``quarantined-poison`` (exit 3), as a distributed build does. Each
+worker talks to the loop over its own pipe, so a dying worker can lose
+only its own cell.
 
 The loop itself is :class:`CrewLoop`, and there is one of it: a
 :class:`Supervisor` (this machine's multi-worker build) and a
@@ -49,7 +56,6 @@ reaches a terminal state.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
@@ -76,8 +82,7 @@ _ALLOWED_TRANSITIONS: dict = {
     "quarantined": frozenset(),
 }
 
-#: The supervisor leases tasks it executes inline (and re-owns a late
-#: completion) under this worker id.
+#: The supervisor re-owns a late completion under this worker id.
 SUPERVISOR_WORKER = -1
 
 #: Ceiling of the full-jitter backoff before a revoked task is
@@ -314,102 +319,7 @@ class TaskBoard:
             self.on_transition(task, old, new, info)
 
 
-#: Circuit-breaker tuning of a :class:`Supervisor`: the sliding window
-#: of outcomes, the infra failures it takes to judge, the failure
-#: fraction that trips it, and the cooldown before a half-open probe.
-BREAKER_WINDOW = 16
-BREAKER_MIN_EVENTS = 4
-BREAKER_THRESHOLD = 0.5
-BREAKER_COOLDOWN_S = 30.0
-
-
-class CircuitBreaker:
-    """Trips when worker *infra* failures dominate recent outcomes.
-
-    Infra failures are lease expiries and worker deaths; task-level
-    failures (a cell that crashes deterministically) never count —
-    they are the corpus's problem, not the crew's.
-
-    Explicit three-state machine:
-
-    ``closed``
-        Normal operation. Outcomes feed a sliding window; once there
-        are enough events to judge and the failure fraction crosses
-        the threshold, the breaker **trips** (latches open) — unlike
-        the old live-computed window, successes arriving later cannot
-        silently flip it back while the supervisor is mid-degrade.
-    ``open``
-        The supervisor stops trusting workers and executes inline.
-        Outcomes recorded here are ignored: they come from dispatches
-        made before the trip. After ``cooldown_s``, :meth:`probe_due`
-        moves to half-open.
-    ``half-open``
-        One supervised *probe* dispatch is in flight. Its success
-        closes the breaker (crew re-trusted, window reset); an infra
-        failure re-trips it for another full cooldown.
-    """
-
-    def __init__(self, *, window: int = BREAKER_WINDOW,
-                 min_events: int = BREAKER_MIN_EVENTS,
-                 threshold: float = BREAKER_THRESHOLD,
-                 cooldown_s: float = BREAKER_COOLDOWN_S) -> None:
-        self.window = window
-        self.min_events = min_events
-        self.threshold = threshold
-        self.cooldown_s = cooldown_s
-        self.state = "closed"
-        self.opened_at = 0.0
-        self.trips = 0
-        self._outcomes: deque = deque(maxlen=window)
-
-    def record(self, infra_failure: bool, now: float = 0.0) -> None:
-        if self.state == "half-open":
-            # The probe's verdict decides alone; the pre-trip window
-            # is stale evidence.
-            if infra_failure:
-                self._trip(now)
-            else:
-                self.close()
-            return
-        if self.state == "open":
-            return
-        self._outcomes.append(bool(infra_failure))
-        n = sum(self._outcomes)
-        if (n >= self.min_events
-                and n / max(1, len(self._outcomes)) >= self.threshold):
-            self._trip(now)
-
-    def probe_due(self, now: float) -> bool:
-        """Transition open → half-open once the cooldown elapsed.
-        Returns True exactly when the transition happens — the caller
-        owns dispatching the single probe."""
-        if (self.state == "open"
-                and now - self.opened_at >= self.cooldown_s):
-            self.state = "half-open"
-            return True
-        return False
-
-    def close(self) -> None:
-        self.state = "closed"
-        self._outcomes.clear()
-
-    def _trip(self, now: float) -> None:
-        self.state = "open"
-        self.opened_at = now
-        self.trips += 1
-        self._outcomes.clear()
-
-    @property
-    def failures(self) -> int:
-        return sum(self._outcomes)
-
-    @property
-    def open(self) -> bool:
-        """True while the crew is untrusted (open or half-open)."""
-        return self.state != "closed"
-
-
-#: Longest a crew loop waits on its result queue per round: the one
+#: Longest a crew loop waits on its workers' pipes per round: the one
 #: cadence of every poll of the shared queue.
 POLL_S = 0.05
 
@@ -425,8 +335,8 @@ class CrewLoop:
     :class:`Supervisor` plans a whole corpus onto the board and collects
     it in plan order; a :class:`~repro.experiments.nodeagent.NodeAgent`
     claims tasks from a shared queue and publishes behind its fence.
-    They hook in at the ``_schedule`` / ``_on_*`` / ``_may_respawn``
-    methods, whose defaults here do nothing.
+    They hook in at the ``_schedule`` / ``_on_*`` methods, whose
+    defaults here do nothing.
 
     Its settings are read from the build's options and profile; *node*
     picks a node's lease (a distributed build) over a local crew's.
@@ -467,7 +377,7 @@ class CrewLoop:
         """One round: renew leases from worker beats, reap dead workers,
         expire leases, dispatch what is ready, then drain results —
         waiting up to *wait_s* for the first, so an idle loop sleeps on
-        the result queue and a finished cell wakes it at once."""
+        the workers' pipes and a finished cell wakes it at once."""
         self._renew_leases()
         for handle in self.crew.dead_workers():
             self._on_worker_death(handle, now)
@@ -475,10 +385,8 @@ class CrewLoop:
             self._on_lease_expiry(task, lease, now)
         if not self.stopping:
             self._schedule(now)
-        envelope = self.crew.poll_result(wait_s)
-        while envelope is not None:
+        for envelope in self.crew.poll_results(wait_s):
             self._on_result(envelope)
-            envelope = self.crew.poll_result(0.0)
 
     def _renew_leases(self) -> None:
         """Renew each busy worker's lease from its beat array. The
@@ -506,13 +414,6 @@ class CrewLoop:
     # ------------------------------------------------------------------
     def _schedule(self, now: float) -> None:
         self._dispatch_ready(now)
-
-    def _record_outcome(self, task_id: "str | None", infra_failure: bool,
-                        now: float) -> None:
-        """A worker came back (or was lost) holding *task_id*."""
-
-    def _may_respawn(self) -> bool:
-        return not self.stopping
 
     def _on_quarantined(self, task: Task) -> None:
         """*task* spent its poison budget."""
@@ -585,14 +486,13 @@ class CrewLoop:
         """Kill (if it still runs) and reap a dead or hung worker, and
         replace it while the crew is still wanted."""
         self.crew.kill(handle)
-        if self._may_respawn():
+        if not self.stopping:
             self.crew.spawn()
             self.crew.replaced += 1
 
     def _on_worker_death(self, handle, now: float) -> None:
         task = (self.board.get(handle.task_id)
                 if handle.task_id is not None else None)
-        self._record_outcome(handle.task_id, True, now)
         if self.tel.enabled:
             self.tel.inc("scheduler_worker_deaths_total")
             self.tel.emit("scheduler", action="worker-died",
@@ -608,7 +508,6 @@ class CrewLoop:
         outcome = self._revoke(task, lease, now, "lease-expired")
         if outcome == "stale":
             return
-        self._record_outcome(task.id, True, now)
         if self.tel.enabled:
             self.tel.inc("scheduler_lease_expiries_total")
             self.tel.emit("scheduler", action="lease-expired",
@@ -624,7 +523,6 @@ class CrewLoop:
 
     def _on_result(self, envelope: ResultEnvelope) -> None:
         self.crew.mark_idle(envelope.worker)
-        self._record_outcome(envelope.task_id, False, time.time())
         task = self.board.get(envelope.task_id)
         if task is None:
             return
@@ -676,8 +574,7 @@ class Supervisor(CrewLoop):
     run DAG and fills the
     :class:`~repro.experiments.corpus.BehaviorCorpus` in plan order, so
     a supervised build's ``runs`` list is ordered exactly like an inline
-    build's. On top of the shared loop it owns the circuit breaker and
-    the stop request.
+    build's. On top of the shared loop it owns the stop request.
     """
 
     def __init__(self, *, plan: list, profile: Any, store: Any,
@@ -687,24 +584,14 @@ class Supervisor(CrewLoop):
         self.plan = plan
         self.store = store
         self.corpus = corpus
-        self.workers = max(2, int(workers))
         self.progress = progress
         self._stop = stop_requested or (lambda: False)
-        # The constants are read here, not bound as defaults, so a test
-        # can patch them.
-        self.breaker = CircuitBreaker(
-            window=BREAKER_WINDOW, min_events=BREAKER_MIN_EVENTS,
-            threshold=BREAKER_THRESHOLD, cooldown_s=BREAKER_COOLDOWN_S)
-        #: Task id of the single half-open trial dispatch, if one is
-        #: in flight; its outcome alone moves the breaker.
-        self._probe_task: "str | None" = None
-        self._open_handled = False
         #: The run task of every cell, in plan order.
         self._cells: "list[Task]" = []
         self._premat_pending = False
         self._started = time.perf_counter()  # crew start-up is premat time
         super().__init__(
-            options=options, profile=profile, workers=self.workers,
+            options=options, profile=profile, workers=max(2, int(workers)),
             store_root=str(store.root) if store is not None else None,
             node=False)
 
@@ -759,15 +646,6 @@ class Supervisor(CrewLoop):
             if self.stopping:
                 self.corpus.interrupted = True
 
-    def _schedule(self, now: float) -> None:
-        if self.breaker.open:
-            self._degraded_tick(now)
-            return
-        self._dispatch_ready(now)
-
-    def _may_respawn(self) -> bool:
-        return not self.stopping and not self.breaker.open
-
     def _on_update(self, task: Task, envelope: ResultEnvelope,
                    accepted: bool) -> None:
         if envelope.ok and not accepted and self.tel.enabled:
@@ -821,89 +699,3 @@ class Supervisor(CrewLoop):
         self.tel.emit("premat", graphs=len(self.manifests),
                       seconds=self.corpus.premat_seconds,
                       plane=self.plane is not None)
-
-    # ------------------------------------------------------------------
-    # Circuit-breaker degradation (open → half-open probe → close)
-    # ------------------------------------------------------------------
-    def _record_outcome(self, task_id: "str | None", infra_failure: bool,
-                        now: float) -> None:
-        """Feed the breaker. While it is open or half-open only the
-        probe dispatch counts as evidence — stray results and deaths
-        from pre-trip dispatches must not decide the crew's fate."""
-        if self.breaker.state == "closed":
-            self.breaker.record(infra_failure, now)
-            return
-        if task_id is None or task_id != self._probe_task:
-            return
-        self._probe_task = None
-        self.breaker.record(infra_failure, now)
-        if self.tel.enabled:
-            self.tel.emit("scheduler", action="probe-result",
-                          task=task_id, ok=not infra_failure,
-                          state=self.breaker.state)
-        if not self.breaker.open:
-            # Probe succeeded: re-trust the crew and refill it.
-            self._open_handled = False
-            if self.tel.enabled:
-                self.tel.inc("scheduler_circuit_closes_total")
-                self.tel.emit("scheduler", action="circuit-close",
-                              trips=self.breaker.trips)
-            while len(self.crew.workers) < self.workers:
-                self.crew.spawn()
-
-    def _degraded_tick(self, now: float) -> None:
-        """One loop iteration while the crew is untrusted: execute one
-        cell inline in this process (where no lease can expire), and
-        once the cooldown elapses trial a single supervised dispatch
-        instead of staying inline for the rest of the build.
-        Quarantined cells stay quarantined — the breaker protects the
-        build, not poison."""
-        if not self._open_handled:
-            self._open_handled = True
-            self.corpus.degraded_to_inline = True
-            # Pre-trip leases belong to workers we no longer trust;
-            # revoke them so their tasks are inline-executable (the
-            # poison budget charge matches worker-death semantics).
-            for task in self.board.leased():
-                self._revoke(task, task.lease, now, "circuit-open")
-            if self.tel.enabled:
-                self.tel.inc("scheduler_circuit_trips_total")
-                self.tel.emit("scheduler", action="circuit-open",
-                              trips=self.breaker.trips)
-        if self.breaker.probe_due(now):
-            self._dispatch_probe(now)
-        self._inline_step(now)
-
-    def _dispatch_probe(self, now: float) -> None:
-        candidates = self.board.ready(now)
-        if not candidates:
-            # Nothing left to trial the crew on; the inline path
-            # finishes the tail and the breaker stays half-open.
-            return
-        idle = self.crew.idle_workers()
-        handle = idle.pop() if idle else self.crew.spawn()
-        task = candidates[0]
-        self._probe_task = task.id
-        self._dispatch(handle, task, now)
-        if self.tel.enabled:
-            self.tel.inc("scheduler_probes_total")
-            self.tel.emit("scheduler", action="half-open-probe",
-                          task=task.id, worker=handle.worker)
-
-    def _inline_step(self, now: float) -> None:
-        """Execute at most one ready task inline per tick, keeping the
-        loop responsive to probe results and stop requests."""
-        from repro.experiments.corpus import _run_cell
-
-        for task in self.board.ready(now):
-            if task.id == self._probe_task:
-                continue
-            self.board.lease(task.id, SUPERVISOR_WORKER, now)
-            if task.kind == "materialize":
-                # Inline execution re-materializes per cell from the
-                # local graph cache; no plane publish needed.
-                self.board.complete(task.id, None)
-                return
-            self.board.complete(task.id, _run_cell(
-                task.payload, self.profile, self.store, self.options))
-            return

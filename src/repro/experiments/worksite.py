@@ -5,11 +5,14 @@ The supervised scheduler (:mod:`repro.experiments.scheduler`) splits
 cleanly into pure decision logic (the task board) and the messy
 process-management substrate this module owns:
 
-- **WorkerCrew** — long-lived ``multiprocessing.Process`` workers, one
-  dispatch queue each plus one shared result queue. Unlike
+- **WorkerCrew** — long-lived ``multiprocessing.Process`` workers,
+  each with its own duplex pipe to the loop and nothing else: no queue,
+  lock or feeder thread is shared between workers. Unlike
   :class:`~concurrent.futures.ProcessPoolExecutor`, a SIGKILLed worker
-  does not poison the pool: the supervisor detects the death, replaces
-  the worker, and re-dispatches its task.
+  does not poison the pool — it can lose only its own cell: the
+  supervisor detects the death (the process is gone, or its pipe
+  reached EOF or cut a message off), replaces the worker, and
+  re-dispatches its task.
 - **Heartbeats** — each worker owns one shared ``RawArray('d', 2)``
   of (lease epoch, last beat time). The worker sets the epoch when a
   task arrives, and a daemon thread stamps the time ten times per lease
@@ -227,7 +230,7 @@ def _arm_parent_death_signal() -> None:
     kill whole agents) gets no chance to run its crew shutdown, and the
     ``daemon`` flag only helps on clean interpreter exit. On Linux,
     ``PR_SET_PDEATHSIG`` closes that gap at the kernel level; elsewhere
-    the ppid check in the worker loop is the (slower) fallback.
+    the worker's pipe reaching EOF ends its loop (once idle).
     """
     try:
         import ctypes
@@ -239,10 +242,15 @@ def _arm_parent_death_signal() -> None:
         pass
 
 
-def worker_main(worker: int, task_queue, result_queue, beat,
-                lease_s: float, options: BuildOptions,
-                profile: Any, store_root: "str | None") -> None:
+def worker_main(worker: int, conn, beat, lease_s: float,
+                options: BuildOptions, profile: Any,
+                store_root: "str | None", inherited: tuple = ()) -> None:
     """Crew worker loop: beat, take a lease, execute, send the result.
+
+    *conn* is the worker's end of its own duplex pipe to the loop; the
+    worker closes the loop's ends it inherited at fork (*inherited*:
+    its own pipe's and every older sibling's), so no channel is shared
+    between workers and the pipe reaches EOF here when the loop goes.
 
     *beat* is the worker's shared (lease epoch, last beat time) array:
     the epoch is set as each task arrives, the time by the beat thread,
@@ -257,12 +265,13 @@ def worker_main(worker: int, task_queue, result_queue, beat,
     escaping a task body — already rare, since ``_run_cell`` is
     its own boundary — comes back as an ``ok=False`` envelope rather
     than killing the loop. A worker whose parent vanished exits on its
-    own: PDEATHSIG kills it instantly on Linux, and the reparenting
-    check below catches the rest between tasks.
+    own: PDEATHSIG kills it instantly on Linux, and the pipe's EOF ends
+    the loop elsewhere.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     _arm_parent_death_signal()
-    import queue as queue_mod
+    for end in inherited:
+        end.close()
 
     from repro.experiments.corpus import _configure_worker_obs
     from repro.experiments.failures import RunFailure
@@ -281,11 +290,9 @@ def worker_main(worker: int, task_queue, result_queue, beat,
     try:
         while True:
             try:
-                envelope = task_queue.get(timeout=5.0)
-            except queue_mod.Empty:
-                if os.getppid() == 1:
-                    break  # orphaned: the parent died without PDEATHSIG
-                continue
+                envelope = conn.recv()
+            except (EOFError, OSError):
+                break  # the loop's end closed: the build is over
             if envelope is None:
                 break
             beat[0] = envelope.epoch
@@ -299,16 +306,16 @@ def worker_main(worker: int, task_queue, result_queue, beat,
                     # The cell ran and wrote its events but stored
                     # nothing: its re-dispatch runs it again whole.
                     os.kill(os.getpid(), signal.SIGKILL)  # pragma: no cover
-                result_queue.put(ResultEnvelope(
+                conn.send(ResultEnvelope(
                     envelope.task_id, envelope.epoch, worker, True,
                     value=value))
             except BaseException as exc:
                 try:
-                    result_queue.put(ResultEnvelope(
+                    conn.send(ResultEnvelope(
                         envelope.task_id, envelope.epoch, worker, False,
                         error=RunFailure.from_exception(exc)))
                 except Exception:
-                    break  # result queue gone: supervisor is shutting down
+                    break  # the loop's end closed: it is shutting down
     finally:
         beats.stop()
 
@@ -320,18 +327,22 @@ def worker_main(worker: int, task_queue, result_queue, beat,
 class WorkerHandle:
     worker: int
     process: Any
-    queue: Any
+    #: The loop's end of the worker's own duplex pipe.
+    conn: Any
     #: The worker's shared (lease epoch, last beat time).
     beat: Any
     #: Task id the supervisor believes this worker is executing.
     task_id: "str | None" = None
+    #: Set when the pipe reached EOF or cut a message off: the worker
+    #: counts as dead from then on, whatever its process says.
+    severed: bool = False
 
     @property
     def idle(self) -> bool:
         return self.task_id is None
 
     def alive(self) -> bool:
-        return self.process.is_alive()
+        return not self.severed and self.process.is_alive()
 
 
 class WorkerCrew:
@@ -348,7 +359,6 @@ class WorkerCrew:
         except ValueError:  # pragma: no cover - non-fork platforms
             self._mp = mp.get_context()
         self.worker_args = (lease_s, options, profile, store_root)
-        self.results = self._mp.Queue()
         self.workers: "dict[int, WorkerHandle]" = {}
         self.replaced = 0
         self._next_id = 0
@@ -358,21 +368,27 @@ class WorkerCrew:
     def spawn(self) -> WorkerHandle:
         worker = self._next_id
         self._next_id += 1
-        queue = self._mp.Queue()
+        conn, child_conn = self._mp.Pipe()
         beat = self._mp.RawArray("d", 2)
+        inherited = (conn, *(h.conn for h in self.workers.values()))
         process = self._mp.Process(
             target=worker_main,
-            args=(worker, queue, self.results, beat, *self.worker_args),
+            args=(worker, child_conn, beat, *self.worker_args, inherited),
             name=f"repro-crew-{worker}", daemon=True)
         process.start()
-        handle = WorkerHandle(worker, process, queue, beat)
+        # Only the worker holds its end now: its death is this pipe's EOF.
+        child_conn.close()
+        handle = WorkerHandle(worker, process, conn, beat)
         self.workers[worker] = handle
         return handle
 
     def dispatch(self, handle: WorkerHandle,
                  envelope: TaskEnvelope) -> None:
         handle.task_id = envelope.task_id
-        handle.queue.put(envelope)
+        try:
+            handle.conn.send(envelope)
+        except OSError:
+            handle.severed = True  # died idle: reaped, and the task revoked
 
     def mark_idle(self, worker: int) -> None:
         handle = self.workers.get(worker)
@@ -388,7 +404,7 @@ class WorkerCrew:
 
     def kill(self, handle: WorkerHandle) -> None:
         """SIGKILL a (presumed hung) worker and reap it."""
-        if handle.alive():
+        if handle.process.is_alive():
             handle.process.kill()
         self.remove(handle)
 
@@ -398,13 +414,22 @@ class WorkerCrew:
         self._close(handle)
         self.workers.pop(handle.worker, None)
 
-    def poll_result(self, timeout: float) -> "ResultEnvelope | None":
-        import queue as queue_mod
+    def poll_results(self, timeout: float) -> "list[ResultEnvelope]":
+        """Wait up to *timeout* for any worker's pipe, then take the
+        message of each pipe that has one (a worker sends one result
+        per task, and gets no next task before it is read). A pipe at
+        EOF, or one whose message is cut off partway, severs its
+        worker, which the loop then reaps as dead."""
+        from multiprocessing.connection import wait
 
-        try:
-            return self.results.get(timeout=timeout)
-        except queue_mod.Empty:
-            return None
+        ends = {h.conn: h for h in self.workers.values() if not h.severed}
+        results = []
+        for conn in wait(list(ends), timeout):
+            try:
+                results.append(conn.recv())
+            except (EOFError, OSError):
+                ends[conn].severed = True
+        return results
 
     def shutdown(self, *, kill: bool = False) -> None:
         """Stop every worker: politely (sentinel + join) or by SIGKILL
@@ -414,21 +439,15 @@ class WorkerCrew:
                 self.kill(handle)
                 continue
             try:
-                handle.queue.put(None)
-            except Exception:
+                handle.conn.send(None)
+            except OSError:
                 self.kill(handle)
         for handle in list(self.workers.values()):
             handle.process.join(timeout=5.0)
             self.kill(handle)
-        self.results.close()
-        self.results.cancel_join_thread()
 
     def _close(self, handle: WorkerHandle) -> None:
-        try:
-            handle.queue.close()
-            handle.queue.cancel_join_thread()
-        except Exception:  # pragma: no cover - queue already torn down
-            pass
+        handle.conn.close()
         try:
             handle.process.close()
         except Exception:  # pragma: no cover - still running

@@ -570,7 +570,7 @@ class TestCoordinatorEndToEnd:
         same order, byte-identical vectors, the same progress events."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         # Neither loop may sleep between rounds: both wait on the crew's
-        # result queue (this is what keeps smoke-distqueue at the
+        # worker pipes (this is what keeps smoke-distqueue at the
         # fabric's wall, checked without a stopwatch).
         sleeps = []
         monkeypatch.setattr("repro.experiments.distqueue.time.sleep",
@@ -729,7 +729,9 @@ class TestCoordinatorRound:
 
         agent = SimpleNamespace(node="coordinator", stopping=False,
                                 tick=tick,
-                                shutdown=lambda: shutdowns.append(now()))
+                                shutdown=lambda: shutdowns.append(now()),
+                                crew=SimpleNamespace(replaced=0),
+                                board=SimpleNamespace(total_lease_expiries=0))
         monkeypatch.setattr(nodeagent, "NodeAgent",
                             lambda *args, **kwargs: agent)
         now = distqueue.time.time

@@ -152,6 +152,7 @@ def test_the_untaken_paths_left_src():
                 "render_prometheus", "REPRO_COUNT_MATERIALIZE",
                 "use_shm", "graph_cache_bytes", "REPRO_GRAPH_CACHE_BYTES",
                 "configure_default_cache", "health_window", "breaker_",
+                "CircuitBreaker", "degraded_to_inline", "_inline_step",
                 "health_check_every", "Worksite", "class Heartbeat:",
                 "read_heartbeats", "_write_beat_file", "hb-",
                 "repro-worksite-", "work_dir", "node_workdir",

@@ -1,7 +1,7 @@
 """Supervised DAG scheduler tests: the task-board state machine
-(unit + hypothesis property), lease expiry / re-dispatch, poison-cell
-quarantine, the circuit breaker's inline fallback, quarantine GC, and
-the scheduler CLI flags.
+(unit + hypothesis property), the per-worker pipes, lease expiry /
+re-dispatch, poison-cell quarantine (cells that hang or kill every
+worker), quarantine GC, and the scheduler CLI flags.
 
 The board tests are pure (injected clocks, no processes); the
 integration tests spawn a real worker crew and drive the hung-worker
@@ -9,12 +9,17 @@ failure mode through ``REPRO_INJECT_STALL``.
 """
 
 import glob
+import json
 import multiprocessing
 import os
 import signal
+import struct
+import subprocess
+import sys
 import tempfile
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +40,6 @@ from repro.experiments.results import ResultStore
 from repro.graph import shm
 from repro.experiments.scheduler import (
     _ALLOWED_TRANSITIONS,
-    CircuitBreaker,
     SchedulerError,
     Supervisor,
     Task,
@@ -47,6 +51,7 @@ from repro.experiments.worksite import (
     WorkerCrew,
     WorkerHandle,
 )
+from tests.conftest import REPO_ROOT
 
 #: Tiny profile so supervised builds finish in seconds.
 SCHED_PROFILE = Profile(
@@ -332,69 +337,8 @@ class TestTaskBoardProperty:
 
 
 # ----------------------------------------------------------------------
-# Circuit breaker + backoff
+# Backoff
 # ----------------------------------------------------------------------
-class TestCircuitBreaker:
-    def test_stays_closed_below_min_events(self):
-        breaker = CircuitBreaker(window=8, min_events=4, threshold=0.5)
-        for _ in range(3):
-            breaker.record(True)
-        assert not breaker.open
-
-    def test_opens_on_failure_fraction(self):
-        breaker = CircuitBreaker(window=8, min_events=4, threshold=0.5)
-        for outcome in (True, False, True, True, True):
-            breaker.record(outcome)
-        assert breaker.open
-        assert breaker.state == "open"
-        assert breaker.trips == 1
-
-    def test_open_latches_against_stale_successes(self):
-        """Once tripped, results from pre-trip dispatches trickling in
-        must not silently close the breaker mid-degrade."""
-        breaker = CircuitBreaker(window=4, min_events=4, threshold=0.5)
-        for _ in range(4):
-            breaker.record(True)
-        assert breaker.state == "open"
-        for _ in range(8):
-            breaker.record(False)
-        assert breaker.state == "open"
-
-    def test_trip_halfopen_close(self):
-        breaker = CircuitBreaker(window=8, min_events=2, threshold=0.5,
-                                 cooldown_s=10.0)
-        breaker.record(True, now=0.0)
-        breaker.record(True, now=1.0)
-        assert breaker.state == "open"
-        # Cooldown not elapsed: still open, no probe.
-        assert not breaker.probe_due(5.0)
-        assert breaker.state == "open"
-        # Cooldown elapsed: exactly one transition to half-open.
-        assert breaker.probe_due(11.0)
-        assert breaker.state == "half-open"
-        assert not breaker.probe_due(12.0)  # probe already granted
-        # Probe success closes the breaker and resets the window.
-        breaker.record(False, now=12.0)
-        assert breaker.state == "closed"
-        assert not breaker.open
-        assert breaker.failures == 0
-
-    def test_trip_halfopen_retrip(self):
-        breaker = CircuitBreaker(window=8, min_events=2, threshold=0.5,
-                                 cooldown_s=10.0)
-        breaker.record(True, now=0.0)
-        breaker.record(True, now=0.0)
-        assert breaker.probe_due(10.5)
-        # Probe failure re-trips for another full cooldown from *now*.
-        breaker.record(True, now=11.0)
-        assert breaker.state == "open"
-        assert breaker.trips == 2
-        assert not breaker.probe_due(20.0)  # 9s into the new cooldown
-        assert breaker.probe_due(21.5)
-        breaker.record(False, now=22.0)
-        assert breaker.state == "closed"
-
-
 class TestFullJitterBackoff:
     def test_deterministic_per_key_and_attempt(self):
         a = full_jitter_backoff(0.1, 3, key="run:cc")
@@ -470,6 +414,33 @@ class TestWorksite:
         assert crew.workers == {}
         assert crew.idle_workers() == [] and crew.dead_workers() == []
         assert repro_dirs() == before
+
+    def test_a_pipe_at_eof_or_cut_off_severs_its_worker(self):
+        """Each worker has its own pipe: one that reaches EOF, or cuts
+        its message off partway, marks that worker dead whatever its
+        process says, and a whole message on a sibling's still
+        arrives."""
+        crew = WorkerCrew(0, 1.0, BuildOptions(), SCHED_PROFILE, None)
+        running = SimpleNamespace(is_alive=lambda: True)
+        theirs = []
+        for worker in range(3):
+            ours, end = multiprocessing.Pipe()
+            crew.workers[worker] = WorkerHandle(worker, running, ours, None,
+                                                task_id=f"run:{worker}")
+            theirs.append(end)
+        theirs[0].close()
+        os.write(theirs[1].fileno(), struct.pack("!i", 100) + b"cut")
+        theirs[1].close()
+        theirs[2].send("result")
+        try:
+            assert crew.poll_results(1.0) == ["result"]
+            assert {h.worker for h in crew.dead_workers()} == {0, 1}
+            assert crew.idle_workers() == []
+        finally:
+            for handle in crew.workers.values():
+                handle.conn.close()
+            crew.workers.clear()
+            theirs[2].close()
 
 
 # ----------------------------------------------------------------------
@@ -590,7 +561,6 @@ class TestLeaseExpiryIntegration:
         assert corpus.workers_replaced >= 1
         assert not corpus.unexpected_failures, \
             [str(f.failure) for f in corpus.failures]
-        assert not corpus.degraded_to_inline
 
         expected = [(v.tag, v.as_array().tolist())
                     for v in clean_corpus.vectors()]
@@ -643,7 +613,6 @@ class TestLeaseExpiryIntegration:
         assert exit_codes[stopped[0]] == -signal.SIGKILL
         assert corpus.lease_expiries >= 1
         assert corpus.workers_replaced >= 1
-        assert not corpus.degraded_to_inline
         assert not corpus.unexpected_failures, \
             [str(f.failure) for f in corpus.failures]
         expected = [(v.tag, v.as_array().tolist())
@@ -687,7 +656,6 @@ class TestPoisonQuarantine:
         store = ResultStore(tmp_path / "cache")
         plan = _plan_for({"cc"})
         corpus = BehaviorCorpus(profile=SCHED_PROFILE)
-        monkeypatch.setattr(scheduler, "BREAKER_MIN_EVENTS", 1_000)
         started = time.perf_counter()
         _supervise(plan, store, corpus, monkeypatch, lease_timeout_s=0.8,
                    max_lease_expiries=2)
@@ -721,25 +689,88 @@ class TestPoisonQuarantine:
         assert replayed.failure.kind == "quarantined-poison"
 
 
-class TestCircuitBreaker_Integration:
-    def test_unhealthy_crew_degrades_to_inline_execution(self, tmp_path,
-                                                         monkeypatch):
-        """When every worker stalls (systemic infra failure), the
-        breaker opens and the supervisor finishes the build inline —
-        complete and correct, just not parallel."""
-        monkeypatch.setenv(INJECT_STALL_ENV, "run:sched:60")
-        monkeypatch.delenv(INJECT_STALL_TOKENS_ENV, raising=False)
-        store = ResultStore(tmp_path / "cache")
-        plan = _plan_for({"cc"})
-        corpus = BehaviorCorpus(profile=SCHED_PROFILE)
-        monkeypatch.setattr(scheduler, "BREAKER_WINDOW", 8)
-        monkeypatch.setattr(scheduler, "BREAKER_MIN_EVENTS", 2)
-        _supervise(plan, store, corpus, monkeypatch, lease_timeout_s=0.6,
-                   max_lease_expiries=100)  # requeue, don't quarantine
-        assert corpus.degraded_to_inline
-        assert len(corpus.runs) == len(plan)
-        assert not corpus.failures
-        assert "degraded to inline" in corpus.summary()
+#: Every cell on this graph (6 of them) SIGKILLs whatever process runs it.
+KILLER_GRAPH = "ga-ne600-a2.0"
+
+#: ``python -c _KILLER_BUILD <supervised|distributed> <dir> <graph>``:
+#: one 2-worker build of the module profile (a distributed one with no
+#: peers) in which ``_maybe_inject_fault``, patched before the crew
+#: forks, kills the process running any cell on *graph*; prints the
+#: outcome as JSON.
+_KILLER_BUILD = """
+import json, os, signal, sys
+from repro.behavior import run
+from repro.experiments.config import BuildOptions
+from repro.experiments.corpus import build_corpus
+from repro.experiments.results import ResultStore
+from tests.test_scheduler import SCHED_PROFILE
+
+mode, root, graph = sys.argv[1:4]
+inject = run._maybe_inject_fault
+
+def kill_on_sight(run_key):
+    if graph in run_key:
+        os.kill(os.getpid(), signal.SIGKILL)
+    inject(run_key)
+
+run._maybe_inject_fault = kill_on_sight
+corpus = build_corpus(
+    SCHED_PROFILE, store=ResultStore(os.path.join(root, "store")),
+    workers=2, options=BuildOptions(retries=0, lease_timeout_s=5.0),
+    distributed=(os.path.join(root, "queue")
+                 if mode == "distributed" else None))
+print(json.dumps({
+    "failed": sorted([f.tag, f.failure.kind] for f in corpus.failures),
+    "workers_replaced": corpus.workers_replaced,
+    "summary": corpus.summary(),
+    "vectors": [[v.tag, v.as_array().tolist()] for v in corpus.vectors()],
+}))
+"""
+
+
+class TestCellsThatKillTheirWorker:
+    """The one failure rule under cells that kill whatever runs them:
+    each costs its own poison budget in worker deaths and is
+    quarantined, and nothing else is lost. Each build runs in a
+    subprocess under a 60 s timeout, so a build that hangs fails here
+    instead of wedging the suite, and one whose own process is killed
+    fails on its exit code."""
+
+    @pytest.fixture(scope="class")
+    def expected(self, clean_corpus):
+        """The killer cells' quarantine verdicts, and the inline
+        build's vectors over every other cell."""
+        killers, survivors = [], []
+        for cell in clean_corpus.runs:
+            if KILLER_GRAPH in run_cache_key(cell, SCHED_PROFILE):
+                killers.append([list(cell.tag), "quarantined-poison"])
+            else:
+                survivors.append(cell)
+        vectors = BehaviorCorpus(profile=SCHED_PROFILE,
+                                 runs=survivors).vectors()
+        return sorted(killers), [[list(v.tag), v.as_array().tolist()]
+                                 for v in vectors]
+
+    @pytest.mark.parametrize("attempt", range(5))
+    @pytest.mark.parametrize("mode", ["supervised", "distributed"])
+    def test_killer_cells_are_quarantined_and_the_rest_is_identical(
+            self, tmp_path, mode, attempt, expected):
+        killers, vectors = expected
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(REPO_ROOT / "src"), str(REPO_ROOT)]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _KILLER_BUILD, mode, str(tmp_path),
+             KILLER_GRAPH],
+            cwd=REPO_ROOT, env=env, capture_output=True, text=True,
+            timeout=60)
+        assert proc.returncode == 0, (proc.returncode, proc.stderr[-2000:])
+        out = json.loads(proc.stdout)
+        assert len(killers) == 6
+        assert out["failed"] == killers
+        assert out["workers_replaced"] >= 18, out["summary"]
+        assert (f"{out['workers_replaced']} workers replaced"
+                in out["summary"])
+        assert out["vectors"] == vectors
 
 
 # ----------------------------------------------------------------------
