@@ -30,12 +30,10 @@ class KCoreDecomposition(VertexProgram):
     gather_op = "sum"
     gather_width = 1
     apply_flops_per_vertex = 2.0
-    #: Fused kernels: effective degree is a 0/1 count — sums of
-    #: indicator values are exact in any order, so the fused gather may
-    #: run as a plain SpMV. Scatter compares center *and* neighbor
-    #: state, so it stays on the callback path.
+    #: Fused kernels: effective degree is a sum of 0/1 alive flags over
+    #: neighbors. Scatter compares center *and* neighbor state, so it
+    #: stays on the callback path.
     gather_shape = "vertex"
-    gather_source_exact = True
 
     def __init__(self) -> None:
         self.alive: np.ndarray | None = None

@@ -40,11 +40,10 @@ the general gather — each associates differently and float addition is
 not associative — so the dense gather reduces with ``reduceat`` over
 cached full-graph offsets, the per-row call the callback path makes.
 ``tests/test_segments.py::TestReduceatContract`` pins it. scipy is
-used only where every summation order yields the same float64 bits:
-
-* the scatter "who got signaled" SpMV (an indicator vector of 0/1), and
-* gathers whose source is declared integer-valued
-  (``gather_source_exact``), e.g. K-Core's alive counts.
+used only in the scatter's "who got signaled" SpMV
+(``Graph.spmv_ones``), whose 0/1 indicator sums to the same float64
+bits in every order; ``scipy.sparse`` is imported there, on a
+process's first fused scatter.
 
 Counters are *model* counters, not physical traversal counts: a pull
 iteration reports the same ``edge_reads``/``messages`` the push
@@ -392,16 +391,6 @@ class Kernels:
             return None
         return self.graph.edge_weight[self._gather_side.eid]
 
-    @cached_property
-    def _exact_matrix(self):
-        """Exact integer-valued sums may reorder: scipy SpMV allowed."""
-        program = self.program
-        if not (program.gather_op == "sum"
-                and program.gather_shape == "vertex"
-                and getattr(program, "gather_source_exact", False)):
-            return None
-        return self.graph.ones_adjacency_csr(program.gather_dir.value)
-
     def _source(self, ctx: "Context") -> np.ndarray:
         program = self.program
         x = np.asarray(program.gather_source(ctx), dtype=np.float64)
@@ -425,8 +414,6 @@ class Kernels:
     def _gather_dense(self, ctx: "Context") -> np.ndarray:
         """Accumulator rows for *every* vertex (pull-mode full gather)."""
         x = self._source(ctx)
-        if self._exact_matrix is not None:
-            return self._exact_matrix.dot(x)
         return self._gather_side.reduce(self._slot_values(x),
                                    self.program.gather_op)
 

@@ -94,11 +94,6 @@ class VertexProgram(ABC):
     #: source[u]``. Declaring a shape obliges ``gather_source`` to
     #: return values bit-identical to what ``gather_edge`` computes.
     gather_shape: ClassVar["str | None"] = None
-    #: Set when ``gather_source`` values are integer-valued floats whose
-    #: per-vertex sums stay exact in float64 (e.g. 0/1 counts): the
-    #: fused gather may then sum in any order (scipy SpMV) without
-    #: changing bits.
-    gather_source_exact: ClassVar[bool] = False
     #: ``"center"`` declares that ``scatter_edges`` depends only on the
     #: center vertex (the mask is constant across one vertex's edges),
     #: enabling the fused scatter via ``scatter_vertex_mask``. ``None``

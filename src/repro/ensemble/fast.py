@@ -48,7 +48,6 @@ from collections import OrderedDict
 from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from repro._util.errors import ValidationError
 from repro._util.segments import concat_ranges
@@ -236,6 +235,8 @@ class DistanceTiles:
         self._scratch: "np.ndarray | None" = None
 
     def _build(self, bid: int) -> np.ndarray:
+        from scipy.spatial.distance import cdist
+
         i0 = bid * self.rows_per_block
         i1 = min(self.n, i0 + self.rows_per_block)
         return cdist(self.X[i0:i1], self.targets)

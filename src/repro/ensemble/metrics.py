@@ -17,8 +17,6 @@ argmax, bounded by the space diameter). See DESIGN.md §2.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import pdist
 
 from repro._util.errors import ValidationError
 from repro.behavior.space import BehaviorSpace
@@ -47,6 +45,8 @@ def spread(ensemble: "Ensemble | np.ndarray",
 
     Returns 0.0 for ensembles with fewer than two members.
     """
+    from scipy.spatial.distance import pdist
+
     space = space or BehaviorSpace()
     mat = _as_matrix(ensemble, space)
     if mat.shape[0] < 2:
@@ -82,6 +82,8 @@ def mean_min_distance(
             "mean_min_distance of an empty ensemble is undefined")
     if samples is None:
         samples = space.sample(n_samples, seed=seed)
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(mat)
     dists, _ = tree.query(samples, k=1, workers=-1)
     return float(dists.mean())

@@ -354,6 +354,11 @@ class WorkerCrew:
                  store_root: "str | None") -> None:
         import multiprocessing as mp
 
+        # The fused scatter's SpMV needs scipy.sparse (~0.2 s to
+        # import): loaded once here, every forked worker shares it
+        # instead of importing it again on its first fused step.
+        import scipy.sparse  # noqa: F401
+
         try:
             self._mp = mp.get_context("fork")
         except ValueError:  # pragma: no cover - non-fork platforms

@@ -160,7 +160,8 @@ def test_the_untaken_paths_left_src():
                 "SchedulerConfig", "heartbeat_every", "pending_claim",
                 "_drain_requeues", "backoff_cap_s", "checkpoint",
                 "CheckpointConfig", "SnapshotStore", "snapshot_keys",
-                "REPRO_CHECKPOINT_DIR", "REPRO_INJECT_KILL", "state_dict"]
+                "REPRO_CHECKPOINT_DIR", "REPRO_INJECT_KILL", "state_dict",
+                "gather_source_exact"]
         if file not in STORES:
             gone.append("gc_quarantine")
         if file.startswith("ensemble/"):
@@ -237,17 +238,70 @@ def test_a_build_setting_is_spelled_once():
         "lease_timeout_s", "max_lease_expiries"}
 
 
-def test_import_repro_leaves_the_offline_obs_tools_unloaded():
-    """``obs/__init__`` re-exports nothing, so neither ``import repro``
-    nor the CLI's import pulls in the bench comparer or the
-    critical-path report."""
-    probe = ("import sys, repro, repro.cli; "
-             "print(sorted(m for m in sys.modules "
-             "if m in ('repro.obs.benchdiff', 'repro.obs.critpath')))")
+def _fresh(probe):
+    """What *probe* prints in a fresh interpreter running this tree."""
     out = subprocess.run([sys.executable, "-c", probe], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(SRC.parent)})
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_repro_leaves_the_offline_obs_tools_unloaded():
+    """``obs/__init__`` re-exports nothing, so neither ``import repro``
+    nor the CLI's import pulls in the bench comparer or the
+    critical-path report — nor any of SciPy, which is imported where it
+    is used."""
+    assert _fresh("import sys, repro, repro.cli; "
+                  "print(sorted(m for m in sys.modules "
+                  "if m in ('repro.obs.benchdiff', 'repro.obs.critpath') "
+                  "or m.split('.')[0] == 'scipy'))") == "[]"
+
+
+def test_a_run_loads_no_search_code():
+    """Running a cell needs no ``scipy.spatial``: only the ensemble
+    search loads it."""
+    assert _fresh(
+        "import sys; from repro.behavior.run import run_computation; "
+        "from repro.experiments.config import GraphSpec; "
+        "run_computation('cc', GraphSpec.ga(nedges=300, alpha=2.5, seed=1)); "
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith('scipy.spatial')))") == "[]"
+
+
+def test_the_crew_loads_scipy_sparse_before_it_forks():
+    """Every worker's fused scatter needs ``scipy.sparse``; the crew
+    imports it once in the parent, so no worker imports it again."""
+    assert _fresh(
+        "import sys; from repro.experiments.worksite import WorkerCrew; "
+        "from repro.experiments.config import BuildOptions; "
+        "before = 'scipy.sparse' in sys.modules; "
+        "WorkerCrew(0, 1.0, BuildOptions(), None, None); "
+        "print(before, 'scipy.sparse' in sys.modules)") == "False True"
+
+
+def test_nothing_imports_scipy_at_module_level():
+    """SciPy is imported inside the function that calls it, never when
+    a module of the package is imported."""
+    def module_level(body):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            yield node
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                yield from module_level(getattr(node, field, ()))
+
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in module_level(ast.parse(path.read_text("utf-8")).body):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [(path.relative_to(SRC).as_posix(), name)
+                      for name in names if name.split(".")[0] == "scipy"]
+    assert found == []
 
 
 def test_the_build_dag_has_two_task_kinds():

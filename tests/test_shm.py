@@ -340,3 +340,48 @@ class TestSigintLifecycle:
         assert "interrupted" in stdout + stderr
         leaked = _shm_segments() - pre
         assert not leaked, f"SIGINT exit leaked shm segments: {leaked}"
+
+
+# ----------------------------------------------------------------------
+# Lifecycle under SIGKILL (no finally, no atexit: the resource tracker)
+# ----------------------------------------------------------------------
+class TestSigkillLifecycle:
+    def test_a_killed_builders_segments_are_reclaimed(self, tmp_path):
+        """SIGKILL only the builder, mid-build: its crew dies with it,
+        and the resource tracker it leaves behind unlinks every segment
+        the builder created."""
+        pre = _shm_segments()
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        env["REPRO_CACHE_DIR"] = str(tmp_path / "cache")
+        # Every cell sleeps, so the build is still running at the kill.
+        env[INJECT_SLEEP_ENV] = "-:0.5"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "corpus", "--profile", "smoke",
+             "--workers", "2"],
+            cwd=str(tmp_path), env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL)
+        try:
+            # Kill once the published set has held still for a second:
+            # the plane is up and no publish is half done.
+            created, steady, deadline = set(), 0.0, time.monotonic() + 60.0
+            while time.monotonic() < deadline and proc.poll() is None:
+                now = _shm_segments() - pre
+                if now != created:
+                    created, steady = now, time.monotonic()
+                elif created and time.monotonic() - steady >= 1.0:
+                    break
+                time.sleep(0.1)
+            assert created and proc.poll() is None, "no segment published"
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=10)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        created |= _shm_segments() - pre
+        deadline = time.monotonic() + 10.0
+        while created & _shm_segments() and time.monotonic() < deadline:
+            time.sleep(0.1)
+        leaked = created & _shm_segments()
+        assert not leaked, f"a killed builder leaked shm segments: {leaked}"
