@@ -8,19 +8,20 @@ one DESIGN.md §12 commits to: full-level telemetry must cost at most
 15% wall time over a dark build (plus a small absolute slack, since
 one scheduler stall is a visible fraction of a ~10 s build).
 
-The measured walls land in ``benchmarks/artifacts/BENCH_obs.json`` and
-the full build's ``telemetry.json`` is copied next to it (both
-uploaded by CI's obs-smoke step).
+The measured walls land in ``benchmarks/artifacts/BENCH_obs.json``
+(uploaded by CI's obs-smoke step). The full build's report is checked
+too: ``repro stats``'s payload, a fold over the event log alone, has
+one cell row per planned cell, with engine seconds.
 """
 
 import json
-import shutil
 import time
 from pathlib import Path
 
-from repro.experiments.config import get_profile
+from repro.experiments.config import ExperimentMatrix, get_profile
 from repro.experiments.corpus import build_corpus
 from repro.experiments.results import ResultStore
+from repro.obs.stats import stats_payload
 
 ARTIFACT_DIR = Path(__file__).parent / "artifacts"
 
@@ -76,8 +77,11 @@ def test_bench_obs_overhead(tmp_path):
     (ARTIFACT_DIR / "BENCH_obs.json").write_text(
         json.dumps(report, indent=2) + "\n", encoding="utf-8")
 
-    telemetry = obs_dirs["full"] / "telemetry.json"
-    assert telemetry.exists()
-    shutil.copy(telemetry, ARTIFACT_DIR / "telemetry.json")
+    payload = stats_payload(obs_dirs["full"])
+    planned = len(list(ExperimentMatrix(profile).corpus_runs()))
+    assert payload["complete"]
+    assert len(payload["cells"]) == planned
+    ran = [c for c in payload["cells"] if c["status"] != "failed"]
+    assert ran and all(c["engine_s"] > 0 for c in ran)
 
     assert best["full"] <= best["off"] * MAX_OVERHEAD + ABS_SLACK_S, report

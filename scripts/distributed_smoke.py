@@ -29,8 +29,11 @@ and asserts the robustness contract end to end:
   resolved),
 - the queue directory is swept away and no shared-memory or
   heartbeat artifacts leak,
-- every peer's event sink and metrics snapshot were on disk before
-  its final beat, so the merge left no ``<obs_dir>/sinks/`` behind,
+- every peer's event sink was on disk before its final beat, so the
+  merge left no ``<obs_dir>/sinks/`` behind,
+- ``repro stats`` counts what the log holds: its claim and shm-publish
+  totals equal the ``node claim`` and ``shm publish`` events, the
+  SIGKILLed victim's included (they were flushed before it died),
 - the full-obs event log reconstructs as **one connected trace with
   zero orphan spans** across the killed node, the fenced zombie, and
   every re-dispatch (trace + critical-path reports are written to
@@ -252,6 +255,27 @@ def run(timeout_s: float, keep: bool) -> int:
             log(f"trace/critical-path artifacts written to {out}")
         log(f"trace {tree.trace_id} connected: {len(tree.nodes)} spans, "
             f"0 orphans; critical path {total:.3f}s vs wall {wall:.3f}s")
+
+        # --- one record: the report is a fold over the same log ---------
+        from repro.obs.stats import stats_payload
+
+        payload = stats_payload(obs_dir)
+        claims = sum(1 for e in events if e.get("kind") == "node"
+                     and e.get("action") == "claim")
+        publishes = sum(1 for e in events if e.get("kind") == "shm"
+                        and e.get("action") == "publish")
+        reported = (sum(n["claims"] for n in payload["nodes"].values()),
+                    payload.get("shm", {}).get("publishes"))
+        if reported != (claims, publishes):
+            return fail(f"repro stats reports (claims, shm publishes) "
+                        f"{reported}, the event log holds "
+                        f"{(claims, publishes)}")
+        victim = payload["nodes"].get("victim", {})
+        if not (victim.get("claims") and victim.get("shm_publishes")):
+            return fail(f"repro stats lost the SIGKILLed victim's claim "
+                        f"or shm publish: {victim}")
+        log(f"stats: {claims} claims and {publishes} shm publishes, "
+            f"victim {victim['claims']} / {victim['shm_publishes']}")
 
         log("OK: bit-identical under chaos, fencing held, no leaks")
         return 0

@@ -209,7 +209,4 @@ def run_computation(
         trace.meta["graph_source"] = graph_source
         trace.meta["timeout_requested_s"] = timeout_s
         trace.meta["timeout_enforced"] = enforcement.enforced
-        if tel.enabled:
-            tel.inc("runs_total", algorithm=algorithm)
-            tel.record_peak_rss()
         return trace

@@ -35,9 +35,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro._util.errors import ReproError
+
+if TYPE_CHECKING:
+    from pathlib import Path
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -192,9 +195,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "stats", help="summarize the telemetry of a run directory")
     sta.add_argument("run_dir",
                      help="observability directory (or its parent) "
-                          "holding telemetry.json / events.jsonl")
+                          "holding events.jsonl")
     sta.add_argument("--node", default=None, metavar="ID",
-                     help="restrict event-derived sections to one "
+                     help="restrict the report to the events of one "
                           "node of a distributed build")
     sta.add_argument("--format", choices=("table", "json"),
                      default="table",
@@ -300,7 +303,8 @@ def _add_obs_arguments(sub_parser: argparse.ArgumentParser) -> None:
     sub_parser.add_argument(
         "--obs", choices=("off", "full"), default=None,
         help="telemetry level (default: $REPRO_OBS or off); 'full' "
-             "records metrics, per-iteration timing and span events")
+             "records lifecycle and span events, with per-iteration "
+             "timing summarised per run")
     sub_parser.add_argument(
         "--obs-dir", default=None, metavar="DIR",
         help="telemetry output directory (default: $REPRO_OBS_DIR, or "
@@ -332,12 +336,12 @@ def _spec_for(args, domain: str):
     return GraphSpec.for_domain(domain, nrows=args.nrows, seed=args.seed)
 
 
-def _configure_cli_obs(args) -> "tuple | None":
+def _configure_cli_obs(args) -> "Path | None":
     """Install global telemetry for a one-shot command, if requested.
 
-    Returns ``(obs_path, run_id, level)`` when telemetry is on, else
-    None. The caller must pair this with :func:`_export_cli_obs` in a
-    ``finally`` block so even a failed run leaves inspectable output.
+    Returns the event directory when telemetry is on, else None. The
+    caller must pair this with :func:`_close_cli_obs` in a ``finally``
+    block so even a failed run leaves a closed event log.
     """
     import os
     import uuid
@@ -363,20 +367,16 @@ def _configure_cli_obs(args) -> "tuple | None":
     tel.set_trace(TraceContext(trace_id, derive_id(trace_id, "run")))
     tel.emit("run_start", command=args.command,
              algorithm=getattr(args, "algorithm", None), level=level)
-    return obs_path, run_id, level
+    return obs_path
 
 
-def _export_cli_obs(obs_state: "tuple | None") -> None:
-    """Write the exporters and tear down global telemetry."""
-    if obs_state is None:
+def _close_cli_obs(obs_path: "Path | None") -> None:
+    """Close the command's span and tear down global telemetry."""
+    if obs_path is None:
         return
-    obs_path, run_id, level = obs_state
-    from repro.obs.export import write_telemetry_json
-    from repro.obs.telemetry import deactivate, get_telemetry
+    from repro.obs.telemetry import deactivate, get_telemetry, peak_rss_bytes
 
-    tel = get_telemetry()
-    tel.emit("run_end", runs=tel.counter_total("runs_total"))
-    write_telemetry_json(obs_path, tel.snapshot(), run=run_id, level=level)
+    get_telemetry().emit("run_end", peak_rss_bytes=peak_rss_bytes())
     deactivate()
 
 
@@ -395,11 +395,11 @@ def _cmd_run(args) -> int:
         options["health_policy"] = args.health_policy
     if args.inject_fault is not None:
         options["inject_fault"] = args.inject_fault
-    obs_state = _configure_cli_obs(args)
+    obs_path = _configure_cli_obs(args)
     try:
         trace = run_computation(args.algorithm, spec, options=options)
     finally:
-        _export_cli_obs(obs_state)
+        _close_cli_obs(obs_path)
     print(trace.summary())
     m = compute_metrics(trace)
     print(f"  behavior: <updt={m.updt:.4g}, work={m.work:.4g}, "
@@ -408,9 +408,9 @@ def _cmd_run(args) -> int:
     enforced = "yes" if trace.meta.get("timeout_enforced") else "no"
     print(f"  harness: graph_source={trace.meta.get('graph_source', '?')} "
           f"timeout_enforced={enforced}")
-    if obs_state is not None:
-        print(f"  telemetry: {obs_state[0]} "
-              f"(inspect with `repro stats {obs_state[0]}`)")
+    if obs_path is not None:
+        print(f"  telemetry: {obs_path} "
+              f"(inspect with `repro stats {obs_path}`)")
     if args.json:
         trace.to_json(args.json)
         print(f"  trace written to {args.json}")
@@ -571,14 +571,14 @@ def _cmd_ensemble(args) -> int:
                         strategy=args.strategy)
     if args.samples is not None:
         kwargs["n_samples"] = args.samples
-    obs_state = _configure_cli_obs(args)
+    obs_path = _configure_cli_obs(args)
     try:
         start = time.perf_counter()
         curve = best_ensemble_curve(vectors, args.sizes, args.metric,
                                     **kwargs)
         wall = time.perf_counter() - start
     finally:
-        _export_cli_obs(obs_state)
+        _close_cli_obs(obs_path)
     # Search runs on the search budget; the table re-scores every
     # ensemble at the reporting budget so quoted numbers are stable.
     report = BehaviorSpace().sample(REPORT_SAMPLES, seed=0)
@@ -600,9 +600,9 @@ def _cmd_ensemble(args) -> int:
         alg, nedges, alpha = member.tag
         print(f"  <{alg}, nedges={nedges:g}, α={alpha}>")
     print(f"search wall: {wall:.3f}s over {len(args.sizes)} sizes")
-    if obs_state is not None:
-        print(f"telemetry: {obs_state[0]} "
-              f"(inspect with `repro stats {obs_state[0]}`)")
+    if obs_path is not None:
+        print(f"telemetry: {obs_path} "
+              f"(inspect with `repro stats {obs_path}`)")
     return 0
 
 

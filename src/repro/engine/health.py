@@ -403,8 +403,6 @@ class HealthMonitor:
 
         tel = get_telemetry()
         if tel.enabled:
-            tel.inc("health_trips_total", condition=verdict.condition,
-                    policy=self.policy, algorithm=program.name)
             tel.emit("health", condition=verdict.condition,
                      policy=self.policy, algorithm=program.name,
                      iteration=verdict.iteration, detail=verdict.detail)

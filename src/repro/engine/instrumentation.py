@@ -36,10 +36,9 @@ class Counters:
         vertices participated this iteration), and a vertex active in
         several sub-sweeps is still one active vertex — summing would
         double-count it. Every other field measures *flow* (events
-        that happened) and **sums**. The same max-vs-sum split governs
-        how worker telemetry folds into the parent registry; see
-        docs/metrics.md. Both operations are associative and
-        commutative, so merge order never changes the result."""
+        that happened) and **sums**; see docs/metrics.md. Both
+        operations are associative and commutative, so merge order
+        never changes the result."""
         self.active = max(self.active, other.active)
         self.updates += other.updates
         self.edge_reads += other.edge_reads

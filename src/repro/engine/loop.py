@@ -207,7 +207,7 @@ class GASEngine:
             engine=label,
         )
         monitor = build_monitor(opts)
-        obs = engine_observer(label, program.name)
+        obs = engine_observer()
         run = Run(program, ctx, Deadline(opts.wall_clock_budget_s), obs,
                   initial)
         self._setup(run)
@@ -246,12 +246,7 @@ class GASEngine:
                 seconds = time.perf_counter() - obs_started
                 if self.step_phase is not None:
                     phase_times[self.step_phase] = seconds
-                obs.iteration(
-                    iteration=iteration, active=counters.active,
-                    updates=counters.updates,
-                    edge_reads=counters.edge_reads,
-                    messages=counters.messages, seconds=seconds,
-                    phases=phase_times)
+                obs.iteration(seconds, phase_times)
             verdict = monitor.observe(program, iteration=iteration,
                                       frontier=active, work=counters.work)
             if verdict is not None:
@@ -270,6 +265,8 @@ class GASEngine:
                 trace.converged = True
                 break
 
+        if obs is not None:
+            obs.finish()
         if not trace.degraded:
             trace.stop_reason = stop_reason
         trace.result = program.result(ctx)

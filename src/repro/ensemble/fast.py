@@ -10,7 +10,7 @@ is tested against. Here instead:
 - **Blocked distance kernels** — one :class:`DistanceTiles`: row tiles
   of ``cdist(pool, targets)``, where the targets are the pool itself
   (spread) or the sample cloud (coverage), built on demand through a
-  byte-bounded LRU :class:`BlockCache` with hit/miss telemetry. The
+  byte-bounded LRU :class:`BlockCache` that counts hits and misses. The
   pool×pool matrix is symmetric bit for bit, so a member's row is its
   column too (DESIGN §15, "Blocked distance kernels"). Tiles and
   scores are float64, and tiles are read-only: a single point's row is
@@ -33,17 +33,15 @@ is tested against. Here instead:
   coverage is monotone submodular, so the greedy pick carries the
   classic ``(1 − 1/e)`` approximation guarantee.
 
-Telemetry (all levels, cheap when off): ``ensemble_search_states_total``
-counts scored beam states, ``ensemble_block_cache_total{kind,outcome}``
-tracks tile reuse, ``ensemble_block_build_seconds`` times tile builds,
-and ``ensemble_greedy_reevaluations`` histograms CELF re-evaluations
-per selection step.
+The engine counts its work in plain attributes — ``states`` scored,
+greedy ``reevaluations``, and the tile cache's ``hits`` / ``misses`` —
+and the ``ensemble_search`` span around each search puts what that
+search added on its event (:mod:`repro.ensemble.search`).
 """
 
 from __future__ import annotations
 
 import heapq
-import time
 from collections import OrderedDict
 from collections.abc import Callable, Iterable, Sequence
 
@@ -52,7 +50,6 @@ import numpy as np
 from repro._util.errors import ValidationError
 from repro._util.segments import concat_ranges
 from repro.behavior.space import BehaviorSpace
-from repro.obs.telemetry import get_telemetry
 
 #: Default distance-tile size. 32 MiB keeps a tile comfortably inside
 #: L3 on server parts while amortizing the Python dispatch per tile.
@@ -158,7 +155,7 @@ def grouped_top(scores: np.ndarray, parent: np.ndarray, cand: np.ndarray,
 # -- blocked distance kernels -----------------------------------------
 
 class BlockCache:
-    """Byte-bounded LRU of distance tiles with hit/miss telemetry.
+    """Byte-bounded LRU of distance tiles that counts hits and misses.
 
     At least one tile is always retained so the current consumer never
     sees its block evicted mid-use. Tiles are marked read-only when
@@ -176,25 +173,14 @@ class BlockCache:
 
     def get(self, key: int,
             build: "Callable[[int], np.ndarray]") -> np.ndarray:
-        tel = get_telemetry()
         blk = self._blocks.get(key)
         if blk is not None:
             self._blocks.move_to_end(key)
             self.hits += 1
-            if tel.enabled:
-                tel.inc("ensemble_block_cache_total",
-                        kind=self.kind, outcome="hit")
             return blk
         self.misses += 1
-        if tel.enabled:
-            tel.inc("ensemble_block_cache_total",
-                    kind=self.kind, outcome="miss")
-        started = time.perf_counter()
         blk = build(key)
         blk.flags.writeable = False
-        if tel.enabled:
-            tel.observe("ensemble_block_build_seconds",
-                        time.perf_counter() - started, kind=self.kind)
         self._blocks[key] = blk
         self._bytes += blk.nbytes
         while self._bytes > self.budget and len(self._blocks) > 1:
@@ -339,14 +325,12 @@ class FastEngine:
         self.dist = DistanceTiles(self.pool, targets,
                                   block_bytes=self.block_bytes)
         self.m = self.dist.m
+        #: Work counters, read by the ``ensemble_search`` span around a
+        #: search: states scored, and greedy gain re-evaluations.
+        self.states = 0
+        self.reevaluations = 0
 
     # -- shared helpers ------------------------------------------------
-
-    def _count_states(self, n_states: int) -> None:
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.inc("ensemble_search_states_total", float(n_states),
-                    metric=self.metric)
 
     def score_indices(self, indices: "Iterable[int]") -> float:
         """From-scratch float64 score of an arbitrary index set."""
@@ -370,7 +354,7 @@ class FastEngine:
         if beam_width < 1:
             raise ValidationError("beam_width must be >= 1")
         if size == 1:
-            self._count_states(self.n)
+            self.states += self.n
             if self.metric == "spread":
                 return [(0.0, (i,)) for i in range(self.n)]
             sums = self._coverage_row_sums()
@@ -416,7 +400,7 @@ class FastEngine:
         """Rank all feasible pairs ``i < j <= j_max`` off the row tiles."""
         n = self.n
         j_max = n - size + 1  # highest feasible second member
-        self._count_states(n)
+        self.states += n
         found = []
         for i0, i1, blk in self.dist.tiles():
             hi = min(i1, j_max)  # no row from j_max on has a partner
@@ -446,7 +430,7 @@ class FastEngine:
         """Score every state × candidate in one batched gather-sum."""
         n = self.n
         n_states = members.shape[0]
-        self._count_states(n_states)
+        self.states += n_states
         uniq, inverse = np.unique(members, return_inverse=True)
         cols = inverse.reshape(members.shape).astype(np.intp)
         dist_u = self.dist.rows(uniq, transposed=True)  # (n, u)
@@ -505,7 +489,7 @@ class FastEngine:
         singleton level, where a state's payload is its own distance
         row, read from the tiles as the level goes.
         """
-        self._count_states(members.shape[0])
+        self.states += members.shape[0]
         j_max = self.n - size + length  # feasibility bound for the next pick
         last = members[:, -1]
 
@@ -632,7 +616,6 @@ class FastEngine:
             raise ValidationError("size must be >= 1")
         if size > self.n:
             raise ValidationError(f"cannot pick {size} of {self.n} runs")
-        tel = get_telemetry()
         sums = self._coverage_row_sums()
         gains = self.diam - sums / self.m
         heap = [(-gains[j], j, 0) for j in range(self.n)]
@@ -653,9 +636,7 @@ class FastEngine:
             payload = row if payload is None \
                 else np.minimum(payload, row)
             selected.append(j)
-            self._count_states(1 + reevals)
-            if tel.enabled:
-                tel.observe("ensemble_greedy_reevaluations", float(reevals),
-                            metric=self.metric)
+            self.states += 1 + reevals
+            self.reevaluations += reevals
         score = self.diam - float(payload.mean())
         return tuple(sorted(selected)), score

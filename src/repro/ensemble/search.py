@@ -29,7 +29,9 @@ enumeration and the original evaluator the engine is held to live in
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -85,14 +87,33 @@ def _result(vectors, kind, metric, score, indices) -> SearchResult:
     )
 
 
+@contextmanager
+def _search_span(engine: FastEngine, size: int,
+                 strategy: str) -> Iterator[None]:
+    """One ``ensemble_search`` span around one search; its event
+    carries the work the search added to the engine's counters."""
+    tel = get_telemetry()
+    cache = engine.dist.cache
+    states, reevals = engine.states, engine.reevaluations
+    hits, misses = cache.hits, cache.misses
+    with tel.span("ensemble_search", metric=engine.metric, size=size,
+                  strategy=strategy) as span:
+        yield
+        if tel.enabled:
+            span.set(states=engine.states - states,
+                     cache_hits=cache.hits - hits,
+                     cache_misses=cache.misses - misses)
+            if strategy == "greedy":
+                span.set(reevaluations=engine.reevaluations - reevals)
+
+
 def _search_best(engine, size, beam_width, refine, strategy):
     """One best-of-size search over a built engine."""
     if size < 1:
         raise ValidationError("size must be >= 1")
     if size > engine.n:
         raise ValidationError(f"cannot pick {size} of {engine.n} runs")
-    with get_telemetry().span("ensemble_search", metric=engine.metric,
-                              size=size, strategy=strategy):
+    with _search_span(engine, size, strategy):
         if strategy == "greedy":
             indices, score = engine.greedy(size)
         else:
@@ -157,8 +178,7 @@ def top_k_ensembles(
                         n_samples=n_samples, seed=seed)
     if size > engine.n:
         raise ValidationError(f"cannot pick {size} of {engine.n} runs")
-    with get_telemetry().span("ensemble_search", metric=metric,
-                              size=size, strategy="beam"):
+    with _search_span(engine, size, "beam"):
         ordered = tie_sorted(engine.beam(size, max(beam_width, k)))
     return [_result(vectors, "top", metric, score, indices)
             for score, indices in ordered[:k]]

@@ -302,10 +302,9 @@ class BuildOptions:
     #: :class:`~repro.engine.engine.EngineOptions`); None keeps the
     #: engine default, ``strict``.
     health_policy: "str | None" = None
-    #: Resolved observability level — ``"off"`` or ``"full"`` (metrics,
-    #: every iteration timed, span events) —
-    #: with the directory holding the event log and the exported
-    #: ``telemetry.json``, and the run id stamped on every event.
+    #: Resolved observability level — ``"off"`` or ``"full"`` (every
+    #: iteration timed, lifecycle and span events) — with the directory
+    #: holding the event log, and the run id stamped on every event.
     #: Telemetry is purely observational: behavior vectors under the
     #: ``unit`` work model are bit-identical across levels.
     obs_level: str = "off"

@@ -37,12 +37,12 @@ from repro.obs.events import (
     merge_sinks,
     worker_sink_path,
 )
-from repro.obs.export import write_telemetry_json
 from repro.obs.telemetry import (
     OBS_DIR_ENV,
     configure,
     deactivate,
     get_telemetry,
+    peak_rss_bytes,
     resolve_obs_level,
 )
 from repro.obs.tracing import TraceContext, derive_run_id
@@ -85,10 +85,6 @@ class CorpusRun:
     #: executed cells; the trace itself carries ``materialize_s`` and
     #: ``engine_s`` in its meta).
     store_s: "float | None" = None
-    #: Pool mode only: the worker registry's metric delta for this
-    #: cell (``Telemetry.drain()``), merged into the parent registry
-    #: on collection and then dropped.
-    obs_snapshot: "dict | None" = None
 
     @property
     def _held(self) -> "RunTrace | StoredRun | None":
@@ -134,7 +130,7 @@ class BehaviorCorpus:
     premat_seconds: float = 0.0
     #: Telemetry identifiers when the build ran with ``obs != "off"``:
     #: the run id stamped on every event, and the directory holding the
-    #: event log plus the exported ``telemetry.json``.
+    #: event log.
     run_id: "str | None" = None
     obs_dir: "str | None" = None
     #: Supervised-scheduler accounting (multi-worker and distributed
@@ -171,12 +167,8 @@ class BehaviorCorpus:
                 progress: "Callable[[str], None] | None" = None) -> None:
         """Take one finished cell, in plan order — the single collector
         behind the inline loop, the supervisor and the coordinator:
-        fold the worker's metric delta into this process's registry,
         file the run, and report progress as event and as line."""
         tel = get_telemetry()
-        if run.obs_snapshot is not None:
-            tel.merge_snapshot(run.obs_snapshot)
-            run.obs_snapshot = None
         (self.runs if run.ok else self.failures).append(run)
         if tel.enabled or progress is not None:
             event = progress_event(run, self.n_collected, total)
@@ -393,14 +385,12 @@ def _execute_cell(planned: PlannedRun, profile: Profile,
     if isinstance(cached, StoredRun):
         if tel.enabled:
             status = "degraded" if cached.degraded else "ok"
-            tel.inc("corpus_cells_total", status=status, source="cache")
             tel.emit("cell_end", cell=cell, status=status, source="cache",
                      graph_source=cached.graph_source)
         return CorpusRun(planned.algorithm, planned.spec, cached,
                          cached.metrics, source="cache")
     if cached is not None:
         if tel.enabled:
-            tel.inc("corpus_cells_total", status="failed", source="cache")
             tel.emit("cell_end", cell=cell, status="failed",
                      source="cache", failure_kind=cached.kind)
         return CorpusRun(planned.algorithm, planned.spec, None, None,
@@ -435,7 +425,6 @@ def _execute_cell(planned: PlannedRun, profile: Profile,
                 backoff = full_jitter_backoff(
                     profile.retry_backoff_s, attempts, key=key)
                 if tel.enabled:
-                    tel.inc("corpus_retries_total")
                     tel.emit("retry", failure_kind=failure.kind,
                              backoff_s=backoff)
                 time.sleep(backoff)
@@ -443,11 +432,9 @@ def _execute_cell(planned: PlannedRun, profile: Profile,
             if store is not None:
                 store.save_failure(key, failure)
             if tel.enabled:
-                tel.inc("corpus_failures_total", kind=failure.kind)
-                tel.inc("corpus_cells_total", status="failed",
-                        source="run")
                 tel.emit("cell_end", status="failed", source="run",
-                         failure_kind=failure.kind, attempts=attempts)
+                         failure_kind=failure.kind, attempts=attempts,
+                         peak_rss_bytes=peak_rss_bytes())
                 tel.set_context()
             return CorpusRun(planned.algorithm, planned.spec, None, None,
                              failure=failure)
@@ -461,19 +448,12 @@ def _execute_cell(planned: PlannedRun, profile: Profile,
             status = "degraded" if trace.degraded else "ok"
             mat_s = float(trace.meta.get("materialize_s", 0.0))
             eng_s = float(trace.meta.get("engine_s", 0.0))
-            tel.inc("corpus_cells_total", status=status, source="run")
-            tel.inc("corpus_cell_seconds_total", mat_s,
-                    phase="materialize")
-            tel.inc("corpus_cell_seconds_total", eng_s, phase="engine")
-            tel.inc("corpus_cell_seconds_total", store_s, phase="store")
-            tel.observe("corpus_cell_seconds", mat_s + eng_s + store_s,
-                        algorithm=planned.algorithm)
-            tel.record_peak_rss()
             tel.emit("cell_end", status=status, source="run",
                      attempts=attempts, materialize_s=mat_s,
                      engine_s=eng_s, store_s=store_s,
                      graph_source=trace.meta.get("graph_source"),
-                     wall_s=float(trace.wall_time_s))
+                     wall_s=float(trace.wall_time_s),
+                     peak_rss_bytes=peak_rss_bytes())
             tel.set_context()
         return CorpusRun(planned.algorithm, planned.spec, trace,
                          compute_metrics(trace), store_s=store_s)
@@ -482,9 +462,9 @@ def _execute_cell(planned: PlannedRun, profile: Profile,
 def _configure_worker_obs(options: BuildOptions) -> None:
     """Point this crew worker's telemetry at its own sink file.
 
-    Workers are forked, so they inherit the parent's registry: its open
+    Workers are forked, so they inherit the parent's telemetry: its open
     handle on the parent's event log, which is swapped here for a fresh
-    registry writing to ``<obs_dir>/sinks/events-<pid>.jsonl``, and its
+    telemetry writing to ``<obs_dir>/sinks/events-<pid>.jsonl``, and its
     node and build-root causal context, which are carried over so that
     worker-side cell spans derive the same ids the parent would.
     """
@@ -760,23 +740,15 @@ def build_corpus(
         corpus.interrupted = corpus.interrupted or stopped()
         corpus.build_seconds = time.perf_counter() - started
         if obs_path is not None:
-            # Fold worker sinks into the parent registry + main log,
-            # then drop the exporters next to the event log — also on
-            # the SIGINT/exception paths, so a partial build still
-            # leaves inspectable telemetry behind.
+            # Fold worker sinks into the main log and close it — also
+            # on the SIGINT/exception paths, so a partial build still
+            # leaves an inspectable log behind.
             tel = get_telemetry()
-            _, worker_snaps = merge_sinks(obs_path, tel.events)
-            for snap in worker_snaps:
-                tel.merge_snapshot(snap)
-            tel.record_peak_rss()
+            merge_sinks(obs_path, tel.events)
             tel.emit("build_end", runs=len(corpus.runs),
                      failures=len(corpus.failures),
                      interrupted=corpus.interrupted,
-                     seconds=corpus.build_seconds)
-            write_telemetry_json(
-                obs_path, tel.snapshot(), run=corpus.run_id, level=obs_level,
-                profile=profile.name, workers=workers,
-                build_seconds=corpus.build_seconds,
-                interrupted=corpus.interrupted)
+                     seconds=corpus.build_seconds,
+                     peak_rss_bytes=peak_rss_bytes())
             deactivate()
     return corpus

@@ -761,7 +761,6 @@ class Coordinator:
         self._lost_nodes.add(node)
         self.corpus.nodes_lost += 1
         if self.tel.enabled:
-            self.tel.inc("distqueue_nodes_lost_total")
             self.tel.emit("distqueue",
                           _trace_ctx=self.tel.child("node", node),
                           action="node-lost", node=node,
@@ -789,7 +788,6 @@ class Coordinator:
                 continue
             span = self.tel.child("task", claim.task_id)
             if self.tel.enabled:
-                self.tel.inc("distqueue_requeues_total", node=node)
                 self.tel.emit("distqueue", _trace_ctx=span,
                               action="lease-revoked",
                               task=claim.task_id, node=node,
@@ -819,7 +817,6 @@ class Coordinator:
             "failure_kind": failure.kind})
         self.queue.drop_claim(claim)
         if self.tel.enabled:
-            self.tel.inc("distqueue_quarantined_total")
             self.tel.emit(
                 "distqueue",
                 _trace_ctx=self.tel.child("task",
@@ -907,8 +904,6 @@ class Coordinator:
             node = str(stale.get("node", ""))
             self.corpus.stale_done_markers += 1
             if self.tel.enabled:
-                self.tel.inc("distqueue_stale_done_markers_total",
-                             node=node)
                 self.tel.emit(
                     "distqueue",
                     _trace_ctx=self.tel.child("task",
@@ -973,6 +968,5 @@ class Coordinator:
                 continue  # clean exit unlinked its own segments
             for name in segments:
                 if shm.unlink_segment(name) and self.tel.enabled:
-                    self.tel.inc("distqueue_segments_reaped_total")
                     self.tel.emit("distqueue", action="segment-reaped",
                                   node=node, segment=name)

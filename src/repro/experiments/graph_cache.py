@@ -11,8 +11,9 @@
    already generated;
 3. ``spec.generate()`` — the slow path, inserted into the cache.
 
-Every resolution is counted on telemetry as
-``graph_resolutions_total{source=shm|cache|generated}``.
+Each caller wraps a resolution in a ``materialize`` span whose event
+carries the ``source`` (``shm``, ``cache`` or ``generated``); ``repro
+stats`` counts graph resolutions from those events.
 
 Resolved problems are shared across runs, so their domain inputs are
 frozen read-only — algorithms only ever read inputs, and the graph's
@@ -114,8 +115,6 @@ def materialize_problem(spec) -> tuple[ProblemInstance, str]:
     ``source`` is ``"shm"`` (graph plane), ``"cache"`` (this process's
     LRU) or ``"generated"`` (actually materialized here and now).
     """
-    from repro.obs.telemetry import get_telemetry
-
     key = spec.cache_key()
     problem = shm.resolve(key)
     if problem is not None:
@@ -129,7 +128,4 @@ def materialize_problem(spec) -> tuple[ProblemInstance, str]:
             problem = freeze_inputs(spec.generate())
             cache.put(key, problem)
             source = "generated"
-    tel = get_telemetry()
-    if tel.enabled:
-        tel.inc("graph_resolutions_total", source=source)
     return problem, source

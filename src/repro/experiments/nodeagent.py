@@ -145,14 +145,14 @@ class NodeAgent(CrewLoop):
     def _configure_obs(self, options: BuildOptions,
                        trace: "dict | None") -> bool:
         """Standalone agents own their telemetry, writing a per-node
-        event sink + metrics snapshot that the coordinator's end-of-
-        build merge folds in; the embedded agent rides the coordinator
-        process's already-configured registry. Either way the registry
-        carries this node's id and the coordinator's root context, which
-        the crew workers inherit: cell spans executed on this node
-        derive the same deterministic ids as anywhere else, so
-        re-dispatches across nodes re-link. Returns whether the
-        registry is this agent's to flush."""
+        event sink that the coordinator's end-of-build merge folds in;
+        the embedded agent rides the coordinator process's
+        already-configured telemetry. Either way it carries this node's
+        id and the coordinator's root context, which the crew workers
+        inherit: cell spans executed on this node derive the same
+        deterministic ids as anywhere else, so re-dispatches across
+        nodes re-link. Returns whether the telemetry is this agent's
+        to close."""
         from repro.obs.events import node_sink_path
         from repro.obs.telemetry import configure, get_telemetry
         from repro.obs.tracing import TraceContext
@@ -239,7 +239,6 @@ class NodeAgent(CrewLoop):
             if claim is None:
                 continue  # lost the race (or torn record): move on
             if self.tel.enabled:
-                self.tel.inc("distqueue_claims_total")
                 self.tel.emit("node",
                               _trace_ctx=self.tel.child("node", self.node),
                               action="claim", task=task_id,
@@ -308,15 +307,7 @@ class NodeAgent(CrewLoop):
         claim = self._claims.pop(task.id, None) if accepted else None
         if claim is None:
             return  # stale local lease: the replacement owns the cell
-        if not envelope.ok:
-            self._publish(claim, envelope.error)
-            return
-        if task.result.obs_snapshot is not None:
-            # Fold the worker's per-cell metric delta into this node's
-            # registry; it reaches the coordinator via the node sink.
-            self.tel.merge_snapshot(task.result.obs_snapshot)
-            task.result.obs_snapshot = None
-        self._publish(claim, task.result)
+        self._publish(claim, task.result if envelope.ok else envelope.error)
 
     def _publish(self, claim: Claim, outcome) -> None:
         """Publish a claimed cell's run (or bare failure) behind the
@@ -329,13 +320,9 @@ class NodeAgent(CrewLoop):
         if isinstance(outcome, RunFailure):
             outcome = CorpusRun(claim.record.algorithm, claim.record.spec,
                                 None, None, failure=outcome)
-        status = publish_result(self.queue, self.store, self.node,
-                                claim.epoch, claim.record, outcome)
-        if status is None:
+        if publish_result(self.queue, self.store, self.node, claim.epoch,
+                          claim.record, outcome) is None:
             self._count_stale(claim)
-        elif self.tel.enabled:
-            self.tel.inc("distqueue_publishes_total",
-                         status="failed" if status == "failed" else "ok")
         self.queue.drop_claim(claim)
         self.board.discard(claim.task_id)
 
@@ -345,7 +332,6 @@ class NodeAgent(CrewLoop):
         the next heartbeat, and logged for the operator."""
         self.stale_rejections += 1
         if self.tel.enabled:
-            self.tel.inc("distqueue_stale_rejections_total")
             self.tel.emit("node", _trace_ctx=self.tel.child("node", self.node),
                           action="stale-epoch-rejected",
                           task=claim.task_id, epoch=claim.epoch,
@@ -368,31 +354,21 @@ class NodeAgent(CrewLoop):
         self._claims.clear()
         self.close()
         self._beats.stop()
+        from repro.obs.telemetry import deactivate, peak_rss_bytes
+
         if self.tel.enabled:
             self.tel.emit("node", _trace_ctx=self.tel.child("node", self.node),
                           action="stop",
-                          stale_rejections=self.stale_rejections)
-            self.tel.record_peak_rss()
+                          stale_rejections=self.stale_rejections,
+                          peak_rss_bytes=peak_rss_bytes())
         if self._owns_obs:
-            self._flush_obs()
+            deactivate()
         # The done beat comes last: once the coordinator reads it, it
         # may merge this node's sink and sweep the queue.
         try:
             self.queue.write_beat(self.node, self._beat_payload(done=True))
         except OSError:
             pass  # queue already swept
-
-    def _flush_obs(self) -> None:
-        from repro.obs.events import node_metrics_path, write_worker_metrics
-        from repro.obs.telemetry import deactivate
-
-        try:
-            write_worker_metrics(
-                node_metrics_path(self.options.obs_dir, self.node),
-                self.tel.snapshot())
-        except OSError:
-            pass
-        deactivate()
 
     # ------------------------------------------------------------------
     # Standalone entry (the ``repro node`` CLI)

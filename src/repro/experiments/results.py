@@ -156,7 +156,6 @@ class ResultStore:
 
         tel = get_telemetry()
         if tel.enabled:
-            tel.inc("store_disk_retries_total")
             tel.emit("store", action="disk-retry", errno=exc.errno,
                      attempt=attempt, backoff_s=delay_s)
 

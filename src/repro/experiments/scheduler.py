@@ -494,7 +494,6 @@ class CrewLoop:
         task = (self.board.get(handle.task_id)
                 if handle.task_id is not None else None)
         if self.tel.enabled:
-            self.tel.inc("scheduler_worker_deaths_total")
             self.tel.emit("scheduler", action="worker-died",
                           worker=handle.worker,
                           task=handle.task_id)
@@ -509,7 +508,6 @@ class CrewLoop:
         if outcome == "stale":
             return
         if self.tel.enabled:
-            self.tel.inc("scheduler_lease_expiries_total")
             self.tel.emit("scheduler", action="lease-expired",
                           task=task.id, worker=lease.worker,
                           epoch=lease.epoch, outcome=outcome,
@@ -559,7 +557,6 @@ class CrewLoop:
                          info: dict) -> None:
         if not self.tel.enabled:
             return
-        self.tel.inc("scheduler_transitions_total", to=new)
         # Every transition of one task shares one span, so lease /
         # revoke / re-dispatch cycles thread onto one trace node.
         self.tel.emit("task", _trace_ctx=self.tel.child("task", task.id),

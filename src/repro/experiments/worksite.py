@@ -86,7 +86,7 @@ class HeartbeatWriter:
     — the one place a beat interval is worked out.
 
     A crew worker's *publish* stamps the time into the worker's shared
-    beat array; a node agent's writes its registry beat into the
+    beat array; a node agent's writes its beat into the
     queue's ``nodes/``, the one beat that has to cross hosts.
 
     ``suspend()`` models a hang for stall and freeze injection: the
@@ -207,20 +207,17 @@ def _execute_envelope(envelope: TaskEnvelope, options: BuildOptions,
     if manifest is not None:
         shm.install_manifest(manifest)
     if envelope.kind == "materialize":
-        # Through materialize_problem, so ``graph_resolutions_total``
-        # counts it and this worker's cache keeps the graph warm; the
-        # problem is pickled back to the loop, which publishes it.
-        return payload.cache_key(), materialize_problem(payload)[0]
+        # Through materialize_problem, so this worker's cache keeps the
+        # graph warm; the span's event is what counts the resolution,
+        # as in run_computation. The problem is pickled back to the
+        # loop, which publishes it.
+        with get_telemetry().span("materialize") as span:
+            problem, source = materialize_problem(payload)
+            span.set(source=source)
+        return payload.cache_key(), problem
     if envelope.kind != "run":
         raise ValueError(f"unknown task kind {envelope.kind!r}")
-    result = corpus_mod._run_cell(payload, profile, store, options)
-    tel = get_telemetry()
-    if tel.enabled:
-        # Per-cell metric delta rides back on the result; the worker
-        # registry restarts at zero (a cumulative snapshot per cell
-        # would grow O(cells^2), see DESIGN.md S12).
-        result.obs_snapshot = tel.drain()
-    return result
+    return corpus_mod._run_cell(payload, profile, store, options)
 
 
 def _arm_parent_death_signal() -> None:

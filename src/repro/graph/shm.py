@@ -314,7 +314,6 @@ def resolve(key: str) -> "ProblemInstance | None":
 
         tel = get_telemetry()
         if tel.enabled:
-            tel.inc("shm_attach_failures_total")
             tel.emit("shm", action="attach-failed", key=key)
         return None
 
@@ -391,8 +390,6 @@ class GraphPlane:
 
         tel = get_telemetry()
         if tel.enabled:
-            tel.inc("shm_publishes_total")
-            tel.inc("shm_published_bytes_total", total)
             tel.emit("shm", action="publish", key=key, bytes=total)
         return manifest
 

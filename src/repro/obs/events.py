@@ -1,20 +1,21 @@
 """Append-only JSONL event log with rotation, plus worker-sink merge.
 
+The event log is the observability plane's one record: every number
+``repro stats`` prints is a fold over it (:mod:`repro.obs.stats`).
 Layout of an observability directory (one per corpus build / run)::
 
     <obs_dir>/
         events.jsonl          # main event stream (parent process)
         events.jsonl.1 ...    # rotated generations, newest = .1
         sinks/
-            events-<pid>.jsonl  # per-pool-worker sink, merged + removed
-        telemetry.json        # machine-readable metric snapshot
+            events-<id>.jsonl   # per-worker / per-node sink, merged + removed
 
 Every event is one JSON object per line with at least ``ts`` (unix
 seconds), ``kind`` and ``pid``; run/cell/attempt identifiers are added
-by :class:`~repro.obs.telemetry.Telemetry` when set.  Readers are
-tolerant of torn lines: a worker killed by SIGKILL mid-write leaves at
-most one partial line at the end of its sink, which
-:func:`read_events` silently skips.
+by :class:`~repro.obs.telemetry.Telemetry` when set.  Each line is
+flushed as it is written, so a process killed by SIGKILL keeps every
+event it emitted before it died; at most one partial line is left at
+the end of its sink, which :func:`read_events` silently skips.
 """
 
 from __future__ import annotations
@@ -26,11 +27,10 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
-from repro._util.durable import publish, read_json_object, sanitize
+from repro._util.durable import sanitize
 
 EVENTS_FILENAME = "events.jsonl"
 SINKS_DIRNAME = "sinks"
-TELEMETRY_FILENAME = "telemetry.json"
 
 DEFAULT_MAX_BYTES = 4 << 20
 DEFAULT_BACKUPS = 3
@@ -114,26 +114,6 @@ def node_sink_path(obs_dir: "str | Path", node: str) -> Path:
             / f"events-{sanitize(node)}.jsonl")
 
 
-def node_metrics_path(obs_dir: "str | Path", node: str) -> Path:
-    """Per-node cumulative metrics-snapshot file.
-
-    Kept apart from the event sink so the (large, cumulative) registry
-    snapshot never rotates cell events out of the sink log.
-    """
-
-    return (Path(obs_dir) / SINKS_DIRNAME
-            / f"metrics-{sanitize(node)}.json")
-
-
-def write_worker_metrics(path: "str | Path",
-                         snapshot: dict[str, Any]) -> None:
-    """Atomically overwrite a cumulative metrics snapshot: a writer
-    killed mid-write leaves the previous complete one, so the merge
-    still credits every cell it finished before dying."""
-
-    publish(Path(path), json.dumps(snapshot, separators=(",", ":")))
-
-
 def read_events(path: "str | Path") -> Iterator[dict[str, Any]]:
     """Yield events from one JSONL file, skipping torn/invalid lines."""
 
@@ -176,22 +156,18 @@ def read_all_events(obs_dir: "str | Path") -> list[dict[str, Any]]:
     return events
 
 
-def merge_sinks(obs_dir: "str | Path", into: "EventLog | None") -> tuple[
-        int, list[dict[str, Any]]]:
+def merge_sinks(obs_dir: "str | Path", into: "EventLog | None") -> int:
     """Fold per-worker sink files into the main log.
 
-    Returns ``(n_events, metric_snapshots)``.  Each worker's event
-    sink — *including* any rotated generations, oldest first — is
-    appended to *into*; each ``metrics-<id>.json`` snapshot (see
-    :func:`write_worker_metrics`) is collected for the caller to merge
-    into the parent registry.  All sink files are removed.
+    Each worker's event sink — *including* any rotated generations,
+    oldest first — is appended to *into*, and removed.  Returns the
+    number of events merged.
     """
 
     sink_dir = Path(obs_dir) / SINKS_DIRNAME
     if not sink_dir.is_dir():
-        return 0, []
+        return 0
     merged = 0
-    snapshots: list[dict[str, Any]] = []
     by_worker: dict[str, list[Path]] = {}
     for sink in sink_dir.glob("events-*.jsonl*"):
         stem = sink.name.split(".jsonl", 1)[0]
@@ -209,16 +185,11 @@ def merge_sinks(obs_dir: "str | Path", into: "EventLog | None") -> tuple[
                     into.append(event)
                 merged += 1
             sink.unlink(missing_ok=True)
-    for metrics in sorted(sink_dir.glob("metrics-*.json")):
-        data = read_json_object(metrics)
-        if data is not None:
-            snapshots.append(data)
-        metrics.unlink(missing_ok=True)
     try:
         sink_dir.rmdir()
     except OSError:
         pass  # concurrent writer or leftover files; keep it
-    return merged, snapshots
+    return merged
 
 
 def follow_events(obs_dir: "str | Path", *,

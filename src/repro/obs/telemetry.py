@@ -1,12 +1,14 @@
-"""Process-wide telemetry registry: counters, gauges, histograms, spans.
+"""Process-wide telemetry: spans and the event log, nothing else.
 
-This is the zero-dependency core of the observability plane.  A single
-:class:`Telemetry` instance per process aggregates labeled metric
-series and (optionally) appends structured events to a JSONL
-:class:`~repro.obs.events.EventLog`.  Pool workers run their *own*
-instance writing to a per-worker sink file; the parent merges worker
-snapshots back at the end of a corpus build (see
-``repro.obs.events.merge_sinks``).
+The event log is the one record of what a build did. A single
+:class:`Telemetry` instance per process stamps context (run, node,
+cell, attempt, causal span) onto structured events and appends them to
+a JSONL :class:`~repro.obs.events.EventLog`. Pool workers and node
+agents write their *own* sinks, which the parent folds into the main
+log at the end of a corpus build (``repro.obs.events.merge_sinks``);
+``repro stats`` is a fold over that log (:mod:`repro.obs.stats`).
+There is no metric registry: a count, a total or a peak is a field of
+the event that carries the fact.
 
 Two observability levels gate the cost:
 
@@ -15,8 +17,9 @@ Two observability levels gate the cost:
     ``engine_observer()`` returns ``None`` — instrumented code paths
     reduce to a single attribute check / ``None`` test.
 ``full``
-    Metrics, every engine iteration timed, and spans and subsystem
-    actions emitted as events.
+    Every engine iteration timed into a per-run summary that rides on
+    the run's ``engine_run`` span event; spans and subsystem actions
+    emitted as events.
 
 Crucially, no instrumentation ever touches ``Counters``, frontiers, or
 any value that feeds :meth:`BehaviorCorpus.vectors`.  Under the
@@ -31,7 +34,6 @@ import os
 import resource
 import sys
 import time
-from collections import deque
 from contextlib import contextmanager
 from typing import Any, Iterator
 
@@ -44,14 +46,13 @@ OBS_LEVELS = ("off", "full")
 
 #: Environment variable consulted when no explicit level is given.
 OBS_ENV = "REPRO_OBS"
-#: Environment variable for the default event/export directory.
+#: Environment variable for the default event directory.
 OBS_DIR_ENV = "REPRO_OBS_DIR"
 
-#: Bounded per-series reservoir used for p50/p95 estimates.
-RESERVOIR_SIZE = 2048
-#: Samples retained per histogram when snapshotting for cross-process
-#: merge / export (keeps worker sink lines and telemetry.json small).
-SNAPSHOT_SAMPLES = 512
+#: Iteration wall times one ``engine_run`` event carries at most (an
+#: evenly strided subsample of the run's), so an event's size is
+#: bounded whatever the run's length.
+ITERATION_SAMPLES = 32
 
 
 def validate_obs_level(level: str) -> str:
@@ -82,79 +83,6 @@ def peak_rss_bytes() -> int:
     return int(peak)
 
 
-def _label_key(labels: dict[str, Any]) -> tuple[tuple[str, str], ...]:
-    return tuple(sorted((k, str(v)) for k, v in labels.items()))
-
-
-class Histogram:
-    """Streaming summary plus a bounded reservoir for percentiles.
-
-    ``count``/``sum``/``min``/``max`` are exact; percentiles are
-    computed over the most recent :data:`RESERVOIR_SIZE` observations,
-    which is representative for the steady-state distributions we care
-    about (iteration and phase latencies).
-    """
-
-    __slots__ = ("count", "sum", "min", "max", "_sample")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.sum = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
-        self._sample: deque[float] = deque(maxlen=RESERVOIR_SIZE)
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        self.sum += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        self._sample.append(value)
-
-    def percentile(self, q: float) -> float:
-        """Nearest-rank percentile over the retained sample."""
-
-        if not self._sample:
-            return 0.0
-        ordered = sorted(self._sample)
-        rank = min(len(ordered) - 1, int(q * (len(ordered) - 1) + 0.5))
-        return ordered[rank]
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
-    def snapshot(self) -> dict[str, Any]:
-        sample = list(self._sample)
-        if len(sample) > SNAPSHOT_SAMPLES:
-            step = len(sample) / SNAPSHOT_SAMPLES
-            sample = [sample[int(i * step)]
-                      for i in range(SNAPSHOT_SAMPLES)]
-        return {
-            "count": self.count,
-            "sum": self.sum,
-            "min": self.min if self.count else 0.0,
-            "max": self.max if self.count else 0.0,
-            "p50": self.percentile(0.50),
-            "p95": self.percentile(0.95),
-            "sample": sample,
-        }
-
-    def merge_snapshot(self, snap: dict[str, Any]) -> None:
-        count = int(snap.get("count", 0))
-        if count <= 0:
-            return
-        self.count += count
-        self.sum += float(snap.get("sum", 0.0))
-        self.min = min(self.min, float(snap.get("min", self.min)))
-        self.max = max(self.max, float(snap.get("max", self.max)))
-        for value in snap.get("sample", ()):
-            self._sample.append(float(value))
-
-
 class SpanHandle:
     """Mutable handle for an in-flight :meth:`Telemetry.span` region."""
 
@@ -166,19 +94,13 @@ class SpanHandle:
         self.seconds = 0.0
 
     def set(self, **labels: Any) -> None:
-        """Attach labels discovered while the span is open."""
+        """Attach fields discovered while the span is open; they ride
+        on the span's closing event."""
         self.labels.update(labels)
 
 
 class Telemetry:
-    """Registry of labeled counters/gauges/histograms + event emitter.
-
-    Metric series are addressed by ``(name, labels)``; label values are
-    stringified.  Merge semantics (used for worker → parent folding):
-    counters **sum**, gauges **max** (they record peaks, e.g.
-    ``peak_rss_bytes``), histograms merge their exact aggregates and
-    concatenate bounded samples.
-    """
+    """Event emitter with the ambient context stamped on every event."""
 
     def __init__(self, level: str = "off",
                  events: "EventLog | None" = None,
@@ -191,9 +113,7 @@ class Telemetry:
         self.cell: "str | None" = None
         self.attempt: "int | None" = None
         self.trace: "TraceContext | None" = None
-        self._counters: dict[str, dict[tuple, float]] = {}
-        self._gauges: dict[str, dict[tuple, float]] = {}
-        self._histograms: dict[str, dict[tuple, Histogram]] = {}
+        self._open: list[SpanHandle] = []
 
     # -- level helpers ------------------------------------------------
     @property
@@ -226,69 +146,34 @@ class Telemetry:
         *key* (``None`` when the build runs untraced)."""
         return None if self.trace is None else self.trace.child(*key)
 
-    def record_peak_rss(self) -> None:
-        """Record this process's peak RSS under worker/node labels.
-
-        Pool workers and node agents share gauge *names* when their
-        registries merge back into the parent; labeling by pid (and
-        node, when set) keeps each worker's peak as its own series
-        instead of all of them collapsing into one process-wide max.
-        """
-        if not self.enabled:
-            return
-        labels: dict[str, Any] = {"pid": os.getpid()}
-        if self.node is not None:
-            labels["node"] = self.node
-        self.gauge_max("peak_rss_bytes", peak_rss_bytes(), **labels)
-
-    # -- metric primitives --------------------------------------------
-    def inc(self, name: str, value: float = 1.0, **labels: Any) -> None:
-        if not self.enabled:
-            return
-        series = self._counters.setdefault(name, {})
-        key = _label_key(labels)
-        series[key] = series.get(key, 0.0) + value
-
-    def gauge_max(self, name: str, value: float, **labels: Any) -> None:
-        if not self.enabled:
-            return
-        series = self._gauges.setdefault(name, {})
-        key = _label_key(labels)
-        if value > series.get(key, float("-inf")):
-            series[key] = float(value)
-
-    def observe(self, name: str, value: float, **labels: Any) -> None:
-        if not self.enabled:
-            return
-        series = self._histograms.setdefault(name, {})
-        key = _label_key(labels)
-        hist = series.get(key)
-        if hist is None:
-            hist = series[key] = Histogram()
-        hist.observe(value)
-
     # -- spans ---------------------------------------------------------
+    @property
+    def current_span(self) -> "SpanHandle | None":
+        """The innermost open span, where code running inside it puts
+        facts of its own (the engine loop's run summary)."""
+        return self._open[-1] if self._open else None
+
     @contextmanager
     def span(self, name: str, **labels: Any) -> "Iterator[SpanHandle]":
-        """Time a region into the ``<name>_seconds`` histogram.
+        """Time a region and, when enabled, emit one ``span`` event.
 
-        Yields a :class:`SpanHandle`; the caller can attach labels that
+        Yields a :class:`SpanHandle`; the caller can attach fields that
         are only known mid-region via :meth:`SpanHandle.set` and read
         the measured duration from ``handle.seconds`` afterwards.  The
         region is *always* timed (callers often need the duration even
-        with telemetry off); recording and the ``span`` event only
-        happen when enabled.
+        with telemetry off); the event is written only when enabled,
+        also when the region raises.
         """
 
         handle = SpanHandle(name, dict(labels))
+        self._open.append(handle)
         started = time.perf_counter()
         try:
             yield handle
         finally:
             handle.seconds = time.perf_counter() - started
+            self._open.pop()
             if self.enabled:
-                self.observe(f"{name}_seconds", handle.seconds,
-                             **handle.labels)
                 # Phase spans are children of the ambient span (the
                 # cell), keyed by name + attempt so a retry's phases
                 # get their own deterministic node.
@@ -326,117 +211,39 @@ class Telemetry:
         event.update(fields)
         self.events.append(event)
 
-    # -- snapshot / merge ---------------------------------------------
-    def snapshot(self) -> dict[str, Any]:
-        """JSON-serialisable dump of every metric series."""
-
-        def dump(series: dict[str, dict[tuple, float]]) -> dict:
-            return {
-                name: [{"labels": dict(key), "value": value}
-                       for key, value in sorted(entries.items())]
-                for name, entries in sorted(series.items())
-            }
-
-        return {
-            "counters": dump(self._counters),
-            "gauges": dump(self._gauges),
-            "histograms": {
-                name: [{"labels": dict(key), **hist.snapshot()}
-                       for key, hist in sorted(entries.items())]
-                for name, entries in sorted(self._histograms.items())
-            },
-        }
-
-    def drain(self) -> dict[str, Any]:
-        """Snapshot every metric series, then reset them all.
-
-        Pool workers call this after each cell so the cell's metric
-        delta can ride back to the parent on the result itself — a
-        few KB per cell instead of rewriting an ever-growing
-        cumulative snapshot to disk. The event log and context are
-        untouched; only counters/gauges/histograms restart at zero.
-        Because :meth:`merge_snapshot` is associative, merging the
-        per-cell deltas in any order equals one cumulative snapshot.
-        """
-        snap = self.snapshot()
-        self._counters = {}
-        self._gauges = {}
-        self._histograms = {}
-        return snap
-
-    def merge_snapshot(self, snap: dict[str, Any]) -> None:
-        """Fold another process's :meth:`snapshot` into this registry."""
-
-        for name, entries in snap.get("counters", {}).items():
-            for entry in entries:
-                self.inc(name, float(entry.get("value", 0.0)),
-                         **entry.get("labels", {}))
-        for name, entries in snap.get("gauges", {}).items():
-            for entry in entries:
-                self.gauge_max(name, float(entry.get("value", 0.0)),
-                               **entry.get("labels", {}))
-        for name, entries in snap.get("histograms", {}).items():
-            series = self._histograms.setdefault(name, {})
-            for entry in entries:
-                key = _label_key(entry.get("labels", {}))
-                hist = series.get(key)
-                if hist is None:
-                    hist = series[key] = Histogram()
-                hist.merge_snapshot(entry)
-
-    # -- iteration helpers --------------------------------------------
-    def histogram(self, name: str, **labels: Any) -> "Histogram | None":
-        series = self._histograms.get(name)
-        if series is None:
-            return None
-        return series.get(_label_key(labels))
-
-    def counter_value(self, name: str, **labels: Any) -> float:
-        series = self._counters.get(name, {})
-        return series.get(_label_key(labels), 0.0)
-
-    def counter_total(self, name: str) -> float:
-        """Sum of a counter across all of its label series."""
-        return float(sum(self._counters.get(name, {}).values()))
-
     def close(self) -> None:
         if self.events is not None:
             self.events.close()
 
 
 class EngineObserver:
-    """Per-run engine hook: phase/iteration timing + totals.
+    """Per-run engine hook: phase/iteration timing and directions.
 
-    Where one exists the loop times every step's phases with
-    ``perf_counter`` and calls :meth:`iteration` with the per-iteration
-    ``Counters`` deltas: totals are dict increments, wall times go to
-    histograms.  Nothing here feeds back into the computation.
+    The loop times every step's phases with ``perf_counter`` and calls
+    :meth:`iteration`; :meth:`finish` puts the run's summary on the
+    enclosing span (``engine_run`` under ``run_computation``): per-phase
+    second totals, a bounded sample of iteration seconds, and the
+    synchronous engine's pull/push counts and switch points. One event
+    per run, whatever its length. Nothing here feeds back into the
+    computation.
     """
 
-    __slots__ = ("tel", "engine", "algorithm")
+    __slots__ = ("tel", "iteration_s", "phase_s", "pull", "push",
+                 "switches")
 
-    def __init__(self, tel: Telemetry, engine: str, algorithm: str) -> None:
+    def __init__(self, tel: Telemetry) -> None:
         self.tel = tel
-        self.engine = engine
-        self.algorithm = algorithm
+        self.iteration_s: list[float] = []
+        self.phase_s: dict[str, float] = {}
+        self.pull = 0
+        self.push = 0
+        self.switches: list[list] = []
 
-    def iteration(self, *, iteration: int, active: int, updates: int,
-                  edge_reads: int, messages: int,
-                  seconds: "float | None" = None,
+    def iteration(self, seconds: float,
                   phases: "dict[str, float] | None" = None) -> None:
-        tel = self.tel
-        labels = {"engine": self.engine, "algorithm": self.algorithm}
-        tel.inc("engine_iterations_total", 1, **labels)
-        tel.inc("engine_active_total", active, **labels)
-        tel.inc("engine_updates_total", updates, **labels)
-        tel.inc("engine_edge_reads_total", edge_reads, **labels)
-        tel.inc("engine_messages_total", messages, **labels)
-        if seconds is not None:
-            tel.observe("engine_iteration_seconds", seconds, **labels)
-        if phases:
-            for phase, dt in phases.items():
-                tel.observe("engine_phase_seconds", dt,
-                            phase=phase, **labels)
+        self.iteration_s.append(seconds)
+        for phase, dt in (phases or {}).items():
+            self.phase_s[phase] = self.phase_s.get(phase, 0.0) + dt
 
     def direction(self, *, mode: str, active_fraction: float,
                   switched: bool) -> None:
@@ -444,16 +251,36 @@ class EngineObserver:
 
         ``mode`` is ``"push"`` or ``"pull"``; ``switched`` marks
         iterations whose mode differs from the previous one, and those
-        observe the active fraction that triggered the switch.
+        keep the active fraction that triggered the switch.
         Observational only — the decision itself is a pure function of
         (active_fraction, threshold), never of telemetry state.
         """
-        tel = self.tel
-        labels = {"engine": self.engine, "algorithm": self.algorithm}
-        tel.inc("engine_direction_iterations_total", 1, mode=mode, **labels)
-        if switched:
-            tel.observe("engine_direction_switch_active_fraction",
-                        active_fraction, to=mode, **labels)
+        if mode == "pull":
+            self.pull += 1
+        else:
+            self.push += 1
+        if switched and len(self.switches) < ITERATION_SAMPLES:
+            self.switches.append([mode, active_fraction])
+
+    def summary(self) -> dict[str, Any]:
+        """The run's facts, as fields of one event."""
+        times = self.iteration_s
+        step = max(1, -(-len(times) // ITERATION_SAMPLES))
+        facts: dict[str, Any] = {
+            "iterations": len(times),
+            "iteration_s": times[::step],
+            "phase_s": self.phase_s,
+        }
+        if self.pull or self.push:
+            facts.update(pull_iterations=self.pull,
+                         push_iterations=self.push,
+                         switches=self.switches)
+        return facts
+
+    def finish(self) -> None:
+        span = self.tel.current_span
+        if span is not None:
+            span.set(**self.summary())
 
 
 # -- process-global instance ------------------------------------------
@@ -462,7 +289,7 @@ _TELEMETRY: "Telemetry | None" = None
 
 
 def get_telemetry() -> Telemetry:
-    """The process-wide registry (off-level unless configured)."""
+    """The process-wide telemetry (off-level unless configured)."""
 
     global _TELEMETRY
     if _TELEMETRY is None:
@@ -472,7 +299,7 @@ def get_telemetry() -> Telemetry:
 
 def configure(level: str, *, events_path: "str | None" = None,
               run_id: "str | None" = None) -> Telemetry:
-    """Install a fresh process-global registry and return it."""
+    """Install a fresh process-global telemetry and return it."""
 
     global _TELEMETRY
     if _TELEMETRY is not None:
@@ -485,7 +312,7 @@ def configure(level: str, *, events_path: "str | None" = None,
 
 
 def deactivate() -> None:
-    """Close any sink and reset the global registry to level off."""
+    """Close any sink and reset the global telemetry to level off."""
 
     global _TELEMETRY
     if _TELEMETRY is not None:
@@ -493,10 +320,10 @@ def deactivate() -> None:
     _TELEMETRY = Telemetry(level="off")
 
 
-def engine_observer(engine: str, algorithm: str) -> "EngineObserver | None":
+def engine_observer() -> "EngineObserver | None":
     """Observer for an engine run, or ``None`` when telemetry is off."""
 
     tel = get_telemetry()
     if not tel.enabled:
         return None
-    return EngineObserver(tel, engine, algorithm)
+    return EngineObserver(tel)

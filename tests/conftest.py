@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import shutil
 from contextlib import contextmanager
 from pathlib import Path
@@ -23,6 +24,7 @@ from repro.generators import (
     mrf_problem,
     powerlaw_graph,
 )
+from repro.graph.shm import SEGMENT_PREFIX, unlink_segment
 
 #: The checkout this suite runs from: subprocess tests start `repro`
 #: from here, so a suite run from a clone measures the clone.
@@ -66,6 +68,33 @@ def pull_from(fraction):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("repro.engine.engine.PULL_ACTIVE_FRACTION", fraction)
         yield
+
+
+#: Where POSIX shared memory lives on Linux; the check below is a no-op
+#: on a platform without it.
+SHM_DIR = Path("/dev/shm")
+
+
+def _shm_segments() -> "set[str]":
+    if not SHM_DIR.is_dir():
+        return set()
+    return {name for name in os.listdir(SHM_DIR)
+            if name.startswith(SEGMENT_PREFIX)}
+
+
+@pytest.fixture(autouse=True)
+def _no_shm_segment_left_behind():
+    """Fail the test that leaves a new ``repro-shm-*`` segment in
+    /dev/shm, naming it: a leak is charged to the test that made it,
+    not found later by whatever runs next on the host. The segment is
+    unlinked once named, so the next test starts clean."""
+    before = _shm_segments()
+    yield
+    leaked = sorted(_shm_segments() - before)
+    for name in leaked:
+        unlink_segment(name)
+    if leaked:
+        pytest.fail(f"test left shared-memory segments behind: {leaked}")
 
 
 @pytest.fixture(scope="session")

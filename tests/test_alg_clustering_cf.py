@@ -102,6 +102,72 @@ class TestALS:
         af = trace.active_fraction()
         assert af[-1] < af.max()
 
+    @pytest.mark.parametrize("arm", ["declared", "unfused"])
+    def test_one_half_step_is_the_normal_equation_solve(self, cf, arm):
+        """Exact oracle: after one iteration from a seeded start, every
+        user row is ``solve(Σ f fᵀ + λ·max(deg, 1)·I, Σ r f)`` over the
+        user's rating edges, computed here in NumPy from the initial
+        item factors, to 1e-12; item rows have not moved.
+
+        Only the synchronous engine runs ALS. The other three refuse to
+        run it, and the statement would not hold on them: the
+        asynchronous engine (no ``supports_async``) lets an item signaled
+        mid-round move before later users gather, and the edge- and
+        graph-centric engines (no ``supports_edge_centric``) take only
+        scalar monotone gathers, not a k×k+k Gram block.
+        """
+        from repro._util.errors import ValidationError
+        from repro.algorithms.registry import create
+        from repro.behavior.run import build_engine_options
+        from repro.engine import (
+            AsynchronousEngine,
+            EdgeCentricEngine,
+            GraphCentricEngine,
+        )
+        from tests.conftest import unfused
+
+        for engine_class in (AsynchronousEngine, EdgeCentricEngine,
+                             GraphCentricEngine):
+            with pytest.raises(ValidationError):
+                engine_class().run(create("als"), cf)
+
+        program = create("als")
+        if arm == "unfused":
+            program = unfused(program)
+        start = {}
+        init = program.init
+
+        def seeded_init(ctx):
+            frontier = init(ctx)
+            start["factors"] = program.factors.copy()
+            return frontier
+
+        program.init = seeded_init
+        engine = SynchronousEngine(
+            build_engine_options("als", {"max_iterations": 1}))
+        engine.run(program, cf)
+
+        graph, f0 = cf.graph, start["factors"]
+        src, dst = graph.edge_endpoints()
+        is_user = np.asarray(cf.inputs["is_user"], dtype=bool)
+        users = np.flatnonzero(is_user)
+        k, reg = program.k, program.reg
+        expected = f0.copy()
+        for u in users:
+            edges = np.flatnonzero((src == u) | (dst == u))
+            other = np.where(src[edges] == u, dst[edges], src[edges])
+            gram = np.zeros((k, k))
+            rhs = np.zeros(k)
+            for e, i in zip(edges, other):
+                gram += np.outer(f0[i], f0[i])
+                rhs += graph.edge_weight[e] * f0[i]
+            ridge = reg * max(edges.size, 1)
+            expected[u] = np.linalg.solve(gram + ridge * np.eye(k), rhs)
+        assert np.abs(program.factors[users] - expected[users]).max() \
+            <= 1e-12
+        np.testing.assert_array_equal(program.factors[~is_user],
+                                      f0[~is_user])
+
     def test_requires_weighted_graph(self):
         prob = powerlaw_graph(200, 2.5, seed=1)
         prob.domain = "cf"

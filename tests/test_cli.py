@@ -169,8 +169,9 @@ class TestObsCommands:
         assert "harness: graph_source=" in out
         assert "timeout_enforced=" in out
         assert f"telemetry: {obs_dir}" in out
-        assert (obs_dir / "events.jsonl").exists()
-        assert (obs_dir / "telemetry.json").exists()
+        # The event log is the one record.
+        assert sorted(p.name for p in obs_dir.iterdir()) == [
+            "events.jsonl"]
 
         code, out, _err = run_cli(capsys, "stats", str(obs_dir))
         assert code == 0

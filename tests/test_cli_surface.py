@@ -173,7 +173,7 @@ PRINTS: "dict[tuple[str, str], str]" = {
     ("design", "--scheme"): "scheme=log",
     ("ensemble", "--strategy"): "strategy=greedy",
     ("stats", "--node"): "cc@ga(nedges=200, α=2.0)",
-    ("stats", "--format"): '"metrics"',
+    ("stats", "--format"): '"complete": true',
     ("trace", "--cell"): "cc@ga(nedges=200, α=2.0)",
     ("critical-path", "--format"): '"window_s"',
     ("bench compare", "--artifact"): "RESULT: OK",

@@ -53,7 +53,7 @@ from repro.experiments.failures import RunFailure
 from repro.experiments.results import ResultStore
 from repro.experiments.scheduler import POLL_S
 from repro.experiments.worksite import HeartbeatWriter
-from repro.obs.events import node_metrics_path, node_sink_path, read_events
+from repro.obs.events import node_sink_path, read_events
 
 DQ_PROFILE = Profile(
     name="dq-test",
@@ -818,7 +818,7 @@ class TestShutdownAndFaults:
 
     def test_a_node_flushes_before_its_done_beat(self, tmp_path):
         """The coordinator merges a peer's sink once it reads the peer's
-        ``done`` beat: the metrics snapshot and the ``stop`` event must
+        ``done`` beat: the ``stop`` event, with the node's peak RSS, must
         be on disk by then."""
         from repro.obs.telemetry import get_telemetry
 
@@ -832,10 +832,8 @@ class TestShutdownAndFaults:
 
         def write_beat(node, payload):
             if payload["done"]:
-                seen.append((
-                    node_metrics_path(obs_dir, node).exists(),
-                    [e.get("action") for e in
-                     read_events(node_sink_path(obs_dir, node))]))
+                seen.append(list(read_events(node_sink_path(obs_dir,
+                                                            node))))
             real_write_beat(node, payload)
 
         queue.write_beat = write_beat
@@ -844,5 +842,6 @@ class TestShutdownAndFaults:
         finally:
             get_telemetry().set_node(None)
         (at_done,) = seen
-        assert at_done[0] and at_done[1][-1] == "stop"
+        assert at_done[-1]["action"] == "stop"
+        assert at_done[-1]["peak_rss_bytes"] > 0
         assert queue.read_beats()["n1"].done

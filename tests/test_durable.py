@@ -25,11 +25,7 @@ from repro.experiments.config import (
 from repro.experiments.corpus import _run_cell, run_cache_key
 from repro.experiments.distqueue import DistributedQueue
 from repro.experiments.results import ResultStore
-from repro.obs.events import write_worker_metrics
-from repro.obs.export import (
-    load_telemetry,
-    write_telemetry_json,
-)
+from repro.obs.events import read_all_events
 from repro.obs.telemetry import configure, deactivate
 from tests.test_resilience import TINY_PROFILE, _planned
 from tests.test_store_concurrency import _trace_for
@@ -80,12 +76,6 @@ WRITERS = {
         lambda d: str(_queue(d).read_done("t")["gen"])),
     "heartbeat": (
         _beat, lambda d: str(_queue(d).read_beats()["n"].epoch)),
-    "worker-metrics": (
-        lambda d, g: write_worker_metrics(d / "m.json", {"gen": g}),
-        lambda d: str(durable.read_json_object(d / "m.json")["gen"])),
-    "telemetry-json": (
-        lambda d, g: write_telemetry_json(d, {}, gen=g),
-        lambda d: str(load_telemetry(d)["gen"])),
 }
 
 
@@ -133,15 +123,15 @@ def test_queue_and_heartbeat_writes_never_create_a_directory(tmp_path):
     assert not gone.exists()
 
 
-def test_concurrent_telemetry_exports_never_tear(tmp_path):
-    snapshot = {"counters": {f"series_{i}": [{"labels": {}, "value": i}]
-                             for i in range(2000)}}
+def test_concurrent_publishes_never_tear(tmp_path):
+    path = tmp_path / "record.json"
+    text = json.dumps({f"series_{i}": i for i in range(20_000)})
     errors: list = []
 
     def export() -> None:
         try:
             for _ in range(200):
-                write_telemetry_json(tmp_path, snapshot)
+                durable.publish(path, text)
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
@@ -149,7 +139,6 @@ def test_concurrent_telemetry_exports_never_tear(tmp_path):
     for thread in writers:
         thread.start()
     torn = reads = 0
-    path = tmp_path / "telemetry.json"
     while any(thread.is_alive() for thread in writers):
         try:
             json.loads(path.read_text(encoding="utf-8"))
@@ -208,12 +197,16 @@ class TestRetryTransientDisk:
         assert state["calls"] == 4
 
     def test_result_store_counts_its_retries(self, tmp_path, monkeypatch):
-        tel = configure("full")
+        configure("full", events_path=tmp_path / "obs" / "events.jsonl")
         _failing_replace(monkeypatch, errno.EIO, times=2)
-        store = ResultStore(tmp_path)
+        store = ResultStore(tmp_path / "store")
         store.save("k", _trace_for("k"))
         assert store.load("k") is not None
-        assert tel.counter_total("store_disk_retries_total") == 2
+        deactivate()
+        retries = [e for e in read_all_events(tmp_path / "obs")
+                   if e["kind"] == "store"
+                   and e["action"] == "disk-retry"]
+        assert len(retries) == 2
 
     def test_exhausted_budget_records_a_disk_io_cell(
             self, tmp_path, monkeypatch):

@@ -15,7 +15,7 @@ from repro.ensemble.constrained import (
     limit_to_structures,
     truncate_trace,
 )
-from repro.ensemble.fast import FastEngine
+from repro.ensemble.fast import FastEngine, tie_sorted
 from repro.ensemble.frequency import algorithm_frequencies
 from repro.ensemble.metrics import coverage, spread
 from repro.ensemble.search import (
@@ -151,6 +151,43 @@ class TestBestEnsemble:
             call()
             with pytest.raises(TypeError, match="engine"):
                 call(engine="fast")
+
+
+class TestSearchSpan:
+    def test_each_search_event_carries_its_own_work(self, tmp_path):
+        """One ``ensemble_search`` event per size of a curve, each with
+        the states and tile-cache lookups that search added — not the
+        engine's running totals — and greedy's re-evaluations."""
+        from repro.obs.events import read_all_events
+        from repro.obs.telemetry import configure, deactivate
+
+        pool = random_pool(n=30)
+        configure("full", events_path=tmp_path / "events.jsonl")
+        try:
+            best_ensemble_curve(pool, [2, 3], "spread")
+            best_ensemble(pool, 4, "coverage", strategy="greedy",
+                          n_samples=200)
+        finally:
+            deactivate()
+        spans = [e for e in read_all_events(tmp_path)
+                 if e.get("name") == "ensemble_search"]
+        assert [(e["metric"], e["size"], e["strategy"]) for e in spans] \
+            == [("spread", 2, "beam"), ("spread", 3, "beam"),
+                ("coverage", 4, "greedy")]
+        for event in spans:
+            assert event["states"] > 0
+            assert event["cache_hits"] + event["cache_misses"] > 0
+        assert "reevaluations" not in spans[0]
+        assert spans[2]["reevaluations"] >= 0
+        # Per search, not cumulative: the curve's second search counts
+        # what a fresh engine scores for that size alone.
+        for event in spans[:2]:
+            engine = FastEngine(np.array([v.as_array() for v in pool]),
+                                "spread", space=BehaviorSpace(),
+                                samples=None, n_samples=0, seed=0)
+            _, best = tie_sorted(engine.beam(event["size"], 64))[0]
+            engine.refine(best)
+            assert event["states"] == engine.states
 
 
 class TestTieStability:

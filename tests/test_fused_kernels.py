@@ -246,9 +246,10 @@ def test_reduce_block_matches_segmented_reduce():
 
 
 def test_auto_switch_telemetry(tmp_path, monkeypatch):
-    """A run that crosses the direction threshold mid-flight records
-    per-mode iteration counters and the switch-point histogram."""
-    from repro.obs.telemetry import configure, deactivate, get_telemetry
+    """A run that crosses the direction threshold mid-flight puts its
+    per-mode iteration counts and its switch points on the span around
+    it (``engine_run`` in a corpus cell)."""
+    from repro.obs.telemetry import configure, deactivate
 
     problem = powerlaw_graph(2_000, 2.3, seed=11)
     # PageRank's frontier decays gradually: with the threshold at 0.5
@@ -260,20 +261,16 @@ def test_auto_switch_telemetry(tmp_path, monkeypatch):
     assert max(fractions) >= 0.5 > min(fractions), \
         "workload must cross the threshold for this test to bite"
 
-    configure("full", run_id="dirsw")
+    tel = configure("full", run_id="dirsw")
     try:
-        run_arm("pagerank", problem, "auto")
-        tel = get_telemetry()
-        labels = dict(engine="synchronous", algorithm="pagerank")
-        pulls = tel.counter_value("engine_direction_iterations_total",
-                                  mode="pull", **labels)
-        pushes = tel.counter_value("engine_direction_iterations_total",
-                                   mode="push", **labels)
-        assert pulls == sum(f >= 0.5 for f in fractions)
-        assert pushes == sum(f < 0.5 for f in fractions)
-        hist = tel.histogram("engine_direction_switch_active_fraction",
-                             to="push", **labels)
-        assert hist is not None and hist.count >= 1
+        with tel.span("engine_run") as span:
+            run_arm("pagerank", problem, "auto")
+        facts = span.labels
+        assert facts["pull_iterations"] == sum(f >= 0.5 for f in fractions)
+        assert facts["push_iterations"] == sum(f < 0.5 for f in fractions)
+        assert facts["switches"] and all(
+            mode == "push" and fraction < 0.5
+            for mode, fraction in facts["switches"])
     finally:
         deactivate()
 

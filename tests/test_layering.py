@@ -161,7 +161,11 @@ def test_the_untaken_paths_left_src():
                 "_drain_requeues", "backoff_cap_s", "checkpoint",
                 "CheckpointConfig", "SnapshotStore", "snapshot_keys",
                 "REPRO_CHECKPOINT_DIR", "REPRO_INJECT_KILL", "state_dict",
-                "gather_source_exact"]
+                "gather_source_exact", "telemetry.json", "merge_snapshot",
+                "counter_value", "counter_total", "obs_snapshot",
+                "gauge_max", "record_peak_rss", "write_worker_metrics",
+                "node_metrics_path", "class Histogram", "tel.inc(",
+                "tel.observe("]
         if file not in STORES:
             gone.append("gc_quarantine")
         if file.startswith("ensemble/"):

@@ -1,5 +1,5 @@
-"""Unit tests for the telemetry plane: registry, events, exporters,
-merge semantics, and the progress-event/human-line contract."""
+"""Unit tests for the telemetry plane: spans, events, sink merge, the
+stats fold, and the progress-event/human-line contract."""
 
 import json
 from pathlib import Path
@@ -13,20 +13,14 @@ from repro.obs.events import (
     EventLog,
     follow_events,
     merge_sinks,
-    node_metrics_path,
     read_all_events,
     read_events,
     worker_sink_path,
-    write_worker_metrics,
-)
-from repro.obs.export import (
-    load_telemetry,
-    write_telemetry_json,
 )
 from repro.obs.telemetry import (
+    ITERATION_SAMPLES,
     OBS_ENV,
     EngineObserver,
-    Histogram,
     Telemetry,
     configure,
     deactivate,
@@ -40,67 +34,85 @@ from repro.obs.telemetry import (
 
 DATA = Path(__file__).parent / "data"
 
+MiB = 1 << 20
 
-def write_stats_fixture(obs_dir: Path) -> None:
-    """An obs directory that fills every section of ``repro stats``:
-    a metric snapshot, and node-stamped events including a failed cell
-    whose ``cell_end`` has no graph source or timings."""
-    tel = Telemetry(level="full")
-    tel.inc("corpus_cells_total", 5.0, status="ok", source="run")
-    tel.inc("corpus_cells_total", 2.0, status="ok", source="cache")
-    tel.inc("corpus_cells_total", 1.0, status="failed", source="run")
-    tel.inc("corpus_failures_total", 1.0, kind="timeout")
-    tel.inc("corpus_retries_total", 2.0)
-    tel.inc("corpus_cell_seconds_total", 8.0, phase="engine")
-    tel.inc("corpus_cell_seconds_total", 2.0, phase="materialize")
-    tel.inc("corpus_cell_seconds_total", 0.25, phase="store")
-    for engine, phase, seconds in (("synchronous", "gather", 0.003),
-                                   ("synchronous", "apply", 0.001),
-                                   ("asynchronous", "scatter", 0.002)):
-        for _ in range(3):
-            tel.observe("engine_phase_seconds", seconds, engine=engine,
-                        phase=phase)
-    # A second series of one (engine, phase): the report merges them.
-    tel.observe("engine_phase_seconds", 0.004, engine="synchronous",
-                phase="gather", algorithm="pagerank")
-    tel.inc("graph_resolutions_total", 9.0, source="shm")
-    tel.inc("graph_resolutions_total", 1.0, source="generated")
-    tel.inc("shm_published_bytes_total", float(3 << 20))
-    tel.inc("shm_attach_failures_total", 1.0)
-    tel.inc("health_trips_total", 1.0, condition="stall")
-    tel.gauge_max("peak_rss_bytes", float(64 << 20), pid="11")
-    tel.gauge_max("peak_rss_bytes", float(80 << 20), node="n1")
-    tel.observe("engine_iteration_seconds", 0.1,
-                engine="synchronous", algorithm="cc")
-    tel.observe("ensemble_search_seconds", 0.2, metric="spread",
-                size=4, strategy="beam")
-    tel.observe("ensemble_search_seconds", 0.1, metric="spread",
-                size=12, strategy="beam")
-    tel.inc("ensemble_search_states_total", 70.0, metric="spread")
-    tel.inc("ensemble_block_cache_total", 3.0, outcome="hit")
-    tel.inc("ensemble_block_cache_total", 1.0, outcome="miss")
-    tel.observe("ensemble_greedy_reevaluations", 6.0)
-    write_telemetry_json(obs_dir, tel.snapshot(), run="deadbeef",
-                         level="full", profile="fixture", workers=2,
-                         build_seconds=1.5, interrupted=False)
-    events = [
-        {"kind": "node", "node": "n1", "action": "claim"},
-        {"kind": "node", "node": "n1", "action": "stale-epoch-rejected"},
-        {"kind": "cell_end", "node": "n1", "cell": "pagerank@b",
-         "status": "ok", "source": "run", "graph_source": "shm",
-         "attempts": 2, "materialize_s": 0.01, "engine_s": 0.5,
-         "store_s": 0.002},
-        {"kind": "cell_end", "node": "coordinator", "cell": "cc@a",
-         "status": "failed", "source": "run", "failure_kind": "timeout",
-         "attempts": 3},
-        {"kind": "cell_end", "node": "n1", "cell": "als@a",
-         "status": "ok", "source": "cache", "graph_source": "cache"},
-        {"kind": "cell_end", "cell": "kmeans@c", "status": "degraded",
-         "source": "run", "graph_source": "generated"},
-    ]
+
+def _span(name, **fields):
+    return {"kind": "span", "name": name, **fields}
+
+
+#: Events that fill every section of ``repro stats``: a build's start
+#: and end, node-stamped cells (one failed, with no graph source or
+#: timings; one from the cache), retries, graph resolutions, engine
+#: runs on two engines, shm traffic, a watchdog trip, ensemble
+#: searches, and peak RSS from two processes.
+STATS_FIXTURE = [
+    {"kind": "build_start", "run": "deadbeef", "level": "full",
+     "profile": "fixture", "workers": 2, "planned": 4, "pid": 11},
+    {"kind": "node", "node": "n1", "action": "claim", "pid": 7},
+    {"kind": "node", "node": "n1", "action": "stale-epoch-rejected",
+     "pid": 7},
+    *[_span("materialize", source="shm", node="n1", pid=7)
+      for _ in range(9)],
+    _span("materialize", source="generated", pid=12),
+    _span("engine_run", algorithm="cc", engine="synchronous",
+          iterations=3, iteration_s=[0.1, 0.1, 0.1],
+          phase_s={"gather": 0.009, "apply": 0.003}, pid=12),
+    _span("engine_run", algorithm="pagerank", engine="synchronous",
+          iterations=1, iteration_s=[0.05],
+          phase_s={"gather": 0.004}, node="n1", pid=7),
+    _span("engine_run", algorithm="pagerank", engine="asynchronous",
+          iterations=3, iteration_s=[0.002, 0.002, 0.002],
+          phase_s={"scatter": 0.006}, node="n1", pid=7),
+    {"kind": "shm", "action": "publish", "bytes": 3 * MiB, "pid": 11},
+    {"kind": "shm", "action": "attach-failed", "pid": 12},
+    {"kind": "health", "condition": "stall", "pid": 12},
+    {"kind": "retry", "cell": "cc@a", "failure_kind": "timeout",
+     "node": "coordinator", "pid": 12},
+    {"kind": "retry", "cell": "cc@a", "failure_kind": "timeout",
+     "node": "coordinator", "pid": 12},
+    {"kind": "cell_end", "node": "n1", "cell": "pagerank@b",
+     "status": "ok", "source": "run", "graph_source": "shm",
+     "attempts": 2, "materialize_s": 2.0, "engine_s": 8.0,
+     "store_s": 0.25, "peak_rss_bytes": 80 * MiB, "pid": 7},
+    {"kind": "cell_end", "node": "coordinator", "cell": "cc@a",
+     "status": "failed", "source": "run", "failure_kind": "timeout",
+     "attempts": 3, "pid": 12},
+    {"kind": "cell_end", "node": "n1", "cell": "als@a",
+     "status": "ok", "source": "cache", "graph_source": "cache",
+     "pid": 7},
+    {"kind": "cell_end", "cell": "kmeans@c", "status": "degraded",
+     "source": "run", "graph_source": "generated", "materialize_s": 0.0,
+     "engine_s": 0.0, "store_s": 0.0, "pid": 12},
+    _span("ensemble_search", metric="spread", strategy="beam", size=4,
+          seconds=0.2, states=70, cache_hits=3, cache_misses=1, pid=11),
+    _span("ensemble_search", metric="spread", strategy="beam", size=12,
+          seconds=0.1, states=0, cache_hits=0, cache_misses=0, pid=11),
+    _span("ensemble_search", metric="coverage", strategy="greedy",
+          size=5, seconds=0.05, states=35, cache_hits=0, cache_misses=0,
+          reevaluations=30, pid=11),
+    {"kind": "build_end", "runs": 3, "failures": 1,
+     "interrupted": False, "seconds": 1.5, "peak_rss_bytes": 64 * MiB,
+     "pid": 11},
+]
+
+
+def write_events(obs_dir: Path, events: "list[dict]") -> None:
+    obs_dir.mkdir(parents=True, exist_ok=True)
     (obs_dir / EVENTS_FILENAME).write_text(
         "".join(json.dumps({"ts": 1.0, "pid": 1, **e}) + "\n"
                 for e in events), encoding="utf-8")
+
+
+def write_stats_fixture(obs_dir: Path) -> None:
+    """An obs directory, written as events only, that fills every
+    section of ``repro stats``."""
+    write_events(obs_dir, STATS_FIXTURE)
+
+
+def _fixture_dir(tmp_path: Path) -> Path:
+    write_stats_fixture(tmp_path)
+    return tmp_path
 
 
 @pytest.fixture(autouse=True)
@@ -136,137 +148,36 @@ class TestObsLevels:
         assert peak_rss_bytes() > 1 << 20  # a python process is >1 MiB
 
 
-class TestHistogram:
-    def test_exact_aggregates(self):
-        h = Histogram()
-        for v in (3.0, 1.0, 2.0):
-            h.observe(v)
-        assert h.count == 3
-        assert h.sum == 6.0
-        assert h.min == 1.0
-        assert h.max == 3.0
-        assert h.mean == 2.0
-
-    def test_nearest_rank_percentiles(self):
-        h = Histogram()
-        for v in range(1, 101):  # 1..100
-            h.observe(float(v))
-        # Nearest-rank on 100 values: rank(0.5) = round(49.5) = 50.
-        assert h.percentile(0.50) == 51.0
-        assert h.percentile(0.95) == 95.0
-        assert h.percentile(0.0) == 1.0
-        assert h.percentile(1.0) == 100.0
-
-    def test_empty_percentile_is_zero(self):
-        assert Histogram().percentile(0.5) == 0.0
-
-    def test_snapshot_bounds_sample(self):
-        h = Histogram()
-        for v in range(2_000):
-            h.observe(float(v))
-        snap = h.snapshot()
-        assert snap["count"] == 2_000
-        assert len(snap["sample"]) <= 512
-
-    def test_merge_snapshot_combines_exact_fields(self):
-        a, b = Histogram(), Histogram()
-        a.observe(1.0)
-        a.observe(5.0)
-        b.observe(3.0)
-        a.merge_snapshot(b.snapshot())
-        assert a.count == 3
-        assert a.sum == 9.0
-        assert a.min == 1.0
-        assert a.max == 5.0
-
-    def test_merge_empty_snapshot_is_noop(self):
-        a = Histogram()
-        a.observe(2.0)
-        a.merge_snapshot(Histogram().snapshot())
-        assert a.count == 1 and a.min == 2.0
-
-
 class TestTelemetryRegistry:
-    def test_off_level_is_inert(self):
-        tel = Telemetry(level="off")
-        tel.inc("c")
-        tel.gauge_max("g", 5.0)
-        tel.observe("h", 1.0)
+    def test_off_level_is_inert(self, tmp_path):
+        """Off means no event at all, spans included, even with a sink."""
+        log_path = tmp_path / "events.jsonl"
+        tel = Telemetry(level="off", events=EventLog(log_path))
+        tel.emit("cell_end", status="ok")
+        with tel.span("engine_run") as sp:
+            sp.set(iterations=3)
+        tel.close()
         assert not tel.enabled
-        assert tel.counter_value("c") == 0.0
-        assert tel.snapshot() == {"counters": {}, "gauges": {},
-                                  "histograms": {}}
-
-    def test_labeled_series_are_distinct(self):
-        tel = Telemetry(level="full")
-        tel.inc("cells", status="ok")
-        tel.inc("cells", status="ok")
-        tel.inc("cells", status="failed")
-        assert tel.counter_value("cells", status="ok") == 2.0
-        assert tel.counter_value("cells", status="failed") == 1.0
-        assert tel.counter_total("cells") == 3.0
-
-    def test_gauge_keeps_maximum(self):
-        tel = Telemetry(level="full")
-        tel.gauge_max("peak", 10.0)
-        tel.gauge_max("peak", 4.0)
-        tel.gauge_max("peak", 12.0)
-        snap = tel.snapshot()
-        assert snap["gauges"]["peak"][0]["value"] == 12.0
-
-    def test_merge_snapshot_sums_counters_maxes_gauges(self):
-        parent = Telemetry(level="full")
-        parent.inc("cells", 2.0, status="ok")
-        parent.gauge_max("peak_rss_bytes", 100.0)
-        parent.observe("lat", 1.0)
-
-        worker = Telemetry(level="full")
-        worker.inc("cells", 3.0, status="ok")
-        worker.gauge_max("peak_rss_bytes", 250.0)
-        worker.observe("lat", 3.0)
-
-        parent.merge_snapshot(worker.snapshot())
-        assert parent.counter_value("cells", status="ok") == 5.0
-        snap = parent.snapshot()
-        assert snap["gauges"]["peak_rss_bytes"][0]["value"] == 250.0
-        hist = parent.histogram("lat")
-        assert hist.count == 2 and hist.sum == 4.0
-
-    def test_merge_is_associative_on_registries(self):
-        def fresh(n):
-            t = Telemetry(level="full")
-            t.inc("c", n, kind="x")
-            t.gauge_max("g", n * 10.0)
-            return t
-
-        left = fresh(1)
-        mid = fresh(2)
-        mid.merge_snapshot(fresh(3).snapshot())
-        left.merge_snapshot(mid.snapshot())
-
-        right = fresh(1)
-        right.merge_snapshot(fresh(2).snapshot())
-        right.merge_snapshot(fresh(3).snapshot())
-
-        assert (left.counter_value("c", kind="x")
-                == right.counter_value("c", kind="x") == 6.0)
-        assert left.snapshot()["gauges"] == right.snapshot()["gauges"]
+        assert list(read_events(log_path)) == []
 
 
 class TestSpan:
     def test_measures_even_when_off(self):
         tel = Telemetry(level="off")
         with tel.span("work") as sp:
-            pass
+            assert tel.current_span is sp
         assert sp.seconds >= 0.0
-        assert tel.histogram("work_seconds") is None
+        assert tel.current_span is None
 
-    def test_records_histogram_and_late_labels(self):
-        tel = Telemetry(level="full")
+    def test_late_labels_ride_on_the_span_event(self, tmp_path):
+        log_path = tmp_path / "events.jsonl"
+        tel = Telemetry(level="full", events=EventLog(log_path))
         with tel.span("materialize") as sp:
             sp.set(source="shm")
-        hist = tel.histogram("materialize_seconds", source="shm")
-        assert hist is not None and hist.count == 1
+        tel.close()
+        (event,) = read_events(log_path)
+        assert event["name"] == "materialize"
+        assert event["source"] == "shm"
 
     def test_full_level_emits_span_event(self, tmp_path):
         log_path = tmp_path / "events.jsonl"
@@ -284,49 +195,72 @@ class TestSpan:
         assert ev["run"] == "r1"
         assert ev["seconds"] >= 0.0
 
-    def test_records_on_exception(self):
-        tel = Telemetry(level="full")
+    def test_records_on_exception(self, tmp_path):
+        log_path = tmp_path / "events.jsonl"
+        tel = Telemetry(level="full", events=EventLog(log_path))
         with pytest.raises(RuntimeError):
             with tel.span("engine_run"):
                 raise RuntimeError("boom")
-        assert tel.histogram("engine_run_seconds").count == 1
+        tel.close()
+        (event,) = read_events(log_path)
+        assert event["name"] == "engine_run"
+        assert tel.current_span is None
+
+
+def _engine_runs(obs_dir):
+    return [e for e in read_all_events(obs_dir)
+            if e.get("kind") == "span" and e.get("name") == "engine_run"]
 
 
 class TestEngineObserver:
     def test_off_returns_none(self):
         deactivate()
-        assert engine_observer("synchronous", "cc") is None
+        assert engine_observer() is None
 
-    def test_sampling_rate_by_level(self, ga_problem):
+    def test_sampling_rate_by_level(self, ga_problem, tmp_path):
         """Two levels, two rates: no observer at ``off``, every
-        iteration timed at ``full``."""
+        iteration timed at ``full`` — into one ``engine_run`` event."""
         deactivate()
-        run_computation("cc", ga_problem)
-        assert get_telemetry().histogram(
-            "engine_iteration_seconds", engine="synchronous",
-            algorithm="cc") is None
-        tel = configure("full")
         trace = run_computation("cc", ga_problem)
-        assert tel.histogram(
-            "engine_iteration_seconds", engine="synchronous",
-            algorithm="cc").count == trace.n_iterations >= 2
+        configure("full", events_path=tmp_path / "events.jsonl")
+        run_computation("cc", ga_problem)
+        deactivate()
+        (event,) = _engine_runs(tmp_path)
+        assert event["algorithm"] == "cc"
+        assert event["engine"] == "synchronous"
+        assert event["iterations"] == trace.n_iterations >= 2
+        assert len(event["iteration_s"]) == trace.n_iterations
+        assert set(event["phase_s"]) == {"gather", "apply", "scatter"}
 
     def test_iteration_totals_and_sampled_timing(self):
         tel = Telemetry(level="full")
-        obs = EngineObserver(tel, "synchronous", "cc")
-        obs.iteration(iteration=0, active=10, updates=10, edge_reads=40,
-                      messages=20, seconds=0.5,
-                      phases={"gather": 0.2, "apply": 0.3})
-        obs.iteration(iteration=1, active=4, updates=4, edge_reads=16,
-                      messages=8)  # untimed: totals only
-        labels = {"engine": "synchronous", "algorithm": "cc"}
-        assert tel.counter_value("engine_iterations_total",
-                                 **labels) == 2.0
-        assert tel.counter_value("engine_active_total", **labels) == 14.0
-        assert tel.histogram("engine_iteration_seconds",
-                             **labels).count == 1
-        assert tel.histogram("engine_phase_seconds", phase="gather",
-                             **labels).count == 1
+        obs = EngineObserver(tel)
+        n = 3 * ITERATION_SAMPLES + 1
+        for i in range(n):
+            obs.iteration(float(i), {"gather": 0.25, "apply": 0.5})
+        summary = obs.summary()
+        assert summary["iterations"] == n
+        assert summary["phase_s"] == {"gather": 0.25 * n, "apply": 0.5 * n}
+        # A bounded, evenly strided sample that starts at the first.
+        sample = summary["iteration_s"]
+        assert len(sample) <= ITERATION_SAMPLES
+        assert sample[0] == 0.0 and sample == sorted(sample)
+        assert "pull_iterations" not in summary  # no direction decided
+        with tel.span("engine_run") as span:
+            obs.finish()
+        assert span.labels["iterations"] == n
+
+    def test_direction_counts_and_switches(self):
+        obs = EngineObserver(Telemetry(level="full"))
+        for mode, fraction, switched in (("pull", 0.9, False),
+                                         ("pull", 0.6, False),
+                                         ("push", 0.1, True)):
+            obs.direction(mode=mode, active_fraction=fraction,
+                          switched=switched)
+        summary = obs.summary()
+        assert summary["pull_iterations"] == 2
+        assert summary["push_iterations"] == 1
+        assert summary["switches"] == [["push", 0.1]]
 
 
 class TestEventLog:
@@ -421,7 +355,7 @@ class TestFollowEvents:
 
 
 class TestMergeSinks:
-    def test_merges_rotated_sinks_and_metrics_files(self, tmp_path):
+    def test_merges_rotated_sinks(self, tmp_path):
         sink = worker_sink_path(tmp_path, 111)
         sink.parent.mkdir(parents=True)
         rotated = sink.with_name(sink.name + ".1")
@@ -430,18 +364,12 @@ class TestMergeSinks:
         with open(sink, "w", encoding="utf-8") as fh:
             fh.write(json.dumps({"kind": "cell_end", "i": 1}) + "\n")
             fh.write('{"kind": "torn"')  # SIGKILL mid-write
-        write_worker_metrics(
-            node_metrics_path(tmp_path, "node-111"),
-            {"counters": {"c": [{"labels": {}, "value": 2.0}]},
-             "gauges": {}, "histograms": {}})
 
         main = EventLog(tmp_path / "events.jsonl")
-        merged, snapshots = merge_sinks(tmp_path, main)
+        merged = merge_sinks(tmp_path, main)
         main.close()
 
         assert merged == 2
-        assert len(snapshots) == 1
-        assert snapshots[0]["counters"]["c"][0]["value"] == 2.0
         events = read_all_events(tmp_path)
         # Rotated (older) sink content lands before the live sink's.
         assert [e["kind"] for e in events] == ["cell_start", "cell_end"]
@@ -449,39 +377,7 @@ class TestMergeSinks:
         assert not sink.parent.exists()  # empty sink dir removed
 
     def test_no_sink_dir_is_noop(self, tmp_path):
-        assert merge_sinks(tmp_path, None) == (0, [])
-
-    def test_worker_metrics_overwrite_is_atomic(self, tmp_path):
-        path = node_metrics_path(tmp_path, "n/5")
-        write_worker_metrics(path, {"v": 1})
-        write_worker_metrics(path, {"v": 2})
-        assert json.loads(path.read_text(encoding="utf-8")) == {"v": 2}
-        assert list(path.parent.glob("*.tmp")) == []
-
-
-class TestExporters:
-    def _snapshot(self):
-        tel = Telemetry(level="full")
-        tel.inc("corpus_cells_total", 3.0, status="ok")
-        tel.gauge_max("peak_rss_bytes", 1024.0)
-        tel.observe("engine_iteration_seconds", 0.25,
-                    engine="synchronous")
-        return tel.snapshot()
-
-    def test_telemetry_json_roundtrip(self, tmp_path):
-        write_telemetry_json(tmp_path, self._snapshot(), run="abc",
-                             level="full")
-        payload = load_telemetry(tmp_path)
-        assert payload["schema"] == 1
-        assert payload["run"] == "abc"
-        counters = payload["metrics"]["counters"]
-        assert counters["corpus_cells_total"][0]["value"] == 3.0
-
-    def test_load_missing_or_corrupt_returns_none(self, tmp_path):
-        assert load_telemetry(tmp_path) is None
-        (tmp_path / "telemetry.json").write_text("{not json",
-                                                 encoding="utf-8")
-        assert load_telemetry(tmp_path) is None
+        assert merge_sinks(tmp_path, None) == 0
 
 
 class TestGlobalConfigure:
@@ -581,9 +477,7 @@ class TestStatsRendering:
         from repro.obs.stats import resolve_run_dir
 
         obs = tmp_path / "obs"
-        obs.mkdir()
-        write_telemetry_json(obs, {"counters": {}, "gauges": {},
-                                   "histograms": {}})
+        write_events(obs, [{"kind": "build_start"}])
         assert resolve_run_dir(obs) == obs
         assert resolve_run_dir(tmp_path) == obs
         with pytest.raises(ValidationError):
@@ -592,39 +486,25 @@ class TestStatsRendering:
     def test_render_stats_sections(self, tmp_path):
         from repro.obs.stats import render_stats
 
-        tel = Telemetry(level="full")
-        tel.inc("corpus_cells_total", 5.0, status="ok", source="run")
-        tel.inc("corpus_cells_total", 1.0, status="failed", source="run")
-        tel.inc("corpus_failures_total", 1.0, kind="timeout")
-        tel.inc("corpus_cell_seconds_total", 8.0, phase="engine")
-        tel.inc("corpus_cell_seconds_total", 2.0, phase="materialize")
-        tel.inc("graph_resolutions_total", 9.0, source="shm")
-        tel.inc("graph_resolutions_total", 1.0, source="generated")
-        tel.gauge_max("peak_rss_bytes", float(64 << 20))
-        tel.observe("engine_iteration_seconds", 0.1,
-                    engine="synchronous", algorithm="cc")
-        tel.observe("ensemble_search_seconds", 0.2, metric="spread",
-                    size=4, strategy="beam")
-        tel.inc("ensemble_search_states_total", 70.0, metric="spread")
-        tel.inc("ensemble_search_states_total", 5.0, metric="coverage")
-        write_telemetry_json(tmp_path, tel.snapshot(), run="deadbeef",
-                             level="full")
+        write_stats_fixture(tmp_path)
         out = render_stats(tmp_path)
         assert "Cell outcomes" in out
         assert "Failure taxonomy" in out and "timeout" in out
         assert "Graph resolution" in out and "90.0%" in out
-        assert "peak RSS: 64.0 MiB" in out
+        assert "peak RSS: 80.0 MiB" in out
         assert "Iteration latency (sampled)" in out
         table = out[out.index("Ensemble search"):].splitlines()
         assert [c.strip() for c in table[1].split("|")] == [
             "metric", "strategy", "size", "searches", "total s"]
-        assert "ensemble states scored: 75" in out
+        assert "ensemble states scored: 105" in out
+        assert "mean 6.0/step over 5 steps" in out
+        assert "log: partial" not in out
 
     @pytest.mark.parametrize("node", [None, "n1"])
     def test_text_report_is_pinned(self, tmp_path, node):
-        """The text report is a formatter over ``stats_payload``; its
-        bytes are pinned to the report the earlier, separately derived
-        renderer printed for the same directory."""
+        """The text report is a fold over the event log; its bytes are
+        pinned to the golden file this renderer printed for the
+        fixture (re-record by rendering, never by hand)."""
         from repro.obs.stats import render_stats
 
         write_stats_fixture(tmp_path)
@@ -632,6 +512,109 @@ class TestStatsRendering:
         expected = (DATA / name).read_text(encoding="utf-8")
         out = render_stats(tmp_path, node=node)
         assert out.replace(str(tmp_path), "<obs>") == expected
+
+    def test_cell_outcomes_total_the_cells_table(self, tmp_path):
+        """Both come from the same ``cell_end`` events, so they agree."""
+        from repro.obs.stats import stats_payload
+
+        write_stats_fixture(tmp_path)
+        for node in (None, "n1"):
+            payload = stats_payload(tmp_path, node=node)
+            assert sum(payload["outcomes"].values()) == len(
+                payload["cells"]) > 0
+            assert payload["from_cache"] == sum(
+                c["source"] == "cache" for c in payload["cells"])
+
+    def test_partial_log_is_flagged(self, tmp_path):
+        """Rotation drops the oldest generation, and with it the
+        ``build_start``: the report and the payload say so."""
+        from repro.obs.stats import render_stats, stats_payload
+
+        log = EventLog(tmp_path / EVENTS_FILENAME, max_bytes=300,
+                       backups=1)
+        log.append({"kind": "build_start", "profile": "p", "pid": 1})
+        for i in range(20):
+            log.append({"kind": "cell_end", "cell": f"c{i}",
+                        "status": "ok", "source": "run", "pid": 1})
+        log.close()
+        payload = stats_payload(tmp_path)
+        assert payload["complete"] is False
+        assert 0 < len(payload["cells"]) < 20
+        assert "log: partial" in render_stats(tmp_path)
+
+        whole = tmp_path / "whole"
+        log = EventLog(whole / EVENTS_FILENAME, max_bytes=1 << 20)
+        log.append({"kind": "build_start", "profile": "p", "pid": 1})
+        log.append({"kind": "cell_end", "cell": "c", "status": "ok",
+                    "pid": 1})
+        log.close()
+        assert stats_payload(whole)["complete"] is True
+        assert "log: partial" not in render_stats(whole)
+
+    def test_peak_rss_rows_name_node_and_pid(self, tmp_path):
+        """Two processes on one node get a row each, each at its own
+        maximum: the node name alone would collide."""
+        from repro.obs.stats import render_stats, stats_payload
+
+        write_events(tmp_path, [
+            {"kind": "build_start", "pid": 1},
+            {"kind": "cell_end", "node": "n1", "pid": 101,
+             "peak_rss_bytes": 10 * MiB},
+            {"kind": "cell_end", "node": "n1", "pid": 101,
+             "peak_rss_bytes": 30 * MiB},
+            {"kind": "node", "action": "stop", "node": "n1", "pid": 102,
+             "peak_rss_bytes": 20 * MiB},
+            {"kind": "build_end", "pid": 1, "peak_rss_bytes": 5 * MiB},
+        ])
+        assert stats_payload(tmp_path)["peak_rss"] == [
+            {"node": "n1", "pid": 101, "bytes": 30 * MiB},
+            {"node": "n1", "pid": 102, "bytes": 20 * MiB},
+            {"node": None, "pid": 1, "bytes": 5 * MiB}]
+        assert ("peak RSS by worker: n1 pid 101=30.0 MiB, "
+                "n1 pid 102=20.0 MiB, pid 1=5.0 MiB") in render_stats(
+                    tmp_path)
+
+    def test_fold_sums_counts_and_keeps_each_process_peak(self, tmp_path):
+        """What the registry's merge did (counters summed, peaks
+        maxed) the fold does over the events of every process."""
+        from repro.obs.stats import stats_payload
+
+        payload = stats_payload(_fixture_dir(tmp_path))
+        assert payload["outcomes"] == {"ok": 2, "failed": 1,
+                                       "degraded": 1}
+        assert payload["from_cache"] == 1
+        assert payload["failures"] == {"timeout": 1}
+        assert payload["retries"] == 2
+        assert payload["phases"] == {"materialize": 2.0, "engine": 8.0,
+                                     "store": 0.25}
+        assert payload["graph_sources"] == {"shm": 9, "generated": 1}
+        assert payload["shm"] == {"publishes": 1, "bytes": 3 * MiB,
+                                  "attach_failures": 1}
+        assert payload["health_trips"] == {"stall": 1}
+        assert payload["search"] == {
+            "states": 105, "cache_hits": 3, "cache_misses": 1,
+            "greedy_steps": 5, "reevaluations": 30}
+        assert [(r["engine"], r["phase"], r["samples"])
+                for r in payload["engine_phases"]] == [
+            ("asynchronous", "scatter", 3), ("synchronous", "apply", 3),
+            ("synchronous", "gather", 4)]
+        assert {p["pid"]: p["bytes"] for p in payload["peak_rss"]} == {
+            7: 80 * MiB, 11: 64 * MiB}
+
+    def test_fold_ignores_event_order(self, tmp_path):
+        """Sinks merge in any order; the fold is sums and maxima, so
+        every section but the (sorted) cell list reads the same."""
+        from repro.obs.stats import stats_payload
+
+        body = STATS_FIXTURE[1:-1]
+        write_events(tmp_path / "a", [STATS_FIXTURE[0], *body,
+                                      STATS_FIXTURE[-1]])
+        write_events(tmp_path / "b", [STATS_FIXTURE[0], *body[::-1],
+                                      STATS_FIXTURE[-1]])
+        a, b = (stats_payload(tmp_path / d) for d in "ab")
+        a.pop("obs_dir")
+        b.pop("obs_dir")
+        assert a == b
 
     def test_format_event_generic_and_progress(self):
         from repro.obs.stats import format_event

@@ -10,8 +10,7 @@ from repro.experiments.config import BuildOptions, ExperimentMatrix, Profile
 from repro.experiments.corpus import build_corpus
 from repro.experiments.results import ResultStore
 from repro.obs.events import read_all_events
-from repro.obs.export import load_telemetry
-from repro.obs.stats import render_stats
+from repro.obs.stats import render_stats, stats_payload
 
 #: Tiny two-size profile; same shape as the resilience one.
 TINY = Profile(
@@ -44,13 +43,15 @@ class TestFullObsBuild:
         assert corpus.run_id
         assert "telemetry:" in corpus.summary()
 
-        # Exporters landed next to the store.
-        assert (obs_dir / "events.jsonl").exists()
-        payload = load_telemetry(obs_dir)
-        assert payload is not None and payload["level"] == "full"
-        assert payload["profile"] == "tinyobs"
+        # The event log is the one record next to the store.
+        assert sorted(p.name for p in obs_dir.iterdir()) == [
+            "events.jsonl"]
+        payload = stats_payload(obs_dir)
+        assert payload["meta"]["level"] == "full"
+        assert payload["meta"]["profile"] == "tinyobs"
+        assert payload["complete"]
 
-        # Every planned cell has lifecycle events and a cell counter.
+        # Every planned cell has lifecycle events and an outcome.
         events = read_all_events(obs_dir)
         kinds = [e["kind"] for e in events]
         assert kinds.count("build_start") == 1
@@ -58,10 +59,8 @@ class TestFullObsBuild:
         assert kinds.count("cell_start") == N_CELLS
         assert kinds.count("cell_end") == N_CELLS
         assert kinds.count("progress") == N_CELLS
-        counters = payload["metrics"]["counters"]
-        total_cells = sum(e["value"]
-                          for e in counters["corpus_cells_total"])
-        assert total_cells == N_CELLS
+        assert sum(payload["outcomes"].values()) == N_CELLS
+        assert len(payload["cells"]) == N_CELLS
 
         # The stats report covers phases, failures, caches, latency,
         # and one row per cell.
@@ -80,14 +79,7 @@ class TestFullObsBuild:
         corpus = build_corpus(TINY, store=store, workers=1,
                               obs="full", obs_dir=obs_dir)
         assert corpus.n_executed == 0
-        payload = load_telemetry(obs_dir)
-        by_source = {
-            tuple(sorted(e["labels"].items())): e["value"]
-            for e in payload["metrics"]["counters"]["corpus_cells_total"]
-        }
-        cached = sum(v for k, v in by_source.items()
-                     if ("source", "cache") in k)
-        assert cached == N_CELLS
+        assert stats_payload(obs_dir)["from_cache"] == N_CELLS
 
 
 class TestObsDoesNotPerturbBehavior:
@@ -119,7 +111,7 @@ class TestWorkerKillCrashConsistency:
         """A pool worker SIGKILLed mid-build may die mid-line in its
         sink; after the (resumed) builds the merged main log must
         contain only valid JSON lines, the sinks must be gone, and the
-        telemetry exporters must exist even for the failed build."""
+        log must close with ``build_end`` even for the failed build."""
         token_dir = tmp_path / "tokens"
         token_dir.mkdir()
         for i in range(2):
@@ -134,9 +126,9 @@ class TestWorkerKillCrashConsistency:
                                   options=BuildOptions(
                                       resume=True, retries=0),
                                   obs="full", obs_dir=obs_dir)
-            # Telemetry must be written even when the build had
-            # failures (exporters run in the finally path).
-            assert load_telemetry(obs_dir) is not None
+            # The log is closed even when the build had failures (the
+            # merge runs in the finally path).
+            assert read_all_events(obs_dir)[-1]["kind"] == "build_end"
             if not corpus.unexpected_failures:
                 break
         assert corpus is not None and not corpus.unexpected_failures
@@ -160,9 +152,31 @@ class TestWorkerKillCrashConsistency:
                 if line.strip():
                     json.loads(line)  # raises on a corrupt merge
 
-        # The surviving telemetry still accounts for completed cells.
-        payload = load_telemetry(obs_dir)
-        counters = payload["metrics"]["counters"]
-        total_cells = sum(e["value"]
-                          for e in counters["corpus_cells_total"])
-        assert total_cells > 0
+        # The surviving log still accounts for completed cells.
+        assert sum(stats_payload(obs_dir)["outcomes"].values()) > 0
+
+
+class TestLogGrowsWithCells:
+    def test_event_count_does_not_depend_on_iterations(self, tmp_path,
+                                                       monkeypatch):
+        """DESIGN §12: the log grows with cells, not iterations. The
+        same plan at two iteration caps writes the same number of
+        events, though the engines ran different numbers of steps."""
+        from repro.behavior import run as run_mod
+
+        real = run_mod.build_engine_options
+        counts, iterations = {}, {}
+        for cap in (2, 8):
+            monkeypatch.setattr(
+                run_mod, "build_engine_options",
+                lambda alg, over=None, cap=cap: real(
+                    alg, {**(over or {}), "max_iterations": cap}))
+            obs_dir = tmp_path / f"obs-{cap}"
+            corpus = build_corpus(
+                TINY, store=ResultStore(tmp_path / f"cache-{cap}"),
+                workers=1, obs="full", obs_dir=obs_dir)
+            counts[cap] = len(read_all_events(obs_dir))
+            iterations[cap] = sum(r.trace.n_iterations
+                                  for r in corpus.runs)
+        assert iterations[2] < iterations[8]
+        assert counts[2] == counts[8]

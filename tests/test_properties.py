@@ -133,9 +133,9 @@ def _counters_strategy():
 
 
 class TestCountersMergeProperties:
-    """The counter merge rule behind both sub-sweep folding and the
-    telemetry worker->parent fold: ``active`` max-merges (population
-    gauge), everything else sums (flow). See docs/metrics.md."""
+    """The counter merge rule behind sub-sweep folding: ``active``
+    max-merges (population gauge), everything else sums (flow). See
+    docs/metrics.md."""
 
     @given(_counters_strategy(), _counters_strategy(),
            _counters_strategy())

@@ -24,7 +24,7 @@ from repro.experiments.graph_cache import (
 )
 from repro.experiments.results import ResultStore
 from repro.graph import shm
-from repro.obs.export import load_telemetry
+from repro.obs.events import read_all_events
 from tests.conftest import REPO_ROOT
 
 #: Tiny profile so a full multi-process build finishes in seconds.
@@ -257,12 +257,13 @@ class TestCorpusGraphPlane:
                               obs="full", obs_dir=tmp_path / "obs")
 
         assert corpus.graph_plane
-        # Worker registries merge back into the build's, so this is
-        # every generate() of the whole multi-process build.
-        (generated,) = [
-            entry["value"] for entry in load_telemetry(tmp_path / "obs")[
-                "metrics"]["counters"]["graph_resolutions_total"]
-            if entry["labels"] == {"source": "generated"}]
+        # Every resolution, in whichever process, is one ``materialize``
+        # span event, and worker sinks merge into the build's log: so
+        # this is every generate() of the whole multi-process build.
+        generated = sum(
+            1 for e in read_all_events(tmp_path / "obs")
+            if e.get("kind") == "span" and e.get("name") == "materialize"
+            and e.get("source") == "generated")
         distinct = {p.spec.cache_key()
                     for p in ExperimentMatrix(TINY_PROFILE).corpus_runs()}
         assert corpus.premat_graphs == len(distinct)
