@@ -74,13 +74,13 @@ def concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     total = int(counts.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    # Within each segment we want starts[i] + (0, 1, ..., counts[i]-1).
-    # np.arange(total) minus each segment's global offset gives the local
-    # offset; adding the segment's start yields the absolute index.
-    seg_of_slot = np.repeat(np.arange(starts.size, dtype=np.int64), counts)
-    global_offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    local = np.arange(total, dtype=np.int64) - global_offsets[seg_of_slot]
-    return starts[seg_of_slot] + local
+    # Output slot t of range i, which begins at global offset o_i, is
+    # starts[i] + (t - o_i): np.arange(total) plus the range's shift
+    # starts[i] - o_i, repeated over its slots.
+    shifts = starts - (np.cumsum(counts) - counts)
+    out = np.arange(total, dtype=np.int64)
+    out += np.repeat(shifts, counts)
+    return out
 
 
 def sorted_unique_ids(ids: np.ndarray, n: int) -> np.ndarray:

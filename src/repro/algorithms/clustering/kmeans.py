@@ -50,6 +50,10 @@ class KMeansClustering(VertexProgram):
     gather_dir = Direction.IN
     scatter_dir = Direction.OUT
     gather_op = "sum"
+    #: Neighbor votes are a per-label count of the neighbors' clusters
+    #: (``gather_source`` is the assignment): one ``bincount`` on the
+    #: fused path, exact in any order (DESIGN §13).
+    gather_shape = "count"
 
     def __init__(self, k: int = 4, reward: float = 0.05,
                  center_tol: float = 1e-6) -> None:
@@ -90,9 +94,19 @@ class KMeansClustering(VertexProgram):
 
     def _nearest(self, vids: np.ndarray,
                  votes: np.ndarray | None) -> np.ndarray:
-        pts = self.points[vids]
-        # Squared distances to each center: (|vids|, k).
-        d2 = ((pts[:, None, :] - self.centers[None, :, :]) ** 2).sum(axis=2)
+        # A frontier is sorted unique, so n ids are every vertex in
+        # order (every step's: k-means is always active); read the
+        # points in place rather than copy them.
+        pts = (self.points if vids.size == self.points.shape[0]
+               else self.points[vids])
+        centers = self.centers
+        # Squared distances to each center, (|vids|, k), summed one
+        # coordinate at a time, left to right — the order in which
+        # ``.sum(axis=-1)`` adds fewer than 8 terms (the points are
+        # 2-D) — without building a (|vids|, k, d) broadcast.
+        d2 = (pts[:, 0, None] - centers[None, :, 0]) ** 2
+        for j in range(1, pts.shape[1]):
+            d2 += (pts[:, j, None] - centers[None, :, j]) ** 2
         if votes is not None:
             d2 = d2 - self.reward * votes
         return np.argmin(d2, axis=1).astype(np.int64)
@@ -102,6 +116,9 @@ class KMeansClustering(VertexProgram):
         votes = np.zeros((nbr.size, self.k))
         votes[np.arange(nbr.size), self.assignment[nbr]] = 1.0
         return votes
+
+    def gather_source(self, ctx):
+        return self.assignment
 
     def apply(self, ctx, vids, acc):
         new_assign = self._nearest(vids, acc)
@@ -117,12 +134,18 @@ class KMeansClustering(VertexProgram):
         return ctx.all_vertices()
 
     def on_iteration_end(self, ctx):
-        # Recompute centers from the synchronous assignment snapshot.
+        # Recompute centers from the synchronous assignment snapshot:
+        # per-coordinate member sums over the member counts. bincount
+        # adds the members in index order, as ``mean(axis=0)`` over a
+        # cluster's rows does, so each center has the mean's bits; an
+        # empty cluster keeps its center.
         old = self.centers.copy()
-        for c in range(self.k):
-            members = self.assignment == c
-            if members.any():
-                self.centers[c] = self.points[members].mean(axis=0)
+        sizes = np.bincount(self.assignment, minlength=self.k)
+        nonempty = sizes > 0
+        for j in range(self.points.shape[1]):
+            sums = np.bincount(self.assignment, weights=self.points[:, j],
+                               minlength=self.k)
+            self.centers[nonempty, j] = sums[nonempty] / sizes[nonempty]
         shift = float(np.abs(self.centers - old).max())
         self._stable = (not self._changed.any()) and shift < self.center_tol
         self._changed[:] = False

@@ -39,11 +39,13 @@ a pairwise sum of the rest). That rules ``np.sum`` and scipy out of
 the general gather — each associates differently and float addition is
 not associative — so the dense gather reduces with ``reduceat`` over
 cached full-graph offsets, the per-row call the callback path makes.
-``tests/test_segments.py::TestReduceatContract`` pins it. scipy is
-used only in the scatter's "who got signaled" SpMV
-(``Graph.spmv_ones``), whose 0/1 indicator sums to the same float64
-bits in every order; ``scipy.sparse`` is imported there, on a
-process's first fused scatter.
+``tests/test_segments.py::TestReduceatContract`` pins it. Two fused
+evaluations sum only 0s and 1s, which every order sums to the same
+float64 bits, and so take faster kernels: the ``count`` gather is one
+``np.bincount`` histogram, and the scatter's "who got signaled" is a
+scipy SpMV of a 0/1 indicator (``Graph.spmv_ones``; ``scipy.sparse``
+is imported there, and ahead of the engine clock by
+``run_computation`` and the worker crew).
 
 Counters are *model* counters, not physical traversal counts: a pull
 iteration reports the same ``edge_reads``/``messages`` the push
@@ -79,8 +81,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Gather shapes the dense kernels recognize; the per-slot contribution
 #: for a slot with neighbor ``u`` and edge id ``e`` is:
 #: ``vertex`` → ``source[u]``; ``vertex_plus_edge`` → ``source[u] +
-#: weight[e]``; ``vertex_times_edge`` → ``weight[e] * source[u]``.
-GATHER_SHAPES = ("vertex", "vertex_plus_edge", "vertex_times_edge")
+#: weight[e]``; ``vertex_times_edge`` → ``weight[e] * source[u]``;
+#: ``count`` → a one-hot row of ``gather_width`` columns with its 1 in
+#: column ``source[u]`` (an integer label), summed into a per-vertex
+#: label histogram.
+GATHER_SHAPES = ("vertex", "vertex_plus_edge", "vertex_times_edge", "count")
 
 #: The float reductions: the ones with a fused dense implementation and
 #: the ones the edge-centric stream can scatter-add (``or`` stays on
@@ -234,15 +239,21 @@ class Kernels:
         self._scatter_side = _side(graph, program.scatter_dir,
                                    self._gather_side)
         shape = getattr(program, "gather_shape", None)
+        if shape == "count":
+            # One float64 histogram row of gather_width labels.
+            fits = program.gather_op == "sum"
+        else:
+            fits = (program.gather_op in FUSABLE_OPS
+                    and program.gather_width == 1
+                    # *_edge shapes need per-edge weights
+                    and (shape == "vertex"
+                         or graph.edge_weight is not None))
         #: The program's gather has a fused dense evaluation.
         self.can_gather = (
             shape in GATHER_SHAPES
             and program.gather_dir is not Direction.NONE
-            and program.gather_op in FUSABLE_OPS
-            and program.gather_width == 1
             and program.gather_dtype is np.float64
-            # *_edge shapes need per-edge weights
-            and (shape == "vertex" or graph.edge_weight is not None)
+            and fits
         )
         #: The program's scatter has a fused dense evaluation.
         self.can_scatter = (
@@ -392,13 +403,23 @@ class Kernels:
         return self.graph.edge_weight[self._gather_side.eid]
 
     def _source(self, ctx: "Context") -> np.ndarray:
+        """The declared source vector: float64, or for ``count`` the
+        integer labels, each in ``[0, gather_width)`` (a label outside
+        it would land in another vertex's histogram row)."""
         program = self.program
-        x = np.asarray(program.gather_source(ctx), dtype=np.float64)
+        x = np.asarray(program.gather_source(ctx))
         if x.shape != (self.graph.n_vertices,):
             raise ValidationError(
                 f"{program.name}.gather_source returned shape {x.shape}, "
                 f"expected ({self.graph.n_vertices},)")
-        return x
+        if program.gather_shape != "count":
+            return x.astype(np.float64, copy=False)
+        if x.dtype.kind not in "iu" or (
+                x.size and (x.min() < 0 or x.max() >= program.gather_width)):
+            raise ValidationError(
+                f"{program.name}.gather_source must return integer labels "
+                f"in [0, {program.gather_width}) for a count gather")
+        return x.astype(np.int64, copy=False)
 
     def _slot_values(self, x: np.ndarray) -> np.ndarray:
         """Per-slot contribution for every adjacency slot of the gather
@@ -414,8 +435,16 @@ class Kernels:
     def _gather_dense(self, ctx: "Context") -> np.ndarray:
         """Accumulator rows for *every* vertex (pull-mode full gather)."""
         x = self._source(ctx)
-        return self._gather_side.reduce(self._slot_values(x),
-                                   self.program.gather_op)
+        side = self._gather_side
+        if self.program.gather_shape == "count":
+            # Bin ``center·width + label`` counts each (vertex, label)
+            # pair: an integer histogram, so it is the callback path's
+            # sum of one-hot rows in every order.
+            width = self.program.gather_width
+            bins = side.slot_center * width + x[side.idx]
+            return np.bincount(bins, minlength=side.n * width).reshape(
+                side.n, width).astype(np.float64)
+        return side.reduce(self._slot_values(x), self.program.gather_op)
 
     def _scatter_dense(self, ctx: "Context",
                        vids: np.ndarray) -> "tuple[np.ndarray, int]":

@@ -7,11 +7,11 @@ from repro.engine.engine import SynchronousEngine
 from repro.generators import bipartite_rating_graph, powerlaw_graph
 
 
-def run_program(name, problem, params=None, options=None):
+def run_program(name, problem, params=None, options=None, program=None):
     from repro.algorithms.registry import create
     from repro.behavior.run import build_engine_options
 
-    program = create(name, **(params or {}))
+    program = program or create(name, **(params or {}))
     engine = SynchronousEngine(build_engine_options(name, options))
     return engine.run(program, problem), program
 
@@ -72,6 +72,79 @@ class TestKMeans:
         trace, _ = run_program("kmeans", clustering)
         assert (sum(trace.result["cluster_sizes"])
                 == clustering.graph.n_vertices)
+
+    @pytest.mark.parametrize("arm", ["declared", "unfused"])
+    def test_no_reward_is_plain_lloyd_step_for_step(self, clustering, arm):
+        """Exact oracle: with ``reward=0`` every iteration's assignment
+        and centers equal a plain NumPy Lloyd iteration from the same
+        seeded centers, bit for bit, and the run stops at the same
+        iteration. Declared, the votes go through the fused count
+        gather; unfused, through the one-hot callback.
+
+        Only the synchronous engine runs k-means: the asynchronous one
+        refuses it (no ``supports_async``), and the edge- and
+        graph-centric ones take only scalar monotone gathers (no
+        ``supports_edge_centric``), not a k-wide vote histogram.
+        """
+        from repro._util.errors import ValidationError
+        from repro.algorithms.registry import create
+        from repro.engine import (
+            AsynchronousEngine,
+            EdgeCentricEngine,
+            GraphCentricEngine,
+        )
+        from tests.conftest import unfused
+
+        for engine_class in (AsynchronousEngine, EdgeCentricEngine,
+                             GraphCentricEngine):
+            with pytest.raises(ValidationError):
+                engine_class().run(create("kmeans"), clustering)
+
+        program = create("kmeans", reward=0.0)
+        if arm == "unfused":
+            program = unfused(program)
+        start, steps = {}, []
+        init, end = program.init, program.on_iteration_end
+
+        def seeded_init(ctx):
+            frontier = init(ctx)
+            start["centers"] = program.centers.copy()
+            return frontier
+
+        def recording_end(ctx):
+            end(ctx)
+            steps.append((program.assignment.copy(), program.centers.copy()))
+
+        program.init, program.on_iteration_end = seeded_init, recording_end
+        trace, _ = run_program("kmeans", clustering, program=program)
+
+        # Lloyd: assign every point to its nearest center, then move
+        # each non-empty cluster's center to its members' mean; stop
+        # once no assignment changed and no center moved by center_tol.
+        pts, k = clustering.inputs["points"], program.k
+        centers = start["centers"]
+
+        def nearest(centers):
+            return ((pts[:, None, :] - centers[None]) ** 2).sum(axis=2) \
+                .argmin(axis=1)
+
+        labels, lloyd = nearest(centers), []
+        for _ in range(trace.n_iterations + 1):
+            new_labels = nearest(centers)
+            changed = (new_labels != labels).any()
+            labels, old = new_labels, centers
+            centers = np.array([pts[labels == c].mean(axis=0)
+                                if (labels == c).any() else old[c]
+                                for c in range(k)])
+            lloyd.append((labels, centers))
+            if not changed and np.abs(centers - old).max() \
+                    < program.center_tol:
+                break
+        assert trace.converged
+        assert len(steps) == len(lloyd) == trace.n_iterations
+        for i, ((a, c), (a_ref, c_ref)) in enumerate(zip(steps, lloyd)):
+            np.testing.assert_array_equal(a, a_ref, err_msg=f"step {i}")
+            np.testing.assert_array_equal(c, c_ref, err_msg=f"step {i}")
 
     def test_param_validation(self):
         from repro._util.errors import ValidationError

@@ -57,7 +57,17 @@ GRAPHS = {
     "grid": lambda: lattice_problem(),
 }
 
-ALGORITHMS = ("pagerank", "cc", "sssp", "kcore")
+ALGORITHMS = ("pagerank", "cc", "sssp", "kcore", "kmeans")
+
+
+def with_points(problem, seed=0):
+    """``problem`` as a clustering input: one 2-D point per vertex."""
+    points = np.random.default_rng(seed).normal(
+        size=(problem.graph.n_vertices, 2))
+    return ProblemInstance(graph=problem.graph, domain="clustering",
+                           inputs={"points": points},
+                           params=dict(problem.params))
+
 
 #: The active fraction a synchronous arm pulls from: on every step, at
 #: the production switch, at a tighter one.
@@ -129,10 +139,17 @@ def assert_equivalent(base, other, label, frontiers=True):
     + [pytest.param(a, f, e, id=f"{a}-{f}-{e}")
        for f in sorted(GRAPHS) for a in ("cc", "sssp")
        for e in SHAPE_ENGINES])
-def test_direction_arms_bit_identical(algorithm, family, engine):
+def test_direction_arms_bit_identical(algorithm, family, engine,
+                                     monkeypatch):
     """Every fused/direction arm reproduces the callback run exactly —
-    same iteration counters, same frontier sequence, same final state."""
+    same iteration counters, same frontier sequence, same final state.
+    k-means runs on the family's graph with points, and under the
+    verifying kernels: every count-shape pull step is cross-checked
+    against the one-hot callback as it runs."""
     problem = GRAPHS[family]()
+    if algorithm == "kmeans":
+        problem = with_points(problem)
+        verifying = verify_fused(monkeypatch)
     if engine is not None:
         build = SHAPE_ENGINES[engine]
         base = run_arm(algorithm, problem, "push", engine=build())
@@ -151,6 +168,10 @@ def test_direction_arms_bit_identical(algorithm, family, engine):
         assert_equivalent(base, run_arm(algorithm, problem, arm),
                           f"{algorithm}/{family}/{arm}",
                           frontiers=arm != "reference")
+    if algorithm == "kmeans":
+        # Always fully active: every step of the three pulling arms
+        # pulls, and each pull is checked twice (every row, frontier).
+        assert verifying.checks == 3 * 2 * base[0].n_iterations
 
 
 def test_weighted_sssp_and_jacobi_arms():
@@ -199,6 +220,14 @@ class MisdeclaredCC(type(create("cc"))):
         return super().gather_source(ctx) + 1.0
 
 
+class MisdeclaredKMeans(type(create("kmeans"))):
+    """k-means whose count-shape labels are not the ones
+    ``gather_edge`` votes for."""
+
+    def gather_source(self, ctx):
+        return (super().gather_source(ctx) + 1) % self.k
+
+
 @pytest.mark.parametrize("engine", [SynchronousEngine],
                          ids=["synchronous"])
 def test_verifying_kernels_fail_a_misdeclared_gather_shape(
@@ -208,12 +237,16 @@ def test_verifying_kernels_fail_a_misdeclared_gather_shape(
     under the wrapper, on the first fused evaluation — on the one
     engine that has any."""
     problem = powerlaw_graph(400, 2.5, seed=3)
+    points = powerlaw_graph(400, 2.5, seed=3, with_points=True)
+    cases = ((MisdeclaredCC, problem), (MisdeclaredKMeans, points))
     with pull_from(0.0):
-        engine().run(MisdeclaredCC(), problem)  # production cannot tell
+        for program, graph in cases:  # production cannot tell
+            engine().run(program(), graph)
         verify_fused(monkeypatch)
-        with pytest.raises(AssertionError,
-                           match="diverged from the callback"):
-            engine().run(MisdeclaredCC(), problem)
+        for program, graph in cases:
+            with pytest.raises(AssertionError,
+                               match="diverged from the callback"):
+                engine().run(program(), graph)
 
 
 def test_build_rejects_unfusable_programs():
@@ -228,6 +261,25 @@ def test_build_rejects_unfusable_programs():
     assert kernels.fused and kernels.can_gather and kernels.can_scatter
     cc = Kernels(create("cc"), graph)
     assert cc.fused and cc.can_gather and not cc.can_scatter
+    kmeans = Kernels(create("kmeans"), graph)
+    assert kmeans.can_gather and not kmeans.can_scatter
+
+
+def test_count_gather_rejects_labels_outside_its_width():
+    """A count label outside ``[0, gather_width)`` would land in the
+    next vertex's histogram row; the dense gather refuses it."""
+    from repro._util.errors import ValidationError
+
+    problem = powerlaw_graph(400, 2.5, seed=3, with_points=True)
+    program = create("kmeans")
+    ctx = Context(problem)
+    program.init(ctx)
+    kernels = Kernels(program, problem.graph)
+    everyone = np.arange(problem.graph.n_vertices, dtype=np.int64)
+    for bad in (program.k, -1):
+        program.assignment[0] = bad
+        with pytest.raises(ValidationError, match="labels"):
+            kernels.gather(ctx, everyone, dense=True)
 
 
 def test_reduce_block_matches_segmented_reduce():

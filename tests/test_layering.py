@@ -283,6 +283,23 @@ def test_the_crew_loads_scipy_sparse_before_it_forks():
         "print(before, 'scipy.sparse' in sys.modules)") == "False True"
 
 
+def test_a_run_loads_scipy_sparse_before_the_engine_clock():
+    """A run whose program has a fused scatter imports ``scipy.sparse``
+    before the engine starts, so no import lands in its engine seconds
+    (inline builds and ``repro run`` included); a run without one (CC)
+    does not load it."""
+    assert _fresh(
+        "import sys; from repro.engine.engine import SynchronousEngine; "
+        "seen = []; run = SynchronousEngine.run; "
+        "SynchronousEngine.run = lambda self, *a: "
+        "(seen.append('scipy.sparse' in sys.modules), run(self, *a))[1]; "
+        "from repro.behavior.run import run_computation; "
+        "from repro.experiments.config import GraphSpec; "
+        "spec = GraphSpec.ga(nedges=300, alpha=2.5, seed=1); "
+        "run_computation('cc', spec); run_computation('pagerank', spec); "
+        "print(seen)") == "[False, True]"
+
+
 def test_nothing_imports_scipy_at_module_level():
     """SciPy is imported inside the function that calls it, never when
     a module of the package is imported."""

@@ -51,6 +51,7 @@ class TestConcatRanges:
         ends = np.array([s + l for s, l in ranges], dtype=np.int64)
         expected = [i for s, l in ranges for i in range(s, s + l)]
         got = concat_ranges(starts, ends)
+        assert got.dtype == np.int64
         assert got.tolist() == expected
 
 
