@@ -34,6 +34,9 @@ and asserts the robustness contract end to end:
 - ``repro stats`` counts what the log holds: its claim and shm-publish
   totals equal the ``node claim`` and ``shm publish`` events, the
   SIGKILLed victim's included (they were flushed before it died),
+- the coordinator declared the victim lost knowing its shm segment
+  names (a peer beats them before it runs a task on the new graph),
+  so it can unlink them itself,
 - the full-obs event log reconstructs as **one connected trace with
   zero orphan spans** across the killed node, the fenced zombie, and
   every re-dispatch (trace + critical-path reports are written to
@@ -276,6 +279,17 @@ def run(timeout_s: float, keep: bool) -> int:
                         f"or shm publish: {victim}")
         log(f"stats: {claims} claims and {publishes} shm publishes, "
             f"victim {victim['claims']} / {victim['shm_publishes']}")
+        # The victim beat its segment names before its first run task,
+        # so the coordinator knew them when it declared the node lost
+        # (the multiprocessing resource tracker usually unlinks them
+        # first, so a ``segment-reaped`` event is not guaranteed).
+        known = [e.get("segments", 0) for e in events
+                 if e.get("action") == "node-lost"
+                 and e.get("node") == "victim"]
+        if not known or not all(known):
+            return fail(f"the coordinator lost the victim knowing no shm "
+                        f"segment of it: node-lost segments {known}")
+        log(f"victim lost with {known[0]} shm segment(s) on record")
 
         log("OK: bit-identical under chaos, fencing held, no leaks")
         return 0

@@ -23,7 +23,12 @@ handled (docs/architecture.md, "Durable files"):
 
 No ``fsync``: these files are caches and liveness signals that a
 resumed build recomputes; the guarantee is atomicity against process
-death and concurrent writers, not durability against power loss.
+death and concurrent writers, not durability against power loss. A
+publish over an *existing* file still pays a data flush on ext4
+(``auto_da_alloc`` writes the new data out before a replacing rename):
+37-71 ms against 18-69 µs onto a fresh name (medians of 50 calls) on a
+2-core VM's ext4 root. So a hot loop publishes only onto fresh names;
+the one file rewritten in place is a peer node's heartbeat.
 """
 
 from __future__ import annotations

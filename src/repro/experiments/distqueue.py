@@ -764,7 +764,8 @@ class Coordinator:
             self.tel.emit("distqueue",
                           _trace_ctx=self.tel.child("node", node),
                           action="node-lost", node=node,
-                          fence_epoch=floor, claims=len(node_claims))
+                          fence_epoch=floor, claims=len(node_claims),
+                          segments=len(self._peer_segments.get(node, ())))
 
     def _revoke_node(self, node: str, node_claims: "list[Claim]",
                      reason: str) -> None:
@@ -917,16 +918,16 @@ class Coordinator:
     # Peer accounting + shutdown hygiene
     # ------------------------------------------------------------------
     def _harvest_beats(self) -> "dict[str, NodeBeat]":
+        """Read the peers' beats (``nodes/`` holds no beat of the
+        coordinator's own node, which is counted here directly)."""
         beats = self.queue.read_beats()
-        nodes_seen = set(self._peer_stale)
         for node, beat in beats.items():
-            nodes_seen.add(node)
             self._peer_stale[node] = max(
                 self._peer_stale.get(node, 0), beat.stale_rejections)
             if beat.segments:
                 self._peer_segments[node] = beat.segments
         self.corpus.nodes_seen = max(self.corpus.nodes_seen,
-                                     len(nodes_seen))
+                                     1 + len(self._peer_stale))
         self.corpus.stale_epoch_rejections = sum(
             self._peer_stale.values())
         return beats

@@ -1,8 +1,9 @@
 """Node agent: one machine's worker of the distributed corpus queue.
 
 An agent is the per-node half of :mod:`repro.experiments.distqueue`:
-it registers in the queue's node directory with heartbeat files, pulls
-tasks by atomic claim, executes them through the existing
+a peer registers in the queue's node directory with heartbeat files
+(the coordinator's embedded agent writes none: nothing reads them), it
+pulls tasks by atomic claim, executes them through the existing
 :class:`~repro.experiments.worksite.WorkerCrew` / shm machinery, and
 publishes outcomes into the shared
 :class:`~repro.experiments.results.ResultStore` behind an epoch fence
@@ -132,11 +133,15 @@ class NodeAgent(CrewLoop):
         super().__init__(
             options=options, profile=profile,
             workers=max(1, int(workers)), store_root=None, node=True)
-        # The node's own beat renews its claims, leased like its crew's.
-        self._beats = HeartbeatWriter(
-            self.node, self.lease_s,
-            lambda: queue.write_beat(self.node, self._beat_payload()))
-        self._beats.start()
+        # A peer's beat renews its claims, leased like its crew's. The
+        # coordinator never supervises, fences or waits on its own node,
+        # so the embedded agent has no beat to write.
+        self._beats: "HeartbeatWriter | None" = None
+        if not embedded:
+            self._beats = HeartbeatWriter(
+                self.node, self.lease_s,
+                lambda: queue.write_beat(self.node, self._beat_payload()))
+            self._beats.start()
         if self.tel.enabled:
             self.tel.emit("node", _trace_ctx=self.tel.child("node", self.node),
                           action="start", workers=len(self.crew.workers),
@@ -287,6 +292,12 @@ class NodeAgent(CrewLoop):
             time.sleep(seconds)
             self._beats.resume()
 
+    def _beat(self) -> None:
+        """A peer's news reaches the coordinator now (the embedded
+        agent has no beat)."""
+        if self._beats is not None:
+            self._beats.beat()
+
     # ------------------------------------------------------------------
     # Publication
     # ------------------------------------------------------------------
@@ -301,7 +312,7 @@ class NodeAgent(CrewLoop):
     def _on_update(self, task: Task, envelope: ResultEnvelope,
                    accepted: bool) -> None:
         if task.kind == "materialize":
-            self._beats.beat()  # segment names reach the coordinator
+            self._beat()  # segment names reach the coordinator
             return
         self._maybe_freeze(task.id)
         claim = self._claims.pop(task.id, None) if accepted else None
@@ -336,7 +347,7 @@ class NodeAgent(CrewLoop):
                           action="stale-epoch-rejected",
                           task=claim.task_id, epoch=claim.epoch,
                           fence=self.queue.fence_epoch(self.node))
-        self._beats.beat()
+        self._beat()
 
     # ------------------------------------------------------------------
     # Shutdown
@@ -353,7 +364,8 @@ class NodeAgent(CrewLoop):
                     pass
         self._claims.clear()
         self.close()
-        self._beats.stop()
+        if self._beats is not None:
+            self._beats.stop()
         from repro.obs.telemetry import deactivate, peak_rss_bytes
 
         if self.tel.enabled:
@@ -363,12 +375,14 @@ class NodeAgent(CrewLoop):
                           peak_rss_bytes=peak_rss_bytes())
         if self._owns_obs:
             deactivate()
-        # The done beat comes last: once the coordinator reads it, it
-        # may merge this node's sink and sweep the queue.
-        try:
-            self.queue.write_beat(self.node, self._beat_payload(done=True))
-        except OSError:
-            pass  # queue already swept
+        # A peer's done beat comes last: once the coordinator reads it,
+        # it may merge this node's sink and sweep the queue.
+        if self._beats is not None:
+            try:
+                self.queue.write_beat(self.node,
+                                      self._beat_payload(done=True))
+            except OSError:
+                pass  # queue already swept
 
     # ------------------------------------------------------------------
     # Standalone entry (the ``repro node`` CLI)

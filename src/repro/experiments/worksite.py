@@ -86,7 +86,7 @@ class HeartbeatWriter:
     — the one place a beat interval is worked out.
 
     A crew worker's *publish* stamps the time into the worker's shared
-    beat array; a node agent's writes its beat into the
+    beat array; a peer node agent's writes its beat into the
     queue's ``nodes/``, the one beat that has to cross hosts.
 
     ``suspend()`` models a hang for stall and freeze injection: the
