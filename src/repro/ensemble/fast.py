@@ -15,26 +15,29 @@ is tested against. Here instead:
   column too (DESIGN §15, "Blocked distance kernels"). Tiles and
   scores are float64, and tiles are read-only: a single point's row is
   a view into its tile (:meth:`DistanceTiles.row`), never a copy.
-- **Batched beam** — spread scores every state × candidate of a level
-  in one masked gather-sum per chunk; coverage takes, per state and
-  tile, one contiguous min+sum over the rows past the state's last
-  member, at the first level as at every later one. Every level ends
-  in the same selection step, tie-stable (see :func:`tie_sorted`), so
-  results are deterministic across NumPy versions and identical to
-  the oracle's.
+- **Batched beam** — spread's first level ranks only the pairs that
+  can reach the beam (a cut from the row maxima), and each later level
+  scores every state × candidate in one masked gather-sum per chunk;
+  coverage takes, per state and tile, one contiguous min+sum over the
+  rows past the state's last member, at the first level as at every
+  later one. Every level ends in the same selection step, tie-stable
+  (see :func:`tie_sorted`), so results are deterministic across NumPy
+  versions and identical to the oracle's.
 - **Incremental swap refinement** — per-position replacement scoring
   reuses a maintained column-sum (spread) or per-sample first/second
   minimum (coverage) instead of recomputing ``D[others].min(axis=0)``
   from scratch for every position. Coverage still scores every
   candidate per position: one :meth:`DistanceTiles.sweep`, which
-  streams the tiles through a cache-sized scratch buffer.
+  streams the tiles through a cache-sized scratch buffer, until the
+  climb reaches its fixed point.
 - **Lazy-greedy submodular selection** (coverage only) — CELF-style
   priority queue of stale marginal gains with re-evaluation on pop;
   coverage is monotone submodular, so the greedy pick carries the
   classic ``(1 − 1/e)`` approximation guarantee.
 
 The engine counts its work in plain attributes — ``states`` scored,
-greedy ``reevaluations``, and the tile cache's ``hits`` / ``misses`` —
+greedy ``reevaluations``, coverage refine ``sweeps``, and the tile
+cache's ``hits`` / ``misses`` —
 and the ``ensemble_search`` span around each search puts what that
 search added on its event (:mod:`repro.ensemble.search`).
 """
@@ -133,23 +136,20 @@ def grouped_top(scores: np.ndarray, parent: np.ndarray, cand: np.ndarray,
     """
     order = np.lexsort((cand, parent, -scores))
     ranked = scores[order]
-    out: list[np.ndarray] = []
-    total = 0
-    i = 0
-    while i < ranked.size and total < width:
+    # An entry more than TIE_TOL above the next one is a group of its
+    # own, already in lexsort order: only heads of near-tie runs loop.
+    done = 0
+    for i in np.flatnonzero((ranked[:-1] - ranked[1:])[:width] <= TIE_TOL):
+        if i < done:
+            continue  # inside the previous group
         head = ranked[i]
         g = i + 1
         while g < ranked.size and head - ranked[g] <= TIE_TOL:
             g += 1
         grp = order[i:g]
-        if grp.size > 1:
-            grp = grp[np.lexsort((cand[grp], parent[grp]))]
-        out.append(grp)
-        total += grp.size
-        i = g
-    if not out:
-        return np.empty(0, dtype=np.intp)
-    return np.concatenate(out)[:width].astype(np.intp, copy=False)
+        order[i:g] = grp[np.lexsort((cand[grp], parent[grp]))]
+        done = g
+    return order[:width]
 
 
 # -- blocked distance kernels -----------------------------------------
@@ -163,9 +163,8 @@ class BlockCache:
     and none may write through one into the cache.
     """
 
-    def __init__(self, budget_bytes: int, kind: str) -> None:
+    def __init__(self, budget_bytes: int) -> None:
         self.budget = max(int(budget_bytes), 0)
-        self.kind = kind
         self.hits = 0
         self.misses = 0
         self._blocks: "OrderedDict[int, np.ndarray]" = OrderedDict()
@@ -206,7 +205,6 @@ class DistanceTiles:
     def __init__(self, points: np.ndarray, targets: np.ndarray, *,
                  block_bytes: "int | None" = None,
                  cache_bytes: "int | None" = None) -> None:
-        kind = "pairwise" if targets is points else "samples"
         self.X = np.ascontiguousarray(points, dtype=np.float64)
         self.targets = np.ascontiguousarray(targets, dtype=np.float64)
         self.n = self.X.shape[0]
@@ -217,7 +215,7 @@ class DistanceTiles:
         self.row_bytes = max(self.m, 1) * self.X.itemsize
         self.rows_per_block = max(1, block_bytes // self.row_bytes)
         self.n_blocks = -(-max(self.n, 1) // self.rows_per_block)
-        self.cache = BlockCache(cache_bytes or 8 * block_bytes, kind)
+        self.cache = BlockCache(cache_bytes or 8 * block_bytes)
         self._scratch: "np.ndarray | None" = None
 
     def _build(self, bid: int) -> np.ndarray:
@@ -326,9 +324,11 @@ class FastEngine:
                                   block_bytes=self.block_bytes)
         self.m = self.dist.m
         #: Work counters, read by the ``ensemble_search`` span around a
-        #: search: states scored, and greedy gain re-evaluations.
+        #: search: states scored, greedy gain re-evaluations, and
+        #: coverage refine's sweeps over the candidate rows.
         self.states = 0
         self.reevaluations = 0
+        self.sweeps = 0
 
     # -- shared helpers ------------------------------------------------
 
@@ -368,11 +368,13 @@ class FastEngine:
         """Extend ``members`` by the tie-stable top ``beam_width``
         candidates; the new states come out in lexicographic order.
 
-        ``found`` holds one ``(scores, parent, cand, *carry)`` tuple per
-        chunk of a level, the chunk's :func:`boundary_positions`;
-        ``parent`` indexes ``members``. Returns the new members, each
-        new state's parent, and each ``carry`` column at the kept
-        candidates.
+        ``found`` holds ``(scores, parent, cand, *carry)`` tuples, one
+        per chunk of a level, that together hold every candidate within
+        :data:`TIE_TOL` of the level's ``beam_width``-th best: each
+        chunk's :func:`boundary_positions` do, and so does the spread
+        first level's cut. ``parent`` indexes ``members``. Returns the
+        new members, each new state's parent, and each ``carry`` column
+        at the kept candidates.
         """
         if not found:
             raise ValidationError(
@@ -397,31 +399,44 @@ class FastEngine:
                 for b, row in enumerate(members)]
 
     def _level1_spread(self, size, beam_width):
-        """Rank all feasible pairs ``i < j <= j_max`` off the row tiles."""
+        """Rank the feasible pairs ``i < j <= j_max`` that can reach
+        the beam, off the row tiles.
+
+        Every row ``r <= j_max`` has a farthest partner among the
+        columns ``<= j_max``, and a pair is the farthest of at most two
+        rows, so at least ``beam_width`` distinct feasible pairs score
+        at or above the ``2 * beam_width``-th largest row maximum. No
+        pair more than :data:`TIE_TOL` below that cut can enter the
+        tie-stable top ``beam_width``: only rows whose maximum reaches
+        it are compared, and :meth:`_select` gets every pair at or
+        above it. With fewer rows than ``2 * beam_width`` there is no
+        such bound and every feasible pair is ranked.
+        """
         n = self.n
         j_max = n - size + 1  # highest feasible second member
         self.states += n
+        row_max = np.empty(j_max + 1)
+        for i0, i1, blk in self.dist.tiles():
+            if i0 > j_max:
+                break  # this tile and every later one is past j_max
+            hi = min(i1, j_max + 1)
+            blk[:hi - i0, :j_max + 1].max(axis=1, out=row_max[i0:hi])
+        rank = row_max.size - 2 * beam_width
+        floor = (np.partition(row_max, rank)[rank] - TIE_TOL if rank >= 0
+                 else -np.inf)
         found = []
         for i0, i1, blk in self.dist.tiles():
             hi = min(i1, j_max)  # no row from j_max on has a partner
             if hi <= i0:
-                break  # this tile and every later one is past j_max
-            # feasible pairs are strictly upper-triangular, i < j: the
-            # tile's rows pair with its diagonal block above the
-            # diagonal and with every column right of that block. Two
-            # chunks, so no copy spans the row and the masked lower
-            # triangle is never ranked.
-            split = min(i1, j_max + 1)
-            for c0, c1 in ((i0 + 1, split), (split, j_max + 1)):
-                if c1 <= c0:
-                    continue
-                cols = np.arange(c0, c1)
-                scores = blk[:hi - i0, c0:c1].copy()
-                scores[np.arange(i0, hi)[:, None] >= cols[None, :]] = -np.inf
-                keep = boundary_positions(scores.ravel(), beam_width)
-                dists = scores.ravel()[keep]
-                found.append((dists, i0 + keep // cols.size,
-                              cols[keep % cols.size], dists))
+                break
+            rows = np.flatnonzero(row_max[i0:hi] >= floor)
+            if rows.size == 0:
+                continue
+            near = blk[rows, :j_max + 1]
+            r, c = np.nonzero((near >= floor)
+                              & (np.arange(j_max + 1) > (i0 + rows)[:, None]))
+            dists = near[r, c]
+            found.append((dists, i0 + rows[r], c, dists))
         members, _, sums = self._select(np.arange(n)[:, None], found,
                                         size, beam_width)
         return members, sums
@@ -576,13 +591,22 @@ class FastEngine:
 
         min1, arg1, min2 = minima()
         best_score = self.diam - float(min1.mean())
+        # A position's payload is a min over the other members' rows,
+        # exact, so re-scoring it while they are unchanged repeats its
+        # last sweep, which rejected or accepted the member it now
+        # holds: the climb is at its fixed point once every other
+        # position has rejected since the last accept (every position,
+        # before any accept).
+        settled, stop = 0, k
         for _ in range(max_passes):
-            improved = False
             for pos in range(k):
+                if settled == stop:
+                    return tuple(sorted(current)), best_score
                 # second-minimum update: the payload without this
                 # member is min2 wherever this member held the minimum
                 without = np.where(arg1 == pos, min2, min1)
                 sums = self.dist.sweep(np.minimum, without)
+                self.sweeps += 1
                 scores = self.diam - sums / self.m
                 scores[current] = -np.inf
                 j = tie_argmax(scores)
@@ -591,9 +615,9 @@ class FastEngine:
                     rows[pos] = self.dist.row(j)
                     min1, arg1, min2 = minima()
                     best_score = float(scores[j])
-                    improved = True
-            if not improved:
-                break
+                    settled, stop = 0, k - 1
+                else:
+                    settled += 1
         return tuple(sorted(current)), best_score
 
     # -- lazy-greedy submodular selection (coverage) -------------------

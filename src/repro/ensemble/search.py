@@ -95,6 +95,7 @@ def _search_span(engine: FastEngine, size: int,
     tel = get_telemetry()
     cache = engine.dist.cache
     states, reevals = engine.states, engine.reevaluations
+    sweeps = engine.sweeps
     hits, misses = cache.hits, cache.misses
     with tel.span("ensemble_search", metric=engine.metric, size=size,
                   strategy=strategy) as span:
@@ -105,6 +106,8 @@ def _search_span(engine: FastEngine, size: int,
                      cache_misses=cache.misses - misses)
             if strategy == "greedy":
                 span.set(reevaluations=engine.reevaluations - reevals)
+            if engine.sweeps > sweeps:  # a coverage refine ran
+                span.set(sweeps=engine.sweeps - sweeps)
 
 
 def _search_best(engine, size, beam_width, refine, strategy):

@@ -23,11 +23,13 @@ from repro.ensemble import fast as fast_mod
 from repro.ensemble.fast import (
     BlockCache,
     DistanceTiles,
+    FastEngine,
     boundary_positions,
+    grouped_top,
     tie_sorted,
 )
 from repro.ensemble.metrics import coverage, spread
-from repro.ensemble.search import best_ensemble
+from repro.ensemble.search import best_ensemble, top_k_ensembles
 from tests.ensemble_oracle import Oracle, exhaustive_best
 
 SPACE = BehaviorSpace()
@@ -128,6 +130,140 @@ class TestFastMatchesLegacy:
             coverage(cov.ensemble, samples=SAMPLES), rel=1e-9)
 
 
+@pytest.fixture(scope="module")
+def smoke_pool() -> list[BehaviorVector]:
+    """The 43 vectors of one exponent of the smoke plan (44 cells, the
+    by-design diameter failure among them)."""
+    import dataclasses
+
+    from repro.experiments.corpus import build_corpus
+    from repro.experiments.config import get_profile
+
+    profile = dataclasses.replace(get_profile("smoke"), alphas=(2.5,))
+    return build_corpus(profile, use_cache=False).vectors(scheme="max")
+
+
+def assert_top_k_matches_oracle(pool, size, k, beam_width,
+                                block_bytes=None):
+    budget = block_bytes or fast_mod.DEFAULT_BLOCK_BYTES
+    with mock.patch.object(fast_mod, "DEFAULT_BLOCK_BYTES", budget):
+        fast = top_k_ensembles(pool, size, "spread", k=k,
+                               beam_width=beam_width)
+    oracle = Oracle(pool, "spread").top_k(size, k, beam_width)
+    assert [r.indices for r in fast] == [o.indices for o in oracle]
+    assert [r.score for r in fast] == pytest.approx(
+        [o.score for o in oracle], abs=1e-9)
+
+
+class TestSpreadFirstLevelCut:
+    """The spread beam's first level ranks only the pairs at or above
+    the ``2 * beam_width``-th largest row maximum, less ``TIE_TOL``,
+    and every feasible pair when fewer rows exist. Each case below
+    keeps the oracle's selection only if that cut is a true lower
+    bound on the beam's last pair and ties at it survive."""
+
+    def test_fewer_rows_than_twice_the_beam(self, smoke_pool):
+        """43 vectors, beam 400: 800 rows would be needed for a cut,
+        so every feasible pair is ranked. A cut taken anyway, at the
+        smallest row maximum, would drop pairs the beam keeps."""
+        assert len(smoke_pool) == 43
+        assert_top_k_matches_oracle(smoke_pool, 4, 100, 400)
+        rng = np.random.default_rng(11)
+        pool = make_pool(rng.random((40, 4)))
+        assert_top_k_matches_oracle(pool, 3, 60, 64)
+        for size in (2, 5, 39):
+            assert_matches_oracle(pool, size, "spread")
+
+    @pytest.mark.parametrize("block_bytes", [None, 150 * 8 * 7])
+    def test_duplicate_only_pool(self, block_bytes):
+        """Every distance is 0: every pair ties at the cut, and the
+        beam holds the lexicographically smallest tuples."""
+        pool = make_pool([(0.25, 0.5, 0.75, 1.0)] * 150)
+        for size in (2, 3, 5):
+            assert_matches_oracle(pool, size, "spread",
+                                  block_bytes=block_bytes, beam_width=64)
+        assert_top_k_matches_oracle(pool, 3, 20, 64,
+                                    block_bytes=block_bytes)
+
+    @pytest.mark.parametrize("block_bytes", [None, 90 * 8 * 5])
+    def test_tie_lattice(self, block_bytes):
+        """Coordinates in thirds: a few distinct distances, each shared
+        by many pairs, so the cut lands inside a run of ties."""
+        rng = np.random.default_rng(2)
+        pool = make_pool(rng.integers(0, 4, (90, 4)) / 3.0)
+        for beam_width in (4, 16):
+            for size in (2, 3, 5):
+                assert_matches_oracle(pool, size, "spread",
+                                      block_bytes=block_bytes,
+                                      beam_width=beam_width)
+            assert_top_k_matches_oracle(pool, 3, beam_width, beam_width,
+                                        block_bytes=block_bytes)
+
+    def test_a_tie_just_below_the_cut(self):
+        """Four antipodal pairs 0.8 apart set the cut; the pair (0, 1)
+        is 5e-13 shorter, so it ties with them and, being the
+        lexicographically smallest, leads the beam of 4."""
+        r = 0.4
+        axes = np.eye(4)
+        diagonal = np.full(4, 0.5)
+        coords = [0.5 + (r - 2.5e-13) * diagonal,
+                  0.5 - (r - 2.5e-13) * diagonal]
+        for u in axes:
+            coords += [0.5 + r * u, 0.5 - r * u]
+        pool = make_pool(coords)
+        assert_top_k_matches_oracle(pool, 2, 4, 4)
+        assert top_k_ensembles(pool, 2, "spread", k=4,
+                               beam_width=4)[0].indices == (0, 1)
+
+    @given(seed=st.integers(0, 2**16), n=st.integers(30, 70),
+           beam_width=st.integers(1, 12), size=st.integers(2, 6),
+           tile_rows=st.integers(2, 9))
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_cut_across_small_tiles(self, seed, n, beam_width, size,
+                                    tile_rows):
+        """Tiles of a few rows: the rows that reach the cut sit in
+        different tiles, and ``j_max`` falls inside one."""
+        pool = make_pool(np.random.default_rng(seed).random((n, 4)))
+        assert n >= 2 * beam_width + size
+        assert_matches_oracle(pool, size, "spread",
+                              block_bytes=tile_rows * n * 8,
+                              beam_width=beam_width)
+        assert_top_k_matches_oracle(pool, 2, beam_width, beam_width,
+                                    block_bytes=tile_rows * n * 8)
+
+
+class TestCoverageRefineSweeps:
+    """Coverage refine stops at its fixed point: once every other
+    position has rejected since the last accept, no sweep can accept."""
+
+    def engine(self, pool, samples):
+        return FastEngine(SPACE.to_matrix(pool), "coverage", space=SPACE,
+                          samples=samples, n_samples=0, seed=0)
+
+    @pytest.mark.parametrize("size", [1, 2, 5])
+    def test_a_swap_optimum_takes_one_sweep_per_member(self, size):
+        pool = make_pool(np.random.default_rng(4).random((30, 4)))
+        found = best_ensemble(pool, size, "coverage", samples=SAMPLES,
+                              strategy="greedy")
+        engine = self.engine(pool, SAMPLES)
+        indices, score = engine.refine(found.indices)
+        assert (indices, score) == (found.indices, found.score)
+        assert engine.sweeps == size
+
+    def test_design_wide_pool(self):
+        """The 3,000-vector pool, greedy size 12 on 4 000 samples: the
+        last accept is at pass 2, position 7, so the climb ends after
+        the eleven rejections that follow it — 31 sweeps, where
+        finishing the third pass took 36."""
+        pool = make_pool(np.random.default_rng(7).random((3000, 4)))
+        samples = SPACE.sample(4000, seed=0)
+        engine = self.engine(pool, samples)
+        greedy, _ = engine.greedy(12)
+        engine.refine(greedy)
+        assert engine.sweeps == 31
+
+
 class TestGreedyMatchesOracle:
     """CELF lazy-greedy selects what the oracle's plain greedy (every
     gain fresh, exact ties to the smallest index) selects: identical
@@ -207,7 +343,6 @@ class TestBlockedKernels:
         # Tiny block budget forces many row tiles.
         tiles = DistanceTiles(X, X, block_bytes=50 * 8 * 3)
         assert tiles.n_blocks > 1
-        assert tiles.cache.kind == "pairwise"
         idx = [0, 7, 13, 49]
         np.testing.assert_array_equal(tiles.rows(idx).T, cdist(X, X[idx]))
         np.testing.assert_array_equal(tiles.rows(idx, transposed=True),
@@ -223,7 +358,6 @@ class TestBlockedKernels:
         X, S = rng.random((30, 4)), rng.random((64, 4))
         tiles = DistanceTiles(X, S, block_bytes=64 * 8 * 4)
         assert tiles.n_blocks > 1
-        assert tiles.cache.kind == "samples"
         idx = [2, 3, 29]
         np.testing.assert_array_equal(tiles.rows(idx), cdist(X[idx], S))
 
@@ -278,7 +412,7 @@ class TestBlockedKernels:
         def build(key):
             return np.full(100, float(key))
 
-        cache = BlockCache(2 * block.nbytes, "pairwise")
+        cache = BlockCache(2 * block.nbytes)
         cache.get(0, build)          # miss
         cache.get(1, build)          # miss
         cache.get(0, build)          # hit
@@ -289,7 +423,7 @@ class TestBlockedKernels:
         assert (cache.hits, cache.misses) == (2, 4)
 
     def test_keeps_at_least_one_block(self):
-        cache = BlockCache(1, "samples")  # budget below any block
+        cache = BlockCache(1)  # budget below any block
 
         def build(key):
             return np.zeros(1000)
@@ -321,6 +455,25 @@ class TestTieOrderingPrimitives:
         # Every position the tie-stable ordering would select must
         # survive the per-chunk boundary cut.
         assert top <= kept
+
+    @given(st.lists(st.tuples(
+               st.sampled_from([0.0, 0.5, 0.5 - 6e-13, 1.0, 1.0 - 7e-13,
+                                1.0 - 1.4e-12, 1.0 + 5e-13, 3.0]),
+               st.integers(0, 5), st.integers(0, 9)),
+               max_size=40, unique_by=lambda t: t[1:]),
+           st.integers(1, 12))
+    @settings(max_examples=80, deadline=None)
+    def test_grouped_top_is_tie_sorted(self, entries, width):
+        """The same positions, in the same order, as :func:`tie_sorted`
+        over ``(score, (parent, cand))``: runs of near ties, chains
+        longer than one group, and entries with no tie around them."""
+        scores = np.array([e[0] for e in entries], dtype=np.float64)
+        parent = np.array([e[1] for e in entries], dtype=np.intp)
+        cand = np.array([e[2] for e in entries], dtype=np.intp)
+        ranked = tie_sorted([(s, (p, c), pos)
+                             for pos, (s, p, c) in enumerate(entries)])
+        assert grouped_top(scores, parent, cand, width).tolist() == [
+            it[2] for it in ranked[:width]]
 
     def test_tie_sorted_orders_ties_by_tuple(self):
         items = [(1.0, (3,)), (1.0 + 2e-13, (1,)), (0.5, (0,)),

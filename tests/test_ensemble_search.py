@@ -157,7 +157,8 @@ class TestSearchSpan:
     def test_each_search_event_carries_its_own_work(self, tmp_path):
         """One ``ensemble_search`` event per size of a curve, each with
         the states and tile-cache lookups that search added — not the
-        engine's running totals — and greedy's re-evaluations."""
+        engine's running totals —, greedy's re-evaluations and coverage
+        refine's sweeps."""
         from repro.obs.events import read_all_events
         from repro.obs.telemetry import configure, deactivate
 
@@ -179,6 +180,8 @@ class TestSearchSpan:
             assert event["cache_hits"] + event["cache_misses"] > 0
         assert "reevaluations" not in spans[0]
         assert spans[2]["reevaluations"] >= 0
+        assert "sweeps" not in spans[0]
+        assert spans[2]["sweeps"] >= 4  # one per member, at the least
         # Per search, not cumulative: the curve's second search counts
         # what a fresh engine scores for that size alone.
         for event in spans[:2]:
