@@ -425,14 +425,16 @@ class FastEngine:
         floor = (np.partition(row_max, rank)[rank] - TIE_TOL if rank >= 0
                  else -np.inf)
         found = []
-        for i0, i1, blk in self.dist.tiles():
-            hi = min(i1, j_max)  # no row from j_max on has a partner
-            if hi <= i0:
-                break
+        # Only the tiles holding a row that reaches the cut are fetched,
+        # the last built first: the tile cache still holds those.
+        per = self.dist.rows_per_block
+        for bid in range((j_max - 1) // per, -1, -1):
+            i0 = bid * per
+            hi = min(i0 + per, j_max)  # no row from j_max on has a partner
             rows = np.flatnonzero(row_max[i0:hi] >= floor)
             if rows.size == 0:
                 continue
-            near = blk[rows, :j_max + 1]
+            near = self.dist.block(bid)[2][rows, :j_max + 1]
             r, c = np.nonzero((near >= floor)
                               & (np.arange(j_max + 1) > (i0 + rows)[:, None]))
             dists = near[r, c]

@@ -551,26 +551,6 @@ def _affinity_order(plan: "list[PlannedRun]") -> "list[PlannedRun]":
     return sorted(plan, key=lambda planned: planned.spec.cache_key())
 
 
-def _specs_needing_materialization(
-    plan: "list[PlannedRun]",
-    profile: Profile,
-    store: "ResultStore | None",
-    options: BuildOptions,
-) -> "dict[str, GraphSpec]":
-    """Distinct specs with at least one cell that will actually execute
-    (by :meth:`ResultStore.replay`'s rule, like every other path,
-    asked through its summary door): a fully cached rebuild
-    pre-materializes nothing."""
-    needed: dict[str, GraphSpec] = {}
-    for planned in plan:
-        spec_key = planned.spec.cache_key()
-        if spec_key not in needed and (
-                store is None or store.outcome(
-                    run_cache_key(planned, profile), options.resume) is None):
-            needed[spec_key] = planned.spec
-    return needed
-
-
 def build_corpus(
     profile: "Profile | str | None" = None,
     *,

@@ -180,7 +180,7 @@ class NodeAgent(CrewLoop):
             "epoch": self._queue_epoch,
             "tasks": sorted(self._claims),
             "stale_rejections": self.stale_rejections,
-            "segments": [mf.segment for mf in self.manifests.values()],
+            "segments": self.plane.segments() if self.plane else [],
             "done": done,
         }
 

@@ -196,7 +196,7 @@ class ResultStore:
         a retryable failure and ``resume`` asks for those to run again.
 
         This is the one statement of the cache-replay rule; the cell
-        executor, the pre-materialization planner, the coordinator and
+        executor, the supervisor's DAG planner, the coordinator and
         the node agents all ask it through :meth:`outcome`, its summary
         door, so they cannot disagree on which cells a build will run
         (:meth:`load` and :meth:`load_failure` take it directly).

@@ -363,10 +363,11 @@ class CrewLoop:
             on_transition=self._emit_transition)
         self.crew = WorkerCrew(workers, self.lease_s, options, profile,
                                store_root)
+        #: The graph plane, made on first use: the one record of what
+        #: this loop published.
         self.plane = None
-        self.manifests: dict = {}
-        #: Set once shared memory turned out unusable: every later cell
-        #: materializes per process.
+        #: Set once a publish failed (shared memory unusable): every
+        #: later cell materializes per process.
         self._plane_failed = False
         self.stopping = False
 
@@ -407,7 +408,7 @@ class CrewLoop:
         self.crew.shutdown(kill=kill or busy)
         if self.plane is not None:
             self.plane.close()
-            self.plane, self.manifests = None, {}
+            self.plane = None
 
     # ------------------------------------------------------------------
     # Hooks
@@ -429,14 +430,12 @@ class CrewLoop:
     # Planning
     # ------------------------------------------------------------------
     def _plane_wanted(self) -> bool:
-        """True while cells should wait for their graph in the plane."""
+        """True until a publish has failed: cells wait for their graph
+        in the plane, which is made on first use."""
         from repro.graph import shm
 
         if self.plane is None and not self._plane_failed:
-            if shm.shm_available():
-                self.plane = shm.GraphPlane()
-            else:
-                self._plane_failed = True
+            self.plane = shm.GraphPlane()
         return self.plane is not None
 
     def _materialize_task(self, spec: Any) -> str:
@@ -466,8 +465,9 @@ class CrewLoop:
 
     def _dispatch(self, handle, task: Task, now: float) -> None:
         epoch = self.board.lease(task.id, handle.worker, now)
-        manifest = (None if task.kind == "materialize" else
-                    self.manifests.get(task.payload.spec.cache_key()))
+        manifest = (None if task.kind == "materialize"
+                    or self.plane is None else
+                    self.plane.manifest(task.payload.spec.cache_key()))
         self.crew.dispatch(handle, TaskEnvelope(
             task.id, epoch, task.kind, (task.payload, manifest)))
         self._on_dispatched(task)
@@ -543,15 +543,14 @@ class CrewLoop:
         if not shm.publishable(problem):
             return
         try:
-            self.manifests[spec_key] = self.plane.publish(spec_key,
-                                                          problem)
+            self.plane.publish(spec_key, problem)
         except Exception:
-            # Plane-level fault (shm exhausted, ...): fall back to
-            # per-process materialization for everything.
+            # Shared memory is unusable (no /dev/shm, too small for
+            # the graph, ...): fall back to per-process materialization
+            # for everything.
             self.plane.close()
             self.plane = None
             self._plane_failed = True
-            self.manifests = {}
 
     def _emit_transition(self, task: Task, old: str, new: str,
                          info: dict) -> None:
@@ -585,7 +584,7 @@ class Supervisor(CrewLoop):
         self._stop = stop_requested or (lambda: False)
         #: The run task of every cell, in plan order.
         self._cells: "list[Task]" = []
-        self._premat_pending = False
+        self._premat_pending = True
         self._started = time.perf_counter()  # crew start-up is premat time
         super().__init__(
             options=options, profile=profile, workers=max(2, int(workers)),
@@ -596,27 +595,25 @@ class Supervisor(CrewLoop):
     # DAG construction
     # ------------------------------------------------------------------
     def _build_dag(self) -> None:
-        from repro.experiments.corpus import (
-            _specs_needing_materialization,
-            run_cache_key,
-        )
-        from repro.graph import shm
+        """One run task per cell in plan order. A cell that will execute
+        (by the store's summary door, the rule every path uses) waits
+        for its graph, so a fully cached graph gets no materialize task.
+        The graphs are put on the board ahead of every cell, so the
+        board offers them first: one parallel phase."""
+        from repro.experiments.corpus import run_cache_key
 
-        needed: dict = {}
-        if shm.shm_available():
-            self._premat_pending = True
-            needed = _specs_needing_materialization(
-                self.plan, self.profile, self.store, self.options)
-        if needed and self._plane_wanted():
-            for spec in needed.values():
-                # Every graph ahead of every cell: one parallel phase.
-                self._materialize_task(spec)
-        else:
-            needed = {}
+        cells = []
         for planned in self.plan:
-            self._cells.append(self._add_run(
-                f"run:{run_cache_key(planned, self.profile)}", planned,
-                materialize=planned.spec.cache_key() in needed))
+            key = run_cache_key(planned, self.profile)
+            executes = self.store is None or self.store.outcome(
+                key, self.options.resume) is None
+            materialize = executes and self._plane_wanted()
+            if materialize:
+                self._materialize_task(planned.spec)
+            cells.append((key, planned, materialize))
+        for key, planned, materialize in cells:
+            self._cells.append(self._add_run(f"run:{key}", planned,
+                                             materialize=materialize))
 
     # ------------------------------------------------------------------
     # Main loop
@@ -691,8 +688,8 @@ class Supervisor(CrewLoop):
             return
         self._premat_pending = False
         self.corpus.graph_plane = self.plane is not None
-        self.corpus.premat_graphs = len(self.manifests)
+        self.corpus.premat_graphs = len(self.plane or ())
         self.corpus.premat_seconds = time.perf_counter() - self._started
-        self.tel.emit("premat", graphs=len(self.manifests),
+        self.tel.emit("premat", graphs=self.corpus.premat_graphs,
                       seconds=self.corpus.premat_seconds,
                       plane=self.plane is not None)

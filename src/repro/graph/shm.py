@@ -26,9 +26,9 @@ Ownership and cleanup
 The *publishing* process (the corpus builder) owns every segment through
 a :class:`GraphPlane` and is the only one that unlinks:
 
-- ``GraphPlane.close()`` — idempotent; called from ``build_corpus``'s
-  ``finally`` (covers clean exit, exceptions, and the first-^C stop
-  path) and registered with ``atexit`` as a second line of defense;
+- ``GraphPlane.close()`` — idempotent; called from ``CrewLoop.close``
+  (covers clean exit, exceptions, and the first-^C stop path) and
+  registered with ``atexit`` as a second line of defense;
 - the parent keeps its ``resource_tracker`` registration, so even a
   SIGKILLed builder gets its segments reclaimed when the tracker
   process exits;
@@ -36,8 +36,11 @@ a :class:`GraphPlane` and is the only one that unlinks:
   exit); a SIGKILLed worker drops its mapping with the process and
   leaks nothing, because the name is owned by the parent.
 
-Attaching never registers with the resource tracker (see
-:func:`_attach_segment`): registration belongs to the owner alone.
+The publisher never resolves its own graphs: a crew loop runs no cell
+in its own process. Attaching never registers with the resource
+tracker (see :func:`_attach_segment`): registration belongs to the
+owner alone. There is no probe for a working shared memory: the first
+publish that fails is the answer (the loop then stops publishing).
 See DESIGN.md §11.
 """
 
@@ -133,19 +136,6 @@ def unlink_segment(name: str) -> bool:
     return True
 
 
-def shm_available() -> bool:
-    """Probe for a working shared-memory implementation."""
-    try:
-        from multiprocessing import shared_memory
-
-        seg = shared_memory.SharedMemory(create=True, size=16)
-        seg.close()
-        seg.unlink()
-        return True
-    except Exception:
-        return False
-
-
 def _aligned(offset: int) -> int:
     return (offset + _ALIGNMENT - 1) // _ALIGNMENT * _ALIGNMENT
 
@@ -236,43 +226,36 @@ def _problem_from_segment(manifest: ShmManifest, seg) -> ProblemInstance:
 # ----------------------------------------------------------------------
 # Attach side (workers)
 # ----------------------------------------------------------------------
-#: Open attachments, keyed by segment name. Keeping the SharedMemory
-#: object alive keeps the mapping (and every numpy view over it) valid
-#: for the life of the process; entries are closed at interpreter exit.
-_ATTACHED_SEGMENTS: dict[str, object] = {}
-#: Attached problems memoized by segment name, so a worker executing
-#: many cells of one graph rebuilds the view once.
-_ATTACHED_PROBLEMS: dict[str, ProblemInstance] = {}
+#: Open attachments by segment name: the segment and the problem over
+#: its read-only views, so a worker executing many cells of one graph
+#: rebuilds the view once. Holding the SharedMemory object keeps the
+#: mapping (and every numpy view over it) valid for the life of the
+#: process; entries are closed at interpreter exit.
+_ATTACHED: dict[str, tuple[object, ProblemInstance]] = {}
 #: Manifests installed into this process (worker payloads), by key.
 _INSTALLED_MANIFESTS: dict[str, ShmManifest] = {}
-#: Problems registered directly in this process (the publishing parent
-#: and the no-shm inline path), by key.
-_LOCAL_PROBLEMS: dict[str, ProblemInstance] = {}
 
 
 def attach(manifest: ShmManifest) -> ProblemInstance:
     """Attach a published problem read-only (zero-copy, memoized)."""
-    problem = _ATTACHED_PROBLEMS.get(manifest.segment)
-    if problem is not None:
-        return problem
-    seg = _ATTACHED_SEGMENTS.get(manifest.segment)
-    if seg is None:
+    hit = _ATTACHED.get(manifest.segment)
+    if hit is None:
         seg = _attach_segment(manifest.segment)
-        _ATTACHED_SEGMENTS[manifest.segment] = seg
-    problem = _problem_from_segment(manifest, seg)
-    _ATTACHED_PROBLEMS[manifest.segment] = problem
-    return problem
+        hit = _ATTACHED[manifest.segment] = (
+            seg, _problem_from_segment(manifest, seg))
+    return hit[1]
 
 
 def _close_attachments() -> None:
-    """Close (never unlink) every attachment held by this process."""
-    _ATTACHED_PROBLEMS.clear()
-    for seg in _ATTACHED_SEGMENTS.values():
+    """Close (never unlink) every attachment held by this process. The
+    problems go first: a segment with live views over it cannot close."""
+    segments = [seg for seg, _ in _ATTACHED.values()]
+    _ATTACHED.clear()
+    for seg in segments:
         try:
             seg.close()
         except Exception:
             pass
-    _ATTACHED_SEGMENTS.clear()
 
 
 atexit.register(_close_attachments)
@@ -283,26 +266,12 @@ def install_manifest(manifest: ShmManifest) -> None:
     _INSTALLED_MANIFESTS[manifest.key] = manifest
 
 
-def install_problem(key: str, problem: ProblemInstance) -> None:
-    """Register an already-materialized problem by key (parent side)."""
-    _LOCAL_PROBLEMS[key] = problem
-
-
-def discard_problem(key: str) -> None:
-    _LOCAL_PROBLEMS.pop(key, None)
-
-
 def resolve(key: str) -> "ProblemInstance | None":
-    """Resolve a spec cache key to a published problem, if any.
-
-    Checks locally registered problems first (the publisher's own
-    views), then installed manifests (worker side). A manifest whose
-    segment has vanished — the plane was closed under us — is dropped
-    and the caller falls back to regenerating.
+    """Resolve a spec cache key to a published problem, if a manifest
+    for it was installed here (worker side). A manifest whose segment
+    has vanished — the plane was closed under us — is dropped and the
+    caller falls back to regenerating.
     """
-    problem = _LOCAL_PROBLEMS.get(key)
-    if problem is not None:
-        return problem
     manifest = _INSTALLED_MANIFESTS.get(key)
     if manifest is None:
         return None
@@ -322,32 +291,38 @@ def resolve(key: str) -> "ProblemInstance | None":
 # Publish side (the corpus builder)
 # ----------------------------------------------------------------------
 class GraphPlane:
-    """Owner of all published segments for one corpus build.
+    """Owner of all published segments for one crew loop, and the one
+    record of what it published.
 
-    ``publish`` copies a problem into a fresh segment and registers the
-    parent-side view under the key, so inline resolution in the parent
-    is zero-copy too. ``close`` unlinks everything and is idempotent —
-    it runs from ``build_corpus``'s ``finally`` *and* ``atexit``.
+    ``publish`` copies a problem into a fresh segment; workers reach it
+    through the manifest (:meth:`manifest`) that travels in their task
+    payload. ``close`` unlinks everything and is idempotent — it runs
+    from ``CrewLoop.close`` *and* ``atexit``.
     """
 
     def __init__(self) -> None:
-        self._segments: dict[str, object] = {}
-        self._manifests: dict[str, ShmManifest] = {}
+        #: key -> (owned segment, its manifest)
+        self._published: dict[str, tuple[object, ShmManifest]] = {}
         self._closed = False
         atexit.register(self.close)
 
     def __len__(self) -> int:
-        return len(self._manifests)
+        return len(self._published)
 
-    @property
-    def manifests(self) -> dict[str, ShmManifest]:
-        return dict(self._manifests)
+    def manifest(self, key: str) -> "ShmManifest | None":
+        """The manifest published under *key*, if any."""
+        hit = self._published.get(key)
+        return None if hit is None else hit[1]
+
+    def segments(self) -> "list[str]":
+        """Names of every published segment."""
+        return [mf.segment for _, mf in self._published.values()]
 
     def publish(self, key: str, problem: ProblemInstance) -> ShmManifest:
         """Copy ``problem`` into shared memory under ``key``."""
         if self._closed:
             raise RuntimeError("graph plane is closed")
-        existing = self._manifests.get(key)
+        existing = self.manifest(key)
         if existing is not None:
             return existing
         from multiprocessing import shared_memory
@@ -380,12 +355,7 @@ class GraphPlane:
             except Exception:
                 pass
             raise
-        self._segments[key] = seg
-        self._manifests[key] = manifest
-        # The parent resolves through its own view of the segment (not
-        # the original problem) so parent and workers compute over the
-        # same bytes; the original can be garbage-collected.
-        install_problem(key, _problem_from_segment(manifest, seg))
+        self._published[key] = (seg, manifest)
         from repro.obs.telemetry import get_telemetry
 
         tel = get_telemetry()
@@ -401,11 +371,7 @@ class GraphPlane:
         # A closed plane has nothing left for exit to do, and a
         # registered bound method would keep it alive until then.
         atexit.unregister(self.close)
-        for key, seg in self._segments.items():
-            # Views over the segment die with it: drop the parent-side
-            # problem so later resolution regenerates instead of
-            # touching an unmapped buffer.
-            discard_problem(key)
+        for seg, _ in self._published.values():
             try:
                 seg.close()
             except Exception:
@@ -414,5 +380,4 @@ class GraphPlane:
                 seg.unlink()
             except Exception:
                 pass
-        self._segments.clear()
-        self._manifests.clear()
+        self._published.clear()

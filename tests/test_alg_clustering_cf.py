@@ -275,6 +275,65 @@ class TestNMF:
         assert all(rec.messages == m for rec in trace.iterations)
 
 
+    @pytest.mark.parametrize("arm", ["declared", "unfused"])
+    @pytest.mark.parametrize("alpha", [2.0, 2.5, 3.0])
+    @pytest.mark.parametrize("nedges", [300, 3000])
+    def test_objective_never_increases(self, nedges, alpha, arm):
+        """Exact statement: the squared error over the rated edges,
+        measured after init and after every iteration's apply, never
+        increases. Each iteration is one Lee-Seung multiplicative
+        update of one side with the other held still, which cannot
+        increase the objective.
+
+        Only the synchronous engine runs NMF (it declares neither
+        ``supports_async`` nor ``supports_edge_centric``); the other
+        three refuse it.
+        """
+        from repro._util.errors import ValidationError
+        from repro.algorithms.registry import create
+        from repro.engine import (
+            AsynchronousEngine,
+            EdgeCentricEngine,
+            GraphCentricEngine,
+        )
+        from tests.conftest import unfused
+
+        problem = bipartite_rating_graph(nedges, alpha, seed=13)
+        for engine_class in (AsynchronousEngine, EdgeCentricEngine,
+                             GraphCentricEngine):
+            with pytest.raises(ValidationError):
+                engine_class().run(create("nmf"), problem)
+
+        program = create("nmf")
+        if arm == "unfused":
+            program = unfused(program)
+        src, dst = problem.graph.edge_endpoints()
+        rating = problem.graph.edge_weight
+        errors = []
+
+        def record():
+            f = program.factors
+            err = (f[src] * f[dst]).sum(axis=1) - rating
+            errors.append(float((err ** 2).sum()))
+
+        init, apply = program.init, program.apply
+
+        def recorded_init(ctx):
+            frontier = init(ctx)
+            record()
+            return frontier
+
+        def recorded_apply(ctx, vids, acc):
+            apply(ctx, vids, acc)
+            record()
+
+        program.init, program.apply = recorded_init, recorded_apply
+        trace, _ = run_program("nmf", problem, program=program)
+        assert len(errors) == trace.n_iterations + 1 == 21
+        assert all(b <= a for a, b in zip(errors, errors[1:])), errors
+        assert errors[-1] < errors[0]
+
+
 class TestSGD:
     def test_rmse_improves(self, cf):
         short, _ = run_program("sgd", cf, options={"max_iterations": 1})

@@ -431,11 +431,8 @@ class TestBeats:
         """A peer's beat carries its shm segment names to disk before
         the loop takes another step: a node SIGKILLed on its next task
         leaves the coordinator knowing what to unlink."""
-        from repro.graph import shm
         from repro.obs.telemetry import get_telemetry
 
-        if not shm.shm_available():
-            pytest.skip("no shared memory")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         queue = _queue(tmp_path)
         store = ResultStore(tmp_path / "store")
@@ -452,7 +449,7 @@ class TestBeats:
             real_on_update(task, envelope, accepted)
             if task.kind == "materialize":
                 seen.append((list(queue.read_beats()["n1"].segments),
-                             [mf.segment for mf in agent.manifests.values()]))
+                             agent.plane.segments()))
 
         agent._on_update = on_update
         try:

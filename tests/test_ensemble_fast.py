@@ -233,6 +233,31 @@ class TestSpreadFirstLevelCut:
                                     block_bytes=tile_rows * n * 8)
 
 
+    @pytest.mark.parametrize("coords", [
+        np.random.default_rng(3).random((650, 4)),
+        np.random.default_rng(2).integers(0, 4, (650, 4)) / 3.0],
+        ids=["uniform", "tie-lattice"])
+    def test_the_second_pass_rebuilds_no_cached_tile(self, coords):
+        """11 tiles, 8 of them cached: the second pass fetches only the
+        tiles holding a row at or above the cut, the last built first,
+        so it rebuilds at most the tiles the cache could not keep."""
+        pool = make_pool(coords)
+        block_bytes = 60 * len(pool) * 8
+        with mock.patch.object(fast_mod, "DEFAULT_BLOCK_BYTES",
+                               block_bytes):
+            engine = FastEngine(coords, "spread", space=SPACE,
+                                samples=None, n_samples=0, seed=0)
+        n_blocks = engine.dist.n_blocks
+        assert n_blocks == 11
+        assert engine.dist.cache.budget // block_bytes == 8
+        engine._level1_spread(4, 64)
+        assert engine.dist.cache.misses <= n_blocks + max(0, n_blocks - 8)
+        for beam_width in (16, 64):
+            assert_matches_oracle(pool, 4, "spread",
+                                  block_bytes=block_bytes,
+                                  beam_width=beam_width)
+
+
 class TestCoverageRefineSweeps:
     """Coverage refine stops at its fixed point: once every other
     position has rejected since the last accept, no sweep can accept."""

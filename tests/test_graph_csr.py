@@ -361,6 +361,8 @@ def test_shm_round_trips_values_and_aliasing(edges, directed, weighted):
         # benchmark reports as graph.shm.bytes.
         assert sum(a.nbytes for a in manifest.arrays) == \
             g.memory_bytes() + n
+        # A worker resolves by key once the manifest is installed.
+        shm.install_manifest(manifest)
         for attached in (shm.attach(manifest).graph,
                          shm.resolve("prop").graph):
             for name in ("out_ptr", "out_dst", "out_eid",
@@ -378,3 +380,4 @@ def test_shm_round_trips_values_and_aliasing(edges, directed, weighted):
     finally:
         plane.close()
         shm._close_attachments()
+        shm._INSTALLED_MANIFESTS.pop("prop", None)

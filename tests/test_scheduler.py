@@ -37,7 +37,6 @@ from repro.experiments.corpus import (
 )
 from repro.experiments.failures import RunFailure, full_jitter_backoff
 from repro.experiments.results import ResultStore
-from repro.graph import shm
 from repro.experiments.scheduler import (
     _ALLOWED_TRANSITIONS,
     SchedulerError,
@@ -87,7 +86,8 @@ def _plan_for(algorithms) -> list:
 def _supervise(plan, store, corpus, monkeypatch, **options) -> None:
     """One supervised 2-worker build with per-process graphs (no shm
     plane) and no retries."""
-    monkeypatch.setattr(shm, "shm_available", lambda: False)
+    monkeypatch.setattr(scheduler.CrewLoop, "_plane_wanted",
+                        lambda self: False)
     Supervisor(plan=plan, profile=SCHED_PROFILE, store=store,
                corpus=corpus, workers=2,
                options=BuildOptions(retries=0, **options)).run()

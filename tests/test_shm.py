@@ -16,9 +16,10 @@ import pytest
 
 from repro.behavior.run import INJECT_SLEEP_ENV
 from repro.experiments.config import ExperimentMatrix, GraphSpec, Profile
-from repro.experiments.corpus import build_corpus
+from repro.experiments.corpus import build_corpus, run_cache_key
 from repro.experiments.graph_cache import (
     GraphCache,
+    default_cache,
     materialize_problem,
     problem_nbytes,
 )
@@ -55,7 +56,6 @@ def clean_plane_state():
     yield
     shm._close_attachments()
     shm._INSTALLED_MANIFESTS.clear()
-    shm._LOCAL_PROBLEMS.clear()
     assert _shm_segments() - pre == set()
 
 
@@ -167,14 +167,20 @@ class TestPublishAttach:
         plane = shm.GraphPlane()
         manifest = plane.publish(key, spec.generate())
         assert f"/dev/shm/{manifest.segment}" in _shm_segments()
+        # The publisher keeps no view of its own: a crew loop runs no
+        # cell, so only a process that installed the manifest (a
+        # worker) resolves the graph from the plane.
+        assert shm.resolve(key) is None
+        assert materialize_problem(spec)[1] in ("cache", "generated")
+        shm.install_manifest(manifest)
         assert materialize_problem(spec)[1] == "shm"
 
         plane.close()
         plane.close()  # idempotent
         assert f"/dev/shm/{manifest.segment}" not in _shm_segments()
-        # The parent-side problem is discarded with the plane, so the
-        # next resolution regenerates (or hits the LRU) instead of
-        # touching an unmapped buffer.
+        # Once the worker's attachment is closed too, the vanished
+        # segment is a stale manifest: resolution falls back.
+        shm._close_attachments()
         assert materialize_problem(spec)[1] in ("cache", "generated")
 
     def test_stale_manifest_is_dropped(self, clean_plane_state):
@@ -246,6 +252,15 @@ class TestGraphCache:
 
 # ----------------------------------------------------------------------
 # Materialize-once corpus builds
+def _unusable_shm(patch) -> None:
+    """Shared memory as a host without a usable ``/dev/shm`` has it:
+    every publish fails, as its first ``SharedMemory(create=True)``
+    would."""
+    def publish(self, key, problem):
+        raise OSError("no usable shared memory")
+    patch.setattr(shm.GraphPlane, "publish", publish)
+
+
 # ----------------------------------------------------------------------
 class TestCorpusGraphPlane:
     def test_parallel_build_materializes_each_graph_once(
@@ -285,7 +300,7 @@ class TestCorpusGraphPlane:
 
         # And the no-shm build produces bit-identical vectors.
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(shm, "shm_available", lambda: False)
+            _unusable_shm(patch)
             plain = build_corpus(TINY_PROFILE,
                                  store=ResultStore(tmp_path / "plain"),
                                  workers=2)
@@ -296,10 +311,53 @@ class TestCorpusGraphPlane:
 
         assert vec(corpus) == vec(plain)
 
+    def test_only_graphs_with_an_executing_cell_materialize(
+            self, tmp_path, clean_plane_state):
+        """A partially cached store: graph A has some cells cached and
+        some not, graph C none, graph B (like every other) all. Exactly
+        A and C get a materialize task, are generated once and are
+        published; the vectors are the inline build's."""
+        store = ResultStore(tmp_path / "store")
+        inline = build_corpus(TINY_PROFILE, store=store)
+        by_graph: dict = {}
+        for planned in ExperimentMatrix(TINY_PROFILE).corpus_runs():
+            if planned.spec.domain == "ga":
+                by_graph.setdefault(planned.spec.cache_key(), []).append(
+                    run_cache_key(planned, TINY_PROFILE))
+        (a, a_keys), (b, _), (c, c_keys) = list(by_graph.items())[:3]
+        assert len(a_keys) > 1
+        for key in a_keys[::2] + c_keys:
+            assert store.discard(key)
+        # Forked workers would inherit this process's graphs.
+        default_cache().clear()
+
+        corpus = build_corpus(TINY_PROFILE, store=ResultStore(store.root),
+                              workers=2, obs="full",
+                              obs_dir=tmp_path / "obs")
+        events = read_all_events(tmp_path / "obs")
+        materialize_tasks = {e["task"] for e in events
+                             if e.get("kind") == "task"
+                             and e.get("task_kind") == "materialize"}
+        generated = sum(
+            1 for e in events
+            if e.get("kind") == "span" and e.get("name") == "materialize"
+            and e.get("source") == "generated")
+        assert materialize_tasks == {f"materialize:{a}",
+                                     f"materialize:{c}"}
+        assert f"materialize:{b}" not in materialize_tasks
+        assert generated == corpus.premat_graphs == 2
+        assert corpus.n_executed == len(a_keys[::2] + c_keys)
+
+        def vec(built):
+            return [(v.tag, v.as_array().tolist())
+                    for v in built.vectors()]
+
+        assert vec(corpus) == vec(inline)
+
     def test_shm_unavailable_falls_back_cleanly(self, tmp_path,
                                                 monkeypatch,
                                                 clean_plane_state):
-        monkeypatch.setattr(shm, "shm_available", lambda: False)
+        _unusable_shm(monkeypatch)
         corpus = build_corpus(TINY_PROFILE,
                               store=ResultStore(tmp_path / "fallback"),
                               workers=2)
